@@ -90,30 +90,36 @@
 # Gate steps, in order (each must pass):
 #   1. go vet        — static analysis across every package
 #   2. go build      — the full module compiles, commands included
-#   3. go test -race — the whole test suite under the race detector,
+#   3. bench module  — go vet + go build inside bench/ (read-only): the
+#                      repository benchmark is a module of its own that
+#                      the root build never compiles, so an
+#                      internal/server, internal/stream or
+#                      internal/tenant API removal that bench/layers
+#                      depends on fails here, not in a benchmark run
+#   4. go test -race — the whole test suite under the race detector,
 #                      covering the parallel experiment engine, the
 #                      concurrent NetFlow collector, the sliding-window
 #                      repricer (including the failure-path snapshot
 #                      retention tests that hammer Quote against
 #                      injected reprice failures), and the registry
-#   4. chaos stage   — the tierd fault-injection e2e re-run explicitly
+#   5. chaos stage   — the tierd fault-injection e2e re-run explicitly
 #                      at a pinned seed (CHAOS_SEED, default 4242), so
 #                      the fault schedule the gate certifies is the one
 #                      a failure replays locally
-#   5. recover stage — crash-recovery parity (in-process fault matrix +
+#   6. recover stage — crash-recovery parity (in-process fault matrix +
 #                      out-of-process kill -9) replayed at every pinned
 #                      seed in RECOVER_SEEDS
-#   6. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
-#   7. history stage — the durable-history + hot-reload tests at the
+#   7. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
+#   8. history stage — the durable-history + hot-reload tests at the
 #                      pinned seed (the benchmark half of
 #                      `./ci.sh history` stays out of the gate — it
 #                      mutates BENCH_*.json, like slo/ingest)
-#   8. docs stage    — the documentation lint (see ./ci.sh docs)
-#   9. benchmarks    — every benchmark compiles and runs one iteration
+#   9. docs stage    — the documentation lint (see ./ci.sh docs)
+#  10. benchmarks    — every benchmark compiles and runs one iteration
 #                      (catches bit-rotted benchmark code without paying
 #                      for a timed run; use `./ci.sh bench` for real
 #                      numbers)
-#  10. fuzz smoke    — every netflow/bgp fuzz target actually fuzzes for
+#  11. fuzz smoke    — every netflow/bgp fuzz target actually fuzzes for
 #                      a short budget (FUZZTIME, default 10s each), not
 #                      just replays its seed corpus
 set -eu
@@ -354,6 +360,10 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> go vet -C bench ./... && go build -C bench ./..."
+go vet -C bench ./...
+go build -C bench ./...
 
 echo "==> go test -race ./..."
 go test -race ./...

@@ -43,6 +43,22 @@ func concatStreams(t testing.TB, streams map[string][]byte) []byte {
 // collector), loadgen at a low fixed rate for a bounded window, and the
 // SLO report checked for parseability, achieved-QPS tolerance, zero
 // errors, and monotone quantiles.
+// repriceEvery re-prices on a plain ticker until ctx is cancelled: the
+// in-process stand-in for tierd's tick loop. Failures (an empty window
+// before the replay lands) just wait for the next tick.
+func repriceEvery(ctx context.Context, rp *stream.Repricer, interval time.Duration) {
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+			_, _ = rp.Reprice(ctx)
+		}
+	}
+}
+
 func TestLoadgenEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second load test")
@@ -93,7 +109,7 @@ func TestLoadgenEndToEnd(t *testing.T) {
 	repDone := make(chan struct{})
 	go func() {
 		defer close(repDone)
-		rp.Run(ctx, 250*time.Millisecond, nil)
+		repriceEvery(ctx, rp, 250*time.Millisecond)
 	}()
 	srv, err := server.New(server.Config{Snapshots: rp})
 	if err != nil {

@@ -463,8 +463,9 @@ func pushNetflow(ctx context.Context, addr string, datagrams [][]byte, pps float
 
 // warmup replays the whole trace into the ingest path and waits until
 // every pair in the quote mix is priced. The daemon picks up re-sent
-// data only at its next re-price, so the loop replays, probes, and backs
-// off until the deadline.
+// data only at its next re-price, and any replay can be partly shed by
+// a full socket buffer (the window de-duplicates what arrives twice), so
+// the loop replays, probes and backs off until the deadline.
 func warmup(ctx context.Context, client *http.Client, opts Options, targets []quoteTarget) error {
 	if opts.NetflowAddr == "" {
 		return errors.New("loadgen: -warmup needs a netflow address to replay into")
@@ -481,7 +482,7 @@ func warmup(ctx context.Context, client *http.Client, opts Options, targets []qu
 	defer conn.Close()
 
 	missing := len(targets)
-	for attempt := 0; ; attempt++ {
+	for {
 		// Replay the full trace; pacing keeps the loopback socket buffer
 		// from shedding most of it.
 		for i, d := range opts.Datagrams {
@@ -492,26 +493,22 @@ func warmup(ctx context.Context, client *http.Client, opts Options, targets []qu
 				time.Sleep(time.Millisecond)
 			}
 		}
-		// Give the daemon a chance to re-price, then probe the mix.
-		for time.Now().Before(deadline) {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			missing = 0
-			for _, tgt := range targets {
-				status, _, err := fire(ctx, client, tgt.url)
-				if err != nil || status != http.StatusOK {
-					missing++
-				}
-			}
-			if missing == 0 {
-				return nil
-			}
-			time.Sleep(200 * time.Millisecond)
-			if attempt == 0 {
-				break // early re-replay once, in case the first burst was shed
+		// Probe the mix; a miss gives the daemon a re-price interval's
+		// grace before the next replay.
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		missing = 0
+		for _, tgt := range targets {
+			status, _, err := fire(ctx, client, tgt.url)
+			if err != nil || status != http.StatusOK {
+				missing++
 			}
 		}
+		if missing == 0 {
+			return nil
+		}
+		time.Sleep(200 * time.Millisecond)
 		if !time.Now().Before(deadline) {
 			return fmt.Errorf("loadgen: warm-up deadline: %d of %d pairs still unpriced", missing, len(targets))
 		}

@@ -150,7 +150,7 @@ func TestLoadgenFleetEndToEnd(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			rp.Run(ctx, 250*time.Millisecond, nil)
+			repriceEvery(ctx, rp, 250*time.Millisecond)
 		}()
 		t.Cleanup(func() { cancel(); <-done })
 		tenants = append(tenants, &tenant.Tenant{

@@ -111,8 +111,8 @@ func TestTierdChaos(t *testing.T) {
 	// re-prices, so the /metrics assertions see what the ticker would
 	// report.
 	tick := func() error {
-		snap, rerr := d.repricer.Reprice(context.Background())
-		d.onTick(snap, 0, rerr)
+		snap, rerr := d.members[0].repricer.Reprice(context.Background())
+		d.members[0].onTick(snap, 0, rerr)
 		return rerr
 	}
 	metricsBody := func() string {
@@ -157,7 +157,7 @@ func TestTierdChaos(t *testing.T) {
 	// survived the faults: drops and truncations hit both identically,
 	// and both de-duplicate the injected re-sends.
 	deadline = time.Now().Add(10 * time.Second)
-	for !demandMatches(d.window.Aggregates(), shadow.Aggregates()) {
+	for !demandMatches(d.members[0].window.Aggregates(), shadow.Aggregates()) {
 		if time.Now().After(deadline) {
 			t.Fatal("window diverged from the shadow collector behind the fault sink")
 		}
@@ -190,7 +190,7 @@ func TestTierdChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := d.repricer.Current()
+	snap := d.members[0].repricer.Current()
 	gotTable, err := snap.Table.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestTierdChaos(t *testing.T) {
 	if err := tick(); !errors.Is(err, stream.ErrEmptyWindow) {
 		t.Fatalf("re-price over the expired window: %v, want ErrEmptyWindow", err)
 	}
-	if got := d.repricer.Current(); got != snap {
+	if got := d.members[0].repricer.Current(); got != snap {
 		t.Fatal("empty-window re-price displaced the serving snapshot")
 	}
 	if !strings.Contains(metricsBody(), "tierd_reprice_consecutive_failures 3") {
@@ -377,7 +377,7 @@ func TestTierdChaos(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not drain after cancellation")
 	}
-	final := d.repricer.Current()
+	final := d.members[0].repricer.Current()
 	if final.Epoch != 1 {
 		t.Fatalf("final epoch = %d, want the retained first snapshot", final.Epoch)
 	}

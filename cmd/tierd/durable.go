@@ -39,7 +39,7 @@ type durability struct {
 	dataDir  string
 	walDir   string
 	ckptDir  string
-	tenantID string // stamps checkpoints in multi-tenant namespaces ("" = legacy layout)
+	tenantID string // stamps checkpoints in tenants/<id> namespaces ("" = a synthesised member's root layout)
 	retain   int
 	interval time.Duration
 	now      func() time.Time
@@ -55,8 +55,9 @@ type durability struct {
 	// apply order within a shard equal to its WAL order (see above).
 	shardMu []sync.Mutex
 
-	stopCh chan struct{}
-	doneCh chan struct{}
+	stopCh  chan struct{}
+	doneCh  chan struct{}
+	started bool // the checkpoint loop is running (start was called)
 
 	checkpoints       atomic.Uint64
 	lastCkptNano      atomic.Int64
@@ -79,10 +80,10 @@ type durability struct {
 // subsystem: window and repricer are restored (newest valid checkpoint
 // + WAL-tail replay through the window's own ingest path), the WAL is
 // open for appending at the recovered end, and the checkpoint loop is
-// ready to start. Single-tenant daemons pass dir = cfg.dataDir and an
-// empty tenantID (the original <data-dir>/{wal,checkpoint} layout);
-// fleet daemons pass each tenant's namespace directory and ID, which
-// stamps checkpoints so a namespace mix-up is refused at boot.
+// ready to start. A synthesised member passes dir = cfg.dataDir and an
+// empty tenantID (the original <data-dir>/{wal,checkpoint} layout); a
+// -tenants member passes its namespace directory and ID, which stamps
+// checkpoints so a namespace mix-up is refused at boot.
 func openDurability(cfg config, dir, tenantID string, w *stream.ShardedWindow, rp *stream.Repricer,
 	rec *histRecorder, configEpoch func() int64) (*durability, error) {
 	d := &durability{
@@ -189,6 +190,7 @@ func (s durableSink) Ingest(h netflow.Header, recs []netflow.Record) {
 
 // start launches the periodic checkpoint loop.
 func (d *durability) start() {
+	d.started = true
 	go func() {
 		defer close(d.doneCh)
 		ticker := time.NewTicker(d.interval)
@@ -270,13 +272,29 @@ func (d *durability) stats() server.DurabilityStats {
 // shutdown therefore restarts instantly — the final checkpoint covers
 // the whole log, leaving nothing to replay.
 func (d *durability) close() error {
-	close(d.stopCh)
-	<-d.doneCh
+	d.stopLoop()
 	err := d.checkpoint()
 	if cerr := d.log.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// abort releases the subsystem of a daemon that failed to start: the
+// checkpoint loop stops before the WAL it reads closes, and no final
+// checkpoint is taken (nothing was served).
+func (d *durability) abort() {
+	d.stopLoop()
+	d.log.Close()
+}
+
+// stopLoop stops the checkpoint loop, if start ever launched it, and
+// waits for it to exit.
+func (d *durability) stopLoop() {
+	if d.started {
+		close(d.stopCh)
+		<-d.doneCh
+	}
 }
 
 // warmReprice publishes an initial snapshot from the recovered window

@@ -267,8 +267,8 @@ func TestReloadUnderLoad(t *testing.T) {
 	doReprice := func() {
 		t.Helper()
 		start := time.Now()
-		snap, err := d.repricer.Reprice(context.Background())
-		d.onTick(snap, time.Since(start), err)
+		snap, err := d.members[0].repricer.Reprice(context.Background())
+		d.members[0].onTick(snap, time.Since(start), err)
 		if err != nil {
 			t.Fatalf("reprice: %v", err)
 		}
@@ -321,7 +321,7 @@ func TestReloadUnderLoad(t *testing.T) {
 			t.Fatalf("reload %d: %v", i, err)
 		}
 		doReprice()
-		if got := len(d.repricer.Current().Table.Tiers); got != tiers {
+		if got := len(d.members[0].repricer.Current().Table.Tiers); got != tiers {
 			t.Fatalf("reload %d: snapshot has %d tiers, want %d", i, got, tiers)
 		}
 	}

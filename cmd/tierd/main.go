@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -47,6 +46,7 @@ import (
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/server"
 	"tieredpricing/internal/stream"
+	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/topology"
 	"tieredpricing/internal/traces"
 	"tieredpricing/internal/wal"
@@ -88,13 +88,14 @@ type config struct {
 	ingestShards int // window shards (1 = the classic single-lock window)
 	udpRcvbuf    int // SO_RCVBUF request per collector socket (0 = OS default)
 	reprice      time.Duration
-	demandSec  float64 // demand divisor override; 0 = capture duration from meta
-	workers    int
-	maxSnapAge time.Duration // staleness threshold; 0 = 4× reprice interval
-	drainGrace time.Duration // bound on the shutdown drain (final re-price and HTTP)
+	demandSec    float64 // demand divisor override; 0 = capture duration from meta
+	workers      int
+	maxSnapAge   time.Duration // staleness threshold; 0 = 4× reprice interval
+	drainGrace   time.Duration // bound on the shutdown drain (final re-price and HTTP)
 
-	// Multi-tenant fleet mode: a -tenants spec file turns the daemon
-	// into a per-network pricing fleet (see cmd/tierd/tenants.go).
+	// The fleet: a -tenants spec file names the per-network pricing
+	// engines; without one the daemon synthesises a fleet of one from the
+	// flags (see cmd/tierd/tenants.go).
 	tenantsFile  string
 	schedWorkers int           // reprice jobs running concurrently across tenants
 	starveAfter  time.Duration // WFQ starvation bound; 0 = 2× the re-price interval
@@ -104,7 +105,8 @@ type config struct {
 	// without changing production wiring. Flags never populate these.
 	wrapSink     func(netflow.Sink) netflow.Sink
 	wrapResolver func(demandfit.EndpointResolver) demandfit.EndpointResolver
-	// wrapTenantResolver interposes per tenant in fleet mode.
+	// wrapTenantResolver interposes per tenant; set, it takes
+	// wrapResolver's place.
 	wrapTenantResolver func(id string, rv demandfit.EndpointResolver) demandfit.EndpointResolver
 	now                func() time.Time
 }
@@ -143,7 +145,7 @@ func main() {
 	flag.DurationVar(&cfg.ckptInterval, "checkpoint-interval", time.Minute, "how often to checkpoint the window (needs -data-dir)")
 	flag.IntVar(&cfg.ckptRetain, "checkpoint-retain", 3, "checkpoints kept on disk (newest first; older are fallbacks for corruption)")
 	flag.StringVar(&cfg.historyStore, "history-store", "",
-		"durable tier-history store path or DSN (e.g. /var/lib/tierd/history.db or sqlite:/var/lib/tierd/history.db; empty = in-memory ring only). Fleet mode shares one store, namespaced per tenant")
+		"durable tier-history store path or DSN (e.g. /var/lib/tierd/history.db or sqlite:/var/lib/tierd/history.db; empty = in-memory ring only). One store per process, rows namespaced per tenant")
 	flag.IntVar(&cfg.historyRing, "history-ring", defaultHistoryRing,
 		"in-memory tier-history ring entries per engine (the cache in front of -history-store, carried in checkpoints)")
 	flag.DurationVar(&cfg.historyRetain, "history-retain", 0,
@@ -151,11 +153,11 @@ func main() {
 	flag.StringVar(&cfg.configFile, "config", "",
 		"hot-reloadable pricing config file (JSON); SIGHUP re-reads and swaps it with zero quoting downtime. Present fields override flags; tenant-spec overrides still win")
 	flag.StringVar(&cfg.tenantsFile, "tenants", "",
-		"tenant spec file (JSON) enabling multi-tenant fleet mode: per-tenant windows, repricers, quotas and durability namespaces")
+		"tenant spec file (JSON): one pricing engine per entry, each with its own window, repricer, quota and durability namespace (default: one engine, \"default\", from the flags)")
 	flag.IntVar(&cfg.schedWorkers, "reprice-workers", 1,
-		"re-price jobs running concurrently across tenants (fleet mode; each job still fans out over -parallel workers)")
+		"re-price jobs running concurrently across tenants (each job still fans out over -parallel workers)")
 	flag.DurationVar(&cfg.starveAfter, "reprice-starve", 0,
-		"dispatch a queued re-price regardless of its fair-queue tag after waiting this long (fleet mode; 0 = 2x the re-price interval)")
+		"dispatch a queued re-price regardless of its fair-queue tag after waiting this long (0 = 2x the re-price interval)")
 	walSyncFlag := flag.String("wal-sync", "batch", "WAL fsync policy: batch (group commit), always, or none")
 	flag.Int64Var(&cfg.walSegBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation size in bytes")
 	showVersion := flag.Bool("version", false, "print build info and exit")
@@ -203,17 +205,15 @@ func main() {
 	fmt.Fprintln(os.Stderr, "tierd: drained and stopped")
 }
 
-// daemon owns the wired-together subsystems of one tierd instance.
+// daemon owns the wired-together subsystems of one tierd instance: a
+// fleet of pricing engines (one per -tenants entry, or the single
+// synthesised member "default" without the flag) behind one ingest
+// router, one reprice scheduler and one HTTP server.
 type daemon struct {
-	cfg      config
-	window   *stream.ShardedWindow
-	sink     netflow.Sink // the window, possibly behind durability and/or a fault-injection wrapper
-	durable  *durability  // nil when running memory-only (no -data-dir)
-	repricer *stream.Repricer
-	reloader *engineReloader
-	recorder *histRecorder
-	metrics  *server.Metrics
-	fleet    *fleet // non-nil in multi-tenant mode (-tenants); most fields above stay nil
+	cfg     config
+	members []*member // spec-file order
+	sched   *tenant.Scheduler
+	sink    netflow.Sink // the tenant registry, possibly behind a fault-injection wrapper
 
 	// histStore is the shared durable tier-history store (nil without
 	// -history-store); reload is the process-wide hot-reload state.
@@ -227,9 +227,9 @@ type daemon struct {
 	pprofLn  net.Listener
 }
 
-// engineSpec is one pricing instance's effective configuration: the
-// daemon flags for a single-tenant daemon, or those flags overlaid with
-// a tenant's spec overrides in fleet mode.
+// engineSpec is one pricing engine's effective configuration: the
+// daemon flags (and -config file) overlaid with the member's spec
+// overrides.
 type engineSpec struct {
 	trace     string
 	model     string
@@ -242,7 +242,7 @@ type engineSpec struct {
 	demandSec float64
 }
 
-// engineFromConfig is the single-tenant engine: the flags verbatim.
+// engineFromConfig is the base every member overlays: the flags verbatim.
 func engineFromConfig(cfg config) engineSpec {
 	return engineSpec{
 		trace:     cfg.trace,
@@ -359,7 +359,6 @@ func buildEngine(cfg config, es engineSpec,
 		w.SetClock(cfg.now)
 	}
 	scfg.Window = w
-	scfg.DrainGrace = cfg.drainGrace
 	scfg.Now = cfg.now
 	rp, err := stream.NewRepricer(scfg)
 	if err != nil {
@@ -384,15 +383,21 @@ func buildEngine(cfg config, es engineSpec,
 	return w, rp, rl, nil
 }
 
-// startDaemon loads the trace metadata, builds the window → repricer →
-// server chain, and starts the UDP and HTTP listeners. It does not
-// block; call run to serve until cancelled. A -tenants file swaps the
-// single engine for a fleet of them (tenants.go).
-func startDaemon(cfg config) (*daemon, error) {
-	if cfg.tenantsFile != "" {
-		return startFleet(cfg)
+// startDaemon builds the fleet — one pricing engine per spec, each
+// recovered from its durability namespace and warm-repriced — puts the
+// engine-ID router, the WFQ scheduler and the HTTP server around it, and
+// starts the listeners. It does not block; call run to serve until
+// cancelled. Without -tenants the fleet is the one synthesised member
+// "default", whose durable state lives at <data-dir> itself.
+func startDaemon(cfg config) (_ *daemon, err error) {
+	specs, defaultID := []tenant.Spec{{ID: "default"}}, "default"
+	synthesised := cfg.tenantsFile == ""
+	if !synthesised {
+		if specs, defaultID, err = tenant.LoadSpecFile(cfg.tenantsFile); err != nil {
+			return nil, err
+		}
 	}
-	es := engineFromConfig(cfg)
+	base := engineFromConfig(cfg)
 	if cfg.configFile != "" {
 		// The boot read of -config is strict: a file the daemon cannot
 		// serve under is a refusal to start, not a silent fallback. Later
@@ -401,88 +406,120 @@ func startDaemon(cfg config) (*daemon, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-config: %w", err)
 		}
-		es = applyFileConfig(es, fc)
+		base = applyFileConfig(base, fc)
 	}
-	w, rp, rl, err := buildEngine(cfg, es, cfg.wrapResolver)
-	if err != nil {
-		return nil, err
-	}
-
 	maxAge := cfg.maxSnapAge
 	if maxAge == 0 {
 		// Default policy: a snapshot that has survived four re-price
 		// intervals means the loop is stuck, not just slow.
 		maxAge = 4 * cfg.reprice
 	}
-	d := &daemon{cfg: cfg, window: w, sink: w, repricer: rp, reloader: rl,
-		metrics: server.NewMetrics(), reload: newReloadState()}
+	starve := cfg.starveAfter
+	if starve == 0 {
+		starve = 2 * cfg.reprice
+	}
+
+	d := &daemon{cfg: cfg, reload: newReloadState()}
+	defer func() {
+		if err != nil {
+			d.abort()
+		}
+	}()
 	if cfg.historyStore != "" {
+		// One store for the whole fleet: rows are namespaced by the
+		// tenant column, so tenants share the file and its group commits.
 		if d.histStore, err = histstore.Open(cfg.historyStore, histstore.Options{}); err != nil {
 			return nil, fmt.Errorf("opening history store: %w", err)
 		}
 	}
-	d.recorder = newHistRecorder("default", cfg.historyRing, d.histStore, d.reload.epoch)
-	fail := func(err error) (*daemon, error) {
-		if d.histStore != nil {
-			d.histStore.Close()
+	tenants := make([]*tenant.Tenant, 0, len(specs))
+	srvTenants := make([]*server.Tenant, 0, len(specs))
+	for _, sp := range specs {
+		// A synthesised member keeps the pre-fleet on-disk layout: state
+		// at the data dir's root, checkpoints stamped with no tenant.
+		dir, stamp := cfg.dataDir, ""
+		if !synthesised {
+			dir, stamp = tenantDir(cfg.dataDir, sp.ID), sp.ID
 		}
+		m, err := d.newMember(sp, overlaySpec(base, sp), dir, stamp)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %q: %w", sp.ID, err)
+		}
+		tenants = append(tenants, m.tn)
+		srvTenants = append(srvTenants, m.serverTenant(maxAge, d.histStore != nil))
+	}
+	// The registry routes export datagrams to members by engine ID.
+	registry, err := tenant.NewRegistry(tenants, defaultID)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.dataDir != "" {
-		// Recover before serving: restore the newest checkpoint, replay
-		// the WAL tail through the window, and publish a warm snapshot so
-		// a restart resumes quoting where the crash left off.
-		if d.durable, err = openDurability(cfg, cfg.dataDir, "", w, rp, d.recorder, d.reload.epoch); err != nil {
-			return fail(err)
+	warnOrphanNamespaces(cfg.dataDir, specs)
+
+	// Warm restart: publish each recovered member's snapshot before
+	// serving, so a restart resumes quoting where the crash left off.
+	for _, m := range d.members {
+		if m.durable == nil {
+			continue
 		}
-		d.reload.raise(d.durable.restoredConfigEpoch)
-		d.sink = d.durable.sink()
-		if err := d.durable.warmReprice(cfg.drainGrace); err != nil {
+		if err := m.durable.warmReprice(cfg.drainGrace); err != nil {
 			// Serve cold rather than refuse to boot; the periodic loop
 			// will publish once the resolver (or window) comes back.
-			fmt.Fprintln(os.Stderr, "tierd:", err)
+			fmt.Fprintf(os.Stderr, "tierd: tenant %s: %v\n", m.spec.ID, err)
 		}
 	}
-	srvCfg := server.Config{
-		Snapshots:      rp,
-		Metrics:        d.metrics,
-		Ingest:         d.ingestStats,
-		MaxSnapshotAge: maxAge,
-		Now:            cfg.now,
-		History:        d.recorder.snapshot,
-		Reload:         d.reload.stats,
-	}
-	if d.histStore != nil {
-		srvCfg.HistoryScan = d.recorder.scan
-		srvCfg.HistoryStore = histStoreStats(d.histStore)
-	}
-	if d.durable != nil {
-		srvCfg.Durability = d.durable.stats
-	}
-	srv, err := server.New(srvCfg)
-	if err != nil {
-		if d.durable != nil {
-			d.durable.log.Close()
-		}
-		return fail(err)
-	}
+
+	d.sched = tenant.NewScheduler(cfg.schedWorkers, starve, cfg.now)
+	d.sink = registry
 	if cfg.wrapSink != nil {
 		// Fault injection wraps outside durability: the WAL records what
 		// survived the (simulated) network, exactly what the window saw.
 		d.sink = cfg.wrapSink(d.sink)
 	}
-	if d.durable != nil {
-		d.durable.start()
+	srvCfg := server.Config{
+		Tenants:       srvTenants,
+		DefaultTenant: defaultID,
+		Sole:          synthesised,
+		Ingest:        d.collectorStats,
+		Sched:         d.schedStats,
+		Now:           cfg.now,
+		Reload:        d.reload.stats,
+	}
+	if d.histStore != nil {
+		srvCfg.HistoryStore = histStoreStats(d.histStore)
+	}
+	srv, err := server.New(srvCfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range d.members {
+		if m.durable != nil {
+			m.durable.start()
+		}
 	}
 	if err := d.startListeners(srv.Handler()); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	return d, nil
 }
 
+// abort tears a partially-started daemon down in reverse order of
+// construction: listeners first (nothing feeds the sink afterwards),
+// then each member's checkpoint loop and WAL, then the history store.
+func (d *daemon) abort() {
+	d.close()
+	for _, m := range d.members {
+		if m.durable != nil {
+			m.durable.abort()
+		}
+	}
+	if d.histStore != nil {
+		d.histStore.Close()
+	}
+}
+
 // startListeners starts the daemon's UDP collector (feeding d.sink) and
-// the HTTP and pprof servers. On failure everything already listening
-// is torn down.
+// the HTTP and pprof servers. On failure the caller's abort closes
+// whatever is already listening.
 func (d *daemon) startListeners(handler http.Handler) error {
 	cfg := d.cfg
 	var err error
@@ -497,9 +534,6 @@ func (d *daemon) startListeners(handler http.Handler) error {
 	}
 	d.ln, err = net.Listen("tcp", cfg.listen)
 	if err != nil {
-		if d.udp != nil {
-			d.udp.Close()
-		}
 		return fmt.Errorf("http listen: %w", err)
 	}
 	d.httpSrv = &http.Server{Handler: handler}
@@ -519,7 +553,6 @@ func (d *daemon) startListeners(handler http.Handler) error {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		d.pprofLn, err = net.Listen("tcp", cfg.pprofAddr)
 		if err != nil {
-			d.close()
 			return fmt.Errorf("pprof listen: %w", err)
 		}
 		d.pprofSrv = &http.Server{Handler: mux}
@@ -532,7 +565,7 @@ func (d *daemon) startListeners(handler http.Handler) error {
 	return nil
 }
 
-// close tears down the listeners of a partially-started daemon.
+// close tears down whichever listeners are up.
 func (d *daemon) close() {
 	if d.udp != nil {
 		d.udp.Close()
@@ -546,49 +579,10 @@ func (d *daemon) httpAddr() string { return d.ln.Addr().String() }
 
 func (d *daemon) udpAddr() string { return d.udp.Addr() }
 
-// ingestStats merges the UDP server's and the window's counters for the
-// /metrics endpoint.
-func (d *daemon) ingestStats() server.IngestStats {
-	var packets, bad int
-	var socketDrops uint64
-	if d.udp != nil {
-		packets, bad = d.udp.Stats()
-		socketDrops = d.udp.SocketDrops()
-	}
-	records, duplicates, dropped, _ := d.window.Stats()
-	return server.IngestStats{
-		Packets:      uint64(packets),
-		BadPackets:   uint64(bad),
-		Records:      uint64(records),
-		Duplicates:   uint64(duplicates),
-		Dropped:      uint64(dropped),
-		SocketDrops:  socketDrops,
-		ShardRecords: d.window.ShardRecords(),
-	}
-}
-
-// onTick feeds re-price telemetry into the metrics. An empty window
-// before the first snapshot is the normal warm-up state, not a failure;
-// an empty window afterwards is an ingest gap and counts like one (the
-// repricer's consecutive-failure accounting makes the same call).
-func (d *daemon) onTick(snap *stream.Snapshot, elapsed time.Duration, err error) {
-	d.metrics.ConsecutiveFailures.Set(d.repricer.ConsecutiveFailures())
-	if errors.Is(err, stream.ErrEmptyWindow) && d.repricer.Current() == nil {
-		return
-	}
-	d.metrics.ObserveReprice(elapsed.Seconds(), err != nil)
-	if snap != nil {
-		d.metrics.RepriceFlows.Set(int64(snap.Table.Flows))
-		d.recorder.record(snap)
-	}
-	if err != nil && !errors.Is(err, stream.ErrEmptyWindow) {
-		fmt.Fprintln(os.Stderr, "tierd: reprice:", err)
-	}
-}
-
-// run serves until ctx is cancelled, then drains: ingest paths are
-// stopped first, the repricer performs its final pass over everything
-// received, and the HTTP server completes in-flight requests.
+// run serves until ctx is cancelled, then drains: ingest stops, the
+// scheduler finishes in-flight jobs, every member runs one final
+// re-price over everything received, durability closes with a covering
+// checkpoint per member, and HTTP completes in-flight requests.
 func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 	if d.histStore != nil {
 		// Deferred first so it runs last: /v1/history can hit the store
@@ -602,18 +596,19 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 	if stop := d.startPruneLoop(); stop != nil {
 		defer stop()
 	}
-	if d.fleet != nil {
-		return d.runFleet(ctx, stdin)
-	}
-	// The reprice loop outlives ctx on purpose: its final drain pass must
-	// run after ingest has stopped, so it gets its own cancellation.
-	repCtx, repCancel := context.WithCancel(context.Background())
-	repDone := make(chan struct{})
+	// The scheduler outlives ctx on purpose: in-flight re-prices finish
+	// after ingest has stopped, so it gets its own cancellation.
+	schedCtx, schedCancel := context.WithCancel(context.Background())
+	schedDone := make(chan struct{})
 	go func() {
-		defer close(repDone)
-		d.repricer.Run(repCtx, d.cfg.reprice, d.onTick)
+		defer close(schedDone)
+		d.sched.Run(schedCtx)
 	}()
-
+	tickDone := make(chan struct{})
+	go func() {
+		defer close(tickDone)
+		d.tickLoop(ctx)
+	}()
 	stdinDone := make(chan struct{})
 	if d.cfg.stdin {
 		go func() {
@@ -626,23 +621,34 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 
 	<-ctx.Done()
 
-	// Drain order: stop ingest, then the final re-price, then HTTP.
+	// Drain order: stop ingest, stop scheduling, final re-price per
+	// member, close durability, then HTTP.
 	if d.udp != nil {
 		d.udp.Close() // blocks until the receive loop exits
 	}
 	<-stdinDone
-	repCancel()
-	<-repDone
-	if d.durable != nil {
-		// The drain re-price has published; the final checkpoint covers
-		// the whole log, so a clean restart replays nothing.
-		if err := d.durable.close(); err != nil {
-			fmt.Fprintln(os.Stderr, "tierd: durability:", err)
-		}
-	}
+	<-tickDone
+	schedCancel()
+	<-schedDone
 	grace := d.cfg.drainGrace
 	if grace <= 0 {
 		grace = 5 * time.Second
+	}
+	for _, m := range d.members {
+		// Bounded so shutdown cannot wedge on a stuck resolve.
+		drainCtx, cancel := context.WithTimeout(context.Background(), grace)
+		m.repriceOnce(drainCtx)
+		cancel()
+	}
+	for _, m := range d.members {
+		if m.durable == nil {
+			continue
+		}
+		// The drain re-price has published; the final checkpoint covers
+		// the whole log, so a clean restart replays nothing.
+		if err := m.durable.close(); err != nil {
+			fmt.Fprintf(os.Stderr, "tierd: tenant %s: durability: %v\n", m.spec.ID, err)
+		}
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
@@ -650,28 +656,4 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 		_ = d.pprofSrv.Shutdown(shutdownCtx)
 	}
 	return d.httpSrv.Shutdown(shutdownCtx)
-}
-
-// ingestStdin feeds a concatenated export stream (tracegen -stdout) into
-// the window and re-prices as soon as the stream ends, so piped replays
-// serve quotes without waiting for the next tick.
-func (d *daemon) ingestStdin(ctx context.Context, stdin io.Reader) {
-	rd := netflow.NewReader(bufio.NewReader(stdin))
-	for ctx.Err() == nil {
-		h, recs, err := rd.Next()
-		if err == io.EOF {
-			start := time.Now()
-			snap, rerr := d.repricer.Reprice(ctx)
-			d.onTick(snap, time.Since(start), rerr)
-			if rerr == nil {
-				fmt.Fprintln(os.Stderr, "tierd: stdin stream complete, snapshot published")
-			}
-			return
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tierd: stdin:", err)
-			return
-		}
-		d.sink.Ingest(h, recs)
-	}
 }

@@ -21,6 +21,7 @@ import (
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/demandfit"
 	"tieredpricing/internal/econ"
+	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/traces"
@@ -207,7 +208,7 @@ func TestTierdEndToEnd(t *testing.T) {
 		if err := d.udp.Drain(sent, 5*time.Second); err != nil {
 			t.Log(err) // loss: the re-send below repairs it
 		}
-		if demandMatches(d.window.Aggregates(), batch) {
+		if demandMatches(d.members[0].window.Aggregates(), batch) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -216,7 +217,7 @@ func TestTierdEndToEnd(t *testing.T) {
 	}
 
 	// Trigger a re-price as the ticker would.
-	if _, err := d.repricer.Reprice(context.Background()); err != nil {
+	if _, err := d.members[0].repricer.Reprice(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,7 +349,7 @@ func TestTierdStdinIngest(t *testing.T) {
 
 	// The stdin path re-prices on EOF; poll until the snapshot appears.
 	deadline := time.Now().Add(30 * time.Second)
-	for d.repricer.Current() == nil {
+	for d.members[0].repricer.Current() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("no snapshot after stdin replay")
 		}
@@ -380,12 +381,27 @@ func TestStartDaemonErrors(t *testing.T) {
 		model: "ced", alpha: 1.1, theta: 0.2, strategy: "profit-weighted",
 		tiers: 3, window: time.Hour, slot: time.Minute, reprice: time.Minute,
 	}
+	// A taken -listen port fails the start after durability is open and
+	// its checkpoint loop is ticking: the teardown must release both.
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	takenPort := func(c *config) {
+		c.listen = taken.Addr().String()
+		c.dataDir = t.TempDir()
+		c.ckptInterval = 5 * time.Millisecond
+	}
+	specPath := writeSpecFile(t, t.TempDir(), `{"tenants": [{"id": "net-a"}, {"id": "net-b", "routers": [2]}]}`)
 	cases := []func(*config){
-		func(c *config) { c.trace = t.TempDir() },                // no meta.txt
-		func(c *config) { c.model = "nonesuch" },                 // unknown model
-		func(c *config) { c.strategy = "nonesuch" },              // unknown strategy
+		func(c *config) { c.trace = t.TempDir() },                            // no meta.txt
+		func(c *config) { c.model = "nonesuch" },                             // unknown model
+		func(c *config) { c.strategy = "nonesuch" },                          // unknown strategy
 		func(c *config) { c.window = time.Second; c.slot = 2 * time.Second }, // window < slot
-		func(c *config) { c.tiers = 0 },                          // repricer validation
+		func(c *config) { c.tiers = 0 },                                      // repricer validation
+		takenPort,                                                            // occupied port, synthesised member
+		func(c *config) { takenPort(c); c.tenantsFile = specPath },           // occupied port, -tenants fleet
 	}
 	for i, mutate := range cases {
 		cfg := good
@@ -393,6 +409,113 @@ func TestStartDaemonErrors(t *testing.T) {
 		if _, err := startDaemon(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+		if cfg.dataDir != "" {
+			assertReleased(t, i, cfg.dataDir)
+		}
+	}
+}
+
+// assertReleased fails if a failed start left durable state under
+// dataDir in use: a checkpoint loop still writing files, or a WAL
+// segment still open.
+func assertReleased(t *testing.T, i int, dataDir string) {
+	t.Helper()
+	listing := func() string {
+		var paths []string
+		filepath.WalkDir(dataDir, func(path string, _ os.DirEntry, err error) error {
+			if err == nil {
+				paths = append(paths, path)
+			}
+			return nil
+		})
+		return strings.Join(paths, "\n")
+	}
+	before := listing()
+	time.Sleep(100 * time.Millisecond) // 20 checkpoint intervals
+	if after := listing(); after != before {
+		t.Errorf("bad config %d: checkpoint loop outlived the failed start:\nbefore:\n%s\nafter:\n%s", i, before, after)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return // no fd table to inspect on this platform
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dataDir) {
+			t.Errorf("bad config %d: failed start left %s open", i, target)
+		}
+	}
+}
+
+// TestRunDrain pins the one drain sequence's re-price step (formerly
+// stream.Repricer.Run's): cancelling run performs exactly one final
+// re-price per member, so traffic ingested after the last tick is still
+// priced, and that re-price is bounded by -drain-grace, so a resolve
+// wedged on a dead backend delays shutdown by the grace period, never
+// forever.
+func TestRunDrain(t *testing.T) {
+	ds, err := traces.EUISP(78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: 79})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := writeTraceDir(t, ds, len(streams))
+	grams := traceDatagrams(t, streams)
+	for _, tc := range []struct {
+		name string
+		hang bool
+	}{{"final re-price", false}, {"bounded by grace", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config{
+				listen: "127.0.0.1:0", trace: dir,
+				model: "ced", alpha: 1.1, theta: 0.2, strategy: "profit-weighted", tiers: 3,
+				window: 4 * time.Hour, slot: time.Hour, workers: 2,
+				// Interval far beyond the test's lifetime: the only re-price
+				// that can happen is the drain pass.
+				reprice: time.Hour, drainGrace: 200 * time.Millisecond,
+				wrapResolver: func(rv demandfit.EndpointResolver) demandfit.EndpointResolver {
+					hung := faultinject.NewResolver(faultinject.New(83), rv)
+					hung.SetHang(tc.hang)
+					return hung
+				},
+			}
+			d, err := startDaemon(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			runErr := make(chan error, 1)
+			go func() { runErr <- d.run(ctx, nil) }()
+			for _, g := range grams {
+				d.sink.Ingest(g.h, g.recs)
+			}
+			cancel()
+			select {
+			case err := <-runErr:
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatal("run wedged past the drain grace")
+			}
+			m := d.members[0]
+			if got := m.metrics.Reprices.Value(); got != 1 {
+				t.Errorf("%d re-prices, want exactly the drain pass", got)
+			}
+			if tc.hang {
+				if m.repricer.Current() != nil {
+					t.Error("failed drain published a snapshot")
+				}
+				if m.repricer.ConsecutiveFailures() != 1 || m.metrics.RepriceFailures.Value() != 1 {
+					t.Errorf("consecutive failures = %d, failure counter = %d, want 1 and 1",
+						m.repricer.ConsecutiveFailures(), m.metrics.RepriceFailures.Value())
+				}
+			} else if m.repricer.Current() == nil {
+				t.Error("no snapshot after the drain re-price")
+			}
+		})
 	}
 }
 

@@ -188,20 +188,20 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 		}
 	}
 	ingest(0, third)
-	if err := d.durable.checkpoint(); err != nil {
+	if err := d.members[0].durable.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	coveredBy[d.durable.log.Pos()] = third
+	coveredBy[d.members[0].durable.log.Pos()] = third
 
 	clock.Advance(time.Hour)
 	ingest(third, 2*third)
-	if _, err := d.repricer.Reprice(context.Background()); err != nil {
+	if _, err := d.members[0].repricer.Reprice(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.durable.checkpoint(); err != nil {
+	if err := d.members[0].durable.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	c2pos := d.durable.log.Pos()
+	c2pos := d.members[0].durable.log.Pos()
 	coveredBy[c2pos] = 2 * third
 
 	clock.Advance(time.Hour)
@@ -210,7 +210,7 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 	// Crash: abandon the daemon without a clean shutdown (no final
 	// checkpoint, no WAL close — the on-disk state is whatever the
 	// appends left), then damage the survivors per the fault class.
-	if err := d.durable.log.Sync(); err != nil {
+	if err := d.members[0].durable.log.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	d.close()
@@ -273,10 +273,10 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 		t.Fatal(err)
 	}
 	defer func() {
-		d2.durable.log.Close()
+		d2.members[0].durable.log.Close()
 		d2.close()
 	}()
-	applied := covered + int(d2.durable.recoveryReplayed.Load())
+	applied := covered + int(d2.members[0].durable.recoveryReplayed.Load())
 	if applied < covered || applied > len(grams) {
 		t.Fatalf("recovery applied %d entries (covered %d, total %d)", applied, covered, len(grams))
 	}
@@ -295,12 +295,12 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 	for i := 0; i < applied; i++ {
 		shadow.IngestAt(grams[i].ts, grams[i].h, grams[i].recs)
 	}
-	gotState, wantState := exportJSON(t, d2.window), exportJSON(t, shadow)
+	gotState, wantState := exportJSON(t, d2.members[0].window), exportJSON(t, shadow)
 	if !bytes.Equal(gotState, wantState) {
 		t.Fatalf("recovered window state diverges from uninterrupted shadow (%d vs %d bytes)", len(gotState), len(wantState))
 	}
 
-	snap := d2.repricer.Current()
+	snap := d2.members[0].repricer.Current()
 	if snap == nil {
 		t.Fatal("no snapshot after warm restart")
 	}
@@ -333,10 +333,10 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 		all[base+i] = datagram{ts: g.ts, h: g.h, recs: g.recs}
 		d2.sink.Ingest(g.h, g.recs)
 	}
-	if err := d2.durable.checkpoint(); err != nil {
+	if err := d2.members[0].durable.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.durable.log.Sync(); err != nil {
+	if err := d2.members[0].durable.log.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	d3, err := startDaemon(recoverConfig(traceDir, dataDir, clock.Now))
@@ -344,7 +344,7 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 		t.Fatal(err)
 	}
 	defer func() {
-		d3.durable.log.Close()
+		d3.members[0].durable.log.Close()
 		d3.close()
 	}()
 	shadow2, err := stream.NewWindow(traces.AggregateKey, time.Hour, 4)
@@ -355,7 +355,7 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 	for _, g := range all {
 		shadow2.IngestAt(g.ts, g.h, g.recs)
 	}
-	if !bytes.Equal(exportJSON(t, d3.window), exportJSON(t, shadow2)) {
+	if !bytes.Equal(exportJSON(t, d3.members[0].window), exportJSON(t, shadow2)) {
 		t.Fatal("second recovery cycle diverges from shadow")
 	}
 }

@@ -23,8 +23,8 @@ import (
 
 // fileConfig is the hot-reloadable pricing configuration: a JSON
 // object whose present fields override the corresponding flags
-// (tenant-spec overrides still win on top in fleet mode — the overlay
-// order is flags < config file < tenant spec). Pointer fields
+// (tenant-spec overrides still win on top — the overlay order is
+// flags < config file < tenant spec). Pointer fields
 // distinguish "absent, inherit the flag" from an explicit zero, and
 // unknown keys are rejected so a typo cannot reload as a silent no-op.
 type fileConfig struct {
@@ -128,10 +128,10 @@ func (rs *reloadState) stats() server.ReloadStats {
 }
 
 // reloadConfig performs one hot reload: re-read the -config file,
-// validate every engine's new configuration, swap them in, and bump
-// the config epoch. Any failure leaves every engine on its current
-// configuration (fleet reloads validate all tenants before touching
-// any) and counts a reload error; the daemon keeps serving either way.
+// validate every member's new configuration, swap them in, and bump
+// the config epoch. Any failure leaves every member on its current
+// configuration (all are validated before any is touched) and counts a
+// reload error; the daemon keeps serving either way.
 func (d *daemon) reloadConfig() error {
 	rs := d.reload
 	rs.mu.Lock()
@@ -146,27 +146,21 @@ func (d *daemon) reloadConfig() error {
 		return fail(err)
 	}
 	base := applyFileConfig(engineFromConfig(d.cfg), fc)
-	if d.fleet != nil {
-		// All-or-nothing across the fleet: a bad overlay for any tenant
-		// rejects the reload for all of them, so tenants never serve
-		// mixed config generations.
-		specs := make([]engineSpec, len(d.fleet.members))
-		for i, m := range d.fleet.members {
-			specs[i] = overlaySpec(base, m.spec)
-			if err := m.reloader.check(specs[i]); err != nil {
-				return fail(fmt.Errorf("tenant %s: %w", m.spec.ID, err))
-			}
+	// All-or-nothing across the fleet: a bad overlay for any tenant
+	// rejects the reload for all of them, so tenants never serve mixed
+	// config generations.
+	specs := make([]engineSpec, len(d.members))
+	for i, m := range d.members {
+		specs[i] = overlaySpec(base, m.spec)
+		if err := m.reloader.check(specs[i]); err != nil {
+			return fail(fmt.Errorf("tenant %s: %w", m.spec.ID, err))
 		}
-		for i, m := range d.fleet.members {
-			if err := m.reloader.apply(specs[i]); err != nil {
-				// check passed on identical inputs; reaching here is a bug,
-				// but count and report it rather than hide it.
-				return fail(fmt.Errorf("tenant %s: %w", m.spec.ID, err))
-			}
-		}
-	} else {
-		if err := d.reloader.apply(base); err != nil {
-			return fail(err)
+	}
+	for i, m := range d.members {
+		if err := m.reloader.apply(specs[i]); err != nil {
+			// check passed on identical inputs; reaching here is a bug,
+			// but count and report it rather than hide it.
+			return fail(fmt.Errorf("tenant %s: %w", m.spec.ID, err))
 		}
 	}
 	epoch := rs.cfgEpoch.Add(1)

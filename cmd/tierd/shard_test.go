@@ -78,10 +78,10 @@ func TestTierdShardParity(t *testing.T) {
 			for _, g := range grams {
 				d.sink.Ingest(g.h, g.recs)
 			}
-			if got := exportJSON(t, d.window); !bytes.Equal(got, wantState) {
+			if got := exportJSON(t, d.members[0].window); !bytes.Equal(got, wantState) {
 				t.Error("window state diverges from the single-lock shadow")
 			}
-			if _, err := d.repricer.Reprice(context.Background()); err != nil {
+			if _, err := d.members[0].repricer.Reprice(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 
@@ -168,10 +168,10 @@ func runRecoveryShardCount(t *testing.T, before, after int) {
 		grams[i].ts = clock.Now()
 		d.sink.Ingest(grams[i].h, grams[i].recs)
 	}
-	if _, err := d.repricer.Reprice(context.Background()); err != nil {
+	if _, err := d.members[0].repricer.Reprice(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.durable.checkpoint(); err != nil {
+	if err := d.members[0].durable.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(time.Hour)
@@ -180,7 +180,7 @@ func runRecoveryShardCount(t *testing.T, before, after int) {
 		d.sink.Ingest(grams[i].h, grams[i].recs)
 	}
 	// Crash without a clean shutdown (no final checkpoint, no WAL close).
-	if err := d.durable.log.Sync(); err != nil {
+	if err := d.members[0].durable.log.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	d.close()
@@ -192,7 +192,7 @@ func runRecoveryShardCount(t *testing.T, before, after int) {
 		t.Fatal(err)
 	}
 	defer func() {
-		d2.durable.log.Close()
+		d2.members[0].durable.log.Close()
 		d2.close()
 	}()
 
@@ -204,10 +204,10 @@ func runRecoveryShardCount(t *testing.T, before, after int) {
 	for _, g := range grams {
 		shadow.IngestAt(g.ts, g.h, g.recs)
 	}
-	if !bytes.Equal(exportJSON(t, d2.window), exportJSON(t, shadow)) {
+	if !bytes.Equal(exportJSON(t, d2.members[0].window), exportJSON(t, shadow)) {
 		t.Fatalf("window recovered at shards=%d from shards=%d state diverges from shadow", after, before)
 	}
-	snap := d2.repricer.Current()
+	snap := d2.members[0].repricer.Current()
 	if snap == nil {
 		t.Fatal("no snapshot after warm restart")
 	}
@@ -221,15 +221,15 @@ func runRecoveryShardCount(t *testing.T, before, after int) {
 
 	// Dedup state survived the re-hash: a replayed datagram is still
 	// recognized as duplicate, not double-counted.
-	_, dup0, _, _ := d2.window.Stats()
+	_, dup0, _, _ := d2.members[0].window.Stats()
 	d2.sink.Ingest(grams[0].h, grams[0].recs)
-	_, dup1, _, _ := d2.window.Stats()
+	_, dup1, _, _ := d2.members[0].window.Stats()
 	if dup1 <= dup0 {
 		t.Errorf("re-ingested datagram not deduplicated after shard-count change (%d -> %d)", dup0, dup1)
 	}
 	// The duplicate bumped the lifetime counter but contributed nothing
 	// to demand.
-	got := mustMarshal(t, d2.window.Aggregates())
+	got := mustMarshal(t, d2.members[0].window.Aggregates())
 	want := mustMarshal(t, shadow.Aggregates())
 	if !bytes.Equal(got, want) {
 		t.Error("duplicate replay after recovery changed the aggregates")

@@ -1,11 +1,11 @@
-// Multi-tenant fleet mode: a -tenants spec file turns tierd into a
-// per-network pricing fleet. Every tenant owns a full pricing engine —
-// sliding window, repricer, demand-model configuration, quote quota and
-// durability namespace — while sharing the process, the UDP collector
-// (datagrams route by the exporting router's engine ID) and the HTTP
-// listener (/v1/t/{tenant}/...). Re-prices across tenants are scheduled
-// by a weighted-fair queue so one tenant's expensive re-fit cannot
-// starve the others' pricing freshness.
+// The fleet: every member owns a full pricing engine — sliding window,
+// repricer, demand-model configuration, quote quota and durability
+// namespace — while sharing the process, the UDP collector (datagrams
+// route by the exporting router's engine ID) and the HTTP listener
+// (/v1/t/{tenant}/...). Re-prices across members are scheduled by a
+// weighted-fair queue so one tenant's expensive re-fit cannot starve the
+// others' pricing freshness. A daemon started without -tenants runs the
+// same code over one synthesised member.
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"tieredpricing/internal/demandfit"
-	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/server"
 	"tieredpricing/internal/stream"
@@ -38,18 +37,8 @@ type member struct {
 	metrics  *server.Metrics
 	durable  *durability // nil without -data-dir
 
-	// lastFailed marks the tenant for the tick loop's fast retry lane
-	// (the fleet equivalent of the single-tenant reprice backoff).
+	// lastFailed marks the member for the tick loop's fast retry lane.
 	lastFailed atomic.Bool
-}
-
-// fleet owns the tenant fleet: the ingest router, the weighted-fair
-// reprice scheduler, and the members in spec-file order.
-type fleet struct {
-	registry *tenant.Registry
-	sched    *tenant.Scheduler
-	members  []*member
-	interval time.Duration
 }
 
 // tenantDir is a tenant's durability namespace under the data dir.
@@ -57,163 +46,66 @@ func tenantDir(dataDir, id string) string {
 	return filepath.Join(dataDir, "tenants", id)
 }
 
-// startFleet builds the multi-tenant daemon: one pricing engine per
-// spec, the engine-ID router in front of them, per-tenant recovery from
-// <data-dir>/tenants/<id>, the WFQ scheduler, and the tenant-aware HTTP
-// server.
-func startFleet(cfg config) (*daemon, error) {
-	specs, defaultID, err := tenant.LoadSpecFile(cfg.tenantsFile)
+// newMember builds one pricing engine from its effective spec, recovers
+// it from dir (the member's durability namespace; stamp is the tenant ID
+// its checkpoints carry) when -data-dir is set, and adds it to the fleet.
+func (d *daemon) newMember(sp tenant.Spec, es engineSpec, dir, stamp string) (*member, error) {
+	cfg := d.cfg
+	wrap := cfg.wrapResolver
+	if cfg.wrapTenantResolver != nil {
+		wrap = func(rv demandfit.EndpointResolver) demandfit.EndpointResolver {
+			return cfg.wrapTenantResolver(sp.ID, rv)
+		}
+	}
+	w, rp, rl, err := buildEngine(cfg, es, wrap)
 	if err != nil {
 		return nil, err
 	}
-	maxAge := cfg.maxSnapAge
-	if maxAge == 0 {
-		maxAge = 4 * cfg.reprice
+	m := &member{spec: sp, window: w, repricer: rp, reloader: rl, metrics: server.NewMetrics()}
+	m.recorder = newHistRecorder(sp.ID, cfg.historyRing, d.histStore, d.reload.epoch)
+	var sink netflow.Sink = w
+	if cfg.dataDir != "" {
+		// Recover before serving: restore the newest checkpoint and replay
+		// the WAL tail through the window.
+		if m.durable, err = openDurability(cfg, dir, stamp, w, rp, m.recorder, d.reload.epoch); err != nil {
+			return nil, err
+		}
+		d.reload.raise(m.durable.restoredConfigEpoch)
+		sink = m.durable.sink()
 	}
-	starve := cfg.starveAfter
-	if starve == 0 {
-		starve = 2 * cfg.reprice
+	m.tn = &tenant.Tenant{
+		Spec:    sp,
+		Window:  w,
+		Limiter: tenant.NewBucket(sp.RateQPS, sp.RateBurst, cfg.now),
+		Sink:    sink,
 	}
+	d.members = append(d.members, m)
+	return m, nil
+}
 
-	base := engineFromConfig(cfg)
-	if cfg.configFile != "" {
-		// Strict boot read, same policy as the single-tenant daemon.
-		fc, err := loadFileConfig(cfg.configFile)
-		if err != nil {
-			return nil, fmt.Errorf("-config: %w", err)
-		}
-		base = applyFileConfig(base, fc)
+// serverTenant is the member's handle on the HTTP layer.
+func (m *member) serverTenant(maxAge time.Duration, deepHistory bool) *server.Tenant {
+	st := &server.Tenant{
+		ID:             m.spec.ID,
+		Snapshots:      m.repricer,
+		Metrics:        m.metrics,
+		Ingest:         m.ingestStats,
+		History:        m.recorder.snapshot,
+		MaxSnapshotAge: maxAge,
+		Weight:         m.tn.Weight(),
+		RateQPS:        m.tn.Limiter.Rate(),
+		RateBurst:      m.tn.Limiter.Burst(),
 	}
-	rs := newReloadState()
-	var store histstore.Store
-	if cfg.historyStore != "" {
-		// One store for the whole fleet: rows are namespaced by the
-		// tenant column, so tenants share the file and its group commits.
-		var err error
-		if store, err = histstore.Open(cfg.historyStore, histstore.Options{}); err != nil {
-			return nil, fmt.Errorf("opening history store: %w", err)
-		}
+	if m.tn.Limiter != nil {
+		st.Limiter = m.tn.Limiter
 	}
-
-	f := &fleet{interval: cfg.reprice}
-	closeAll := func() {
-		for _, m := range f.members {
-			if m.durable != nil {
-				m.durable.log.Close()
-			}
-		}
-		if store != nil {
-			store.Close()
-		}
+	if deepHistory {
+		st.HistoryScan = m.recorder.scan
 	}
-	tenants := make([]*tenant.Tenant, 0, len(specs))
-	srvTenants := make([]*server.Tenant, 0, len(specs))
-	for _, sp := range specs {
-		resolverWrap := cfg.wrapResolver
-		if cfg.wrapTenantResolver != nil {
-			id := sp.ID
-			resolverWrap = func(rv demandfit.EndpointResolver) demandfit.EndpointResolver {
-				return cfg.wrapTenantResolver(id, rv)
-			}
-		}
-		w, rp, rl, err := buildEngine(cfg, overlaySpec(base, sp), resolverWrap)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("tenant %q: %w", sp.ID, err)
-		}
-		m := &member{spec: sp, window: w, repricer: rp, reloader: rl, metrics: server.NewMetrics()}
-		m.recorder = newHistRecorder(sp.ID, cfg.historyRing, store, rs.epoch)
-		var sink netflow.Sink = w
-		if cfg.dataDir != "" {
-			if m.durable, err = openDurability(cfg, tenantDir(cfg.dataDir, sp.ID), sp.ID, w, rp, m.recorder, rs.epoch); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("tenant %q: %w", sp.ID, err)
-			}
-			rs.raise(m.durable.restoredConfigEpoch)
-			sink = m.durable.sink()
-		}
-		m.tn = &tenant.Tenant{
-			Spec:     sp,
-			Window:   w,
-			Repricer: rp,
-			Limiter:  tenant.NewBucket(sp.RateQPS, sp.RateBurst, cfg.now),
-			Sink:     sink,
-		}
-		f.members = append(f.members, m)
-		tenants = append(tenants, m.tn)
-
-		st := &server.Tenant{
-			ID:             sp.ID,
-			Snapshots:      rp,
-			Metrics:        m.metrics,
-			Ingest:         m.ingestStats,
-			MaxSnapshotAge: maxAge,
-			Weight:         m.tn.Weight(),
-			RateQPS:        m.tn.Limiter.Rate(),
-			RateBurst:      m.tn.Limiter.Burst(),
-		}
-		if m.tn.Limiter != nil {
-			st.Limiter = m.tn.Limiter
-		}
-		st.History = m.recorder.snapshot
-		if store != nil {
-			st.HistoryScan = m.recorder.scan
-		}
-		if m.durable != nil {
-			st.Durability = m.durable.stats
-		}
-		srvTenants = append(srvTenants, st)
+	if m.durable != nil {
+		st.Durability = m.durable.stats
 	}
-	if f.registry, err = tenant.NewRegistry(tenants, defaultID); err != nil {
-		closeAll()
-		return nil, err
-	}
-	warnOrphanNamespaces(cfg.dataDir, specs)
-
-	// Warm restart: publish each recovered tenant's snapshot before
-	// serving, same policy as the single-tenant daemon.
-	for _, m := range f.members {
-		if m.durable == nil {
-			continue
-		}
-		if err := m.durable.warmReprice(cfg.drainGrace); err != nil {
-			fmt.Fprintf(os.Stderr, "tierd: tenant %s: %v\n", m.spec.ID, err)
-		}
-	}
-
-	f.sched = tenant.NewScheduler(cfg.schedWorkers, starve, cfg.now)
-
-	d := &daemon{cfg: cfg, fleet: f, sink: f.registry, histStore: store, reload: rs}
-	if cfg.wrapSink != nil {
-		d.sink = cfg.wrapSink(d.sink)
-	}
-	fleetSrvCfg := server.Config{
-		Tenants:       srvTenants,
-		DefaultTenant: defaultID,
-		Metrics:       server.NewMetrics(),
-		Ingest:        d.collectorStats,
-		Sched:         f.schedStats,
-		Now:           cfg.now,
-		Reload:        rs.stats,
-	}
-	if store != nil {
-		fleetSrvCfg.HistoryStore = histStoreStats(store)
-	}
-	srv, err := server.New(fleetSrvCfg)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	for _, m := range f.members {
-		if m.durable != nil {
-			m.durable.start()
-		}
-	}
-	if err := d.startListeners(srv.Handler()); err != nil {
-		closeAll()
-		return nil, err
-	}
-	return d, nil
+	return st
 }
 
 // overlaySpec overlays a tenant's overrides on a base engine spec
@@ -299,15 +191,15 @@ func (m *member) ingestStats() server.IngestStats {
 }
 
 // schedStats adapts the scheduler's telemetry for /metrics.
-func (f *fleet) schedStats() server.SchedStats {
-	st := f.sched.Stats()
+func (d *daemon) schedStats() server.SchedStats {
+	st := d.sched.Stats()
 	out := server.SchedStats{
 		QueueDepth: st.QueueDepth,
 		Dispatched: st.Dispatched,
 		Coalesced:  st.Coalesced,
 		Starved:    st.Starved,
 	}
-	for _, fs := range f.sched.FlowStats() {
+	for _, fs := range d.sched.FlowStats() {
 		out.Flows = append(out.Flows, server.SchedFlowStats{
 			Tenant:          fs.ID,
 			Weight:          fs.Weight,
@@ -329,12 +221,14 @@ func (m *member) repriceOnce(ctx context.Context) {
 	m.onTick(snap, time.Since(start), err)
 }
 
-// onTick is the member's re-price telemetry hook — the per-tenant
-// mirror of the single-tenant daemon's onTick.
+// onTick feeds re-price telemetry into the member's metrics and history.
+// An empty window before the first snapshot is the normal warm-up state,
+// not a failure; an empty window afterwards is an ingest gap and counts
+// like one (the repricer's consecutive-failure accounting makes the same
+// call).
 func (m *member) onTick(snap *stream.Snapshot, elapsed time.Duration, err error) {
 	m.metrics.ConsecutiveFailures.Set(m.repricer.ConsecutiveFailures())
 	if errors.Is(err, stream.ErrEmptyWindow) && m.repricer.Current() == nil {
-		// Warm-up: no traffic yet is the normal initial state.
 		m.lastFailed.Store(false)
 		return
 	}
@@ -349,54 +243,51 @@ func (m *member) onTick(snap *stream.Snapshot, elapsed time.Duration, err error)
 	}
 }
 
-// submit queues one re-price for the member on the fair scheduler.
-func (f *fleet) submit(m *member) {
-	f.sched.Submit(m.spec.ID, m.tn.Weight(), m.repriceOnce)
-}
-
-// tickLoop submits every tenant's re-price each interval, plus a fast
-// retry lane (interval/8, the single-tenant backoff floor) for tenants
-// whose last attempt failed. Coalescing in the scheduler makes the
-// retry lane free for healthy tenants: a pending job absorbs resubmits.
-func (f *fleet) tickLoop(ctx context.Context) {
-	ticker := time.NewTicker(f.interval)
+// tickLoop submits every member's re-price each interval, plus a fast
+// retry lane (interval/8, floored at 10ms) for members whose last
+// attempt failed, so a transient resolver outage shortens snapshot
+// staleness rather than extending it. This is the one retry policy:
+// coalescing in the scheduler absorbs resubmits while a job is pending.
+func (d *daemon) tickLoop(ctx context.Context) {
+	ticker := time.NewTicker(d.cfg.reprice)
 	defer ticker.Stop()
-	retry := f.interval / 8
+	retry := d.cfg.reprice / 8
 	if retry < 10*time.Millisecond {
 		retry = 10 * time.Millisecond
 	}
 	retryTicker := time.NewTicker(retry)
 	defer retryTicker.Stop()
+	submit := func(m *member) { d.sched.Submit(m.spec.ID, m.tn.Weight(), m.repriceOnce) }
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			for _, m := range f.members {
-				f.submit(m)
+			for _, m := range d.members {
+				submit(m)
 			}
 		case <-retryTicker.C:
-			for _, m := range f.members {
+			for _, m := range d.members {
 				if m.lastFailed.Load() {
-					f.submit(m)
+					submit(m)
 				}
 			}
 		}
 	}
 }
 
-// ingestStdin feeds a concatenated export stream into the fleet's
-// router; at EOF every tenant re-prices immediately so piped replays
+// ingestStdin feeds a concatenated export stream (tracegen -stdout) into
+// the router; at EOF every member re-prices immediately so piped replays
 // serve quotes without waiting out the next tick.
-func (f *fleet) ingestStdin(ctx context.Context, d *daemon, stdin io.Reader) {
+func (d *daemon) ingestStdin(ctx context.Context, stdin io.Reader) {
 	rd := netflow.NewReader(bufio.NewReader(stdin))
 	for ctx.Err() == nil {
 		h, recs, err := rd.Next()
 		if err == io.EOF {
-			for _, m := range f.members {
+			for _, m := range d.members {
 				m.repriceOnce(ctx)
 			}
-			fmt.Fprintln(os.Stderr, "tierd: stdin stream complete, fleet snapshots published")
+			fmt.Fprintln(os.Stderr, "tierd: stdin stream complete, snapshots published")
 			return
 		}
 		if err != nil {
@@ -405,68 +296,4 @@ func (f *fleet) ingestStdin(ctx context.Context, d *daemon, stdin io.Reader) {
 		}
 		d.sink.Ingest(h, recs)
 	}
-}
-
-// runFleet serves the fleet until ctx is cancelled, then drains: ingest
-// stops, the scheduler finishes in-flight jobs, every tenant runs one
-// final re-price over everything received, durability closes with a
-// covering checkpoint per tenant, and HTTP completes in-flight
-// requests.
-func (d *daemon) runFleet(ctx context.Context, stdin io.Reader) error {
-	f := d.fleet
-	schedCtx, schedCancel := context.WithCancel(context.Background())
-	schedDone := make(chan struct{})
-	go func() {
-		defer close(schedDone)
-		f.sched.Run(schedCtx)
-	}()
-	tickDone := make(chan struct{})
-	go func() {
-		defer close(tickDone)
-		f.tickLoop(ctx)
-	}()
-	stdinDone := make(chan struct{})
-	if d.cfg.stdin {
-		go func() {
-			defer close(stdinDone)
-			f.ingestStdin(ctx, d, stdin)
-		}()
-	} else {
-		close(stdinDone)
-	}
-
-	<-ctx.Done()
-
-	// Drain order mirrors the single-tenant daemon: stop ingest, stop
-	// scheduling, final re-price per tenant, close durability, then HTTP.
-	if d.udp != nil {
-		d.udp.Close() // blocks until the receive loop exits
-	}
-	<-stdinDone
-	<-tickDone
-	schedCancel()
-	<-schedDone
-	grace := d.cfg.drainGrace
-	if grace <= 0 {
-		grace = 5 * time.Second
-	}
-	for _, m := range f.members {
-		drainCtx, cancel := context.WithTimeout(context.Background(), grace)
-		m.repriceOnce(drainCtx)
-		cancel()
-	}
-	for _, m := range f.members {
-		if m.durable == nil {
-			continue
-		}
-		if err := m.durable.close(); err != nil {
-			fmt.Fprintf(os.Stderr, "tierd: tenant %s: durability: %v\n", m.spec.ID, err)
-		}
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	if d.pprofSrv != nil {
-		_ = d.pprofSrv.Shutdown(shutdownCtx)
-	}
-	return d.httpSrv.Shutdown(shutdownCtx)
 }

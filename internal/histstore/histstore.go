@@ -13,8 +13,7 @@
 // file, which is periodically folded into the main file; pruning
 // compacts the main file without blocking appends). The repo vendors
 // no cgo and no third-party drivers, so "sqlite:" DSNs select that
-// engine; "postgres:" DSNs are recognized but gated until a driver is
-// vendored.
+// engine and every other scheme is rejected as unknown.
 package histstore
 
 import (
@@ -115,15 +114,10 @@ type Store interface {
 	Close() error
 }
 
-// ErrDriverUnavailable marks a DSN whose scheme is recognized but whose
-// driver is not vendored in this build.
-var ErrDriverUnavailable = errors.New("histstore: driver not vendored in this build")
-
 // Open dispatches a DSN to its driver:
 //
 //	sqlite:/var/lib/tierd/history.db   the embedded engine (also the
 //	/var/lib/tierd/history.db          default for a bare path)
-//	postgres://user@host/db            gated until a driver is vendored
 func Open(dsn string, opts Options) (Store, error) {
 	if dsn == "" {
 		return nil, errors.New("histstore: empty DSN")
@@ -131,11 +125,6 @@ func Open(dsn string, opts Options) (Store, error) {
 	switch {
 	case strings.HasPrefix(dsn, "sqlite:"):
 		return openSQLite(strings.TrimPrefix(dsn, "sqlite:"), opts)
-	case strings.HasPrefix(dsn, "postgres:"), strings.HasPrefix(dsn, "postgresql:"):
-		// The Store interface is already shaped for a server-backed
-		// implementation (DSN, tenant column, bounded scans); vendoring
-		// a driver is the only missing piece.
-		return nil, fmt.Errorf("%w: %q (use a sqlite: DSN; the Store interface is PostgreSQL-shaped so a driver can slot in)", ErrDriverUnavailable, dsn)
 	case strings.Contains(dsn, "://"):
 		return nil, fmt.Errorf("histstore: unknown DSN scheme in %q", dsn)
 	default:

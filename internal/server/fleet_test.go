@@ -221,6 +221,7 @@ func TestFleetConfigValidation(t *testing.T) {
 		{Tenants: []*Tenant{{ID: "a"}}},
 		{Tenants: ok(), DefaultTenant: "nope"},
 		{Tenants: ok(), Snapshots: src},
+		{Tenants: ok(), Sole: true},
 		{Tenants: []*Tenant{{ID: "a", Snapshots: src, MaxSnapshotAge: -time.Second}}},
 	}
 	for i, cfg := range cases {

@@ -27,11 +27,12 @@ func ringOf(n int) []HistoryEntry {
 func historyServer(t *testing.T, history func() []HistoryEntry,
 	scan func(HistoryQuery) ([]HistoryEntry, error)) *httptest.Server {
 	t.Helper()
-	s, err := New(Config{
+	s, err := New(Config{Sole: true, Tenants: []*Tenant{{
+		ID:          "default",
 		Snapshots:   &fakeSource{snap: makeSnapshot(t)},
 		History:     history,
 		HistoryScan: scan,
-	})
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 )
@@ -79,34 +78,19 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// write renders the histogram in Prometheus exposition format. labels,
-// when non-empty, is a rendered label pair list (e.g. `tenant="a"`)
-// prefixed onto every sample's label set — the multi-tenant exposition
-// shares one HELP/TYPE header across tenants' histograms.
-func (h *Histogram) write(w io.Writer, name, labels string) error {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
+// samples renders the histogram's cumulative buckets, sum and count.
+func (h *Histogram) samples() []sample {
+	out := make([]sample, 0, len(h.bounds)+3)
 	var cum uint64
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, formatBound(b), cum); err != nil {
-			return err
-		}
+		out = append(out, sample{"_bucket", fmt.Sprintf("le=%q", formatBound(b)), cum})
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum); err != nil {
-		return err
-	}
-	if labels != "" {
-		labels = "{" + labels + "}"
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, math.Float64frombits(h.sum.Load())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.count.Load())
-	return err
+	return append(out,
+		sample{"_bucket", `le="+Inf"`, cum},
+		sample{"_sum", "", math.Float64frombits(h.sum.Load())},
+		sample{"_count", "", h.count.Load()})
 }
 
 func formatBound(b float64) string { return fmt.Sprintf("%g", b) }
@@ -172,45 +156,4 @@ func (m *Metrics) ObserveReprice(seconds float64, failed bool) {
 		m.RepriceFailures.Inc()
 	}
 	m.RepriceSeconds.Observe(seconds)
-}
-
-// WritePrometheus renders every metric in Prometheus text format.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
-	counters := []struct {
-		name, help string
-		c          *Counter
-	}{
-		{"tierd_quote_requests_total", "Quote requests served.", &m.QuoteRequests},
-		{"tierd_quote_misses_total", "Quote requests with no matching bucket or route.", &m.QuoteMisses},
-		{"tierd_tiers_requests_total", "Tier table requests served.", &m.TiersRequests},
-		{"tierd_history_requests_total", "Tier-table history requests served.", &m.HistoryRequests},
-		{"tierd_health_requests_total", "Health checks served.", &m.HealthRequests},
-		{"tierd_metrics_requests_total", "Metric scrapes served.", &m.MetricsRequests},
-		{"tierd_quote_stale_total", "Quotes served from a snapshot beyond the staleness policy.", &m.QuoteStale},
-		{"tierd_quote_rate_limited_total", "Quote requests rejected by the tenant's rate limit (429s).", &m.QuoteRateLimited},
-		{"tierd_reprices_total", "Re-price attempts.", &m.Reprices},
-		{"tierd_reprice_failures_total", "Re-price attempts that failed (retries and ingest gaps included).", &m.RepriceFailures},
-	}
-	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			c.name, c.help, c.name, c.name, c.c.Value()); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP tierd_reprice_flows Flows priced by the most recent re-price.\n# TYPE tierd_reprice_flows gauge\ntierd_reprice_flows %d\n", m.RepriceFlows.Value()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "# HELP tierd_reprice_consecutive_failures Consecutive failed re-price attempts (0 while healthy).\n# TYPE tierd_reprice_consecutive_failures gauge\ntierd_reprice_consecutive_failures %d\n", m.ConsecutiveFailures.Value()); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "# HELP tierd_quote_seconds Server-side quote latency.\n# TYPE tierd_quote_seconds histogram\n"); err != nil {
-		return err
-	}
-	if err := m.QuoteSeconds.write(w, "tierd_quote_seconds", ""); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "# HELP tierd_reprice_seconds Re-price latency.\n# TYPE tierd_reprice_seconds histogram\n"); err != nil {
-		return err
-	}
-	return m.RepriceSeconds.write(w, "tierd_reprice_seconds", "")
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +19,7 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("count = %d, want 4", h.Count())
 	}
 	var b strings.Builder
-	if err := h.write(&b, "x", ""); err != nil {
-		t.Fatal(err)
-	}
+	writeSamples(&b, "x", "", h.samples())
 	out := b.String()
 	for _, want := range []string{
 		`x_bucket{le="0.01"} 1`,
@@ -66,17 +65,25 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
+// scrapeSole renders /metrics for a sole tenant reporting into m.
+func scrapeSole(t *testing.T, m *Metrics) string {
+	t.Helper()
+	s, err := New(Config{Snapshots: &fakeSource{}, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	return rec.Body.String()
+}
+
 func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
 	m.QuoteRequests.Add(3)
 	m.QuoteMisses.Inc()
 	m.ObserveReprice(0.02, false)
 	m.ObserveReprice(0.5, true)
-	var b strings.Builder
-	if err := m.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := scrapeSole(t, m)
 	for _, want := range []string{
 		"tierd_quote_requests_total 3",
 		"tierd_quote_misses_total 1",
@@ -99,11 +106,7 @@ func TestRepriceFlowsGauge(t *testing.T) {
 		t.Fatalf("gauge value = %d, want 742", got)
 	}
 	m.RepriceFlows.Set(3) // gauges go down too
-	var b strings.Builder
-	if err := m.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := scrapeSole(t, m)
 	for _, want := range []string{
 		"# TYPE tierd_reprice_flows gauge",
 		"tierd_reprice_flows 3",

@@ -36,13 +36,15 @@ func TestMetricsScrapeVsSwapRace(t *testing.T) {
 
 	src := &swapSource{}
 	src.p.Store(snapA)
+	m := NewMetrics()
+	ingest := func() IngestStats { return IngestStats{Packets: 1, Records: 2} }
 	s, err := New(Config{
-		Snapshots: src,
-		Metrics:   NewMetrics(),
-		Ingest:    func() IngestStats { return IngestStats{Packets: 1, Records: 2} },
+		Sole:    true,
+		Metrics: m,
+		Ingest:  ingest,
 		// A tiny staleness bound keeps the degraded path (stale counter,
 		// headers) in play under the race detector too.
-		MaxSnapshotAge: time.Nanosecond,
+		Tenants: []*Tenant{{ID: "default", Snapshots: src, Metrics: m, Ingest: ingest, MaxSnapshotAge: time.Nanosecond}},
 	})
 	if err != nil {
 		t.Fatal(err)

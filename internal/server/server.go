@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/netip"
@@ -44,7 +43,7 @@ type IngestStats struct {
 
 // DurabilityStats is a point-in-time view of the durability subsystem
 // (WAL + checkpoints) for the /metrics endpoint. The zero value means
-// "durability disabled" only through Config.Durability being nil; with
+// "durability disabled" only through Tenant.Durability being nil; with
 // a callback installed every field is live.
 type DurabilityStats struct {
 	// WAL counters: bytes and entries appended, fsync syscalls issued.
@@ -63,7 +62,7 @@ type DurabilityStats struct {
 	// RecoveryReplayed is the number of WAL entries replayed at boot;
 	// RecoveryTornBytes is how many trailing WAL bytes recovery
 	// distrusted and discarded.
-	RecoveryReplayed uint64
+	RecoveryReplayed  uint64
 	RecoveryTornBytes uint64
 }
 
@@ -123,80 +122,62 @@ type ReloadStats struct {
 	ReloadErrors uint64
 }
 
-// Config wires a Server to its snapshot source and policies.
-//
-// Two shapes are supported. Single-tenant (the original): set
-// Snapshots plus the optional policy fields, and the server synthesizes
-// one tenant named "default" — the exposition stays unlabeled and
-// byte-compatible with prior releases. Fleet: set Tenants (and
-// DefaultTenant), and the per-request fields move onto each Tenant
-// handle; Snapshots/MaxSnapshotAge/Durability/History must be unset.
+// Config wires a Server to its tenants and the process-wide telemetry
+// sources. Per-tenant policy (staleness, durability, history, quota)
+// lives on each Tenant handle.
 type Config struct {
-	// Snapshots supplies the serving snapshot (required in
-	// single-tenant mode; must be nil when Tenants is set).
+	// Tenants are the pricing engines served: every tenant gets
+	// /v1/t/{id}/... routes, and the un-prefixed paths alias
+	// DefaultTenant.
+	Tenants []*Tenant
+	// DefaultTenant names the tenant the un-prefixed paths alias; empty
+	// selects the first entry of Tenants.
+	DefaultTenant string
+	// Sole marks Tenants as a fleet of one that the caller synthesised
+	// rather than an operator configured: /metrics drops the tenant="…"
+	// label pair and /healthz answers with the plain single-tenant body.
+	// It requires exactly one tenant.
+	Sole bool
+	// Snapshots is shorthand for a sole tenant named "default" that
+	// shares Metrics and Ingest with the process (Tenants must be empty).
 	Snapshots SnapshotSource
-	// Metrics receives request telemetry; nil builds a fresh set. In
-	// fleet mode this set carries only the process-wide counters
-	// (health checks, metric scrapes) — per-tenant sets live on the
-	// Tenant handles.
+	// Metrics receives the process-wide request telemetry (health
+	// checks, metric scrapes); nil builds a fresh set.
 	Metrics *Metrics
-	// Ingest reports the ingest pipeline's counters for /metrics; nil
-	// when no live ingest is attached. In fleet mode only the datagram
-	// counters are read here (the socket is shared); record counters
-	// come from each tenant's Ingest callback.
+	// Ingest reports the shared collector's datagram counters (packets,
+	// decode failures, socket drops) for /metrics; nil when no live
+	// ingest is attached. Record counters come from each tenant's Ingest
+	// callback.
 	Ingest func() IngestStats
-	// MaxSnapshotAge is the staleness policy: once the serving snapshot
-	// is older, /healthz reports degraded (503) and /v1/quote tags
-	// responses with X-Tierd-Stale — quoting stays up on the last good
-	// snapshot, but load balancers and callers can see the data is old.
-	// Zero disables the policy.
-	MaxSnapshotAge time.Duration
 	// Now is the server's time source for snapshot age; nil selects
 	// time.Now. Injectable for fault rehearsal and tests.
 	Now func() time.Time
-	// Durability reports the WAL/checkpoint subsystem's counters for
-	// /metrics; nil when the daemon runs without -data-dir.
-	Durability func() DurabilityStats
-	// History supplies the checkpointed tier-table time series for
-	// GET /v1/history (oldest first); nil serves an empty series.
-	History func() []HistoryEntry
-	// HistoryScan serves deep /v1/history range queries from the
-	// durable store; nil falls back to filtering History's ring.
-	HistoryScan func(q HistoryQuery) ([]HistoryEntry, error)
 	// HistoryStore reports the durable tier-history store's counters
 	// for /metrics; nil when the daemon runs without -history-store.
-	// Process-wide: in fleet mode every tenant shares one store.
+	// Process-wide: every tenant shares one store.
 	HistoryStore func() HistoryStoreStats
-	// Reload reports config hot-reload state for /metrics; nil when the
-	// daemon runs without -config. Process-wide.
+	// Reload reports config hot-reload state for /metrics; nil omits it.
+	// Process-wide.
 	Reload func() ReloadStats
+	// Sched reports the weighted-fair reprice scheduler's counters for
+	// /metrics; nil omits the scheduler block.
+	Sched func() SchedStats
 	// Build identifies the running binary; the zero value is filled
 	// from the embedded build metadata.
 	Build buildinfo.Info
-
-	// Tenants, when non-empty, serves a multi-tenant fleet: every
-	// tenant gets /v1/t/{id}/... routes and labeled metrics, and the
-	// legacy un-prefixed paths alias DefaultTenant.
-	Tenants []*Tenant
-	// DefaultTenant names the tenant the legacy paths alias; empty
-	// selects the first entry of Tenants.
-	DefaultTenant string
-	// Sched reports the weighted-fair reprice scheduler's counters for
-	// /metrics (fleet mode only); nil omits the scheduler block.
-	Sched func() SchedStats
 }
 
 // Server serves tier quotes out of immutable pricing snapshots, one
-// tenant or a fleet of them.
+// per tenant.
 type Server struct {
 	tenants []*Tenant
 	byID    map[string]*Tenant
 	def     *Tenant
-	fleet   bool // multi-tenant: tenant routes + labeled exposition
+	sole    bool // synthesised fleet of one: unlabeled exposition, plain /healthz
 
 	proc      *Metrics                 // process-wide counters (health, metrics scrapes)
 	ingest    func() IngestStats       // optional; process-wide datagram counters
-	sched     func() SchedStats        // optional; fleet mode only
+	sched     func() SchedStats        // optional; reprice scheduler
 	histStore func() HistoryStoreStats // optional; shared durable history store
 	reload    func() ReloadStats       // optional; config hot-reload state
 
@@ -216,8 +197,23 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics()
 	}
+	if cfg.Snapshots != nil {
+		if len(cfg.Tenants) > 0 {
+			return nil, errors.New("server: Tenants excludes the Snapshots shorthand")
+		}
+		cfg.Sole = true
+		cfg.Tenants = []*Tenant{{ID: "default", Snapshots: cfg.Snapshots, Metrics: cfg.Metrics, Ingest: cfg.Ingest, Weight: 1}}
+	}
+	if len(cfg.Tenants) == 0 {
+		return nil, errors.New("server: no tenants (nil snapshot source)")
+	}
+	if cfg.Sole && len(cfg.Tenants) != 1 {
+		return nil, fmt.Errorf("server: Sole needs exactly one tenant, got %d", len(cfg.Tenants))
+	}
 	s := &Server{
-		fleet:     len(cfg.Tenants) > 0,
+		tenants:   cfg.Tenants,
+		byID:      make(map[string]*Tenant, len(cfg.Tenants)),
+		sole:      cfg.Sole,
 		proc:      cfg.Metrics,
 		ingest:    cfg.Ingest,
 		sched:     cfg.Sched,
@@ -227,31 +223,6 @@ func New(cfg Config) (*Server, error) {
 		build:     cfg.Build,
 		buildTag:  cfg.Build.String(),
 	}
-	if !s.fleet {
-		// Single-tenant: the legacy Config fields become the one tenant.
-		if cfg.Snapshots == nil {
-			return nil, errors.New("server: nil snapshot source")
-		}
-		if cfg.MaxSnapshotAge < 0 {
-			return nil, fmt.Errorf("server: max snapshot age must not be negative, got %v", cfg.MaxSnapshotAge)
-		}
-		s.tenants = []*Tenant{{
-			ID:             "default",
-			Snapshots:      cfg.Snapshots,
-			Metrics:        cfg.Metrics,
-			Durability:     cfg.Durability,
-			History:        cfg.History,
-			HistoryScan:    cfg.HistoryScan,
-			MaxSnapshotAge: cfg.MaxSnapshotAge,
-			Weight:         1,
-		}}
-	} else {
-		if cfg.Snapshots != nil || cfg.Durability != nil || cfg.History != nil || cfg.HistoryScan != nil {
-			return nil, errors.New("server: Tenants excludes the single-tenant Snapshots/Durability/History fields")
-		}
-		s.tenants = cfg.Tenants
-	}
-	s.byID = make(map[string]*Tenant, len(s.tenants))
 	for _, t := range s.tenants {
 		if t.ID == "" {
 			return nil, errors.New("server: tenant with empty ID")
@@ -267,6 +238,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		if t.Metrics == nil {
 			t.Metrics = NewMetrics()
+		}
+		if !s.sole {
+			t.label = fmt.Sprintf("tenant=%q", t.ID)
 		}
 		s.byID[t.ID] = t
 	}
@@ -295,7 +269,7 @@ func (s *Server) staleFor(t *Tenant, snap *stream.Snapshot) bool {
 
 // Handler builds the route table. The un-prefixed /v1 paths serve the
 // default tenant; /v1/t/{tenant}/... scopes the same handlers to any
-// configured tenant (including "default" in single-tenant mode).
+// configured tenant (including a sole tenant's "default").
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/quote", s.forDefault(s.handleQuote))
@@ -311,7 +285,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // forDefault binds a tenant-scoped handler to the default tenant (the
-// legacy un-prefixed routes).
+// un-prefixed routes).
 func (s *Server) forDefault(h func(*Tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) { h(s.def, w, r) }
 }
@@ -583,29 +557,19 @@ func (s *Server) healthLine(t *Tenant) (ok bool, line string) {
 	return true, "ok"
 }
 
-// handleHealth is the process-wide probe. Single-tenant keeps the
-// original body and semantics. In fleet mode the body carries one
-// "<tenant>: <status>" line per tenant and the status code is 200 only
-// when every tenant serves a fresh snapshot — a load balancer drains
-// the whole process only when no tenant is healthy enough to matter,
-// so the per-tenant probe is the better signal for tenant-level
-// automation.
+// handleHealth is the process-wide probe. A sole tenant's probe is the
+// process's. Otherwise the body carries one "<tenant>: <status>" line
+// per tenant and the status code is 200 only when every tenant serves a
+// fresh snapshot — a load balancer drains the whole process only when
+// no tenant is healthy enough to matter, so the per-tenant probe is the
+// better signal for tenant-level automation.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.proc.HealthRequests.Inc()
-	// Build attribution rides on every health response — including the
-	// 503s — so probes and load generators can always tell which binary
-	// answered. Headers must be set before any WriteHeader.
-	w.Header().Set("X-Tierd-Build", s.buildTag)
-	if !s.fleet {
-		ok, line := s.healthLine(s.def)
-		if !ok {
-			http.Error(w, line, http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
+	if s.sole {
+		s.handleTenantHealth(s.def, w, r)
 		return
 	}
+	s.proc.HealthRequests.Inc()
+	w.Header().Set("X-Tierd-Build", s.buildTag)
 	allOK := true
 	var b strings.Builder
 	for _, t := range s.tenants {
@@ -622,10 +586,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(b.String()))
 }
 
-// handleTenantHealth probes one tenant: the single-tenant /healthz
-// semantics scoped to the tenant in the path.
+// handleTenantHealth probes one tenant: body "ok", or 503 with the
+// reason.
 func (s *Server) handleTenantHealth(t *Tenant, w http.ResponseWriter, r *http.Request) {
 	s.proc.HealthRequests.Inc()
+	// Build attribution rides on every health response — including the
+	// 503s — so probes and load generators can always tell which binary
+	// answered. Headers must be set before any WriteHeader.
 	w.Header().Set("X-Tierd-Build", s.buildTag)
 	ok, line := s.healthLine(t)
 	if !ok {
@@ -634,99 +601,4 @@ func (s *Server) handleTenantHealth(t *Tenant, w http.ResponseWriter, r *http.Re
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.proc.MetricsRequests.Inc()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if s.fleet {
-		s.writeFleetMetrics(w)
-		return
-	}
-	// Single-tenant exposition: unlabeled, byte-compatible with prior
-	// releases (s.proc and the default tenant's set are one instance).
-	if err := s.proc.WritePrometheus(w); err != nil {
-		return
-	}
-	if s.ingest != nil {
-		in := s.ingest()
-		fmt.Fprintf(w, "# HELP tierd_ingest_packets_total Export datagrams received.\n# TYPE tierd_ingest_packets_total counter\ntierd_ingest_packets_total %d\n", in.Packets)
-		fmt.Fprintf(w, "# HELP tierd_ingest_bad_packets_total Datagrams that failed to decode.\n# TYPE tierd_ingest_bad_packets_total counter\ntierd_ingest_bad_packets_total %d\n", in.BadPackets)
-		fmt.Fprintf(w, "# HELP tierd_ingest_records_total Flow records ingested into the window.\n# TYPE tierd_ingest_records_total counter\ntierd_ingest_records_total %d\n", in.Records)
-		fmt.Fprintf(w, "# HELP tierd_ingest_duplicates_total Cross-router duplicates suppressed.\n# TYPE tierd_ingest_duplicates_total counter\ntierd_ingest_duplicates_total %d\n", in.Duplicates)
-		fmt.Fprintf(w, "# HELP tierd_ingest_dropped_total Records with no aggregation bucket.\n# TYPE tierd_ingest_dropped_total counter\ntierd_ingest_dropped_total %d\n", in.Dropped)
-		fmt.Fprintf(w, "# HELP tierd_ingest_socket_drops_total Datagrams the kernel dropped on full UDP receive buffers.\n# TYPE tierd_ingest_socket_drops_total counter\ntierd_ingest_socket_drops_total %d\n", in.SocketDrops)
-		if len(in.ShardRecords) > 0 {
-			fmt.Fprintf(w, "# HELP tierd_ingest_shard_records_total Flow records ingested per window shard.\n# TYPE tierd_ingest_shard_records_total counter\n")
-			for i, n := range in.ShardRecords {
-				fmt.Fprintf(w, "tierd_ingest_shard_records_total{shard=\"%d\"} %d\n", i, n)
-			}
-		}
-	}
-	fmt.Fprintf(w, "# HELP tierd_build_info Build metadata of the running binary (value is always 1).\n# TYPE tierd_build_info gauge\ntierd_build_info{revision=%q,go_version=%q} 1\n",
-		s.build.Revision, s.build.GoVersion)
-	if s.def.Durability != nil {
-		d := s.def.Durability()
-		fmt.Fprintf(w, "# HELP tierd_wal_bytes_total Bytes appended to the write-ahead log.\n# TYPE tierd_wal_bytes_total counter\ntierd_wal_bytes_total %d\n", d.WALBytes)
-		fmt.Fprintf(w, "# HELP tierd_wal_entries_total Entries appended to the write-ahead log.\n# TYPE tierd_wal_entries_total counter\ntierd_wal_entries_total %d\n", d.WALEntries)
-		fmt.Fprintf(w, "# HELP tierd_wal_fsyncs_total WAL fsync syscalls issued.\n# TYPE tierd_wal_fsyncs_total counter\ntierd_wal_fsyncs_total %d\n", d.WALFsyncs)
-		fmt.Fprintf(w, "# HELP tierd_wal_fsync_seconds WAL fsync latency.\n# TYPE tierd_wal_fsync_seconds summary\n")
-		fmt.Fprintf(w, "tierd_wal_fsync_seconds{quantile=\"0.5\"} %g\n", d.WALFsyncP50)
-		fmt.Fprintf(w, "tierd_wal_fsync_seconds{quantile=\"0.99\"} %g\n", d.WALFsyncP99)
-		fmt.Fprintf(w, "tierd_wal_fsync_seconds_sum %g\n", d.WALFsyncSum)
-		fmt.Fprintf(w, "tierd_wal_fsync_seconds_count %d\n", d.WALFsyncs)
-		fmt.Fprintf(w, "# HELP tierd_wal_fsync_max_seconds Worst WAL fsync latency observed.\n# TYPE tierd_wal_fsync_max_seconds gauge\ntierd_wal_fsync_max_seconds %g\n", d.WALFsyncMax)
-		fmt.Fprintf(w, "# HELP tierd_checkpoints_total Checkpoints written since boot.\n# TYPE tierd_checkpoints_total counter\ntierd_checkpoints_total %d\n", d.Checkpoints)
-		if d.CheckpointAge >= 0 {
-			fmt.Fprintf(w, "# HELP tierd_checkpoint_age_seconds Seconds since the newest checkpoint.\n# TYPE tierd_checkpoint_age_seconds gauge\ntierd_checkpoint_age_seconds %g\n", d.CheckpointAge)
-		}
-		fmt.Fprintf(w, "# HELP tierd_recovery_replayed_total WAL entries replayed during boot recovery.\n# TYPE tierd_recovery_replayed_total counter\ntierd_recovery_replayed_total %d\n", d.RecoveryReplayed)
-		fmt.Fprintf(w, "# HELP tierd_recovery_torn_bytes_total Trailing WAL bytes recovery distrusted and discarded.\n# TYPE tierd_recovery_torn_bytes_total counter\ntierd_recovery_torn_bytes_total %d\n", d.RecoveryTornBytes)
-	}
-	s.writeHistoryStoreMetrics(w)
-	s.writeReloadMetrics(w)
-	if snap := s.def.Snapshots.Current(); snap != nil {
-		fmt.Fprintf(w, "# HELP tierd_snapshot_epoch Epoch of the serving snapshot.\n# TYPE tierd_snapshot_epoch gauge\ntierd_snapshot_epoch %d\n", snap.Epoch)
-		fmt.Fprintf(w, "# HELP tierd_snapshot_flows Flows priced in the serving snapshot.\n# TYPE tierd_snapshot_flows gauge\ntierd_snapshot_flows %d\n", snap.Table.Flows)
-		fmt.Fprintf(w, "# HELP tierd_snapshot_tiers Tiers in the serving snapshot.\n# TYPE tierd_snapshot_tiers gauge\ntierd_snapshot_tiers %d\n", len(snap.Table.Tiers))
-		fmt.Fprintf(w, "# HELP tierd_snapshot_age_seconds Age of the serving snapshot.\n# TYPE tierd_snapshot_age_seconds gauge\ntierd_snapshot_age_seconds %g\n", s.snapshotAge(snap).Seconds())
-		stale := 0
-		if s.staleFor(s.def, snap) {
-			stale = 1
-		}
-		fmt.Fprintf(w, "# HELP tierd_snapshot_stale Whether the serving snapshot exceeds the staleness policy (1 = degraded).\n# TYPE tierd_snapshot_stale gauge\ntierd_snapshot_stale %d\n", stale)
-	}
-}
-
-// writeHistoryStoreMetrics renders the durable tier-history store's
-// counters (process-wide: fleet tenants share one store). No-op when no
-// store is wired.
-func (s *Server) writeHistoryStoreMetrics(w io.Writer) {
-	if s.histStore == nil {
-		return
-	}
-	h := s.histStore()
-	fmt.Fprintf(w, "# HELP tierd_history_entries Rows live in the durable tier-history store.\n# TYPE tierd_history_entries gauge\ntierd_history_entries %d\n", h.Entries)
-	fmt.Fprintf(w, "# HELP tierd_history_bytes Encoded size of the live tier-history rows.\n# TYPE tierd_history_bytes gauge\ntierd_history_bytes %d\n", h.Bytes)
-	fmt.Fprintf(w, "# HELP tierd_history_appends_total Tier-history rows accepted for append.\n# TYPE tierd_history_appends_total counter\ntierd_history_appends_total %d\n", h.Appends)
-	fmt.Fprintf(w, "# HELP tierd_history_dupes_total Appends ignored because the (tenant, epoch) key already existed.\n# TYPE tierd_history_dupes_total counter\ntierd_history_dupes_total %d\n", h.Dupes)
-	fmt.Fprintf(w, "# HELP tierd_history_append_errors_total Tier-history appends that failed to reach durable storage.\n# TYPE tierd_history_append_errors_total counter\ntierd_history_append_errors_total %d\n", h.AppendErrors)
-	fmt.Fprintf(w, "# HELP tierd_history_flushes_total Group commits of staged tier-history rows (one fsync each).\n# TYPE tierd_history_flushes_total counter\ntierd_history_flushes_total %d\n", h.Flushes)
-	fmt.Fprintf(w, "# HELP tierd_history_folds_total Write-ahead-file checkpoints folded into the main history file.\n# TYPE tierd_history_folds_total counter\ntierd_history_folds_total %d\n", h.Folds)
-	fmt.Fprintf(w, "# HELP tierd_history_compactions_total Main history file rewrites triggered by retention pruning.\n# TYPE tierd_history_compactions_total counter\ntierd_history_compactions_total %d\n", h.Compactions)
-	fmt.Fprintf(w, "# HELP tierd_history_pruned_total Tier-history rows removed by retention policy.\n# TYPE tierd_history_pruned_total counter\ntierd_history_pruned_total %d\n", h.Pruned)
-	fmt.Fprintf(w, "# HELP tierd_history_scans_total Tier-history range scans served.\n# TYPE tierd_history_scans_total counter\ntierd_history_scans_total %d\n", h.Scans)
-	fmt.Fprintf(w, "# HELP tierd_history_torn_bytes_total Trailing history-file bytes open-time recovery distrusted and discarded.\n# TYPE tierd_history_torn_bytes_total counter\ntierd_history_torn_bytes_total %d\n", h.OpenTornBytes)
-}
-
-// writeReloadMetrics renders the config hot-reload state (process-wide).
-// No-op when the daemon runs without -config.
-func (s *Server) writeReloadMetrics(w io.Writer) {
-	if s.reload == nil {
-		return
-	}
-	rl := s.reload()
-	fmt.Fprintf(w, "# HELP tierd_config_epoch Pricing-config epoch (1 at boot, +1 per successful hot reload).\n# TYPE tierd_config_epoch gauge\ntierd_config_epoch %d\n", rl.ConfigEpoch)
-	fmt.Fprintf(w, "# HELP tierd_config_reloads_total Successful config hot reloads.\n# TYPE tierd_config_reloads_total counter\ntierd_config_reloads_total %d\n", rl.Reloads)
-	fmt.Fprintf(w, "# HELP tierd_config_reload_errors_total Config reloads rejected (invalid file or config; the running config stayed active).\n# TYPE tierd_config_reload_errors_total counter\ntierd_config_reload_errors_total %d\n", rl.ReloadErrors)
 }

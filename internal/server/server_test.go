@@ -223,7 +223,7 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := New(Config{Snapshots: &fakeSource{}}); err != nil {
 		t.Errorf("nil metrics should default, got %v", err)
 	}
-	if _, err := New(Config{Snapshots: &fakeSource{}, MaxSnapshotAge: -time.Second}); err == nil {
+	if _, err := New(Config{Sole: true, Tenants: []*Tenant{{ID: "default", Snapshots: &fakeSource{}, MaxSnapshotAge: -time.Second}}}); err == nil {
 		t.Error("negative staleness threshold accepted")
 	}
 }
@@ -239,9 +239,9 @@ func TestStalenessPolicy(t *testing.T) {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	setNow := func(t time.Time) { mu.Lock(); now = t; mu.Unlock() }
 	s, err := New(Config{
-		Snapshots:      &fakeSource{snap: snap},
-		MaxSnapshotAge: 30 * time.Second,
-		Now:            clock,
+		Sole:    true,
+		Tenants: []*Tenant{{ID: "default", Snapshots: &fakeSource{snap: snap}, MaxSnapshotAge: 30 * time.Second}},
+		Now:     clock,
 	})
 	if err != nil {
 		t.Fatal(err)

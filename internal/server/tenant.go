@@ -1,12 +1,6 @@
 package server
 
-import (
-	"fmt"
-	"io"
-	"time"
-
-	"tieredpricing/internal/stream"
-)
+import "time"
 
 // RateLimiter admits or rejects one request on a tenant's quote path.
 // A rejected request carries the Retry-After hint. tenant.Bucket
@@ -17,9 +11,8 @@ type RateLimiter interface {
 
 // Tenant is one tenant's serving handle: the snapshot source, metric
 // set, quota and telemetry callbacks the HTTP layer serves that tenant
-// from. In single-tenant mode the server synthesizes exactly one from
-// the legacy Config fields; in fleet mode cmd/tierd builds one per
-// configured tenant.
+// from. cmd/tierd builds one per fleet member; Config{Snapshots: src}
+// builds a sole one named "default".
 type Tenant struct {
 	// ID names the tenant on the API: /v1/t/{ID}/... It must be unique
 	// across Config.Tenants.
@@ -42,7 +35,11 @@ type Tenant struct {
 	HistoryScan func(q HistoryQuery) ([]HistoryEntry, error)
 	// Limiter guards the tenant's quote path; nil admits everything.
 	Limiter RateLimiter
-	// MaxSnapshotAge is the tenant's staleness policy (0 disables).
+	// MaxSnapshotAge is the tenant's staleness policy: once the serving
+	// snapshot is older, the tenant's health probe reports degraded (503)
+	// and its quotes carry X-Tierd-Stale — quoting stays up on the last
+	// good snapshot, but load balancers and callers can see the data is
+	// old. Zero disables the policy.
 	MaxSnapshotAge time.Duration
 	// Weight is the tenant's configured share of the reprice pool,
 	// exported so dashboards can normalize per-tenant reprice rates.
@@ -51,6 +48,10 @@ type Tenant struct {
 	// exposition (0 = unlimited).
 	RateQPS   float64
 	RateBurst float64
+
+	// label is the rendered tenant="ID" pair on the tenant's /metrics
+	// samples; New leaves it empty for a sole tenant.
+	label string
 }
 
 // SchedFlowStats is one tenant's reprice-scheduler telemetry as the
@@ -74,270 +75,4 @@ type SchedStats struct {
 	Coalesced  uint64
 	Starved    uint64
 	Flows      []SchedFlowStats
-}
-
-// labelFor renders the tenant label pair used on every per-tenant
-// sample in the fleet exposition.
-func labelFor(t *Tenant) string { return fmt.Sprintf("tenant=%q", t.ID) }
-
-// writeFleetMetrics renders the multi-tenant exposition: process-wide
-// samples unlabeled, every per-tenant metric labeled {tenant="id"} with
-// one HELP/TYPE header per metric name. Single-tenant mode never takes
-// this path — its exposition stays byte-compatible with prior releases.
-func (s *Server) writeFleetMetrics(w io.Writer) {
-	// Process-wide request counters: health and metrics serve the whole
-	// fleet, so they stay unlabeled.
-	fmt.Fprintf(w, "# HELP tierd_health_requests_total Health checks served.\n# TYPE tierd_health_requests_total counter\ntierd_health_requests_total %d\n", s.proc.HealthRequests.Value())
-	fmt.Fprintf(w, "# HELP tierd_metrics_requests_total Metric scrapes served.\n# TYPE tierd_metrics_requests_total counter\ntierd_metrics_requests_total %d\n", s.proc.MetricsRequests.Value())
-
-	// Per-tenant request/reprice counters.
-	counters := []struct {
-		name, help string
-		get        func(t *Tenant) uint64
-	}{
-		{"tierd_quote_requests_total", "Quote requests served.", func(t *Tenant) uint64 { return t.Metrics.QuoteRequests.Value() }},
-		{"tierd_quote_misses_total", "Quote requests with no matching bucket or route.", func(t *Tenant) uint64 { return t.Metrics.QuoteMisses.Value() }},
-		{"tierd_tiers_requests_total", "Tier table requests served.", func(t *Tenant) uint64 { return t.Metrics.TiersRequests.Value() }},
-		{"tierd_history_requests_total", "Tier-table history requests served.", func(t *Tenant) uint64 { return t.Metrics.HistoryRequests.Value() }},
-		{"tierd_quote_stale_total", "Quotes served from a snapshot beyond the staleness policy.", func(t *Tenant) uint64 { return t.Metrics.QuoteStale.Value() }},
-		{"tierd_quote_rate_limited_total", "Quote requests rejected by the tenant's rate limit (429s).", func(t *Tenant) uint64 { return t.Metrics.QuoteRateLimited.Value() }},
-		{"tierd_reprices_total", "Re-price attempts.", func(t *Tenant) uint64 { return t.Metrics.Reprices.Value() }},
-		{"tierd_reprice_failures_total", "Re-price attempts that failed (retries and ingest gaps included).", func(t *Tenant) uint64 { return t.Metrics.RepriceFailures.Value() }},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
-		for _, t := range s.tenants {
-			fmt.Fprintf(w, "%s{%s} %d\n", c.name, labelFor(t), c.get(t))
-		}
-	}
-
-	gauges := []struct {
-		name, help string
-		get        func(t *Tenant) int64
-	}{
-		{"tierd_reprice_flows", "Flows priced by the most recent re-price.", func(t *Tenant) int64 { return t.Metrics.RepriceFlows.Value() }},
-		{"tierd_reprice_consecutive_failures", "Consecutive failed re-price attempts (0 while healthy).", func(t *Tenant) int64 { return t.Metrics.ConsecutiveFailures.Value() }},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
-		for _, t := range s.tenants {
-			fmt.Fprintf(w, "%s{%s} %d\n", g.name, labelFor(t), g.get(t))
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP tierd_quote_seconds Server-side quote latency.\n# TYPE tierd_quote_seconds histogram\n")
-	for _, t := range s.tenants {
-		_ = t.Metrics.QuoteSeconds.write(w, "tierd_quote_seconds", labelFor(t))
-	}
-	fmt.Fprintf(w, "# HELP tierd_reprice_seconds Re-price latency.\n# TYPE tierd_reprice_seconds histogram\n")
-	for _, t := range s.tenants {
-		_ = t.Metrics.RepriceSeconds.write(w, "tierd_reprice_seconds", labelFor(t))
-	}
-
-	// Tenant configuration gauges: quota and reprice weight.
-	fmt.Fprintf(w, "# HELP tierd_tenant_weight Configured weighted-fair share of the reprice pool.\n# TYPE tierd_tenant_weight gauge\n")
-	for _, t := range s.tenants {
-		fmt.Fprintf(w, "tierd_tenant_weight{%s} %g\n", labelFor(t), t.Weight)
-	}
-	fmt.Fprintf(w, "# HELP tierd_quote_rate_limit_qps Configured sustained quote quota (0 = unlimited).\n# TYPE tierd_quote_rate_limit_qps gauge\n")
-	for _, t := range s.tenants {
-		fmt.Fprintf(w, "tierd_quote_rate_limit_qps{%s} %g\n", labelFor(t), t.RateQPS)
-	}
-	fmt.Fprintf(w, "# HELP tierd_quote_rate_limit_burst Configured quote burst capacity (0 = unlimited).\n# TYPE tierd_quote_rate_limit_burst gauge\n")
-	for _, t := range s.tenants {
-		fmt.Fprintf(w, "tierd_quote_rate_limit_burst{%s} %g\n", labelFor(t), t.RateBurst)
-	}
-
-	// Ingest: the collector's datagram counters are process-wide (one
-	// UDP socket feeds the router); record counters are per tenant.
-	if s.ingest != nil {
-		in := s.ingest()
-		fmt.Fprintf(w, "# HELP tierd_ingest_packets_total Export datagrams received.\n# TYPE tierd_ingest_packets_total counter\ntierd_ingest_packets_total %d\n", in.Packets)
-		fmt.Fprintf(w, "# HELP tierd_ingest_bad_packets_total Datagrams that failed to decode.\n# TYPE tierd_ingest_bad_packets_total counter\ntierd_ingest_bad_packets_total %d\n", in.BadPackets)
-		fmt.Fprintf(w, "# HELP tierd_ingest_socket_drops_total Datagrams the kernel dropped on full UDP receive buffers.\n# TYPE tierd_ingest_socket_drops_total counter\ntierd_ingest_socket_drops_total %d\n", in.SocketDrops)
-	}
-	type tenantIngest struct {
-		t  *Tenant
-		in IngestStats
-	}
-	var ti []tenantIngest
-	for _, t := range s.tenants {
-		if t.Ingest != nil {
-			ti = append(ti, tenantIngest{t, t.Ingest()})
-		}
-	}
-	if len(ti) > 0 {
-		fmt.Fprintf(w, "# HELP tierd_ingest_routed_packets_total Export datagrams routed to the tenant.\n# TYPE tierd_ingest_routed_packets_total counter\n")
-		for _, e := range ti {
-			fmt.Fprintf(w, "tierd_ingest_routed_packets_total{%s} %d\n", labelFor(e.t), e.in.Packets)
-		}
-		fmt.Fprintf(w, "# HELP tierd_ingest_records_total Flow records ingested into the window.\n# TYPE tierd_ingest_records_total counter\n")
-		for _, e := range ti {
-			fmt.Fprintf(w, "tierd_ingest_records_total{%s} %d\n", labelFor(e.t), e.in.Records)
-		}
-		fmt.Fprintf(w, "# HELP tierd_ingest_duplicates_total Cross-router duplicates suppressed.\n# TYPE tierd_ingest_duplicates_total counter\n")
-		for _, e := range ti {
-			fmt.Fprintf(w, "tierd_ingest_duplicates_total{%s} %d\n", labelFor(e.t), e.in.Duplicates)
-		}
-		fmt.Fprintf(w, "# HELP tierd_ingest_dropped_total Records with no aggregation bucket.\n# TYPE tierd_ingest_dropped_total counter\n")
-		for _, e := range ti {
-			fmt.Fprintf(w, "tierd_ingest_dropped_total{%s} %d\n", labelFor(e.t), e.in.Dropped)
-		}
-		shards := false
-		for _, e := range ti {
-			if len(e.in.ShardRecords) > 0 {
-				shards = true
-				break
-			}
-		}
-		if shards {
-			fmt.Fprintf(w, "# HELP tierd_ingest_shard_records_total Flow records ingested per window shard.\n# TYPE tierd_ingest_shard_records_total counter\n")
-			for _, e := range ti {
-				for i, n := range e.in.ShardRecords {
-					fmt.Fprintf(w, "tierd_ingest_shard_records_total{%s,shard=\"%d\"} %d\n", labelFor(e.t), i, n)
-				}
-			}
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP tierd_build_info Build metadata of the running binary (value is always 1).\n# TYPE tierd_build_info gauge\ntierd_build_info{revision=%q,go_version=%q} 1\n",
-		s.build.Revision, s.build.GoVersion)
-
-	// Weighted-fair reprice scheduler.
-	if s.sched != nil {
-		st := s.sched()
-		fmt.Fprintf(w, "# HELP tierd_sched_queue_depth Reprice jobs queued (bounded by the tenant count).\n# TYPE tierd_sched_queue_depth gauge\ntierd_sched_queue_depth %d\n", st.QueueDepth)
-		fmt.Fprintf(w, "# HELP tierd_sched_dispatched_total Reprice jobs dispatched by the scheduler.\n# TYPE tierd_sched_dispatched_total counter\ntierd_sched_dispatched_total %d\n", st.Dispatched)
-		fmt.Fprintf(w, "# HELP tierd_sched_coalesced_total Reprice submissions coalesced into an already-queued job.\n# TYPE tierd_sched_coalesced_total counter\ntierd_sched_coalesced_total %d\n", st.Coalesced)
-		fmt.Fprintf(w, "# HELP tierd_sched_starved_total Jobs dispatched by the starvation bound rather than their fair tag.\n# TYPE tierd_sched_starved_total counter\ntierd_sched_starved_total %d\n", st.Starved)
-		if len(st.Flows) > 0 {
-			fmt.Fprintf(w, "# HELP tierd_sched_tenant_dispatched_total Reprice jobs dispatched for the tenant.\n# TYPE tierd_sched_tenant_dispatched_total counter\n")
-			for _, f := range st.Flows {
-				fmt.Fprintf(w, "tierd_sched_tenant_dispatched_total{tenant=%q} %d\n", f.Tenant, f.Dispatched)
-			}
-			fmt.Fprintf(w, "# HELP tierd_sched_tenant_coalesced_total Reprice submissions coalesced for the tenant.\n# TYPE tierd_sched_tenant_coalesced_total counter\n")
-			for _, f := range st.Flows {
-				fmt.Fprintf(w, "tierd_sched_tenant_coalesced_total{tenant=%q} %d\n", f.Tenant, f.Coalesced)
-			}
-			fmt.Fprintf(w, "# HELP tierd_sched_tenant_starved_total Starvation-bound dispatches for the tenant.\n# TYPE tierd_sched_tenant_starved_total counter\n")
-			for _, f := range st.Flows {
-				fmt.Fprintf(w, "tierd_sched_tenant_starved_total{tenant=%q} %d\n", f.Tenant, f.Starved)
-			}
-			fmt.Fprintf(w, "# HELP tierd_sched_tenant_last_wait_seconds Queue wait of the tenant's last dispatched job.\n# TYPE tierd_sched_tenant_last_wait_seconds gauge\n")
-			for _, f := range st.Flows {
-				fmt.Fprintf(w, "tierd_sched_tenant_last_wait_seconds{tenant=%q} %g\n", f.Tenant, f.LastWaitSeconds)
-			}
-			fmt.Fprintf(w, "# HELP tierd_sched_tenant_cost_seconds Smoothed reprice cost estimate driving the tenant's fair tags.\n# TYPE tierd_sched_tenant_cost_seconds gauge\n")
-			for _, f := range st.Flows {
-				fmt.Fprintf(w, "tierd_sched_tenant_cost_seconds{tenant=%q} %g\n", f.Tenant, f.CostSeconds)
-			}
-		}
-	}
-
-	// Per-tenant durability namespaces.
-	type tenantDur struct {
-		t *Tenant
-		d DurabilityStats
-	}
-	var td []tenantDur
-	for _, t := range s.tenants {
-		if t.Durability != nil {
-			td = append(td, tenantDur{t, t.Durability()})
-		}
-	}
-	if len(td) > 0 {
-		fmt.Fprintf(w, "# HELP tierd_wal_bytes_total Bytes appended to the write-ahead log.\n# TYPE tierd_wal_bytes_total counter\n")
-		for _, e := range td {
-			fmt.Fprintf(w, "tierd_wal_bytes_total{%s} %d\n", labelFor(e.t), e.d.WALBytes)
-		}
-		fmt.Fprintf(w, "# HELP tierd_wal_entries_total Entries appended to the write-ahead log.\n# TYPE tierd_wal_entries_total counter\n")
-		for _, e := range td {
-			fmt.Fprintf(w, "tierd_wal_entries_total{%s} %d\n", labelFor(e.t), e.d.WALEntries)
-		}
-		fmt.Fprintf(w, "# HELP tierd_wal_fsyncs_total WAL fsync syscalls issued.\n# TYPE tierd_wal_fsyncs_total counter\n")
-		for _, e := range td {
-			fmt.Fprintf(w, "tierd_wal_fsyncs_total{%s} %d\n", labelFor(e.t), e.d.WALFsyncs)
-		}
-		fmt.Fprintf(w, "# HELP tierd_wal_fsync_seconds WAL fsync latency.\n# TYPE tierd_wal_fsync_seconds summary\n")
-		for _, e := range td {
-			l := labelFor(e.t)
-			fmt.Fprintf(w, "tierd_wal_fsync_seconds{%s,quantile=\"0.5\"} %g\n", l, e.d.WALFsyncP50)
-			fmt.Fprintf(w, "tierd_wal_fsync_seconds{%s,quantile=\"0.99\"} %g\n", l, e.d.WALFsyncP99)
-			fmt.Fprintf(w, "tierd_wal_fsync_seconds_sum{%s} %g\n", l, e.d.WALFsyncSum)
-			fmt.Fprintf(w, "tierd_wal_fsync_seconds_count{%s} %d\n", l, e.d.WALFsyncs)
-		}
-		fmt.Fprintf(w, "# HELP tierd_wal_fsync_max_seconds Worst WAL fsync latency observed.\n# TYPE tierd_wal_fsync_max_seconds gauge\n")
-		for _, e := range td {
-			fmt.Fprintf(w, "tierd_wal_fsync_max_seconds{%s} %g\n", labelFor(e.t), e.d.WALFsyncMax)
-		}
-		fmt.Fprintf(w, "# HELP tierd_checkpoints_total Checkpoints written since boot.\n# TYPE tierd_checkpoints_total counter\n")
-		for _, e := range td {
-			fmt.Fprintf(w, "tierd_checkpoints_total{%s} %d\n", labelFor(e.t), e.d.Checkpoints)
-		}
-		aged := false
-		for _, e := range td {
-			if e.d.CheckpointAge >= 0 {
-				aged = true
-			}
-		}
-		if aged {
-			fmt.Fprintf(w, "# HELP tierd_checkpoint_age_seconds Seconds since the newest checkpoint.\n# TYPE tierd_checkpoint_age_seconds gauge\n")
-			for _, e := range td {
-				if e.d.CheckpointAge >= 0 {
-					fmt.Fprintf(w, "tierd_checkpoint_age_seconds{%s} %g\n", labelFor(e.t), e.d.CheckpointAge)
-				}
-			}
-		}
-		fmt.Fprintf(w, "# HELP tierd_recovery_replayed_total WAL entries replayed during boot recovery.\n# TYPE tierd_recovery_replayed_total counter\n")
-		for _, e := range td {
-			fmt.Fprintf(w, "tierd_recovery_replayed_total{%s} %d\n", labelFor(e.t), e.d.RecoveryReplayed)
-		}
-		fmt.Fprintf(w, "# HELP tierd_recovery_torn_bytes_total Trailing WAL bytes recovery distrusted and discarded.\n# TYPE tierd_recovery_torn_bytes_total counter\n")
-		for _, e := range td {
-			fmt.Fprintf(w, "tierd_recovery_torn_bytes_total{%s} %d\n", labelFor(e.t), e.d.RecoveryTornBytes)
-		}
-	}
-
-	// Shared durable history store and config hot-reload state: one per
-	// process, so both stay unlabeled.
-	s.writeHistoryStoreMetrics(w)
-	s.writeReloadMetrics(w)
-
-	// Per-tenant serving snapshots.
-	type tenantSnap struct {
-		t    *Tenant
-		snap *stream.Snapshot
-	}
-	var ts []tenantSnap
-	for _, t := range s.tenants {
-		if snap := t.Snapshots.Current(); snap != nil {
-			ts = append(ts, tenantSnap{t, snap})
-		}
-	}
-	if len(ts) > 0 {
-		fmt.Fprintf(w, "# HELP tierd_snapshot_epoch Epoch of the serving snapshot.\n# TYPE tierd_snapshot_epoch gauge\n")
-		for _, e := range ts {
-			fmt.Fprintf(w, "tierd_snapshot_epoch{%s} %d\n", labelFor(e.t), e.snap.Epoch)
-		}
-		fmt.Fprintf(w, "# HELP tierd_snapshot_flows Flows priced in the serving snapshot.\n# TYPE tierd_snapshot_flows gauge\n")
-		for _, e := range ts {
-			fmt.Fprintf(w, "tierd_snapshot_flows{%s} %d\n", labelFor(e.t), e.snap.Table.Flows)
-		}
-		fmt.Fprintf(w, "# HELP tierd_snapshot_tiers Tiers in the serving snapshot.\n# TYPE tierd_snapshot_tiers gauge\n")
-		for _, e := range ts {
-			fmt.Fprintf(w, "tierd_snapshot_tiers{%s} %d\n", labelFor(e.t), len(e.snap.Table.Tiers))
-		}
-		fmt.Fprintf(w, "# HELP tierd_snapshot_age_seconds Age of the serving snapshot.\n# TYPE tierd_snapshot_age_seconds gauge\n")
-		for _, e := range ts {
-			fmt.Fprintf(w, "tierd_snapshot_age_seconds{%s} %g\n", labelFor(e.t), s.snapshotAge(e.snap).Seconds())
-		}
-		fmt.Fprintf(w, "# HELP tierd_snapshot_stale Whether the serving snapshot exceeds the staleness policy (1 = degraded).\n# TYPE tierd_snapshot_stale gauge\n")
-		for _, e := range ts {
-			stale := 0
-			if s.staleFor(e.t, e.snap) {
-				stale = 1
-			}
-			fmt.Fprintf(w, "tierd_snapshot_stale{%s} %d\n", labelFor(e.t), stale)
-		}
-	}
 }

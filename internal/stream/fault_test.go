@@ -2,9 +2,10 @@ package stream
 
 // Regression tests for the live-path bugs the fault-injection harness
 // flushed out of the serving loop: IPv4 mask widths applied to IPv6
-// quote keys, tier-index tie-breaking on multi-bucket destinations, an
-// unbounded final drain, and snapshot retention across every failure
-// class while quotes are being served concurrently.
+// quote keys, tier-index tie-breaking on multi-bucket destinations, and
+// snapshot retention across every failure class while quotes are being
+// served concurrently. (The bounded final drain is the daemon's now:
+// cmd/tierd's TestRunDrain.)
 
 import (
 	"context"
@@ -165,73 +166,6 @@ func TestRIBTieBreakPrefersCheaperPrice(t *testing.T) {
 	}
 }
 
-// TestRunDrainBoundedByGrace is the regression test for the unbounded
-// shutdown drain: Run's final re-price used context.Background(), so a
-// resolve wedged on a dead backend stalled shutdown forever. The drain
-// now runs under DrainGrace; a hung resolver delays exit by at most the
-// grace period.
-func TestRunDrainBoundedByGrace(t *testing.T) {
-	ds, err := traces.EUISP(81)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: 82})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := mustWindow(t, time.Hour, 4)
-	ingestStreams(t, w, streams)
-
-	hung := faultinject.NewResolver(faultinject.New(83), &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: true})
-	hung.SetHang(true)
-	rp, err := NewRepricer(Config{
-		Window:      w,
-		Resolver:    hung,
-		Demand:      econ.CED{Alpha: 1.1},
-		Cost:        cost.Linear{Theta: 0.2},
-		P0:          ds.P0,
-		Strategy:    bundling.ProfitWeighted{},
-		Tiers:       3,
-		DurationSec: ds.DurationSec,
-		Workers:     2,
-		DrainGrace:  200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var drainErr atomic.Value
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rp.Run(ctx, time.Hour, func(snap *Snapshot, elapsed time.Duration, err error) {
-			if err != nil {
-				drainErr.Store(err)
-			}
-		})
-	}()
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("Run wedged on a hung resolve past the drain grace")
-	}
-	err, _ = drainErr.Load().(error)
-	if err == nil {
-		t.Fatal("drain against a hung resolver reported no error")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("drain error = %v, want the grace deadline", err)
-	}
-	if rp.Current() != nil {
-		t.Error("failed drain published a snapshot")
-	}
-	if rp.ConsecutiveFailures() != 1 {
-		t.Errorf("consecutive failures = %d, want 1", rp.ConsecutiveFailures())
-	}
-}
-
 // toggleCost injects a fit-path failure on demand.
 type toggleCost struct {
 	inner cost.Model
@@ -380,7 +314,7 @@ func TestSnapshotRetentionUnderConcurrentQuoting(t *testing.T) {
 }
 
 // TestNewRepricerValidationFaultKnobs covers the knobs this harness
-// added: IPv6 mask widths and the drain grace.
+// added: the IPv6 mask widths.
 func TestNewRepricerValidationFaultKnobs(t *testing.T) {
 	ds, err := traces.EUISP(87)
 	if err != nil {
@@ -398,7 +332,6 @@ func TestNewRepricerValidationFaultKnobs(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Src6MaskBits = 200 },
 		func(c *Config) { c.Dst6MaskBits = -2 },
-		func(c *Config) { c.DrainGrace = -time.Second },
 	}
 	for i, mutate := range bad {
 		cfg := good

@@ -69,10 +69,6 @@ type Config struct {
 	// NextHop is stamped on the tier-tagged RIB routes (§5.1); zero
 	// selects the unspecified address.
 	NextHop netip.Addr
-	// DrainGrace bounds the final drain re-price Run performs after its
-	// context is cancelled, so a hung resolve cannot wedge shutdown. Zero
-	// selects 5s.
-	DrainGrace time.Duration
 	// Now is the repricer's time source (snapshot FittedAt stamps); nil
 	// selects time.Now. Injectable for fault rehearsal and tests.
 	Now func() time.Time
@@ -220,17 +216,15 @@ func (s *Snapshot) RIB() *bgp.RIB { return s.rib }
 // never block each other: Current is a single atomic load.
 type Repricer struct {
 	cfg Config // guarded by mu (Reconfigure swaps it)
-	// now and drainGrace are pinned at construction: Run's drain path
-	// reads them without the lock, and a hot reload must not move the
-	// clock or the shutdown bound under a draining repricer.
-	now        func() time.Time
-	drainGrace time.Duration
-	epoch      atomic.Int64
-	cur        atomic.Pointer[Snapshot]
+	// now is pinned at construction: buildSnapshot stamps with it, and a
+	// hot reload must not move the clock under a running repricer.
+	now   func() time.Time
+	epoch atomic.Int64
+	cur   atomic.Pointer[Snapshot]
 	// failures counts consecutive failed re-price attempts (reset on
 	// success). Warm-up empty windows don't count; an empty window after
 	// a snapshot exists does — that's an ingest gap, the signal the
-	// staleness policy and the backoff both key off.
+	// staleness policy and the caller's retry lane both key off.
 	failures atomic.Int64
 
 	// mu serializes Reprice (the periodic tick and a caller-driven final
@@ -264,23 +258,22 @@ func NewRepricer(cfg Config) (*Repricer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Repricer{cfg: cfg, now: cfg.Now, drainGrace: cfg.DrainGrace}, nil
+	return &Repricer{cfg: cfg, now: cfg.Now}, nil
 }
 
 // Reconfigure swaps the repricer's pricing configuration in place —
 // the zero-downtime reload path. The new configuration is validated
 // before anything changes; on any error the old configuration stays
-// active untouched. The live window, clock, and drain grace are pinned
-// from the running repricer (a reload re-prices the demand you have,
-// it does not discard it), and the current snapshot keeps serving
-// quotes until the caller's next Reprice publishes one built under the
-// new configuration — quoting never has a gap across a reload.
+// active untouched. The live window and clock are pinned from the
+// running repricer (a reload re-prices the demand you have, it does not
+// discard it), and the current snapshot keeps serving quotes until the
+// caller's next Reprice publishes one built under the new
+// configuration — quoting never has a gap across a reload.
 func (r *Repricer) Reconfigure(cfg Config) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cfg.Window = r.cfg.Window
 	cfg.Now = r.now
-	cfg.DrainGrace = r.drainGrace
 	cfg, err := normalizeConfig(cfg)
 	if err != nil {
 		return err
@@ -298,7 +291,6 @@ func (r *Repricer) CheckConfig(cfg Config) error {
 	defer r.mu.Unlock()
 	cfg.Window = r.cfg.Window
 	cfg.Now = r.now
-	cfg.DrainGrace = r.drainGrace
 	_, err := normalizeConfig(cfg)
 	return err
 }
@@ -348,12 +340,6 @@ func normalizeConfig(cfg Config) (Config, error) {
 	}
 	if cfg.Src6MaskBits < 0 || cfg.Src6MaskBits > 128 || cfg.Dst6MaskBits < 0 || cfg.Dst6MaskBits > 128 {
 		return fail(fmt.Errorf("stream: IPv6 mask bits out of range (%d, %d)", cfg.Src6MaskBits, cfg.Dst6MaskBits))
-	}
-	if cfg.DrainGrace < 0 {
-		return fail(fmt.Errorf("stream: drain grace must not be negative, got %v", cfg.DrainGrace))
-	}
-	if cfg.DrainGrace == 0 {
-		cfg.DrainGrace = 5 * time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -491,73 +477,6 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 		src6Bits: r.cfg.Src6MaskBits,
 		dst6Bits: r.cfg.Dst6MaskBits,
 	}, nil
-}
-
-// Run re-prices every interval until ctx is cancelled, then performs one
-// final drain re-price so the last snapshot covers everything ingested
-// before shutdown. The drain runs under the configured DrainGrace
-// deadline: a wedged resolve delays shutdown by at most the grace
-// period, never forever.
-//
-// Failed attempts (other than warm-up empty windows) are retried with
-// exponential backoff — starting at interval/8 (floored at 10ms) and
-// doubling up to the interval — instead of waiting a full interval, so
-// a transient resolver outage shortens snapshot staleness rather than
-// extending it. onTick, when non-nil, observes every attempt (for
-// metrics): the published snapshot or nil, the re-price latency, and
-// the error if any.
-func (r *Repricer) Run(ctx context.Context, interval time.Duration,
-	onTick func(snap *Snapshot, elapsed time.Duration, err error)) {
-	tick := func(ctx context.Context) error {
-		start := r.now()
-		snap, err := r.Reprice(ctx)
-		if onTick != nil {
-			onTick(snap, r.now().Sub(start), err)
-		}
-		return err
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	var (
-		backoff time.Duration
-		retryC  <-chan time.Time // nil (blocks forever) when no retry is due
-	)
-	schedule := func(err error) {
-		if err == nil || (errors.Is(err, ErrEmptyWindow) && r.failures.Load() == 0) {
-			// Success, or a warm-up empty window: nothing to retry.
-			backoff, retryC = 0, nil
-			return
-		}
-		switch {
-		case backoff == 0:
-			backoff = interval / 8
-			if backoff < 10*time.Millisecond {
-				backoff = 10 * time.Millisecond
-			}
-		case backoff < interval:
-			backoff *= 2
-		}
-		if backoff > interval {
-			backoff = interval
-		}
-		retryC = time.After(backoff)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			// Final drain pass: price whatever arrived since the last
-			// tick, bounded so shutdown cannot wedge on a stuck resolve.
-			drainCtx, cancel := context.WithTimeout(context.Background(), r.drainGrace)
-			tick(drainCtx)
-			cancel()
-			return
-		case <-ticker.C:
-			schedule(tick(ctx))
-		case <-retryC:
-			retryC = nil
-			schedule(tick(ctx))
-		}
-	}
 }
 
 // tableFrom renders an outcome into the canonical tier table. It is the

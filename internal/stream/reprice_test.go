@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net/netip"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,63 +245,5 @@ func TestNewRepricerValidation(t *testing.T) {
 		if _, err := NewRepricer(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-	}
-}
-
-// TestRunFinalDrain: cancelling the reprice loop performs one last
-// re-price so traffic ingested after the final tick is still priced.
-func TestRunFinalDrain(t *testing.T) {
-	ds, err := traces.EUISP(78)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := mustWindow(t, time.Hour, 4)
-	rp, err := NewRepricer(Config{
-		Window:      w,
-		Resolver:    &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: true},
-		Demand:      econ.CED{Alpha: 1.1},
-		Cost:        cost.Linear{Theta: 0.2},
-		P0:          ds.P0,
-		Strategy:    bundling.ProfitWeighted{},
-		Tiers:       3,
-		DurationSec: ds.DurationSec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: 79})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestStreams(t, w, streams)
-
-	var ticks atomic.Int64
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Interval far beyond the test's lifetime: the only re-price that
-		// can happen is the drain pass on cancellation.
-		rp.Run(ctx, time.Hour, func(snap *Snapshot, elapsed time.Duration, err error) {
-			ticks.Add(1)
-			if err != nil {
-				t.Errorf("drain reprice failed: %v", err)
-			}
-			if elapsed < 0 {
-				t.Errorf("negative elapsed %v", elapsed)
-			}
-		})
-	}()
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run did not exit after cancellation")
-	}
-	if ticks.Load() != 1 {
-		t.Errorf("onTick ran %d times, want exactly the drain pass", ticks.Load())
-	}
-	if rp.Current() == nil {
-		t.Error("no snapshot after drain reprice")
 	}
 }

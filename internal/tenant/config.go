@@ -21,10 +21,10 @@
 package tenant
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // Spec is one tenant's configuration, as read from the -tenants file.
@@ -104,7 +104,7 @@ func ValidateSpecs(specs []Spec) (defaultID string, err error) {
 	}
 	ids := make(map[string]bool, len(specs))
 	routers := make(map[uint8]string)
-	for i, s := range specs {
+	for _, s := range specs {
 		if !validID(s.ID) {
 			return "", fmt.Errorf("tenant: invalid id %q (lowercase letters, digits, '-', '_', '.')", s.ID)
 		}
@@ -133,7 +133,6 @@ func ValidateSpecs(specs []Spec) (defaultID string, err error) {
 			}
 			defaultID = s.ID
 		}
-		_ = i
 	}
 	if defaultID == "" {
 		defaultID = specs[0].ID
@@ -141,29 +140,25 @@ func ValidateSpecs(specs []Spec) (defaultID string, err error) {
 	return defaultID, nil
 }
 
-// LoadSpecFile reads and validates a -tenants JSON file.
+// LoadSpecFile reads and validates a -tenants JSON file. Parsing is
+// strict — unknown keys and trailing data are rejected — so a misspelt
+// quota ("rate_qsp") refuses to boot instead of running unlimited.
 func LoadSpecFile(path string) (specs []Spec, defaultID string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", fmt.Errorf("tenant: %w", err)
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var f configFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := dec.Decode(&f); err != nil {
 		return nil, "", fmt.Errorf("tenant: parsing %s: %w", path, err)
+	}
+	if dec.More() {
+		return nil, "", fmt.Errorf("tenant: parsing %s: trailing data after the tenants object", path)
 	}
 	if defaultID, err = ValidateSpecs(f.Tenants); err != nil {
 		return nil, "", fmt.Errorf("tenant: %s: %w", path, err)
 	}
 	return f.Tenants, defaultID, nil
-}
-
-// SortedIDs returns the spec IDs in lexical order (stable iteration for
-// recovery, metrics and tests).
-func SortedIDs(specs []Spec) []string {
-	ids := make([]string, len(specs))
-	for i, s := range specs {
-		ids[i] = s.ID
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -5,20 +5,18 @@ import (
 	"sync/atomic"
 
 	"tieredpricing/internal/netflow"
-	"tieredpricing/internal/stream"
 )
 
-// Tenant is one network's live pricing state inside a multi-tenant
-// tierd: its sliding window, repricer, quote quota and ingest sink.
-// The daemon wires Sink to the window — possibly behind the tenant's
-// durability layer — and the Registry routes export datagrams into it.
+// Tenant is one network's ingest and quota face inside tierd: its
+// sliding window, quote quota and ingest sink. The daemon wires Sink to
+// the window — possibly behind the tenant's durability layer — and the
+// Registry routes export datagrams into it.
 type Tenant struct {
 	Spec Spec
 
 	// Window is the tenant's sliding-window accumulator (a
 	// *stream.Window or *stream.ShardedWindow, held as its sink face).
-	Window   netflow.Sink
-	Repricer *stream.Repricer
+	Window netflow.Sink
 	// Limiter guards the tenant's quote path (nil = unlimited).
 	Limiter *Bucket
 	// Sink receives the tenant's routed export packets. It defaults to
@@ -46,15 +44,11 @@ func (t *Tenant) RoutedPackets() uint64 { return t.routedPackets.Load() }
 // Registry is the tenant table and the ingest router. It implements
 // netflow.Sink: an export datagram routes to the tenant owning the
 // packet header's engine ID (the exporting router), falling back to the
-// default tenant for unmapped engines. Lookup and routing are
-// read-only after construction, so ingest needs no locking here.
+// default tenant for unmapped engines. Routing is read-only after
+// construction, so ingest needs no locking here.
 type Registry struct {
-	tenants  []*Tenant // registration order (stable for metrics, recovery)
-	byID     map[string]*Tenant
 	byRouter map[uint8]*Tenant
 	def      *Tenant
-
-	unrouted atomic.Uint64
 }
 
 // NewRegistry indexes the tenants. defaultID selects the tenant the
@@ -66,16 +60,13 @@ func NewRegistry(tenants []*Tenant, defaultID string) (*Registry, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("tenant: registry needs at least one tenant")
 	}
-	r := &Registry{
-		tenants:  tenants,
-		byID:     make(map[string]*Tenant, len(tenants)),
-		byRouter: make(map[uint8]*Tenant),
-	}
+	r := &Registry{byRouter: make(map[uint8]*Tenant)}
+	byID := make(map[string]*Tenant, len(tenants))
 	for _, t := range tenants {
 		if !validID(t.ID()) {
 			return nil, fmt.Errorf("tenant: invalid id %q", t.ID())
 		}
-		if _, dup := r.byID[t.ID()]; dup {
+		if _, dup := byID[t.ID()]; dup {
 			return nil, fmt.Errorf("tenant: duplicate id %q", t.ID())
 		}
 		if t.Sink == nil {
@@ -84,7 +75,7 @@ func NewRegistry(tenants []*Tenant, defaultID string) (*Registry, error) {
 		if t.Sink == nil {
 			return nil, fmt.Errorf("tenant %q: no ingest sink", t.ID())
 		}
-		r.byID[t.ID()] = t
+		byID[t.ID()] = t
 		for _, router := range t.Spec.Routers {
 			if prev, taken := r.byRouter[router]; taken {
 				return nil, fmt.Errorf("tenant %q: router %d already routed to %q", t.ID(), router, prev.ID())
@@ -92,7 +83,7 @@ func NewRegistry(tenants []*Tenant, defaultID string) (*Registry, error) {
 			r.byRouter[router] = t
 		}
 	}
-	def, ok := r.byID[defaultID]
+	def, ok := byID[defaultID]
 	if !ok {
 		return nil, fmt.Errorf("tenant: default %q is not a registered tenant", defaultID)
 	}
@@ -113,19 +104,3 @@ func (r *Registry) Ingest(h netflow.Header, recs []netflow.Record) {
 	t.routedPackets.Add(1)
 	t.Sink.Ingest(h, recs)
 }
-
-// Lookup resolves a tenant by ID; the empty ID resolves the default.
-func (r *Registry) Lookup(id string) (*Tenant, bool) {
-	if id == "" {
-		return r.def, true
-	}
-	t, ok := r.byID[id]
-	return t, ok
-}
-
-// Default returns the tenant legacy API paths alias.
-func (r *Registry) Default() *Tenant { return r.def }
-
-// All returns the tenants in registration order. Callers must not
-// mutate the returned slice.
-func (r *Registry) All() []*Tenant { return r.tenants }
