@@ -6,7 +6,12 @@
 #   ./ci.sh bench      — timed benchmark run; writes BENCH_<date>.json
 #                        (name, ns/op, allocs/op, custom metrics) via
 #                        cmd/benchjson so the perf trajectory is
-#                        machine-readable.
+#                        machine-readable. Its -bench=. pattern takes in
+#                        the re-price pipeline's rows with the rest:
+#                        BenchmarkReprice (internal/stream, both tenant
+#                        sizes), BenchmarkMapIntoFine (internal/parallel,
+#                        workers 1 vs NumCPU) and BenchmarkDPScratchSolve
+#                        at n=20000, B=4 (internal/optimize).
 #   ./ci.sh bench-diff — regression gate: re-runs the benchmarks and
 #                        compares against the newest committed
 #                        BENCH_*.json via `benchjson diff`; fails when

@@ -1,6 +1,7 @@
 package bundling
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -27,12 +28,11 @@ import (
 // (cross-checked against exhaustive set-partition enumeration in the
 // optimize package tests), which the DP searches exactly. Both block-value
 // families further satisfy the concave-Monge condition, so the default
-// solver is the O(n·b·log n) divide-and-conquer monotone DP
-// (optimize.ContiguousDPMonotone); set Quadratic to force the O(n²·b)
-// reference DP instead.
+// solver is the O(n·b) SMAWK monotone DP (optimize.ContiguousDPMonotone);
+// set Quadratic to force the O(n²·b) reference DP instead.
 type Optimal struct {
-	// Quadratic opts into the O(n²·b) reference DP instead of the
-	// divide-and-conquer monotone solver. The two return identical
+	// Quadratic opts into the O(n²·b) reference DP instead of the SMAWK
+	// monotone solver. The two return identical
 	// partitions on the supported objectives (property-tested); the knob
 	// exists for cross-checking and for debugging suspected
 	// monotonicity violations.
@@ -68,20 +68,19 @@ func (o Optimal) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, er
 	return optimize.BlocksToPartition(blocks, order), nil
 }
 
-// costOrder returns flow indices sorted by ascending cost.
+// costOrder returns flow indices sorted by ascending cost, equal costs
+// by ascending index — a total order, so the unstable sort is
+// deterministic.
 func costOrder(flows []econ.Flow) []int {
 	order := make([]int, len(flows))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		switch ca, cb := flows[a].Cost, flows[b].Cost; {
-		case ca < cb:
-			return -1
-		case ca > cb:
-			return 1
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(flows[a].Cost, flows[b].Cost); c != 0 {
+			return c
 		}
-		return 0
+		return a - b
 	})
 	return order
 }

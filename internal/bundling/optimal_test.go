@@ -2,6 +2,7 @@ package bundling
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"tieredpricing/internal/econ"
@@ -272,6 +273,94 @@ func TestCEDBlockValueZeroCost(t *testing.T) {
 		}
 		if len(blocks) == 0 || blocks[0][0] != 0 || blocks[len(blocks)-1][1] != len(flows) {
 			t.Fatalf("quadratic=%v: malformed blocks %v", quadratic, blocks)
+		}
+	}
+}
+
+// TestCostOrderBreaksTiesByIndex: cost order is the total order
+// (cost, index), so equal-cost flows keep their input order under the
+// unstable sort and every caller sees one deterministic permutation.
+func TestCostOrderBreaksTiesByIndex(t *testing.T) {
+	costs := []float64{3, 1, 3, 2, 1, 3, 2, 1, 3, 3, 1, 2, 3, 1, 2, 3}
+	flows := make([]econ.Flow, len(costs))
+	for i, c := range costs {
+		flows[i].Cost = c
+	}
+	order := costOrder(flows)
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		if flows[a].Cost > flows[b].Cost || (flows[a].Cost == flows[b].Cost && a >= b) {
+			t.Fatalf("order %v: position %d (flow %d, cost %v) before flow %d (cost %v)",
+				order, k-1, a, flows[a].Cost, b, flows[b].Cost)
+		}
+	}
+}
+
+// TestOptimalSolversAgreeOnTieShapes drives both solvers through the
+// flow sets the SMAWK solver is most sensitive to: every cost equal (any
+// partition is optimal, candidates differ by rounding alone) and costs
+// drawn from three values (long exact-tie runs in cost order). Profits
+// must agree at every budget, 1 and 2 — where the last-layer shortcut is
+// the first layer — and at and above the flow count included.
+func TestOptimalSolversAgreeOnTieShapes(t *testing.T) {
+	for _, m := range []econ.Model{
+		econ.CED{Alpha: 1.3},
+		econ.Logit{Alpha: 1.5, S0: 0.35},
+	} {
+		for levels := 1; levels <= 3; levels++ {
+			flows := fitFlows(t, m, 48, int64(levels), 20)
+			for i := range flows {
+				flows[i].Cost = []float64{2.5, 0.75, 6}[i*7%levels]
+			}
+			for _, b := range []int{1, 2, 3, 6, len(flows), len(flows) + 4} {
+				pMono, err := Optimal{}.Bundle(flows, m, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pQuad, err := Optimal{Quadratic: true}.Bundle(flows, m, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				piMono, piQuad := profitOf(t, m, flows, pMono), profitOf(t, m, flows, pQuad)
+				if math.Abs(piMono-piQuad) > 1e-9*(1+math.Abs(piQuad)) {
+					t.Fatalf("%s levels=%d b=%d: SMAWK profit %v != quadratic %v",
+						m.Name(), levels, b, piMono, piQuad)
+				}
+			}
+		}
+	}
+}
+
+// TestCEDZeroCostRunAtTheCap: a run of zero-cost flows makes every block
+// inside it evaluate to the value cap, so whole ranges of splits tie
+// exactly (finite block values are absorbed when added to the cap). Both
+// solvers must then pick the same — leftmost — splits, not just totals
+// that compare equal.
+func TestCEDZeroCostRunAtTheCap(t *testing.T) {
+	n := 40
+	flows := make([]econ.Flow, n)
+	for i := range flows {
+		flows[i] = econ.Flow{Valuation: 5 + float64(i%7), Demand: 1}
+		if i >= 14 {
+			flows[i].Cost = 0.5 + float64(i%9)*0.4
+		}
+	}
+	order := costOrder(flows)
+	val := cedBlockValue(flows, order, 1.7)
+	for _, b := range []int{1, 2, 3, 6, 14, 15, n, n + 3} {
+		want, wantTotal, err := optimize.ContiguousDP(n, b, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotTotal, err := optimize.ContiguousDPMonotone(n, b, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(gotTotal) || math.IsInf(gotTotal, 0) {
+			t.Fatalf("b=%d: SMAWK total %v is not finite", b, gotTotal)
+		}
+		if gotTotal != wantTotal || !slices.Equal(got, want) {
+			t.Fatalf("b=%d: SMAWK %v total %v != quadratic %v total %v", b, got, gotTotal, want, wantTotal)
 		}
 	}
 }

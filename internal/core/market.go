@@ -118,12 +118,30 @@ func NewMarket(flows []econ.Flow, demand econ.Model, costModel cost.Model, p0 fl
 }
 
 // Run bundles the market's flows with the strategy into at most b tiers,
-// prices each tier optimally, and reports profit and capture.
+// prices each tier optimally, and reports profit and capture: Bundle
+// followed by Price.
 func (m *Market) Run(s bundling.Strategy, b int) (Outcome, error) {
+	partition, err := m.Bundle(s, b)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return m.Price(s, b, partition)
+}
+
+// Bundle is Run's first half: the strategy's partition of the market's
+// flows into at most b tiers. It exists apart from Run so the online
+// repricer can time bundling and pricing as separate stages.
+func (m *Market) Bundle(s bundling.Strategy, b int) ([][]int, error) {
 	partition, err := s.Bundle(m.Flows, m.Demand, b)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("core: %s bundling: %w", s.Name(), err)
+		return nil, fmt.Errorf("core: %s bundling: %w", s.Name(), err)
 	}
+	return partition, nil
+}
+
+// Price is Run's second half: it prices each tier of the partition s
+// produced for budget b optimally and reports profit and capture.
+func (m *Market) Price(s bundling.Strategy, b int, partition [][]int) (Outcome, error) {
 	ev, err := pricing.Evaluate(m.Demand, m.Flows, partition)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("core: pricing %s bundling: %w", s.Name(), err)

@@ -167,10 +167,14 @@ func checkPartition(n int, partition [][]int) error {
 }
 
 // Singletons returns the partition that puts every flow in its own bundle.
+// The blocks are carved from one backing array, each capped at its own
+// element so appending to one cannot spill into the next.
 func Singletons(n int) [][]int {
 	p := make([][]int, n)
+	back := make([]int, n)
 	for i := range p {
-		p[i] = []int{i}
+		back[i] = i
+		p[i] = back[i : i+1 : i+1]
 	}
 	return p
 }

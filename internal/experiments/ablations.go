@@ -114,7 +114,7 @@ func runAblation1(opts Options) (*Result, error) {
 				return nil, err
 			}
 			// The quadratic reference solver must land on the same profit
-			// as the default divide-and-conquer path.
+			// as the default SMAWK path.
 			quad, err := m.Run(bundling.Optimal{Quadratic: true}, bundles)
 			if err != nil {
 				return nil, err
@@ -133,7 +133,7 @@ func runAblation1(opts Options) (*Result, error) {
 		}
 	}
 	t.AddNote("gap ≈ 0 everywhere: the contiguous-in-cost DP attains the exhaustive optimum (DESIGN.md §4)")
-	t.AddNote("DP π is the default divide-and-conquer monotone solver; quad DP π the O(n²·B) reference — identical by construction")
+	t.AddNote("DP π is the default SMAWK monotone solver; quad DP π the O(n²·B) reference — identical by construction")
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }

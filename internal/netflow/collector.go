@@ -2,7 +2,8 @@ package netflow
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -102,6 +103,58 @@ func (a *Aggregate) MergeSample(b Aggregate) {
 	}
 }
 
+// AggregateMerge folds partial aggregates — one bucket's traffic split
+// across window slots, shards, or collectors — into the collector's
+// output shape: one aggregate per key with octets and records summed and
+// the canonical minimum endpoint sample, sorted by key. Every per-key
+// operation commutes, so the result is independent of the order parts
+// are added in. The zero value is ready to use.
+type AggregateMerge struct {
+	aggs  []Aggregate
+	index map[string]int32 // key → position in aggs
+}
+
+// Grow pre-sizes the merge to hold about n distinct keys in total.
+func (m *AggregateMerge) Grow(n int) {
+	if m.index == nil {
+		m.index = make(map[string]int32, n)
+	}
+	m.aggs = slices.Grow(m.aggs, max(0, n-len(m.aggs)))
+}
+
+// Add folds one partial aggregate in.
+func (m *AggregateMerge) Add(a *Aggregate) {
+	if i, ok := m.index[a.Key]; ok {
+		t := &m.aggs[i]
+		t.Octets += a.Octets
+		t.Records += a.Records
+		t.MergeSample(*a)
+		return
+	}
+	if m.index == nil {
+		m.index = make(map[string]int32)
+	}
+	m.index[a.Key] = int32(len(m.aggs))
+	m.aggs = append(m.aggs, *a)
+}
+
+// Sorted returns a copy of the merged aggregates sorted by key.
+func (m *AggregateMerge) Sorted() []Aggregate {
+	// Sort positions, not aggregates: a swap then moves four bytes and
+	// no pointers, where copying and swapping the 96-byte structs
+	// themselves would be most of the sort's time.
+	order := make([]int32, len(m.aggs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(m.aggs[a].Key, m.aggs[b].Key) })
+	out := make([]Aggregate, len(order))
+	for i, at := range order {
+		out[i] = m.aggs[at]
+	}
+	return out
+}
+
 // Collector ingests export packets from multiple routers, de-duplicates
 // records, restores sampled volumes, and accumulates per-bucket demand.
 // It is safe for concurrent use by multiple ingest goroutines (core
@@ -183,14 +236,14 @@ func (c *Collector) Ingest(h Header, recs []Record) {
 
 // Aggregates returns the accumulated buckets sorted by key.
 func (c *Collector) Aggregates() []Aggregate {
+	var m AggregateMerge
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Aggregate, 0, len(c.aggs))
+	m.Grow(len(c.aggs))
 	for _, a := range c.aggs {
-		out = append(out, *a)
+		m.Add(a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	c.mu.Unlock()
+	return m.Sorted()
 }
 
 // Stats reports how many records were ingested, how many were dropped as

@@ -28,10 +28,10 @@ func benchVal(n int, seed int64) BlockValue {
 	}
 }
 
-// BenchmarkContiguousDP times both solvers across the n × B grid the
-// ISSUE tracks. The monotone rows should sit ≥ 5× below the quadratic
-// rows at n=10000 with allocs/op flat or lower (the scratch pool makes
-// repeated monotone solves allocate only the returned blocks).
+// BenchmarkContiguousDP times both solvers across an n × B grid. The
+// monotone rows grow linearly in n where the quadratic rows grow with
+// n², with allocs/op flat or lower (the scratch pool makes repeated
+// monotone solves allocate only the returned blocks).
 func BenchmarkContiguousDP(b *testing.B) {
 	for _, s := range solvers() {
 		for _, n := range []int{100, 1000, 10000} {
@@ -52,17 +52,21 @@ func BenchmarkContiguousDP(b *testing.B) {
 
 // BenchmarkDPScratchSolve times the near-zero-alloc path a caller holding
 // its own scratch sees (the repricer's ticks, an experiment worker's
-// strategy × B fan-out): only the returned blocks allocate.
+// strategy × B fan-out): only the returned blocks allocate. The second
+// case is the online repricer's largest tenant.
 func BenchmarkDPScratchSolve(b *testing.B) {
-	n := 1000
-	val := benchVal(n, 7)
-	s := GetDPScratch()
-	defer PutDPScratch(s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Solve(n, 6, val); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ n, maxBlocks int }{{1000, 6}, {20000, 4}} {
+		b.Run(fmt.Sprintf("n=%d/B=%d", c.n, c.maxBlocks), func(b *testing.B) {
+			val := benchVal(c.n, 7)
+			s := GetDPScratch()
+			defer PutDPScratch(s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.Solve(c.n, c.maxBlocks, val); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

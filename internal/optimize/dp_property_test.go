@@ -3,6 +3,7 @@ package optimize
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -47,8 +48,8 @@ func (o partitionObjective) costOrder() []int {
 	return order
 }
 
-// solver abstracts over the quadratic reference DP and the
-// divide-and-conquer monotone DP so every property test runs both.
+// solver abstracts over the quadratic reference DP and the SMAWK
+// monotone DP so every property test runs both.
 type solver struct {
 	name  string
 	solve func(n, maxBlocks int, val BlockValue) ([][2]int, float64, error)
@@ -282,10 +283,13 @@ func TestContiguousDPDegenerateSingleFlow(t *testing.T) {
 	}
 }
 
-// TestContiguousDPMonotoneMatchesQuadraticRandom cross-checks the
-// divide-and-conquer solver against the quadratic reference on instances
-// far larger than the enumerator can handle, across the full convex
-// transform family, with duplicated costs mixed in to exercise ties.
+// TestContiguousDPMonotoneMatchesQuadraticRandom cross-checks the SMAWK
+// solver against the quadratic reference on instances far larger than
+// the enumerator can handle, across the full convex transform family,
+// with duplicated costs mixed in to exercise ties. Budgets 1 and 2 are
+// the ones where the last-layer shortcut is layer 0 and the first
+// interior layer; n−1 and above leave every layer but the shortcut a
+// near-diagonal staircase.
 func TestContiguousDPMonotoneMatchesQuadraticRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 40; trial++ {
@@ -306,10 +310,118 @@ func TestContiguousDPMonotoneMatchesQuadraticRandom(t *testing.T) {
 			}
 		}
 		o.g = convexTransforms[trial%len(convexTransforms)].g
-		for _, maxBlocks := range []int{2, 3, 5, 8, n, n + 2} {
+		for _, maxBlocks := range []int{1, 2, 3, 5, 8, n - 1, n, n + 2} {
 			checkSolversAgree(t, o, maxBlocks)
 		}
 	}
+}
+
+// TestContiguousDPMonotoneTieRuns: costs drawn from a handful of values,
+// so cost order is a few long runs of exact ties (and, with one value,
+// every partition is optimal). Inside a run the block values differ only
+// by rounding, which is where a solver leaning on monotone argmaxes is
+// most exposed; the totals must still match the quadratic reference.
+func TestContiguousDPMonotoneTieRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 24; trial++ {
+		n := 20 + r.Intn(60)
+		levels := []float64{0.5, 2.5, 2.5000000000000004, 7}[:1+trial%4]
+		o := partitionObjective{
+			w: make([]float64, n),
+			c: make([]float64, n),
+			g: convexTransforms[trial%len(convexTransforms)].g,
+		}
+		for i := 0; i < n; i++ {
+			o.w[i] = 0.1 + r.Float64()*5
+			o.c[i] = levels[r.Intn(len(levels))]
+		}
+		for _, maxBlocks := range []int{1, 2, 3, 4, 7, n - 1, n, n + 5} {
+			checkSolversAgree(t, o, maxBlocks)
+		}
+	}
+}
+
+// exactTieVal is a block value whose arithmetic is exact — minus the
+// square of the block's integer sum, a concave-Monge function that makes
+// the DP balance block sums — so equal candidates are equal to the bit
+// and the leftmost-argmax rule alone decides between them. Zeros make the
+// Monge inequality an equality over whole ranges of splits.
+func exactTieVal(x []int) BlockValue {
+	pref := make([]float64, len(x)+1)
+	for i, v := range x {
+		pref[i+1] = pref[i] + float64(v)
+	}
+	return func(lo, hi int) float64 {
+		s := pref[hi] - pref[lo]
+		return -s * s
+	}
+}
+
+// TestContiguousDPMonotoneExactTies pins the tie rule: when candidate
+// splits tie exactly, SMAWK must return the quadratic reference's
+// partition — the smallest split in every row — not merely its total.
+func TestContiguousDPMonotoneExactTies(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + r.Intn(150)
+		x := make([]int, n)
+		switch trial % 3 {
+		case 0: // all equal: every row is one long tie
+			for i := range x {
+				x[i] = 3
+			}
+		case 1: // long zero runs between a few equal weights
+			for i := range x {
+				if r.Intn(8) == 0 {
+					x[i] = 2
+				}
+			}
+		default: // small integers, many repeated
+			for i := range x {
+				x[i] = r.Intn(4)
+			}
+		}
+		val := exactTieVal(x)
+		for _, maxBlocks := range []int{1, 2, 3, 4, 9, n - 1, n, n + 1} {
+			if maxBlocks < 1 {
+				continue
+			}
+			want, wantTotal, err := ContiguousDP(n, maxBlocks, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotTotal, err := ContiguousDPMonotone(n, maxBlocks, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotTotal != wantTotal || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d n=%d maxBlocks=%d x=%v:\nSMAWK     %v total %v\nquadratic %v total %v",
+					trial, n, maxBlocks, x, got, gotTotal, want, wantTotal)
+			}
+		}
+	}
+}
+
+// TestSolveValCallBudget pins the solver's cost as a count, which repeats
+// exactly where a timing does not: at the online repricer's scale the
+// SMAWK layers plus the last-layer shortcut stay under 20 block values
+// per item (the divide-and-conquer solver this replaced made 903 216
+// calls on an instance of this size).
+func TestSolveValCallBudget(t *testing.T) {
+	const n, maxBlocks, budget = 20000, 4, 400000
+	inner := benchVal(n, 7)
+	calls := 0
+	val := func(lo, hi int) float64 {
+		calls++
+		return inner(lo, hi)
+	}
+	if _, _, err := ContiguousDPMonotone(n, maxBlocks, val); err != nil {
+		t.Fatal(err)
+	}
+	if calls > budget {
+		t.Fatalf("Solve(n=%d, B=%d) made %d block-value calls, budget %d", n, maxBlocks, calls, budget)
+	}
+	t.Logf("Solve(n=%d, B=%d): %d block-value calls", n, maxBlocks, calls)
 }
 
 // TestContiguousDPUnderflowedWeights mimics the logit block value when
@@ -319,14 +431,14 @@ func TestContiguousDPMonotoneMatchesQuadraticRandom(t *testing.T) {
 // total.
 func TestContiguousDPUnderflowedWeights(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	n := 12
+	n := 60
 	w := make([]float64, n)
 	c := make([]float64, n)
 	for i := 0; i < n; i++ {
 		c[i] = float64(i) * 0.7 // already cost-sorted
-		if i%2 == 0 {
+		if i%2 == 0 && (i < 20 || i >= 45) {
 			w[i] = 0.2 + r.Float64() // survivor
-		} // odd items: weight underflowed to exactly 0
+		} // the rest — odd items, and one long run — underflowed to exactly 0
 	}
 	val := func(lo, hi int) float64 {
 		var wSum, cwSum float64
@@ -404,5 +516,18 @@ func TestDPScratchReuse(t *testing.T) {
 				t.Fatalf("reused scratch blocks %v != fresh blocks %v", gotBlocks, wantBlocks)
 			}
 		}
+	}
+	// A warm scratch allocates nothing but the blocks it returns: the
+	// SMAWK column stacks live in the scratch like the DP rows do.
+	val := benchVal(500, 3)
+	if _, _, err := s.Solve(500, 6, val); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := s.Solve(500, 6, val); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("Solve on a warm scratch made %v allocations, want only the returned blocks", allocs)
 	}
 }

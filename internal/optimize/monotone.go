@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// This file implements the divide-and-conquer monotone optimization of the
+// This file implements the linear-time-per-layer solver of the
 // contiguous-partition DP. Both demand models' bundling objectives have
 // block values of the form
 //
@@ -20,26 +20,38 @@ import (
 //
 //	val(a, c) + val(b, d) ≥ val(a, d) + val(b, c)   for a ≤ b ≤ c ≤ d
 //
-// so in every DP layer the optimal split index i*(j) of
-// best[b][j] = max_i best[b-1][i] + val(i, j) is non-decreasing in j
-// (total monotonicity). The classic divide-and-conquer optimization then
-// evaluates each layer in O(n log n) instead of O(n²): solve the middle
-// column jm by a linear scan of its feasible split range, and recurse on
-// the two halves with the split range pinched by the optimum found. The
-// property tests cross-check this solver against the quadratic reference
-// DP and exhaustive set-partition enumeration on the full objective
-// family, including degenerate and tie-heavy instances.
+// so in every DP layer best[b][j] = max_i best[b-1][i] + val(i, j) the
+// matrix M[j][i] = best[b-1][i] + val(i, j) is totally monotone: if a
+// later split i' > i beats i in row j it beats it in every row below, and
+// the leftmost row maximum i*(j) is non-decreasing in j. SMAWK (Aggarwal,
+// Klawe, Moran, Shor, Wilber 1987) finds every row's leftmost maximum of
+// such a matrix in O(rows + columns) entry evaluations, so a layer costs
+// O(n) block values instead of the quadratic reference's O(n²).
+//
+// The matrix is a staircase — split i is only defined for i < j — and the
+// undefined entries are read as −Inf. Because they sit to the right of
+// every defined entry of their row and the defined region only grows with
+// j, padding with −Inf keeps the matrix totally monotone for leftmost
+// maxima: a −Inf entry never strictly beats anything, and an entry that
+// is −Inf in row j is −Inf in every row above it. Ties resolve to the
+// smallest i everywhere (strict > in every comparison), matching the
+// quadratic reference DP's ascending inner loop. The property tests
+// cross-check this solver against the quadratic reference DP and
+// exhaustive set-partition enumeration on the full objective family,
+// including degenerate and tie-heavy instances.
 
 // DPScratch holds the flat working tables of ContiguousDPMonotone so that
 // repeated solves — the online repricer's periodic ticks, the experiment
-// engine's strategy × bundle-count fan-out — allocate (almost) nothing.
-// The zero value is ready to use; tables grow on demand and are retained
-// between solves. A DPScratch is not safe for concurrent use; use one per
-// goroutine or borrow from the package pool via ContiguousDPMonotone.
+// engine's strategy × bundle-count fan-out — allocate nothing but the
+// returned blocks. The zero value is ready to use; tables grow on demand
+// and are retained between solves. A DPScratch is not safe for concurrent
+// use; use one per goroutine or borrow from the package pool via
+// ContiguousDPMonotone.
 type DPScratch struct {
 	prev, curr []float64 // rolling DP rows, length n+1
 	cut        []int32   // maxBlocks rows × (n+1) cols: last-block starts
 	layerBest  []float64 // best[b][n] per layer, for the ≤ maxBlocks choice
+	cols       []int32   // SMAWK's surviving-column stacks, one per recursion level
 }
 
 // resize grows the tables to fit an (n, maxBlocks) instance, reusing the
@@ -60,6 +72,13 @@ func (s *DPScratch) resize(n, maxBlocks int) {
 		s.layerBest = make([]float64, maxBlocks)
 	}
 	s.layerBest = s.layerBest[:maxBlocks]
+	// The candidate columns of a layer (≤ n), then one surviving-column
+	// stack per recursion level, each at most as long as the level's row
+	// count: n + n/2 + n/4 + … < 2n.
+	if cap(s.cols) < 3*rowLen {
+		s.cols = make([]int32, 3*rowLen)
+	}
+	s.cols = s.cols[:3*rowLen]
 }
 
 // dpScratchPool shares scratch across ContiguousDPMonotone callers. A
@@ -78,8 +97,8 @@ func PutDPScratch(s *DPScratch) { dpScratchPool.Put(s) }
 
 // ContiguousDPMonotone solves the same problem as ContiguousDP — the
 // contiguous partition of 0..n-1 into at most maxBlocks non-empty blocks
-// maximizing the sum of block values — in O(n·maxBlocks·log n) by
-// divide-and-conquer monotone optimization, using pooled scratch tables.
+// maximizing the sum of block values — in O(n·maxBlocks) block-value
+// evaluations by SMAWK row maxima, using pooled scratch tables.
 //
 // It requires val to satisfy the concave-Monge condition documented above,
 // which holds for every objective in this repository (both demand models'
@@ -92,9 +111,9 @@ func ContiguousDPMonotone(n, maxBlocks int, val BlockValue) ([][2]int, float64, 
 	return s.Solve(n, maxBlocks, val)
 }
 
-// Solve runs the divide-and-conquer DP in this scratch's tables. The
-// returned blocks are freshly allocated (so they may be retained); every
-// other byte of working state lives in the scratch.
+// Solve runs the SMAWK DP in this scratch's tables. The returned blocks
+// are freshly allocated (so they may be retained); every other byte of
+// working state lives in the scratch.
 func (s *DPScratch) Solve(n, maxBlocks int, val BlockValue) ([][2]int, float64, error) {
 	if n <= 0 {
 		return nil, 0, errors.New("optimize: n must be positive")
@@ -104,6 +123,12 @@ func (s *DPScratch) Solve(n, maxBlocks int, val BlockValue) ([][2]int, float64, 
 	}
 	if maxBlocks > n {
 		maxBlocks = n
+	}
+	// Nothing reads the last layer but its column n, so it is solved for
+	// that column alone; with one block the last layer is layer 0.
+	last := maxBlocks - 1
+	if last == 0 {
+		return [][2]int{{0, n}}, val(0, n), nil
 	}
 	s.resize(n, maxBlocks)
 	rowLen := n + 1
@@ -119,16 +144,32 @@ func (s *DPScratch) Solve(n, maxBlocks int, val BlockValue) ([][2]int, float64, 
 	}
 	s.layerBest[0] = prev[n]
 
-	// Layers 1..maxBlocks-1: divide-and-conquer over the column range.
-	for b := 1; b < maxBlocks; b++ {
+	// Interior layers: every column, by SMAWK over splits i ∈ [b, n-1]
+	// (prev[i] is finite exactly for i ≥ b: b blocks need b items).
+	for b := 1; b < last; b++ {
 		row = s.cut[b*rowLen : (b+1)*rowLen]
 		for j := 0; j <= b; j++ {
 			curr[j] = negInf // fewer items than blocks: infeasible
 		}
-		solveLayer(b, n, val, prev, curr, row)
+		l := layer{val: val, prev: prev, curr: curr, cut: row}
+		cand := s.cols[:n-b]
+		for k := range cand {
+			cand[k] = int32(b + k)
+		}
+		l.rowMaxima(b+1, 1, n-b, cand, s.cols[n-b:])
 		s.layerBest[b] = curr[n]
 		prev, curr = curr, prev
 	}
+
+	// Last layer: column n by a linear scan, leftmost maximum.
+	bi, bv := last, prev[last]+val(last, n)
+	for i := last + 1; i < n; i++ {
+		if v := prev[i] + val(i, n); v > bv {
+			bi, bv = i, v
+		}
+	}
+	s.cut[last*rowLen+n] = int32(bi)
+	s.layerBest[last] = bv
 
 	// Allow fewer than maxBlocks blocks: best over block counts, smallest
 	// count winning ties (matching the quadratic reference).
@@ -149,36 +190,65 @@ func (s *DPScratch) Solve(n, maxBlocks int, val BlockValue) ([][2]int, float64, 
 	return blocks, bestV, nil
 }
 
-// solveLayer fills curr[j] = max_{i ∈ [b, j-1]} prev[i] + val(i, j) for
-// every j in [b+1, n], exploiting the monotonicity of the argmax: the
-// middle column's optimum splits the feasible i-range for the two halves.
-// Ties in the scan resolve to the smallest i (strict >), matching the
-// quadratic reference DP's ascending inner loop.
-func solveLayer(b, n int, val BlockValue, prev, curr []float64, cutRow []int32) {
-	// Feasibility invariant: prev[i] is finite exactly for i ≥ b (b blocks
-	// need at least b items), and every recursive call keeps ilo ≤ jlo-1,
-	// so the scan range [ilo, min(ihi, jm-1)] is never empty.
-	var rec func(jlo, jhi, ilo, ihi int)
-	rec = func(jlo, jhi, ilo, ihi int) {
-		if jlo > jhi {
-			return
+// layer is one DP layer viewed as the staircase matrix
+// M[j][i] = prev[i] + val(i, j) for i < j, −Inf otherwise.
+type layer struct {
+	val        BlockValue
+	prev, curr []float64
+	cut        []int32
+}
+
+func (l *layer) entry(i int32, j int) float64 {
+	if int(i) >= j {
+		return math.Inf(-1)
+	}
+	return l.prev[i] + l.val(int(i), j)
+}
+
+// rowMaxima fills curr[j] and cut[j] with the leftmost maximum of row j
+// over the candidate columns cols (ascending), for the nr rows
+// j0, j0+stride, j0+2·stride, …. free is scratch for the surviving-column
+// stacks of this and every deeper recursion level.
+func (l *layer) rowMaxima(j0, stride, nr int, cols, free []int32) {
+	if nr == 0 {
+		return
+	}
+	// REDUCE: keep at most nr columns. Column kept[t] is known to lose
+	// rows 0..t-1 (kept[t-1] is at least as good in row t-1, hence in
+	// every row above). A candidate that strictly beats the top of the
+	// stack in row len(kept)-1 beats it in every row below too, so the
+	// top can never be a leftmost maximum and is popped.
+	kept := free[:0]
+	for _, c := range cols {
+		for len(kept) > 0 {
+			j := j0 + (len(kept)-1)*stride
+			if int(c) >= j || l.entry(kept[len(kept)-1], j) >= l.entry(c, j) {
+				break
+			}
+			kept = kept[:len(kept)-1]
 		}
-		jm := jlo + (jhi-jlo)/2
-		top := ihi
-		if top > jm-1 {
-			top = jm - 1
+		if len(kept) < nr {
+			kept = append(kept, c)
 		}
-		bi := ilo
-		bv := prev[ilo] + val(ilo, jm)
-		for i := ilo + 1; i <= top; i++ {
-			if v := prev[i] + val(i, jm); v > bv {
-				bv, bi = v, i
+	}
+	// Odd rows recurse on the surviving columns.
+	l.rowMaxima(j0+stride, 2*stride, nr/2, kept, free[len(kept):])
+	// INTERPOLATE: an even row's leftmost maximum lies between those of
+	// its odd neighbours, so one left-to-right pass covers them all.
+	p := 0
+	for k := 0; k < nr; k += 2 {
+		j := j0 + k*stride
+		stop := kept[len(kept)-1]
+		if k+1 < nr {
+			stop = l.cut[j+stride]
+		}
+		bi, bv := kept[p], l.entry(kept[p], j)
+		for kept[p] != stop {
+			p++
+			if v := l.entry(kept[p], j); v > bv {
+				bi, bv = kept[p], v
 			}
 		}
-		curr[jm] = bv
-		cutRow[jm] = int32(bi)
-		rec(jlo, jm-1, ilo, bi)
-		rec(jm+1, jhi, bi, ihi)
+		l.curr[j], l.cut[j] = bv, bi
 	}
-	rec(b+1, n, b, n-1)
 }

@@ -30,7 +30,7 @@ type BlockValue func(lo, hi int) float64
 //
 // This is the O(n²·maxBlocks) reference implementation, kept as the
 // oracle for the property tests and for block values that do not satisfy
-// the concave-Monge condition; hot paths use the O(n·maxBlocks·log n)
+// the concave-Monge condition; hot paths use the O(n·maxBlocks)
 // ContiguousDPMonotone.
 func ContiguousDP(n, maxBlocks int, val BlockValue) ([][2]int, float64, error) {
 	if n <= 0 {

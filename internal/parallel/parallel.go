@@ -13,6 +13,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers normalizes a requested worker count: zero or negative selects
@@ -101,34 +102,48 @@ func MapInto[T any](ctx context.Context, dst []T, workers int, fn func(ctx conte
 		cancel()
 	}
 
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := Workers(workers, n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				if ctx.Err() != nil {
-					continue // drained after cancellation, not a failure
+	// Workers claim contiguous index chunks off a shared cursor: one
+	// atomic add per chunk, where a channel send per index costs more
+	// than a sub-microsecond task does. Sixty-four chunks per worker keep
+	// the tail balanced when task costs vary, and fewer than 64 tasks per
+	// worker — the coarse fan-outs, an experiment or a market per index —
+	// degenerate to one index per claim.
+	w := Workers(workers, n)
+	grain := max(1, n/(64*w))
+	var next atomic.Int64
+	done := ctx.Done()
+	work := func() {
+		for {
+			hi := int(next.Add(int64(grain)))
+			lo := hi - grain
+			if lo >= n {
+				return
+			}
+			for i := lo; i < min(hi, n); i++ {
+				select {
+				case <-done:
+					return // cancelled mid-chunk: the rest is skipped, not failed
+				default:
 				}
 				v, err := fn(ctx, i)
 				if err != nil {
 					fail(i, err)
-					continue
+					return
 				}
 				out[i] = v
 			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case indices <- i:
-		case <-ctx.Done():
-			break feed
 		}
 	}
-	close(indices)
+	// The caller is the last worker: it would otherwise sleep in Wait.
+	var wg sync.WaitGroup
+	for ; w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 
 	if taskErr != nil {

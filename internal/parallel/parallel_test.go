@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -239,5 +240,139 @@ func TestForEachNilContext(t *testing.T) {
 	}
 	if count.Load() != 5 {
 		t.Errorf("ran %d tasks, want 5", count.Load())
+	}
+}
+
+// BenchmarkMapIntoFine is the resolve fan-out's shape: 20 000 tasks of
+// about 250 ns each (a short dependent float chain, like two GeoIP trie
+// walks and a haversine). The NumCPU row must beat the workers=1 row, or
+// the fan-out is dispatch overhead and nothing else.
+func BenchmarkMapIntoFine(b *testing.B) {
+	task := func(_ context.Context, i int) (float64, error) {
+		x := float64(i%97) + 1.5
+		for k := 0; k < 40; k++ {
+			x = math.Sqrt(x*x+float64(k)) + 0.25
+		}
+		return x, nil
+	}
+	dst := make([]float64, 20000)
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := MapInto(context.Background(), dst, workers, task); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestMapIntoChunkedIndexOrder: whatever chunk an index is claimed in,
+// its result lands at its own position — at one task, fewer tasks than
+// workers, and sizes where a chunk spans many indices.
+func TestMapIntoChunkedIndexOrder(t *testing.T) {
+	const workers = 4
+	for _, n := range []int{1, workers - 1, 1000, 20000} {
+		dst := make([]int, n)
+		var calls atomic.Int64
+		out, err := MapInto(context.Background(), dst, workers, func(_ context.Context, i int) (int, error) {
+			calls.Add(1)
+			return 3*i + 1, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(calls.Load()) != n {
+			t.Fatalf("n=%d: %d calls, want one per index", n, calls.Load())
+		}
+		for i, v := range out {
+			if v != 3*i+1 {
+				t.Fatalf("n=%d: out[%d] = %d, want %d", n, i, v, 3*i+1)
+			}
+		}
+	}
+}
+
+// TestLowestIndexErrorWinsAcrossChunks: two failing tasks far enough
+// apart to sit in different chunks, both in flight before either
+// reports; the lower index's error is the one returned.
+func TestLowestIndexErrorWinsAcrossChunks(t *testing.T) {
+	const n, workers = 20000, 2
+	grain := n / (64 * workers)
+	lo, hi := 3, grain+5 // chunk 0 and chunk 1: the first claim of each worker
+	var gate sync.WaitGroup
+	gate.Add(2)
+	_, err := Map(context.Background(), n, workers, func(_ context.Context, i int) (int, error) {
+		if i == lo || i == hi {
+			gate.Done()
+			gate.Wait()
+			return 0, fmt.Errorf("task %d failed", i)
+		}
+		return i, nil
+	})
+	if want := fmt.Sprintf("task %d failed", lo); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// TestCancellationStopsMidChunk: a failure cancels the fan-out, and a
+// worker in the middle of a many-index chunk must notice before its next
+// task rather than finish the chunk.
+func TestCancellationStopsMidChunk(t *testing.T) {
+	const n, workers = 20000, 2
+	grain := n / (64 * workers)
+	boom := errors.New("boom")
+	var started atomic.Int64
+	_, err := Map(context.Background(), n, workers, func(ctx context.Context, i int) (int, error) {
+		started.Add(1)
+		switch i {
+		case 0:
+			return 0, boom
+		case grain: // the other worker's first task: in flight until the cancel lands
+			<-ctx.Done()
+		}
+		return i, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	// The failing worker stops at once and the other after the task it
+	// was in; neither goes on through its chunk.
+	if s := started.Load(); s > 2 {
+		t.Errorf("%d tasks started around a failure at index 0, want at most 2", s)
+	}
+}
+
+// TestCoarseFanOutClaimsSingleIndices: below 64 tasks per worker — the
+// experiment engine's fan-outs, where one task is a whole experiment —
+// every claim is one index, so two adjacent slow tasks never serialize
+// on one worker. Task 0 can only finish once task 1 has started, which
+// needs a second worker to have claimed index 1 on its own.
+func TestCoarseFanOutClaimsSingleIndices(t *testing.T) {
+	oneStarted := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- ForEach(context.Background(), 63, 2, func(ctx context.Context, i int) error {
+			switch i {
+			case 0:
+				select {
+				case <-oneStarted:
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			case 1:
+				close(oneStarted)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("indices 0 and 1 were claimed as one chunk: task 0 never saw task 1 start")
 	}
 }

@@ -75,6 +75,17 @@ var exposition = []struct {
 		{"tierd_reprice_consecutive_failures", "Consecutive failed re-price attempts (0 while healthy).", "gauge", func(v *view) any { return v.tenant.Metrics.ConsecutiveFailures.Value() }},
 		{"tierd_quote_seconds", "Server-side quote latency.", "histogram", func(v *view) any { return v.tenant.Metrics.QuoteSeconds.samples() }},
 		{"tierd_reprice_seconds", "Re-price latency.", "histogram", func(v *view) any { return v.tenant.Metrics.RepriceSeconds.samples() }},
+		{"tierd_reprice_stage_seconds", "Wall time of each re-price pipeline stage, over published snapshots.", "summary", func(v *view) any {
+			m := v.tenant.Metrics
+			out := make([]sample, 0, 2*stream.NumStages)
+			for s := stream.Stage(0); s < stream.NumStages; s++ {
+				label := fmt.Sprintf("stage=%q", s)
+				out = append(out,
+					sample{"_sum", label, float64(m.RepriceStageNanos[s].Value()) / 1e9},
+					sample{"_count", label, m.RepriceStaged.Value()})
+			}
+			return out
+		}},
 		{"tierd_tenant_weight", "Configured weighted-fair share of the reprice pool.", "gauge", func(v *view) any { return v.tenant.Weight }},
 		{"tierd_quote_rate_limit_qps", "Configured sustained quote quota (0 = unlimited).", "gauge", func(v *view) any { return v.tenant.RateQPS }},
 		{"tierd_quote_rate_limit_burst", "Configured quote burst capacity (0 = unlimited).", "gauge", func(v *view) any { return v.tenant.RateBurst }},

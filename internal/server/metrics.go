@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"tieredpricing/internal/stream"
 )
 
 // Counter is a monotonically increasing metric, safe for concurrent use.
@@ -122,6 +124,11 @@ type Metrics struct {
 	// retries and empty windows once a snapshot exists — an ingest gap).
 	RepriceFailures Counter
 	RepriceSeconds  *Histogram
+	// RepriceStageNanos sums, per pipeline stage, the wall time of every
+	// published re-price, and RepriceStaged counts them: where a re-price
+	// spends its time, on the same scrape as how long it took.
+	RepriceStageNanos [stream.NumStages]Counter
+	RepriceStaged     Counter
 	// RepriceFlows is the number of flows priced by the most recent
 	// re-price attempt, so window size can be correlated with re-price
 	// latency on the same scrape.
@@ -156,4 +163,12 @@ func (m *Metrics) ObserveReprice(seconds float64, failed bool) {
 		m.RepriceFailures.Inc()
 	}
 	m.RepriceSeconds.Observe(seconds)
+}
+
+// ObserveStages records one published re-price's per-stage wall times.
+func (m *Metrics) ObserveStages(st stream.StageTimes) {
+	for s, d := range st {
+		m.RepriceStageNanos[s].Add(uint64(d))
+	}
+	m.RepriceStaged.Inc()
 }

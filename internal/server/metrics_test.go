@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"tieredpricing/internal/stream"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -83,8 +86,15 @@ func TestMetricsExposition(t *testing.T) {
 	m.QuoteMisses.Inc()
 	m.ObserveReprice(0.02, false)
 	m.ObserveReprice(0.5, true)
+	m.ObserveStages(stream.StageTimes{stream.StageBundle: 30 * time.Millisecond, stream.StageBuild: 5 * time.Millisecond})
+	m.ObserveStages(stream.StageTimes{stream.StageBundle: 20 * time.Millisecond})
 	out := scrapeSole(t, m)
 	for _, want := range []string{
+		"# TYPE tierd_reprice_stage_seconds summary",
+		`tierd_reprice_stage_seconds_sum{stage="bundle"} 0.05`,
+		`tierd_reprice_stage_seconds_count{stage="bundle"} 2`,
+		`tierd_reprice_stage_seconds_sum{stage="build"} 0.005`,
+		`tierd_reprice_stage_seconds_sum{stage="aggregate"} 0`,
 		"tierd_quote_requests_total 3",
 		"tierd_quote_misses_total 1",
 		"tierd_reprices_total 2",

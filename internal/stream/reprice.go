@@ -139,6 +139,30 @@ type quoteKey struct {
 	dst netip.Addr
 }
 
+// Stage names one step of the re-price pipeline, in pipeline order.
+type Stage int
+
+// The re-price pipeline: merge the window into aggregates, resolve them
+// to flows, fit the market, bundle it into tiers, price the tiers, build
+// the serving structures.
+const (
+	StageAggregate Stage = iota
+	StageResolve
+	StageFit
+	StageBundle
+	StagePrice
+	StageBuild
+	NumStages
+)
+
+// String returns the stage's metric label.
+func (s Stage) String() string {
+	return [NumStages]string{"aggregate", "resolve", "fit", "bundle", "price", "build"}[s]
+}
+
+// StageTimes is the wall time each stage of one re-price took.
+type StageTimes [NumStages]time.Duration
+
 // Snapshot is one immutable re-price result. The repricer publishes
 // snapshots through an atomic pointer swap: a snapshot is fully built
 // before it becomes visible, is never mutated afterwards, and every
@@ -153,6 +177,8 @@ type Snapshot struct {
 	Table TierTable
 	// Skipped counts window aggregates that failed to resolve.
 	Skipped int
+	// Stages is where this re-price's wall time went.
+	Stages StageTimes
 
 	byKey    map[quoteKey]int
 	rib      *bgp.RIB
@@ -235,6 +261,10 @@ type Repricer struct {
 	// package.
 	mu      sync.Mutex
 	flowBuf []econ.Flow
+	// routes is the last snapshot's route count, the size hint for the
+	// next one's prefix table (the destination set barely moves between
+	// ticks).
+	routes int
 }
 
 // RestoreEpoch fast-forwards the epoch counter so the next published
@@ -380,28 +410,45 @@ func (r *Repricer) Reprice(ctx context.Context) (*Snapshot, error) {
 func (r *Repricer) reprice(ctx context.Context) (*Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var stages StageTimes
+	mark := time.Now()
+	lap := func(s Stage) {
+		now := time.Now()
+		stages[s], mark = now.Sub(mark), now
+	}
 	aggs := r.cfg.Window.Aggregates()
 	if len(aggs) == 0 {
 		return nil, ErrEmptyWindow
 	}
+	lap(StageAggregate)
 	flows, skipped, err := demandfit.BuildFlowsParallelInto(
 		ctx, r.flowBuf, aggs, r.cfg.Resolver, r.cfg.DurationSec, r.cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("stream: resolve: %w", err)
 	}
 	r.flowBuf = flows[:0]
+	lap(StageResolve)
 	market, err := core.NewMarket(flows, r.cfg.Demand, r.cfg.Cost, r.cfg.P0)
 	if err != nil {
 		return nil, fmt.Errorf("stream: fit: %w", err)
 	}
-	out, err := market.Run(r.cfg.Strategy, r.cfg.Tiers)
+	lap(StageFit)
+	partition, err := market.Bundle(r.cfg.Strategy, r.cfg.Tiers)
 	if err != nil {
 		return nil, fmt.Errorf("stream: reprice: %w", err)
 	}
+	lap(StageBundle)
+	out, err := market.Price(r.cfg.Strategy, r.cfg.Tiers, partition)
+	if err != nil {
+		return nil, fmt.Errorf("stream: reprice: %w", err)
+	}
+	lap(StagePrice)
 	snap, err := r.buildSnapshot(flows, skipped, out, aggs)
 	if err != nil {
 		return nil, err
 	}
+	lap(StageBuild)
+	snap.Stages = stages
 	r.cur.Store(snap)
 	return snap, nil
 }
@@ -411,9 +458,20 @@ func (r *Repricer) reprice(ctx context.Context) (*Snapshot, error) {
 func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcome, aggs []netflow.Aggregate) (*Snapshot, error) {
 	table := tableFrom(out, flows, r.cfg.Demand.Name(), r.cfg.P0)
 
-	addrOf := make(map[string]netflow.Aggregate, len(aggs))
-	for _, a := range aggs {
-		addrOf[a.Key] = a
+	// Resolution keeps aggregate order and only drops skips, so the flows
+	// are a subsequence of the key-sorted aggregates: one forward walk
+	// pairs each flow with its source aggregate.
+	aggOf := make([]int32, len(flows))
+	k := 0
+	for i := range flows {
+		for k < len(aggs) && aggs[k].Key != flows[i].ID {
+			k++
+		}
+		if k == len(aggs) {
+			return nil, fmt.Errorf("stream: flow %q has no source aggregate", flows[i].ID)
+		}
+		aggOf[i] = int32(k)
+		k++
 	}
 	byKey := make(map[quoteKey]int, len(flows))
 	// tierOfPrefix resolves multi-bucket destinations deterministically:
@@ -423,13 +481,10 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 	// break toward the lower index). IPv6 buckets get quote keys but no
 	// route: the tier-tagged RIB speaks the IPv4 wire format, so IPv6
 	// traffic is served from the window exact-match path only.
-	tierOfPrefix := make(map[netip.Prefix]int)
+	tierOfPrefix := make(map[netip.Prefix]int, r.routes)
 	for tier, block := range out.Partition {
 		for _, i := range block {
-			a, ok := addrOf[flows[i].ID]
-			if !ok {
-				return nil, fmt.Errorf("stream: flow %q has no source aggregate", flows[i].ID)
-			}
+			a := &aggs[aggOf[i]]
 			srcMasked, srcOK := maskAddr(a.SrcAddr, r.cfg.SrcMaskBits, r.cfg.Src6MaskBits)
 			dstMasked, dstOK := maskAddr(a.DstAddr, r.cfg.DstMaskBits, r.cfg.Dst6MaskBits)
 			if !srcOK || !dstOK {
@@ -448,6 +503,7 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 			}
 		}
 	}
+	r.routes = len(tierOfPrefix)
 
 	rib := bgp.NewRIB()
 	prefixes := make([]netip.Prefix, 0, len(tierOfPrefix))

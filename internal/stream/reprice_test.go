@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
 	"tieredpricing/internal/bundling"
+	"tieredpricing/internal/core"
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/demandfit"
 	"tieredpricing/internal/econ"
@@ -245,5 +249,135 @@ func TestNewRepricerValidation(t *testing.T) {
 		if _, err := NewRepricer(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// thirdsResolver fails every destination whose third octet is a multiple
+// of three — a deterministic stand-in for the unroutable junk a real
+// capture carries, so a re-price skips aggregates scattered through the
+// key order.
+type thirdsResolver struct{ inner demandfit.EndpointResolver }
+
+func (r thirdsResolver) Resolve(src, dst netip.Addr) (float64, econ.Region, error) {
+	if dst.As4()[2]%3 == 0 {
+		return 0, 0, errors.New("unroutable")
+	}
+	return r.inner.Resolve(src, dst)
+}
+
+// TestRepriceWithSkipsKeysSurvivors: when resolution drops aggregates,
+// the flows are a strict subsequence of the window's aggregates, and the
+// snapshot must still pair every surviving flow with its own aggregate:
+// each survivor quotes from the window at the tier the batch pipeline
+// bundles it into, each skipped bucket does not, and the stage clock
+// accounts for the whole pipeline.
+func TestRepriceWithSkipsKeysSurvivors(t *testing.T) {
+	rp, ds, batchAggs := loadedRepricer(t, 78)
+	rv := thirdsResolver{&demandfit.Resolver{Geo: ds.Geo, DistanceRegions: true}}
+	cfg := rp.cfg
+	cfg.Resolver = rv
+	if err := rp.Reconfigure(cfg); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := rp.Reprice(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flows, skipped, err := demandfit.BuildFlows(batchAggs, rv, ds.DurationSec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped == 0 || len(flows) == 0 {
+		t.Fatalf("fixture skips %d of %d aggregates; the test needs some of each", skipped, len(batchAggs))
+	}
+	if snap.Skipped != skipped || snap.Table.Flows != len(flows) {
+		t.Fatalf("snapshot priced %d flows and skipped %d, batch priced %d and skipped %d",
+			snap.Table.Flows, snap.Skipped, len(flows), skipped)
+	}
+	market, err := core.NewMarket(flows, cfg.Demand, cfg.Cost, cfg.P0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := market.Run(cfg.Strategy, cfg.Tiers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tierOf := make(map[string]int, len(flows))
+	for tier, block := range out.Partition {
+		for _, i := range block {
+			tierOf[flows[i].ID] = tier
+		}
+	}
+	for _, a := range batchAggs {
+		q, ok := snap.Quote(a.SrcAddr, a.DstAddr)
+		tier, survived := tierOf[a.Key]
+		switch {
+		case survived && (!ok || q.Source != SourceWindow || q.Tier != tier || q.Price != out.Prices[tier]):
+			t.Fatalf("bucket %s: quote %+v ok=%v, want tier %d at %v from the window",
+				a.Key, q, ok, tier, out.Prices[tier])
+		case !survived && ok && q.Source == SourceWindow:
+			t.Fatalf("skipped bucket %s quotes from the window: %+v", a.Key, q)
+		}
+	}
+
+	var staged time.Duration
+	for s := Stage(0); s < NumStages; s++ {
+		if snap.Stages[s] <= 0 {
+			t.Errorf("stage %v recorded %v, want a positive wall time", s, snap.Stages[s])
+		}
+		staged += snap.Stages[s]
+	}
+	if staged > time.Minute {
+		t.Errorf("stages sum to %v for a sub-second re-price", staged)
+	}
+}
+
+// TestBuildSnapshotRejectsUnpairedFlow: a flow whose ID matches no
+// aggregate at or after its predecessor's — a foreign ID, or flows out
+// of aggregate order — is an error, never a quote key borrowed from a
+// neighbouring aggregate.
+func TestBuildSnapshotRejectsUnpairedFlow(t *testing.T) {
+	rp := craftedRepricer(t)
+	aggs := []netflow.Aggregate{
+		{Key: "a", SrcAddr: netip.MustParseAddr("10.0.0.1"), DstAddr: netip.MustParseAddr("10.1.0.1")},
+		{Key: "b", SrcAddr: netip.MustParseAddr("10.0.16.1"), DstAddr: netip.MustParseAddr("10.1.1.1")},
+		{Key: "c", SrcAddr: netip.MustParseAddr("10.0.32.1"), DstAddr: netip.MustParseAddr("10.1.2.1")},
+	}
+	for _, tc := range []struct {
+		ids     []string
+		missing string
+	}{
+		{[]string{"a", "x", "c"}, "x"},
+		{[]string{"b", "a"}, "a"},
+		{[]string{"a", "c", "c"}, "c"},
+	} {
+		flows := make([]econ.Flow, len(tc.ids))
+		block := make([]int, len(tc.ids))
+		for i, id := range tc.ids {
+			flows[i] = econ.Flow{ID: id, Demand: 100, Distance: 50, Region: econ.RegionNational}
+			block[i] = i
+		}
+		out := core.Outcome{Strategy: "crafted", Bundles: 1, Partition: [][]int{block},
+			Prices: []float64{10}, Profit: 1, Capture: math.NaN()}
+		_, err := rp.buildSnapshot(flows, 0, out, aggs)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("flow %q has no source aggregate", tc.missing)) {
+			t.Errorf("flows %v: err = %v, want flow %q reported without an aggregate", tc.ids, err, tc.missing)
+		}
+	}
+	// The subsequence that does pair builds, and keys each flow by its
+	// own aggregate.
+	flows := []econ.Flow{{ID: "a", Demand: 1}, {ID: "c", Demand: 1}}
+	out := core.Outcome{Strategy: "crafted", Bundles: 2, Partition: [][]int{{1}, {0}},
+		Prices: []float64{10, 20}, Profit: 1, Capture: math.NaN()}
+	snap, err := rp.buildSnapshot(flows, 1, out, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, ok := snap.Quote(aggs[2].SrcAddr, aggs[2].DstAddr); !ok || q.Tier != 0 || q.Source != SourceWindow {
+		t.Errorf("flow c quotes %+v ok=%v, want tier 0 from the window", q, ok)
+	}
+	if q, ok := snap.Quote(aggs[1].SrcAddr, aggs[1].DstAddr); ok && q.Source == SourceWindow {
+		t.Errorf("skipped aggregate b quotes from the window: %+v", q)
 	}
 }

@@ -172,29 +172,11 @@ func (sw *ShardedWindow) IngestShardAt(shard int, ts time.Time, h netflow.Header
 // instant so a shard that went quiet cannot contribute stale slots.
 func (sw *ShardedWindow) Aggregates() []netflow.Aggregate {
 	cur := sw.slotIndex(sw.now())
-	if len(sw.shards) == 1 {
-		return sw.shards[0].aggregatesAt(cur)
-	}
-	merged := make(map[string]*netflow.Aggregate)
+	var m netflow.AggregateMerge
 	for _, sh := range sw.shards {
-		for _, a := range sh.aggregatesAt(cur) {
-			m, ok := merged[a.Key]
-			if !ok {
-				cp := a
-				merged[a.Key] = &cp
-				continue
-			}
-			m.Octets += a.Octets
-			m.Records += a.Records
-			m.MergeSample(a)
-		}
+		sh.mergeInto(&m, cur)
 	}
-	out := make([]netflow.Aggregate, 0, len(merged))
-	for _, a := range merged {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return m.Sorted()
 }
 
 // Stats sums the shards' lifetime counters and counts slots live in any

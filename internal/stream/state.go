@@ -69,7 +69,7 @@ func (w *Window) Export() WindowState {
 	return w.exportAt(w.slotIndex(w.now()))
 }
 
-// exportAt is Export with an explicit current slot (see aggregatesAt).
+// exportAt is Export with an explicit current slot (see mergeInto).
 func (w *Window) exportAt(cur int64) WindowState {
 	w.mu.Lock()
 	defer w.mu.Unlock()

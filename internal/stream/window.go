@@ -9,7 +9,6 @@ package stream
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -171,35 +170,30 @@ func (w *Window) seenLocked(key netflow.FlowKey) bool {
 // merge is independent of slot order, ingest order, and any sharding of
 // the records upstream.
 func (w *Window) Aggregates() []netflow.Aggregate {
-	return w.aggregatesAt(w.slotIndex(w.now()))
+	var m netflow.AggregateMerge
+	w.mergeInto(&m, w.slotIndex(w.now()))
+	return m.Sorted()
 }
 
-// aggregatesAt is Aggregates with an explicit current slot, so a sharded
-// wrapper can evict every shard against one shared instant.
-func (w *Window) aggregatesAt(cur int64) []netflow.Aggregate {
+// mergeInto folds the live slots' partial aggregates into m after
+// evicting against cur, so a sharded wrapper can evict every shard
+// against one shared instant and merge them all into one result. Only
+// the copy out of the slots runs under the window lock; the caller
+// sorts after it is released, so ingest never waits for a sort.
+func (w *Window) mergeInto(m *netflow.AggregateMerge, cur int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.evictLocked(cur)
-	merged := make(map[string]*netflow.Aggregate)
+	keys := 0
 	for _, s := range w.slots {
-		for key, a := range s.aggs {
-			m, ok := merged[key]
-			if !ok {
-				cp := *a
-				merged[key] = &cp
-				continue
-			}
-			m.Octets += a.Octets
-			m.Records += a.Records
-			m.MergeSample(*a)
+		keys = max(keys, len(s.aggs))
+	}
+	m.Grow(keys)
+	for _, s := range w.slots {
+		for _, a := range s.aggs {
+			m.Add(a)
 		}
 	}
-	out := make([]netflow.Aggregate, 0, len(merged))
-	for _, a := range merged {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // Stats reports lifetime ingest counters (records seen, cross-router
