@@ -124,9 +124,11 @@
 #                      (catches bit-rotted benchmark code without paying
 #                      for a timed run; use `./ci.sh bench` for real
 #                      numbers)
-#  11. fuzz smoke    — every netflow/bgp fuzz target actually fuzzes for
-#                      a short budget (FUZZTIME, default 10s each), not
-#                      just replays its seed corpus
+#  11. fuzz smoke    — every netflow/bgp fuzz target, and framelog's
+#                      FuzzScan (the one frame decoder under the WAL and
+#                      the history store), actually fuzzes for a short
+#                      budget (FUZZTIME, default 10s each), not just
+#                      replays its seed corpus
 set -eu
 
 cd "$(dirname "$0")"
@@ -316,6 +318,8 @@ fuzz_smoke() {
         echo "==> fuzz ${target} (internal/bgp, ${FUZZTIME})"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/bgp
     done
+    echo "==> fuzz FuzzScan (internal/framelog, ${FUZZTIME})"
+    go test -run='^$' -fuzz='^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/framelog
 }
 
 if [ "${1:-}" = "bench" ]; then

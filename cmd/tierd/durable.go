@@ -64,6 +64,15 @@ type durability struct {
 	recoveryReplayed  atomic.Uint64
 	recoveryTornBytes atomic.Uint64
 
+	// Failed durable writes the daemon served through from memory: WAL
+	// appends and checkpoint writes here, the WAL's background fsyncs in
+	// log.Stats().SyncErrors. errsLogged is their sum as of the last log
+	// line — the first failure is logged when it happens, the rest are
+	// summarised once per checkpoint interval (reportErrors).
+	appendErrs atomic.Uint64
+	ckptErrs   atomic.Uint64
+	errsLogged atomic.Uint64
+
 	// hist is the engine's history recorder: checkpoints embed its ring
 	// and a restore seeds it back.
 	hist *histRecorder
@@ -180,9 +189,10 @@ func (s durableSink) Ingest(h netflow.Header, recs []netflow.Record) {
 		d.shardMu[shard].Lock()
 		defer d.shardMu[shard].Unlock()
 		if err := d.log.Append(ts, h, sub); err != nil {
-			// Keep serving on the in-memory window; the gap means recovery
-			// would under-replay, which the operator is told about.
-			fmt.Fprintln(os.Stderr, "tierd: wal append:", err)
+			// Keep serving on the in-memory window; until the next good
+			// checkpoint covers it, recovery would under-replay by this
+			// datagram.
+			d.writeFailed(&d.appendErrs, "wal append", err)
 		}
 		d.window.IngestShardAt(shard, ts, h, sub)
 	})
@@ -201,11 +211,35 @@ func (d *durability) start() {
 				return
 			case <-ticker.C:
 				if err := d.checkpoint(); err != nil {
-					fmt.Fprintln(os.Stderr, "tierd: checkpoint:", err)
+					d.writeFailed(&d.ckptErrs, "checkpoint", err)
 				}
+				d.reportErrors()
 			}
 		}
 	}()
+}
+
+// writeFailed counts one failed durable write. The daemon's policy under
+// a failing disk is to keep ingesting and quoting from memory and to say
+// so without flooding: the first failure is logged with its cause, later
+// ones only move tierd_durability_errors_total and reportErrors' summary.
+func (d *durability) writeFailed(n *atomic.Uint64, what string, err error) {
+	n.Add(1)
+	if d.errsLogged.CompareAndSwap(0, 1) {
+		fmt.Fprintf(os.Stderr, "tierd: %s: %v — still ingesting and quoting from memory; further failures are counted in tierd_durability_errors_total and summarised every %s\n",
+			what, err, d.interval)
+	}
+}
+
+// reportErrors logs one summary line if durable writes failed since the
+// last line. The checkpoint loop calls it once per interval.
+func (d *durability) reportErrors() {
+	appends, fsyncs, ckpts := d.appendErrs.Load(), d.log.Stats().SyncErrors, d.ckptErrs.Load()
+	total := appends + fsyncs + ckpts
+	if prev := d.errsLogged.Swap(total); total > prev {
+		fmt.Fprintf(os.Stderr, "tierd: %d more durable writes failed (since boot: %d wal appends, %d wal fsyncs, %d checkpoints)\n",
+			total-prev, appends, fsyncs, ckpts)
+	}
 }
 
 // checkpoint takes one snapshot: WAL position and window state are
@@ -260,6 +294,7 @@ func (d *durability) stats() server.DurabilityStats {
 		CheckpointAge:     -1,
 		RecoveryReplayed:  d.recoveryReplayed.Load(),
 		RecoveryTornBytes: d.recoveryTornBytes.Load(),
+		Errors:            d.appendErrs.Load() + ws.SyncErrors + d.ckptErrs.Load(),
 	}
 	if last := d.lastCkptNano.Load(); last > 0 {
 		s.CheckpointAge = d.now().Sub(time.Unix(0, last)).Seconds()

@@ -30,15 +30,15 @@ const defaultHistoryRing = 512
 type histRecorder struct {
 	tenant   string
 	max      int
-	store    histstore.Store // nil = ring-only (no -history-store)
-	cfgEpoch func() int64    // process-wide pricing-config generation
+	store    *histstore.Store // nil = ring-only (no -history-store)
+	cfgEpoch func() int64     // process-wide pricing-config generation
 
 	mu        sync.Mutex
 	ring      []server.HistoryEntry
 	lastEpoch int64 // newest epoch recorded (ring and store agree)
 }
 
-func newHistRecorder(tenant string, max int, store histstore.Store, cfgEpoch func() int64) *histRecorder {
+func newHistRecorder(tenant string, max int, store *histstore.Store, cfgEpoch func() int64) *histRecorder {
 	if max < 1 {
 		max = defaultHistoryRing
 	}
@@ -194,7 +194,7 @@ func (d *daemon) startPruneLoop() func() {
 }
 
 // histStoreStats adapts the store's counters for /metrics.
-func histStoreStats(st histstore.Store) func() server.HistoryStoreStats {
+func histStoreStats(st *histstore.Store) func() server.HistoryStoreStats {
 	return func() server.HistoryStoreStats {
 		s := st.Stats()
 		return server.HistoryStoreStats{
@@ -204,7 +204,6 @@ func histStoreStats(st histstore.Store) func() server.HistoryStoreStats {
 			Dupes:         s.Dupes,
 			AppendErrors:  s.AppendErrors,
 			Flushes:       s.Flushes,
-			Folds:         s.Folds,
 			Compactions:   s.Compactions,
 			Pruned:        s.Pruned,
 			Scans:         s.Scans,

@@ -45,7 +45,7 @@ func fakeTableSnap(epoch int64, price float64, at time.Time) *stream.Snapshot {
 	}
 }
 
-func openTestStore(t *testing.T, path string) histstore.Store {
+func openTestStore(t *testing.T, path string) *histstore.Store {
 	t.Helper()
 	st, err := histstore.Open(path, histstore.Options{FlushInterval: -1})
 	if err != nil {
@@ -166,7 +166,7 @@ func TestHistoryRestoreDoubleAppend(t *testing.T) {
 		recB.record(fakeTableSnap(ep, float64(ep)+100, at(ep)))
 	}
 
-	verify := func(st histstore.Store, label string) {
+	verify := func(st *histstore.Store, label string) {
 		t.Helper()
 		rows, err := st.Scan("default", histstore.Query{})
 		if err != nil {

@@ -145,7 +145,7 @@ func main() {
 	flag.DurationVar(&cfg.ckptInterval, "checkpoint-interval", time.Minute, "how often to checkpoint the window (needs -data-dir)")
 	flag.IntVar(&cfg.ckptRetain, "checkpoint-retain", 3, "checkpoints kept on disk (newest first; older are fallbacks for corruption)")
 	flag.StringVar(&cfg.historyStore, "history-store", "",
-		"durable tier-history store path or DSN (e.g. /var/lib/tierd/history.db or sqlite:/var/lib/tierd/history.db; empty = in-memory ring only). One store per process, rows namespaced per tenant")
+		"durable tier-history store file (e.g. /var/lib/tierd/history.db; a sqlite: prefix from old configs is accepted and ignored; empty = in-memory ring only). One store per process, rows namespaced per tenant")
 	flag.IntVar(&cfg.historyRing, "history-ring", defaultHistoryRing,
 		"in-memory tier-history ring entries per engine (the cache in front of -history-store, carried in checkpoints)")
 	flag.DurationVar(&cfg.historyRetain, "history-retain", 0,
@@ -217,7 +217,7 @@ type daemon struct {
 
 	// histStore is the shared durable tier-history store (nil without
 	// -history-store); reload is the process-wide hot-reload state.
-	histStore histstore.Store
+	histStore *histstore.Store
 	reload    *reloadState
 
 	udp      *netflow.CollectorServer

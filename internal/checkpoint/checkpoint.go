@@ -3,14 +3,13 @@
 // WAL position the snapshot covers, the serving epoch, the current
 // canonical TierTable, and a bounded history of published tables.
 //
-// Write discipline is the classic atomic pattern: encode → write to a
-// temp file in the same directory → fsync the file → rename into place
-// → fsync the directory. A crash at any point leaves either the old
-// checkpoint set or the old set plus a complete new file — never a
-// half-written checkpoint under a live name. Each file is additionally
-// framed with a magic string and a CRC32-C, so LoadNewest can detect a
-// corrupted file (bit rot, torn copy) and fall back to the next-older
-// checkpoint instead of trusting garbage.
+// Each checkpoint is published whole (framelog.PublishFile): a crash at
+// any point leaves either the old checkpoint set or the old set plus a
+// complete new file — never a half-written checkpoint under a live
+// name. Each file is additionally framed with a magic string and a
+// CRC32-C, so LoadNewest can detect a corrupted file (bit rot, torn
+// copy) and fall back to the next-older checkpoint instead of trusting
+// garbage.
 //
 // Recovery contract with internal/wal: a checkpoint covering WAL
 // position P means "this window state already contains every WAL entry
@@ -23,13 +22,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
+	"tieredpricing/internal/framelog"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/wal"
 )
@@ -41,8 +39,6 @@ const Magic = "TPCKPT01"
 
 // headerSize is magic + u32 CRC32-C(payload) + u32 len(payload).
 const headerSize = len(Magic) + 8
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DefaultRetain is how many checkpoints Prune keeps when the caller
 // does not say: the newest plus two fallbacks for the CRC-mismatch
@@ -104,7 +100,7 @@ func Encode(st *State) ([]byte, error) {
 	}
 	buf := make([]byte, 0, headerSize+len(payload))
 	buf = append(buf, Magic...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	buf = binary.BigEndian.AppendUint32(buf, framelog.Checksum(payload))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
 	return append(buf, payload...), nil
 }
@@ -125,7 +121,7 @@ func Decode(data []byte) (*State, error) {
 	if wantLen != len(payload) {
 		return nil, fmt.Errorf("checkpoint: header says %d payload bytes, file has %d", wantLen, len(payload))
 	}
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
+	if framelog.Checksum(payload) != wantCRC {
 		return nil, errors.New("checkpoint: CRC mismatch")
 	}
 	var st State
@@ -135,41 +131,15 @@ func Decode(data []byte) (*State, error) {
 	return &st, nil
 }
 
-// fileName formats checkpoint seq's name; fixed-width hex keeps
-// lexicographic order equal to numeric order.
-func fileName(seq uint64) string { return fmt.Sprintf("checkpoint-%016x.ckpt", seq) }
+const filePrefix, fileSuffix = "checkpoint-", ".ckpt"
 
-// parseFileName inverts fileName.
-func parseFileName(name string) (uint64, bool) {
-	var seq uint64
-	if n, err := fmt.Sscanf(name, "checkpoint-%016x.ckpt", &seq); n != 1 || err != nil {
-		return 0, false
-	}
-	return seq, true
+// filePath is checkpoint seq's file.
+func filePath(dir string, seq uint64) string {
+	return filepath.Join(dir, framelog.SeqName(filePrefix, seq, fileSuffix))
 }
 
-// list returns the directory's checkpoint sequence numbers ascending.
-// A missing directory holds no checkpoints.
-func list(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseFileName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
-// Write persists st as the next checkpoint in dir, atomically: temp
-// file → fsync → rename → directory fsync. It returns the final path.
+// Write persists st as the next checkpoint in dir, atomically, and
+// returns the final path.
 func Write(dir string, st *State) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -178,7 +148,7 @@ func Write(dir string, st *State) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	seqs, err := list(dir)
+	seqs, err := framelog.ListSeq(dir, filePrefix, fileSuffix)
 	if err != nil {
 		return "", err
 	}
@@ -186,29 +156,13 @@ func Write(dir string, st *State) (string, error) {
 	if len(seqs) > 0 {
 		next = seqs[len(seqs)-1] + 1
 	}
-	final := filepath.Join(dir, fileName(next))
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*.tmp")
+	final := filePath(dir, next)
+	err = framelog.PublishFile(final, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return "", err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
 		return "", fmt.Errorf("checkpoint: write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("checkpoint: fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		return "", fmt.Errorf("checkpoint: rename into place: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return "", err
 	}
 	return final, nil
 }
@@ -219,12 +173,12 @@ func Write(dir string, st *State) (string, error) {
 // failing recovery. With no loadable checkpoint it returns (nil, "",
 // nil): recovery then starts from an empty window and the WAL head.
 func LoadNewest(dir string) (*State, string, error) {
-	seqs, err := list(dir)
+	seqs, err := framelog.ListSeq(dir, filePrefix, fileSuffix)
 	if err != nil {
 		return nil, "", err
 	}
 	for i := len(seqs) - 1; i >= 0; i-- {
-		path := filepath.Join(dir, fileName(seqs[i]))
+		path := filePath(dir, seqs[i])
 		data, err := os.ReadFile(path)
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) {
@@ -247,38 +201,15 @@ func Prune(dir string, keep int) error {
 	if keep < 1 {
 		keep = DefaultRetain
 	}
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+	framelog.RemoveTemps(dir, filePrefix)
+	seqs, err := framelog.ListSeq(dir, filePrefix, fileSuffix)
 	if err != nil {
 		return err
 	}
-	var seqs []uint64
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".checkpoint-") && strings.HasSuffix(e.Name(), ".tmp") {
-			_ = os.Remove(filepath.Join(dir, e.Name()))
-			continue
-		}
-		if seq, ok := parseFileName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for i := 0; i < len(seqs)-keep; i++ {
-		if err := os.Remove(filepath.Join(dir, fileName(seqs[i]))); err != nil {
+		if err := os.Remove(filePath(dir, seqs[i])); err != nil {
 			return fmt.Errorf("checkpoint: prune: %w", err)
 		}
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so the rename is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -1,9 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tieredpricing/internal/faultinject"
+	"tieredpricing/internal/framelog"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/wal"
@@ -102,7 +103,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 // bad-json case: magic, CRC and length all pass; only JSON fails).
 func reframe(payload []byte) []byte {
 	out := append([]byte(nil), Magic...)
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	out = binary.BigEndian.AppendUint32(out, framelog.Checksum(payload))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
 	return append(out, payload...)
 }
@@ -225,7 +226,7 @@ func TestPruneRetention(t *testing.T) {
 	if err := Prune(dir, 3); err != nil {
 		t.Fatal(err)
 	}
-	seqs, err := list(dir)
+	seqs, err := framelog.ListSeq(dir, filePrefix, fileSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,5 +240,39 @@ func TestPruneRetention(t *testing.T) {
 	st, _, err := LoadNewest(dir)
 	if err != nil || st == nil || st.Epoch != 6 {
 		t.Fatalf("newest after prune: %+v, %v", st, err)
+	}
+}
+
+// TestParentFixture loads a directory written by the commit before
+// checkpoints were rebuilt on internal/framelog, whose newest file has
+// one flipped payload bit: the fallback must pick the file that commit's
+// LoadNewest picked, decode the state it decoded (expected.json), and
+// re-encode it to the bytes on disk.
+func TestParentFixture(t *testing.T) {
+	const fixture = "testdata/parent-newest-corrupt"
+	var want struct {
+		File  string `json:"file"`
+		State *State `json:"state"`
+	}
+	raw, err := os.ReadFile(filepath.Join(fixture, "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	st, path, err := LoadNewest(fixture)
+	if err != nil || st == nil {
+		t.Fatalf("LoadNewest: %+v, %v", st, err)
+	}
+	if filepath.Base(path) != want.File || !reflect.DeepEqual(st, want.State) {
+		t.Fatalf("loaded %s = %+v, the parent loaded %s = %+v", path, st, want.File, want.State)
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := Encode(st); err != nil || !bytes.Equal(again, onDisk) {
+		t.Fatalf("re-encoding the loaded state does not reproduce the parent's file (%v)", err)
 	}
 }

@@ -4,23 +4,16 @@
 // keyed by (tenant, epoch), queryable long after the in-memory history
 // ring and the checkpoints that carried it have rotated away.
 //
-// The Store interface is deliberately database-shaped — open by DSN,
-// tenant column, range scans with limits, retention pruning — so a
-// server-backed implementation (PostgreSQL) can slot in behind the same
-// call sites. The implementation this repo ships is the embedded
-// engine in sqlite.go: a single-file, pure-Go store that follows
-// SQLite's WAL-mode discipline (appends group-commit into a write-ahead
-// file, which is periodically folded into the main file; pruning
-// compacts the main file without blocking appends). The repo vendors
-// no cgo and no third-party drivers, so "sqlite:" DSNs select that
-// engine and every other scheme is rejected as unknown.
+// The store (store.go) is one append-only file of CRC-framed
+// transactions with a resident (tenant, epoch) index: appends are staged
+// in memory and group-committed off the caller's path — one write and
+// one fsync per batch, so a re-price never pays a syscall — scans see
+// staged rows immediately, and pruning rewrites the file with the live
+// rows only (appends and scans wait while it does).
 package histstore
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"strings"
 	"time"
 )
 
@@ -71,15 +64,13 @@ type Stats struct {
 	// Appends are rows accepted; Dupes are appends ignored because the
 	// (tenant, epoch) key already existed (the idempotent re-append
 	// path after a restore from an older checkpoint); AppendErrors are
-	// appends that failed to reach the write-ahead file.
+	// group commits that failed to reach the file.
 	Appends      uint64
 	Dupes        uint64
 	AppendErrors uint64
-	// Flushes counts group commits (one fsync each); Folds counts
-	// WAL-into-main-file checkpoints; Compactions counts main-file
-	// rewrites (pruning).
+	// Flushes counts group commits (one fsync each); Compactions counts
+	// file rewrites (pruning).
 	Flushes     uint64
-	Folds       uint64
 	Compactions uint64
 	// Pruned counts rows removed by retention policy.
 	Pruned uint64
@@ -88,48 +79,6 @@ type Stats struct {
 	// OpenTornBytes is how many trailing bytes open-time recovery
 	// distrusted and discarded (torn final transaction frame).
 	OpenTornBytes uint64
-}
-
-// Store is the durable tier-history interface. Implementations must be
-// safe for concurrent use. Append is idempotent on (Tenant, Epoch):
-// re-appending an existing key is a no-op that keeps the first-written
-// row, which is what makes replaying history after a restore from an
-// older checkpoint safe.
-type Store interface {
-	// Append stages one row; rows are batch-committed off the caller's
-	// path (group commit). Scan observes appended rows immediately.
-	Append(e Entry) error
-	// Scan returns the tenant's rows matching q, oldest-first.
-	Scan(tenant string, q Query) ([]Entry, error)
-	// Prune applies the retention policy across every tenant and
-	// reports how many rows it removed.
-	Prune(policy Retention) (removed int, err error)
-	// Tenants lists the tenants with at least one row, sorted.
-	Tenants() []string
-	// Sync forces any staged rows to durable storage.
-	Sync() error
-	// Stats reports the store's counters.
-	Stats() Stats
-	// Close flushes and releases the store.
-	Close() error
-}
-
-// Open dispatches a DSN to its driver:
-//
-//	sqlite:/var/lib/tierd/history.db   the embedded engine (also the
-//	/var/lib/tierd/history.db          default for a bare path)
-func Open(dsn string, opts Options) (Store, error) {
-	if dsn == "" {
-		return nil, errors.New("histstore: empty DSN")
-	}
-	switch {
-	case strings.HasPrefix(dsn, "sqlite:"):
-		return openSQLite(strings.TrimPrefix(dsn, "sqlite:"), opts)
-	case strings.Contains(dsn, "://"):
-		return nil, fmt.Errorf("histstore: unknown DSN scheme in %q", dsn)
-	default:
-		return openSQLite(dsn, opts)
-	}
 }
 
 // Options tunes a store. The zero value selects the defaults.
@@ -143,9 +92,6 @@ type Options struct {
 	// FlushBytes triggers an immediate commit when the staged batch
 	// exceeds it (default 256 KiB).
 	FlushBytes int
-	// FoldBytes is the write-ahead file size that triggers folding it
-	// into the main file (default 4 MiB).
-	FoldBytes int64
 	// Now is the store's clock (Prune MaxAge); nil selects time.Now.
 	Now func() time.Time
 }

@@ -1,10 +1,12 @@
 package histstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +19,7 @@ func testOpts() Options {
 	return Options{FlushInterval: -1}
 }
 
-func mustOpen(t *testing.T, dsn string, opts Options) Store {
+func mustOpen(t *testing.T, dsn string, opts Options) *Store {
 	t.Helper()
 	s, err := Open(dsn, opts)
 	if err != nil {
@@ -36,7 +38,7 @@ func entry(tenant string, epoch int64, at time.Time) Entry {
 	}
 }
 
-func appendN(t *testing.T, s Store, tenant string, from, to int64, at time.Time) {
+func appendN(t *testing.T, s *Store, tenant string, from, to int64, at time.Time) {
 	t.Helper()
 	for ep := from; ep <= to; ep++ {
 		if err := s.Append(entry(tenant, ep, at.Add(time.Duration(ep)*time.Second))); err != nil {
@@ -53,15 +55,19 @@ func epochsOf(entries []Entry) []int64 {
 	return out
 }
 
-func TestOpenDSNDispatch(t *testing.T) {
+func TestOpenPathForms(t *testing.T) {
 	dir := t.TempDir()
-	for _, dsn := range []string{
-		"sqlite:" + filepath.Join(dir, "a.db"),
-		filepath.Join(dir, "b.db"),
+	// A bare path, and the "sqlite:" spelling old configs used for it.
+	for dsn, file := range map[string]string{
+		filepath.Join(dir, "b.db"):             "b.db",
+		"sqlite:" + filepath.Join(dir, "a.db"): "a.db",
 	} {
 		s := mustOpen(t, dsn, testOpts())
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, file)); err != nil {
+			t.Fatalf("%s did not create %s: %v", dsn, file, err)
 		}
 	}
 	for _, dsn := range []string{"postgres://u@h/db", "mysql://u@h/db"} {
@@ -69,8 +75,10 @@ func TestOpenDSNDispatch(t *testing.T) {
 			t.Fatalf("%s: want the unknown-scheme error, got %v", dsn, err)
 		}
 	}
-	if _, err := Open("", testOpts()); err == nil {
-		t.Fatal("empty DSN should be rejected")
+	for _, dsn := range []string{"", "sqlite:"} {
+		if _, err := Open(dsn, testOpts()); err == nil {
+			t.Fatalf("empty path %q should be rejected", dsn)
+		}
 	}
 }
 
@@ -142,6 +150,9 @@ func TestReopenPersists(t *testing.T) {
 	if st.Entries != 15 {
 		t.Fatalf("Stats.Entries after reopen = %d, want 15", st.Entries)
 	}
+	if side, _ := filepath.Glob(path + "-*"); len(side) != 0 {
+		t.Fatalf("the store is one file, found %v beside it", side)
+	}
 }
 
 func TestAppendIdempotent(t *testing.T) {
@@ -185,81 +196,75 @@ func TestAppendIdempotent(t *testing.T) {
 	}
 }
 
+// TestTornTailRecovery: what the store does with the valid prefix
+// internal/framelog hands it — the committed rows stay, the tail is cut
+// and counted, and appends continue on the cut file.
 func TestTornTailRecovery(t *testing.T) {
-	for _, suffix := range []string{"-wal", ""} {
-		t.Run("file"+suffix, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "h.db")
-			s := mustOpen(t, path, testOpts())
-			base := time.Unix(1700000000, 0).UTC()
-			appendN(t, s, "default", 1, 8, base)
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if suffix == "" {
-				// Move the committed frames into the main file so the
-				// torn tail lands there.
-				if err := s.(*sqliteStore).forceFold(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Simulate a torn final frame: garbage appended past the
-			// last commit.
-			f, err := os.OpenFile(path+suffix, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write([]byte("\x00\x00\x01\x00torn-partial-frame")); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+	path := filepath.Join(t.TempDir(), "h.db")
+	s := mustOpen(t, path, testOpts())
+	base := time.Unix(1700000000, 0).UTC()
+	appendN(t, s, "default", 1, 8, base)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean, _ := os.Stat(path)
+	// A torn final frame: garbage appended past the last commit.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("\x00\x00\x01\x00torn-partial-frame")); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
-			s = mustOpen(t, path, testOpts())
-			defer s.Close()
-			got, err := s.Scan("default", Query{})
-			if err != nil {
-				t.Fatalf("Scan after torn tail: %v", err)
-			}
-			if len(got) != 8 {
-				t.Fatalf("torn tail lost committed rows: got %d, want 8", len(got))
-			}
-			if st := s.Stats(); st.OpenTornBytes == 0 {
-				t.Fatal("OpenTornBytes = 0, want > 0")
-			}
-			// And appends keep working after the truncation.
-			appendN(t, s, "default", 9, 9, base)
-			if got, _ = s.Scan("default", Query{}); len(got) != 9 {
-				t.Fatalf("append after recovery: got %d rows, want 9", len(got))
-			}
-		})
+	s = mustOpen(t, path, testOpts())
+	defer s.Close()
+	got, err := s.Scan("default", Query{})
+	if err != nil {
+		t.Fatalf("Scan after torn tail: %v", err)
+	}
+	if len(got) != 8 {
+		t.Fatalf("torn tail lost committed rows: got %d, want 8", len(got))
+	}
+	if st := s.Stats(); st.OpenTornBytes != 22 {
+		t.Fatalf("OpenTornBytes = %d, want the 22 appended", st.OpenTornBytes)
+	}
+	if fi, _ := os.Stat(path); fi.Size() != clean.Size() {
+		t.Fatalf("file is %d bytes after recovery, want the clean %d", fi.Size(), clean.Size())
+	}
+	// And appends keep working after the truncation.
+	appendN(t, s, "default", 9, 9, base)
+	if got, _ = s.Scan("default", Query{}); len(got) != 9 {
+		t.Fatalf("append after recovery: got %d rows, want 9", len(got))
 	}
 }
 
+// TestCorruptInteriorFrameTruncatesFromThere: a bad frame in the middle
+// ends the file there — the intact frame after it goes too, it is not
+// skipped over.
 func TestCorruptInteriorFrameTruncatesFromThere(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "h.db")
 	s := mustOpen(t, path, testOpts())
 	base := time.Unix(1700000000, 0).UTC()
-	appendN(t, s, "default", 1, 3, base)
-	if err := s.Sync(); err != nil { // frame 1: epochs 1..3
-		t.Fatal(err)
+	var ends []int64 // file size after each commit
+	for ep := int64(1); ep <= 9; ep += 3 {
+		appendN(t, s, "default", ep, ep+2, base)
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		fi, _ := os.Stat(path)
+		ends = append(ends, fi.Size())
 	}
-	appendN(t, s, "default", 4, 6, base)
-	if err := s.Sync(); err != nil { // frame 2: epochs 4..6
-		t.Fatal(err)
-	}
-	frame1End := int64(len(fileMagic)) + walFrameSize(t, s, 3)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Flip one payload byte inside frame 2: its CRC fails, and recovery
-	// must stop trusting the file at frame 2's start.
-	f, err := os.OpenFile(path+"-wal", os.O_RDWR, 0)
+	// Flip one byte inside frame 2 (epochs 4..6).
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xFF}, frame1End+frameHeaderSize+2); err != nil {
+	if _, err := f.WriteAt([]byte{0xFF}, (ends[0]+ends[1])/2); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -270,70 +275,86 @@ func TestCorruptInteriorFrameTruncatesFromThere(t *testing.T) {
 	if eps := epochsOf(got); len(eps) != 3 || eps[2] != 3 {
 		t.Fatalf("after corrupt frame 2: got %v, want [1 2 3]", eps)
 	}
+	if fi, _ := os.Stat(path); fi.Size() != ends[0] {
+		t.Fatalf("file is %d bytes, want it cut at frame 1's end %d", fi.Size(), ends[0])
+	}
 }
 
-// walFrameSize computes the frame size for n of this test's entries by
-// reading the store's live WAL size after one n-row commit.
-func walFrameSize(t *testing.T, s Store, n int) int64 {
+// writeSidecar leaves, beside the store at path, the `-wal` file an
+// older binary would have: a file in the store's own format holding
+// whatever fill commits.
+func writeSidecar(t *testing.T, path string, fill func(s *Store)) {
 	t.Helper()
-	ss := s.(*sqliteStore)
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	// Two identical commits: the first frame ends at the midpoint.
-	total := ss.walSize - int64(len(fileMagic))
-	if total%2 != 0 {
-		t.Fatalf("uneven double-frame WAL size %d", total)
-	}
-	return total / 2
-}
-
-func TestFoldMovesWALIntoMainFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "h.db")
-	opts := testOpts()
-	opts.FoldBytes = 1 // every flush folds
-	s := mustOpen(t, path, opts)
-	base := time.Unix(1700000000, 0).UTC()
-	appendN(t, s, "default", 1, 50, base)
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Folds == 0 {
-		t.Fatalf("no folds recorded: %+v", st)
-	}
-	if wi, err := os.Stat(path + "-wal"); err != nil || wi.Size() != int64(len(fileMagic)) {
-		t.Fatalf("WAL not truncated after fold: size=%v err=%v", wi.Size(), err)
-	}
-	// Rows must be readable from their folded locations, live and after
-	// reopen.
-	got, err := s.Scan("default", Query{})
-	if err != nil || len(got) != 50 {
-		t.Fatalf("scan after fold: %d rows, err=%v", len(got), err)
-	}
+	tmp := filepath.Join(t.TempDir(), "side.db")
+	s := mustOpen(t, tmp, testOpts())
+	fill(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s = mustOpen(t, path, testOpts())
-	defer s.Close()
-	if got, _ = s.Scan("default", Query{}); len(got) != 50 {
-		t.Fatalf("scan after fold+reopen: %d rows", len(got))
+	if err := os.Rename(tmp, path+"-wal"); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestCrashBetweenFoldAndTruncateDedups(t *testing.T) {
-	// Simulate the fold crash window: main file already holds the WAL's
-	// frames, WAL not yet truncated. Open must index each key once.
+func TestSidecarMigratesIntoMainFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "h.db")
+	base := time.Unix(1700000000, 0).UTC()
 	s := mustOpen(t, path, testOpts())
-	base := time.Unix(1700000000, 0).UTC()
-	appendN(t, s, "default", 1, 10, base)
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	appendN(t, s, "default", 1, 20, base)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wal, err := os.ReadFile(path + "-wal")
+	writeSidecar(t, path, func(side *Store) {
+		appendN(t, side, "default", 21, 40, base)
+		side.Sync() // two frames
+		appendN(t, side, "default", 41, 50, base)
+	})
+	// A torn tail on the sidecar stays behind; its committed frames move.
+	f, err := os.OpenFile(path+"-wal", os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0, 0, 0, 9, 1, 2, 3})
+	f.Close()
+
+	// Rows must be readable from their migrated locations, live and after
+	// reopen, and the sidecar must be gone after the first open.
+	for _, pass := range []string{"migrating open", "reopen"} {
+		s = mustOpen(t, path, testOpts())
+		got, err := s.Scan("default", Query{})
+		if err != nil || len(got) != 50 {
+			t.Fatalf("%s: %d rows, err=%v", pass, len(got), err)
+		}
+		for i, e := range got {
+			if want := entry("default", int64(i+1), base.Add(time.Duration(i+1)*time.Second)); !reflect.DeepEqual(e.Table, want.Table) || e.Epoch != want.Epoch {
+				t.Fatalf("%s: row %d reads back as epoch %d %s", pass, i, e.Epoch, e.Table)
+			}
+		}
+		if _, err := os.Stat(path + "-wal"); !os.IsNotExist(err) {
+			t.Fatalf("%s: sidecar still there (%v)", pass, err)
+		}
+		if torn := s.Stats().OpenTornBytes; (pass == "migrating open") != (torn == 7) {
+			t.Fatalf("%s: OpenTornBytes = %d", pass, torn)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestCrashBetweenMigrateAndRemoveDedups(t *testing.T) {
+	// The migration's crash window: the main file already holds the
+	// sidecar's frames, the sidecar is not yet removed. The next open
+	// appends them again and must still index each key once.
+	path := filepath.Join(t.TempDir(), "h.db")
+	base := time.Unix(1700000000, 0).UTC()
+	s := mustOpen(t, path, testOpts())
+	appendN(t, s, "default", 1, 5, base)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeSidecar(t, path, func(side *Store) { appendN(t, side, "default", 6, 10, base) })
+	side, err := os.ReadFile(path + "-wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,19 +362,83 @@ func TestCrashBetweenFoldAndTruncateDedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Write(wal[len(fileMagic):]); err != nil {
+	if _, err := db.Write(side[len(fileMagic):]); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
 
-	s = mustOpen(t, path, testOpts())
-	defer s.Close()
-	got, _ := s.Scan("default", Query{})
-	if len(got) != 10 {
-		t.Fatalf("crash-window dedup: got %d rows, want 10", len(got))
+	for _, pass := range []string{"open after crash", "reopen"} {
+		s = mustOpen(t, path, testOpts())
+		got, _ := s.Scan("default", Query{})
+		if len(got) != 10 {
+			t.Fatalf("%s: got %d rows, want 10", pass, len(got))
+		}
+		if st := s.Stats(); st.Entries != 10 {
+			t.Fatalf("%s: Entries = %d, want 10", pass, st.Entries)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st := s.Stats(); st.Entries != 10 {
-		t.Fatalf("Entries = %d, want 10", st.Entries)
+	if _, err := os.Stat(path + "-wal"); !os.IsNotExist(err) {
+		t.Fatalf("sidecar still there (%v)", err)
+	}
+}
+
+// TestParentFixture opens a store written by the commit before the
+// sidecar went: epochs 1..3 folded into history.db, 4..6 in
+// history.db-wal, and a second sidecar frame that repeats epoch 3 with
+// other bytes. The rebuilt store must return the rows that commit's Scan
+// returned (expected.json), leave one file behind, return the same rows
+// from it, and encode rows to the bytes that commit wrote.
+func TestParentFixture(t *testing.T) {
+	const fixture = "testdata/parent-sidecar"
+	var want []Entry
+	raw, err := os.ReadFile(filepath.Join(fixture, "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "history.db")
+	for _, suffix := range []string{"", "-wal"} {
+		b, err := os.ReadFile(filepath.Join(fixture, "history.db") + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+suffix, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pass := range []string{"first open", "second open"} {
+		s := mustOpen(t, path, testOpts())
+		got, err := s.Scan("default", Query{})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: rows %+v (%v), the parent read %+v", pass, got, err, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(path + "-wal"); !os.IsNotExist(err) {
+			t.Fatalf("%s: sidecar still there (%v)", pass, err)
+		}
+	}
+	// The fixture's main file is the header and one commit of epochs
+	// 1..3: committing the same rows again must produce the same file.
+	fresh := filepath.Join(t.TempDir(), "history.db")
+	s := mustOpen(t, fresh, testOpts())
+	for _, e := range want[:3] {
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := os.ReadFile(filepath.Join(fixture, "history.db"))
+	if now, _ := os.ReadFile(fresh); !bytes.Equal(now, old) {
+		t.Fatal("committing the fixture's rows does not reproduce the parent's history.db")
 	}
 }
 
@@ -435,18 +520,16 @@ func TestFlushBytesOverflowCommits(t *testing.T) {
 	if st := s.Stats(); st.Flushes != 5 {
 		t.Fatalf("Flushes = %d, want 5", st.Flushes)
 	}
-	// Rows are durable without Close: reopen a copy of the files.
-	dir2 := t.TempDir()
-	for _, suffix := range []string{"", "-wal"} {
-		b, err := os.ReadFile(path + suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir2, "h.db")+suffix, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// Rows are durable without Close: reopen a copy of the file.
+	copied := filepath.Join(t.TempDir(), "h.db")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s2 := mustOpen(t, filepath.Join(dir2, "h.db"), testOpts())
+	if err := os.WriteFile(copied, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, copied, testOpts())
 	defer s2.Close()
 	if got, _ := s2.Scan("default", Query{}); len(got) != 5 {
 		t.Fatalf("copied store has %d rows, want 5", len(got))
@@ -537,14 +620,4 @@ func TestBadMagicRejected(t *testing.T) {
 	if _, err := Open(path, testOpts()); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-}
-
-// forceFold exposes folding for tests.
-func (s *sqliteStore) forceFold() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	return s.foldLocked()
 }

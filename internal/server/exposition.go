@@ -145,6 +145,7 @@ var exposition = []struct {
 		}},
 		{"tierd_recovery_replayed_total", "WAL entries replayed during boot recovery.", "counter", func(v *view) any { return v.dur.RecoveryReplayed }},
 		{"tierd_recovery_torn_bytes_total", "Trailing WAL bytes recovery distrusted and discarded.", "counter", func(v *view) any { return v.dur.RecoveryTornBytes }},
+		{"tierd_durability_errors_total", "Failed durable writes (WAL appends, WAL fsyncs, checkpoints) served through from memory.", "counter", func(v *view) any { return v.dur.Errors }},
 	}},
 	// The durable history store and the config hot-reload state are one
 	// per process, so both stay unlabeled.
@@ -155,8 +156,7 @@ var exposition = []struct {
 		{"tierd_history_dupes_total", "Appends ignored because the (tenant, epoch) key already existed.", "counter", func(v *view) any { return v.histStore.Dupes }},
 		{"tierd_history_append_errors_total", "Tier-history appends that failed to reach durable storage.", "counter", func(v *view) any { return v.histStore.AppendErrors }},
 		{"tierd_history_flushes_total", "Group commits of staged tier-history rows (one fsync each).", "counter", func(v *view) any { return v.histStore.Flushes }},
-		{"tierd_history_folds_total", "Write-ahead-file checkpoints folded into the main history file.", "counter", func(v *view) any { return v.histStore.Folds }},
-		{"tierd_history_compactions_total", "Main history file rewrites triggered by retention pruning.", "counter", func(v *view) any { return v.histStore.Compactions }},
+		{"tierd_history_compactions_total", "History file rewrites triggered by retention pruning.", "counter", func(v *view) any { return v.histStore.Compactions }},
 		{"tierd_history_pruned_total", "Tier-history rows removed by retention policy.", "counter", func(v *view) any { return v.histStore.Pruned }},
 		{"tierd_history_scans_total", "Tier-history range scans served.", "counter", func(v *view) any { return v.histStore.Scans }},
 		{"tierd_history_torn_bytes_total", "Trailing history-file bytes open-time recovery distrusted and discarded.", "counter", func(v *view) any { return v.histStore.OpenTornBytes }},

@@ -25,7 +25,7 @@ func expositionConfig(snap *stream.Snapshot, ids ...string) Config {
 		Now:    func() time.Time { return snap.FittedAt.Add(5 * time.Second) },
 		HistoryStore: func() HistoryStoreStats {
 			return HistoryStoreStats{Entries: 9, Bytes: 900, Appends: 11, Dupes: 2, AppendErrors: 1,
-				Flushes: 3, Folds: 1, Compactions: 1, Pruned: 2, Scans: 4, OpenTornBytes: 5}
+				Flushes: 3, Compactions: 1, Pruned: 2, Scans: 4, OpenTornBytes: 5}
 		},
 		Reload: func() ReloadStats { return ReloadStats{ConfigEpoch: 3, Reloads: 2, ReloadErrors: 1} },
 		Build:  buildinfo.Info{Revision: "deadbeef", GoVersion: "go1.22"},
@@ -51,7 +51,7 @@ func expositionConfig(snap *stream.Snapshot, ids ...string) Config {
 			Durability: func() DurabilityStats {
 				return DurabilityStats{WALBytes: 4096, WALEntries: 12, WALFsyncs: 4, WALFsyncP50: 0.001,
 					WALFsyncP99: 0.004, WALFsyncMax: 0.005, WALFsyncSum: 0.009, Checkpoints: 2,
-					CheckpointAge: 1.5, RecoveryReplayed: 7, RecoveryTornBytes: 13}
+					CheckpointAge: 1.5, RecoveryReplayed: 7, RecoveryTornBytes: 13, Errors: 6}
 			},
 		})
 		flows = append(flows, SchedFlowStats{Tenant: id, Dispatched: 3, LastWaitSeconds: 0.25, CostSeconds: 0.01})

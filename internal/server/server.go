@@ -64,6 +64,10 @@ type DurabilityStats struct {
 	// distrusted and discarded.
 	RecoveryReplayed  uint64
 	RecoveryTornBytes uint64
+	// Errors counts durable writes that failed — WAL appends, WAL
+	// fsyncs, checkpoint writes — while the daemon kept serving from
+	// memory.
+	Errors uint64
 }
 
 // HistoryEntry is one published tier table in the /v1/history time
@@ -106,7 +110,6 @@ type HistoryStoreStats struct {
 	Dupes         uint64
 	AppendErrors  uint64
 	Flushes       uint64
-	Folds         uint64
 	Compactions   uint64
 	Pruned        uint64
 	Scans         uint64

@@ -3,12 +3,11 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
+	"sort"
 	"time"
 
+	"tieredpricing/internal/framelog"
 	"tieredpricing/internal/netflow"
 )
 
@@ -31,42 +30,38 @@ type ReplayResult struct {
 // Replay streams every valid entry at or after from through fn, in
 // append order. Recovery semantics are contiguous-prefix: the scan
 // stops at the first frame that fails validation — a torn final write,
-// a corrupt length or CRC, an undecodable packet — and everything from
-// that point on, including all later segments, is excluded from the
-// result. fn returning an error aborts the replay and propagates.
+// a corrupt length or CRC, an undecodable packet — or at the first
+// missing segment, and everything from that point on, including all
+// later segments, is excluded from the result. A checkpoint's position
+// (from.Segment > 0) whose segment is gone while newer ones survive is
+// such a gap at the head: nothing replays and End == from. fn returning
+// an error aborts the replay and propagates.
 //
-// The zero Position replays the whole log. A missing directory or an
-// empty log replays nothing and returns End == from (or the first
-// segment's start).
+// The zero Position replays whatever head of the log survives. A missing
+// directory or an empty log replays nothing and returns End == from (or
+// the first segment's start).
 func Replay(dir string, from Position, fn func(ts time.Time, h netflow.Header, recs []netflow.Record) error) (ReplayResult, error) {
 	res := ReplayResult{End: from}
 	if res.End.Segment == 0 {
 		res.End = Position{Segment: 1, Offset: 0}
 	}
-	segs, err := listSegments(dir)
+	segs, err := framelog.ListSeq(dir, segPrefix, segSuffix)
 	if err != nil {
 		return res, err
 	}
-	startSeg := from.Segment
-	if startSeg == 0 {
-		startSeg = 1
+	segs = segs[sort.Search(len(segs), func(i int) bool { return segs[i] >= from.Segment }):]
+	if from.Segment > 0 && len(segs) > 0 && segs[0] != from.Segment {
+		res.Torn = true
+		return res, nil
 	}
 	for i, seq := range segs {
-		if seq < startSeg {
-			continue
-		}
 		off := int64(0)
 		if seq == from.Segment {
 			off = from.Offset
 		}
-		path := filepath.Join(dir, segmentName(seq))
-		end, entries, scanErr := scanSegmentFunc(path, off, fn)
+		end, size, entries, err := scanSegment(dir, seq, off, fn)
 		res.Entries += entries
 		res.End = Position{Segment: seq, Offset: end}
-		if scanErr != nil {
-			return res, scanErr
-		}
-		size, err := fileSize(path)
 		if err != nil {
 			return res, err
 		}
@@ -87,73 +82,39 @@ func Replay(dir string, from Position, fn func(ts time.Time, h netflow.Header, r
 	return res, nil
 }
 
-func fileSize(path string) (int64, error) {
-	fi, err := os.Stat(path)
+// scanSegment validates segment seq's frames from fromOffset, invoking
+// fn (when non-nil) for each valid one. It returns the byte offset just
+// past the last valid frame, the segment's size and the number of valid
+// frames. On top of framelog.Scan's rule, a payload too short for a
+// timestamp and a packet header, or one netflow.DecodePacket rejects, is
+// a frame this writer never produced: corruption, a clean stop. Only
+// I/O failures and fn errors propagate.
+func scanSegment(dir string, seq uint64, fromOffset int64, fn func(ts time.Time, h netflow.Header, recs []netflow.Record) error) (end, size int64, entries int, err error) {
+	f, err := os.Open(segmentPath(dir, seq))
 	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-// scanSegment validates frames in the segment at path starting at
-// fromOffset, invoking fn (when non-nil) for each valid frame. It
-// returns the byte offset just past the last valid frame and the number
-// of valid frames seen. An invalid frame — short header, implausible
-// length, CRC mismatch, or a payload netflow.DecodePacket rejects —
-// stops the scan cleanly (no error); only real I/O failures and fn
-// errors propagate.
-func scanSegment(path string, fromOffset int64, fn func(ts time.Time, h netflow.Header, recs []netflow.Record) error) (int64, int, error) {
-	return scanSegmentFunc(path, fromOffset, fn)
-}
-
-func scanSegmentFunc(path string, fromOffset int64, fn func(ts time.Time, h netflow.Header, recs []netflow.Record) error) (int64, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return fromOffset, 0, err
+		return fromOffset, 0, 0, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(fromOffset, 0); err != nil {
-		return fromOffset, 0, err
+	fi, err := f.Stat()
+	if err != nil {
+		return fromOffset, 0, 0, err
 	}
-
-	off := fromOffset
-	entries := 0
-	hdr := make([]byte, frameHeaderSize)
-	payload := make([]byte, 0, 4096)
-	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			// Clean EOF or a torn header: either way the valid prefix
-			// ends here.
-			return off, entries, nil
+	end, err = framelog.Scan(f, fromOffset, fi.Size(), MaxEntryBytes, func(_ int64, payload []byte) error {
+		if len(payload) < tsSize+netflow.HeaderSize {
+			return framelog.ErrCorrupt
 		}
-		payloadLen := int(binary.BigEndian.Uint32(hdr[0:4]))
-		wantCRC := binary.BigEndian.Uint32(hdr[4:8])
-		if payloadLen < tsSize+netflow.HeaderSize || payloadLen > MaxEntryBytes {
-			return off, entries, nil
-		}
-		if cap(payload) < payloadLen {
-			payload = make([]byte, payloadLen)
-		}
-		payload = payload[:payloadLen]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return off, entries, nil // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			return off, entries, nil
-		}
-		ts := time.Unix(0, int64(binary.BigEndian.Uint64(payload[:tsSize])))
 		h, recs, err := netflow.DecodePacket(payload[tsSize:])
 		if err != nil {
-			// CRC matched but the packet is malformed — a frame this
-			// writer never produced. Treat as corruption, stop.
-			return off, entries, nil
+			return framelog.ErrCorrupt
 		}
 		if fn != nil {
+			ts := time.Unix(0, int64(binary.BigEndian.Uint64(payload)))
 			if err := fn(ts, h, recs); err != nil {
-				return off, entries, fmt.Errorf("wal: replay callback: %w", err)
+				return fmt.Errorf("wal: replay callback: %w", err)
 			}
 		}
-		off += int64(frameHeaderSize + payloadLen)
 		entries++
-	}
+		return nil
+	})
+	return end, fi.Size(), entries, err
 }

@@ -7,9 +7,8 @@
 //     replaying the log through the window's ingest path reconstructs
 //     the exact in-memory state, slot for slot and dedup set for dedup
 //     set (stream.Window.IngestAt).
-//   - Entries are framed `len | crc32c | payload`; a crash can tear at
-//     most the final frame, and CRC framing turns any tear or bit flip
-//     into a clean stop: recovery keeps the longest valid prefix and
+//   - Entries are internal/framelog frames; a crash can tear at most the
+//     final one, and recovery keeps the longest valid prefix and
 //     discards the tail, never a corrupt middle.
 //   - The log is segmented (`wal-<seq>.log`); a checkpoint that covers
 //     a position lets every earlier segment be deleted whole
@@ -30,29 +29,28 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
+	"tieredpricing/internal/framelog"
 	"tieredpricing/internal/hist"
 	"tieredpricing/internal/netflow"
 )
 
-// Frame layout: u32 payload length, u32 CRC32-C of the payload, then
-// the payload (u64 arrival unix-nanos + one encoded NetFlow packet).
+// A frame's payload is a u64 arrival unix-nanos + one encoded NetFlow
+// packet.
 const (
-	frameHeaderSize = 8
-	tsSize          = 8
+	tsSize = 8
 	// MaxEntryBytes bounds a frame's payload: a v5 export packet tops
 	// out at 24+30·48 bytes, so anything larger than this is framing
 	// corruption, not data.
 	MaxEntryBytes = 64 << 10
+	// batchWindow is how long the SyncBatch syncer lets appends
+	// accumulate before the one fsync that covers them.
+	batchWindow = 2 * time.Millisecond
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SyncMode selects when appended entries are fsynced.
 type SyncMode uint8
@@ -105,19 +103,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncBatch).
 	Sync SyncMode
-	// BatchWindow is the group-commit coalescing window for SyncBatch
-	// (default 2ms).
-	BatchWindow time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 2 * time.Millisecond
-	}
-	return o
 }
 
 // Position addresses a byte boundary in the log: the start of segment
@@ -141,7 +126,11 @@ type Stats struct {
 	Entries uint64
 	// Fsyncs counts fsync syscalls issued; the latency fields summarize
 	// their distribution (internal/hist, ≤1.6% relative error).
-	Fsyncs     uint64
+	Fsyncs uint64
+	// SyncErrors counts fsyncs the background syncer saw fail; it has no
+	// caller to return them to (inline failures come back from Append,
+	// Sync and Close).
+	SyncErrors uint64
 	FsyncP50Ns int64
 	FsyncP99Ns int64
 	FsyncMaxNs int64
@@ -167,6 +156,7 @@ type Log struct {
 	bytes   uint64
 	entries uint64
 	fsyncs  uint64
+	syncErr uint64
 	fsyncNs *hist.Histogram
 
 	syncReq    chan struct{}
@@ -175,37 +165,11 @@ type Log struct {
 	syncerDone chan struct{}
 }
 
-// segmentName formats the file name of segment seq; the fixed-width hex
-// makes lexicographic order equal numeric order.
-func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016x.log", seq) }
+const segPrefix, segSuffix = "wal-", ".log"
 
-// parseSegmentName inverts segmentName.
-func parseSegmentName(name string) (uint64, bool) {
-	var seq uint64
-	if n, err := fmt.Sscanf(name, "wal-%016x.log", &seq); n != 1 || err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// listSegments returns the directory's segment sequence numbers in
-// ascending order. A missing directory is an empty log.
-func listSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var segs []uint64
-	for _, e := range entries {
-		if seq, ok := parseSegmentName(e.Name()); ok {
-			segs = append(segs, seq)
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
+// segmentPath is the file of segment seq.
+func segmentPath(dir string, seq uint64) string {
+	return filepath.Join(dir, framelog.SeqName(segPrefix, seq, segSuffix))
 }
 
 // Open opens the log in dir for appending, creating the directory and
@@ -214,14 +178,14 @@ func listSegments(dir string) ([]uint64, error) {
 // appends always continue a valid prefix. Use OpenAt after an explicit
 // Replay to resume at the replay's validated end instead.
 func Open(dir string, opts Options) (*Log, error) {
-	segs, err := listSegments(dir)
+	segs, err := framelog.ListSeq(dir, segPrefix, segSuffix)
 	if err != nil {
 		return nil, err
 	}
 	pos := Position{}
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
-		end, _, err := scanSegment(filepath.Join(dir, segmentName(last)), 0, nil)
+		end, _, _, err := scanSegment(dir, last, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -236,17 +200,19 @@ func Open(dir string, opts Options) (*Log, error) {
 // tail that recovery already chose not to trust — so the on-disk log
 // is exactly the recovered prefix before the first new append.
 func OpenAt(dir string, opts Options, pos Position) (*Log, error) {
-	opts = opts.withDefaults()
+	if opts.SegmentBytes <= 0 {
+		opts.SegmentBytes = 4 << 20
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
+	segs, err := framelog.ListSeq(dir, segPrefix, segSuffix)
 	if err != nil {
 		return nil, err
 	}
 	for _, seq := range segs {
 		if pos.Segment != 0 && seq > pos.Segment {
-			if err := os.Remove(filepath.Join(dir, segmentName(seq))); err != nil {
+			if err := os.Remove(segmentPath(dir, seq)); err != nil {
 				return nil, fmt.Errorf("wal: dropping segment beyond recovery point: %w", err)
 			}
 		}
@@ -255,7 +221,7 @@ func OpenAt(dir string, opts Options, pos Position) (*Log, error) {
 	if seg == 0 {
 		seg = 1
 	}
-	f, err := os.OpenFile(filepath.Join(dir, segmentName(seg)), os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(segmentPath(dir, seg), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -317,14 +283,10 @@ func (l *Log) Append(ts time.Time, h netflow.Header, recs []netflow.Record) erro
 	if l.closed {
 		return errors.New("wal: log is closed")
 	}
-	payloadLen := tsSize + len(pkt)
-	l.buf = l.buf[:0]
-	l.buf = binary.BigEndian.AppendUint32(l.buf, uint32(payloadLen))
-	l.buf = append(l.buf, 0, 0, 0, 0) // CRC placeholder
+	l.buf = framelog.AppendHeader(l.buf[:0])
 	l.buf = binary.BigEndian.AppendUint64(l.buf, uint64(ts.UnixNano()))
 	l.buf = append(l.buf, pkt...)
-	crc := crc32.Checksum(l.buf[frameHeaderSize:], castagnoli)
-	binary.BigEndian.PutUint32(l.buf[4:8], crc)
+	framelog.Seal(l.buf, 0)
 
 	if l.off >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -363,13 +325,13 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: closing segment: %w", err)
 	}
 	l.seg++
-	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(l.seg)), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(segmentPath(l.dir, l.seg), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: opening segment %d: %w", l.seg, err)
 	}
 	l.f = f
 	l.off = 0
-	return syncDir(l.dir)
+	return framelog.SyncDir(l.dir)
 }
 
 // syncLocked fsyncs the active segment if dirty, recording latency.
@@ -401,7 +363,7 @@ func (l *Log) syncer() {
 			return
 		case <-l.syncReq:
 		}
-		timer.Reset(l.opts.BatchWindow)
+		timer.Reset(batchWindow)
 		select {
 		case <-l.stopSyncer:
 			timer.Stop()
@@ -409,8 +371,8 @@ func (l *Log) syncer() {
 		case <-timer.C:
 		}
 		l.mu.Lock()
-		if !l.closed {
-			_ = l.syncLocked() // surfaced by the next explicit Sync/Close
+		if !l.closed && l.syncLocked() != nil {
+			l.syncErr++ // the log stays dirty: the next Sync or Close retries and reports
 		}
 		l.mu.Unlock()
 	}
@@ -442,7 +404,7 @@ func (l *Log) TruncateBefore(pos Position) error {
 	l.mu.Lock()
 	active := l.seg
 	l.mu.Unlock()
-	segs, err := listSegments(l.dir)
+	segs, err := framelog.ListSeq(l.dir, segPrefix, segSuffix)
 	if err != nil {
 		return err
 	}
@@ -450,7 +412,7 @@ func (l *Log) TruncateBefore(pos Position) error {
 		if seq >= pos.Segment || seq >= active {
 			continue
 		}
-		if err := os.Remove(filepath.Join(l.dir, segmentName(seq))); err != nil {
+		if err := os.Remove(segmentPath(l.dir, seq)); err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
 	}
@@ -462,11 +424,12 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := Stats{
-		Bytes:   l.bytes,
-		Entries: l.entries,
-		Fsyncs:  l.fsyncs,
-		Segment: l.seg,
-		Offset:  l.off,
+		Bytes:      l.bytes,
+		Entries:    l.entries,
+		Fsyncs:     l.fsyncs,
+		SyncErrors: l.syncErr,
+		Segment:    l.seg,
+		Offset:     l.off,
 	}
 	if l.fsyncNs.Count() > 0 {
 		s.FsyncP50Ns = l.fsyncNs.Quantile(0.50)
@@ -497,15 +460,4 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	return err
-}
-
-// syncDir fsyncs a directory so renames and creates within it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

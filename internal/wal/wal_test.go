@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"tieredpricing/internal/faultinject"
+	"tieredpricing/internal/framelog"
 	"tieredpricing/internal/netflow"
 )
 
@@ -56,7 +59,7 @@ func testPacket(i int) (netflow.Header, []netflow.Record) {
 
 // frameSize is the on-disk size of one testPacket frame: frame header,
 // timestamp, and a 2-record v5 packet.
-const frameSize = frameHeaderSize + tsSize + netflow.HeaderSize + 2*netflow.RecordSize
+const frameSize = framelog.HeaderSize + tsSize + netflow.HeaderSize + 2*netflow.RecordSize
 
 type entry struct {
 	ts   time.Time
@@ -139,7 +142,7 @@ func TestSegmentRotationAndTruncate(t *testing.T) {
 	// ~160-byte frames against a 512-byte segment bound forces rotation
 	// every few entries.
 	want := appendN(t, dir, Options{SegmentBytes: 512}, 40)
-	segs, err := listSegments(dir)
+	segs, err := framelog.ListSeq(dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestSegmentRotationAndTruncate(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := listSegments(dir)
+	after, err := framelog.ListSeq(dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +189,7 @@ func TestSyncModes(t *testing.T) {
 	for _, mode := range []SyncMode{SyncBatch, SyncAlways, SyncNone} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			want := appendN(t, dir, Options{Sync: mode, BatchWindow: time.Millisecond}, 10)
+			want := appendN(t, dir, Options{Sync: mode}, 10)
 			got, _ := collect(t, dir, Position{})
 			checkEntries(t, got, want)
 		})
@@ -208,37 +211,45 @@ func TestParseSyncMode(t *testing.T) {
 // lastSegmentPath returns the newest segment file.
 func lastSegmentPath(t *testing.T, dir string) string {
 	t.Helper()
-	segs, err := listSegments(dir)
+	segs, err := framelog.ListSeq(dir, segPrefix, segSuffix)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
 	}
-	return filepath.Join(dir, segmentName(segs[len(segs)-1]))
+	return segmentPath(dir, segs[len(segs)-1])
 }
 
-// TestTornTailTruncation is the table-driven corruption matrix over
-// real segment files: each case damages the log the way a crash or
-// dying disk would, and recovery must (a) keep exactly the undamaged
-// prefix, (b) report the tear, and (c) leave the log appendable with
-// the new entries visible to a clean second replay.
+// appendRaw writes one well-formed frame around payload at the end of
+// the newest segment: damage no CRC catches.
+func appendRaw(t *testing.T, dir string, payload []byte) {
+	t.Helper()
+	f, err := os.OpenFile(lastSegmentPath(t, dir), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frame := append(framelog.AppendHeader(nil), payload...)
+	framelog.Seal(frame, 0)
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTornTailTruncation pins what the log does with a damaged newest
+// segment — which byte-level damage ends the valid prefix where is
+// internal/framelog's table; here each case stands for a class. Recovery
+// must (a) keep exactly the undamaged prefix, (b) report the tear, and
+// (c) leave the log appendable with the new entries visible to a clean
+// second replay. The last two cases are frames whose CRC is right and
+// whose contents this writer never produces.
 func TestTornTailTruncation(t *testing.T) {
 	const n = 12
 	inj := faultinject.New(4242)
 	cases := []struct {
 		name string
-		// corrupt damages the newest segment; returns the minimum
-		// number of entries that must survive (-1 = exactly n-1, i.e.
-		// only the final frame may be lost).
+		// corrupt damages the newest segment; returns how many entries
+		// must survive, or -1 for "fewer than n".
 		corrupt func(t *testing.T, dir string) int
 	}{
-		{"torn-frame-header", func(t *testing.T, dir string) int {
-			// Cut mid-way into the final frame's header.
-			path := lastSegmentPath(t, dir)
-			fi, _ := os.Stat(path)
-			if err := os.Truncate(path, fi.Size()-frameSize-3); err != nil {
-				t.Fatal(err)
-			}
-			return n - 2
-		}},
 		{"torn-payload", func(t *testing.T, dir string) int {
 			path := lastSegmentPath(t, dir)
 			fi, _ := os.Stat(path)
@@ -247,63 +258,35 @@ func TestTornTailTruncation(t *testing.T) {
 			}
 			return n - 1
 		}},
-		{"seeded-tear", func(t *testing.T, dir string) int {
-			site := inj.NewSite(1)
-			torn, err := site.TearTail(lastSegmentPath(t, dir), 0)
-			if err != nil || !torn {
-				t.Fatalf("TearTail: torn=%v err=%v", torn, err)
-			}
-			return 0
-		}},
 		{"crc-bit-flip", func(t *testing.T, dir string) int {
 			// Flip a bit somewhere in the last quarter of the file: every
 			// frame at or after the flip is discarded.
 			path := lastSegmentPath(t, dir)
 			fi, _ := os.Stat(path)
-			site := inj.NewSite(2)
-			hit, err := site.CorruptByte(path, fi.Size()*3/4)
+			hit, err := inj.NewSite(2).CorruptByte(path, fi.Size()*3/4)
 			if err != nil || !hit {
 				t.Fatalf("CorruptByte: hit=%v err=%v", hit, err)
 			}
-			return 0
+			return -1
 		}},
-		{"length-field-garbage", func(t *testing.T, dir string) int {
-			// Overwrite the final frame's length with an implausible value.
-			path := lastSegmentPath(t, dir)
-			fi, _ := os.Stat(path)
-			f, err := os.OpenFile(path, os.O_RDWR, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, fi.Size()-frameSize); err != nil {
-				t.Fatal(err)
-			}
-			return n - 1
+		{"framed-garbage-packet", func(t *testing.T, dir string) int {
+			appendRaw(t, dir, bytes.Repeat([]byte{0xee}, frameSize))
+			return n
 		}},
-		{"zeroed-fsync-region", func(t *testing.T, dir string) int {
-			path := lastSegmentPath(t, dir)
-			fi, _ := os.Stat(path)
-			site := inj.NewSite(3)
-			hit, err := site.ZeroRange(path, fi.Size()/2, 64)
-			if err != nil || !hit {
-				t.Fatalf("ZeroRange: hit=%v err=%v", hit, err)
-			}
-			return 0
+		{"framed-short-payload", func(t *testing.T, dir string) int {
+			appendRaw(t, dir, make([]byte, tsSize+netflow.HeaderSize-1))
+			return n
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			want := appendN(t, dir, Options{}, n)
-			minSurvive := tc.corrupt(t, dir)
+			survive := tc.corrupt(t, dir)
 
 			got, res := collect(t, dir, Position{})
-			if len(got) >= n {
-				t.Fatalf("corruption did not lose any entries (%d)", len(got))
-			}
-			if len(got) < minSurvive {
-				t.Fatalf("only %d entries survived, want at least %d", len(got), minSurvive)
+			if survive >= 0 && len(got) != survive || survive < 0 && len(got) >= n {
+				t.Fatalf("%d entries survived, want %d (-1: fewer than %d)", len(got), survive, n)
 			}
 			if !res.Torn {
 				t.Error("replay did not report the tear")
@@ -340,7 +323,7 @@ func TestTornTailTruncation(t *testing.T) {
 func TestCorruptionMidSegmentDiscardsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
 	appendN(t, dir, Options{SegmentBytes: 512}, 40)
-	segs, err := listSegments(dir)
+	segs, err := framelog.ListSeq(dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +331,7 @@ func TestCorruptionMidSegmentDiscardsLaterSegments(t *testing.T) {
 		t.Fatalf("need 3+ segments, got %d", len(segs))
 	}
 	// Corrupt the FIRST segment's second frame.
-	first := filepath.Join(dir, segmentName(segs[0]))
+	first := segmentPath(dir, segs[0])
 	f, err := os.OpenFile(first, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -367,6 +350,103 @@ func TestCorruptionMidSegmentDiscardsLaterSegments(t *testing.T) {
 	}
 	if res.End.Segment != segs[0] {
 		t.Fatalf("replay end in segment %d, want %d", res.End.Segment, segs[0])
+	}
+}
+
+// TestReplayStopsAtSegmentGap: a missing segment ends the log wherever
+// it is. Frames after a hole are not a continuation of the state before
+// it, so they must not replay — not after a gap in the middle, and not
+// when the segment a checkpoint points into is itself the one missing.
+// Only the zero Position (no checkpoint) takes whatever head survives.
+func TestReplayStopsAtSegmentGap(t *testing.T) {
+	// 40 entries at 4 frames per 512-byte segment: segments 1..10.
+	const perSeg = 4
+	for _, tc := range []struct {
+		name     string
+		remove   uint64
+		from     Position
+		from2, n int // the entries delivered: want[from2 : from2+n]
+		torn     bool
+		end      Position
+	}{
+		{"mid-log", 2, Position{}, 0, perSeg, true, Position{Segment: 1, Offset: perSeg * frameSize}},
+		{"head-of-range", 2, Position{Segment: 2}, 0, 0, true, Position{Segment: 2}},
+		{"head-no-checkpoint", 1, Position{}, perSeg, 40 - perSeg, false, Position{Segment: 10, Offset: perSeg * frameSize}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			want := appendN(t, dir, Options{SegmentBytes: 512}, 40)
+			if err := os.Remove(segmentPath(dir, tc.remove)); err != nil {
+				t.Fatal(err)
+			}
+			got, res := collect(t, dir, tc.from)
+			checkEntries(t, got, want[tc.from2:tc.from2+tc.n])
+			if res.Torn != tc.torn || res.End != tc.end {
+				t.Errorf("Torn %v End %+v, want %v %+v", res.Torn, res.End, tc.torn, tc.end)
+			}
+		})
+	}
+}
+
+// TestParentFixture opens a log written by the commit before the WAL was
+// rebuilt on internal/framelog (two segments, the second torn mid-frame)
+// and holds the rebuilt package to what that commit's Replay returned
+// (expected.json) and to the bytes it wrote.
+func TestParentFixture(t *testing.T) {
+	const fixture = "testdata/parent-torn-tail"
+	var want struct {
+		Entries []struct {
+			TS   int64            `json:"ts_unix_nano"`
+			H    netflow.Header   `json:"header"`
+			Recs []netflow.Record `json:"records"`
+		} `json:"entries"`
+		Result ReplayResult `json:"result"`
+	}
+	raw, err := os.ReadFile(filepath.Join(fixture, "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	got, res := collect(t, fixture, Position{})
+	if res != want.Result {
+		t.Fatalf("replay result %+v, the parent's was %+v", res, want.Result)
+	}
+	if len(got) != len(want.Entries) {
+		t.Fatalf("replayed %d entries, the parent replayed %d", len(got), len(want.Entries))
+	}
+	for i, w := range want.Entries {
+		if got[i].ts.UnixNano() != w.TS || got[i].h != w.H || !reflect.DeepEqual(got[i].recs, w.Recs) {
+			t.Fatalf("entry %d diverges from the parent's replay", i)
+		}
+	}
+	// Re-appending what was read reproduces the fixture's bytes: whole
+	// segment 1, and segment 2 up to the tear.
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range got {
+		if err := l.Append(e.ts, e.h, e.recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for seq, n := range map[uint64]int64{1: -1, 2: res.End.Offset} {
+		old, err := os.ReadFile(segmentPath(fixture, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n >= 0 {
+			old = old[:n]
+		}
+		if fresh, _ := os.ReadFile(segmentPath(dir, seq)); !bytes.Equal(fresh, old) {
+			t.Fatalf("segment %d re-encodes to different bytes than the parent wrote", seq)
+		}
 	}
 }
 
