@@ -39,8 +39,9 @@
 #   ./ci.sh ingest     — ingest-scaling gate: benchmarks the sharded
 #                        ingest path (window shard routing + merge, and
 #                        the full UDP receive path with batched reads)
-#                        at shards=1 through 8 plus NumCPU, and the
-#                        zero-alloc packet decode; converts the runs to
+#                        at shards=1 through 8 plus NumCPU, the one-window
+#                        apply at ten live slots (WindowIngest/fresh and
+#                        /dup, ns/rec), and the zero-alloc packet decode; converts the runs to
 #                        rows via cmd/benchjson, diffs ns/op against
 #                        the newest committed BENCH_*.json
 #                        (INGEST_THRESHOLD, default 0.5 = +50% — ingest
@@ -124,9 +125,10 @@
 #                      (catches bit-rotted benchmark code without paying
 #                      for a timed run; use `./ci.sh bench` for real
 #                      numbers)
-#  11. fuzz smoke    — every netflow/bgp fuzz target, and framelog's
+#  11. fuzz smoke    — every netflow/bgp fuzz target, framelog's
 #                      FuzzScan (the one frame decoder under the WAL and
-#                      the history store), actually fuzzes for a short
+#                      the history store) and stream's FuzzPackedKey (the
+#                      dedup key's packed form), actually fuzzes for a short
 #                      budget (FUZZTIME, default 10s each), not just
 #                      replays its seed corpus
 set -eu
@@ -218,9 +220,9 @@ ingest() {
     tmp=$(mktemp)
     trap 'rm -f "$tmp" "$tmp.merged"' EXIT
     bt="${INGEST_BENCHTIME:-300ms}"
-    echo "==> ingest stage: go test -bench 'ShardedWindowIngest|UDPIngestShards' -benchmem -benchtime $bt ./internal/stream"
+    echo "==> ingest stage: go test -bench 'WindowIngest|ShardedWindowIngest|UDPIngestShards' -benchmem -benchtime $bt ./internal/stream"
     {
-        go test -run='^$' -bench='BenchmarkShardedWindowIngest|BenchmarkUDPIngestShards' \
+        go test -run='^$' -bench='BenchmarkWindowIngest|BenchmarkShardedWindowIngest|BenchmarkUDPIngestShards' \
             -benchmem -benchtime "$bt" ./internal/stream
         echo "==> ingest stage: go test -bench DecodePacketInto ./internal/netflow" >&2
         go test -run='^$' -bench='BenchmarkDecodePacketInto' \
@@ -320,6 +322,8 @@ fuzz_smoke() {
     done
     echo "==> fuzz FuzzScan (internal/framelog, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/framelog
+    echo "==> fuzz FuzzPackedKey (internal/stream, ${FUZZTIME})"
+    go test -run='^$' -fuzz='^FuzzPackedKey$' -fuzztime="$FUZZTIME" ./internal/stream
 }
 
 if [ "${1:-}" = "bench" ]; then

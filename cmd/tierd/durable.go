@@ -172,7 +172,7 @@ func openDurability(cfg config, dir, tenantID string, w *stream.ShardedWindow, r
 // the arrival timestamp is captured once and used for both the WAL
 // entry and the window slotting, so replaying the entry reproduces the
 // original slotting decision exactly. The datagram is dealt into its
-// per-shard sub-batches first, and each sub-batch is logged and applied
+// per-shard batches first, and each batch is logged and applied
 // under that shard's pairing lock — concurrent readers ingesting into
 // different shards never serialize against each other, only against a
 // checkpoint's quiesce.
@@ -185,16 +185,16 @@ func (s durableSink) Ingest(h netflow.Header, recs []netflow.Record) {
 	ts := d.now()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	d.window.Deal(recs, func(shard int, sub []netflow.Record) {
-		d.shardMu[shard].Lock()
-		defer d.shardMu[shard].Unlock()
-		if err := d.log.Append(ts, h, sub); err != nil {
+	d.window.DealBatches(recs, func(b stream.Batch) {
+		d.shardMu[b.Shard].Lock()
+		defer d.shardMu[b.Shard].Unlock()
+		if err := d.log.Append(ts, h, b.Records); err != nil {
 			// Keep serving on the in-memory window; until the next good
 			// checkpoint covers it, recovery would under-replay by this
 			// datagram.
 			d.writeFailed(&d.appendErrs, "wal append", err)
 		}
-		d.window.IngestShardAt(shard, ts, h, sub)
+		d.window.IngestBatchAt(ts, h, b)
 	})
 }
 

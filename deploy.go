@@ -148,9 +148,9 @@ func NewNetFlowReader(r io.Reader) *NetFlowReader { return netflow.NewReader(r) 
 
 // NewCollector aggregates records by the given bucketing rule.
 func NewCollector(key func(NetFlowRecord) string) *Collector {
-	return netflow.NewCollector(key)
+	return netflow.NewCollector(netflow.StringKey(key))
 }
 
 // DatasetAggregateKey is the bucketing rule matching the built-in
 // datasets' address plan (source PoP /20 + destination /24).
-func DatasetAggregateKey(rec NetFlowRecord) string { return traces.AggregateKey(rec) }
+func DatasetAggregateKey(rec NetFlowRecord) string { return string(traces.AggregateKey(nil, rec)) }

@@ -72,7 +72,7 @@ func TestDecodePacketIntoGrows(t *testing.T) {
 // elsewhere), a sized kernel buffer, and batched reads must deliver
 // every record exactly once.
 func TestCollectorServerMultiSocket(t *testing.T) {
-	c := NewCollector(func(r Record) string { return r.DstAddr.String() })
+	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
 	srv, err := NewCollectorServerOpts("127.0.0.1:0", c, ServerOptions{
 		Sockets: 4,
 		RcvBuf:  1 << 20,

@@ -46,8 +46,15 @@ func (r Record) FlowSequence() uint32 { return uint32(r.SrcAS) }
 
 // AggregateKeyFunc maps a record to the demand-aggregation bucket it
 // belongs to — e.g. the destination /24, or an entry/exit PoP pair
-// recovered from addressing. Returning "" drops the record.
-type AggregateKeyFunc func(Record) string
+// recovered from addressing — by appending the bucket's name to dst, so
+// the caller looks an existing bucket up from one reused buffer and
+// builds a string only for a new one. Appending nothing drops the record.
+type AggregateKeyFunc func(dst []byte, r Record) []byte
+
+// StringKey adapts a bucketing rule that returns its key as a string.
+func StringKey(key func(Record) string) AggregateKeyFunc {
+	return func(dst []byte, r Record) []byte { return append(dst, key(r)...) }
+}
 
 // Aggregate is the accumulated demand of one aggregation bucket.
 type Aggregate struct {
@@ -83,6 +90,12 @@ func sampleBefore(s1, d1 netip.Addr, i1, o1 uint16, s2, d2 netip.Addr, i2, o2 ui
 		return i1 < i2
 	}
 	return o1 < o2
+}
+
+// NewAggregate starts bucket key's aggregate from its first record: r's
+// endpoints are the sample, its volume is still to be added.
+func NewAggregate(key string, r Record) *Aggregate {
+	return &Aggregate{Key: key, SrcAddr: r.SrcAddr, DstAddr: r.DstAddr, Input: r.Input, Output: r.Output}
 }
 
 // TakeSample folds r's endpoints into a's canonical sample, keeping the
@@ -163,8 +176,9 @@ type Collector struct {
 	keyFn AggregateKeyFunc
 
 	mu         sync.Mutex
-	seen       map[FlowKey]struct{}
+	seen       map[PackedKey]struct{}
 	aggs       map[string]*Aggregate
+	keyBuf     []byte // the record at hand's bucket name
 	records    int
 	duplicates int
 	dropped    int
@@ -186,7 +200,7 @@ func (c *Collector) DisableDedup() {
 func NewCollector(keyFn AggregateKeyFunc) *Collector {
 	return &Collector{
 		keyFn: keyFn,
-		seen:  make(map[FlowKey]struct{}),
+		seen:  make(map[PackedKey]struct{}),
 		aggs:  make(map[string]*Aggregate),
 	}
 }
@@ -204,28 +218,26 @@ func (c *Collector) Ingest(h Header, recs []Record) {
 	for _, r := range recs {
 		c.records++
 		if !c.noDedup {
-			key := KeyOf(r)
+			key, ok := KeyOf(r).Pack()
+			if !ok {
+				c.dropped++ // not an IPv4 flow: nothing a v5 exporter sends
+				continue
+			}
 			if _, dup := c.seen[key]; dup {
 				c.duplicates++
 				continue
 			}
 			c.seen[key] = struct{}{}
 		}
-		bucket := c.keyFn(r)
-		if bucket == "" {
+		c.keyBuf = c.keyFn(c.keyBuf[:0], r)
+		if len(c.keyBuf) == 0 {
 			c.dropped++
 			continue
 		}
-		agg, ok := c.aggs[bucket]
+		agg, ok := c.aggs[string(c.keyBuf)]
 		if !ok {
-			agg = &Aggregate{
-				Key:     bucket,
-				SrcAddr: r.SrcAddr,
-				DstAddr: r.DstAddr,
-				Input:   r.Input,
-				Output:  r.Output,
-			}
-			c.aggs[bucket] = agg
+			agg = NewAggregate(string(c.keyBuf), r)
+			c.aggs[agg.Key] = agg
 		} else {
 			agg.TakeSample(r)
 		}

@@ -104,12 +104,12 @@ func FuzzUDPDatagramPath(f *testing.F) {
 		if len(got) == 0 || len(got) > MaxRecordsPerPacket {
 			t.Fatalf("decode accepted %d records", len(got))
 		}
-		c := NewCollector(func(r Record) string {
+		c := NewCollector(StringKey(func(r Record) string {
 			if r.Proto == 0 {
 				return "" // exercise the dropped path
 			}
 			return r.DstAddr.String()
-		})
+		}))
 		c.Ingest(h, got)
 		records, duplicates, dropped := c.Stats()
 		if records != len(got) {

@@ -87,6 +87,28 @@ func TestPacketRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestAppendPacketMatchesEncode: AppendPacket writes EncodePacket's bytes
+// behind whatever the caller's buffer already holds.
+func TestAppendPacketMatchesEncode(t *testing.T) {
+	h := Header{SysUptime: 7, UnixSecs: 9, FlowSequence: 11, EngineID: 3, SamplingInterval: 100}
+	r := rand.New(rand.NewSource(2))
+	recs := []Record{randRecord(r), randRecord(r), randRecord(r)}
+	want, err := EncodePacket(h, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendPacket([]byte("frame"), h, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:5]) != "frame" || !bytes.Equal(got[5:], want) {
+		t.Fatalf("AppendPacket wrote\n%x\nwant frame +\n%x", got, want)
+	}
+	if _, err := AppendPacket(nil, h, nil); err == nil {
+		t.Error("AppendPacket accepted an empty packet")
+	}
+}
+
 func TestEncodePacketLimits(t *testing.T) {
 	if _, err := EncodePacket(Header{}, nil); err == nil {
 		t.Error("expected error for empty packet")
@@ -215,7 +237,7 @@ func TestCollectorDeduplicates(t *testing.T) {
 		DstAddr: netip.MustParseAddr("10.1.0.1"),
 		Octets:  1000, First: 5, Last: 9, SrcAS: 1,
 	}
-	c := NewCollector(func(r Record) string { return r.DstAddr.String() })
+	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
 	h := Header{SamplingInterval: 1}
 	// The same record exported by three routers on the path.
 	c.Ingest(h, []Record{rec})
@@ -245,7 +267,7 @@ func TestCollectorDistinguishesRecordsOfOneFlow(t *testing.T) {
 	r1, r2 := base, base
 	r1.SrcAS = 1
 	r2.SrcAS = 2
-	c := NewCollector(func(r Record) string { return r.DstAddr.String() })
+	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
 	c.Ingest(Header{}, []Record{r1, r2})
 	aggs := c.Aggregates()
 	if aggs[0].Octets != 1000 {
@@ -259,7 +281,7 @@ func TestCollectorRestoresSampling(t *testing.T) {
 		DstAddr: netip.MustParseAddr("10.1.0.1"),
 		Octets:  1000,
 	}
-	c := NewCollector(func(r Record) string { return "all" })
+	c := NewCollector(StringKey(func(r Record) string { return "all" }))
 	c.Ingest(Header{SamplingInterval: 100}, []Record{rec})
 	if got := c.Aggregates()[0].Octets; got != 100000 {
 		t.Fatalf("octets = %d, want 100000 (1-in-100 sampling restored)", got)
@@ -272,7 +294,7 @@ func TestCollectorDropsUnkeyedRecords(t *testing.T) {
 		DstAddr: netip.MustParseAddr("10.1.0.1"),
 		Octets:  1,
 	}
-	c := NewCollector(func(r Record) string { return "" })
+	c := NewCollector(StringKey(func(r Record) string { return "" }))
 	c.Ingest(Header{}, []Record{rec})
 	if len(c.Aggregates()) != 0 {
 		t.Error("unkeyed record should be dropped")
@@ -294,7 +316,7 @@ func TestCollectorOrderIndependent(t *testing.T) {
 	withDups = append(withDups, recs[:70]...)
 
 	collect := func(order []Record) []Aggregate {
-		c := NewCollector(func(r Record) string { return r.DstAddr.String() })
+		c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
 		c.Ingest(Header{SamplingInterval: 1}, order)
 		return c.Aggregates()
 	}
@@ -320,7 +342,7 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 	for i := range packets {
 		packets[i] = []Record{randRecord(r), randRecord(r), randRecord(r)}
 	}
-	c := NewCollector(func(r Record) string { return r.DstAddr.String() })
+	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
 	var wg sync.WaitGroup
 	for _, p := range packets {
 		wg.Add(1)

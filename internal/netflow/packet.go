@@ -176,6 +176,13 @@ func parseRecord(b []byte) (Record, error) {
 // EncodePacket serializes a header and 1..30 records into one export
 // packet. The header's Count field is overwritten with len(recs).
 func EncodePacket(h Header, recs []Record) ([]byte, error) {
+	return AppendPacket(make([]byte, 0, HeaderSize+min(len(recs), MaxRecordsPerPacket)*RecordSize), h, recs)
+}
+
+// AppendPacket is EncodePacket appending to dst, for a caller that frames
+// the packet inside a buffer of its own. On error dst's contents past its
+// length are unspecified and nil is returned.
+func AppendPacket(dst []byte, h Header, recs []Record) ([]byte, error) {
 	if len(recs) == 0 {
 		return nil, errors.New("netflow: empty packet")
 	}
@@ -184,15 +191,14 @@ func EncodePacket(h Header, recs []Record) ([]byte, error) {
 			len(recs), MaxRecordsPerPacket)
 	}
 	h.Count = uint16(len(recs))
-	out := make([]byte, 0, HeaderSize+len(recs)*RecordSize)
-	out = appendHeader(out, h)
+	dst = appendHeader(dst, h)
 	var err error
 	for _, r := range recs {
-		if out, err = appendRecord(out, r); err != nil {
+		if dst, err = appendRecord(dst, r); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DecodePacket deserializes one export packet.

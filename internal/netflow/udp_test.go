@@ -9,7 +9,7 @@ import (
 )
 
 func TestUDPExportCollectRoundTrip(t *testing.T) {
-	c := NewCollector(func(r Record) string { return r.DstAddr.String() })
+	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
 	srv, err := NewCollectorServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestUDPExportCollectRoundTrip(t *testing.T) {
 func TestUDPMultipleExporters(t *testing.T) {
 	// Several "routers" export the same records concurrently; the
 	// collector must dedup across them, as in the multi-router capture.
-	c := NewCollector(func(r Record) string { return r.DstAddr.String() })
+	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
 	srv, err := NewCollectorServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestUDPMultipleExporters(t *testing.T) {
 }
 
 func TestCollectorServerCountsBadDatagrams(t *testing.T) {
-	c := NewCollector(func(r Record) string { return "x" })
+	c := NewCollector(StringKey(func(r Record) string { return "x" }))
 	srv, err := NewCollectorServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestCollectorServerCountsBadDatagrams(t *testing.T) {
 }
 
 func TestCollectorServerCloseIdempotent(t *testing.T) {
-	c := NewCollector(func(r Record) string { return "x" })
+	c := NewCollector(StringKey(func(r Record) string { return "x" }))
 	srv, err := NewCollectorServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestNewCollectorServerErrors(t *testing.T) {
 	if _, err := NewCollectorServer("127.0.0.1:0", nil); err == nil {
 		t.Error("expected error for nil collector")
 	}
-	if _, err := NewCollectorServer("256.0.0.1:99999", NewCollector(func(Record) string { return "" })); err == nil {
+	if _, err := NewCollectorServer("256.0.0.1:99999", NewCollector(StringKey(func(Record) string { return "" }))); err == nil {
 		t.Error("expected error for bad address")
 	}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // ShardedWindow partitions a sliding window across N private Window
-// shards so ingest scales with cores: each record is routed by a hash of
-// its dedup flow key, so every copy of a cross-router duplicate lands in
-// the same shard and per-shard dedup sets are globally exact. Reads
+// shards so ingest scales with cores: each record is routed by the hash
+// of its dedup flow key — the same hash its shard's dedup table then
+// probes with, computed once — so every copy of a cross-router duplicate
+// lands in the same shard and per-shard dedup tables are globally exact. Reads
 // (Aggregates, Export, Stats) merge the shards deterministically; the
 // merge is byte-identical to a single-shard window at any shard count
 // because every per-bucket operation commutes — octet sums, record
@@ -33,9 +34,20 @@ type ShardedWindow struct {
 
 var _ netflow.Sink = (*ShardedWindow)(nil)
 
-// partition holds one Deal call's per-shard record buffers.
+// partition holds one deal's per-shard record buffers and, beside each
+// record, the dedup key it was routed by.
 type partition struct {
 	bufs [][]netflow.Record
+	keys [][]hashedKey
+}
+
+// Batch is the part of one datagram bound for one shard, as DealBatches
+// hands it out and IngestBatchAt applies it. It is valid only until the
+// DealBatches callback returns.
+type Batch struct {
+	Shard   int
+	Records []netflow.Record
+	keys    []hashedKey // nil from a one-shard window, whose shard hashes as it applies
 }
 
 // NewShardedWindow creates a window of slots slots of slotDur each,
@@ -57,7 +69,7 @@ func NewShardedWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slo
 		sw.shards = append(sw.shards, w)
 	}
 	sw.parts.New = func() any {
-		return &partition{bufs: make([][]netflow.Record, shards)}
+		return &partition{bufs: make([][]netflow.Record, shards), keys: make([][]hashedKey, shards)}
 	}
 	return sw, nil
 }
@@ -87,84 +99,63 @@ func (sw *ShardedWindow) slotIndex(t time.Time) int64 {
 	return t.UnixNano() / int64(sw.slotDur)
 }
 
-// shardHash is FNV-1a over the canonical bytes of a flow key. FNV is
-// cheap, allocation-free, and mixes the low bits well enough that the
-// modulo spread across small shard counts is near-uniform.
-func shardHash(k netflow.FlowKey) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	src, dst := k.SrcAddr.As16(), k.DstAddr.As16()
-	for _, b := range src {
-		h = (h ^ uint64(b)) * prime64
-	}
-	for _, b := range dst {
-		h = (h ^ uint64(b)) * prime64
-	}
-	for _, v := range [...]uint32{
-		uint32(k.SrcPort)<<16 | uint32(k.DstPort), uint32(k.Proto),
-		k.First, k.Last, k.Octets, k.Sequence,
-	} {
-		h = (h ^ uint64(v&0xff)) * prime64
-		h = (h ^ uint64(v>>8&0xff)) * prime64
-		h = (h ^ uint64(v>>16&0xff)) * prime64
-		h = (h ^ uint64(v>>24&0xff)) * prime64
-	}
-	return h
-}
-
 // ShardOf returns the shard a record routes to. Duplicates share a flow
 // key, hence a hash, hence a shard — which is what keeps per-shard
-// dedup exact.
+// dedup exact. The hash is seeded per process, so placement is stable
+// within a run and not across runs; nothing durable depends on it.
 func (sw *ShardedWindow) ShardOf(r netflow.Record) int {
-	return int(shardHash(netflow.KeyOf(r)) % uint64(len(sw.shards)))
+	hk := hashKey(netflow.KeyOf(r))
+	return hk.shardOf(len(sw.shards))
 }
 
-// Deal partitions recs by shard and invokes fn once per non-empty
-// sub-batch (shard 0 receives an empty call when recs is empty, so a
-// datagram's slot-creation side effect is preserved). The sub-slices
-// are pooled: fn must not retain them past its return. The durable sink
-// uses Deal directly so it can pair each sub-batch's WAL append with
-// its shard apply under one per-shard lock.
-func (sw *ShardedWindow) Deal(recs []netflow.Record, fn func(shard int, recs []netflow.Record)) {
+// DealBatches partitions recs by shard and invokes fn once per non-empty
+// batch (shard 0 receives an empty one when recs is empty, so a
+// datagram's slot-creation side effect is preserved). The batches are
+// pooled: fn must not retain them past its return. The durable sink uses
+// DealBatches directly so it can pair each batch's WAL append with its
+// shard apply under one per-shard lock.
+func (sw *ShardedWindow) DealBatches(recs []netflow.Record, fn func(Batch)) {
 	if len(sw.shards) == 1 || len(recs) == 0 {
-		fn(0, recs)
+		fn(Batch{Records: recs})
 		return
 	}
 	p := sw.parts.Get().(*partition)
 	for i := range p.bufs {
-		p.bufs[i] = p.bufs[i][:0]
+		p.bufs[i], p.keys[i] = p.bufs[i][:0], p.keys[i][:0]
 	}
 	for _, r := range recs {
-		s := sw.ShardOf(r)
-		p.bufs[s] = append(p.bufs[s], r)
+		hk := hashKey(netflow.KeyOf(r))
+		s := hk.shardOf(len(sw.shards))
+		p.bufs[s], p.keys[s] = append(p.bufs[s], r), append(p.keys[s], hk)
 	}
 	for i, b := range p.bufs {
 		if len(b) > 0 {
-			fn(i, b)
+			fn(Batch{Shard: i, Records: b, keys: p.keys[i]})
 		}
 	}
 	sw.parts.Put(p)
 }
 
+// Deal is DealBatches for a caller that wants only the records.
+func (sw *ShardedWindow) Deal(recs []netflow.Record, fn func(shard int, recs []netflow.Record)) {
+	sw.DealBatches(recs, func(b Batch) { fn(b.Shard, b.Records) })
+}
+
 // Ingest processes one export packet (netflow.Sink). The arrival
-// instant is taken once, so every sub-batch of the datagram lands in
-// the same slot across shards.
+// instant is taken once, so every batch of the datagram lands in the
+// same slot across shards.
 func (sw *ShardedWindow) Ingest(h netflow.Header, recs []netflow.Record) {
 	sw.IngestAt(sw.now(), h, recs)
 }
 
 // IngestAt is Ingest with an explicit arrival instant (WAL replay).
 func (sw *ShardedWindow) IngestAt(ts time.Time, h netflow.Header, recs []netflow.Record) {
-	sw.Deal(recs, func(shard int, sub []netflow.Record) {
-		sw.shards[shard].IngestAt(ts, h, sub)
-	})
+	sw.DealBatches(recs, func(b Batch) { sw.IngestBatchAt(ts, h, b) })
 }
 
-// IngestShardAt applies a pre-partitioned sub-batch to one shard. The
-// caller (the durable sink) is responsible for having routed recs with
-// ShardOf/Deal.
-func (sw *ShardedWindow) IngestShardAt(shard int, ts time.Time, h netflow.Header, recs []netflow.Record) {
-	sw.shards[shard].IngestAt(ts, h, recs)
+// IngestBatchAt applies one of DealBatches' batches to its shard.
+func (sw *ShardedWindow) IngestBatchAt(ts time.Time, h netflow.Header, b Batch) {
+	sw.shards[b.Shard].ingestAt(sw.slotIndex(ts), h, b.Records, b.keys)
 }
 
 // Aggregates merges every shard's live aggregates into the batch
@@ -242,6 +233,7 @@ func (sw *ShardedWindow) Export() WindowState {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	st.Slots = make([]SlotState, 0, len(idxs)) // empty, not nil, like a single window's
 	for _, idx := range idxs {
 		ss := slots[idx]
 		sort.Slice(ss.Seen, func(i, j int) bool { return flowKeyLess(ss.Seen[i], ss.Seen[j]) })
@@ -316,8 +308,8 @@ func (sw *ShardedWindow) Import(st WindowState) error {
 			return sub[i]
 		}
 		for _, key := range ss.Seen {
-			i := int(shardHash(key) % uint64(n))
-			s := at(i)
+			hk := hashKey(key) // whichever shard gets a key with no packed form, its Import rejects it
+			s := at(hk.shardOf(n))
 			s.Seen = append(s.Seen, key)
 		}
 		if len(ss.Aggs) > 0 {

@@ -26,11 +26,11 @@ import (
 // shardKeyFn aggregates like the production key but drops records whose
 // source sits in 10.9.0.0/16, so the property tests exercise the
 // dropped-record counter across shard counts too.
-func shardKeyFn(r netflow.Record) string {
+func shardKeyFn(dst []byte, r netflow.Record) []byte {
 	if r.SrcAddr.As4()[1] == 9 {
-		return ""
+		return dst
 	}
-	return traces.AggregateKey(r)
+	return traces.AggregateKey(dst, r)
 }
 
 // testDatagram is one synthetic export packet with its arrival instant.

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -82,22 +84,29 @@ func (w *Window) exportAt(cur int64) WindowState {
 		Dropped:    w.dropped,
 		Slots:      make([]SlotState, 0, len(w.slots)),
 	}
+	// One pass over the table deals every live key to its slot instance;
+	// packed keys sort bytewise into the export order (netflow.PackedKey).
+	seen := make([][]netflow.PackedKey, len(w.seen.alive))
+	w.seen.each(func(slot int, k *netflow.PackedKey) {
+		seen[slot] = append(seen[slot], *k)
+	})
 	idxs := make([]int64, 0, len(w.slots))
 	for idx := range w.slots {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 	for _, idx := range idxs {
 		s := w.slots[idx]
+		keys := seen[s.inst-w.seen.base]
+		slices.SortFunc(keys, func(a, b netflow.PackedKey) int { return bytes.Compare(a[:], b[:]) })
 		ss := SlotState{
 			Index: idx,
-			Seen:  make([]netflow.FlowKey, 0, len(s.seen)),
+			Seen:  make([]netflow.FlowKey, len(keys)),
 			Aggs:  make([]netflow.Aggregate, 0, len(s.aggs)),
 		}
-		for key := range s.seen {
-			ss.Seen = append(ss.Seen, key)
+		for i, k := range keys {
+			ss.Seen[i] = k.Unpack()
 		}
-		sort.Slice(ss.Seen, func(i, j int) bool { return flowKeyLess(ss.Seen[i], ss.Seen[j]) })
 		for _, a := range s.aggs {
 			ss.Aggs = append(ss.Aggs, *a)
 		}
@@ -110,9 +119,10 @@ func (w *Window) exportAt(cur int64) WindowState {
 // Import replaces the window's contents with a previously Exported
 // state. The state's slot geometry must match the window's — a window
 // restored under different -slot/-window flags would silently misfile
-// records, so the mismatch is an error instead. Slots that have already
-// aged out of the window (by the window's own clock) are skipped rather
-// than resurrected.
+// records, so the mismatch is an error instead. So is a dedup key the
+// table cannot hold as Export wrote it: an address that is not IPv4, or
+// a key listed twice. Slots that have already aged out of the window (by
+// the window's own clock) are skipped rather than resurrected.
 func (w *Window) Import(st WindowState) error {
 	if st.SlotNanos != int64(w.slotDur) {
 		return fmt.Errorf("stream: import slot duration %v does not match window %v",
@@ -126,6 +136,7 @@ func (w *Window) Import(st WindowState) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.slots = make(map[int64]*slot, len(st.Slots))
+	w.seen.init()
 	w.records = st.Records
 	w.duplicates = st.Duplicates
 	w.dropped = st.Dropped
@@ -136,12 +147,16 @@ func (w *Window) Import(st WindowState) error {
 		if _, dup := w.slots[ss.Index]; dup {
 			return fmt.Errorf("stream: import has slot %d twice", ss.Index)
 		}
-		s := &slot{
-			seen: make(map[netflow.FlowKey]struct{}, len(ss.Seen)),
-			aggs: make(map[string]*netflow.Aggregate, len(ss.Aggs)),
-		}
+		s := &slot{inst: w.seen.open(), aggs: make(map[string]*netflow.Aggregate, len(ss.Aggs))}
 		for _, key := range ss.Seen {
-			s.seen[key] = struct{}{}
+			hk := hashKey(key)
+			if !hk.ok {
+				return fmt.Errorf("stream: import slot %d has a dedup key that is not IPv4 (%v > %v)",
+					ss.Index, key.SrcAddr, key.DstAddr)
+			}
+			if w.seen.claim(&hk, s.inst) {
+				return fmt.Errorf("stream: import has dedup key %+v twice", key)
+			}
 		}
 		for _, a := range ss.Aggs {
 			cp := a
@@ -158,5 +173,5 @@ func (w *Window) Import(st WindowState) error {
 // uses it to reproduce the original slotting decision for each logged
 // datagram, which is what makes recovery byte-identical.
 func (w *Window) IngestAt(ts time.Time, h netflow.Header, recs []netflow.Record) {
-	w.ingestAt(w.slotIndex(ts), h, recs)
+	w.ingestAt(w.slotIndex(ts), h, recs, nil)
 }

@@ -23,9 +23,10 @@ import (
 //
 // Time is bucketed into numSlots slots of slotDur each; a record lands in
 // the slot covering its arrival time, and slots older than the window are
-// dropped whole. Cross-router duplicate suppression spans all live slots,
-// so the window's aggregates over a fully-contained capture are identical
-// to the batch collector's.
+// dropped whole. Cross-router duplicate suppression spans all live slots
+// — one window-wide table remembers which live slot first counted each
+// flow key — so the window's aggregates over a fully-contained capture
+// are identical to the batch collector's.
 type Window struct {
 	keyFn    netflow.AggregateKeyFunc
 	slotDur  time.Duration
@@ -34,6 +35,8 @@ type Window struct {
 
 	mu         sync.Mutex
 	slots      map[int64]*slot // keyed by absolute slot index
+	seen       dedupTable      // every live slot's dedup keys
+	keyBuf     []byte          // the record at hand's bucket name
 	records    int
 	duplicates int
 	dropped    int
@@ -41,9 +44,10 @@ type Window struct {
 
 var _ netflow.Sink = (*Window)(nil)
 
-// slot holds one slot's dedup set and partial aggregates.
+// slot holds one slot's partial aggregates; inst names it in the dedup
+// table, whose entries it owns until it is evicted.
 type slot struct {
-	seen map[netflow.FlowKey]struct{}
+	inst uint32
 	aggs map[string]*netflow.Aggregate
 }
 
@@ -58,13 +62,15 @@ func NewWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slots int)
 	if slots < 1 {
 		return nil, errors.New("stream: need at least one slot")
 	}
-	return &Window{
+	w := &Window{
 		keyFn:    keyFn,
 		slotDur:  slotDur,
 		numSlots: slots,
 		now:      time.Now,
 		slots:    make(map[int64]*slot),
-	}, nil
+	}
+	w.seen.init()
+	return w, nil
 }
 
 // SetClock replaces the window's time source — fault rehearsal (empty
@@ -87,11 +93,16 @@ func (w *Window) slotIndex(t time.Time) int64 {
 }
 
 // evictLocked drops slots that have aged out of the window ending at the
-// current slot cur.
+// current slot cur. A slot's dedup keys go with it at the cost of one
+// flag (dedupTable.retire), whatever their number.
 func (w *Window) evictLocked(cur int64) {
-	for idx := range w.slots {
+	for idx, s := range w.slots {
 		if idx <= cur-int64(w.numSlots) {
+			w.seen.retire(s.inst)
 			delete(w.slots, idx)
+			if len(w.slots) == 0 {
+				w.seen.init() // a drained window gives its table back
+			}
 		}
 	}
 }
@@ -100,12 +111,14 @@ func (w *Window) evictLocked(cur int64) {
 // restoration follow netflow.Collector exactly; the only difference is
 // that the accumulated state ages out slot by slot.
 func (w *Window) Ingest(h netflow.Header, recs []netflow.Record) {
-	w.ingestAt(w.slotIndex(w.now()), h, recs)
+	w.ingestAt(w.slotIndex(w.now()), h, recs, nil)
 }
 
 // ingestAt files recs into slot cur; Ingest derives cur from the live
-// clock, IngestAt (WAL replay) from the logged arrival timestamp.
-func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record) {
+// clock, IngestAt (WAL replay) from the logged arrival timestamp. keys,
+// when not nil, holds each record's dedup key as the sharded wrapper
+// already hashed it for routing.
+func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, keys []hashedKey) {
 	sampling := uint64(h.SamplingInterval)
 	if sampling == 0 {
 		sampling = 1
@@ -115,51 +128,41 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record) {
 	w.evictLocked(cur)
 	s, ok := w.slots[cur]
 	if !ok {
-		s = &slot{
-			seen: make(map[netflow.FlowKey]struct{}),
-			aggs: make(map[string]*netflow.Aggregate),
-		}
+		s = &slot{inst: w.seen.open(), aggs: make(map[string]*netflow.Aggregate)}
 		w.slots[cur] = s
 	}
-	for _, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		w.records++
-		key := netflow.KeyOf(r)
-		if w.seenLocked(key) {
+		var hk hashedKey
+		if keys != nil {
+			hk = keys[i]
+		} else {
+			hk = hashKey(netflow.KeyOf(*r))
+		}
+		if !hk.ok {
+			w.dropped++ // not an IPv4 flow: nothing a v5 exporter sends
+			continue
+		}
+		if w.seen.claim(&hk, s.inst) {
 			w.duplicates++
 			continue
 		}
-		s.seen[key] = struct{}{}
-		bucket := w.keyFn(r)
-		if bucket == "" {
+		w.keyBuf = w.keyFn(w.keyBuf[:0], *r)
+		if len(w.keyBuf) == 0 {
 			w.dropped++
 			continue
 		}
-		agg, ok := s.aggs[bucket]
+		agg, ok := s.aggs[string(w.keyBuf)]
 		if !ok {
-			agg = &netflow.Aggregate{
-				Key:     bucket,
-				SrcAddr: r.SrcAddr,
-				DstAddr: r.DstAddr,
-				Input:   r.Input,
-				Output:  r.Output,
-			}
-			s.aggs[bucket] = agg
+			agg = netflow.NewAggregate(string(w.keyBuf), *r)
+			s.aggs[agg.Key] = agg
 		} else {
-			agg.TakeSample(r)
+			agg.TakeSample(*r)
 		}
 		agg.Octets += uint64(r.Octets) * sampling
 		agg.Records++
 	}
-}
-
-// seenLocked checks the dedup sets of every live slot.
-func (w *Window) seenLocked(key netflow.FlowKey) bool {
-	for _, s := range w.slots {
-		if _, dup := s.seen[key]; dup {
-			return true
-		}
-	}
-	return false
 }
 
 // Aggregates merges the live slots into the batch collector's output

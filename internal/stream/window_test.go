@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/netip"
 	"reflect"
@@ -158,7 +157,7 @@ func TestWindowSamplingRestoration(t *testing.T) {
 }
 
 func TestWindowDropsUnkeyedRecords(t *testing.T) {
-	w, err := NewWindow(func(netflow.Record) string { return "" }, time.Minute, 2)
+	w, err := NewWindow(func(dst []byte, _ netflow.Record) []byte { return dst }, time.Minute, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,29 +213,5 @@ func TestWindowConcurrentIngest(t *testing.T) {
 	}
 	if total != 4000 {
 		t.Errorf("total octets %d, want 4000", total)
-	}
-}
-
-// Benchmark the ingest hot path: one packet of 30 records.
-func BenchmarkWindowIngest(b *testing.B) {
-	w, err := NewWindow(traces.AggregateKey, time.Minute, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := make([]netflow.Record, netflow.MaxRecordsPerPacket)
-	for i := range recs {
-		recs[i] = testRecord(uint32(i), 100)
-		recs[i].DstAddr = netip.MustParseAddr(fmt.Sprintf("10.2.%d.1", i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Vary the sequence so dedup never suppresses; this measures the
-		// accumulate path, not the duplicate path.
-		for j := range recs {
-			recs[j].SrcAS = uint16(i % 65536)
-			recs[j].SrcPort = uint16(i / 65536)
-		}
-		w.Ingest(netflow.Header{}, recs)
 	}
 }

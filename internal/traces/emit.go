@@ -2,6 +2,7 @@ package traces
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -126,15 +127,36 @@ func (ds *Dataset) EmitNetFlow(cfg EmitConfig) (map[string][]byte, error) {
 
 // AggregateKey is the collection pipeline's bucketing rule for these
 // datasets: source PoP block plus destination /24, so each synthesized
-// flow maps to exactly one bucket.
-func AggregateKey(rec netflow.Record) string {
-	src := maskTo(rec.SrcAddr, 20)
-	dst := maskTo(rec.DstAddr, 24)
-	return src.String() + ">" + dst.String()
+// flow maps to exactly one bucket. It appends "<src/20 base>><dst/24
+// base>" to dst (netflow.AggregateKeyFunc).
+func AggregateKey(dst []byte, rec netflow.Record) []byte {
+	dst = appendMasked(dst, rec.SrcAddr, 20)
+	dst = append(dst, '>')
+	return appendMasked(dst, rec.DstAddr, 24)
 }
 
-// maskTo zeroes host bits beyond the given prefix length.
-func maskTo(a netip.Addr, bits int) netip.Addr {
-	p := netip.PrefixFrom(a, bits).Masked()
-	return p.Addr()
+// appendMasked appends a with the host bits beyond the given prefix
+// length zeroed, as netip.Addr.String prints it. IPv4 — all a v5 record
+// carries — is masked and printed by hand: this runs once per ingested
+// record.
+func appendMasked(dst []byte, a netip.Addr, bits int) []byte {
+	switch {
+	case a.Is4():
+		b := a.As4()
+		v := binary.BigEndian.Uint32(b[:]) &^ (1<<(32-bits) - 1)
+		for shift := 24; shift >= 0; shift -= 8 {
+			o := byte(v >> shift)
+			if o >= 100 {
+				dst = append(dst, '0'+o/100)
+			}
+			if o >= 10 {
+				dst = append(dst, '0'+o/10%10)
+			}
+			dst = append(dst, '0'+o%10, '.')
+		}
+		return dst[:len(dst)-1]
+	case !a.IsValid():
+		return append(dst, "invalid IP"...)
+	}
+	return netip.PrefixFrom(a, bits).Masked().Addr().AppendTo(dst)
 }

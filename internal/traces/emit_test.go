@@ -3,6 +3,8 @@ package traces
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"net/netip"
 	"testing"
 
 	"tieredpricing/internal/netflow"
@@ -57,7 +59,7 @@ func TestEmitNetFlowRoundTrip(t *testing.T) {
 			m := ds.Meta[i]
 			// Recompute the aggregation key the emitter produces.
 			rec := netflow.Record{SrcAddr: m.SrcIP, DstAddr: m.DstPrefix.Addr().Next()}
-			got, ok := byKey[AggregateKey(rec)]
+			got, ok := byKey[string(AggregateKey(nil, rec))]
 			if !ok {
 				t.Fatalf("%s: flow %d (%s) missing from aggregates", name, i, f.ID)
 			}
@@ -115,6 +117,34 @@ func TestEmitNetFlowInternet2PathDuplication(t *testing.T) {
 	for city := range want {
 		if _, ok := streams[city]; !ok {
 			t.Errorf("no stream for path router %s", city)
+		}
+	}
+}
+
+// TestAggregateKeyMatchesStringForm pins the appended key to the string
+// it replaced — the masked addresses as netip prints them — for IPv4,
+// and for the addresses no v5 record carries.
+func TestAggregateKeyMatchesStringForm(t *testing.T) {
+	old := func(r netflow.Record) string {
+		mask := func(a netip.Addr, bits int) string { return netip.PrefixFrom(a, bits).Masked().Addr().String() }
+		return mask(r.SrcAddr, 20) + ">" + mask(r.DstAddr, 24)
+	}
+	rng := rand.New(rand.NewSource(9))
+	recs := []netflow.Record{
+		{},
+		{SrcAddr: netip.MustParseAddr("2001:db8:ffff::1"), DstAddr: netip.MustParseAddr("::ffff:10.1.2.3")},
+		{SrcAddr: netip.MustParseAddr("255.255.255.255"), DstAddr: netip.MustParseAddr("0.0.0.0")},
+	}
+	for i := 0; i < 2000; i++ {
+		var s, d [4]byte
+		rng.Read(s[:])
+		rng.Read(d[:])
+		recs = append(recs, netflow.Record{SrcAddr: netip.AddrFrom4(s), DstAddr: netip.AddrFrom4(d)})
+	}
+	buf := []byte("kept")
+	for _, r := range recs {
+		if got := string(AggregateKey(buf, r)); got != "kept"+old(r) {
+			t.Fatalf("AggregateKey(%v, %v) = %q, want %q", r.SrcAddr, r.DstAddr, got, "kept"+old(r))
 		}
 	}
 }

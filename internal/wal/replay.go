@@ -40,6 +40,9 @@ type ReplayResult struct {
 // The zero Position replays whatever head of the log survives. A missing
 // directory or an empty log replays nothing and returns End == from (or
 // the first segment's start).
+//
+// Every entry is decoded into one reused buffer: recs is valid only until
+// fn returns, and fn must copy what it keeps.
 func Replay(dir string, from Position, fn func(ts time.Time, h netflow.Header, recs []netflow.Record) error) (ReplayResult, error) {
 	res := ReplayResult{End: from}
 	if res.End.Segment == 0 {
@@ -86,9 +89,10 @@ func Replay(dir string, from Position, fn func(ts time.Time, h netflow.Header, r
 // fn (when non-nil) for each valid one. It returns the byte offset just
 // past the last valid frame, the segment's size and the number of valid
 // frames. On top of framelog.Scan's rule, a payload too short for a
-// timestamp and a packet header, or one netflow.DecodePacket rejects, is
-// a frame this writer never produced: corruption, a clean stop. Only
-// I/O failures and fn errors propagate.
+// timestamp and a packet header, or one netflow.DecodePacketInto rejects,
+// is a frame this writer never produced: corruption, a clean stop. Only
+// I/O failures and fn errors propagate. Every frame is decoded into one
+// buffer, reused.
 func scanSegment(dir string, seq uint64, fromOffset int64, fn func(ts time.Time, h netflow.Header, recs []netflow.Record) error) (end, size int64, entries int, err error) {
 	f, err := os.Open(segmentPath(dir, seq))
 	if err != nil {
@@ -99,11 +103,12 @@ func scanSegment(dir string, seq uint64, fromOffset int64, fn func(ts time.Time,
 	if err != nil {
 		return fromOffset, 0, 0, err
 	}
+	buf := make([]netflow.Record, 0, netflow.MaxRecordsPerPacket)
 	end, err = framelog.Scan(f, fromOffset, fi.Size(), MaxEntryBytes, func(_ int64, payload []byte) error {
 		if len(payload) < tsSize+netflow.HeaderSize {
 			return framelog.ErrCorrupt
 		}
-		h, recs, err := netflow.DecodePacket(payload[tsSize:])
+		h, recs, err := netflow.DecodePacketInto(payload[tsSize:], buf)
 		if err != nil {
 			return framelog.ErrCorrupt
 		}

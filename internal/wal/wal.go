@@ -274,18 +274,20 @@ func OpenAt(dir string, opts Options, pos Position) (*Log, error) {
 // data then survives a process crash, and under SyncBatch an fsync
 // follows within the batch window.
 func (l *Log) Append(ts time.Time, h netflow.Header, recs []netflow.Record) error {
-	pkt, err := netflow.EncodePacket(h, recs)
-	if err != nil {
-		return fmt.Errorf("wal: encode: %w", err)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("wal: log is closed")
 	}
-	l.buf = framelog.AppendHeader(l.buf[:0])
-	l.buf = binary.BigEndian.AppendUint64(l.buf, uint64(ts.UnixNano()))
-	l.buf = append(l.buf, pkt...)
+	// The frame is built where it is written from: header, timestamp and
+	// the packet encoded straight behind them.
+	buf := framelog.AppendHeader(l.buf[:0])
+	buf = binary.BigEndian.AppendUint64(buf, uint64(ts.UnixNano()))
+	buf, err := netflow.AppendPacket(buf, h, recs)
+	if err != nil {
+		return fmt.Errorf("wal: encode: %w", err)
+	}
+	l.buf = buf
 	framelog.Seal(l.buf, 0)
 
 	if l.off >= l.opts.SegmentBytes {
@@ -370,11 +372,40 @@ func (l *Log) syncer() {
 			return
 		case <-timer.C:
 		}
-		l.mu.Lock()
-		if !l.closed && l.syncLocked() != nil {
-			l.syncErr++ // the log stays dirty: the next Sync or Close retries and reports
+		l.syncBatch()
+	}
+}
+
+// syncBatch is the syncer's fsync. It runs outside the log mutex — an
+// fsync takes about as long as the batch window, and Append, hence the
+// ingest path, must not queue behind it — so the log can move on
+// meanwhile. It stays dirty unless the fsync provably covered its tail:
+// appends that landed during the fsync have a request of their own
+// posted, and a rotation or Close that overtook it still sees dirty and
+// fsyncs the segment itself before closing it, which is why failing on
+// a segment that is no longer the active one is not an error.
+func (l *Log) syncBatch() {
+	l.mu.Lock()
+	f, seg, off := l.f, l.seg, l.off
+	skip := l.closed || !l.dirty
+	l.mu.Unlock()
+	if skip {
+		return
+	}
+	start := time.Now()
+	err := f.Sync()
+	took := time.Since(start)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case err == nil:
+		l.fsyncs++
+		l.fsyncNs.Record(int64(took))
+		if l.seg == seg && l.off == off {
+			l.dirty = false
 		}
-		l.mu.Unlock()
+	case l.seg == seg && !l.closed:
+		l.syncErr++ // the log stays dirty: the next Sync or Close retries and reports
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,6 +194,76 @@ func TestSyncModes(t *testing.T) {
 			got, _ := collect(t, dir, Position{})
 			checkEntries(t, got, want)
 		})
+	}
+}
+
+// TestBatchSyncerRacesRotation: the group-commit syncer fsyncs outside
+// the log mutex, so it can be overtaken by a rotation or by Close. Many
+// appenders through many rotations must lose no entry and count no sync
+// error — a rotated or closed segment was fsynced by whoever closed it.
+func TestBatchSyncerRacesRotation(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncBatch, SegmentBytes: 4 * frameSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appenders, each = 4, 600
+	base := time.Unix(1700000000, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				n := g*each + i
+				h, recs := testPacket(n)
+				if err := l.Append(base.Add(time.Duration(n)*time.Second), h, recs); err != nil {
+					t.Errorf("append %d: %v", n, err)
+					return
+				}
+				if i%50 == 0 {
+					time.Sleep(batchWindow) // let the syncer take a turn mid-stream
+				}
+			}
+		}(g)
+	}
+	// Extra syncer turns with no batch window between them, so that some
+	// are overtaken between picking the segment and fsyncing it.
+	stop, hammered := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(hammered)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				l.syncBatch()
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-hammered
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.SyncErrors != 0 {
+		t.Errorf("SyncErrors = %d, want 0", st.SyncErrors)
+	}
+	if st.Segment < appenders*each/5 {
+		t.Fatalf("log ended on segment %d: the run did not rotate as intended", st.Segment)
+	}
+	got, res := collect(t, dir, Position{})
+	if res.Torn || len(got) != appenders*each {
+		t.Fatalf("replayed %d entries (torn %v), want %d", len(got), res.Torn, appenders*each)
+	}
+	seen := make(map[int64]bool, len(got))
+	for _, e := range got {
+		seen[e.ts.Unix()-base.Unix()] = true
+	}
+	if len(seen) != appenders*each {
+		t.Fatalf("replay delivered %d distinct entries, want %d", len(seen), appenders*each)
 	}
 }
 
