@@ -89,9 +89,11 @@
 #   ./ci.sh docs       — documentation lint alone (cmd/docscheck):
 #                        every relative markdown link resolves, the
 #                        README repo-layout map names every cmd/ and
-#                        internal/ package, and every tierd_* metric
+#                        internal/ package, every tierd_* metric
 #                        minted in internal/server is documented in
-#                        docs/OPERATIONS.md.
+#                        docs/OPERATIONS.md, and every Benchmark* the
+#                        top-level docs and docs/*.md cite is declared
+#                        in some _test.go (root module or bench/).
 #
 # Gate steps, in order (each must pass):
 #   1. go vet        — static analysis across every package

@@ -1,5 +1,5 @@
 // Command docscheck is the repo's documentation lint, run by
-// `./ci.sh docs`. It enforces three invariants that otherwise rot
+// `./ci.sh docs`. It enforces four invariants that otherwise rot
 // silently:
 //
 //  1. Every relative markdown link in the repo's .md files resolves to
@@ -12,6 +12,10 @@
 //     internal/server (the tierd_* families) appears in
 //     docs/OPERATIONS.md, so the operator manual cannot drift behind
 //     the exposition.
+//  4. Every Go benchmark named in README.md, DESIGN.md, EXPERIMENTS.md
+//     or docs/*.md (a `Benchmark[A-Z]…` identifier, up to any `/sub`
+//     suffix) is a func in some _test.go of the root module or of
+//     bench/, so a perf claim always names something runnable.
 //
 // Violations are listed one per line on stderr; any violation exits 1.
 package main
@@ -70,6 +74,12 @@ func check(root string) ([]string, error) {
 	violations = append(violations, v...)
 
 	v, err = checkMetricsDocumented(root)
+	if err != nil {
+		return nil, err
+	}
+	violations = append(violations, v...)
+
+	v, err = checkBenchmarksExist(root)
 	if err != nil {
 		return nil, err
 	}
@@ -236,6 +246,70 @@ func checkMetricsDocumented(root string) ([]string, error) {
 		if !strings.Contains(ops, n) {
 			violations = append(violations,
 				fmt.Sprintf("docs/OPERATIONS.md: exported metric %s undocumented", n))
+		}
+	}
+	return violations, nil
+}
+
+// benchCiteRE matches a Go benchmark name as prose cites it; benchFuncRE
+// matches its declaration.
+var (
+	benchCiteRE = regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
+	benchFuncRE = regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+)
+
+// checkBenchmarksExist requires every benchmark the top-level documents
+// and docs/*.md cite to be declared in a _test.go file somewhere under
+// root (the root module and bench/ alike).
+func checkBenchmarksExist(root string) ([]string, error) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, .bench_build: no sources, and may change underfoot
+		}
+		if d.IsDir() || !strings.HasSuffix(d.Name(), "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range benchFuncRE.FindAllSubmatch(b, -1) {
+			declared[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		docs = append(docs, filepath.Join(root, name))
+	}
+	sort.Strings(docs)
+	var violations []string
+	for _, doc := range docs {
+		b, err := os.ReadFile(doc)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		rel, _ := filepath.Rel(root, doc)
+		cited := benchCiteRE.FindAllString(string(b), -1)
+		sort.Strings(cited)
+		for i, name := range cited {
+			if !declared[name] && (i == 0 || cited[i-1] != name) {
+				violations = append(violations,
+					fmt.Sprintf("%s: cites %s, which no _test.go declares", rel, name))
+			}
 		}
 	}
 	return violations, nil

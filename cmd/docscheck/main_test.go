@@ -105,3 +105,19 @@ func TestDocscheckUndocumentedMetric(t *testing.T) {
 		t.Fatalf("test-only metric name flagged: %v", v)
 	}
 }
+
+func TestDocscheckCitedBenchmarkMissing(t *testing.T) {
+	files := healthyTree()
+	files["internal/server/bench_test.go"] = "package server\n\nfunc BenchmarkQuote(b *testing.B) {}\n"
+	files["bench/layers/layers_test.go"] = "package layers\n\nfunc BenchmarkLayer(b *testing.B) {}\n"
+	files["DESIGN.md"] = "run `BenchmarkQuote/hit` and BenchmarkLayer; benchmarks in general are fine\n"
+	files["docs/API.md"] += "see BenchmarkGone, again BenchmarkGone\n"
+	v, err := check(writeTree(t, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 1 || !strings.Contains(v[0], "docs/API.md") || !strings.Contains(v[0], "BenchmarkGone") {
+		t.Fatalf("want one violation for BenchmarkGone in docs/API.md (sub-benchmark suffixes, the bench/ module "+
+			"and repeats must not add more): %v", v)
+	}
+}

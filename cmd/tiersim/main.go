@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,7 +41,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tiersim: run needs experiment IDs (or 'all')")
 			os.Exit(2)
 		}
-		if err := run(args[1:], *seed, *workers, *csvDir, *markdown); err != nil {
+		if err := run(os.Stdout, args[1:], *seed, *workers, *csvDir, *markdown); err != nil {
 			fmt.Fprintln(os.Stderr, "tiersim:", err)
 			os.Exit(1)
 		}
@@ -68,7 +69,7 @@ func list() {
 	}
 }
 
-func run(ids []string, seed int64, workers int, csvDir string, markdown bool) error {
+func run(w io.Writer, ids []string, seed int64, workers int, csvDir string, markdown bool) error {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = ids[:0]
 		for _, e := range experiments.All() {
@@ -89,14 +90,14 @@ func run(ids []string, seed int64, workers int, csvDir string, markdown bool) er
 	for i, res := range results {
 		id := ids[i]
 		if markdown {
-			fmt.Printf("### %s — %s\n\n", res.ID, res.Title)
+			fmt.Fprintf(w, "### %s — %s\n\n", res.ID, res.Title)
 			for _, table := range res.Tables {
-				if err := table.WriteMarkdown(os.Stdout); err != nil {
+				if err := table.WriteMarkdown(w); err != nil {
 					return err
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
-		} else if err := res.WriteASCII(os.Stdout); err != nil {
+		} else if err := res.WriteASCII(w); err != nil {
 			return err
 		}
 		if csvDir != "" {

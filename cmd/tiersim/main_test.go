@@ -1,29 +1,22 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 func TestRunSelectedExperimentWithCSV(t *testing.T) {
 	csvDir := t.TempDir()
-	// Silence stdout for the table print.
-	old := os.Stdout
-	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
+	if err := run(io.Discard, []string{"fig4"}, 1, 2, csvDir, false); err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = devNull
-	runErr := run([]string{"fig4"}, 1, 2, csvDir, false)
-	mdErr := run([]string{"fig4"}, 1, 2, "", true)
-	os.Stdout = old
-	devNull.Close()
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if mdErr != nil {
-		t.Fatal(mdErr)
+	if err := run(io.Discard, []string{"fig4"}, 1, 2, "", true); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(csvDir, "fig4_0.csv")); err != nil {
 		t.Errorf("CSV not written: %v", err)
@@ -31,7 +24,42 @@ func TestRunSelectedExperimentWithCSV(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"nonesuch"}, 1, 1, "", false); err == nil {
+	if err := run(io.Discard, []string{"nonesuch"}, 1, 1, "", false); err == nil {
 		t.Error("expected error for unknown experiment")
+	}
+}
+
+// evaluationDigests pins sha256 of `tiersim -seed N run all` (ASCII mode)
+// for N = 1, 2, 3, as printed by commit 5b4241b. A change that is meant to
+// move the evaluation's numbers regenerates them with
+//
+//	for s in 1 2 3; do go run ./cmd/tiersim -seed $s run all | sha256sum; done
+//
+// and says in its PR which tables moved and why; any other change must
+// leave them alone.
+var evaluationDigests = map[int64]string{
+	1: "2e503472c48f752cbb3a8eac48e95b588ce0b3eff6953d4a718ec62167fdf3ad",
+	2: "19c11ac977142c6c81d60c7fecfbd7833be94ec647d2fa658a45341de380256c",
+	3: "a39a2191e9a255d5f3f2f2620fbbfa6e23c35bd5ee7fc5119c243d19d9da8f16",
+}
+
+// TestEvaluationBytesPinned: the whole evaluation, serial and fanned out,
+// hashes to the pinned value — not merely to the same value twice.
+func TestEvaluationBytesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation ×3 seeds ×2 widths")
+	}
+	for seed, want := range evaluationDigests {
+		for _, workers := range []int{1, runtime.NumCPU()} {
+			h := sha256.New()
+			if err := run(h, []string{"all"}, seed, workers, "", false); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Errorf("tiersim -seed %d -parallel %d run all: sha256 %s, pinned %s — the evaluation's output changed; "+
+					"if that is intended, regenerate evaluationDigests as its comment describes",
+					seed, workers, got, want)
+			}
+		}
 	}
 }

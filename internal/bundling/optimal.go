@@ -2,12 +2,14 @@ package bundling
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/optimize"
+	"tieredpricing/internal/pricing"
 )
 
 // Optimal is the paper's optimal bundling strategy: the partition of flows
@@ -47,16 +49,12 @@ func (o Optimal) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, er
 	if err := validateInput(flows, b); err != nil {
 		return nil, err
 	}
-	order := costOrder(flows)
-	var val optimize.BlockValue
-	switch m := model.(type) {
-	case econ.CED:
-		val = cedBlockValue(flows, order, m.Alpha)
-	case econ.Logit:
-		val = logitBlockValue(flows, order, m.Alpha)
-	default:
-		return nil, fmt.Errorf("bundling: optimal strategy does not support model %q", model.Name())
+	w, term, err := objective(flows, model)
+	if err != nil {
+		return nil, err
 	}
+	order := costOrder(flows)
+	val := term.prefixView(prefixSums(flows, order, w))
 	solve := optimize.ContiguousDPMonotone
 	if o.Quadratic {
 		solve = optimize.ContiguousDP
@@ -66,6 +64,53 @@ func (o Optimal) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, er
 		return nil, err
 	}
 	return optimize.BlocksToPartition(blocks, order), nil
+}
+
+// Exhaustive is the paper's literal exhaustive search (§4.2.1) over every
+// set partition into at most b bundles, contiguous in cost or not. It
+// screens them with the subset-sum view of Optimal's objective and
+// re-prices only the shortlist the screen cannot tell from its best,
+// keeping the highest real profit (the earliest in EnumeratePartitions
+// order on exact ties). CED's screen is the profit and logit's is strictly
+// monotone in it, so this is the partition pricing every one would keep.
+// It checks Optimal, refuses more than 20 flows, and is not in All.
+type Exhaustive struct{}
+
+// Name implements Strategy.
+func (Exhaustive) Name() string { return "exhaustive" }
+
+// Bundle implements Strategy.
+func (Exhaustive) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, error) {
+	if err := validateInput(flows, b); err != nil {
+		return nil, err
+	}
+	w, term, err := objective(flows, model)
+	if err != nil {
+		return nil, err
+	}
+	cw := make([]float64, len(w))
+	for i, f := range flows {
+		cw[i] = f.Cost * w[i]
+	}
+	shortlist, _, err := optimize.SearchPartitions(w, cw, b, term.g)
+	if err != nil {
+		return nil, err
+	}
+	var best [][]int
+	bestProfit := math.Inf(-1)
+	for _, partition := range shortlist {
+		ev, err := pricing.Evaluate(model, flows, partition)
+		if err != nil {
+			return nil, err
+		}
+		if ev.Profit > bestProfit {
+			best, bestProfit = partition, ev.Profit
+		}
+	}
+	if best == nil {
+		return nil, errors.New("bundling: exhaustive search found no partition with a finite profit")
+	}
+	return best, nil
 }
 
 // costOrder returns flow indices sorted by ascending cost, equal costs
@@ -85,70 +130,96 @@ func costOrder(flows []econ.Flow) []int {
 	return order
 }
 
-// cedBlockValue returns an O(1) block profit for the CED model using
-// prefix sums over the cost-sorted order: a block's optimal-price profit
-// is k(α)·V·C^{1−α} with V = Σv^α and C = Σc·v^α / V. The constant k(α)
-// is shared by all blocks and only shifts the DP objective by a positive
-// factor, but is included so the DP total equals real profit.
-func cedBlockValue(flows []econ.Flow, order []int, alpha float64) optimize.BlockValue {
-	n := len(order)
-	prefV := make([]float64, n+1)  // Σ v^α
-	prefCV := make([]float64, n+1) // Σ c·v^α
-	for k, i := range order {
-		va := math.Pow(flows[i].Valuation, alpha)
-		prefV[k+1] = prefV[k] + va
-		prefCV[k+1] = prefCV[k] + flows[i].Cost*va
-	}
-	// k(α) = (α/(α−1))^{−α} / (α−1): profit of a bundle at the Eq. 5
-	// price P = α·C/(α−1) is V·P^{−α}(P−C) = V·C^{1−α}·k(α).
-	kAlpha := math.Pow(alpha/(alpha-1), -alpha) / (alpha - 1)
-	// A zero-cost block makes C^{1−α} → +Inf for α > 1, and one +Inf block
-	// poisons every DP total it participates in (Inf−Inf → NaN during
-	// comparisons of candidate splits). Cap block values so a zero-cost
-	// block is maximally attractive but sums of n+1 of them stay finite and
-	// ordered.
-	maxBlockValue := math.MaxFloat64 / float64(n+1)
-	return func(lo, hi int) float64 {
-		v := prefV[hi] - prefV[lo]
-		cv := prefCV[hi] - prefCV[lo]
-		c := cv / v
-		val := kAlpha * v * math.Pow(c, 1-alpha)
-		if val > maxBlockValue || math.IsNaN(val) {
-			return maxBlockValue
-		}
-		return val
-	}
+// blockTerm is one demand model's bundling objective, defined once —
+// per-flow weights w_i (cw_i = c_i·w_i) and a block term g(Σw, Σcw) — and
+// read two ways: through prefix sums by the DP, through subset sums by
+// Exhaustive. prefixView is a method of each concrete term so the DP's
+// 306 k calls of g per 20 k-flow re-price stay direct.
+type blockTerm interface {
+	g(sumW, sumCW float64) float64
+	prefixView(prefW, prefCW []float64) optimize.BlockValue
 }
 
-// logitBlockValue returns the O(1) block attractiveness
-// W·e^{−α·C} with W = Σ e^{α(v_i − vmax)} and C = Σ c_i·e^{α(v_i−vmax)}/W.
-// Valuations are shifted by their maximum before exponentiation; the shift
-// rescales every block's W by the same positive factor and leaves C
-// unchanged, so the DP's argmax — and hence the selected partition — is
-// unaffected while the sums stay finite.
-func logitBlockValue(flows []econ.Flow, order []int, alpha float64) optimize.BlockValue {
-	n := len(order)
-	vmax := math.Inf(-1)
-	for _, f := range flows {
-		if f.Valuation > vmax {
-			vmax = f.Valuation
+// objective returns the model's per-flow weights and block term.
+func objective(flows []econ.Flow, model econ.Model) ([]float64, blockTerm, error) {
+	w := make([]float64, len(flows))
+	switch m := model.(type) {
+	case econ.CED:
+		for i, f := range flows {
+			w[i] = math.Pow(f.Valuation, m.Alpha)
 		}
+		// k(α) = (α/(α−1))^{−α} / (α−1): profit of a bundle at the Eq. 5
+		// price P = α·C/(α−1) is V·P^{−α}(P−C) = V·C^{1−α}·k(α).
+		// A zero-cost block makes C^{1−α} → +Inf for α > 1, and one +Inf
+		// block poisons every DP total it participates in (Inf−Inf → NaN
+		// during comparisons of candidate splits). Cap block values so a
+		// zero-cost block is maximally attractive but sums of n+1 of them
+		// stay finite and ordered.
+		return w, cedTerm{m.Alpha, math.Pow(m.Alpha/(m.Alpha-1), -m.Alpha) / (m.Alpha - 1),
+			math.MaxFloat64 / float64(len(flows)+1)}, nil
+	case econ.Logit:
+		// Valuations are shifted by their maximum before exponentiation;
+		// the shift rescales every block's W by the same positive factor
+		// and leaves C unchanged, so the argmax — and hence the selected
+		// partition — is unaffected while the sums stay finite.
+		vmax := math.Inf(-1)
+		for _, f := range flows {
+			if f.Valuation > vmax {
+				vmax = f.Valuation
+			}
+		}
+		for i, f := range flows {
+			w[i] = math.Exp(m.Alpha * (f.Valuation - vmax))
+		}
+		return w, logitTerm{m.Alpha}, nil
 	}
-	prefW := make([]float64, n+1)  // Σ e^{α(v−vmax)}
-	prefCW := make([]float64, n+1) // Σ c·e^{α(v−vmax)}
+	return nil, nil, fmt.Errorf("bundling: no block objective for model %q", model.Name())
+}
+
+// prefixSums accumulates Σw and Σc·w over the cost-sorted order.
+func prefixSums(flows []econ.Flow, order []int, w []float64) (prefW, prefCW []float64) {
+	prefW = make([]float64, len(order)+1)
+	prefCW = make([]float64, len(order)+1)
 	for k, i := range order {
-		w := math.Exp(alpha * (flows[i].Valuation - vmax))
-		prefW[k+1] = prefW[k] + w
-		prefCW[k+1] = prefCW[k] + flows[i].Cost*w
+		prefW[k+1] = prefW[k] + w[i]
+		prefCW[k+1] = prefCW[k] + flows[i].Cost*w[i]
 	}
-	return func(lo, hi int) float64 {
-		w := prefW[hi] - prefW[lo]
-		if w <= 0 {
-			// Every member underflowed e^{α(v−vmax)}; such a block
-			// attracts essentially no demand.
-			return 0
-		}
-		c := (prefCW[hi] - prefCW[lo]) / w
-		return w * math.Exp(-alpha*c)
+	return prefW, prefCW
+}
+
+// cedTerm is the CED block term over weights v_i^α: a block's
+// optimal-price profit is k(α)·V·C^{1−α} with V = Σv^α and C = Σc·v^α / V.
+// The constant k(α) is shared by all blocks and only scales the objective
+// by a positive factor, but is included so the total equals real profit.
+type cedTerm struct{ alpha, k, max float64 }
+
+func (t cedTerm) g(v, cv float64) float64 {
+	c := cv / v
+	val := t.k * v * math.Pow(c, 1-t.alpha)
+	if val > t.max || math.IsNaN(val) {
+		return t.max
 	}
+	return val
+}
+
+func (t cedTerm) prefixView(prefV, prefCV []float64) optimize.BlockValue {
+	return func(lo, hi int) float64 { return t.g(prefV[hi]-prefV[lo], prefCV[hi]-prefCV[lo]) }
+}
+
+// logitTerm is the logit block attractiveness W·e^{−α·C} over weights
+// e^{α(v_i − vmax)}, with W their sum and C = Σ c_i·e^{α(v_i−vmax)}/W.
+type logitTerm struct{ alpha float64 }
+
+func (t logitTerm) g(w, cw float64) float64 {
+	if w <= 0 {
+		// Every member underflowed e^{α(v−vmax)}; such a block
+		// attracts essentially no demand.
+		return 0
+	}
+	c := cw / w
+	return w * math.Exp(-t.alpha*c)
+}
+
+func (t logitTerm) prefixView(prefW, prefCW []float64) optimize.BlockValue {
+	return func(lo, hi int) float64 { return t.g(prefW[hi]-prefW[lo], prefCW[hi]-prefCW[lo]) }
 }

@@ -11,7 +11,7 @@ import (
 // fitFlows builds a fitted flow set for strategy tests: random demands and
 // distances run through the model's own fitting pipeline so valuations and
 // costs are mutually consistent.
-func fitFlows(t *testing.T, m econ.Model, n int, seed int64, p0 float64) []econ.Flow {
+func fitFlows(t testing.TB, m econ.Model, n int, seed int64, p0 float64) []econ.Flow {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	demands := make([]float64, n)

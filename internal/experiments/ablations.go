@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"tieredpricing/internal/bundling"
 	"tieredpricing/internal/core"
@@ -12,7 +11,6 @@ import (
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/optimize"
 	"tieredpricing/internal/parallel"
-	"tieredpricing/internal/pricing"
 	"tieredpricing/internal/report"
 	"tieredpricing/internal/traces"
 )
@@ -53,38 +51,27 @@ func init() {
 	})
 }
 
-// runAblation1 aggregates each dataset to 10 flows, enumerates EVERY set
-// partition into ≤ 4 bundles with real pricing, and compares the optimum
-// against the contiguous DP — the empirical check that "optimal" is
-// optimal.
+// runAblation1 aggregates each dataset to 10 flows, searches EVERY set
+// partition into ≤ 4 bundles (bundling.Exhaustive: screened by the DP's
+// own objective, the shortlist re-priced for real), and compares the
+// optimum against the contiguous DP — the empirical check that "optimal"
+// is optimal.
 func runAblation1(opts Options) (*Result, error) {
 	const aggFlows, bundles = 10, 4
-	res := &Result{ID: "ablation1", Title: "exhaustive search vs contiguous DP"}
 	t := report.New(
 		fmt.Sprintf("Exhaustive (all partitions of %d aggregates into ≤%d bundles) vs DP",
 			aggFlows, bundles),
 		"network", "model", "partitions", "exhaustive π", "DP π", "quad DP π", "gap")
-	// The exhaustive enumeration dominates this experiment's cost and every
-	// (network, model) pair is independent, so fan the pairs out and add
-	// the rows in presentation order.
-	type pair struct{ name, model string }
-	var pairs []pair
 	for _, name := range traces.Names() {
-		for _, model := range []string{"ced", "logit"} {
-			pairs = append(pairs, pair{name, model})
+		ds, err := opts.dataset(name, opts.Seed)
+		if err != nil {
+			return nil, err
 		}
-	}
-	rows, err := parallel.Map(context.Background(), len(pairs), opts.workerCount(),
-		func(_ context.Context, pi int) ([]string, error) {
-			name, model := pairs[pi].name, pairs[pi].model
-			ds, err := traces.ByName(name, opts.Seed)
-			if err != nil {
-				return nil, err
-			}
-			small, err := core.AggregateFlows(ds.Flows, aggFlows)
-			if err != nil {
-				return nil, err
-			}
+		small, err := core.AggregateFlows(ds.Flows, aggFlows)
+		if err != nil {
+			return nil, err
+		}
+		for _, model := range []string{"ced", "logit"} {
 			dm, err := demandModel(model)
 			if err != nil {
 				return nil, err
@@ -93,55 +80,45 @@ func runAblation1(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			count := 0
-			bestExhaustive := math.Inf(-1)
-			err = optimize.EnumeratePartitions(len(m.Flows), bundles, func(p [][]int) bool {
-				count++
-				ev, err := pricing.Evaluate(m.Demand, m.Flows, p)
-				if err != nil {
-					return false
-				}
-				if ev.Profit > bestExhaustive {
-					bestExhaustive = ev.Profit
-				}
-				return true
-			})
+			row, err := ablation1Row(m, bundles)
 			if err != nil {
 				return nil, err
 			}
-			dp, err := m.Run(bundling.Optimal{}, bundles)
-			if err != nil {
+			if err := t.AddRow(append([]string{name, model}, row...)...); err != nil {
 				return nil, err
 			}
-			// The quadratic reference solver must land on the same profit
-			// as the default SMAWK path.
-			quad, err := m.Run(bundling.Optimal{Quadratic: true}, bundles)
-			if err != nil {
-				return nil, err
-			}
-			gap := (bestExhaustive - dp.Profit) / bestExhaustive
-			return []string{name, model, report.I(count),
-				report.F1(bestExhaustive), report.F1(dp.Profit), report.F1(quad.Profit),
-				fmt.Sprintf("%.2e", gap)}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.AddRow(row...); err != nil {
-			return nil, err
 		}
 	}
 	t.AddNote("gap ≈ 0 everywhere: the contiguous-in-cost DP attains the exhaustive optimum (DESIGN.md §4)")
 	t.AddNote("DP π is the default SMAWK monotone solver; quad DP π the O(n²·B) reference — identical by construction")
-	res.Tables = append(res.Tables, t)
-	return res, nil
+	return &Result{ID: "ablation1", Title: "exhaustive search vs contiguous DP", Tables: []*report.Table{t}}, nil
+}
+
+// ablation1Row is one market's partition count, its exhaustive, SMAWK-DP
+// and quadratic-DP profits (the two DPs must agree) and the
+// exhaustive-to-DP gap. Any pricing error fails the row.
+func ablation1Row(m *core.Market, bundles int) ([]string, error) {
+	count, err := optimize.CountPartitions(len(m.Flows), bundles)
+	if err != nil {
+		return nil, err
+	}
+	var profits [3]float64
+	for i, s := range []bundling.Strategy{bundling.Exhaustive{}, bundling.Optimal{}, bundling.Optimal{Quadratic: true}} {
+		out, err := m.Run(s, bundles)
+		if err != nil {
+			return nil, err
+		}
+		profits[i] = out.Profit
+	}
+	gap := (profits[0] - profits[1]) / profits[0]
+	return []string{report.I(int(count)), report.F1(profits[0]), report.F1(profits[1]),
+		report.F1(profits[2]), fmt.Sprintf("%.2e", gap)}, nil
 }
 
 // runAblation2 compares profit-weighted bundling with and without the
 // never-mix-classes guard under the destination-type cost model.
 func runAblation2(opts Options) (*Result, error) {
-	ds, err := traces.EUISP(opts.Seed)
+	ds, err := opts.dataset("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +165,7 @@ func runAblation2(opts Options) (*Result, error) {
 // without cross-router dedup — and fits a market on each, quantifying
 // how double-counting inflates demands and distorts tier prices.
 func runAblation3(opts Options) (*Result, error) {
-	ds, err := traces.EUISP(opts.Seed)
+	ds, err := opts.dataset("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +235,7 @@ func runAblation4(opts Options) (*Result, error) {
 	res := &Result{ID: "ablation4", Title: "granularity ablation"}
 	t := report.New("Optimal capture at b=3 vs market granularity (EU ISP, CED)",
 		"aggregates", "capture b=3", "max profit $")
-	ds, err := traces.EUISP(opts.Seed)
+	ds, err := opts.dataset("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +276,7 @@ func runAblation4(opts Options) (*Result, error) {
 // the counterfactuals assume) against 95th-percentile billing on a
 // bursty replay of the EU ISP tiers.
 func runExt1(opts Options) (*Result, error) {
-	ds, err := traces.EUISP(opts.Seed)
+	ds, err := opts.dataset("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func runCaptureFigure(id, model string, strategies []bundling.Strategy, opts Opt
 	tables, err := parallel.Map(context.Background(), len(names), workers,
 		func(_ context.Context, di int) (*report.Table, error) {
 			name := names[di]
-			m, err := datasetMarket(name, opts.Seed, dm, cost.Linear{Theta: defaultTheta})
+			m, err := datasetMarket(opts, name, opts.Seed, dm, cost.Linear{Theta: defaultTheta})
 			if err != nil {
 				return nil, err
 			}

@@ -74,7 +74,7 @@ func runFig2(Options) (*Result, error) {
 // overheads.
 func runFig17(opts Options) (*Result, error) {
 	const tiers = 3
-	ds, err := traces.EUISP(opts.Seed)
+	ds, err := opts.dataset("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"tieredpricing/internal/peering"
 	"tieredpricing/internal/report"
 	"tieredpricing/internal/topology"
-	"tieredpricing/internal/traces"
 )
 
 func init() {
@@ -27,7 +26,7 @@ func init() {
 // from the nearest CDN origin; destinations within the exchange's reach
 // can be served over the link instead of blended transit.
 func runExt5(opts Options) (*Result, error) {
-	ds, err := traces.CDN(opts.Seed)
+	ds, err := opts.dataset("cdn", opts.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func runExt2(opts Options) (*Result, error) {
 			"network", "blended transit", "paid peering", "backplane peering",
 			"regional pricing", "optimal 2 tiers", "optimal 3 tiers")
 		for _, name := range traces.Names() {
-			m, err := datasetMarket(name, opts.Seed, dm, cost.Linear{Theta: defaultTheta})
+			m, err := datasetMarket(opts, name, opts.Seed, dm, cost.Linear{Theta: defaultTheta})
 			if err != nil {
 				return nil, err
 			}
@@ -96,7 +96,7 @@ func runExt2(opts Options) (*Result, error) {
 // backbone buying tiered transit: tier tags make remote hand-off prices
 // visible, and the planner trades internal haul cost against them.
 func runExt3(opts Options) (*Result, error) {
-	ds, err := traces.Internet2(opts.Seed)
+	ds, err := opts.dataset("internet2", opts.Seed)
 	if err != nil {
 		return nil, err
 	}

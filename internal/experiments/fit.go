@@ -61,7 +61,7 @@ func runTable1(opts Options) (*Result, error) {
 		"internet2": traces.Internet2Targets,
 	}
 	for _, name := range traces.Names() {
-		ds, flows, pipe, err := collectedDataset(name, opts.Seed)
+		ds, flows, pipe, err := collectedDataset(opts, name, opts.Seed)
 		if err != nil {
 			return nil, err
 		}

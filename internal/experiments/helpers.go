@@ -65,8 +65,8 @@ type pipeStats struct {
 // collectedDataset builds a preset dataset and runs it through the full
 // §4.1.1 pipeline — NetFlow emission, cross-router dedup, endpoint
 // resolution — returning the recovered flows.
-func collectedDataset(name string, seed int64) (*traces.Dataset, []econ.Flow, pipeStats, error) {
-	ds, err := traces.ByName(name, seed)
+func collectedDataset(opts Options, name string, seed int64) (*traces.Dataset, []econ.Flow, pipeStats, error) {
+	ds, err := opts.dataset(name, seed)
 	if err != nil {
 		return nil, nil, pipeStats{}, err
 	}
@@ -75,18 +75,8 @@ func collectedDataset(name string, seed int64) (*traces.Dataset, []econ.Flow, pi
 		return nil, nil, pipeStats{}, err
 	}
 	c := netflow.NewCollector(traces.AggregateKey)
-	for _, stream := range streams {
-		rd := netflow.NewReader(bytes.NewReader(stream))
-		for {
-			h, recs, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, nil, pipeStats{}, err
-			}
-			c.Ingest(h, recs)
-		}
+	if err := ingestStreams(c, streams); err != nil {
+		return nil, nil, pipeStats{}, err
 	}
 	rv := &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: ds.Name == "euisp"}
 	if ds.Name == "internet2" {
@@ -147,8 +137,8 @@ func demandModel(name string) (econ.Model, error) {
 
 // datasetMarket fits the default §4.2.2 market over a preset dataset's
 // generated flows.
-func datasetMarket(name string, seed int64, dm econ.Model, cm cost.Model) (*core.Market, error) {
-	ds, err := traces.ByName(name, seed)
+func datasetMarket(opts Options, name string, seed int64, dm econ.Model, cm cost.Model) (*core.Market, error) {
+	ds, err := opts.dataset(name, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 
 	"tieredpricing/internal/parallel"
 	"tieredpricing/internal/report"
+	"tieredpricing/internal/traces"
 )
 
 // Options parameterize a run.
@@ -26,6 +27,8 @@ type Options struct {
 	// their seeds and parameters from their index, and results merge in
 	// submission order.
 	Workers int
+	// shared is RunAll's dataset source; nil generates directly.
+	shared *sync.Map
 }
 
 // workerCount resolves the Workers option; the zero value stays serial
@@ -36,6 +39,25 @@ func (o Options) workerCount() int {
 		return 1
 	}
 	return o.Workers
+}
+
+// datasetKey names one entry of a RunAll's dataset source.
+type datasetKey struct {
+	name string
+	seed int64
+}
+
+// dataset returns the named preset at seed. The experiments of one RunAll
+// share one generation per (name, seed) — concurrent askers wait on the
+// same once — so the result is read-only; a lone Run with zero Options
+// generates a fresh one.
+func (o Options) dataset(name string, seed int64) (*traces.Dataset, error) {
+	generate := func() (*traces.Dataset, error) { return traces.ByName(name, seed) }
+	if o.shared != nil {
+		once, _ := o.shared.LoadOrStore(datasetKey{name, seed}, sync.OnceValues(generate))
+		generate = once.(func() (*traces.Dataset, error))
+	}
+	return generate()
 }
 
 // Result is an experiment's output: one or more tables mirroring the
@@ -119,7 +141,8 @@ func All() []Experiment {
 // and runs them, fanning the independent experiments across
 // opts.Workers goroutines. Results come back in submission order
 // regardless of completion order, so output rendered from them is
-// byte-identical to running each experiment serially.
+// byte-identical to running each experiment serially. The experiments of
+// one call share each preset dataset they ask for (Options.dataset).
 func RunAll(opts Options, ids ...string) ([]*Result, error) {
 	var exps []Experiment
 	if len(ids) == 0 {
@@ -134,6 +157,13 @@ func RunAll(opts Options, ids ...string) ([]*Result, error) {
 			exps[i] = e
 		}
 	}
+	return runAll(opts, exps)
+}
+
+// runAll is RunAll past id resolution (tests hand it unregistered
+// experiments): it opens the call's dataset source and fans out.
+func runAll(opts Options, exps []Experiment) ([]*Result, error) {
+	opts.shared = new(sync.Map)
 	return parallel.Map(context.Background(), len(exps), opts.workerCount(),
 		func(_ context.Context, i int) (*Result, error) {
 			res, err := exps[i].Run(opts)

@@ -47,7 +47,7 @@ func runAblation5(opts Options) (*Result, error) {
 			perSeed, err := parallel.Map(context.Background(), len(seeds), workers,
 				func(_ context.Context, si int) (ablation5Cells, error) {
 					var cells ablation5Cells
-					m, err := datasetMarket(name, seeds[si], dm, cost.Linear{Theta: defaultTheta})
+					m, err := datasetMarket(opts, name, seeds[si], dm, cost.Linear{Theta: defaultTheta})
 					if err != nil {
 						return cells, err
 					}

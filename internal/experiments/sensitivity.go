@@ -88,7 +88,7 @@ func runCostSensitivity(id string, opts Options, thetas []float64,
 		// so fan out per θ and take the figure-wide normalizer afterwards.
 		markets, err := parallel.Map(context.Background(), len(thetas), workers,
 			func(_ context.Context, i int) (*core.Market, error) {
-				return datasetMarket("euisp", opts.Seed, dm, build(thetas[i]))
+				return datasetMarket(opts, "euisp", opts.Seed, dm, build(thetas[i]))
 			})
 		if err != nil {
 			return nil, err
@@ -127,7 +127,7 @@ func runCostSensitivity(id string, opts Options, thetas []float64,
 // from two different classes into the same bundle"), with θ the on-net
 // traffic fraction applied by splitting every flow (§3.3).
 func runFig13(opts Options) (*Result, error) {
-	ds, err := traces.EUISP(opts.Seed)
+	ds, err := opts.dataset("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +259,7 @@ func runFig14(opts Options) (*Result, error) {
 				} else {
 					dm = econ.Logit{Alpha: alphas[i], S0: defaultS0}
 				}
-				return datasetMarket(dataset, opts.Seed, dm, cost.Linear{Theta: defaultTheta})
+				return datasetMarket(opts, dataset, opts.Seed, dm, cost.Linear{Theta: defaultTheta})
 			})
 	}
 	if err := extremalCapture(res, "Minimum capture over α ∈ [1.1, 10] (profit-weighted)",
@@ -277,7 +277,7 @@ func runFig15(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds, err := traces.ByName(dataset, opts.Seed)
+		ds, err := opts.dataset(dataset, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +301,7 @@ func runFig16(opts Options) (*Result, error) {
 		s0s := []float64{0.1, 0.2, 0.3, 0.5, 0.7, 0.9}
 		return parallel.Map(context.Background(), len(s0s), workers,
 			func(_ context.Context, i int) (*core.Market, error) {
-				return datasetMarket(dataset, opts.Seed,
+				return datasetMarket(opts, dataset, opts.Seed,
 					econ.Logit{Alpha: defaultAlpha, S0: s0s[i]}, cost.Linear{Theta: defaultTheta})
 			})
 	}

@@ -9,7 +9,6 @@ import (
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/report"
-	"tieredpricing/internal/traces"
 )
 
 func init() {
@@ -31,7 +30,7 @@ func runExt6(opts Options) (*Result, error) {
 		declineRate = 0.30
 		tiers       = 3
 	)
-	ds, err := traces.EUISP(opts.Seed)
+	ds, err := opts.dataset("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/report"
-	"tieredpricing/internal/traces"
 )
 
 func init() {
@@ -43,11 +42,11 @@ func runExt4(opts Options) (*Result, error) {
 		t := report.New(
 			fmt.Sprintf("Profit / surplus / welfare vs tiers (optimal bundling, %s demand, EU ISP; 1.000 = blended status quo)", model),
 			"tiers", "profit", "consumer surplus", "social welfare")
-		ds, err := traces.EUISP(opts.Seed)
+		ds, err := opts.dataset("euisp", opts.Seed)
 		if err != nil {
 			return nil, err
 		}
-		m, err := datasetMarket("euisp", opts.Seed, dm, cost.Linear{Theta: defaultTheta})
+		m, err := datasetMarket(opts, "euisp", opts.Seed, dm, cost.Linear{Theta: defaultTheta})
 		if err != nil {
 			return nil, err
 		}
