@@ -1,13 +1,13 @@
 // Command docscheck is the repo's documentation lint, run by
-// `./ci.sh docs`. It enforces four invariants that otherwise rot
+// `./ci.sh docs`. It enforces five invariants that otherwise rot
 // silently:
 //
 //  1. Every relative markdown link in the repo's .md files resolves to
 //     a file or directory that exists (external URLs and pure anchors
 //     are skipped).
 //  2. README.md's repo-layout map names every cmd/ and internal/
-//     package, so a new package cannot land without an entry in the
-//     map a newcomer reads first.
+//     package, and bench/, so a new package cannot land without an
+//     entry in the map a newcomer reads first.
 //  3. Every exported Prometheus-style metric name minted in
 //     internal/server (the tierd_* families) appears in
 //     docs/OPERATIONS.md, so the operator manual cannot drift behind
@@ -16,6 +16,11 @@
 //     or docs/*.md (a `Benchmark[A-Z]…` identifier, up to any `/sub`
 //     suffix) is a func in some _test.go of the root module or of
 //     bench/, so a perf claim always names something runnable.
+//  5. Every `./ci.sh <stage>` the same documents write is a stage
+//     ci.sh's dispatch accepts, and every cmd/<name> or internal/<name>
+//     path they write is a directory that exists, so a deleted stage or
+//     package cannot live on in prose. (CHANGES.md and ROADMAP.md are
+//     history and exempt.)
 //
 // Violations are listed one per line on stderr; any violation exits 1.
 package main
@@ -67,24 +72,15 @@ func check(root string) ([]string, error) {
 		violations = append(violations, v...)
 	}
 
-	v, err := checkLayoutMap(root)
-	if err != nil {
-		return nil, err
+	for _, lint := range []func(string) ([]string, error){
+		checkLayoutMap, checkMetricsDocumented, checkBenchmarksExist, checkCitedPathsExist,
+	} {
+		v, err := lint(root)
+		if err != nil {
+			return nil, err
+		}
+		violations = append(violations, v...)
 	}
-	violations = append(violations, v...)
-
-	v, err = checkMetricsDocumented(root)
-	if err != nil {
-		return nil, err
-	}
-	violations = append(violations, v...)
-
-	v, err = checkBenchmarksExist(root)
-	if err != nil {
-		return nil, err
-	}
-	violations = append(violations, v...)
-
 	return violations, nil
 }
 
@@ -175,24 +171,30 @@ func goPackages(root, dir string) ([]string, error) {
 }
 
 // checkLayoutMap verifies README.md mentions every cmd/ and internal/
-// package by its path.
+// package by its path, and bench/ when the benchmark module is there.
 func checkLayoutMap(root string) ([]string, error) {
 	b, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
 		return nil, err
 	}
 	readme := string(b)
-	var violations []string
+	var pkgs []string
 	for _, dir := range []string{"cmd", "internal"} {
-		pkgs, err := goPackages(root, dir)
+		p, err := goPackages(root, dir)
 		if err != nil {
 			return nil, err
 		}
-		for _, pkg := range pkgs {
-			if !strings.Contains(readme, pkg) {
-				violations = append(violations,
-					fmt.Sprintf("README.md: repo-layout map does not mention %s", pkg))
-			}
+		pkgs = append(pkgs, p...)
+	}
+	// The benchmark is a module of its own beside them.
+	if _, err := os.Stat(filepath.Join(root, "bench", "go.mod")); err == nil {
+		pkgs = append(pkgs, "bench/")
+	}
+	var violations []string
+	for _, pkg := range pkgs {
+		if !strings.Contains(readme, pkg) {
+			violations = append(violations,
+				fmt.Sprintf("README.md: repo-layout map does not mention %s", pkg))
 		}
 	}
 	return violations, nil
@@ -285,32 +287,113 @@ func checkBenchmarksExist(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	var violations []string
+	err = eachCurrentDoc(root, func(rel, text string) {
+		for _, name := range uniqueMatches(benchCiteRE, text) {
+			if !declared[name] {
+				violations = append(violations,
+					fmt.Sprintf("%s: cites %s, which no _test.go declares", rel, name))
+			}
+		}
+	})
+	return violations, err
+}
+
+// eachCurrentDoc calls fn with the root-relative name and the text of
+// every document that describes the tree as it is — README.md, DESIGN.md,
+// EXPERIMENTS.md and docs/*.md, in sorted order, skipping any that do
+// not exist.
+func eachCurrentDoc(root string, fn func(rel, text string)) error {
 	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		docs = append(docs, filepath.Join(root, name))
 	}
 	sort.Strings(docs)
-	var violations []string
 	for _, doc := range docs {
 		b, err := os.ReadFile(doc)
 		if os.IsNotExist(err) {
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rel, _ := filepath.Rel(root, doc)
-		cited := benchCiteRE.FindAllString(string(b), -1)
-		sort.Strings(cited)
-		for i, name := range cited {
-			if !declared[name] && (i == 0 || cited[i-1] != name) {
-				violations = append(violations,
-					fmt.Sprintf("%s: cites %s, which no _test.go declares", rel, name))
-			}
+		fn(rel, string(b))
+	}
+	return nil
+}
+
+// uniqueMatches returns re's capture group (the whole match when re has
+// none) for every match in text, sorted, each once.
+func uniqueMatches(re *regexp.Regexp, text string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, m := range re.FindAllStringSubmatch(text, -1) {
+		s := m[len(m)-1]
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
 		}
 	}
-	return violations, nil
+	sort.Strings(out)
+	return out
+}
+
+// stageCiteRE matches a ci.sh stage as the documents invoke it, pkgCiteRE
+// a cmd/ or internal/ package path.
+var (
+	stageCiteRE = regexp.MustCompile(`\./ci\.sh[ \t]+([a-z][a-z0-9-]*)`)
+	pkgCiteRE   = regexp.MustCompile(`\b(?:cmd|internal)/[a-z][a-z0-9_]*`)
+)
+
+// ciStages lists the stage names ci.sh dispatches: the alternatives of
+// the arms (`recover | tenants)`) between `case "${1:-}" in` and its
+// `esac`. No ci.sh, or no such case, means no stages.
+func ciStages(root string) (map[string]bool, error) {
+	b, err := os.ReadFile(filepath.Join(root, "ci.sh"))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	_, dispatch, _ := strings.Cut(string(b), `case "${1:-}" in`)
+	dispatch, _, _ = strings.Cut(dispatch, "esac")
+	stages := map[string]bool{}
+	for _, line := range strings.Split(dispatch, "\n") {
+		arm, ok := strings.CutSuffix(strings.TrimSpace(line), ")")
+		if !ok {
+			continue
+		}
+		for _, name := range strings.Split(arm, "|") {
+			stages[strings.TrimSpace(name)] = true
+		}
+	}
+	return stages, nil
+}
+
+// checkCitedPathsExist requires every `./ci.sh <stage>` the current
+// documents write to be a stage ci.sh dispatches, and every cmd/<name>
+// or internal/<name> path to be a directory under root.
+func checkCitedPathsExist(root string) ([]string, error) {
+	stages, err := ciStages(root)
+	if err != nil {
+		return nil, err
+	}
+	var violations []string
+	err = eachCurrentDoc(root, func(rel, text string) {
+		for _, stage := range uniqueMatches(stageCiteRE, text) {
+			if !stages[stage] {
+				violations = append(violations,
+					fmt.Sprintf("%s: cites ./ci.sh %s, which ci.sh does not dispatch", rel, stage))
+			}
+		}
+		for _, pkg := range uniqueMatches(pkgCiteRE, text) {
+			if fi, err := os.Stat(filepath.Join(root, pkg)); err != nil || !fi.IsDir() {
+				violations = append(violations,
+					fmt.Sprintf("%s: cites %s, which is not a directory", rel, pkg))
+			}
+		}
+	})
+	return violations, err
 }

@@ -23,11 +23,30 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return root
 }
 
+// ciFixture dispatches two stages; its second case is not the dispatch.
+const ciFixture = `docs() { :; }
+case "${1:-}" in
+"") ;;
+recover | docs)
+    "$1"
+    ;;
+*)
+    exit 2
+    ;;
+esac
+case "$x" in
+later)
+    ;;
+esac
+`
+
 // healthyTree is a minimal repo that passes every lint.
 func healthyTree() map[string]string {
 	return map[string]string{
 		"README.md": "see [docs/API.md](docs/API.md) and [ops](docs/OPERATIONS.md)\n" +
-			"layout: cmd/tierd internal/server\n",
+			"layout: cmd/tierd internal/server\n" +
+			"gate: `./ci.sh` runs everything, `./ci.sh docs` the lint alone\n",
+		"ci.sh":              ciFixture,
 		"docs/API.md":        "back to [README](../README.md#layout)\n",
 		"docs/OPERATIONS.md": "metrics: tierd_quote_requests_total\n",
 		"cmd/tierd/main.go":  "package main\n",
@@ -71,6 +90,16 @@ func TestDocscheckLayoutMapGap(t *testing.T) {
 	if len(v) != 1 || !strings.Contains(v[0], "internal/newpkg") {
 		t.Fatalf("undocumented package not flagged: %v", v)
 	}
+	// The benchmark module is an entry like any command.
+	files["bench/go.mod"] = "module tieredpricing/bench\n"
+	v, err = check(writeTree(t, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 2 || !strings.Contains(v[1], "bench/") {
+		t.Fatalf("benchmark module missing from the map not flagged: %v", v)
+	}
+	delete(files, "bench/go.mod")
 	// A directory without Go files (e.g. docs assets) is not a package.
 	files["internal/newpkg/x.go"] = ""
 	delete(files, "internal/newpkg/x.go")
@@ -119,5 +148,23 @@ func TestDocscheckCitedBenchmarkMissing(t *testing.T) {
 	if len(v) != 1 || !strings.Contains(v[0], "docs/API.md") || !strings.Contains(v[0], "BenchmarkGone") {
 		t.Fatalf("want one violation for BenchmarkGone in docs/API.md (sub-benchmark suffixes, the bench/ module "+
 			"and repeats must not add more): %v", v)
+	}
+}
+
+func TestDocscheckCitedStageOrPackageMissing(t *testing.T) {
+	files := healthyTree()
+	files["DESIGN.md"] = "`./ci.sh recover` and `SEED=1 ./ci.sh docs` exist; `./ci.sh later` is another case, not the dispatch\n"
+	files["docs/OPERATIONS.md"] += "run `./ci.sh retired`, built from cmd/retired and internal/server/metrics.go; again ./ci.sh retired\n"
+	files["cmd/retired"] = "a file, not a package directory\n"
+	files["CHANGES.md"] = "history may name ./ci.sh gone and internal/gone\n"
+	v, err := check(writeTree(t, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 3 || !strings.Contains(v[0], "DESIGN.md: cites ./ci.sh later") ||
+		!strings.Contains(v[1], "docs/OPERATIONS.md: cites ./ci.sh retired") ||
+		!strings.Contains(v[2], "docs/OPERATIONS.md: cites cmd/retired") {
+		t.Fatalf("want the undispatched stages and the missing package flagged once each, "+
+			"and CHANGES.md exempt: %v", v)
 	}
 }

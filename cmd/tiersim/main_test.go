@@ -36,7 +36,10 @@ func TestRunUnknownExperiment(t *testing.T) {
 //	for s in 1 2 3; do go run ./cmd/tiersim -seed $s run all | sha256sum; done
 //
 // and says in its PR which tables moved and why; any other change must
-// leave them alone.
+// leave them alone. docs/results-seed1.txt is the seed-1 run as a file
+// and is held to the same digest; a change that moves it also runs
+//
+//	go run ./cmd/tiersim -seed 1 run all > docs/results-seed1.txt
 var evaluationDigests = map[int64]string{
 	1: "2e503472c48f752cbb3a8eac48e95b588ce0b3eff6953d4a718ec62167fdf3ad",
 	2: "19c11ac977142c6c81d60c7fecfbd7833be94ec647d2fa658a45341de380256c",
@@ -48,6 +51,15 @@ var evaluationDigests = map[int64]string{
 func TestEvaluationBytesPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation ×3 seeds ×2 widths")
+	}
+	captured, err := os.ReadFile(filepath.Join("..", "..", "docs", "results-seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256.Sum256(captured); hex.EncodeToString(got[:]) != evaluationDigests[1] {
+		t.Errorf("docs/results-seed1.txt: sha256 %x, pinned %s — the captured run is not what "+
+			"`tiersim -seed 1 run all` prints; regenerate it as evaluationDigests' comment describes",
+			got, evaluationDigests[1])
 	}
 	for seed, want := range evaluationDigests {
 		for _, workers := range []int{1, runtime.NumCPU()} {

@@ -1,6 +1,6 @@
 // Package buildinfo identifies the running binary — VCS revision and
-// Go toolchain — so SLO reports, BENCH rows, and health probes can
-// attribute results to a build. It reads what the Go linker already
+// Go toolchain — so -version, health probes and /metrics can
+// attribute what they report to a build. It reads what the Go linker already
 // embeds (runtime/debug.ReadBuildInfo), so no ldflags plumbing is
 // needed; a binary built outside a git checkout reports "unknown".
 package buildinfo

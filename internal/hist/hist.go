@@ -1,92 +1,68 @@
 // Package hist is an HDR-style latency histogram: fixed-size,
 // allocation-free recording of non-negative int64 values (nanoseconds,
 // by convention) into logarithmic buckets with a bounded relative
-// error, plus exact-rank quantile extraction and lossless merging.
+// error, plus exact-rank quantile extraction.
 //
 // The bucket geometry follows the High Dynamic Range histogram design:
 // values below 2^precision land in exact unit buckets; above that, each
 // power-of-two range is split into 2^precision sub-buckets, so every
 // recorded value is reproduced to within a relative error of
-// 2^-precision (≈1.6% at the default precision of 6). The bucket count
-// is a function of precision alone — about (64-p+1)·2^p buckets — so a
-// histogram covering the full int64 range at default precision is ~37 KiB
+// 2^-precision (≈1.6% at the precision of 6 used here). Covering the
+// full int64 range takes (64-p)·2^p buckets, so a histogram is ~29 KiB
 // and recording is two array index computations, never an allocation.
 //
-// Histograms are NOT safe for concurrent use; the intended pattern for
-// multi-goroutine recording (the load generator's worker pool) is one
-// histogram per goroutine merged at the end, which Merge makes lossless
-// because all histograms at equal precision share one geometry.
+// Histograms are NOT safe for concurrent use: the one caller, the WAL's
+// fsync summary (wal.Stats), records and reads under its own mutex.
 package hist
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
 
-// DefaultPrecision is the sub-bucket resolution exponent: values are
-// resolved to 2^-6 ≈ 1.6% relative error.
-const DefaultPrecision = 6
-
-// Histogram records int64 values into fixed logarithmic buckets.
-type Histogram struct {
-	precision uint // sub-bucket bits
-	counts    []uint64
-	total     uint64
-	sum       float64 // exact running sum of recorded values
-	min, max  int64   // exact extremes; valid when total > 0
-}
-
-// New returns a histogram at DefaultPrecision.
-func New() *Histogram {
-	h, err := NewWithPrecision(DefaultPrecision)
-	if err != nil {
-		panic(err) // static argument; unreachable
-	}
-	return h
-}
-
-// NewWithPrecision returns a histogram resolving values to within a
-// relative error of 2^-precision. Precision must be in [1, 20]; higher
-// costs exponentially more memory (2^p sub-buckets per octave).
-func NewWithPrecision(precision uint) (*Histogram, error) {
-	if precision < 1 || precision > 20 {
-		return nil, fmt.Errorf("hist: precision %d outside [1, 20]", precision)
-	}
-	return &Histogram{
-		precision: precision,
-		counts:    make([]uint64, bucketCount(precision)),
-	}, nil
-}
+// precision is the sub-bucket resolution exponent: values are resolved
+// to 2^-6 ≈ 1.6% relative error.
+const precision = 6
 
 // bucketCount is the number of buckets the geometry needs to cover
 // [0, MaxInt64]: 2^p exact unit buckets plus 2^p sub-buckets for each of
 // the (63-p) remaining octaves.
-func bucketCount(p uint) int {
-	return (1 << p) + int(63-p)<<p
+const bucketCount = 1<<precision + (63-precision)<<precision
+
+// Histogram records int64 values into fixed logarithmic buckets.
+type Histogram struct {
+	counts   []uint64
+	total    uint64
+	sum      float64 // running sum of recorded values
+	min, max int64   // exact extremes; valid when total > 0
+}
+
+// New returns an empty histogram.
+func New() *Histogram {
+	return &Histogram{counts: make([]uint64, bucketCount)}
 }
 
 // bucketIndex maps a non-negative value to its bucket.
-func (h *Histogram) bucketIndex(v int64) int {
-	if v < int64(1)<<h.precision {
+func bucketIndex(v int64) int {
+	if v < 1<<precision {
 		return int(v)
 	}
 	// v ∈ [2^exp, 2^(exp+1)): keep the top precision bits after the
 	// leading one as the sub-bucket.
 	exp := uint(bits.Len64(uint64(v))) - 1
-	sub := int(v>>(exp-h.precision)) - 1<<h.precision
-	return 1<<h.precision + int(exp-h.precision)<<h.precision + sub
+	sub := int(v>>(exp-precision)) - 1<<precision
+	return 1<<precision + int(exp-precision)<<precision + sub
 }
 
 // bucketUpper is the largest value that maps into bucket i; quantiles
 // report it so they never understate a latency.
-func (h *Histogram) bucketUpper(i int) int64 {
-	if i < 1<<h.precision {
+func bucketUpper(i int) int64 {
+	if i < 1<<precision {
 		return int64(i)
 	}
-	i -= 1 << h.precision
-	octave := uint(i >> h.precision)
-	sub := int64(i&(1<<h.precision-1)) + 1<<h.precision
+	i -= 1 << precision
+	octave := uint(i >> precision)
+	sub := int64(i&(1<<precision-1)) + 1<<precision
 	return (sub+1)<<octave - 1
 }
 
@@ -102,21 +78,13 @@ func (h *Histogram) Record(v int64) {
 	if h.total == 0 || v > h.max {
 		h.max = v
 	}
-	h.counts[h.bucketIndex(v)]++
+	h.counts[bucketIndex(v)]++
 	h.total++
 	h.sum += float64(v)
 }
 
 // Count is the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.total }
-
-// Min is the smallest recorded value, exact; 0 when empty.
-func (h *Histogram) Min() int64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
 
 // Max is the largest recorded value, exact; 0 when empty.
 func (h *Histogram) Max() int64 {
@@ -126,13 +94,9 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Mean is the exact arithmetic mean of recorded values; 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
+// Sum is the sum of recorded values (after clamping), exact while it
+// stays below 2^53; 0 when empty.
+func (h *Histogram) Sum() float64 { return h.sum }
 
 // Quantile returns the q-quantile (q in [0,1]) under the nearest-rank
 // definition: the smallest recorded value v such that at least ⌈q·n⌉
@@ -158,7 +122,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			v := h.bucketUpper(i)
+			v := bucketUpper(i)
 			// The top bucket's upper bound can overshoot the true max.
 			if v > h.max {
 				v = h.max
@@ -170,40 +134,4 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max // unreachable: cum reaches total
-}
-
-// Merge adds other's observations into h, losslessly (equal precision
-// means identical bucket geometry). Both histograms may keep recording
-// afterwards; other is not modified.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if h.precision != other.precision {
-		return fmt.Errorf("hist: cannot merge precision %d into %d", other.precision, h.precision)
-	}
-	if other.total == 0 {
-		return nil
-	}
-	if h.total == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if h.total == 0 || other.max > h.max {
-		h.max = other.max
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	return nil
-}
-
-// Reset clears every observation, keeping the allocated buckets.
-func (h *Histogram) Reset() {
-	clear(h.counts)
-	h.total = 0
-	h.sum = 0
-	h.min = 0
-	h.max = 0
 }

@@ -25,6 +25,19 @@ func refQuantile(vs []int64, q float64) int64 {
 	return sorted[rank-1]
 }
 
+// refSum is the integer sum of vs as a float64, and whether that is
+// exact (no int64 overflow, below 2^53).
+func refSum(vs []int64) (float64, bool) {
+	var sum int64
+	for _, v := range vs {
+		if sum > 1<<53-v {
+			return 0, false
+		}
+		sum += v
+	}
+	return float64(sum), true
+}
+
 func recordAll(t testing.TB, vs []int64) *Histogram {
 	t.Helper()
 	h := New()
@@ -63,11 +76,11 @@ func TestQuantileExactSmallValues(t *testing.T) {
 					t.Errorf("q=%g: got %d, want %d", q, got, want)
 				}
 			}
-			if got, want := h.Min(), refQuantile(tc.vs, 0); got != want {
-				t.Errorf("min %d, want %d", got, want)
-			}
 			if got, want := h.Max(), refQuantile(tc.vs, 1); got != want {
 				t.Errorf("max %d, want %d", got, want)
+			}
+			if want, ok := refSum(tc.vs); !ok || h.Sum() != want {
+				t.Errorf("sum %v, want %v", h.Sum(), want)
 			}
 		})
 	}
@@ -95,7 +108,7 @@ func TestQuantileLongTail(t *testing.T) {
 		{"powers-of-two", []int64{1 << 10, 1 << 20, 1 << 30, 1 << 40, 1 << 50}},
 		{"huge", []int64{math.MaxInt64, math.MaxInt64 - 1, 1}},
 	}
-	relErr := math.Pow(2, -DefaultPrecision)
+	relErr := math.Pow(2, -precision)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := recordAll(t, tc.vs)
@@ -108,6 +121,10 @@ func TestQuantileLongTail(t *testing.T) {
 					t.Errorf("q=%g: got %d exceeds exact %d beyond %.1f%% relative error",
 						q, got, want, relErr*100)
 				}
+			}
+			// Sum is not bucketed: exact wherever a float64 holds the integer.
+			if want, ok := refSum(tc.vs); ok && h.Sum() != want {
+				t.Errorf("sum %v, want exactly %v", h.Sum(), want)
 			}
 		})
 	}
@@ -133,135 +150,30 @@ func TestQuantilesMonotone(t *testing.T) {
 
 func TestEmptyAndNegative(t *testing.T) {
 	h := New()
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Sum() != 0 {
 		t.Error("empty histogram must report zeros")
 	}
 	h.Record(-5) // clamped to 0
-	if h.Quantile(1) != 0 || h.Min() != 0 {
-		t.Errorf("negative record not clamped: max %d min %d", h.Quantile(1), h.Min())
-	}
-}
-
-func TestMean(t *testing.T) {
-	h := recordAll(t, []int64{1, 2, 3, 4})
-	if h.Mean() != 2.5 {
-		t.Errorf("mean %g, want 2.5", h.Mean())
-	}
-}
-
-// equalHist compares two histograms observation-for-observation: same
-// geometry means identical counts arrays imply identical quantiles.
-func equalHist(a, b *Histogram) bool {
-	if a.total != b.total || a.sum != b.sum || a.Min() != b.Min() || a.Max() != b.Max() {
-		return false
-	}
-	for i := range a.counts {
-		if a.counts[i] != b.counts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestMergeAssociativity: for random sample sets A, B, C, merging
-// (A⊕B)⊕C and A⊕(B⊕C) must produce identical histograms, and both must
-// equal recording the concatenation directly.
-func TestMergeAssociativity(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		sets := make([][]int64, 3)
-		var all []int64
-		for i := range sets {
-			n := 1 + r.Intn(200)
-			sets[i] = make([]int64, n)
-			for j := range sets[i] {
-				sets[i][j] = int64(math.Exp(r.Float64() * 25))
-				all = append(all, sets[i][j])
-			}
-		}
-		hA, hB, hC := recordAll(t, sets[0]), recordAll(t, sets[1]), recordAll(t, sets[2])
-
-		left := New() // (A⊕B)⊕C
-		for _, h := range []*Histogram{hA, hB, hC} {
-			if err := left.Merge(h); err != nil {
-				t.Fatal(err)
-			}
-		}
-		bc := New() // A⊕(B⊕C)
-		if err := bc.Merge(hB); err != nil {
-			t.Fatal(err)
-		}
-		if err := bc.Merge(hC); err != nil {
-			t.Fatal(err)
-		}
-		right := New()
-		if err := right.Merge(hA); err != nil {
-			t.Fatal(err)
-		}
-		if err := right.Merge(bc); err != nil {
-			t.Fatal(err)
-		}
-
-		if !equalHist(left, right) {
-			t.Fatalf("seed %d: merge is not associative", seed)
-		}
-		direct := recordAll(t, all)
-		if !equalHist(left, direct) {
-			t.Fatalf("seed %d: merge diverges from direct recording", seed)
-		}
-	}
-}
-
-func TestMergeErrors(t *testing.T) {
-	a := New()
-	b, err := NewWithPrecision(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(b); err == nil {
-		t.Error("merging mismatched precisions must fail")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("merging nil: %v", err)
-	}
-}
-
-func TestNewWithPrecisionValidation(t *testing.T) {
-	for _, p := range []uint{0, 21, 64} {
-		if _, err := NewWithPrecision(p); err == nil {
-			t.Errorf("precision %d accepted", p)
-		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := recordAll(t, []int64{5, 10, 1 << 40})
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(0.99) != 0 {
-		t.Error("reset did not clear observations")
-	}
-	h.Record(3)
-	if h.Quantile(1) != 3 {
-		t.Error("histogram unusable after reset")
+	if h.Count() != 1 || h.Quantile(0) != 0 || h.Max() != 0 || h.Sum() != 0 {
+		t.Errorf("negative record not clamped: min %d max %d sum %v", h.Quantile(0), h.Max(), h.Sum())
 	}
 }
 
 // TestBucketGeometry pins the index/upper-bound round trip: every value's
 // bucket upper bound is ≥ the value and within the relative error bound.
 func TestBucketGeometry(t *testing.T) {
-	h := New()
-	relErr := math.Pow(2, -DefaultPrecision)
+	relErr := math.Pow(2, -precision)
 	r := rand.New(rand.NewSource(3))
 	probe := []int64{0, 1, 63, 64, 65, 127, 128, 129, 1<<20 - 1, 1 << 20, math.MaxInt64}
 	for i := 0; i < 10_000; i++ {
 		probe = append(probe, r.Int63())
 	}
 	for _, v := range probe {
-		i := h.bucketIndex(v)
-		if i < 0 || i >= len(h.counts) {
-			t.Fatalf("value %d: bucket %d out of range [0, %d)", v, i, len(h.counts))
+		i := bucketIndex(v)
+		if i < 0 || i >= bucketCount {
+			t.Fatalf("value %d: bucket %d out of range [0, %d)", v, i, bucketCount)
 		}
-		up := h.bucketUpper(i)
+		up := bucketUpper(i)
 		if up < v {
 			t.Fatalf("value %d: bucket upper %d understates it", v, up)
 		}

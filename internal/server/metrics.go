@@ -115,8 +115,8 @@ type Metrics struct {
 	// tenant's token bucket (always zero when no quota is configured).
 	QuoteRateLimited Counter
 	// QuoteSeconds is the server-side quote latency — request arrival to
-	// response written — the daemon-side complement of the load
-	// generator's client-observed histogram.
+	// response written — the daemon-side complement of the latency a
+	// client observes (bench/'s quote_p50_us).
 	QuoteSeconds *Histogram
 
 	Reprices Counter

@@ -335,8 +335,8 @@ func benchIngestRecord(n uint64, j int) netflow.Record {
 }
 
 // BenchmarkShardedWindowIngest measures parallel datagram ingest into
-// the window layer at several shard counts — the shard-scaling curve
-// ./ci.sh ingest records and gates on.
+// the window layer at several shard counts — the shard-scaling curve.
+// It is run by hand: no gate or bench/ stage measures shards > 1 yet.
 func BenchmarkShardedWindowIngest(b *testing.B) {
 	for _, shards := range ingestBenchShardCounts() {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

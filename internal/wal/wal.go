@@ -466,7 +466,7 @@ func (l *Log) Stats() Stats {
 		s.FsyncP50Ns = l.fsyncNs.Quantile(0.50)
 		s.FsyncP99Ns = l.fsyncNs.Quantile(0.99)
 		s.FsyncMaxNs = l.fsyncNs.Max()
-		s.FsyncSumNs = l.fsyncNs.Mean() * float64(l.fsyncNs.Count())
+		s.FsyncSumNs = l.fsyncNs.Sum()
 	}
 	return s
 }

@@ -593,6 +593,9 @@ func TestStatsAndPos(t *testing.T) {
 	if s.FsyncP99Ns <= 0 || s.FsyncSumNs <= 0 {
 		t.Errorf("fsync latency summary empty: %+v", s)
 	}
+	if s.FsyncP50Ns > s.FsyncP99Ns || s.FsyncP99Ns > s.FsyncMaxNs || float64(s.FsyncMaxNs) > s.FsyncSumNs {
+		t.Errorf("fsync latency summary out of order (want p50 ≤ p99 ≤ max ≤ sum): %+v", s)
+	}
 	pos := l.Pos()
 	if pos.Segment != 1 || pos.Offset != int64(s.Bytes) {
 		t.Errorf("pos = %+v, stats bytes %d", pos, s.Bytes)
