@@ -46,9 +46,11 @@
 # BENCHMARK.json) is the repository's one benchmark.
 #
 # Gate steps, in order (each must pass):
-#   1. go vet        — static analysis across every package
-#   2. go build      — the full module compiles, commands included
-#   3. bench module  — go vet + go test inside bench/: the repository
+#   1. gofmt         — `gofmt -l .` lists nothing (it prints the files
+#                      that need formatting and fails otherwise)
+#   2. go vet        — static analysis across every package
+#   3. go build      — the full module compiles, commands included
+#   4. bench module  — go vet + go test inside bench/: the repository
 #                      benchmark is a module of its own that the root
 #                      build never compiles, and its smoke test drives
 #                      both workloads against real tierd/tiersim with
@@ -56,30 +58,32 @@
 #                      removal bench/layers depends on or a broken
 #                      daemon fails here, not in the next benchmark run.
 #                      Writes only .bench_build/ and bench/out/.
-#   4. go test -race — the whole test suite under the race detector,
+#   5. go test -race — the whole test suite under the race detector,
 #                      covering the parallel experiment engine, the
 #                      concurrent NetFlow collector, the sliding-window
 #                      repricer (including the failure-path snapshot
 #                      retention tests that hammer Quote against
 #                      injected reprice failures), and the registry
-#   5. chaos stage   — the tierd fault-injection e2e re-run explicitly
+#   6. chaos stage   — the tierd fault-injection e2e re-run explicitly
 #                      at a pinned seed (CHAOS_SEED, default 4242), so
 #                      the fault schedule the gate certifies is the one
 #                      a failure replays locally
-#   6. recover stage — crash-recovery parity (in-process fault matrix +
+#   7. recover stage — crash-recovery parity (in-process fault matrix +
 #                      out-of-process kill -9) replayed at every pinned
 #                      seed in RECOVER_SEEDS
-#   7. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
-#   8. history stage — the durable-history + hot-reload gate (see
+#   8. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
+#   9. history stage — the durable-history + hot-reload gate (see
 #                      ./ci.sh history)
-#   9. docs stage    — the documentation lint (see ./ci.sh docs)
-#  10. benchmarks    — every benchmark compiles and runs one iteration
+#  10. docs stage    — the documentation lint (see ./ci.sh docs)
+#  11. benchmarks    — every benchmark compiles and runs one iteration
 #                      (catches bit-rotted benchmark code without paying
 #                      for a timed run)
-#  11. fuzz smoke    — every netflow/bgp fuzz target, framelog's
+#  12. fuzz smoke    — every netflow/bgp fuzz target, framelog's
 #                      FuzzScan (the one frame decoder under the WAL and
-#                      the history store) and stream's FuzzPackedKey (the
-#                      dedup key's packed form), actually fuzzes for a short
+#                      the history store), stream's FuzzPackedKey (the
+#                      dedup key's packed form) and bundling's
+#                      FuzzFixedPow (the CED block value's power kernel
+#                      against math.Pow), actually fuzzes for a short
 #                      budget (FUZZTIME, default 10s each), not just
 #                      replays its seed corpus
 set -eu
@@ -143,6 +147,8 @@ fuzz_smoke() {
     go test -run='^$' -fuzz='^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/framelog
     echo "==> fuzz FuzzPackedKey (internal/stream, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzPackedKey$' -fuzztime="$FUZZTIME" ./internal/stream
+    echo "==> fuzz FuzzFixedPow (internal/bundling, ${FUZZTIME})"
+    go test -run='^$' -fuzz='^FuzzFixedPow$' -fuzztime="$FUZZTIME" ./internal/bundling
 }
 
 case "${1:-}" in
@@ -158,6 +164,14 @@ recover | tenants | history | docs)
 esac
 
 FUZZTIME="${FUZZTIME:-10s}"
+
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "ci.sh: gofmt -w these files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...

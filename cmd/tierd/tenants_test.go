@@ -206,8 +206,8 @@ func TestTenantParityKill9(t *testing.T) {
 	}
 
 	type proc struct {
-		cmd        *exec.Cmd
-		http, udp  string
+		cmd       *exec.Cmd
+		http, udp string
 	}
 	var alive []*proc
 	t.Cleanup(func() {

@@ -211,7 +211,9 @@ func logitBlockValue(flows []econ.Flow, order []int, alpha float64) optimize.Blo
 // parentCEDBlockValue and parentLogitBlockValue are the block values as
 // commit 5b4241b computed them, before the objective was factored into
 // weights and a block term. The daemon's tier tables are the DP's argmax
-// over these, so the prefix-sum view must reproduce every bit.
+// over these: the logit view must reproduce every bit, the CED view —
+// whose power is fixedPow's, not math.Pow's — every cut
+// (TestCEDKernelKeepsPartitions) and every value to 2·10⁻¹⁵.
 func parentCEDBlockValue(flows []econ.Flow, order []int, alpha float64) optimize.BlockValue {
 	n := len(order)
 	prefV := make([]float64, n+1)
@@ -265,23 +267,33 @@ func TestPrefixSumViewBitIdenticalToParent(t *testing.T) {
 	for _, c := range []struct {
 		model       econ.Model
 		got, parent func([]econ.Flow, []int, float64) optimize.BlockValue
-		alpha       float64
+		alpha, tol  float64
 	}{
-		{econ.CED{Alpha: 1.1}, cedBlockValue, parentCEDBlockValue, 1.1},
-		{econ.Logit{Alpha: 1.1, S0: 0.2}, logitBlockValue, parentLogitBlockValue, 1.1},
+		{econ.CED{Alpha: 1.1}, cedBlockValue, parentCEDBlockValue, 1.1, 2e-15},
+		{econ.Logit{Alpha: 1.1, S0: 0.2}, logitBlockValue, parentLogitBlockValue, 1.1, 0},
 	} {
 		flows := fitFlows(t, c.model, n, 200, 20)
 		flows[17].Cost = 0 // the cap path
 		flows[60].Valuation -= 2000
 		order := costOrder(flows)
 		got, want := c.got(flows, order, c.alpha), c.parent(flows, order, c.alpha)
+		capped := 0
 		for lo := 0; lo < n; lo++ {
 			for hi := lo + 1; hi <= n; hi++ {
-				if g, w := got(lo, hi), want(lo, hi); math.Float64bits(g) != math.Float64bits(w) {
+				g, w := got(lo, hi), want(lo, hi)
+				atCap := w == math.MaxFloat64/(n+1)
+				if atCap {
+					capped++
+				}
+				// A capped block is the cap itself, whatever the tolerance.
+				if math.Float64bits(g) != math.Float64bits(w) && (atCap || !(math.Abs(g-w) <= c.tol*w)) {
 					t.Fatalf("%s block [%d,%d): %v (%#x), parent %v (%#x)", c.model.Name(), lo, hi,
 						g, math.Float64bits(g), w, math.Float64bits(w))
 				}
 			}
+		}
+		if _, ced := c.model.(econ.CED); ced && capped == 0 {
+			t.Fatal("no block of the CED market reached the cap")
 		}
 	}
 }

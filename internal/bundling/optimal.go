@@ -155,7 +155,7 @@ func objective(flows []econ.Flow, model econ.Model) ([]float64, blockTerm, error
 		// during comparisons of candidate splits). Cap block values so a
 		// zero-cost block is maximally attractive but sums of n+1 of them
 		// stay finite and ordered.
-		return w, cedTerm{m.Alpha, math.Pow(m.Alpha/(m.Alpha-1), -m.Alpha) / (m.Alpha - 1),
+		return w, cedTerm{fixedPowFor(1 - m.Alpha), math.Pow(m.Alpha/(m.Alpha-1), -m.Alpha) / (m.Alpha - 1),
 			math.MaxFloat64 / float64(len(flows)+1)}, nil
 	case econ.Logit:
 		// Valuations are shifted by their maximum before exponentiation;
@@ -191,11 +191,14 @@ func prefixSums(flows []econ.Flow, order []int, w []float64) (prefW, prefCW []fl
 // optimal-price profit is k(α)·V·C^{1−α} with V = Σv^α and C = Σc·v^α / V.
 // The constant k(α) is shared by all blocks and only scales the objective
 // by a positive factor, but is included so the total equals real profit.
-type cedTerm struct{ alpha, k, max float64 }
+type cedTerm struct {
+	pow    *fixedPow // C ↦ C^{1−α}
+	k, max float64
+}
 
 func (t cedTerm) g(v, cv float64) float64 {
 	c := cv / v
-	val := t.k * v * math.Pow(c, 1-t.alpha)
+	val := t.k * v * t.pow.pow(c)
 	if val > t.max || math.IsNaN(val) {
 		return t.max
 	}

@@ -31,9 +31,9 @@ type Sink struct {
 	dupSite   *Site
 	truncSite *Site
 
-	dropped   atomic.Uint64
-	duplicated  atomic.Uint64
-	truncated atomic.Uint64
+	dropped    atomic.Uint64
+	duplicated atomic.Uint64
+	truncated  atomic.Uint64
 }
 
 var _ netflow.Sink = (*Sink)(nil)

@@ -122,9 +122,17 @@ func (a *Aggregate) MergeSample(b Aggregate) {
 // the canonical minimum endpoint sample, sorted by key. Every per-key
 // operation commutes, so the result is independent of the order parts
 // are added in. The zero value is ready to use.
+//
+// A merge that is Reset and filled again — a window's, once per re-price
+// — keeps the keys, their positions and their order from the last round,
+// so a round costs a map probe per part, a sort of the keys it had not
+// seen, and a rebuild only when a key it knew got no part.
 type AggregateMerge struct {
 	aggs  []Aggregate
+	round []uint32         // round[i]: the round that last added to aggs[i]
 	index map[string]int32 // key → position in aggs
+	order []int32          // positions of aggs[:len(order)] in key order
+	now   uint32           // the current round; Reset starts the next
 }
 
 // Grow pre-sizes the merge to hold about n distinct keys in total.
@@ -135,10 +143,20 @@ func (m *AggregateMerge) Grow(n int) {
 	m.aggs = slices.Grow(m.aggs, max(0, n-len(m.aggs)))
 }
 
+// Reset forgets every sum and sample, and nothing else: the next round
+// of Adds starts each key from its first part again.
+func (m *AggregateMerge) Reset() { m.now++ }
+
 // Add folds one partial aggregate in.
 func (m *AggregateMerge) Add(a *Aggregate) {
 	if i, ok := m.index[a.Key]; ok {
 		t := &m.aggs[i]
+		if m.round[i] != m.now {
+			// The key's first part since Reset: the sums and the sample
+			// start over from it, not from a round that is gone.
+			m.round[i], *t = m.now, *a
+			return
+		}
 		t.Octets += a.Octets
 		t.Records += a.Records
 		t.MergeSample(*a)
@@ -149,20 +167,50 @@ func (m *AggregateMerge) Add(a *Aggregate) {
 	}
 	m.index[a.Key] = int32(len(m.aggs))
 	m.aggs = append(m.aggs, *a)
+	m.round = append(m.round, m.now)
 }
 
 // Sorted returns a copy of the merged aggregates sorted by key.
 func (m *AggregateMerge) Sorted() []Aggregate {
+	// Keys no part was added to since Reset have aged out: drop them, and
+	// with them the kept order, which the sort below then rebuilds.
+	if slices.ContainsFunc(m.round, func(r uint32) bool { return r != m.now }) {
+		live := 0
+		for i := range m.aggs {
+			if m.round[i] != m.now {
+				delete(m.index, m.aggs[i].Key)
+				continue
+			}
+			m.index[m.aggs[i].Key] = int32(live)
+			m.aggs[live], m.round[live] = m.aggs[i], m.now
+			live++
+		}
+		clear(m.aggs[live:]) // let go of the dropped keys' strings
+		m.aggs, m.round, m.order = m.aggs[:live], m.round[:live], m.order[:0]
+	}
 	// Sort positions, not aggregates: a swap then moves four bytes and
 	// no pointers, where copying and swapping the 96-byte structs
-	// themselves would be most of the sort's time.
-	order := make([]int32, len(m.aggs))
-	for i := range order {
-		order[i] = int32(i)
+	// themselves would be most of the sort's time. Only the positions
+	// added since the last call need sorting; they merge into the kept
+	// order from the back.
+	byKey := func(a, b int32) int { return strings.Compare(m.aggs[a].Key, m.aggs[b].Key) }
+	kept := len(m.order)
+	for i := kept; i < len(m.aggs); i++ {
+		m.order = append(m.order, int32(i))
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(m.aggs[a].Key, m.aggs[b].Key) })
-	out := make([]Aggregate, len(order))
-	for i, at := range order {
+	fresh := slices.Clone(m.order[kept:])
+	slices.SortFunc(fresh, byKey)
+	for at, k, f := len(m.order)-1, kept-1, len(fresh)-1; f >= 0; at-- {
+		if k >= 0 && byKey(m.order[k], fresh[f]) > 0 {
+			m.order[at] = m.order[k]
+			k--
+		} else {
+			m.order[at] = fresh[f]
+			f--
+		}
+	}
+	out := make([]Aggregate, len(m.order))
+	for i, at := range m.order {
 		out[i] = m.aggs[at]
 	}
 	return out

@@ -81,10 +81,10 @@ func FuzzUDPDatagramPath(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:HeaderSize-1])              // truncated header
-	f.Add(valid[:HeaderSize])                // header only, no records
-	f.Add(valid[:HeaderSize+RecordSize-7])   // truncated record
-	f.Add(valid[:len(valid)-1])              // last record short one byte
+	f.Add(valid[:HeaderSize-1])            // truncated header
+	f.Add(valid[:HeaderSize])              // header only, no records
+	f.Add(valid[:HeaderSize+RecordSize-7]) // truncated record
+	f.Add(valid[:len(valid)-1])            // last record short one byte
 	badVersion := append([]byte(nil), valid...)
 	badVersion[1] = 9 // version 9 header on a v5 body
 	f.Add(badVersion)

@@ -143,7 +143,7 @@ type Metrics struct {
 // 1 ms to 30 s and quote latency buckets from 50 µs to 1 s (the quote
 // path is sub-microsecond; the buckets resolve the HTTP stack on top).
 func NewMetrics() *Metrics {
-	h, err := NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30)
+	h, err := NewHistogram(0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 5, 10, 30)
 	if err != nil {
 		panic(err) // static bounds; unreachable
 	}

@@ -111,11 +111,40 @@ func BenchmarkReprice(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			var stages StageTimes
 			for i := 0; i < b.N; i++ {
-				if _, err := rp.Reprice(ctx); err != nil {
+				snap, err := rp.Reprice(ctx)
+				if err != nil {
 					b.Fatal(err)
 				}
+				for s, d := range snap.Stages {
+					stages[s] += d
+				}
+			}
+			for s, d := range stages {
+				b.ReportMetric(d.Seconds()*1e3/float64(b.N), Stage(s).String()+"-ms/op")
 			}
 		})
+	}
+}
+
+// TestRepriceAllocBudget holds the 20k-aggregate re-price to the
+// allocations it makes today (≈ 2 250: the published snapshot's own maps
+// and routes, per-stage scratch) so per-flow garbage cannot come back
+// unnoticed, and the window's kept merge to one: the slice it returns.
+func TestRepriceAllocBudget(t *testing.T) {
+	rp := syntheticRepricer(t, 1, 64, 2048, 20000, econ.CED{Alpha: 1.1}, bundling.Optimal{}, 4)
+	reprice := func() {
+		if _, err := rp.Reprice(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reprice()
+	if allocs := testing.AllocsPerRun(3, reprice); allocs > 2400 {
+		t.Errorf("a warm 20k re-price allocates %.0f objects, budget 2400", allocs)
+	}
+	w := rp.cfg.Window
+	if allocs := testing.AllocsPerRun(3, func() { w.Aggregates() }); allocs > 2 {
+		t.Errorf("Aggregates over an unchanged key set allocates %.0f objects, want the result alone", allocs)
 	}
 }

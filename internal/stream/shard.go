@@ -30,6 +30,11 @@ type ShardedWindow struct {
 	numSlots int
 	now      func() time.Time
 	parts    sync.Pool // *partition, reused record buffers for Deal
+
+	// merge is Aggregates' own, as in Window; mergeMu is taken before any
+	// shard's lock.
+	mergeMu sync.Mutex
+	merge   netflow.AggregateMerge
 }
 
 var _ netflow.Sink = (*ShardedWindow)(nil)
@@ -162,12 +167,14 @@ func (sw *ShardedWindow) IngestBatchAt(ts time.Time, h netflow.Header, b Batch) 
 // collector's output shape. All shards are evicted against one shared
 // instant so a shard that went quiet cannot contribute stale slots.
 func (sw *ShardedWindow) Aggregates() []netflow.Aggregate {
+	sw.mergeMu.Lock()
+	defer sw.mergeMu.Unlock()
 	cur := sw.slotIndex(sw.now())
-	var m netflow.AggregateMerge
+	sw.merge.Reset()
 	for _, sh := range sw.shards {
-		sh.mergeInto(&m, cur)
+		sh.mergeInto(&sw.merge, cur)
 	}
-	return m.Sorted()
+	return sw.merge.Sorted()
 }
 
 // Stats sums the shards' lifetime counters and counts slots live in any

@@ -40,6 +40,12 @@ type Window struct {
 	records    int
 	duplicates int
 	dropped    int
+
+	// merge is Aggregates' own, kept from one call to the next so a
+	// re-price pays for the keys that changed, not for all of them.
+	// mergeMu is taken before mu, never under it.
+	mergeMu sync.Mutex
+	merge   netflow.AggregateMerge
 }
 
 var _ netflow.Sink = (*Window)(nil)
@@ -173,9 +179,11 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 // merge is independent of slot order, ingest order, and any sharding of
 // the records upstream.
 func (w *Window) Aggregates() []netflow.Aggregate {
-	var m netflow.AggregateMerge
-	w.mergeInto(&m, w.slotIndex(w.now()))
-	return m.Sorted()
+	w.mergeMu.Lock()
+	defer w.mergeMu.Unlock()
+	w.merge.Reset()
+	w.mergeInto(&w.merge, w.slotIndex(w.now()))
+	return w.merge.Sorted()
 }
 
 // mergeInto folds the live slots' partial aggregates into m after
@@ -187,11 +195,6 @@ func (w *Window) mergeInto(m *netflow.AggregateMerge, cur int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.evictLocked(cur)
-	keys := 0
-	for _, s := range w.slots {
-		keys = max(keys, len(s.aggs))
-	}
-	m.Grow(keys)
 	for _, s := range w.slots {
 		for _, a := range s.aggs {
 			m.Add(a)
