@@ -81,7 +81,8 @@
 #  12. fuzz smoke    — every netflow/bgp fuzz target, framelog's
 #                      FuzzScan (the one frame decoder under the WAL and
 #                      the history store), stream's FuzzPackedKey (the
-#                      dedup key's packed form) and bundling's
+#                      dedup key's packed form) and FuzzRepricerMemory
+#                      (kept repricer = fresh one), and bundling's
 #                      FuzzFixedPow (the CED block value's power kernel
 #                      against math.Pow), actually fuzzes for a short
 #                      budget (FUZZTIME, default 10s each), not just
@@ -145,8 +146,10 @@ fuzz_smoke() {
     done
     echo "==> fuzz FuzzScan (internal/framelog, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/framelog
-    echo "==> fuzz FuzzPackedKey (internal/stream, ${FUZZTIME})"
-    go test -run='^$' -fuzz='^FuzzPackedKey$' -fuzztime="$FUZZTIME" ./internal/stream
+    for target in FuzzPackedKey FuzzRepricerMemory; do
+        echo "==> fuzz ${target} (internal/stream, ${FUZZTIME})"
+        go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/stream
+    done
     echo "==> fuzz FuzzFixedPow (internal/bundling, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzFixedPow$' -fuzztime="$FUZZTIME" ./internal/bundling
 }

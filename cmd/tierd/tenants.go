@@ -236,7 +236,7 @@ func (m *member) onTick(snap *stream.Snapshot, elapsed time.Duration, err error)
 	m.lastFailed.Store(err != nil)
 	if snap != nil {
 		m.metrics.RepriceFlows.Set(int64(snap.Table.Flows))
-		m.metrics.ObserveStages(snap.Stages)
+		m.metrics.ObserveSnapshot(snap)
 		m.recorder.record(snap)
 	}
 	if err != nil && !errors.Is(err, stream.ErrEmptyWindow) {

@@ -145,9 +145,7 @@ func objective(flows []econ.Flow, model econ.Model) ([]float64, blockTerm, error
 	w := make([]float64, len(flows))
 	switch m := model.(type) {
 	case econ.CED:
-		for i, f := range flows {
-			w[i] = math.Pow(f.Valuation, m.Alpha)
-		}
+		m.VAlphas(w, flows)
 		// k(α) = (α/(α−1))^{−α} / (α−1): profit of a bundle at the Eq. 5
 		// price P = α·C/(α−1) is V·P^{−α}(P−C) = V·C^{1−α}·k(α).
 		// A zero-cost block makes C^{1−α} → +Inf for α > 1, and one +Inf

@@ -10,6 +10,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"tieredpricing/internal/bundling"
 	"tieredpricing/internal/cost"
@@ -62,8 +64,27 @@ type Outcome struct {
 
 // NewMarket fits a market per §4.1: flows must carry positive Demand and
 // the attributes the cost model reads (Distance, Region, OnNet). The
-// returned market owns a copy of flows with Valuation and Cost populated.
+// returned market owns a copy of flows with Valuation and Cost populated
+// (one Fit of a Fitter with nothing to remember).
 func NewMarket(flows []econ.Flow, demand econ.Model, costModel cost.Model, p0 float64) (*Market, error) {
+	return new(Fitter).Fit(flows, demand, costModel, p0)
+}
+
+// Fitter fits one market after another over a flow set that mostly
+// persists — the online re-pricer's epochs. It reuses its buffers and
+// hands a CED model its previous fit (econ.CED.Refit), so a flow whose ID
+// and demand did not change is not fitted again; whatever depends on γ or
+// on a price is computed as NewMarket computes it. The zero value is
+// ready, one goroutine at a time; a Market is valid until the next Fit.
+type Fitter struct {
+	owned   []econ.Flow
+	demands []float64
+	from    []int32    // this fit's flow → the last fit's, or −1
+	last    econ.Model // what the last fit's Refit returned
+}
+
+// Fit is NewMarket with the Fitter's memory.
+func (f *Fitter) Fit(flows []econ.Flow, demand econ.Model, costModel cost.Model, p0 float64) (*Market, error) {
 	if demand == nil || costModel == nil {
 		return nil, errors.New("core: demand and cost models are required")
 	}
@@ -73,20 +94,32 @@ func NewMarket(flows []econ.Flow, demand econ.Model, costModel cost.Model, p0 fl
 	if len(flows) == 0 {
 		return nil, errors.New("core: no flows")
 	}
-	owned := append([]econ.Flow(nil), flows...)
-	demands := make([]float64, len(owned))
-	for i, f := range owned {
-		if f.Demand <= 0 {
-			return nil, fmt.Errorf("core: flow %q has non-positive demand", f.ID)
-		}
-		demands[i] = f.Demand
+	ced, refits := demand.(econ.CED)
+	if refits { // pair the flows with the last fit's before its copy of them is overwritten
+		prev := f.owned
+		f.from = MatchSorted(f.from, len(prev), len(flows), func(i, j int) int { return strings.Compare(prev[i].ID, flows[j].ID) })
 	}
+	owned := append(f.owned[:0], flows...)
+	f.owned = owned
+	demands := f.demands[:0]
+	for _, fl := range owned {
+		if fl.Demand <= 0 {
+			return nil, fmt.Errorf("core: flow %q has non-positive demand", fl.ID)
+		}
+		demands = append(demands, fl.Demand)
+	}
+	f.demands = demands
 
 	rel, err := costModel.RelativeCosts(owned)
 	if err != nil {
 		return nil, fmt.Errorf("core: cost model: %w", err)
 	}
-	vals, err := demand.FitValuations(demands, p0)
+	var vals []float64
+	if refits {
+		demand, vals, err = ced.Refit(f.last, f.from, demands, p0)
+	} else {
+		vals, err = demand.FitValuations(demands, p0)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: valuation fit: %w", err)
 	}
@@ -114,7 +147,32 @@ func NewMarket(flows []econ.Flow, demand econ.Model, costModel cost.Model, p0 fl
 	if m.MaxProfit, err = demand.MaxProfit(owned); err != nil {
 		return nil, fmt.Errorf("core: max profit: %w", err)
 	}
+	f.last = demand
 	return m, nil
+}
+
+// MatchSorted pairs each of nCur keyed elements with the one of nPrev
+// earlier elements that has its key, in one forward walk of both lists:
+// from[j] is that element's position or −1, and cmp(i, j) orders earlier
+// element i's key against element j's (strings.Compare: persisting keys
+// share their bytes, which it checks first). Input not sorted by key
+// loses pairs and never invents one. from's capacity is reused.
+func MatchSorted(from []int32, nPrev, nCur int, cmp func(i, j int) int) []int32 {
+	from = slices.Grow(from[:0], nCur)[:nCur]
+	i := 0
+	for j := range from {
+		c := -1
+		for ; i < nPrev; i++ {
+			if c = cmp(i, j); c >= 0 {
+				break
+			}
+		}
+		if from[j] = -1; c == 0 {
+			from[j] = int32(i)
+			i++
+		}
+	}
+	return from
 }
 
 // Run bundles the market's flows with the strategy into at most b tiers,

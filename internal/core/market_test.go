@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"tieredpricing/internal/bundling"
@@ -270,5 +273,75 @@ func TestOutcomeFieldsPopulated(t *testing.T) {
 	}
 	if out.Profit <= 0 {
 		t.Errorf("profit = %v, want positive", out.Profit)
+	}
+}
+
+// TestFitterMatchesNewMarket: a Fitter kept across a sequence of flow
+// sets — unchanged, demands moved on a few flows, flows added and gone,
+// then the same flows permuted and with repeated IDs — fits, bundles and
+// prices each exactly as NewMarket does from nothing, under CED (where it
+// carries per-flow values over) and logit (where it only reuses buffers).
+// Unsorted IDs cost it the reuse, never the result.
+func TestFitterMatchesNewMarket(t *testing.T) {
+	for _, demand := range []econ.Model{econ.CED{Alpha: 1.1}, econ.Logit{Alpha: 1.1, S0: 0.2}} {
+		rng := rand.New(rand.NewSource(24))
+		flows := syntheticFlows(300, 24)
+		for i := range flows {
+			flows[i].ID = fmt.Sprintf("f%04d", 2*i)
+		}
+		var fitter Fitter
+		check := func(step string, wantReuse bool) {
+			t.Helper()
+			got, err := fitter.Fit(flows, demand, cost.Linear{Theta: 0.2}, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewMarket(flows, demand, cost.Linear{Theta: 0.2}, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Flows, want.Flows) || got.Gamma != want.Gamma || got.GammaClamped != want.GammaClamped ||
+				got.OriginalProfit != want.OriginalProfit || got.MaxProfit != want.MaxProfit {
+				t.Fatalf("%s, %s: fitter market differs from NewMarket: γ %v/%v, π0 %v/%v, πmax %v/%v",
+					demand.Name(), step, got.Gamma, want.Gamma, got.OriginalProfit, want.OriginalProfit, got.MaxProfit, want.MaxProfit)
+			}
+			for _, s := range []bundling.Strategy{bundling.Optimal{}, bundling.ProfitWeighted{}} {
+				g, err := got.Run(s, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want.Run(s, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s, %s, %s: outcome\n got %+v\nwant %+v", demand.Name(), step, s.Name(), g, w)
+				}
+			}
+			if ced, ok := got.Demand.(econ.CED); ok {
+				if reused, _ := ced.FitStats(); (reused > 0) != wantReuse {
+					t.Fatalf("%s: %d of %d flows reused, want reuse = %v", step, reused, len(flows), wantReuse)
+				}
+			}
+		}
+		check("first fit", false)
+		check("unchanged", true)
+		for i := 0; i < 10; i++ {
+			flows[rng.Intn(len(flows))].Demand *= 1.5
+		}
+		check("ten demands moved", true)
+		flows = append(flows[:40], flows[45:]...)
+		flows = slices.Insert(flows, 100, econ.Flow{ID: "f0199", Demand: 3, Distance: 70, Region: econ.RegionNational})
+		check("five flows gone, one new", true)
+		slices.Reverse(flows)
+		check("IDs descending", true) // the walk still pairs the first flow it meets
+		rng.Shuffle(len(flows), func(i, j int) { flows[i], flows[j] = flows[j], flows[i] })
+		check("IDs shuffled", true)
+		for i := range flows {
+			flows[i].ID = "same"
+		}
+		check("one ID for every flow", false)
+		flows[0].Demand, flows[1].Demand = flows[1].Demand, flows[0].Demand
+		check("one ID, two demands swapped", true)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/econ"
@@ -115,16 +116,37 @@ func BuildFlowsParallel(ctx context.Context, aggs []netflow.Aggregate, rv Endpoi
 // capacity for len(aggs) flows; pass nil for the allocate-per-call
 // behavior. Output is byte-identical to the serial build either way.
 func BuildFlowsParallelInto(ctx context.Context, dst []econ.Flow, aggs []netflow.Aggregate, rv EndpointResolver, durationSec float64, workers int) (flows []econ.Flow, skipped int, err error) {
+	return BuildFlowsKnown(ctx, dst, aggs, nil, rv, durationSec, workers)
+}
+
+// Resolution is one aggregate's resolved endpoint sample; zero is "not yet".
+type Resolution struct {
+	Distance float64
+	Region   econ.Region
+	OK       bool
+}
+
+// BuildFlowsKnown is BuildFlowsParallelInto for a caller that kept
+// resolutions from an earlier build: known, when not nil, has one entry
+// per aggregate; an aggregate whose entry is OK takes its distance and
+// region from it unasked, every other is resolved and, on success,
+// recorded there. The caller vouches that an OK entry is of the same
+// endpoint sample and of a resolver whose answer depends on nothing else.
+func BuildFlowsKnown(ctx context.Context, dst []econ.Flow, aggs []netflow.Aggregate, known []Resolution, rv EndpointResolver, durationSec float64, workers int) (flows []econ.Flow, skipped int, err error) {
 	if durationSec <= 0 {
 		return nil, 0, errors.New("demandfit: capture duration must be positive")
 	}
 	if len(aggs) == 0 {
 		return nil, 0, errors.New("demandfit: no aggregates")
 	}
-	if cap(dst) < len(aggs) {
-		dst = make([]econ.Flow, len(aggs))
+	if known == nil {
+		known = make([]Resolution, len(aggs))
+	} else if len(known) != len(aggs) {
+		return nil, 0, errors.New("demandfit: one known resolution per aggregate required")
 	}
-	dst = dst[:len(aggs)]
+	// Append-style growth: a window that gains a key per epoch must not
+	// reallocate the whole buffer every epoch.
+	dst = slices.Grow(dst[:0], len(aggs))[:len(aggs)]
 	resolve := func(_ context.Context, src, dstAddr netip.Addr) (float64, econ.Region, error) {
 		return rv.Resolve(src, dstAddr)
 	}
@@ -137,15 +159,18 @@ func BuildFlowsParallelInto(ctx context.Context, dst []econ.Flow, aggs []netflow
 	// records are dropped at ingest).
 	resolved, err := parallel.MapInto(ctx, dst, workers,
 		func(ctx context.Context, i int) (econ.Flow, error) {
-			a := aggs[i]
-			distance, region, rerr := resolve(ctx, a.SrcAddr, a.DstAddr)
-			if rerr != nil {
-				// Cancellation is a build failure, not a skip: treating it
-				// as a skip would silently price a truncated flow set.
-				if cerr := ctx.Err(); cerr != nil {
-					return econ.Flow{}, cerr
+			a, r := &aggs[i], &known[i]
+			if !r.OK {
+				var rerr error
+				if r.Distance, r.Region, rerr = resolve(ctx, a.SrcAddr, a.DstAddr); rerr != nil {
+					// Cancellation is a build failure, not a skip: treating it
+					// as a skip would silently price a truncated flow set.
+					if cerr := ctx.Err(); cerr != nil {
+						return econ.Flow{}, cerr
+					}
+					return econ.Flow{}, nil // zero ID marks the skip
 				}
-				return econ.Flow{}, nil // zero ID marks the skip
+				r.OK = true
 			}
 			demand := netflow.DemandMbps(a.Octets, durationSec)
 			if demand <= 0 {
@@ -154,8 +179,8 @@ func BuildFlowsParallelInto(ctx context.Context, dst []econ.Flow, aggs []netflow
 			return econ.Flow{
 				ID:       a.Key,
 				Demand:   demand,
-				Distance: distance,
-				Region:   region,
+				Distance: r.Distance,
+				Region:   r.Region,
 			}, nil
 		})
 	if err != nil {

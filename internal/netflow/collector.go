@@ -125,14 +125,17 @@ func (a *Aggregate) MergeSample(b Aggregate) {
 //
 // A merge that is Reset and filled again — a window's, once per re-price
 // — keeps the keys, their positions and their order from the last round,
-// so a round costs a map probe per part, a sort of the keys it had not
-// seen, and a rebuild only when a key it knew got no part.
+// so a round costs a position check per part (a map probe where the
+// caller's hint is stale), a sort of the keys it had not seen, and a
+// rebuild only when a key it knew got no part.
 type AggregateMerge struct {
 	aggs  []Aggregate
 	round []uint32         // round[i]: the round that last added to aggs[i]
 	index map[string]int32 // key → position in aggs
 	order []int32          // positions of aggs[:len(order)] in key order
 	now   uint32           // the current round; Reset starts the next
+
+	hits, misses uint64 // since Reset: AddAt hints that held, parts that paid the probe
 }
 
 // Grow pre-sizes the merge to hold about n distinct keys in total.
@@ -145,29 +148,47 @@ func (m *AggregateMerge) Grow(n int) {
 
 // Reset forgets every sum and sample, and nothing else: the next round
 // of Adds starts each key from its first part again.
-func (m *AggregateMerge) Reset() { m.now++ }
+func (m *AggregateMerge) Reset() { m.now, m.hits, m.misses = m.now+1, 0, 0 }
+
+// Hints counts, since Reset, the parts placed by hint and by key probe.
+func (m *AggregateMerge) Hints() (hits, misses uint64) { return m.hits, m.misses }
 
 // Add folds one partial aggregate in.
-func (m *AggregateMerge) Add(a *Aggregate) {
-	if i, ok := m.index[a.Key]; ok {
-		t := &m.aggs[i]
-		if m.round[i] != m.now {
-			// The key's first part since Reset: the sums and the sample
-			// start over from it, not from a round that is gone.
-			m.round[i], *t = m.now, *a
-			return
+func (m *AggregateMerge) Add(a *Aggregate) { m.AddAt(a, -1) }
+
+// AddAt is Add for a caller that kept the position AddAt returned for
+// this part last time. The hint is checked against the key it names — a
+// compaction, another merge or no earlier round make it stale, never
+// wrong — and saves the key's hash and probe when it holds.
+func (m *AggregateMerge) AddAt(a *Aggregate, hint int32) int32 {
+	i := hint
+	if uint(i) < uint(len(m.aggs)) && m.aggs[i].Key == a.Key {
+		m.hits++
+	} else {
+		m.misses++
+		var known bool
+		if i, known = m.index[a.Key]; !known {
+			if m.index == nil {
+				m.index = make(map[string]int32)
+			}
+			i = int32(len(m.aggs))
+			m.index[a.Key] = i
+			m.aggs = append(m.aggs, *a)
+			m.round = append(m.round, m.now)
+			return i
 		}
-		t.Octets += a.Octets
-		t.Records += a.Records
-		t.MergeSample(*a)
-		return
 	}
-	if m.index == nil {
-		m.index = make(map[string]int32)
+	t := &m.aggs[i]
+	if m.round[i] != m.now {
+		// The key's first part since Reset: the sums and the sample
+		// start over from it, not from a round that is gone.
+		m.round[i], *t = m.now, *a
+		return i
 	}
-	m.index[a.Key] = int32(len(m.aggs))
-	m.aggs = append(m.aggs, *a)
-	m.round = append(m.round, m.now)
+	t.Octets += a.Octets
+	t.Records += a.Records
+	t.MergeSample(*a)
+	return i
 }
 
 // Sorted returns a copy of the merged aggregates sorted by key.

@@ -12,10 +12,16 @@ import (
 // Sorted rounds over a churning key set and requires each round's result
 // to equal a zero-value merge fed the same parts — sums and samples start
 // over, idle keys leave, fresh ones sort in — while the kept state tracks
-// the live keys exactly instead of growing with every key ever seen.
+// the live keys exactly instead of growing with every key ever seen. A
+// third merge is fed through AddAt with the position each key last
+// landed at — stale after every compaction — or with a hint that is
+// another key's position, past the end, or negative: a hint may only
+// ever save the probe.
 func TestAggregateMergeRemembers(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	var kept AggregateMerge
+	var kept, hinted AggregateMerge
+	hints := map[string]int32{}
+	var added, hits, misses uint64
 	live := map[int]bool{}
 	for i := 0; i < 40; i++ {
 		live[i] = true
@@ -60,13 +66,27 @@ func TestAggregateMergeRemembers(t *testing.T) {
 		}
 		var fresh AggregateMerge
 		kept.Reset()
+		hinted.Reset()
 		for _, a := range parts {
 			fresh.Add(a)
 			kept.Add(a)
+			hint, known := hints[a.Key]
+			if !known || rng.Intn(6) == 0 {
+				hint = int32(rng.Intn(2*len(live)+8)) - 4
+			}
+			hints[a.Key] = hinted.AddAt(a, hint)
+			added++
+		}
+		h, m := hinted.Hints() // this round's: Reset starts them over
+		if hits, misses = hits+h, misses+m; h+m != uint64(len(parts)) {
+			t.Fatalf("round %d: %d hits and %d misses for %d parts", round, h, m, len(parts))
 		}
 		got, want := kept.Sorted(), fresh.Sorted()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: kept merge\n got %+v\nwant %+v", round, got, want)
+		}
+		if got := hinted.Sorted(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: hinted merge\n got %+v\nwant %+v", round, got, want)
 		}
 		if len(got) != len(live) || len(kept.index) != len(live) || len(kept.aggs) != len(live) ||
 			len(kept.round) != len(live) || len(kept.order) != len(live) {
@@ -79,6 +99,9 @@ func TestAggregateMergeRemembers(t *testing.T) {
 	}
 	if next < 150 {
 		t.Fatalf("only %d keys ever seen: the schedule did not churn", next)
+	}
+	if hits < added/4 || misses < added/8 || hits+misses != added {
+		t.Fatalf("%d parts added by hint: %d hits, %d misses", added, hits, misses)
 	}
 
 	// An unchanged key set costs one allocation, the returned slice.

@@ -86,6 +86,13 @@ var exposition = []struct {
 			}
 			return out
 		}},
+		{"tierd_reprice_rows_total", "Window rows of published re-prices, by what the epoch found: new, changed, retired or unchanged.", "counter", func(v *view) any {
+			out := make([]sample, len(rowStates))
+			for i, state := range rowStates {
+				out[i] = sample{"", fmt.Sprintf("state=%q", state), v.tenant.Metrics.RepriceRows[i].Value()}
+			}
+			return out
+		}},
 		{"tierd_tenant_weight", "Configured weighted-fair share of the reprice pool.", "gauge", func(v *view) any { return v.tenant.Weight }},
 		{"tierd_quote_rate_limit_qps", "Configured sustained quote quota (0 = unlimited).", "gauge", func(v *view) any { return v.tenant.RateQPS }},
 		{"tierd_quote_rate_limit_burst", "Configured quote burst capacity (0 = unlimited).", "gauge", func(v *view) any { return v.tenant.RateBurst }},

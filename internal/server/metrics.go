@@ -6,7 +6,9 @@ package server
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"tieredpricing/internal/stream"
 )
@@ -129,6 +131,12 @@ type Metrics struct {
 	// spends its time, on the same scrape as how long it took.
 	RepriceStageNanos [stream.NumStages]Counter
 	RepriceStaged     Counter
+	// RepriceRows counts every published re-price's window rows by what
+	// the epoch found (rowStates); traces holds the last traceRing of
+	// them for /v1/debug/reprice, oldest first.
+	RepriceRows [len(rowStates)]Counter
+	traceMu     sync.Mutex
+	traces      []repriceRecord
 	// RepriceFlows is the number of flows priced by the most recent
 	// re-price attempt, so window size can be correlated with re-price
 	// latency on the same scrape.
@@ -163,6 +171,40 @@ func (m *Metrics) ObserveReprice(seconds float64, failed bool) {
 		m.RepriceFailures.Inc()
 	}
 	m.RepriceSeconds.Observe(seconds)
+}
+
+// rowStates labels RepriceRows: rows with no predecessor in the previous
+// epoch, with other octets or sample than it, rows of that epoch with no
+// successor, and rows carried over as they were.
+var rowStates = [...]string{"new", "changed", "retired", "unchanged"}
+
+const traceRing = 32
+
+// repriceRecord is one entry of /v1/debug/reprice.
+type repriceRecord struct {
+	Epoch    int64              `json:"epoch"`
+	FittedAt time.Time          `json:"fitted_at"`
+	StagesMs map[string]float64 `json:"stages_ms"`
+	stream.RepriceTrace
+}
+
+// ObserveSnapshot records one published re-price's trace.
+func (m *Metrics) ObserveSnapshot(snap *stream.Snapshot) {
+	tr := snap.RepriceTrace
+	m.ObserveStages(tr.Stages)
+	for i, n := range [...]int{tr.New, tr.Changed, tr.Retired, tr.Rows - tr.New - tr.Changed} {
+		m.RepriceRows[i].Add(uint64(n))
+	}
+	rec := repriceRecord{Epoch: snap.Epoch, FittedAt: snap.FittedAt, StagesMs: map[string]float64{}, RepriceTrace: tr}
+	for s, d := range tr.Stages {
+		rec.StagesMs[stream.Stage(s).String()] = d.Seconds() * 1e3
+	}
+	m.traceMu.Lock()
+	defer m.traceMu.Unlock()
+	if len(m.traces) == traceRing {
+		m.traces = m.traces[:copy(m.traces, m.traces[1:])]
+	}
+	m.traces = append(m.traces, rec)
 }
 
 // ObserveStages records one published re-price's per-stage wall times.

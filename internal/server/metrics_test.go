@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -124,5 +126,67 @@ func TestRepriceFlowsGauge(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDebugRepriceRing: ObserveSnapshot feeds the rows-by-state counters
+// and the debug ring, which keeps the last 32 published re-prices oldest
+// first and serves them on the bare and the tenant path.
+func TestDebugRepriceRing(t *testing.T) {
+	snap := makeSnapshot(t)
+	if snap.Rows != 2 || snap.New != 2 || snap.Powers == 0 || snap.Stages[stream.StageFit] <= 0 {
+		t.Fatalf("first re-price's trace = %+v", snap.RepriceTrace)
+	}
+	m := NewMetrics()
+	for epoch := int64(1); epoch <= 40; epoch++ {
+		s := *snap
+		s.Epoch = epoch
+		s.RepriceTrace = stream.RepriceTrace{Stages: stream.StageTimes{stream.StageBuild: 2 * time.Millisecond},
+			Rows: 10, New: 1, Changed: 2, Retired: 3, FitReused: 7}
+		m.ObserveSnapshot(&s)
+	}
+	s, err := New(Config{Tenants: []*Tenant{{ID: "net-a", Snapshots: &fakeSource{}, Metrics: m}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/debug/reprice", "/v1/t/net-a/debug/reprice"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		var body struct {
+			Reprices []struct {
+				Epoch     int64              `json:"epoch"`
+				StagesMs  map[string]float64 `json:"stages_ms"`
+				Rows      int                `json:"rows"`
+				FitReused int                `json:"fit_reused"`
+			} `json:"reprices"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != 200 {
+			t.Fatalf("%s: status %d, %v: %s", path, rec.Code, err, rec.Body)
+		}
+		if n := len(body.Reprices); n != 32 || body.Reprices[0].Epoch != 9 || body.Reprices[31].Epoch != 40 {
+			t.Fatalf("%s: %d records, epochs %d..%d; want the last 32, oldest first", path, n, body.Reprices[0].Epoch, body.Reprices[n-1].Epoch)
+		}
+		if r := body.Reprices[31]; r.Rows != 10 || r.FitReused != 7 || r.StagesMs["build"] != 2 || len(r.StagesMs) != int(stream.NumStages) {
+			t.Fatalf("%s: last record = %+v", path, r)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		"# TYPE tierd_reprice_rows_total counter",
+		`tierd_reprice_rows_total{tenant="net-a",state="new"} 40`,
+		`tierd_reprice_rows_total{tenant="net-a",state="changed"} 80`,
+		`tierd_reprice_rows_total{tenant="net-a",state="retired"} 120`,
+		`tierd_reprice_rows_total{tenant="net-a",state="unchanged"} 280`,
+		`tierd_reprice_stage_seconds_count{tenant="net-a",stage="build"} 40`,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, rec.Body)
+		}
+	}
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/debug/reprice", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/debug/reprice = %d, want 405", rec.Code)
 	}
 }

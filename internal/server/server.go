@@ -278,12 +278,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/quote", s.forDefault(s.handleQuote))
 	mux.HandleFunc("/v1/tiers", s.forDefault(s.handleTiers))
 	mux.HandleFunc("/v1/history", s.forDefault(s.handleHistory))
+	mux.HandleFunc("/v1/debug/reprice", s.forDefault(s.handleDebugReprice))
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/v1/t/{tenant}/quote", s.forTenant(s.handleQuote))
 	mux.HandleFunc("/v1/t/{tenant}/tiers", s.forTenant(s.handleTiers))
 	mux.HandleFunc("/v1/t/{tenant}/history", s.forTenant(s.handleHistory))
 	mux.HandleFunc("/v1/t/{tenant}/healthz", s.forTenant(s.handleTenantHealth))
+	mux.HandleFunc("/v1/t/{tenant}/debug/reprice", s.forTenant(s.handleDebugReprice))
 	return mux
 }
 
@@ -445,6 +447,19 @@ func (s *Server) handleTiers(t *Tenant, w http.ResponseWriter, r *http.Request) 
 		Skipped:  snap.Skipped,
 		Table:    table,
 	})
+}
+
+// handleDebugReprice serves the tenant's last published re-prices' traces.
+func (s *Server) handleDebugReprice(t *Tenant, w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
+		return
+	}
+	t.Metrics.traceMu.Lock()
+	defer t.Metrics.traceMu.Unlock()
+	writeJSON(w, http.StatusOK, struct {
+		Reprices []repriceRecord `json:"reprices"`
+	}{t.Metrics.traces})
 }
 
 // historyResponse is the /v1/history body.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -85,10 +86,72 @@ func syntheticRepricer(tb testing.TB, seed int64, sources, dests, keys int,
 	return rp
 }
 
+// churner feeds a synthetic repricer's window what one epoch of the
+// repository benchmark's online_mixed stage delivers to its large tenant
+// between two re-prices: records over keys the window already holds, and
+// one key it has never seen.
+type churner struct {
+	w      *Window
+	live   []netflow.Aggregate // the keys at the start: their samples address them again
+	unused []netflow.Record    // one record per never-seen, resolvable key
+	rng    *rand.Rand
+	seq    uint32
+	recs   []netflow.Record
+}
+
+func newChurner(tb testing.TB, rp *Repricer, sources, dests int) *churner {
+	tb.Helper()
+	c := &churner{w: rp.cfg.Window.(*Window), rng: rand.New(rand.NewSource(7)), seq: 1 << 20}
+	c.live = c.w.Aggregates()
+	have := make(map[string]bool, len(c.live))
+	for _, a := range c.live {
+		have[a.Key] = true
+	}
+	for idx := 0; idx < sources*dests && len(c.unused) < 4096; idx++ {
+		r := netflow.Record{
+			SrcAddr: netip.AddrFrom4([4]byte{172, 16, byte(idx / dests << 4), 1}),
+			DstAddr: netip.AddrFrom4([4]byte{10, byte(idx % dests >> 8), byte(idx % dests), 1}),
+			Octets:  50_000, Packets: 1,
+		}
+		if !have[string(traces.AggregateKey(nil, r))] {
+			c.unused = append(c.unused, r)
+		}
+	}
+	return c
+}
+
+// epoch ingests existing records over live keys and one new key.
+func (c *churner) epoch(tb testing.TB, existing int) {
+	if len(c.unused) == 0 {
+		tb.Fatal("churner ran out of never-seen keys")
+	}
+	flush := func() {
+		c.w.Ingest(netflow.Header{SamplingInterval: 1000}, c.recs)
+		c.recs = c.recs[:0]
+	}
+	add := func(r netflow.Record) {
+		c.seq++
+		r.First, r.SrcAS = c.seq, uint16(c.seq)
+		if c.recs = append(c.recs, r); len(c.recs) == netflow.MaxRecordsPerPacket {
+			flush()
+		}
+	}
+	for i := 0; i < existing; i++ {
+		a := &c.live[c.rng.Intn(len(c.live))]
+		add(netflow.Record{SrcAddr: a.SrcAddr, DstAddr: a.DstAddr, Octets: uint32(1000 + c.rng.Intn(100_000)), Packets: 1})
+	}
+	add(c.unused[0])
+	c.unused = c.unused[1:]
+	flush()
+}
+
 // BenchmarkReprice times one whole re-price at the repository
 // benchmark's two tenant sizes: the 20 000-aggregate CED/optimal/4-tier
-// tenant whose pipeline duration sets price freshness, and the
-// 200-aggregate logit/profit-weighted/3-tier one that waits behind it.
+// tenant whose pipeline duration sets price freshness — once over a
+// window nothing arrived in since the last re-price, once (/churn) over
+// the ≈ 700 records on live keys and one new key that 48 ms of
+// online_mixed deliver — and the 200-aggregate logit/profit-weighted/
+// 3-tier one that waits behind it.
 func BenchmarkReprice(b *testing.B) {
 	cases := []struct {
 		name                 string
@@ -96,9 +159,11 @@ func BenchmarkReprice(b *testing.B) {
 		demand               econ.Model
 		strategy             bundling.Strategy
 		tiers                int
+		churn                int // records over live keys between re-prices, plus one new key
 	}{
-		{"20k-ced-optimal-4", 64, 2048, 20000, econ.CED{Alpha: 1.1}, bundling.Optimal{}, 4},
-		{"200-logit-profit-weighted-3", 14, 200, 200, econ.Logit{Alpha: 1.1, S0: 0.2}, bundling.ProfitWeighted{}, 3},
+		{"20k-ced-optimal-4", 64, 2048, 20000, econ.CED{Alpha: 1.1}, bundling.Optimal{}, 4, 0},
+		{"20k-ced-optimal-4/churn", 64, 2048, 20000, econ.CED{Alpha: 1.1}, bundling.Optimal{}, 4, 700},
+		{"200-logit-profit-weighted-3", 14, 200, 200, econ.Logit{Alpha: 1.1, S0: 0.2}, bundling.ProfitWeighted{}, 3, 0},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -109,10 +174,20 @@ func BenchmarkReprice(b *testing.B) {
 			} else if snap.Table.Flows != c.keys {
 				b.Fatalf("priced %d flows of %d", snap.Table.Flows, c.keys)
 			}
+			var ch *churner
+			if c.churn > 0 {
+				ch = newChurner(b, rp, c.sources, c.dests)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var stages StageTimes
+			var reused, pows int64
 			for i := 0; i < b.N; i++ {
+				if ch != nil {
+					b.StopTimer()
+					ch.epoch(b, c.churn)
+					b.StartTimer()
+				}
 				snap, err := rp.Reprice(ctx)
 				if err != nil {
 					b.Fatal(err)
@@ -120,18 +195,23 @@ func BenchmarkReprice(b *testing.B) {
 				for s, d := range snap.Stages {
 					stages[s] += d
 				}
+				reused, pows = reused+int64(snap.FitReused), pows+snap.Powers
 			}
 			for s, d := range stages {
 				b.ReportMetric(d.Seconds()*1e3/float64(b.N), Stage(s).String()+"-ms/op")
 			}
+			b.ReportMetric(float64(reused)/float64(b.N), "rows-reused/op")
+			b.ReportMetric(float64(pows)/float64(b.N), "pow/op")
 		})
 	}
 }
 
 // TestRepriceAllocBudget holds the 20k-aggregate re-price to the
-// allocations it makes today (≈ 2 250: the published snapshot's own maps
-// and routes, per-stage scratch) so per-flow garbage cannot come back
-// unnoticed, and the window's kept merge to one: the slice it returns.
+// allocations it makes today (≈ 2 230 objects, 7.3–8 MB: the published
+// snapshot's own maps and routes, the merge's copy out, per-stage
+// scratch) so per-flow garbage cannot come back unnoticed — also when
+// every epoch brings a new key, which must not regrow the row buffers
+// each time — and the window's kept merge to one: the slice it returns.
 func TestRepriceAllocBudget(t *testing.T) {
 	rp := syntheticRepricer(t, 1, 64, 2048, 20000, econ.CED{Alpha: 1.1}, bundling.Optimal{}, 4)
 	reprice := func() {
@@ -140,9 +220,28 @@ func TestRepriceAllocBudget(t *testing.T) {
 		}
 	}
 	reprice()
-	if allocs := testing.AllocsPerRun(3, reprice); allocs > 2400 {
-		t.Errorf("a warm 20k re-price allocates %.0f objects, budget 2400", allocs)
+	measure := func(name string, runs int, before func()) {
+		t.Helper()
+		var objects, bytes uint64
+		for i := 0; i < runs; i++ {
+			before()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			reprice()
+			runtime.ReadMemStats(&m1)
+			objects, bytes = objects+m1.Mallocs-m0.Mallocs, bytes+m1.TotalAlloc-m0.TotalAlloc
+		}
+		objects, bytes = objects/uint64(runs), bytes/uint64(runs)
+		t.Logf("%s: %d objects, %d bytes", name, objects, bytes)
+		if objects > 2300 || (bytes > 17<<19 && !raceEnabled) {
+			t.Errorf("a warm %s 20k re-price allocates %d objects and %d bytes, budget 2300 and %d", name, objects, bytes, 17<<19)
+		}
 	}
+	measure("steady", 3, func() {})
+	ch := newChurner(t, rp, 64, 2048)
+	ch.epoch(t, 700)
+	reprice() // the buffers' one growth step
+	measure("churning", 8, func() { ch.epoch(t, 700) })
 	w := rp.cfg.Window
 	if allocs := testing.AllocsPerRun(3, func() { w.Aggregates() }); allocs > 2 {
 		t.Errorf("Aggregates over an unchanged key set allocates %.0f objects, want the result alone", allocs)

@@ -177,8 +177,8 @@ type Snapshot struct {
 	Table TierTable
 	// Skipped counts window aggregates that failed to resolve.
 	Skipped int
-	// Stages is where this re-price's wall time went.
-	Stages StageTimes
+	// RepriceTrace is what this re-price did; its Stages, the wall time.
+	RepriceTrace
 
 	byKey    map[quoteKey]int
 	rib      *bgp.RIB
@@ -254,17 +254,12 @@ type Repricer struct {
 	failures atomic.Int64
 
 	// mu serializes Reprice (the periodic tick and a caller-driven final
-	// drain can race) and guards flowBuf, the resolve buffer reused across
-	// ticks. The market fit copies the flows and the snapshot never
-	// retains them, so the buffer is free again by the time Reprice
-	// returns; the bundling DP's own tables are pooled in the optimize
-	// package.
-	mu      sync.Mutex
-	flowBuf []econ.Flow
-	// routes is the last snapshot's route count, the size hint for the
-	// next one's prefix table (the destination set barely moves between
-	// ticks).
-	routes int
+	// drain can race) and guards mem, what the repricer remembers of the
+	// rows it last priced. No snapshot ever points into mem, so it is
+	// free again by the time Reprice returns; the bundling DP's own
+	// tables are pooled in the optimize package.
+	mu  sync.Mutex
+	mem rowMemory
 }
 
 // RestoreEpoch fast-forwards the epoch counter so the next published
@@ -308,7 +303,8 @@ func (r *Repricer) Reconfigure(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	r.cfg = cfg
+	// Every remembered value depends on something a reload may change.
+	r.cfg, r.mem = cfg, rowMemory{}
 	return nil
 }
 
@@ -410,25 +406,33 @@ func (r *Repricer) Reprice(ctx context.Context) (*Snapshot, error) {
 func (r *Repricer) reprice(ctx context.Context) (*Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var stages StageTimes
+	var tr RepriceTrace
 	mark := time.Now()
 	lap := func(s Stage) {
 		now := time.Now()
-		stages[s], mark = now.Sub(mark), now
+		tr.Stages[s], mark = now.Sub(mark), now
 	}
 	aggs := r.cfg.Window.Aggregates()
 	if len(aggs) == 0 {
+		r.mem = rowMemory{} // no rows, nothing to remember them by
 		return nil, ErrEmptyWindow
 	}
+	if h, ok := r.cfg.Window.(interface{ MergeHints() (hits, misses uint64) }); ok {
+		tr.HintHits, tr.HintMisses = h.MergeHints()
+	}
 	lap(StageAggregate)
-	flows, skipped, err := demandfit.BuildFlowsParallelInto(
-		ctx, r.flowBuf, aggs, r.cfg.Resolver, r.cfg.DurationSec, r.cfg.Workers)
+	// Only the in-memory resolver's answer depends on the address pair
+	// alone; a kept answer of any other would hide its outage.
+	_, pure := r.cfg.Resolver.(*demandfit.Resolver)
+	r.mem.advance(aggs, pure, &tr)
+	flows, skipped, err := demandfit.BuildFlowsKnown(
+		ctx, r.mem.flows, aggs, r.mem.known, r.cfg.Resolver, r.cfg.DurationSec, r.cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("stream: resolve: %w", err)
 	}
-	r.flowBuf = flows[:0]
+	r.mem.flows = flows[:0]
 	lap(StageResolve)
-	market, err := core.NewMarket(flows, r.cfg.Demand, r.cfg.Cost, r.cfg.P0)
+	market, err := r.mem.fitter.Fit(flows, r.cfg.Demand, r.cfg.Cost, r.cfg.P0)
 	if err != nil {
 		return nil, fmt.Errorf("stream: fit: %w", err)
 	}
@@ -442,13 +446,17 @@ func (r *Repricer) reprice(ctx context.Context) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: reprice: %w", err)
 	}
+	if ced, ok := market.Demand.(econ.CED); ok {
+		reused, pows := ced.FitStats()
+		tr.FitReused, tr.Powers = int(reused), pows
+	}
 	lap(StagePrice)
 	snap, err := r.buildSnapshot(flows, skipped, out, aggs)
 	if err != nil {
 		return nil, err
 	}
 	lap(StageBuild)
-	snap.Stages = stages
+	snap.RepriceTrace = tr
 	r.cur.Store(snap)
 	return snap, nil
 }
@@ -473,45 +481,69 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 		aggOf[i] = int32(k)
 		k++
 	}
+	m := &r.mem
+	keys := m.keys
+	if len(aggs) == 0 || len(m.aggs) != len(aggs) || &m.aggs[0] != &aggs[0] {
+		keys = make([]rowKey, len(aggs)) // not the rows advance was given: nothing kept is theirs
+	}
 	byKey := make(map[quoteKey]int, len(flows))
-	// tierOfPrefix resolves multi-bucket destinations deterministically:
-	// when two source PoPs reach the same destination prefix in different
+	// tierOf resolves multi-bucket destinations deterministically: when
+	// two source PoPs reach the same destination prefix in different
 	// tiers, the route advertises the cheaper tier — by price, not tier
 	// index, since nothing guarantees prices are sorted by index (ties
-	// break toward the lower index). IPv6 buckets get quote keys but no
-	// route: the tier-tagged RIB speaks the IPv4 wire format, so IPv6
-	// traffic is served from the window exact-match path only.
-	tierOfPrefix := make(map[netip.Prefix]int, r.routes)
+	// break toward the lower index); it is indexed by the prefix ids the
+	// rows remember. IPv6 buckets get quote keys but no route: the
+	// tier-tagged RIB speaks the IPv4 wire format, so IPv6 traffic is
+	// served from the window exact-match path only.
+	tierOf := make([]int, len(m.prefixes), len(m.prefixes)+64)
+	for id := range tierOf {
+		tierOf[id] = -1
+	}
 	for tier, block := range out.Partition {
 		for _, i := range block {
-			a := &aggs[aggOf[i]]
-			srcMasked, srcOK := maskAddr(a.SrcAddr, r.cfg.SrcMaskBits, r.cfg.Src6MaskBits)
-			dstMasked, dstOK := maskAddr(a.DstAddr, r.cfg.DstMaskBits, r.cfg.Dst6MaskBits)
-			if !srcOK || !dstOK {
-				return nil, fmt.Errorf("stream: aggregate %q has an invalid endpoint sample (%v>%v)",
-					a.Key, a.SrcAddr, a.DstAddr)
+			k := &keys[aggOf[i]]
+			if k.prefix == 0 {
+				a := &aggs[aggOf[i]]
+				srcMasked, srcOK := maskAddr(a.SrcAddr, r.cfg.SrcMaskBits, r.cfg.Src6MaskBits)
+				dstMasked, dstOK := maskAddr(a.DstAddr, r.cfg.DstMaskBits, r.cfg.Dst6MaskBits)
+				if !srcOK || !dstOK {
+					return nil, fmt.Errorf("stream: aggregate %q has an invalid endpoint sample (%v>%v)",
+						a.Key, a.SrcAddr, a.DstAddr)
+				}
+				k.key, k.prefix = quoteKey{src: srcMasked, dst: dstMasked}, -1
+				if dstMasked.Is4() {
+					pfx := netip.PrefixFrom(dstMasked, r.cfg.DstMaskBits)
+					id, ok := m.prefixID[pfx]
+					if !ok { // first seen now: the next id
+						if id = int32(len(m.prefixes)); id == 0 {
+							m.prefixID = make(map[netip.Prefix]int32)
+						}
+						m.prefixID[pfx], m.prefixes, tierOf = id, append(m.prefixes, pfx), append(tierOf, -1)
+					}
+					k.prefix = 1 + id
+				}
 			}
-			byKey[quoteKey{src: srcMasked, dst: dstMasked}] = tier
-			if !dstMasked.Is4() {
+			byKey[k.key] = tier
+			if k.prefix < 0 {
 				continue
 			}
-			pfx := netip.PrefixFrom(dstMasked, r.cfg.DstMaskBits)
-			if prev, ok := tierOfPrefix[pfx]; !ok ||
+			if prev := tierOf[k.prefix-1]; prev < 0 ||
 				out.Prices[tier] < out.Prices[prev] ||
 				(out.Prices[tier] == out.Prices[prev] && tier < prev) {
-				tierOfPrefix[pfx] = tier
+				tierOf[k.prefix-1] = tier
 			}
 		}
 	}
-	r.routes = len(tierOfPrefix)
 
 	rib := bgp.NewRIB()
-	prefixes := make([]netip.Prefix, 0, len(tierOfPrefix))
-	for pfx := range tierOfPrefix {
-		prefixes = append(prefixes, pfx)
+	prefixes := make([]netip.Prefix, 0, len(tierOf))
+	for id, tier := range tierOf {
+		if tier >= 0 {
+			prefixes = append(prefixes, m.prefixes[id])
+		}
 	}
 	updates, err := bgp.AnnounceTiered(prefixes, r.cfg.NextHop,
-		func(p netip.Prefix) int { return tierOfPrefix[p] }, out.Prices)
+		func(p netip.Prefix) int { return tierOf[m.prefixID[p]] }, out.Prices)
 	if err != nil {
 		return nil, fmt.Errorf("stream: tier announcements: %w", err)
 	}
@@ -519,6 +551,13 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 		if err := rib.Apply(&updates[i]); err != nil {
 			return nil, fmt.Errorf("stream: installing tier routes: %w", err)
 		}
+	}
+	if len(m.prefixes) > 2*len(prefixes)+64 {
+		// Most ids name prefixes nothing routes to any more: forget them,
+		// and every row's key with them, so that destinations that churn
+		// do not grow the table without bound.
+		m.prefixID, m.prefixes = nil, nil
+		clear(m.keys)
 	}
 
 	return &Snapshot{

@@ -177,6 +177,13 @@ func (sw *ShardedWindow) Aggregates() []netflow.Aggregate {
 	return sw.merge.Sorted()
 }
 
+// MergeHints is Window.MergeHints for the merge across shards.
+func (sw *ShardedWindow) MergeHints() (hits, misses uint64) {
+	sw.mergeMu.Lock()
+	defer sw.mergeMu.Unlock()
+	return sw.merge.Hints()
+}
+
 // Stats sums the shards' lifetime counters and counts slots live in any
 // shard exactly once.
 func (sw *ShardedWindow) Stats() (records, duplicates, dropped, liveSlots int) {

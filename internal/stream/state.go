@@ -108,7 +108,7 @@ func (w *Window) exportAt(cur int64) WindowState {
 			ss.Seen[i] = k.Unpack()
 		}
 		for _, a := range s.aggs {
-			ss.Aggs = append(ss.Aggs, *a)
+			ss.Aggs = append(ss.Aggs, a.Aggregate)
 		}
 		sort.Slice(ss.Aggs, func(i, j int) bool { return ss.Aggs[i].Key < ss.Aggs[j].Key })
 		st.Slots = append(st.Slots, ss)
@@ -147,7 +147,7 @@ func (w *Window) Import(st WindowState) error {
 		if _, dup := w.slots[ss.Index]; dup {
 			return fmt.Errorf("stream: import has slot %d twice", ss.Index)
 		}
-		s := &slot{inst: w.seen.open(), aggs: make(map[string]*netflow.Aggregate, len(ss.Aggs))}
+		s := &slot{inst: w.seen.open(), aggs: make(map[string]*slotAgg, len(ss.Aggs))}
 		for _, key := range ss.Seen {
 			hk := hashKey(key)
 			if !hk.ok {
@@ -159,8 +159,7 @@ func (w *Window) Import(st WindowState) error {
 			}
 		}
 		for _, a := range ss.Aggs {
-			cp := a
-			s.aggs[a.Key] = &cp
+			s.aggs[a.Key] = &slotAgg{Aggregate: a}
 		}
 		w.slots[ss.Index] = s
 	}

@@ -54,7 +54,14 @@ var _ netflow.Sink = (*Window)(nil)
 // table, whose entries it owns until it is evicted.
 type slot struct {
 	inst uint32
-	aggs map[string]*netflow.Aggregate
+	aggs map[string]*slotAgg
+}
+
+// slotAgg is one slot's share of a bucket and the position the window's
+// merge last folded it at: AddAt's hint, mergeInto's alone to write.
+type slotAgg struct {
+	netflow.Aggregate
+	at int32
 }
 
 // NewWindow creates a window of slots slots of slotDur each.
@@ -134,7 +141,7 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 	w.evictLocked(cur)
 	s, ok := w.slots[cur]
 	if !ok {
-		s = &slot{inst: w.seen.open(), aggs: make(map[string]*netflow.Aggregate)}
+		s = &slot{inst: w.seen.open(), aggs: make(map[string]*slotAgg)}
 		w.slots[cur] = s
 	}
 	for i := range recs {
@@ -161,7 +168,7 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 		}
 		agg, ok := s.aggs[string(w.keyBuf)]
 		if !ok {
-			agg = netflow.NewAggregate(string(w.keyBuf), *r)
+			agg = &slotAgg{Aggregate: *netflow.NewAggregate(string(w.keyBuf), *r)}
 			s.aggs[agg.Key] = agg
 		} else {
 			agg.TakeSample(*r)
@@ -186,6 +193,13 @@ func (w *Window) Aggregates() []netflow.Aggregate {
 	return w.merge.Sorted()
 }
 
+// MergeHints reports the last Aggregates' netflow.AggregateMerge.Hints.
+func (w *Window) MergeHints() (hits, misses uint64) {
+	w.mergeMu.Lock()
+	defer w.mergeMu.Unlock()
+	return w.merge.Hints()
+}
+
 // mergeInto folds the live slots' partial aggregates into m after
 // evicting against cur, so a sharded wrapper can evict every shard
 // against one shared instant and merge them all into one result. Only
@@ -197,7 +211,7 @@ func (w *Window) mergeInto(m *netflow.AggregateMerge, cur int64) {
 	w.evictLocked(cur)
 	for _, s := range w.slots {
 		for _, a := range s.aggs {
-			m.Add(a)
+			a.at = m.AddAt(&a.Aggregate, a.at)
 		}
 	}
 }
