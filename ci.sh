@@ -82,11 +82,12 @@
 #                      FuzzScan (the one frame decoder under the WAL and
 #                      the history store), stream's FuzzPackedKey (the
 #                      dedup key's packed form) and FuzzRepricerMemory
-#                      (kept repricer = fresh one), and bundling's
+#                      (kept repricer = fresh one), bundling's
 #                      FuzzFixedPow (the CED block value's power kernel
-#                      against math.Pow), actually fuzzes for a short
-#                      budget (FUZZTIME, default 10s each), not just
-#                      replays its seed corpus
+#                      against math.Pow) and core's FuzzCostOrder (the
+#                      carried cost order = a fresh sort), actually
+#                      fuzzes for a short budget (FUZZTIME, default 10s
+#                      each), not just replays its seed corpus
 set -eu
 
 cd "$(dirname "$0")"
@@ -152,6 +153,8 @@ fuzz_smoke() {
     done
     echo "==> fuzz FuzzFixedPow (internal/bundling, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzFixedPow$' -fuzztime="$FUZZTIME" ./internal/bundling
+    echo "==> fuzz FuzzCostOrder (internal/core, ${FUZZTIME})"
+    go test -run='^$' -fuzz='^FuzzCostOrder$' -fuzztime="$FUZZTIME" ./internal/core
 }
 
 case "${1:-}" in

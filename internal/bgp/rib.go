@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -34,6 +35,10 @@ type RIB struct {
 
 	mu     sync.RWMutex
 	routes map[netip.Prefix]Route
+	// lens[b] counts the routes of prefix length b: a lookup probes the
+	// map at the lengths present, longest first, where one length holds
+	// at most one prefix containing the address.
+	lens   [33]int32
 	looped int
 }
 
@@ -48,7 +53,10 @@ func (rib *RIB) Apply(u *Update) error {
 	rib.mu.Lock()
 	defer rib.mu.Unlock()
 	for _, p := range u.Withdrawn {
-		delete(rib.routes, p.Masked())
+		if _, ok := rib.routes[p.Masked()]; ok {
+			delete(rib.routes, p.Masked())
+			rib.lens[p.Bits()]--
+		}
 	}
 	if rib.LocalAS != 0 && len(u.Announced) > 0 {
 		for _, as := range u.ASPath {
@@ -59,33 +67,43 @@ func (rib *RIB) Apply(u *Update) error {
 			}
 		}
 	}
+	// One copy of the path and the community per UPDATE, shared by its
+	// routes: nothing writes through a Route's slice or pointer.
+	r := Route{NextHop: u.NextHop, ASPath: slices.Clip(append([]uint16(nil), u.ASPath...))}
+	if u.Tier != nil {
+		tc := *u.Tier
+		r.Tier = &tc
+	}
 	for _, p := range u.Announced {
 		if !p.IsValid() || !p.Addr().Is4() {
 			return fmt.Errorf("bgp: invalid announced prefix %v", p)
 		}
-		r := Route{Prefix: p.Masked(), NextHop: u.NextHop, ASPath: append([]uint16(nil), u.ASPath...)}
-		if u.Tier != nil {
-			tc := *u.Tier
-			r.Tier = &tc
+		r.Prefix = p.Masked()
+		if _, ok := rib.routes[r.Prefix]; !ok {
+			rib.lens[p.Bits()]++
 		}
-		rib.routes[p.Masked()] = r
+		rib.routes[r.Prefix] = r
 	}
 	return nil
 }
 
-// Lookup returns the longest-prefix-match route for ip.
+// Lookup returns the longest-prefix-match route for ip. Routes are IPv4
+// (Apply refuses others), so no other address matches one.
 func (rib *RIB) Lookup(ip netip.Addr) (Route, bool) {
+	if !ip.Is4() {
+		return Route{}, false
+	}
 	rib.mu.RLock()
 	defer rib.mu.RUnlock()
-	var best Route
-	found := false
-	for _, r := range rib.routes {
-		if r.Prefix.Contains(ip) && (!found || r.Prefix.Bits() > best.Prefix.Bits()) {
-			best = r
-			found = true
+	for b := len(rib.lens) - 1; b >= 0; b-- {
+		if rib.lens[b] == 0 {
+			continue
+		}
+		if r, ok := rib.routes[netip.PrefixFrom(ip, b).Masked()]; ok {
+			return r, true
 		}
 	}
-	return best, found
+	return Route{}, false
 }
 
 // Looped returns how many announced prefixes were dropped by loop

@@ -275,7 +275,7 @@ func TestPrefixSumViewBitIdenticalToParent(t *testing.T) {
 		flows := fitFlows(t, c.model, n, 200, 20)
 		flows[17].Cost = 0 // the cap path
 		flows[60].Valuation -= 2000
-		order := costOrder(flows)
+		order, _ := CostOrder(flows, nil)
 		got, want := c.got(flows, order, c.alpha), c.parent(flows, order, c.alpha)
 		capped := 0
 		for lo := 0; lo < n; lo++ {

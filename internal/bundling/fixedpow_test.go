@@ -128,7 +128,7 @@ func TestCEDKernelKeepsPartitions(t *testing.T) {
 				m := econ.CED{Alpha: alpha}
 				flows := fitFlows(t, m, n, int64(n)+int64(alpha*10), 20)
 				reshape(flows)
-				order := costOrder(flows)
+				order, _ := CostOrder(flows, nil)
 				for b := 2; b <= 6; b++ {
 					want, _, err := optimize.ContiguousDPMonotone(n, b, parentCEDBlockValue(flows, order, alpha))
 					if err != nil {

@@ -46,14 +46,23 @@ func (Optimal) Name() string { return "optimal" }
 
 // Bundle implements Strategy.
 func (o Optimal) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, error) {
+	partition, _, _, err := o.BundleInOrder(flows, model, b, nil)
+	return partition, err
+}
+
+// BundleInOrder is Bundle for a caller that keeps the flows' cost order
+// from one market to the next: it runs over CostOrder(flows, hint) and
+// returns that order, and whether the hint failed its check and was
+// sorted, beside the partition. On an error order is hint.
+func (o Optimal) BundleInOrder(flows []econ.Flow, model econ.Model, b int, hint []int) (partition [][]int, order []int, sorted bool, err error) {
 	if err := validateInput(flows, b); err != nil {
-		return nil, err
+		return nil, hint, false, err
 	}
 	w, term, err := objective(flows, model)
 	if err != nil {
-		return nil, err
+		return nil, hint, false, err
 	}
-	order := costOrder(flows)
+	order, sorted = CostOrder(flows, hint)
 	val := term.prefixView(prefixSums(flows, order, w))
 	solve := optimize.ContiguousDPMonotone
 	if o.Quadratic {
@@ -61,9 +70,9 @@ func (o Optimal) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, er
 	}
 	blocks, _, err := solve(len(flows), b, val)
 	if err != nil {
-		return nil, err
+		return nil, order, sorted, err
 	}
-	return optimize.BlocksToPartition(blocks, order), nil
+	return optimize.BlocksToPartition(blocks, order), order, sorted, nil
 }
 
 // Exhaustive is the paper's literal exhaustive search (§4.2.1) over every
@@ -113,21 +122,37 @@ func (Exhaustive) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, e
 	return best, nil
 }
 
-// costOrder returns flow indices sorted by ascending cost, equal costs
-// by ascending index — a total order, so the unstable sort is
-// deterministic.
-func costOrder(flows []econ.Flow) []int {
-	order := make([]int, len(flows))
+// CostOrder returns the flow indices sorted by CostCompare, the order
+// Optimal's DP runs over. hint, when it holds len(flows) indices, is a
+// candidate for that order, kept if one pass finds every adjacent pair
+// strictly increasing: n indices in range that pass are a permutation,
+// and the only permutation that passes is the sorted one, ties and all.
+// Any other hint is sorted afresh, into hint's storage when it has the
+// room; sorted reports that.
+func CostOrder(flows []econ.Flow, hint []int) (order []int, sorted bool) {
+	n := len(flows)
+	ok := len(hint) == n
+	for k := 0; ok && k < n; k++ {
+		ok = uint(hint[k]) < uint(n) && (k == 0 || CostCompare(flows, hint[k-1], hint[k]) < 0)
+	}
+	if ok {
+		return hint, false
+	}
+	order = slices.Grow(hint[:0], n)[:n]
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(flows[a].Cost, flows[b].Cost); c != 0 {
-			return c
-		}
-		return a - b
-	})
-	return order
+	slices.SortFunc(order, func(a, b int) int { return CostCompare(flows, a, b) })
+	return order, true
+}
+
+// CostCompare orders flows a and b by ascending cost, equal costs by
+// ascending index: a total order, so its sort is unique.
+func CostCompare(flows []econ.Flow, a, b int) int {
+	if c := cmp.Compare(flows[a].Cost, flows[b].Cost); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
 }
 
 // blockTerm is one demand model's bundling objective, defined once —

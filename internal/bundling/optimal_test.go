@@ -2,6 +2,7 @@ package bundling
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestCEDBlockValueMatchesRealProfit(t *testing.T) {
 	// block with Eq. 5.
 	m := econ.CED{Alpha: 1.4}
 	flows := fitFlows(t, m, 9, 31, 20)
-	order := costOrder(flows)
+	order, _ := CostOrder(flows, nil)
 	val := cedBlockValue(flows, order, m.Alpha)
 	for lo := 0; lo < len(flows); lo++ {
 		for hi := lo + 1; hi <= len(flows); hi++ {
@@ -244,7 +245,7 @@ func TestCEDBlockValueZeroCost(t *testing.T) {
 		{Valuation: 9, Cost: 2, Demand: 1},
 		{Valuation: 7, Cost: 5, Demand: 1},
 	}
-	order := costOrder(flows)
+	order, _ := CostOrder(flows, nil)
 	val := cedBlockValue(flows, order, 1.7)
 	for lo := 0; lo < len(flows); lo++ {
 		for hi := lo + 1; hi <= len(flows); hi++ {
@@ -286,12 +287,46 @@ func TestCostOrderBreaksTiesByIndex(t *testing.T) {
 	for i, c := range costs {
 		flows[i].Cost = c
 	}
-	order := costOrder(flows)
+	order, _ := CostOrder(flows, nil)
 	for k := 1; k < len(order); k++ {
 		a, b := order[k-1], order[k]
 		if flows[a].Cost > flows[b].Cost || (flows[a].Cost == flows[b].Cost && a >= b) {
 			t.Fatalf("order %v: position %d (flow %d, cost %v) before flow %d (cost %v)",
 				order, k-1, a, flows[a].Cost, b, flows[b].Cost)
+		}
+	}
+}
+
+// TestBundleInOrderChecksItsHint: BundleInOrder keeps the sorted order it
+// is handed, sorts one that is wrong, and bundles as Bundle does either way.
+func TestBundleInOrderChecksItsHint(t *testing.T) {
+	m := econ.CED{Alpha: 1.4}
+	flows := fitFlows(t, m, 40, 7, 20)
+	flows[3].Cost = flows[9].Cost // an exact tie
+	want, err := Optimal{}.Bundle(flows, m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortedOrder, _ := CostOrder(flows, nil)
+	swapped := slices.Clone(sortedOrder)
+	swapped[10], swapped[11] = swapped[11], swapped[10]
+	for _, c := range []struct {
+		name       string
+		hint       []int
+		wantSorted bool
+	}{
+		{"none", nil, true},
+		{"sorted", slices.Clone(sortedOrder), false},
+		{"two swapped", swapped, true},
+		{"too short", sortedOrder[:39], true},
+	} {
+		got, order, sorted, err := Optimal{}.BundleInOrder(flows, m, 4, c.hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sorted != c.wantSorted || !slices.Equal(order, sortedOrder) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s hint: sorted %v (want %v), order %v, partition %v; want %v, %v",
+				c.name, sorted, c.wantSorted, order, got, sortedOrder, want)
 		}
 	}
 }
@@ -345,7 +380,7 @@ func TestCEDZeroCostRunAtTheCap(t *testing.T) {
 			flows[i].Cost = 0.5 + float64(i%9)*0.4
 		}
 	}
-	order := costOrder(flows)
+	order, _ := CostOrder(flows, nil)
 	val := cedBlockValue(flows, order, 1.7)
 	for _, b := range []int{1, 2, 3, 6, 14, 15, n, n + 3} {
 		want, wantTotal, err := optimize.ContiguousDP(n, b, val)

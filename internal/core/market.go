@@ -43,6 +43,8 @@ type Market struct {
 	// MaxProfit is the per-flow-pricing profit — the "infinite bundles"
 	// benchmark π_max.
 	MaxProfit float64
+
+	order *costOrder // the Fitter's, which Bundle checks and keeps; nil from NewMarket
 }
 
 // Outcome is the result of running one bundling strategy on a market.
@@ -67,20 +69,27 @@ type Outcome struct {
 // returned market owns a copy of flows with Valuation and Cost populated
 // (one Fit of a Fitter with nothing to remember).
 func NewMarket(flows []econ.Flow, demand econ.Model, costModel cost.Model, p0 float64) (*Market, error) {
-	return new(Fitter).Fit(flows, demand, costModel, p0)
+	m, err := new(Fitter).Fit(flows, demand, costModel, p0)
+	if err == nil {
+		m.order = nil // nothing carries it on, and its Bundles may run concurrently
+	}
+	return m, err
 }
 
 // Fitter fits one market after another over a flow set that mostly
 // persists — the online re-pricer's epochs. It reuses its buffers and
 // hands a CED model its previous fit (econ.CED.Refit), so a flow whose ID
-// and demand did not change is not fitted again; whatever depends on γ or
-// on a price is computed as NewMarket computes it. The zero value is
-// ready, one goroutine at a time; a Market is valid until the next Fit.
+// and demand did not change is not fitted again, and it carries the cost
+// order its last market's Bundle checked into the next (costOrder);
+// whatever depends on γ or on a price is computed as NewMarket computes
+// it. The zero value is ready, one goroutine at a time; a Market is valid,
+// and bundled by one goroutine at a time, until the next Fit.
 type Fitter struct {
 	owned   []econ.Flow
 	demands []float64
 	from    []int32    // this fit's flow → the last fit's, or −1
 	last    econ.Model // what the last fit's Refit returned
+	order   costOrder
 }
 
 // Fit is NewMarket with the Fitter's memory.
@@ -94,11 +103,12 @@ func (f *Fitter) Fit(flows []econ.Flow, demand econ.Model, costModel cost.Model,
 	if len(flows) == 0 {
 		return nil, errors.New("core: no flows")
 	}
+	// Pair the flows with the last fit's before its copy of them is
+	// overwritten.
+	prev := f.owned
+	f.from = MatchSorted(f.from, len(prev), len(flows), func(i, j int) int { return strings.Compare(prev[i].ID, flows[j].ID) })
+	f.order.carry(prev, flows, f.from)
 	ced, refits := demand.(econ.CED)
-	if refits { // pair the flows with the last fit's before its copy of them is overwritten
-		prev := f.owned
-		f.from = MatchSorted(f.from, len(prev), len(flows), func(i, j int) int { return strings.Compare(prev[i].ID, flows[j].ID) })
-	}
 	owned := append(f.owned[:0], flows...)
 	f.owned = owned
 	demands := f.demands[:0]
@@ -131,6 +141,7 @@ func (f *Fitter) Fit(flows []econ.Flow, demand econ.Model, costModel cost.Model,
 		owned[i].Valuation = vals[i]
 		owned[i].Cost = gamma * rel[i]
 	}
+	f.order.merge(owned)
 
 	m := &Market{
 		Flows:        owned,
@@ -139,6 +150,7 @@ func (f *Fitter) Fit(flows []econ.Flow, demand econ.Model, costModel cost.Model,
 		P0:           p0,
 		Gamma:        gamma,
 		GammaClamped: clamped,
+		order:        &f.order,
 	}
 	one := econ.OneBundle(len(owned))
 	if m.OriginalProfit, err = demand.Profit(owned, one, []float64{p0}); err != nil {
@@ -190,11 +202,40 @@ func (m *Market) Run(s bundling.Strategy, b int) (Outcome, error) {
 // flows into at most b tiers. It exists apart from Run so the online
 // repricer can time bundling and pricing as separate stages.
 func (m *Market) Bundle(s bundling.Strategy, b int) ([][]int, error) {
-	partition, err := s.Bundle(m.Flows, m.Demand, b)
+	var partition [][]int
+	var err error
+	if in, ok := s.(inOrder); ok && m.order != nil {
+		var sorted bool
+		partition, m.order.idx, sorted, err = in.BundleInOrder(m.Flows, m.Demand, b, m.order.idx)
+		m.order.settle(sorted, err == nil)
+	} else {
+		partition, err = s.Bundle(m.Flows, m.Demand, b)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %s bundling: %w", s.Name(), err)
 	}
 	return partition, nil
+}
+
+// inOrder is a strategy that bundles over a cost order it is handed as a
+// hint, checks, and hands back (bundling.Optimal). A strategy that bundles
+// subsets of the flows, as ClassAware does, sorts each and does not carry.
+type inOrder interface {
+	BundleInOrder(flows []econ.Flow, model econ.Model, b int, hint []int) ([][]int, []int, bool, error)
+}
+
+// CostOrder reports how the last Bundle by an inOrder strategy came by the
+// flows' cost order: "carried" whole from the Fitter's last market,
+// "merged" with merged new or moved rows, or "sorted" afresh. It is ""
+// before such a Bundle and for a market from NewMarket.
+func (m *Market) CostOrder() (outcome string, merged int) {
+	if m.order == nil {
+		return "", 0
+	}
+	if m.order.outcome == "merged" {
+		merged = len(m.order.extra)
+	}
+	return m.order.outcome, merged
 }
 
 // Price is Run's second half: it prices each tier of the partition s

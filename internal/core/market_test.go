@@ -280,8 +280,9 @@ func TestOutcomeFieldsPopulated(t *testing.T) {
 // sets — unchanged, demands moved on a few flows, flows added and gone,
 // then the same flows permuted and with repeated IDs — fits, bundles and
 // prices each exactly as NewMarket does from nothing, under CED (where it
-// carries per-flow values over) and logit (where it only reuses buffers).
-// Unsorted IDs cost it the reuse, never the result.
+// carries per-flow values over) and logit (where it only reuses buffers),
+// and carries its cost order over where the flows let it. Unsorted IDs
+// cost it the reuse, never the result.
 func TestFitterMatchesNewMarket(t *testing.T) {
 	for _, demand := range []econ.Model{econ.CED{Alpha: 1.1}, econ.Logit{Alpha: 1.1, S0: 0.2}} {
 		rng := rand.New(rand.NewSource(24))
@@ -290,7 +291,7 @@ func TestFitterMatchesNewMarket(t *testing.T) {
 			flows[i].ID = fmt.Sprintf("f%04d", 2*i)
 		}
 		var fitter Fitter
-		check := func(step string, wantReuse bool) {
+		check := func(step string, wantReuse bool, wantOrder string) {
 			t.Helper()
 			got, err := fitter.Fit(flows, demand, cost.Linear{Theta: 0.2}, 20)
 			if err != nil {
@@ -318,30 +319,38 @@ func TestFitterMatchesNewMarket(t *testing.T) {
 					t.Fatalf("%s, %s, %s: outcome\n got %+v\nwant %+v", demand.Name(), step, s.Name(), g, w)
 				}
 			}
+			if order, merged := got.CostOrder(); wantOrder != "" && order != wantOrder {
+				t.Fatalf("%s, %s: cost order %s (%d merged), want %s", demand.Name(), step, order, merged, wantOrder)
+			}
+			if order, _ := want.CostOrder(); order != "" {
+				t.Fatalf("%s, %s: a NewMarket market reports cost order %q", demand.Name(), step, order)
+			}
 			if ced, ok := got.Demand.(econ.CED); ok {
 				if reused, _ := ced.FitStats(); (reused > 0) != wantReuse {
 					t.Fatalf("%s: %d of %d flows reused, want reuse = %v", step, reused, len(flows), wantReuse)
 				}
 			}
 		}
-		check("first fit", false)
-		check("unchanged", true)
+		check("first fit", false, "sorted")
+		check("unchanged", true, "carried")
 		for i := 0; i < 10; i++ {
 			flows[rng.Intn(len(flows))].Demand *= 1.5
 		}
-		check("ten demands moved", true)
+		check("ten demands moved", true, "")
 		flows = append(flows[:40], flows[45:]...)
 		flows = slices.Insert(flows, 100, econ.Flow{ID: "f0199", Demand: 3, Distance: 70, Region: econ.RegionNational})
-		check("five flows gone, one new", true)
+		check("five flows gone, one new", true, "merged")
+		flows[7].Distance = 3000
+		check("one flow moved", true, "merged")
 		slices.Reverse(flows)
-		check("IDs descending", true) // the walk still pairs the first flow it meets
+		check("IDs descending", true, "") // the walk still pairs the first flow it meets
 		rng.Shuffle(len(flows), func(i, j int) { flows[i], flows[j] = flows[j], flows[i] })
-		check("IDs shuffled", true)
+		check("IDs shuffled", true, "")
 		for i := range flows {
 			flows[i].ID = "same"
 		}
-		check("one ID for every flow", false)
+		check("one ID for every flow", false, "")
 		flows[0].Demand, flows[1].Demand = flows[1].Demand, flows[0].Demand
-		check("one ID, two demands swapped", true)
+		check("one ID, two demands swapped", true, "")
 	}
 }

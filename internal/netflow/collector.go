@@ -191,8 +191,9 @@ func (m *AggregateMerge) AddAt(a *Aggregate, hint int32) int32 {
 	return i
 }
 
-// Sorted returns a copy of the merged aggregates sorted by key.
-func (m *AggregateMerge) Sorted() []Aggregate {
+// SortedInto returns a copy of the merged aggregates sorted by key,
+// written into dst's storage when it has the room (nil: a new slice).
+func (m *AggregateMerge) SortedInto(dst []Aggregate) []Aggregate {
 	// Keys no part was added to since Reset have aged out: drop them, and
 	// with them the kept order, which the sort below then rebuilds.
 	if slices.ContainsFunc(m.round, func(r uint32) bool { return r != m.now }) {
@@ -230,7 +231,13 @@ func (m *AggregateMerge) Sorted() []Aggregate {
 			f--
 		}
 	}
-	out := make([]Aggregate, len(m.order))
+	out := dst[:0]
+	if dst == nil || cap(dst) < len(m.order) {
+		// A caller that reuses its rows gets headroom, so a key set that
+		// grows by one a round does not reallocate them every round.
+		out = make([]Aggregate, 0, len(m.order)+cap(dst)/4)
+	}
+	out = out[:len(m.order)]
 	for i, at := range m.order {
 		out[i] = m.aggs[at]
 	}
@@ -324,7 +331,7 @@ func (c *Collector) Aggregates() []Aggregate {
 		m.Add(a)
 	}
 	c.mu.Unlock()
-	return m.Sorted()
+	return m.SortedInto(nil)
 }
 
 // Stats reports how many records were ingested, how many were dropped as

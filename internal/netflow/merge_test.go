@@ -81,11 +81,11 @@ func TestAggregateMergeRemembers(t *testing.T) {
 		if hits, misses = hits+h, misses+m; h+m != uint64(len(parts)) {
 			t.Fatalf("round %d: %d hits and %d misses for %d parts", round, h, m, len(parts))
 		}
-		got, want := kept.Sorted(), fresh.Sorted()
+		got, want := kept.SortedInto(nil), fresh.SortedInto(nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: kept merge\n got %+v\nwant %+v", round, got, want)
 		}
-		if got := hinted.Sorted(); !reflect.DeepEqual(got, want) {
+		if got := hinted.SortedInto(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: hinted merge\n got %+v\nwant %+v", round, got, want)
 		}
 		if len(got) != len(live) || len(kept.index) != len(live) || len(kept.aggs) != len(live) ||
@@ -114,7 +114,7 @@ func TestAggregateMergeRemembers(t *testing.T) {
 		for _, a := range parts {
 			kept.Add(a)
 		}
-		kept.Sorted()
+		kept.SortedInto(nil)
 	}
 	round()
 	if allocs := testing.AllocsPerRun(20, round); allocs > 1 {

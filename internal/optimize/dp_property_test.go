@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -529,5 +530,34 @@ func TestDPScratchReuse(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Errorf("Solve on a warm scratch made %v allocations, want only the returned blocks", allocs)
+	}
+}
+
+// TestDPScratchSurvivesGrowthAndGC: a market that gains a flow per solve,
+// with collections in between, keeps its held tables — each solve
+// allocates the blocks it returns and nothing else. Re-allocated tables
+// cost at least four objects a solve, so the bound — two a solve — leaves
+// room for the few the runtime allocates beside the test under -race.
+func TestDPScratchSurvivesGrowthAndGC(t *testing.T) {
+	const n, solves = 1000, 51
+	if _, _, err := ContiguousDPMonotone(n, 4, benchVal(n, 9)); err != nil {
+		t.Fatal(err)
+	}
+	var objects uint64
+	for m := n; m < n+solves; m++ {
+		val := benchVal(m, int64(m))
+		runtime.GC()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, _, err := ContiguousDPMonotone(m, 4, val); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		objects += m1.Mallocs - m0.Mallocs
+	}
+	if objects > 2*solves {
+		t.Fatalf("%d solves at n=%d…%d, each after a GC, made %d allocations, want about the %d returned block lists",
+			solves, n, n+solves-1, objects, solves)
 	}
 }

@@ -3,7 +3,7 @@ package optimize
 import (
 	"errors"
 	"math"
-	"sync"
+	"sync/atomic"
 )
 
 // This file implements the linear-time-per-layer solver of the
@@ -45,7 +45,7 @@ import (
 // engine's strategy × bundle-count fan-out — allocate nothing but the
 // returned blocks. The zero value is ready to use; tables grow on demand
 // and are retained between solves. A DPScratch is not safe for concurrent
-// use; use one per goroutine or borrow from the package pool via
+// use; use one per goroutine or borrow from the package's slots via
 // ContiguousDPMonotone.
 type DPScratch struct {
 	prev, curr []float64 // rolling DP rows, length n+1
@@ -54,51 +54,66 @@ type DPScratch struct {
 	cols       []int32   // SMAWK's surviving-column stacks, one per recursion level
 }
 
-// resize grows the tables to fit an (n, maxBlocks) instance, reusing the
+// resize fits the tables to an (n, maxBlocks) instance, reusing the
 // existing capacity whenever it suffices.
 func (s *DPScratch) resize(n, maxBlocks int) {
 	rowLen := n + 1
-	if cap(s.prev) < rowLen {
-		s.prev = make([]float64, rowLen)
-		s.curr = make([]float64, rowLen)
-	}
-	s.prev = s.prev[:rowLen]
-	s.curr = s.curr[:rowLen]
-	if cap(s.cut) < maxBlocks*rowLen {
-		s.cut = make([]int32, maxBlocks*rowLen)
-	}
-	s.cut = s.cut[:maxBlocks*rowLen]
-	if cap(s.layerBest) < maxBlocks {
-		s.layerBest = make([]float64, maxBlocks)
-	}
-	s.layerBest = s.layerBest[:maxBlocks]
+	s.prev = fit(s.prev, rowLen)
+	s.curr = fit(s.curr, rowLen)
+	s.cut = fit(s.cut, maxBlocks*rowLen)
+	s.layerBest = fit(s.layerBest, maxBlocks)
 	// The candidate columns of a layer (≤ n), then one surviving-column
 	// stack per recursion level, each at most as long as the level's row
 	// count: n + n/2 + n/4 + … < 2n.
-	if cap(s.cols) < 3*rowLen {
-		s.cols = make([]int32, 3*rowLen)
-	}
-	s.cols = s.cols[:3*rowLen]
+	s.cols = fit(s.cols, 3*rowLen)
 }
 
-// dpScratchPool shares scratch across ContiguousDPMonotone callers. A
-// sync.Pool is per-P cached, so the experiment engine's bounded worker
-// pool and the repricer's tick loop each effectively keep their own warm
-// tables without any coordination.
-var dpScratchPool = sync.Pool{New: func() any { return new(DPScratch) }}
+// fit returns buf resliced to n, reallocated with a quarter's headroom
+// when too small: a market that gains a flow an epoch must not replace
+// every table every epoch.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = make([]T, n, n+n/4)
+	}
+	return buf[:n]
+}
 
-// GetDPScratch borrows a scratch from the package pool. Pair with
+// dpScratchSlots share scratch across ContiguousDPMonotone callers, in
+// the idiom of bundling's power tables: a borrow takes a scratch out of
+// any full slot, a return puts it into an empty one or lets it go. A
+// sync.Pool would do the same until a GC empties it, which at the
+// repricer's allocation rate is about every second re-price of a 20 k-flow
+// market, each then re-allocating ≈ 0.9 MB of tables. The slots hold at
+// most len(dpScratchSlots) scratches however many solve at once.
+var dpScratchSlots [8]atomic.Pointer[DPScratch]
+
+// GetDPScratch borrows a scratch from the package's slots. Pair with
 // PutDPScratch when done; callers that solve in a tight loop can instead
 // hold one DPScratch for the loop's lifetime.
-func GetDPScratch() *DPScratch { return dpScratchPool.Get().(*DPScratch) }
+func GetDPScratch() *DPScratch {
+	for i := range dpScratchSlots {
+		if dpScratchSlots[i].Load() != nil {
+			if s := dpScratchSlots[i].Swap(nil); s != nil {
+				return s
+			}
+		}
+	}
+	return new(DPScratch)
+}
 
-// PutDPScratch returns a scratch to the package pool.
-func PutDPScratch(s *DPScratch) { dpScratchPool.Put(s) }
+// PutDPScratch returns a scratch to the package's slots.
+func PutDPScratch(s *DPScratch) {
+	for i := range dpScratchSlots {
+		if dpScratchSlots[i].CompareAndSwap(nil, s) {
+			return
+		}
+	}
+}
 
 // ContiguousDPMonotone solves the same problem as ContiguousDP — the
 // contiguous partition of 0..n-1 into at most maxBlocks non-empty blocks
 // maximizing the sum of block values — in O(n·maxBlocks) block-value
-// evaluations by SMAWK row maxima, using pooled scratch tables.
+// evaluations by SMAWK row maxima, using the package's held scratch tables.
 //
 // It requires val to satisfy the concave-Monge condition documented above,
 // which holds for every objective in this repository (both demand models'

@@ -31,6 +31,15 @@ type RepriceTrace struct {
 	// remembered, and those that paid the key's hash and probe.
 	HintHits   uint64 `json:"hint_hits"`
 	HintMisses uint64 `json:"hint_misses"`
+	// How the bundle stage came by the flows' cost order: "carried" whole
+	// from the last epoch, "merged" with OrderMerged new or moved rows, or
+	// "sorted" afresh; empty under a strategy that needs no cost order.
+	CostOrder   string `json:"cost_order,omitempty"`
+	OrderMerged int    `json:"order_merged"`
+	// Bytes the whole process allocated and GC cycles it completed while
+	// the re-price ran (runtime/metrics), the re-price's own among them.
+	AllocBytes uint64 `json:"alloc_bytes"`
+	GCCycles   uint64 `json:"gc_cycles"`
 }
 
 // rowMemory is what a Repricer keeps, between epochs, of the rows it
@@ -42,6 +51,7 @@ type RepriceTrace struct {
 // rows is recomputed. Reconfigure and an empty window reset it to zero.
 type rowMemory struct {
 	aggs       []netflow.Aggregate    // last epoch's rows, key-sorted
+	spareAggs  []netflow.Aggregate    // the rows before those: the window merges this epoch's into their storage
 	known      []demandfit.Resolution // known[i]: aggs[i] resolved
 	keys       []rowKey               // keys[i]: aggs[i]'s quote key and route prefix
 	from       []int32                // this epoch's row → last epoch's, or −1
@@ -94,7 +104,7 @@ func (m *rowMemory) advance(aggs []netflow.Aggregate, pure bool, tr *RepriceTrac
 			tr.ResolveReused++
 		}
 	}
-	m.aggs = aggs
+	m.aggs, m.spareAggs = aggs, m.aggs
 	m.known, m.spareKnown = known, m.known
 	m.keys, m.spareKeys = keys, m.keys
 }

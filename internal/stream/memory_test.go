@@ -28,15 +28,16 @@ import (
 // and the first sixteen hosts of every other /24 are located far from the
 // rest of it, so a bucket whose endpoint sample moves there moves.
 type memRig struct {
-	t     *testing.T
-	now   time.Time
-	w     *ShardedWindow
-	cfg   Config
-	kept  *Repricer
-	seq   uint32
-	keys  map[int]bool // every key ever ingested: the quote probes
-	seen  RepriceTrace // field-wise maximum over the kept repricer's traces
-	steps int
+	t      *testing.T
+	now    time.Time
+	w      *ShardedWindow
+	cfg    Config
+	kept   *Repricer
+	seq    uint32
+	keys   map[int]bool   // every key ever ingested: the quote probes
+	seen   RepriceTrace   // field-wise maximum over the kept repricer's traces
+	orders map[string]int // the kept repricer's cost-order outcomes
+	steps  int
 }
 
 func memAddrs(key int, host byte) (src, dst netip.Addr) {
@@ -46,7 +47,7 @@ func memAddrs(key int, host byte) (src, dst netip.Addr) {
 
 func newMemRig(t *testing.T, shards int) *memRig {
 	t.Helper()
-	r := &memRig{t: t, now: time.Unix(1_700_000_000, 0), keys: map[int]bool{}}
+	r := &memRig{t: t, now: time.Unix(1_700_000_000, 0), keys: map[int]bool{}, orders: map[string]int{}}
 	geo := new(geoip.DB)
 	locate := func(p netip.Prefix, city string, lat, lon float64) {
 		if err := geo.Insert(geoip.Record{Prefix: p, City: city, Country: "NL", Lat: lat, Lon: lon}); err != nil {
@@ -167,6 +168,7 @@ func (r *memRig) check() {
 	s.New, s.Changed, s.Retired = max(s.New, tr.New), max(s.Changed, tr.Changed), max(s.Retired, tr.Retired)
 	s.ResolveReused, s.FitReused = max(s.ResolveReused, tr.ResolveReused), max(s.FitReused, tr.FitReused)
 	s.HintHits = max(s.HintHits, tr.HintHits)
+	r.orders[tr.CostOrder]++
 }
 
 func span(from, to int) (keys []int) {
@@ -203,7 +205,12 @@ func TestRememberingRepricerMatchesFresh(t *testing.T) {
 			step(5*time.Second, 100, 3*i, 3*i+70, 3*i+140, 3*i+1, 3*i+71, 3*i+141)
 		}
 		step(5*time.Second, 3, 42) // key 42's sample moves to a lower host
-		for i := 0; i < 12; i++ {  // one never-seen key per step
+		step(5*time.Second, 5, 90) // key 90's moves into the far /28: its row changes place in cost order
+		if tr := r.kept.Current().RepriceTrace; tr.CostOrder != "merged" || tr.OrderMerged != 1 {
+			t.Fatalf("%d shards: a row moved across others in cost order: cost order %q with %d merged, want it merged alone",
+				shards, tr.CostOrder, tr.OrderMerged)
+		}
+		for i := 0; i < 12; i++ { // one never-seen key per step
 			step(5*time.Second, 100, 300+i, i)
 		}
 		for i := 0; i < 12; i++ { // the first burst ages out; thirty keys stay
@@ -235,8 +242,9 @@ func TestRememberingRepricerMatchesFresh(t *testing.T) {
 		for i := 0; i < 40; i++ {     // a churning set: six keys, sliding by one each step
 			step(20*time.Second, 100, span(500+i, 506+i)...)
 		}
-		if s := r.seen; s.New == 0 || s.Changed == 0 || s.Retired == 0 || s.ResolveReused == 0 || s.FitReused == 0 || s.HintHits == 0 {
-			t.Fatalf("%d shards: the schedule never exercised part of the memory: %+v", shards, s)
+		if s := r.seen; s.New == 0 || s.Changed == 0 || s.Retired == 0 || s.ResolveReused == 0 || s.FitReused == 0 || s.HintHits == 0 ||
+			r.orders["carried"] == 0 || r.orders["merged"] == 0 {
+			t.Fatalf("%d shards: the schedule never exercised part of the memory: %+v, cost orders %v", shards, s, r.orders)
 		}
 	}
 }

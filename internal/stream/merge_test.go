@@ -22,7 +22,7 @@ func oneShot(st WindowState) []netflow.Aggregate {
 			m.Add(&s.Aggs[i])
 		}
 	}
-	return m.Sorted()
+	return m.SortedInto(nil)
 }
 
 // TestKeptMergeMatchesOneShot walks a Window and ShardedWindows of one,

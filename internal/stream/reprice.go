@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,7 +181,7 @@ type Snapshot struct {
 	// RepriceTrace is what this re-price did; its Stages, the wall time.
 	RepriceTrace
 
-	byKey    map[quoteKey]int
+	index    quoteIndex
 	rib      *bgp.RIB
 	srcBits  int
 	dstBits  int
@@ -219,8 +220,7 @@ func (s *Snapshot) Quote(src, dst netip.Addr) (Quote, bool) {
 	if !srcOK || !dstOK {
 		return Quote{}, false
 	}
-	key := quoteKey{src: srcMasked, dst: dstMasked}
-	if tier, ok := s.byKey[key]; ok {
+	if tier, ok := s.index.get(quoteKey{src: srcMasked, dst: dstMasked}); ok {
 		return Quote{Tier: tier, Price: s.Table.Tiers[tier].Price, Source: SourceWindow}, true
 	}
 	if route, ok := s.rib.Lookup(dst.Unmap()); ok && route.Tier != nil {
@@ -255,11 +255,13 @@ type Repricer struct {
 
 	// mu serializes Reprice (the periodic tick and a caller-driven final
 	// drain can race) and guards mem, what the repricer remembers of the
-	// rows it last priced. No snapshot ever points into mem, so it is
-	// free again by the time Reprice returns; the bundling DP's own
-	// tables are pooled in the optimize package.
-	mu  sync.Mutex
-	mem rowMemory
+	// rows it last priced, and the runtime counters a trace reads. No
+	// snapshot ever points into mem, so it is free again by the time
+	// Reprice returns; the bundling DP's own tables are held in the
+	// optimize package.
+	mu      sync.Mutex
+	mem     rowMemory
+	runtime [2]metrics.Sample
 }
 
 // RestoreEpoch fast-forwards the epoch counter so the next published
@@ -407,12 +409,20 @@ func (r *Repricer) reprice(ctx context.Context) (*Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var tr RepriceTrace
+	allocs, cycles := r.readRuntime()
 	mark := time.Now()
 	lap := func(s Stage) {
 		now := time.Now()
 		tr.Stages[s], mark = now.Sub(mark), now
 	}
-	aggs := r.cfg.Window.Aggregates()
+	var aggs []netflow.Aggregate
+	if w, ok := r.cfg.Window.(interface {
+		AggregatesInto([]netflow.Aggregate) []netflow.Aggregate
+	}); ok {
+		aggs = w.AggregatesInto(r.mem.spareAggs) // the rows of the epoch before last
+	} else {
+		aggs = r.cfg.Window.Aggregates()
+	}
 	if len(aggs) == 0 {
 		r.mem = rowMemory{} // no rows, nothing to remember them by
 		return nil, ErrEmptyWindow
@@ -441,6 +451,7 @@ func (r *Repricer) reprice(ctx context.Context) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: reprice: %w", err)
 	}
+	tr.CostOrder, tr.OrderMerged = market.CostOrder()
 	lap(StageBundle)
 	out, err := market.Price(r.cfg.Strategy, r.cfg.Tiers, partition)
 	if err != nil {
@@ -456,9 +467,20 @@ func (r *Repricer) reprice(ctx context.Context) (*Snapshot, error) {
 		return nil, err
 	}
 	lap(StageBuild)
+	allocs2, cycles2 := r.readRuntime()
+	tr.AllocBytes, tr.GCCycles = allocs2-allocs, cycles2-cycles
 	snap.RepriceTrace = tr
 	r.cur.Store(snap)
 	return snap, nil
+}
+
+// readRuntime reads the process's cumulative heap allocation and
+// completed GC cycles.
+func (r *Repricer) readRuntime() (allocBytes, gcCycles uint64) {
+	s := &r.runtime
+	s[0].Name, s[1].Name = "/gc/heap/allocs:bytes", "/gc/cycles/total:gc-cycles"
+	metrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // buildSnapshot assembles the immutable serving structures from one
@@ -486,7 +508,7 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 	if len(aggs) == 0 || len(m.aggs) != len(aggs) || &m.aggs[0] != &aggs[0] {
 		keys = make([]rowKey, len(aggs)) // not the rows advance was given: nothing kept is theirs
 	}
-	byKey := make(map[quoteKey]int, len(flows))
+	index := newQuoteIndex(len(flows))
 	// tierOf resolves multi-bucket destinations deterministically: when
 	// two source PoPs reach the same destination prefix in different
 	// tiers, the route advertises the cheaper tier — by price, not tier
@@ -523,7 +545,7 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 					k.prefix = 1 + id
 				}
 			}
-			byKey[k.key] = tier
+			index.set(k.key, tier)
 			if k.prefix < 0 {
 				continue
 			}
@@ -565,7 +587,7 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 		FittedAt: r.now(),
 		Table:    table,
 		Skipped:  skipped,
-		byKey:    byKey,
+		index:    index,
 		rib:      rib,
 		srcBits:  r.cfg.SrcMaskBits,
 		dstBits:  r.cfg.DstMaskBits,

@@ -146,7 +146,8 @@ func TestQuoteFallsBackToRIB(t *testing.T) {
 }
 
 // TestQuoteZeroAllocs pins the hot-path property the serving layer's
-// latency depends on: an exact-match quote performs no allocations.
+// latency depends on: a quote performs no allocations, whether the window
+// answers it, the RIB does or nothing does.
 func TestQuoteZeroAllocs(t *testing.T) {
 	rp, _, batchAggs := loadedRepricer(t, 74)
 	snap, err := rp.Reprice(context.Background())
@@ -165,6 +166,12 @@ func TestQuoteZeroAllocs(t *testing.T) {
 	_ = sink
 	if allocs != 0 {
 		t.Fatalf("Quote allocates %v times per call, want 0", allocs)
+	}
+	stranger := netip.MustParseAddr("192.0.2.1")
+	for _, probe := range [][2]netip.Addr{{stranger, dst}, {stranger, stranger}} {
+		if allocs := testing.AllocsPerRun(1000, func() { sink, _ = snap.Quote(probe[0], probe[1]) }); allocs != 0 {
+			t.Fatalf("Quote(%v, %v) allocates %v times per call, want 0", probe[0], probe[1], allocs)
+		}
 	}
 }
 

@@ -166,7 +166,10 @@ func (sw *ShardedWindow) IngestBatchAt(ts time.Time, h netflow.Header, b Batch) 
 // Aggregates merges every shard's live aggregates into the batch
 // collector's output shape. All shards are evicted against one shared
 // instant so a shard that went quiet cannot contribute stale slots.
-func (sw *ShardedWindow) Aggregates() []netflow.Aggregate {
+func (sw *ShardedWindow) Aggregates() []netflow.Aggregate { return sw.AggregatesInto(nil) }
+
+// AggregatesInto is Window.AggregatesInto for the merge across shards.
+func (sw *ShardedWindow) AggregatesInto(dst []netflow.Aggregate) []netflow.Aggregate {
 	sw.mergeMu.Lock()
 	defer sw.mergeMu.Unlock()
 	cur := sw.slotIndex(sw.now())
@@ -174,7 +177,7 @@ func (sw *ShardedWindow) Aggregates() []netflow.Aggregate {
 	for _, sh := range sw.shards {
 		sh.mergeInto(&sw.merge, cur)
 	}
-	return sw.merge.Sorted()
+	return sw.merge.SortedInto(dst)
 }
 
 // MergeHints is Window.MergeHints for the merge across shards.

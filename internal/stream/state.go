@@ -102,13 +102,13 @@ func (w *Window) exportAt(cur int64) WindowState {
 		ss := SlotState{
 			Index: idx,
 			Seen:  make([]netflow.FlowKey, len(keys)),
-			Aggs:  make([]netflow.Aggregate, 0, len(s.aggs)),
+			Aggs:  make([]netflow.Aggregate, len(s.aggs)),
 		}
 		for i, k := range keys {
 			ss.Seen[i] = k.Unpack()
 		}
-		for _, a := range s.aggs {
-			ss.Aggs = append(ss.Aggs, a.Aggregate)
+		for i := range s.aggs {
+			ss.Aggs[i] = s.aggs[i].Aggregate
 		}
 		sort.Slice(ss.Aggs, func(i, j int) bool { return ss.Aggs[i].Key < ss.Aggs[j].Key })
 		st.Slots = append(st.Slots, ss)
@@ -147,7 +147,7 @@ func (w *Window) Import(st WindowState) error {
 		if _, dup := w.slots[ss.Index]; dup {
 			return fmt.Errorf("stream: import has slot %d twice", ss.Index)
 		}
-		s := &slot{inst: w.seen.open(), aggs: make(map[string]*slotAgg, len(ss.Aggs))}
+		s := newSlot(w.seen.open(), len(ss.Aggs))
 		for _, key := range ss.Seen {
 			hk := hashKey(key)
 			if !hk.ok {
@@ -159,7 +159,7 @@ func (w *Window) Import(st WindowState) error {
 			}
 		}
 		for _, a := range ss.Aggs {
-			s.aggs[a.Key] = &slotAgg{Aggregate: a}
+			s.put(a)
 		}
 		w.slots[ss.Index] = s
 	}

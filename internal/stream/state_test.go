@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -214,5 +215,51 @@ func TestRestoreEpoch(t *testing.T) {
 	r.RestoreEpoch(7) // never rewinds
 	if got := r.epoch.Load(); got != 41 {
 		t.Fatalf("epoch %d after lower restore, want 41", got)
+	}
+}
+
+// TestImportDuplicateAggregateLastWins: a slot listing one bucket twice
+// imports as the later entry alone, as assigning both into a map would,
+// at one shard and at four — and exports that way, round trip after round
+// trip.
+func TestImportDuplicateAggregateLastWins(t *testing.T) {
+	at := time.Unix(1700000000, 0)
+	w := newStateWindow(t, at)
+	for i := 0; i < 6; i++ {
+		h, recs := statePacket(i)
+		w.IngestAt(at, h, recs)
+	}
+	st := w.Export()
+	aggs := st.Slots[0].Aggs
+	last := aggs[0]
+	last.Octets, last.Records, last.Input = 99, 1, 7
+	st.Slots[0].Aggs = append(slices.Clone(aggs), last)
+	want := slices.Clone(aggs)
+	want[0] = last
+
+	for _, shards := range []int{1, 4} {
+		sw, err := NewShardedWindow(traces.AggregateKey, time.Hour, 4, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.SetClock(func() time.Time { return at })
+		if err := sw.Import(st); err != nil {
+			t.Fatal(err)
+		}
+		if got := sw.Aggregates(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards: aggregates after import\n got %+v\nwant %+v", shards, got, want)
+		}
+		again := sw.Export()
+		if got := again.Slots[0].Aggs; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards: exported slot\n got %+v\nwant %+v", shards, got, want)
+		}
+		if err := sw.Import(again); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(again)
+		b, _ := json.Marshal(sw.Export())
+		if string(a) != string(b) {
+			t.Fatalf("%d shards: export → import → export is not byte-identical", shards)
+		}
 	}
 }

@@ -50,11 +50,30 @@ type Window struct {
 
 var _ netflow.Sink = (*Window)(nil)
 
-// slot holds one slot's partial aggregates; inst names it in the dedup
-// table, whose entries it owns until it is evicted.
+// slot holds one slot's partial aggregates, in a slice the merge reads
+// straight through and a map from key to position; inst names it in the
+// dedup table, whose entries it owns until it is evicted.
 type slot struct {
-	inst uint32
-	aggs map[string]*slotAgg
+	inst  uint32
+	aggs  []slotAgg
+	index map[string]int32
+}
+
+func newSlot(inst uint32, n int) *slot {
+	return &slot{inst: inst, aggs: make([]slotAgg, 0, n), index: make(map[string]int32, n)}
+}
+
+// put files a: a key the slot has not seen is appended, and one it has
+// is overwritten — the last write wins, as a map assignment does.
+func (s *slot) put(a netflow.Aggregate) *slotAgg {
+	i, ok := s.index[a.Key]
+	if !ok {
+		i = int32(len(s.aggs))
+		s.aggs = append(s.aggs, slotAgg{})
+		s.index[a.Key] = i
+	}
+	s.aggs[i].Aggregate = a
+	return &s.aggs[i]
 }
 
 // slotAgg is one slot's share of a bucket and the position the window's
@@ -141,7 +160,7 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 	w.evictLocked(cur)
 	s, ok := w.slots[cur]
 	if !ok {
-		s = &slot{inst: w.seen.open(), aggs: make(map[string]*slotAgg)}
+		s = newSlot(w.seen.open(), 0)
 		w.slots[cur] = s
 	}
 	for i := range recs {
@@ -166,12 +185,12 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 			w.dropped++
 			continue
 		}
-		agg, ok := s.aggs[string(w.keyBuf)]
-		if !ok {
-			agg = &slotAgg{Aggregate: *netflow.NewAggregate(string(w.keyBuf), *r)}
-			s.aggs[agg.Key] = agg
-		} else {
+		var agg *slotAgg
+		if i, ok := s.index[string(w.keyBuf)]; ok {
+			agg = &s.aggs[i]
 			agg.TakeSample(*r)
+		} else {
+			agg = s.put(*netflow.NewAggregate(string(w.keyBuf), *r))
 		}
 		agg.Octets += uint64(r.Octets) * sampling
 		agg.Records++
@@ -185,12 +204,18 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 // per-bucket operation commutes — sums, counts, minimum samples — the
 // merge is independent of slot order, ingest order, and any sharding of
 // the records upstream.
-func (w *Window) Aggregates() []netflow.Aggregate {
+func (w *Window) Aggregates() []netflow.Aggregate { return w.AggregatesInto(nil) }
+
+// AggregatesInto is Aggregates written into dst's storage when it has
+// the room: a caller that keeps its rows from one call to the next (the
+// repricer) then allocates nothing for them. Aggregates is
+// AggregatesInto(nil).
+func (w *Window) AggregatesInto(dst []netflow.Aggregate) []netflow.Aggregate {
 	w.mergeMu.Lock()
 	defer w.mergeMu.Unlock()
 	w.merge.Reset()
 	w.mergeInto(&w.merge, w.slotIndex(w.now()))
-	return w.merge.Sorted()
+	return w.merge.SortedInto(dst)
 }
 
 // MergeHints reports the last Aggregates' netflow.AggregateMerge.Hints.
@@ -210,7 +235,8 @@ func (w *Window) mergeInto(m *netflow.AggregateMerge, cur int64) {
 	defer w.mu.Unlock()
 	w.evictLocked(cur)
 	for _, s := range w.slots {
-		for _, a := range s.aggs {
+		for i := range s.aggs {
+			a := &s.aggs[i]
 			a.at = m.AddAt(&a.Aggregate, a.at)
 		}
 	}

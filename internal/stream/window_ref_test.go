@@ -105,7 +105,7 @@ func (w *refWindow) Aggregates() []netflow.Aggregate {
 			m.Add(a)
 		}
 	}
-	return m.Sorted()
+	return m.SortedInto(nil)
 }
 
 func (w *refWindow) Stats() (records, duplicates, dropped, liveSlots int) {
