@@ -84,10 +84,12 @@
 #                      dedup key's packed form) and FuzzRepricerMemory
 #                      (kept repricer = fresh one), bundling's
 #                      FuzzFixedPow (the CED block value's power kernel
-#                      against math.Pow) and core's FuzzCostOrder (the
-#                      carried cost order = a fresh sort), actually
-#                      fuzzes for a short budget (FUZZTIME, default 10s
-#                      each), not just replays its seed corpus
+#                      against math.Pow) and FuzzCurve (every strategy's
+#                      one-pass capture curve = its per-b bundles), and
+#                      core's FuzzCostOrder (the carried cost order = a
+#                      fresh sort), actually fuzzes for a short budget
+#                      (FUZZTIME, default 10s each), not just replays its
+#                      seed corpus
 set -eu
 
 cd "$(dirname "$0")"
@@ -151,8 +153,10 @@ fuzz_smoke() {
         echo "==> fuzz ${target} (internal/stream, ${FUZZTIME})"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/stream
     done
-    echo "==> fuzz FuzzFixedPow (internal/bundling, ${FUZZTIME})"
-    go test -run='^$' -fuzz='^FuzzFixedPow$' -fuzztime="$FUZZTIME" ./internal/bundling
+    for target in FuzzFixedPow FuzzCurve; do
+        echo "==> fuzz ${target} (internal/bundling, ${FUZZTIME})"
+        go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/bundling
+    done
     echo "==> fuzz FuzzCostOrder (internal/core, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzCostOrder$' -fuzztime="$FUZZTIME" ./internal/core
 }

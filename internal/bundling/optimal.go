@@ -75,6 +75,27 @@ func (o Optimal) BundleInOrder(flows []econ.Flow, model econ.Model, b int, hint 
 	return optimize.BlocksToPartition(blocks, order), order, sorted, nil
 }
 
+// curve is Curve for the SMAWK solver: one cost order, one objective, one
+// prefix sum and one DP for every b ≤ maxB.
+func (Optimal) curve(flows []econ.Flow, model econ.Model, maxB int) ([][][]int, error) {
+	w, term, err := objective(flows, model)
+	if err != nil {
+		return nil, err
+	}
+	order, _ := CostOrder(flows, nil)
+	s := optimize.GetDPScratch()
+	defer optimize.PutDPScratch(s)
+	curve, _, err := s.SolveCurve(len(flows), maxB, term.prefixView(prefixSums(flows, order, w)))
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]int, maxB)
+	for b, blocks := range curve {
+		out[b] = optimize.BlocksToPartition(blocks, order)
+	}
+	return out, nil
+}
+
 // Exhaustive is the paper's literal exhaustive search (§4.2.1) over every
 // set partition into at most b bundles, contiguous in cost or not. It
 // screens them with the subset-sum view of Optimal's objective and

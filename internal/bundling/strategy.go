@@ -51,12 +51,67 @@ func ByName(name string) (Strategy, error) {
 	return nil, fmt.Errorf("bundling: unknown strategy %q", name)
 }
 
+// Curve partitions flows for every bundle count at once: entry b-1 is what
+// s.Bundle(flows, model, b) returns, for b = 1..maxB. Optimal solves one
+// DP for the whole curve (optimize.DPScratch.SolveCurve), and the
+// token-bucket strategies weigh and sort the flows once, then bucket per
+// b; every other strategy bundles per b.
+func Curve(s Strategy, flows []econ.Flow, model econ.Model, maxB int) ([][][]int, error) {
+	if err := validateInput(flows, maxB); err != nil {
+		return nil, err
+	}
+	bundle := func(b int) ([][]int, error) { return s.Bundle(flows, model, b) }
+	switch s := s.(type) {
+	case Optimal:
+		if !s.Quadratic {
+			return s.curve(flows, model, maxB)
+		}
+	case weighting:
+		w, err := s.weights(flows, model)
+		if err != nil {
+			return nil, err
+		}
+		bucket, err := buckets(w)
+		if err != nil {
+			return nil, err
+		}
+		bundle = func(b int) ([][]int, error) { return bucket(b), nil }
+	}
+	out := make([][][]int, maxB)
+	for b := range out {
+		var err error
+		if out[b], err = bundle(b + 1); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // validateInput performs the checks shared by all strategies.
 func validateInput(flows []econ.Flow, b int) error {
 	if b < 1 {
 		return ErrNeedBundles
 	}
 	return econ.ValidateFlows(flows)
+}
+
+// weighting is a token-bucket strategy: its partition for any b is the
+// bucket over one weight per flow (demand, 1/cost or potential profit).
+type weighting interface {
+	Strategy
+	weights(flows []econ.Flow, model econ.Model) ([]float64, error)
+}
+
+// bundleWeighted is Bundle for a token-bucket strategy.
+func bundleWeighted(s weighting, flows []econ.Flow, model econ.Model, b int) ([][]int, error) {
+	if err := validateInput(flows, b); err != nil {
+		return nil, err
+	}
+	w, err := s.weights(flows, model)
+	if err != nil {
+		return nil, err
+	}
+	return tokenBucket(w, b)
 }
 
 // sortIndexesDesc returns flow indices sorted by descending weight,
@@ -78,47 +133,58 @@ func sortIndexesDesc(weights []float64) []int {
 	return idx
 }
 
-// tokenBucket implements the paper's weighting algorithm (§4.2.1,
-// "demand-weighted"): the total token budget T = Σ w_i is split evenly
-// across b bundles; flows are visited in decreasing weight order and
-// assigned to the first bundle that is empty or still has budget, with
-// deficits carried into the next bundle. High-weight flows get bundles of
-// their own; low-weight flows share the tail bundles.
-func tokenBucket(weights []float64, b int) ([][]int, error) {
-	n := len(weights)
-	if b > n {
-		b = n
-	}
+// buckets prepares the paper's weighting algorithm (§4.2.1,
+// "demand-weighted") once for any bundle count: it checks that every
+// weight is finite and positive, totals them to T = Σ w_i and orders the
+// flows by decreasing weight. bucket then splits T evenly across b
+// bundles; flows are visited in that order and assigned to the first
+// bundle that is empty or still has budget, with deficits carried into the
+// next bundle. High-weight flows get bundles of their own; low-weight
+// flows share the tail bundles.
+func buckets(weights []float64) (bucket func(b int) [][]int, err error) {
 	var total float64
 	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("bundling: weight %d is non-positive (%v)", i, w)
+		if !econ.FinitePositive(w) {
+			return nil, fmt.Errorf("bundling: weight %d is not finite and positive (%v)", i, w)
 		}
 		total += w
 	}
-	budgets := make([]float64, b)
-	for j := range budgets {
-		budgets[j] = total / float64(b)
-	}
-	bundles := make([][]int, b)
-	j := 0
-	for _, i := range sortIndexesDesc(weights) {
-		// Advance to the first bundle that is empty or has budget left.
-		for j < b-1 && len(bundles[j]) > 0 && budgets[j] <= 0 {
-			j++
+	order := sortIndexesDesc(weights)
+	return func(b int) [][]int {
+		b = min(b, len(weights))
+		budgets := make([]float64, b)
+		for j := range budgets {
+			budgets[j] = total / float64(b)
 		}
-		bundles[j] = append(bundles[j], i)
-		budgets[j] -= weights[i]
-		if budgets[j] < 0 && j+1 < b {
-			// Carry the deficit into the next bundle.
-			budgets[j+1] += budgets[j]
-			budgets[j] = 0
-			if len(bundles[j]) > 0 {
+		bundles := make([][]int, b)
+		j := 0
+		for _, i := range order {
+			// Advance to the first bundle that is empty or has budget left.
+			for j < b-1 && len(bundles[j]) > 0 && budgets[j] <= 0 {
 				j++
 			}
+			bundles[j] = append(bundles[j], i)
+			budgets[j] -= weights[i]
+			if budgets[j] < 0 && j+1 < b {
+				// Carry the deficit into the next bundle.
+				budgets[j+1] += budgets[j]
+				budgets[j] = 0
+				if len(bundles[j]) > 0 {
+					j++
+				}
+			}
 		}
+		return dropEmpty(bundles)
+	}, nil
+}
+
+// tokenBucket is one bucket of the weighting algorithm.
+func tokenBucket(weights []float64, b int) ([][]int, error) {
+	bucket, err := buckets(weights)
+	if err != nil {
+		return nil, err
 	}
-	return dropEmpty(bundles), nil
+	return bucket(b), nil
 }
 
 // dropEmpty removes empty bundles, preserving order.
@@ -141,15 +207,16 @@ type DemandWeighted struct{}
 func (DemandWeighted) Name() string { return "demand-weighted" }
 
 // Bundle implements Strategy.
-func (DemandWeighted) Bundle(flows []econ.Flow, _ econ.Model, b int) ([][]int, error) {
-	if err := validateInput(flows, b); err != nil {
-		return nil, err
-	}
+func (s DemandWeighted) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, error) {
+	return bundleWeighted(s, flows, model, b)
+}
+
+func (DemandWeighted) weights(flows []econ.Flow, _ econ.Model) ([]float64, error) {
 	w := make([]float64, len(flows))
 	for i, f := range flows {
 		w[i] = f.Demand
 	}
-	return tokenBucket(w, b)
+	return w, nil
 }
 
 // CostWeighted is the paper's cost-weighted strategy: token-bucket
@@ -163,15 +230,16 @@ type CostWeighted struct{}
 func (CostWeighted) Name() string { return "cost-weighted" }
 
 // Bundle implements Strategy.
-func (CostWeighted) Bundle(flows []econ.Flow, _ econ.Model, b int) ([][]int, error) {
-	if err := validateInput(flows, b); err != nil {
-		return nil, err
-	}
+func (s CostWeighted) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, error) {
+	return bundleWeighted(s, flows, model, b)
+}
+
+func (CostWeighted) weights(flows []econ.Flow, _ econ.Model) ([]float64, error) {
 	w := make([]float64, len(flows))
 	for i, f := range flows {
 		w[i] = 1 / f.Cost
 	}
-	return tokenBucket(w, b)
+	return w, nil
 }
 
 // ProfitWeighted is the paper's profit-weighted strategy: token-bucket
@@ -184,15 +252,12 @@ type ProfitWeighted struct{}
 func (ProfitWeighted) Name() string { return "profit-weighted" }
 
 // Bundle implements Strategy.
-func (ProfitWeighted) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, error) {
-	if err := validateInput(flows, b); err != nil {
-		return nil, err
-	}
-	w, err := model.PotentialProfits(flows)
-	if err != nil {
-		return nil, err
-	}
-	return tokenBucket(w, b)
+func (s ProfitWeighted) Bundle(flows []econ.Flow, model econ.Model, b int) ([][]int, error) {
+	return bundleWeighted(s, flows, model, b)
+}
+
+func (ProfitWeighted) weights(flows []econ.Flow, model econ.Model) ([]float64, error) {
+	return model.PotentialProfits(flows)
 }
 
 // CostDivision is the paper's cost-division strategy: the cost axis from

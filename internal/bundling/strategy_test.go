@@ -111,6 +111,12 @@ func TestStrategiesRejectBadInput(t *testing.T) {
 		if _, err := s.Bundle(nil, m, 2); err == nil {
 			t.Errorf("%s: expected error for empty flows", s.Name())
 		}
+		if _, err := Curve(s, flows, m, 0); err == nil {
+			t.Errorf("%s: expected Curve error for maxB = 0", s.Name())
+		}
+		if _, err := Curve(s, nil, m, 2); err == nil {
+			t.Errorf("%s: expected Curve error for empty flows", s.Name())
+		}
 	}
 }
 
@@ -155,8 +161,18 @@ func TestTokenBucketDeficitCarry(t *testing.T) {
 }
 
 func TestTokenBucketRejectsNonPositiveWeight(t *testing.T) {
-	if _, err := tokenBucket([]float64{1, 0}, 2); err == nil {
-		t.Error("expected error for zero weight")
+	for _, w := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := tokenBucket([]float64{1, w, 2}, 2); err == nil {
+			t.Errorf("expected error for weight %v", w)
+		}
+	}
+	// A subnormal cost passes flow validation but gives cost weighting the
+	// weight 1/c = +Inf, which would turn every budget NaN.
+	m := econ.CED{Alpha: 1.1}
+	flows := fitFlows(t, m, 4, 1, 20)
+	flows[2].Cost = 5e-324
+	if _, err := (CostWeighted{}).Bundle(flows, m, 2); err == nil {
+		t.Error("subnormal cost: cost weighting accepted the weight +Inf")
 	}
 }
 

@@ -97,8 +97,8 @@ func (f *Fitter) Fit(flows []econ.Flow, demand econ.Model, costModel cost.Model,
 	if demand == nil || costModel == nil {
 		return nil, errors.New("core: demand and cost models are required")
 	}
-	if p0 <= 0 {
-		return nil, fmt.Errorf("core: blended rate must be positive, got %v", p0)
+	if !econ.FinitePositive(p0) {
+		return nil, fmt.Errorf("core: blended rate must be finite and positive, got %v", p0)
 	}
 	if len(flows) == 0 {
 		return nil, errors.New("core: no flows")
@@ -113,8 +113,8 @@ func (f *Fitter) Fit(flows []econ.Flow, demand econ.Model, costModel cost.Model,
 	f.owned = owned
 	demands := f.demands[:0]
 	for _, fl := range owned {
-		if fl.Demand <= 0 {
-			return nil, fmt.Errorf("core: flow %q has non-positive demand", fl.ID)
+		if !econ.FinitePositive(fl.Demand) {
+			return nil, fmt.Errorf("core: flow %q has demand %v, want finite and positive", fl.ID, fl.Demand)
 		}
 		demands = append(demands, fl.Demand)
 	}
@@ -196,6 +196,23 @@ func (m *Market) Run(s bundling.Strategy, b int) (Outcome, error) {
 		return Outcome{}, err
 	}
 	return m.Price(s, b, partition)
+}
+
+// Curve is Run for every b = 1..maxB from one bundling.Curve: entry b-1 is
+// what Run(s, b) returns. It ignores a Fitter's cost order, which changes
+// how Run sorts, never what it returns.
+func (m *Market) Curve(s bundling.Strategy, maxB int) ([]Outcome, error) {
+	partitions, err := bundling.Curve(s, m.Flows, m.Demand, maxB)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s bundling: %w", s.Name(), err)
+	}
+	out := make([]Outcome, maxB)
+	for b, p := range partitions {
+		if out[b], err = m.Price(s, b+1, p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Bundle is Run's first half: the strategy's partition of the market's

@@ -49,10 +49,41 @@ func TestNewMarketValidations(t *testing.T) {
 	if _, err := NewMarket(flows, d, c, 0); err == nil {
 		t.Error("expected error for zero blended rate")
 	}
-	bad := append([]econ.Flow(nil), flows...)
-	bad[2].Demand = 0
-	if _, err := NewMarket(bad, d, c, 20); err == nil {
-		t.Error("expected error for zero demand")
+	for _, x := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := NewMarket(flows, d, c, x); err == nil {
+			t.Errorf("expected error for blended rate %v", x)
+		}
+		bad := append([]econ.Flow(nil), flows...)
+		bad[2].Demand = x
+		if _, err := NewMarket(bad, d, c, 20); err == nil {
+			t.Errorf("expected error for demand %v", x)
+		}
+	}
+}
+
+// TestMarketCurveMatchesRun: Curve's entry b-1 is Run(s, b), every field,
+// for every strategy under both models.
+func TestMarketCurveMatchesRun(t *testing.T) {
+	for _, d := range []econ.Model{econ.CED{Alpha: 1.1}, econ.Logit{Alpha: 1.1, S0: 0.2}} {
+		m, err := NewMarket(syntheticFlows(50, 4), d, cost.Linear{Theta: 0.2}, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range bundling.All() {
+			curve, err := m.Curve(s, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 1; b <= 6; b++ {
+				want, err := m.Run(s, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(curve[b-1], want) {
+					t.Fatalf("%s/%s b=%d: Curve %+v, Run %+v", d.Name(), s.Name(), b, curve[b-1], want)
+				}
+			}
+		}
 	}
 }
 

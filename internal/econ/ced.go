@@ -155,8 +155,8 @@ func (m CED) Refit(prev Model, from []int32, demands []float64, p0 float64) (Mod
 	if err := m.check(); err != nil {
 		return nil, nil, err
 	}
-	if p0 <= 0 {
-		return nil, nil, fmt.Errorf("econ: blended rate must be positive, got %v", p0)
+	if !FinitePositive(p0) {
+		return nil, nil, fmt.Errorf("econ: blended rate must be finite and positive, got %v", p0)
 	}
 	n := len(demands)
 	buf := make([]float64, 4*n)
@@ -167,8 +167,8 @@ func (m CED) Refit(prev Model, from []int32, demands []float64, p0 float64) (Mod
 	}
 	reused := 0
 	for i, q := range demands {
-		if q <= 0 {
-			return nil, nil, fmt.Errorf("econ: demand %d is non-positive (%v)", i, q)
+		if !FinitePositive(q) {
+			return nil, nil, fmt.Errorf("econ: demand %d is not finite and positive (%v)", i, q)
 		}
 		f.q[i] = q
 		if old != nil && i < len(from) {
@@ -235,8 +235,8 @@ func (m CED) CalibrateScale(valuations, relCosts []float64, p0 float64) (float64
 	if len(valuations) == 0 {
 		return 0, false, errors.New("econ: no flows")
 	}
-	if p0 <= 0 {
-		return 0, false, fmt.Errorf("econ: blended rate must be positive, got %v", p0)
+	if !FinitePositive(p0) {
+		return 0, false, fmt.Errorf("econ: blended rate must be finite and positive, got %v", p0)
 	}
 	var sumVA, sumFVA float64
 	pows := 0

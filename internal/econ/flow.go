@@ -12,6 +12,7 @@ package econ
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Region classifies a flow by how far it travels, following the paper's
@@ -66,18 +67,24 @@ type Flow struct {
 }
 
 // Validate reports whether the flow's economic fields are usable by the
-// pricing formulas: positive demand and cost. Valuation sign is
+// pricing formulas: finite positive demand and cost. Valuation sign is
 // model-specific — CED requires v > 0 (checked by its methods), while
 // logit valuations are utilities and may legitimately be negative (a
 // low-share flow fitted against a low blended rate).
 func (f Flow) Validate() error {
-	if f.Demand <= 0 {
-		return fmt.Errorf("econ: flow %q has non-positive demand %v", f.ID, f.Demand)
+	if !FinitePositive(f.Demand) {
+		return fmt.Errorf("econ: flow %q has demand %v, want finite and positive", f.ID, f.Demand)
 	}
-	if f.Cost <= 0 {
-		return fmt.Errorf("econ: flow %q has non-positive cost %v", f.ID, f.Cost)
+	if !FinitePositive(f.Cost) {
+		return fmt.Errorf("econ: flow %q has cost %v, want finite and positive", f.ID, f.Cost)
 	}
 	return nil
+}
+
+// FinitePositive reports whether x is positive and finite: the guard for
+// a demand, cost, rate or duration (`x <= 0` is false for NaN).
+func FinitePositive(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
 }
 
 // ValidateFlows checks every flow in the slice.

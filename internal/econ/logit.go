@@ -110,13 +110,13 @@ func (m Logit) FitValuations(demands []float64, p0 float64) ([]float64, error) {
 	if err := m.check(); err != nil {
 		return nil, err
 	}
-	if p0 <= 0 {
-		return nil, fmt.Errorf("econ: blended rate must be positive, got %v", p0)
+	if !FinitePositive(p0) {
+		return nil, fmt.Errorf("econ: blended rate must be finite and positive, got %v", p0)
 	}
 	var total float64
 	for i, q := range demands {
-		if q <= 0 {
-			return nil, fmt.Errorf("econ: demand %d is non-positive (%v)", i, q)
+		if !FinitePositive(q) {
+			return nil, fmt.Errorf("econ: demand %d is not finite and positive (%v)", i, q)
 		}
 		total += q
 	}
@@ -192,8 +192,8 @@ func (m Logit) CalibrateScale(valuations, relCosts []float64, p0 float64) (float
 	if len(valuations) == 0 {
 		return 0, false, errors.New("econ: no flows")
 	}
-	if p0 <= 0 {
-		return 0, false, fmt.Errorf("econ: blended rate must be positive, got %v", p0)
+	if !FinitePositive(p0) {
+		return 0, false, fmt.Errorf("econ: blended rate must be finite and positive, got %v", p0)
 	}
 	for i, f := range relCosts {
 		if f <= 0 {

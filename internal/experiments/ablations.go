@@ -165,11 +165,7 @@ func runAblation2(opts Options) (*Result, error) {
 // without cross-router dedup — and fits a market on each, quantifying
 // how double-counting inflates demands and distorts tier prices.
 func runAblation3(opts Options) (*Result, error) {
-	ds, err := opts.dataset("euisp", opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: opts.Seed + 1})
+	ds, streams, err := opts.export("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}

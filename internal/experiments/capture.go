@@ -39,13 +39,10 @@ func runCaptureFigure(id, model string, strategies []bundling.Strategy, opts Opt
 		return nil, err
 	}
 	res := &Result{ID: id, Title: fmt.Sprintf("profit capture, %s demand", model)}
-	// Each network's table is independent (own dataset, own market), as is
-	// every strategy × bundle-count repricing inside it; fan out per
-	// dataset here and per B inside captureRow, appending tables in
-	// presentation order.
+	// Each network's table is independent (own dataset, own market); fan
+	// out per dataset, appending tables in presentation order.
 	names := traces.Names()
-	workers := opts.workerCount()
-	tables, err := parallel.Map(context.Background(), len(names), workers,
+	tables, err := parallel.Map(context.Background(), len(names), opts.workerCount(),
 		func(_ context.Context, di int) (*report.Table, error) {
 			name := names[di]
 			m, err := datasetMarket(opts, name, opts.Seed, dm, cost.Linear{Theta: defaultTheta})
@@ -57,7 +54,7 @@ func runCaptureFigure(id, model string, strategies []bundling.Strategy, opts Opt
 					model, name, defaultAlpha, defaultTheta, m.P0),
 				"strategy", "b=1", "b=2", "b=3", "b=4", "b=5", "b=6")
 			for _, s := range strategies {
-				row, err := captureRow(m, s, workers)
+				row, err := captureRow(m, s)
 				if err != nil {
 					return nil, err
 				}

@@ -18,7 +18,6 @@ import (
 	"tieredpricing/internal/peering"
 	"tieredpricing/internal/report"
 	"tieredpricing/internal/stats"
-	"tieredpricing/internal/traces"
 )
 
 func init() {
@@ -110,7 +109,7 @@ func runFig17(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: opts.Seed + 1})
+	_, streams, err := opts.export("euisp", opts.Seed)
 	if err != nil {
 		return nil, err
 	}

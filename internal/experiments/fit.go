@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+
+	"tieredpricing/internal/parallel"
 	"tieredpricing/internal/report"
 	"tieredpricing/internal/stats"
 	"tieredpricing/internal/traces"
@@ -60,22 +63,31 @@ func runTable1(opts Options) (*Result, error) {
 		"cdn":       traces.CDNTargets,
 		"internet2": traces.Internet2Targets,
 	}
-	for _, name := range traces.Names() {
-		ds, flows, pipe, err := collectedDataset(opts, name, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		st, err := traces.MeasureFlows(flows)
-		if err != nil {
-			return nil, err
-		}
-		want := paper[ds.Name]
-		if err := t.AddRow(ds.Name, report.I(st.Flows),
-			report.F1(want.WeightedMeanDistance), report.F1(st.WeightedMeanDistance),
-			report.F(want.DistanceCV), report.F(st.DistanceCV),
-			report.F1(want.AggregateGbps), report.F1(st.AggregateGbps),
-			report.F(want.DemandCV), report.F(st.DemandCV),
-			report.I(pipe.duplicates)); err != nil {
+	// The three pipelines are independent; fan out per dataset.
+	names := traces.Names()
+	rows, err := parallel.Map(context.Background(), len(names), opts.workerCount(),
+		func(_ context.Context, i int) ([]string, error) {
+			ds, flows, pipe, err := collectedDataset(opts, names[i], opts.Seed)
+			if err != nil {
+				return nil, err
+			}
+			st, err := traces.MeasureFlows(flows)
+			if err != nil {
+				return nil, err
+			}
+			want := paper[ds.Name]
+			return []string{ds.Name, report.I(st.Flows),
+				report.F1(want.WeightedMeanDistance), report.F1(st.WeightedMeanDistance),
+				report.F(want.DistanceCV), report.F(st.DistanceCV),
+				report.F1(want.AggregateGbps), report.F1(st.AggregateGbps),
+				report.F(want.DemandCV), report.F(st.DemandCV),
+				report.I(pipe.duplicates)}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		if err := t.AddRow(row...); err != nil {
 			return nil, err
 		}
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 
@@ -13,7 +12,6 @@ import (
 	"tieredpricing/internal/demandfit"
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/netflow"
-	"tieredpricing/internal/parallel"
 	"tieredpricing/internal/traces"
 )
 
@@ -62,15 +60,11 @@ type pipeStats struct {
 	skipped    int
 }
 
-// collectedDataset builds a preset dataset and runs it through the full
-// §4.1.1 pipeline — NetFlow emission, cross-router dedup, endpoint
-// resolution — returning the recovered flows.
+// collectedDataset runs a preset dataset through the full §4.1.1
+// pipeline — NetFlow export, cross-router dedup, endpoint resolution —
+// returning the recovered flows.
 func collectedDataset(opts Options, name string, seed int64) (*traces.Dataset, []econ.Flow, pipeStats, error) {
-	ds, err := opts.dataset(name, seed)
-	if err != nil {
-		return nil, nil, pipeStats{}, err
-	}
-	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: seed + 1})
+	ds, streams, err := opts.export(name, seed)
 	if err != nil {
 		return nil, nil, pipeStats{}, err
 	}
@@ -145,31 +139,26 @@ func datasetMarket(opts Options, name string, seed int64, dm econ.Model, cm cost
 	return core.NewMarket(ds.Flows, dm, cm, ds.P0)
 }
 
-// captureRow runs one strategy over b = 1..maxBundles and returns the
-// capture series. The repricings at different bundle counts are
-// independent, so they fan out across workers goroutines; slot b-1 of
-// the row holds bundle count b whichever finishes first.
-func captureRow(m *core.Market, s bundling.Strategy, workers int) ([]float64, error) {
-	return parallel.Map(context.Background(), maxBundles, workers,
-		func(_ context.Context, i int) (float64, error) {
-			res, err := m.Run(s, i+1)
-			if err != nil {
-				return 0, err
-			}
-			return res.Capture, nil
-		})
+// captureRow runs one strategy over b = 1..maxBundles, from one
+// Market.Curve, and returns the capture series.
+func captureRow(m *core.Market, s bundling.Strategy) ([]float64, error) {
+	return curveRow(m, s, func(o core.Outcome) float64 { return o.Capture })
 }
 
-// profitRow runs one strategy over b = 1..maxBundles and returns raw
-// profits (for the figure-normalized sensitivity plots), fanning out per
-// bundle count like captureRow.
-func profitRow(m *core.Market, s bundling.Strategy, workers int) ([]float64, error) {
-	return parallel.Map(context.Background(), maxBundles, workers,
-		func(_ context.Context, i int) (float64, error) {
-			res, err := m.Run(s, i+1)
-			if err != nil {
-				return 0, err
-			}
-			return res.Profit, nil
-		})
+// profitRow is captureRow for raw profits (the figure-normalized
+// sensitivity plots).
+func profitRow(m *core.Market, s bundling.Strategy) ([]float64, error) {
+	return curveRow(m, s, func(o core.Outcome) float64 { return o.Profit })
+}
+
+func curveRow(m *core.Market, s bundling.Strategy, read func(core.Outcome) float64) ([]float64, error) {
+	outs, err := m.Curve(s, maxBundles)
+	if err != nil {
+		return nil, err
+	}
+	row := make([]float64, len(outs))
+	for b, o := range outs {
+		row[b] = read(o)
+	}
+	return row, nil
 }

@@ -21,13 +21,14 @@ type Options struct {
 	// Seed drives all randomness; a fixed seed reproduces a run exactly.
 	Seed int64
 	// Workers bounds the goroutines used to fan out independent work —
-	// whole experiments in RunAll, and the per-seed, per-parameter and
-	// per-bundle-count loops inside experiments. Zero or one runs
+	// whole experiments in RunAll, and the per-dataset, per-seed and
+	// per-parameter loops inside experiments. Zero or one runs
 	// serially. Any value produces byte-identical output: tasks derive
 	// their seeds and parameters from their index, and results merge in
 	// submission order.
 	Workers int
-	// shared is RunAll's dataset source; nil generates directly.
+	// shared is RunAll's source of datasets and their NetFlow exports;
+	// nil generates directly.
 	shared *sync.Map
 }
 
@@ -47,15 +48,34 @@ type datasetKey struct {
 	seed int64
 }
 
-// dataset returns the named preset at seed. The experiments of one RunAll
-// share one generation per (name, seed) — concurrent askers wait on the
-// same once — so the result is read-only; a lone Run with zero Options
-// generates a fresh one.
+// exportKey names the NetFlow export of a datasetKey's dataset.
+type exportKey datasetKey
+
+// dataset returns the named preset at seed, shared.
 func (o Options) dataset(name string, seed int64) (*traces.Dataset, error) {
-	generate := func() (*traces.Dataset, error) { return traces.ByName(name, seed) }
+	return share(o, datasetKey{name, seed}, func() (*traces.Dataset, error) { return traces.ByName(name, seed) })
+}
+
+// export returns the named preset at seed and its NetFlow export, emitted
+// at seed + 1 as tracegen emits it; both shared.
+func (o Options) export(name string, seed int64) (*traces.Dataset, map[string][]byte, error) {
+	ds, err := o.dataset(name, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	streams, err := share(o, exportKey{name, seed}, func() (map[string][]byte, error) {
+		return ds.EmitNetFlow(traces.EmitConfig{Seed: seed + 1})
+	})
+	return ds, streams, err
+}
+
+// share returns generate's result. The experiments of one RunAll share
+// one generation per key — concurrent askers wait on the same once — so
+// the result is read-only; a lone Run with zero Options generates afresh.
+func share[T any](o Options, key any, generate func() (T, error)) (T, error) {
 	if o.shared != nil {
-		once, _ := o.shared.LoadOrStore(datasetKey{name, seed}, sync.OnceValues(generate))
-		generate = once.(func() (*traces.Dataset, error))
+		once, _ := o.shared.LoadOrStore(key, sync.OnceValues(generate))
+		generate = once.(func() (T, error))
 	}
 	return generate()
 }
@@ -142,7 +162,8 @@ func All() []Experiment {
 // opts.Workers goroutines. Results come back in submission order
 // regardless of completion order, so output rendered from them is
 // byte-identical to running each experiment serially. The experiments of
-// one call share each preset dataset they ask for (Options.dataset).
+// one call share each preset dataset and NetFlow export they ask for
+// (Options.dataset, Options.export).
 func RunAll(opts Options, ids ...string) ([]*Result, error) {
 	var exps []Experiment
 	if len(ids) == 0 {

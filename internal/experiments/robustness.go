@@ -21,6 +21,11 @@ func init() {
 	})
 }
 
+// ablation5Seeds are ablation5's replication seeds for a base seed.
+func ablation5Seeds(base int64) []int64 {
+	return []int64{base, base + 101, base + 202, base + 303, base + 404}
+}
+
 // ablation5Cells is one seed's captures in fixed column order:
 // optimal b=2, optimal b=4, profit-weighted b=2, profit-weighted b=4.
 type ablation5Cells [4]float64
@@ -32,7 +37,7 @@ type ablation5Cells [4]float64
 // serial run exactly whatever the worker count or completion order; the
 // mean/min/max folds happen in seed order after the barrier.
 func runAblation5(opts Options) (*Result, error) {
-	seeds := []int64{opts.Seed, opts.Seed + 101, opts.Seed + 202, opts.Seed + 303, opts.Seed + 404}
+	seeds := ablation5Seeds(opts.Seed)
 	workers := opts.workerCount()
 	res := &Result{ID: "ablation5", Title: "seed robustness"}
 	for _, model := range []string{"ced", "logit"} {
@@ -51,10 +56,15 @@ func runAblation5(opts Options) (*Result, error) {
 					if err != nil {
 						return cells, err
 					}
+					// b = 2 and 4 from one curve per strategy.
 					col := 0
 					for _, s := range []bundling.Strategy{bundling.Optimal{}, bundling.ProfitWeighted{}} {
+						partitions, err := bundling.Curve(s, m.Flows, m.Demand, 4)
+						if err != nil {
+							return cells, err
+						}
 						for _, b := range []int{2, 4} {
-							out, err := m.Run(s, b)
+							out, err := m.Price(s, b, partitions[b-1])
 							if err != nil {
 								return cells, err
 							}

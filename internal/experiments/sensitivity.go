@@ -103,7 +103,7 @@ func runCostSensitivity(id string, opts Options, thetas []float64,
 			fmt.Sprintf("Profit increase, euisp, %s demand (profit-weighted, figure-normalized)", model),
 			"theta", "b=1", "b=2", "b=3", "b=4", "b=5", "b=6")
 		for i, theta := range thetas {
-			profits, err := profitRow(markets[i], bundling.ProfitWeighted{}, workers)
+			profits, err := profitRow(markets[i], bundling.ProfitWeighted{})
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +161,7 @@ func runFig13(opts Options) (*Result, error) {
 			fmt.Sprintf("Profit increase, euisp, %s demand (class-aware profit-weighted)", model),
 			"theta (on-net fraction)", "b=1", "b=2", "b=3", "b=4", "b=5", "b=6")
 		for i, theta := range thetas {
-			profits, err := profitRow(markets[i], strategy, workers)
+			profits, err := profitRow(markets[i], strategy)
 			if err != nil {
 				return nil, err
 			}
@@ -183,7 +183,7 @@ func runFig13(opts Options) (*Result, error) {
 // extremalCapture computes, per dataset and bundle count, the extremal
 // (min or max) profit-weighted capture over a family of markets, one
 // table per demand model. The family's markets are replications over a
-// swept parameter; their capture rows fan out across workers and the
+// swept parameter; their capture curves fan out across workers and the
 // extremum is folded in parameter order (min/max are order-independent,
 // but the fold stays deterministic regardless).
 func extremalCapture(res *Result, title string, useMax bool, models []string, workers int,
@@ -209,7 +209,7 @@ func extremalCapture(res *Result, title string, useMax bool, models []string, wo
 				}
 				captures, err := parallel.Map(context.Background(), len(markets), workers,
 					func(_ context.Context, mi int) ([]float64, error) {
-						return captureRow(markets[mi], bundling.ProfitWeighted{}, workers)
+						return captureRow(markets[mi], bundling.ProfitWeighted{})
 					})
 				if err != nil {
 					return nil, err

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tieredpricing/internal/core"
 	"tieredpricing/internal/econ"
@@ -45,9 +46,9 @@ func probe(got *Options) Experiment {
 }
 
 // TestSharedDatasetsStayPristine (run it under -race): every experiment
-// at once over one dataset source, after which each dataset the source
-// handed out still equals a freshly generated one — sharing is safe
-// because nobody writes.
+// at once over one source, after which each dataset and each NetFlow
+// export the source handed out still equals a fresh generation — sharing
+// is safe because nobody writes.
 func TestSharedDatasetsStayPristine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation")
@@ -56,54 +57,82 @@ func TestSharedDatasetsStayPristine(t *testing.T) {
 	if _, err := runAll(Options{Seed: 2, Workers: 4}, append(All(), probe(&opts))); err != nil {
 		t.Fatal(err)
 	}
-	handedOut := 0
+	datasets, exports := 0, 0
 	opts.shared.Range(func(k, v any) bool {
-		key := k.(datasetKey)
-		got, gotErr := v.(func() (*traces.Dataset, error))()
-		fresh, err := traces.ByName(key.name, key.seed)
-		if err != nil || gotErr != nil {
-			t.Errorf("%v: shared %v, fresh %v", key, gotErr, err)
-		} else if !reflect.DeepEqual(got, fresh) {
-			t.Errorf("%v: the shared dataset no longer equals a fresh generation — an experiment wrote to it", key)
+		switch key := k.(type) {
+		case datasetKey:
+			got, gotErr := v.(func() (*traces.Dataset, error))()
+			fresh, err := traces.ByName(key.name, key.seed)
+			if err != nil || gotErr != nil {
+				t.Errorf("%v: shared %v, fresh %v", key, gotErr, err)
+			} else if !reflect.DeepEqual(got, fresh) {
+				t.Errorf("%v: the shared dataset no longer equals a fresh generation — an experiment wrote to it", key)
+			}
+			datasets++
+		case exportKey:
+			got, gotErr := v.(func() (map[string][]byte, error))()
+			ds, err := traces.ByName(key.name, key.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := ds.EmitNetFlow(traces.EmitConfig{Seed: key.seed + 1})
+			if err != nil || gotErr != nil {
+				t.Errorf("%v: shared %v, fresh %v", key, gotErr, err)
+			} else if !reflect.DeepEqual(got, fresh) {
+				t.Errorf("%v: the shared NetFlow export no longer equals a fresh emission — an experiment wrote to it", key)
+			}
+			exports++
+		default:
+			t.Errorf("unexpected source key %#v", k)
 		}
-		handedOut++
 		return true
 	})
-	if handedOut < 3 {
-		t.Errorf("source handed out %d datasets, want at least the three presets", handedOut)
+	if datasets < 3 || exports < 3 {
+		t.Errorf("source handed out %d datasets and %d exports, want at least the three presets of each", datasets, exports)
 	}
 }
 
 // TestDatasetSourceIsPerRunAll: within one RunAll concurrent askers share
-// one generation (same pointer); the next RunAll generates again; a lone
-// Run with zero Options never shares. Generations are counted as distinct
-// pointers — the datasets stay reachable, so none can be reused.
+// one generation (same pointer) of a dataset and of its NetFlow export;
+// the next RunAll generates and emits again; a lone Run with zero Options
+// never shares. Generations are counted as distinct pointers — the
+// datasets and exports stay reachable, so none can be reused.
 func TestDatasetSourceIsPerRunAll(t *testing.T) {
 	generations := map[*traces.Dataset]bool{}
+	emissions := map[unsafe.Pointer]bool{}
 	for call := 1; call <= 2; call++ {
 		var opts Options
 		if _, err := runAll(Options{Seed: 1, Workers: 2}, []Experiment{probe(&opts)}); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]*traces.Dataset, 8)
+		emitted := make([]map[string][]byte, 8)
 		var wg sync.WaitGroup
 		for g := range got {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ds, err := opts.dataset("euisp", 1)
+				var err error
+				if g%2 == 0 {
+					got[g], err = opts.dataset("euisp", 1)
+				} else {
+					got[g], emitted[g], err = opts.export("euisp", 1)
+				}
 				if err != nil {
 					t.Error(err)
 				}
-				got[g] = ds
 			}()
 		}
 		wg.Wait()
-		for _, ds := range got {
+		for g, ds := range got {
 			generations[ds] = true
+			if emitted[g] != nil {
+				emissions[reflect.ValueOf(emitted[g]).UnsafePointer()] = true
+			}
 		}
-		if len(generations) != call {
-			t.Fatalf("after RunAll #%d: %d generations of (euisp, 1), want %d", call, len(generations), call)
+		if len(generations) != call || len(emissions) != call {
+			t.Fatalf("after RunAll #%d: %d generations and %d emissions of (euisp, 1), want %d of each",
+				call, len(generations), len(emissions), call)
 		}
 	}
 	a, errA := Options{Seed: 1}.dataset("euisp", 1)

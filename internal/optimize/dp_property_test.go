@@ -403,6 +403,74 @@ func TestContiguousDPMonotoneExactTies(t *testing.T) {
 	}
 }
 
+// checkCurve solves every budget 1..maxBlocks at once and asserts each
+// entry is, bit for bit, what Solve returns for that budget alone — and,
+// where exact says the quadratic reference must agree to the bit (exact
+// ties, or no ties at all), what ContiguousDP returns; elsewhere its total
+// within rounding.
+func checkCurve(t *testing.T, n, maxBlocks int, val BlockValue, exact bool) {
+	t.Helper()
+	s := new(DPScratch)
+	curve, totals, err := s.SolveCurve(n, maxBlocks, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve) != maxBlocks || len(totals) != maxBlocks {
+		t.Fatalf("n=%d: curve of %d entries and %d totals for maxBlocks %d", n, len(curve), len(totals), maxBlocks)
+	}
+	for b := 1; b <= maxBlocks; b++ {
+		want, wantTotal, err := new(DPScratch).Solve(n, b, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(curve[b-1], want) || totals[b-1] != wantTotal {
+			t.Fatalf("n=%d b=%d: curve %v total %v, Solve %v total %v", n, b, curve[b-1], totals[b-1], want, wantTotal)
+		}
+		quad, quadTotal, err := ContiguousDP(n, b, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact && !reflect.DeepEqual(curve[b-1], quad) {
+			t.Fatalf("n=%d b=%d: curve %v, quadratic %v", n, b, curve[b-1], quad)
+		}
+		if math.Abs(totals[b-1]-quadTotal) > 1e-9*(1+math.Abs(quadTotal)) {
+			t.Fatalf("n=%d b=%d: curve total %v, quadratic %v", n, b, totals[b-1], quadTotal)
+		}
+	}
+}
+
+// TestSolveCurveMatchesSolve: one SolveCurve equals the per-budget solves
+// on random costs, on long runs of tied costs (where SMAWK's column n and
+// the linear scan's can round to different leftmost maxima) and on exact
+// ties, for budgets past n.
+func TestSolveCurveMatchesSolve(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 90; trial++ {
+		n := 1 + r.Intn(90)
+		switch trial % 3 {
+		case 0, 1:
+			o := partitionObjective{w: make([]float64, n), c: make([]float64, n),
+				g: convexTransforms[trial%len(convexTransforms)].g}
+			levels := []float64{0.5, 2.5, 2.5000000000000004, 7}[:1+trial%4]
+			for i := range o.w {
+				o.w[i] = 0.1 + r.Float64()*5
+				o.c[i] = 0.05 + r.Float64()*10
+				if trial%3 == 1 {
+					o.c[i] = levels[r.Intn(len(levels))]
+				}
+			}
+			order := o.costOrder()
+			checkCurve(t, n, min(n+2, 9), func(lo, hi int) float64 { return o.setValue(order[lo:hi]) }, trial%3 == 0 && n <= 12)
+		default:
+			x := make([]int, n)
+			for i := range x {
+				x[i] = r.Intn(4)
+			}
+			checkCurve(t, n, min(n+2, 9), exactTieVal(x), true)
+		}
+	}
+}
+
 // TestSolveValCallBudget pins the solver's cost as a count, which repeats
 // exactly where a timing does not: at the online repricer's scale the
 // SMAWK layers plus the last-layer shortcut stay under 20 block values

@@ -42,15 +42,16 @@ import (
 
 // DPScratch holds the flat working tables of ContiguousDPMonotone so that
 // repeated solves — the online repricer's periodic ticks, the experiment
-// engine's strategy × bundle-count fan-out — allocate nothing but the
-// returned blocks. The zero value is ready to use; tables grow on demand
-// and are retained between solves. A DPScratch is not safe for concurrent
-// use; use one per goroutine or borrow from the package's slots via
-// ContiguousDPMonotone.
+// engine's capture curves — allocate nothing but the returned blocks. The
+// zero value is ready to use; tables grow on demand and are retained
+// between solves. A DPScratch is not safe for concurrent use; use one per
+// goroutine or borrow from the package's slots via ContiguousDPMonotone.
 type DPScratch struct {
 	prev, curr []float64 // rolling DP rows, length n+1
-	cut        []int32   // maxBlocks rows × (n+1) cols: last-block starts
-	layerBest  []float64 // best[b][n] per layer, for the ≤ maxBlocks choice
+	cut        []int32   // maxBlocks rows × (n+1) cols: row k holds interior layer k's last-block starts
+	layerBest  []float64 // column n of layer 0 and of each interior layer
+	scanBest   []float64 // column n of a layer by a linear scan
+	scanCut    []int32   // that scan's last-block start
 	cols       []int32   // SMAWK's surviving-column stacks, one per recursion level
 }
 
@@ -62,6 +63,8 @@ func (s *DPScratch) resize(n, maxBlocks int) {
 	s.curr = fit(s.curr, rowLen)
 	s.cut = fit(s.cut, maxBlocks*rowLen)
 	s.layerBest = fit(s.layerBest, maxBlocks)
+	s.scanBest = fit(s.scanBest, maxBlocks)
+	s.scanCut = fit(s.scanCut, maxBlocks)
 	// The candidate columns of a layer (≤ n), then one surviving-column
 	// stack per recursion level, each at most as long as the level's row
 	// count: n + n/2 + n/4 + … < 2n.
@@ -130,43 +133,82 @@ func ContiguousDPMonotone(n, maxBlocks int, val BlockValue) ([][2]int, float64, 
 // are freshly allocated (so they may be retained); every other byte of
 // working state lives in the scratch.
 func (s *DPScratch) Solve(n, maxBlocks int, val BlockValue) ([][2]int, float64, error) {
+	last, err := s.layers(n, maxBlocks, val, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	blocks, total := s.choose(n, last)
+	return blocks, total, nil
+}
+
+// SolveCurve is Solve for every budget up to maxBlocks from one pass over
+// the layers: blocks[b-1] and totals[b-1] are what Solve(n, b, val)
+// returns, for b = 1..maxBlocks. Beside the layers Solve(n, maxBlocks)
+// runs, it scans column n of every layer, not just the last, since that
+// scan is where Solve(n, b) ends (DESIGN.md §4).
+func (s *DPScratch) SolveCurve(n, maxBlocks int, val BlockValue) ([][][2]int, []float64, error) {
+	last, err := s.layers(n, maxBlocks, val, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	blocks := make([][][2]int, maxBlocks)
+	totals := make([]float64, maxBlocks)
+	for b := range blocks {
+		blocks[b], totals[b] = s.choose(n, min(b, last))
+	}
+	return blocks, totals, nil
+}
+
+// layers runs the DP for n items and at most maxBlocks blocks and returns
+// the last layer's index, min(maxBlocks, n) − 1. Layers 0..last−1 are
+// solved for every column (SMAWK past layer 0). Nothing reads the last
+// layer but its column n, which a linear scan solves alone; with scanAll
+// every layer's column n is scanned too.
+func (s *DPScratch) layers(n, maxBlocks int, val BlockValue, scanAll bool) (int, error) {
 	if n <= 0 {
-		return nil, 0, errors.New("optimize: n must be positive")
+		return 0, errors.New("optimize: n must be positive")
 	}
 	if maxBlocks <= 0 {
-		return nil, 0, errors.New("optimize: maxBlocks must be positive")
+		return 0, errors.New("optimize: maxBlocks must be positive")
 	}
-	if maxBlocks > n {
-		maxBlocks = n
-	}
-	// Nothing reads the last layer but its column n, so it is solved for
-	// that column alone; with one block the last layer is layer 0.
-	last := maxBlocks - 1
+	last := min(maxBlocks, n) - 1
 	if last == 0 {
-		return [][2]int{{0, n}}, val(0, n), nil
+		s.layerBest = fit(s.layerBest, 1)
+		s.layerBest[0] = val(0, n)
+		return 0, nil
 	}
-	s.resize(n, maxBlocks)
+	s.resize(n, last+1)
 	rowLen := n + 1
 	negInf := math.Inf(-1)
 
 	// Layer 0: one block over the first j items.
 	prev, curr := s.prev, s.curr
 	prev[0] = negInf
-	row := s.cut[:rowLen]
 	for j := 1; j <= n; j++ {
 		prev[j] = val(0, j)
-		row[j] = 0
 	}
 	s.layerBest[0] = prev[n]
 
-	// Interior layers: every column, by SMAWK over splits i ∈ [b, n-1]
-	// (prev[i] is finite exactly for i ≥ b: b blocks need b items).
-	for b := 1; b < last; b++ {
-		row = s.cut[b*rowLen : (b+1)*rowLen]
+	for b := 1; b <= last; b++ {
+		if scanAll || b == last {
+			// Column n by a linear scan, leftmost maximum.
+			bi, bv := b, prev[b]+val(b, n)
+			for i := b + 1; i < n; i++ {
+				if v := prev[i] + val(i, n); v > bv {
+					bi, bv = i, v
+				}
+			}
+			s.scanCut[b], s.scanBest[b] = int32(bi), bv
+		}
+		if b == last {
+			break
+		}
+		// Interior layer: every column, by SMAWK over splits i ∈ [b, n-1]
+		// (prev[i] is finite exactly for i ≥ b: b blocks need b items).
 		for j := 0; j <= b; j++ {
 			curr[j] = negInf // fewer items than blocks: infeasible
 		}
-		l := layer{val: val, prev: prev, curr: curr, cut: row}
+		l := layer{val: val, prev: prev, curr: curr, cut: s.cut[b*rowLen : (b+1)*rowLen]}
 		cand := s.cols[:n-b]
 		for k := range cand {
 			cand[k] = int32(b + k)
@@ -175,34 +217,36 @@ func (s *DPScratch) Solve(n, maxBlocks int, val BlockValue) ([][2]int, float64, 
 		s.layerBest[b] = curr[n]
 		prev, curr = curr, prev
 	}
+	return last, nil
+}
 
-	// Last layer: column n by a linear scan, leftmost maximum.
-	bi, bv := last, prev[last]+val(last, n)
-	for i := last + 1; i < n; i++ {
-		if v := prev[i] + val(i, n); v > bv {
-			bi, bv = i, v
+// choose backtracks the partition Solve(n, last+1) returns: the leftmost
+// best of layers 0..last−1's column n and layer last's scan (fewer blocks
+// win ties), then the interior layers' cut rows down to layer 0.
+func (s *DPScratch) choose(n, last int) ([][2]int, float64) {
+	k := 0
+	for l := 1; l < last; l++ {
+		if s.layerBest[l] > s.layerBest[k] {
+			k = l
 		}
 	}
-	s.cut[last*rowLen+n] = int32(bi)
-	s.layerBest[last] = bv
-
-	// Allow fewer than maxBlocks blocks: best over block counts, smallest
-	// count winning ties (matching the quadratic reference).
-	bestB, bestV := 0, s.layerBest[0]
-	for b := 1; b < maxBlocks; b++ {
-		if s.layerBest[b] > bestV {
-			bestB, bestV = b, s.layerBest[b]
-		}
+	total, start := s.layerBest[k], -1
+	if last > 0 && s.scanBest[last] > total {
+		k, total, start = last, s.scanBest[last], int(s.scanCut[last])
 	}
-
-	blocks := make([][2]int, bestB+1)
+	blocks := make([][2]int, k+1)
 	j := n
-	for b := bestB; b >= 0; b-- {
-		i := int(s.cut[b*rowLen+j])
-		blocks[b] = [2]int{i, j}
+	for ; k > 0; k-- {
+		i := start
+		if i < 0 {
+			i = int(s.cut[k*(n+1)+j])
+		}
+		start = -1
+		blocks[k] = [2]int{i, j}
 		j = i
 	}
-	return blocks, bestV, nil
+	blocks[0] = [2]int{0, j}
+	return blocks, total
 }
 
 // layer is one DP layer viewed as the staircase matrix

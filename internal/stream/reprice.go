@@ -336,8 +336,8 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.Demand == nil || cfg.Cost == nil {
 		return fail(errors.New("stream: repricer needs demand and cost models"))
 	}
-	if cfg.P0 <= 0 {
-		return fail(fmt.Errorf("stream: blended rate must be positive, got %v", cfg.P0))
+	if !econ.FinitePositive(cfg.P0) {
+		return fail(fmt.Errorf("stream: blended rate must be finite and positive, got %v", cfg.P0))
 	}
 	if cfg.Strategy == nil {
 		return fail(errors.New("stream: repricer needs a bundling strategy"))
@@ -348,8 +348,8 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.DurationSec == 0 {
 		cfg.DurationSec = cfg.Window.Span().Seconds()
 	}
-	if cfg.DurationSec <= 0 {
-		return fail(fmt.Errorf("stream: demand duration must be positive, got %v", cfg.DurationSec))
+	if !econ.FinitePositive(cfg.DurationSec) {
+		return fail(fmt.Errorf("stream: demand duration must be finite and positive, got %v", cfg.DurationSec))
 	}
 	if cfg.SrcMaskBits == 0 {
 		cfg.SrcMaskBits = 20

@@ -246,7 +246,11 @@ func TestNewRepricerValidation(t *testing.T) {
 		func(c *Config) { c.P0 = 0 },
 		func(c *Config) { c.Strategy = nil },
 		func(c *Config) { c.Tiers = 0 },
+		func(c *Config) { c.P0 = math.NaN() },
+		func(c *Config) { c.P0 = math.Inf(1) },
 		func(c *Config) { c.DurationSec = -1 },
+		func(c *Config) { c.DurationSec = math.NaN() },
+		func(c *Config) { c.DurationSec = math.Inf(1) },
 		func(c *Config) { c.SrcMaskBits = 40 },
 		func(c *Config) { c.DstMaskBits = -2 },
 	}

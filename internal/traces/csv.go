@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"tieredpricing/internal/econ"
@@ -37,7 +38,8 @@ func WriteFlowsCSV(w io.Writer, flows []econ.Flow) error {
 	return cw.Error()
 }
 
-// ReadFlowsCSV parses the ground-truth interchange format.
+// ReadFlowsCSV parses the ground-truth interchange format. Demands must be
+// finite and positive, distances finite and non-negative.
 func ReadFlowsCSV(r io.Reader) ([]econ.Flow, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(flowsCSVHeader)
@@ -59,11 +61,14 @@ func ReadFlowsCSV(r io.Reader) ([]econ.Flow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("traces: line %d: %w", line, err)
 		}
-		demand, err := strconv.ParseFloat(row[1], 64)
+		demand, err := parsePositive(row[1])
 		if err != nil {
 			return nil, fmt.Errorf("traces: line %d: demand: %w", line, err)
 		}
 		distance, err := strconv.ParseFloat(row[2], 64)
+		if err == nil && !(distance >= 0 && !math.IsInf(distance, 1)) {
+			err = fmt.Errorf("%v is not finite and non-negative", distance)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("traces: line %d: distance: %w", line, err)
 		}

@@ -47,3 +47,24 @@ func TestReadFlowsCSVErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestReadFlowsCSVRejectsNonFinite: a NaN or infinite demand or distance
+// is refused with its line and column, where strconv.ParseFloat alone
+// accepts it.
+func TestReadFlowsCSVRejectsNonFinite(t *testing.T) {
+	const header = "id,demand_mbps,distance_miles,region,onnet\nok,1,1,metro,false\n"
+	for _, c := range []struct{ row, column string }{
+		{"x,NaN,1,metro,false", "demand"},
+		{"x,Inf,1,metro,false", "demand"},
+		{"x,-Inf,1,metro,false", "demand"},
+		{"x,0,1,metro,false", "demand"},
+		{"x,1,NaN,metro,false", "distance"},
+		{"x,1,+Inf,metro,false", "distance"},
+		{"x,1,-1,metro,false", "distance"},
+	} {
+		_, err := ReadFlowsCSV(strings.NewReader(header + c.row + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3: "+c.column) {
+			t.Errorf("%q: got error %v, want one naming line 3 and %s", c.row, err, c.column)
+		}
+	}
+}

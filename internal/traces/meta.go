@@ -7,6 +7,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"tieredpricing/internal/econ"
 )
 
 // Meta is the dataset metadata tracegen writes next to the export
@@ -33,8 +35,8 @@ func WriteMeta(w io.Writer, m Meta) error {
 }
 
 // ReadMeta parses meta.txt. Unknown keys are ignored so the format can
-// grow; the fields the pipeline cannot run without (dataset, a positive
-// blended rate and duration) are validated.
+// grow; the fields the pipeline cannot run without (dataset, a finite
+// positive blended rate and duration) are validated.
 func ReadMeta(r io.Reader) (Meta, error) {
 	meta := Meta{}
 	sc := bufio.NewScanner(r)
@@ -57,11 +59,11 @@ func ReadMeta(r io.Reader) (Meta, error) {
 				return Meta{}, fmt.Errorf("meta: flows: %w", err)
 			}
 		case "blended_rate":
-			if meta.P0, err = strconv.ParseFloat(value, 64); err != nil {
+			if meta.P0, err = parsePositive(value); err != nil {
 				return Meta{}, fmt.Errorf("meta: blended_rate: %w", err)
 			}
 		case "duration_sec":
-			if meta.DurationSec, err = strconv.ParseFloat(value, 64); err != nil {
+			if meta.DurationSec, err = parsePositive(value); err != nil {
 				return Meta{}, fmt.Errorf("meta: duration_sec: %w", err)
 			}
 		case "sampling":
@@ -81,6 +83,16 @@ func ReadMeta(r io.Reader) (Meta, error) {
 		return Meta{}, fmt.Errorf("meta: incomplete metadata (need dataset, blended_rate, duration_sec)")
 	}
 	return meta, nil
+}
+
+// parsePositive parses a rate, duration or demand, which must be finite
+// and positive.
+func parsePositive(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && !econ.FinitePositive(v) {
+		err = fmt.Errorf("%v is not finite and positive", v)
+	}
+	return v, err
 }
 
 // ReadMetaFile reads and parses a meta.txt on disk.

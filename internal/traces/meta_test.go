@@ -50,3 +50,20 @@ func TestReadMetaRejectsIncomplete(t *testing.T) {
 		}
 	}
 }
+
+// TestReadMetaRejectsNonFinite: NaN and ±Inf parse as floats and pass a
+// `<= 0` guard; the blended rate and duration must be finite and positive,
+// and the error names the key.
+func TestReadMetaRejectsNonFinite(t *testing.T) {
+	for _, key := range []string{"blended_rate", "duration_sec"} {
+		for _, bad := range []string{"NaN", "Inf", "+Inf", "-Inf", "0", "-3"} {
+			fields := map[string]string{"blended_rate": "9.5", "duration_sec": "300"}
+			fields[key] = bad
+			src := "dataset=euisp\nblended_rate=" + fields["blended_rate"] + "\nduration_sec=" + fields["duration_sec"] + "\n"
+			_, err := ReadMeta(strings.NewReader(src))
+			if err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%s=%s: got error %v, want one naming %s", key, bad, err, key)
+			}
+		}
+	}
+}
