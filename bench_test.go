@@ -20,6 +20,7 @@ import (
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/experiments"
 	"tieredpricing/internal/netflow"
+	"tieredpricing/internal/stream"
 	"tieredpricing/internal/traces"
 )
 
@@ -193,9 +194,9 @@ func BenchmarkNetFlowCollection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := netflow.NewCollector(traces.AggregateKey)
-		for _, stream := range streams {
-			rd := netflow.NewReader(newSliceReader(stream))
+		c := stream.NewCollector(traces.AggregateKey)
+		for _, s := range streams {
+			rd := netflow.NewReader(newSliceReader(s))
 			for {
 				h, recs, err := rd.Next()
 				if err == io.EOF {

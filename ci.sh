@@ -81,10 +81,15 @@
 #  12. fuzz smoke    — every netflow/bgp fuzz target, framelog's
 #                      FuzzScan (the one frame decoder under the WAL and
 #                      the history store), stream's FuzzPackedKey (the
-#                      dedup key's packed form) and FuzzRepricerMemory
-#                      (kept repricer = fresh one), bundling's
-#                      FuzzFixedPow (the CED block value's power kernel
-#                      against math.Pow) and FuzzCurve (every strategy's
+#                      dedup key's packed form), FuzzWindowMatchesReference
+#                      (the one dedup and aggregation path, at 1–12 slots
+#                      and 1–4 shards, against the per-slot-map
+#                      reference), FuzzCollectorAccounting (a decoded
+#                      datagram's records = duplicates + dropped +
+#                      bucketed) and FuzzRepricerMemory (kept repricer =
+#                      fresh one), bundling's FuzzFixedPow (the CED
+#                      block value's power kernel against math.Pow) and
+#                      FuzzCurve (every strategy's
 #                      one-pass capture curve = its per-b bundles), and
 #                      core's FuzzCostOrder (the carried cost order = a
 #                      fresh sort), actually fuzzes for a short budget
@@ -149,7 +154,7 @@ fuzz_smoke() {
     done
     echo "==> fuzz FuzzScan (internal/framelog, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/framelog
-    for target in FuzzPackedKey FuzzRepricerMemory; do
+    for target in FuzzPackedKey FuzzWindowMatchesReference FuzzCollectorAccounting FuzzRepricerMemory; do
         echo "==> fuzz ${target} (internal/stream, ${FUZZTIME})"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/stream
     done

@@ -41,6 +41,7 @@ import (
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/parallel"
 	"tieredpricing/internal/report"
+	"tieredpricing/internal/stream"
 	"tieredpricing/internal/topology"
 	"tieredpricing/internal/traces"
 )
@@ -116,7 +117,7 @@ func run(ctx context.Context, cfg runConfig) error {
 	}
 
 	// Collect every router stream through the deduplicating collector.
-	collector := netflow.NewCollector(traces.AggregateKey)
+	collector := stream.NewCollector(traces.AggregateKey)
 	streams, err := filepath.Glob(filepath.Join(cfg.dir, "*.nf5"))
 	if err != nil {
 		return err
@@ -143,7 +144,7 @@ func run(ctx context.Context, cfg runConfig) error {
 			return err
 		}
 	}
-	records, dups, dropped := collector.Stats()
+	records, dups, dropped, _ := collector.Stats()
 
 	rv := &demandfit.Resolver{Geo: geo, DistanceRegions: meta.Dataset == "euisp"}
 	if meta.Dataset == "internet2" {
@@ -207,7 +208,7 @@ func run(ctx context.Context, cfg runConfig) error {
 // then drains the listener so every received datagram is accounted
 // before pricing runs. This is the same stop-ingest-then-price drain
 // tierd performs on shutdown.
-func captureUDP(ctx context.Context, cfg runConfig, collector *netflow.Collector, out io.Writer) error {
+func captureUDP(ctx context.Context, cfg runConfig, collector *stream.Window, out io.Writer) error {
 	srv, err := netflow.NewCollectorServer(cfg.udp, collector)
 	if err != nil {
 		return err
@@ -233,7 +234,7 @@ func captureUDP(ctx context.Context, cfg runConfig, collector *netflow.Collector
 	return nil
 }
 
-func ingestFile(c *netflow.Collector, path string) error {
+func ingestFile(c *stream.Window, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err

@@ -76,7 +76,7 @@ func TestTierdChaos(t *testing.T) {
 	const maxAge = 30 * time.Minute
 	inj := faultinject.New(seed)
 	clock := faultinject.NewClock(time.Now())
-	shadow := netflow.NewCollector(traces.AggregateKey)
+	shadow := stream.NewCollector(traces.AggregateKey)
 	var fsink *faultinject.Sink
 	var frv *faultinject.Resolver
 	cfg := config{

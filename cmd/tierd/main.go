@@ -97,8 +97,7 @@ type config struct {
 	// engines; without one the daemon synthesises a fleet of one from the
 	// flags (see cmd/tierd/tenants.go).
 	tenantsFile  string
-	schedWorkers int           // reprice jobs running concurrently across tenants
-	starveAfter  time.Duration // WFQ starvation bound; 0 = 2× the re-price interval
+	schedWorkers int // reprice jobs running concurrently across tenants
 
 	// Test hooks, settable only by in-package tests (the chaos e2e):
 	// they interpose fault injection between the daemon's components
@@ -156,8 +155,6 @@ func main() {
 		"tenant spec file (JSON): one pricing engine per entry, each with its own window, repricer, quota and durability namespace (default: one engine, \"default\", from the flags)")
 	flag.IntVar(&cfg.schedWorkers, "reprice-workers", 1,
 		"re-price jobs running concurrently across tenants (each job still fans out over -parallel workers)")
-	flag.DurationVar(&cfg.starveAfter, "reprice-starve", 0,
-		"dispatch a queued re-price regardless of its fair-queue tag after waiting this long (0 = 2x the re-price interval)")
 	walSyncFlag := flag.String("wal-sync", "batch", "WAL fsync policy: batch (group commit), always, or none")
 	flag.Int64Var(&cfg.walSegBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation size in bytes")
 	showVersion := flag.Bool("version", false, "print build info and exit")
@@ -414,10 +411,6 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 		// intervals means the loop is stuck, not just slow.
 		maxAge = 4 * cfg.reprice
 	}
-	starve := cfg.starveAfter
-	if starve == 0 {
-		starve = 2 * cfg.reprice
-	}
 
 	d := &daemon{cfg: cfg, reload: newReloadState()}
 	defer func() {
@@ -468,7 +461,9 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 		}
 	}
 
-	d.sched = tenant.NewScheduler(cfg.schedWorkers, starve, cfg.now)
+	// The starvation bound: a queued re-price that has waited two
+	// intervals dispatches whatever its fair-queue tag says.
+	d.sched = tenant.NewScheduler(cfg.schedWorkers, 2*cfg.reprice, cfg.now)
 	d.sink = registry
 	if cfg.wrapSink != nil {
 		// Fault injection wraps outside durability: the WAL records what

@@ -109,7 +109,7 @@ func replayUDP(t testing.TB, addr string, streams map[string][]byte) int {
 // same deterministic order.
 func batchAggregates(t testing.TB, streams map[string][]byte) []netflow.Aggregate {
 	t.Helper()
-	c := netflow.NewCollector(traces.AggregateKey)
+	c := stream.NewCollector(traces.AggregateKey)
 	for _, router := range sortedRouters(streams) {
 		rd := netflow.NewReader(bytes.NewReader(streams[router]))
 		for {

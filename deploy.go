@@ -9,6 +9,7 @@ import (
 	"tieredpricing/internal/bgp"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/peering"
+	"tieredpricing/internal/stream"
 	"tieredpricing/internal/traces"
 )
 
@@ -137,8 +138,9 @@ type (
 	NetFlowRecord = netflow.Record
 	// NetFlowReader streams export packets.
 	NetFlowReader = netflow.Reader
-	// Collector de-duplicates and aggregates records into demands.
-	Collector = netflow.Collector
+	// Collector de-duplicates and aggregates records into demands: the
+	// one-slot, never-ageing form of the online sliding window.
+	Collector = stream.Window
 	// EmitConfig tunes Dataset.EmitNetFlow.
 	EmitConfig = traces.EmitConfig
 )
@@ -148,7 +150,7 @@ func NewNetFlowReader(r io.Reader) *NetFlowReader { return netflow.NewReader(r) 
 
 // NewCollector aggregates records by the given bucketing rule.
 func NewCollector(key func(NetFlowRecord) string) *Collector {
-	return netflow.NewCollector(netflow.StringKey(key))
+	return stream.NewCollector(netflow.StringKey(key))
 }
 
 // DatasetAggregateKey is the bucketing rule matching the built-in

@@ -18,10 +18,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"tieredpricing/internal/bgp"
 	"tieredpricing/internal/netflow"
+	"tieredpricing/internal/stream"
 )
 
 // CounterSample is one SNMP-style reading of a link's octet counter.
@@ -109,71 +111,61 @@ func PerTierOctets(samples []CounterSample) map[int]uint64 {
 
 // FlowAccountant models the flow-based architecture (Figure 17b): NetFlow
 // records are de-duplicated, sampling-restored, and joined with the
-// tier-tagged RIB to attribute octets to tiers. Safe for concurrent
-// ingest.
+// tier-tagged RIB to attribute octets to tiers. It counts through the
+// pipeline's one collector (stream.NewCollector), bucketing each record
+// by its destination's tier. Safe for concurrent ingest.
 type FlowAccountant struct {
-	rib *bgp.RIB
-
-	mu       sync.Mutex
-	seen     map[netflow.FlowKey]struct{}
-	perTier  map[int]uint64
-	unrouted uint64
-	records  int
+	rib   *bgp.RIB
+	flows *stream.Window
 }
+
+// unroutedKey buckets the traffic that matches no tier-tagged route; a
+// tier's bucket is its index in decimal.
+const unroutedKey = "unrouted"
 
 // NewFlowAccountant creates an accountant over the given RIB.
 func NewFlowAccountant(rib *bgp.RIB) (*FlowAccountant, error) {
 	if rib == nil {
 		return nil, errors.New("accounting: nil RIB")
 	}
-	return &FlowAccountant{
-		rib:     rib,
-		seen:    map[netflow.FlowKey]struct{}{},
-		perTier: map[int]uint64{},
-	}, nil
+	fa := &FlowAccountant{rib: rib}
+	fa.flows = stream.NewCollector(fa.tierKey)
+	return fa, nil
+}
+
+// tierKey names r's bucket: its destination's RIB tier.
+func (fa *FlowAccountant) tierKey(dst []byte, r netflow.Record) []byte {
+	route, ok := fa.rib.Lookup(r.DstAddr)
+	if !ok || route.Tier == nil {
+		return append(dst, unroutedKey...)
+	}
+	return strconv.AppendUint(dst, uint64(route.Tier.Tier), 10)
 }
 
 // Ingest processes one NetFlow export packet.
 func (fa *FlowAccountant) Ingest(h netflow.Header, recs []netflow.Record) {
-	sampling := uint64(h.SamplingInterval)
-	if sampling == 0 {
-		sampling = 1
-	}
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
-	for _, r := range recs {
-		fa.records++
-		key := netflow.KeyOf(r)
-		if _, dup := fa.seen[key]; dup {
-			continue
-		}
-		fa.seen[key] = struct{}{}
-		octets := uint64(r.Octets) * sampling
-		route, ok := fa.rib.Lookup(r.DstAddr)
-		if !ok || route.Tier == nil {
-			fa.unrouted += octets
-			continue
-		}
-		fa.perTier[int(route.Tier.Tier)] += octets
-	}
+	fa.flows.Ingest(h, recs)
 }
 
 // PerTierOctets returns the accumulated per-tier totals.
 func (fa *FlowAccountant) PerTierOctets() map[int]uint64 {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
-	out := make(map[int]uint64, len(fa.perTier))
-	for t, o := range fa.perTier {
-		out[t] = o
+	out := map[int]uint64{}
+	for _, a := range fa.flows.Aggregates() {
+		if tier, err := strconv.Atoi(a.Key); err == nil {
+			out[tier] = a.Octets
+		}
 	}
 	return out
 }
 
 // Unrouted returns octets that matched no tier-tagged route.
 func (fa *FlowAccountant) Unrouted() uint64 {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
-	return fa.unrouted
+	for _, a := range fa.flows.Aggregates() {
+		if a.Key == unroutedKey {
+			return a.Octets
+		}
+	}
+	return 0
 }
 
 // Bill prices accumulated traffic: each tier's average Mbps over the

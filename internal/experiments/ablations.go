@@ -12,6 +12,7 @@ import (
 	"tieredpricing/internal/optimize"
 	"tieredpricing/internal/parallel"
 	"tieredpricing/internal/report"
+	"tieredpricing/internal/stream"
 	"tieredpricing/internal/traces"
 )
 
@@ -169,11 +170,7 @@ func runAblation3(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	collect := func(dedup bool) (*core.Market, traces.Stats, error) {
-		c := netflow.NewCollector(traces.AggregateKey)
-		if !dedup {
-			c.DisableDedup()
-		}
+	collect := func(c collector) (*core.Market, traces.Stats, error) {
 		if err := ingestStreams(c, streams); err != nil {
 			return nil, traces.Stats{}, err
 		}
@@ -192,11 +189,11 @@ func runAblation3(opts Options) (*Result, error) {
 		}
 		return m, st, nil
 	}
-	withDedup, stDedup, err := collect(true)
+	withDedup, stDedup, err := collect(stream.NewCollector(traces.AggregateKey))
 	if err != nil {
 		return nil, err
 	}
-	without, stRaw, err := collect(false)
+	without, stRaw, err := collect(&undeduped{})
 	if err != nil {
 		return nil, err
 	}
@@ -223,6 +220,27 @@ func runAblation3(opts Options) (*Result, error) {
 		report.F1(withDedup.OriginalProfit), report.F1(without.OriginalProfit))
 	t.AddNote("without dedup, records exported by both the entry and exit PoP are counted twice: demands double where paths have 2 exporters, and every fitted dollar figure silently scales with the duplication factor")
 	return &Result{ID: "ablation3", Title: "dedup ablation", Tables: []*report.Table{t}}, nil
+}
+
+// undeduped is ablation3's counterfactual collector: it counts every
+// record however many routers exported it, folding each into the merge
+// as a one-record aggregate with its sampling restored.
+type undeduped struct {
+	m   netflow.AggregateMerge
+	key []byte
+}
+
+func (u *undeduped) Aggregates() []netflow.Aggregate { return u.m.SortedInto(nil) }
+
+func (u *undeduped) Ingest(h netflow.Header, recs []netflow.Record) {
+	sampling := uint64(max(h.SamplingInterval, 1))
+	for _, r := range recs {
+		if u.key = traces.AggregateKey(u.key[:0], r); len(u.key) > 0 {
+			a := netflow.NewAggregate(string(u.key), r)
+			a.Octets, a.Records = uint64(r.Octets)*sampling, 1
+			u.m.Add(a)
+		}
+	}
 }
 
 // runAblation4 measures optimal-bundling capture when the market is

@@ -12,6 +12,7 @@ import (
 	"tieredpricing/internal/demandfit"
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/netflow"
+	"tieredpricing/internal/stream"
 	"tieredpricing/internal/traces"
 )
 
@@ -68,7 +69,7 @@ func collectedDataset(opts Options, name string, seed int64) (*traces.Dataset, [
 	if err != nil {
 		return nil, nil, pipeStats{}, err
 	}
-	c := netflow.NewCollector(traces.AggregateKey)
+	c := stream.NewCollector(traces.AggregateKey)
 	if err := ingestStreams(c, streams); err != nil {
 		return nil, nil, pipeStats{}, err
 	}
@@ -80,14 +81,21 @@ func collectedDataset(opts Options, name string, seed int64) (*traces.Dataset, [
 	if err != nil {
 		return nil, nil, pipeStats{}, err
 	}
-	records, dups, dropped := c.Stats()
+	records, dups, dropped, _ := c.Stats()
 	return ds, flows, pipeStats{records: records, duplicates: dups, dropped: dropped, skipped: skipped}, nil
 }
 
+// collector is what ablation3 ingests into and reads aggregates back
+// out of: the pipeline's collector, or its no-dedup counterfactual.
+type collector interface {
+	netflow.Sink
+	Aggregates() []netflow.Aggregate
+}
+
 // ingestStreams feeds every router stream into a collector.
-func ingestStreams(c *netflow.Collector, streams map[string][]byte) error {
-	for _, stream := range streams {
-		rd := netflow.NewReader(bytes.NewReader(stream))
+func ingestStreams(c netflow.Sink, streams map[string][]byte) error {
+	for _, s := range streams {
+		rd := netflow.NewReader(bytes.NewReader(s))
 		for {
 			h, recs, err := rd.Next()
 			if err == io.EOF {
@@ -105,7 +113,7 @@ func ingestStreams(c *netflow.Collector, streams map[string][]byte) error {
 // resolveEUISP converts a collector's aggregates to flows using the EU
 // ISP's resolution rules (geographic entry/exit distance, distance-based
 // regions).
-func resolveEUISP(c *netflow.Collector, ds *traces.Dataset) ([]econ.Flow, error) {
+func resolveEUISP(c collector, ds *traces.Dataset) ([]econ.Flow, error) {
 	rv := &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: true}
 	flows, _, err := demandfit.BuildFlows(c.Aggregates(), rv, ds.DurationSec)
 	return flows, err

@@ -52,8 +52,7 @@ func TestProcNetDropsInodeFilter(t *testing.T) {
 // never reads, and overflows — the server's SocketDrops must not absorb
 // the decoy's drops.
 func TestSocketDropsExcludesDecoy(t *testing.T) {
-	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
-	srv, err := NewCollectorServerOpts("127.0.0.1:0", c, ServerOptions{Sockets: 2, RcvBuf: 1 << 20})
+	srv, err := NewCollectorServerOpts("127.0.0.1:0", &recordSink{}, ServerOptions{Sockets: 2, RcvBuf: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

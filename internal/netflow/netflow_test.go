@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"net/netip"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -228,133 +227,6 @@ func TestReaderTruncatedStream(t *testing.T) {
 	rd := NewReader(bytes.NewReader(pkt[:len(pkt)-4]))
 	if _, _, err := rd.Next(); err == nil || err == io.EOF {
 		t.Errorf("expected truncation error, got %v", err)
-	}
-}
-
-func TestCollectorDeduplicates(t *testing.T) {
-	rec := Record{
-		SrcAddr: netip.MustParseAddr("10.0.0.1"),
-		DstAddr: netip.MustParseAddr("10.1.0.1"),
-		Octets:  1000, First: 5, Last: 9, SrcAS: 1,
-	}
-	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
-	h := Header{SamplingInterval: 1}
-	// The same record exported by three routers on the path.
-	c.Ingest(h, []Record{rec})
-	c.Ingest(h, []Record{rec})
-	c.Ingest(h, []Record{rec})
-	aggs := c.Aggregates()
-	if len(aggs) != 1 {
-		t.Fatalf("got %d aggregates", len(aggs))
-	}
-	if aggs[0].Octets != 1000 {
-		t.Fatalf("octets = %d, want 1000 (deduplicated)", aggs[0].Octets)
-	}
-	records, dups, dropped := c.Stats()
-	if records != 3 || dups != 2 || dropped != 0 {
-		t.Fatalf("stats = (%d, %d, %d), want (3, 2, 0)", records, dups, dropped)
-	}
-}
-
-func TestCollectorDistinguishesRecordsOfOneFlow(t *testing.T) {
-	// Two records of the same 5-tuple at the same uptime window but with
-	// distinct exporter sequence stamps are NOT duplicates.
-	base := Record{
-		SrcAddr: netip.MustParseAddr("10.0.0.1"),
-		DstAddr: netip.MustParseAddr("10.1.0.1"),
-		Octets:  500, First: 5, Last: 9,
-	}
-	r1, r2 := base, base
-	r1.SrcAS = 1
-	r2.SrcAS = 2
-	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
-	c.Ingest(Header{}, []Record{r1, r2})
-	aggs := c.Aggregates()
-	if aggs[0].Octets != 1000 {
-		t.Fatalf("octets = %d, want 1000", aggs[0].Octets)
-	}
-}
-
-func TestCollectorRestoresSampling(t *testing.T) {
-	rec := Record{
-		SrcAddr: netip.MustParseAddr("10.0.0.1"),
-		DstAddr: netip.MustParseAddr("10.1.0.1"),
-		Octets:  1000,
-	}
-	c := NewCollector(StringKey(func(r Record) string { return "all" }))
-	c.Ingest(Header{SamplingInterval: 100}, []Record{rec})
-	if got := c.Aggregates()[0].Octets; got != 100000 {
-		t.Fatalf("octets = %d, want 100000 (1-in-100 sampling restored)", got)
-	}
-}
-
-func TestCollectorDropsUnkeyedRecords(t *testing.T) {
-	rec := Record{
-		SrcAddr: netip.MustParseAddr("10.0.0.1"),
-		DstAddr: netip.MustParseAddr("10.1.0.1"),
-		Octets:  1,
-	}
-	c := NewCollector(StringKey(func(r Record) string { return "" }))
-	c.Ingest(Header{}, []Record{rec})
-	if len(c.Aggregates()) != 0 {
-		t.Error("unkeyed record should be dropped")
-	}
-	_, _, dropped := c.Stats()
-	if dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
-	}
-}
-
-func TestCollectorOrderIndependent(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	recs := make([]Record, 200)
-	for i := range recs {
-		recs[i] = randRecord(r)
-	}
-	// Duplicate a third of them.
-	withDups := append([]Record{}, recs...)
-	withDups = append(withDups, recs[:70]...)
-
-	collect := func(order []Record) []Aggregate {
-		c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
-		c.Ingest(Header{SamplingInterval: 1}, order)
-		return c.Aggregates()
-	}
-	a := collect(withDups)
-	rev := make([]Record, len(withDups))
-	for i := range withDups {
-		rev[i] = withDups[len(withDups)-1-i]
-	}
-	b := collect(rev)
-	if len(a) != len(b) {
-		t.Fatalf("aggregate counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Key != b[i].Key || a[i].Octets != b[i].Octets {
-			t.Fatalf("aggregate %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestCollectorConcurrentIngest(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	packets := make([][]Record, 20)
-	for i := range packets {
-		packets[i] = []Record{randRecord(r), randRecord(r), randRecord(r)}
-	}
-	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
-	var wg sync.WaitGroup
-	for _, p := range packets {
-		wg.Add(1)
-		go func(recs []Record) {
-			defer wg.Done()
-			c.Ingest(Header{}, recs)
-		}(p)
-	}
-	wg.Wait()
-	records, _, _ := c.Stats()
-	if records != 60 {
-		t.Fatalf("records = %d, want 60", records)
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package netflow implements the flow-export substrate of the paper's data
 // pipeline (§4.1.1): a NetFlow-v5-format binary codec, a stream writer and
-// reader for trace files, and a collector that ingests records from
-// multiple core routers, restores sampled volumes, de-duplicates records
-// that several routers exported for the same flow, and aggregates the
-// result into per-destination traffic demands — exactly the processing
-// the paper applies to its 24-hour sampled captures ("we obtain the demand
-// for each flow by aggregating all records of the flow, while ensuring
-// that we do not double-count records that are duplicated on different
-// routers").
+// reader for trace files, the UDP transport from core routers to a
+// collector, and the vocabulary the collector counts in — the dedup key
+// that tells a record several routers exported for the same flow
+// (KeyOf), and the per-bucket demand aggregate with its order-free merge.
+// The collector itself, which restores sampled volumes, counts each
+// record once however many routers exported it and aggregates the result
+// into traffic demands ("we obtain the demand for each flow by
+// aggregating all records of the flow, while ensuring that we do not
+// double-count records that are duplicated on different routers"), is
+// the stream package's Window; stream.NewCollector is its batch form.
 package netflow
 
 import (

@@ -14,8 +14,8 @@ import (
 // actually uses: NetFlow is exported over UDP from each core router to a
 // central collector (Figure 17b, "Flow Collector"). Exporter wraps a
 // Writer around a UDP socket with one datagram per export packet;
-// CollectorServer listens, decodes and feeds a Sink (the batch Collector
-// or the stream package's sliding window).
+// CollectorServer listens, decodes and feeds a Sink (the stream package's
+// Window, sliding or batch).
 
 // Exporter sends export packets to a collector over UDP, one datagram
 // per packet (as real routers do — NetFlow v5 has no fragmentation or
@@ -87,9 +87,8 @@ func (e *Exporter) Close() error {
 	return e.conn.Close()
 }
 
-// Sink consumes decoded export packets. Collector is the batch
-// implementation; the stream package's sliding window is the online one.
-// Implementations must be safe for concurrent Ingest calls, and must not
+// Sink consumes decoded export packets; the stream package's Window is
+// the implementation, online and batch alike. Implementations must be safe for concurrent Ingest calls, and must not
 // retain recs past the call's return: the server reuses the backing
 // array for the next datagram.
 type Sink interface {

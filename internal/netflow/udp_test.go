@@ -8,8 +8,28 @@ import (
 	"time"
 )
 
+// recordSink is the Sink the transport tests feed: it keeps every record
+// it is handed. Counting them once is the collector's job, not the
+// transport's.
+type recordSink struct {
+	mu   sync.Mutex
+	recs []Record
+}
+
+func (s *recordSink) Ingest(_ Header, recs []Record) {
+	s.mu.Lock()
+	s.recs = append(s.recs, recs...)
+	s.mu.Unlock()
+}
+
+func (s *recordSink) records() []Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recs
+}
+
 func TestUDPExportCollectRoundTrip(t *testing.T) {
-	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
+	c := &recordSink{}
 	srv, err := NewCollectorServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
@@ -35,9 +55,8 @@ func TestUDPExportCollectRoundTrip(t *testing.T) {
 	if err := srv.Drain(3, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ := c.Stats()
-	if got != 75 {
-		t.Fatalf("collector saw %d records, want 75", got)
+	if got := len(c.records()); got != 75 {
+		t.Fatalf("sink saw %d records, want 75", got)
 	}
 	packets, bad := srv.Stats()
 	if packets != 3 || bad != 0 {
@@ -46,9 +65,9 @@ func TestUDPExportCollectRoundTrip(t *testing.T) {
 }
 
 func TestUDPMultipleExporters(t *testing.T) {
-	// Several "routers" export the same records concurrently; the
-	// collector must dedup across them, as in the multi-router capture.
-	c := NewCollector(StringKey(func(r Record) string { return r.DstAddr.String() }))
+	// Several "routers" export the same record concurrently; every copy
+	// must reach the sink, whose dedup then counts it once.
+	c := &recordSink{}
 	srv, err := NewCollectorServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
@@ -83,18 +102,19 @@ func TestUDPMultipleExporters(t *testing.T) {
 	if err := srv.Drain(routers, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	aggs := c.Aggregates()
-	if len(aggs) != 1 || aggs[0].Octets != 5000 {
-		t.Fatalf("aggregates = %+v, want single 5000-octet bucket", aggs)
+	got := c.records()
+	if len(got) != routers {
+		t.Fatalf("sink saw %d records, want one per router (%d)", len(got), routers)
 	}
-	_, dups, _ := c.Stats()
-	if dups != routers-1 {
-		t.Fatalf("duplicates = %d, want %d", dups, routers-1)
+	for _, r := range got {
+		if KeyOf(r) != KeyOf(rec) {
+			t.Fatalf("record %+v arrived, want copies of %+v", r, rec)
+		}
 	}
 }
 
 func TestCollectorServerCountsBadDatagrams(t *testing.T) {
-	c := NewCollector(StringKey(func(r Record) string { return "x" }))
+	c := &recordSink{}
 	srv, err := NewCollectorServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
@@ -123,15 +143,13 @@ func TestCollectorServerCountsBadDatagrams(t *testing.T) {
 	if _, bad := srv.Stats(); bad != 1 {
 		t.Fatalf("bad = %d, want 1", bad)
 	}
-	records, _, _ := c.Stats()
-	if records != 0 {
-		t.Fatalf("corrupt datagram reached the collector: %d records", records)
+	if records := len(c.records()); records != 0 {
+		t.Fatalf("corrupt datagram reached the sink: %d records", records)
 	}
 }
 
 func TestCollectorServerCloseIdempotent(t *testing.T) {
-	c := NewCollector(StringKey(func(r Record) string { return "x" }))
-	srv, err := NewCollectorServer("127.0.0.1:0", c)
+	srv, err := NewCollectorServer("127.0.0.1:0", &recordSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +165,7 @@ func TestNewCollectorServerErrors(t *testing.T) {
 	if _, err := NewCollectorServer("127.0.0.1:0", nil); err == nil {
 		t.Error("expected error for nil collector")
 	}
-	if _, err := NewCollectorServer("256.0.0.1:99999", NewCollector(StringKey(func(Record) string { return "" }))); err == nil {
+	if _, err := NewCollectorServer("256.0.0.1:99999", &recordSink{}); err == nil {
 		t.Error("expected error for bad address")
 	}
 }

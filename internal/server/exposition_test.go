@@ -42,7 +42,7 @@ func expositionConfig(snap *stream.Snapshot, ids ...string) Config {
 		m.QuoteSeconds.Observe(0.02)
 		m.ObserveReprice(0.02, false)
 		m.ObserveReprice(0.5, true)
-		m.ObserveStages(stream.StageTimes{stream.StageFit: time.Millisecond})
+		m.ObserveSnapshot(&stream.Snapshot{RepriceTrace: stream.RepriceTrace{Stages: stream.StageTimes{stream.StageFit: time.Millisecond}}})
 		m.RepriceFlows.Set(2)
 		m.ConsecutiveFailures.Set(1)
 		cfg.Tenants = append(cfg.Tenants, &Tenant{

@@ -188,10 +188,14 @@ type repriceRecord struct {
 	stream.RepriceTrace
 }
 
-// ObserveSnapshot records one published re-price's trace.
+// ObserveSnapshot records one published re-price's trace: its per-stage
+// wall times, its row counts and its entry in the debug ring.
 func (m *Metrics) ObserveSnapshot(snap *stream.Snapshot) {
 	tr := snap.RepriceTrace
-	m.ObserveStages(tr.Stages)
+	for s, d := range tr.Stages {
+		m.RepriceStageNanos[s].Add(uint64(d))
+	}
+	m.RepriceStaged.Inc()
 	for i, n := range [...]int{tr.New, tr.Changed, tr.Retired, tr.Rows - tr.New - tr.Changed} {
 		m.RepriceRows[i].Add(uint64(n))
 	}
@@ -205,12 +209,4 @@ func (m *Metrics) ObserveSnapshot(snap *stream.Snapshot) {
 		m.traces = m.traces[:copy(m.traces, m.traces[1:])]
 	}
 	m.traces = append(m.traces, rec)
-}
-
-// ObserveStages records one published re-price's per-stage wall times.
-func (m *Metrics) ObserveStages(st stream.StageTimes) {
-	for s, d := range st {
-		m.RepriceStageNanos[s].Add(uint64(d))
-	}
-	m.RepriceStaged.Inc()
 }

@@ -88,8 +88,12 @@ func TestMetricsExposition(t *testing.T) {
 	m.QuoteMisses.Inc()
 	m.ObserveReprice(0.02, false)
 	m.ObserveReprice(0.5, true)
-	m.ObserveStages(stream.StageTimes{stream.StageBundle: 30 * time.Millisecond, stream.StageBuild: 5 * time.Millisecond})
-	m.ObserveStages(stream.StageTimes{stream.StageBundle: 20 * time.Millisecond})
+	for _, st := range []stream.StageTimes{
+		{stream.StageBundle: 30 * time.Millisecond, stream.StageBuild: 5 * time.Millisecond},
+		{stream.StageBundle: 20 * time.Millisecond},
+	} {
+		m.ObserveSnapshot(&stream.Snapshot{RepriceTrace: stream.RepriceTrace{Stages: st}})
+	}
 	out := scrapeSole(t, m)
 	for _, want := range []string{
 		"# TYPE tierd_reprice_stage_seconds summary",

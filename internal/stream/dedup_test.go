@@ -260,14 +260,14 @@ func FuzzPackedKey(f *testing.F) {
 // TestShardSpread pins the routing hash's balance: each of four shards
 // takes between 15 % and 35 % of a seeded corpus.
 func TestShardSpread(t *testing.T) {
-	sw := mustSharded(t, traces.AggregateKey, time.Minute, 4, 4)
 	rng := rand.New(rand.NewSource(3))
 	const n = 20000
 	var hits [4]int
 	for i := 0; i < n; i++ {
 		r := testRecord(uint32(i), 100)
 		r.DstAddr = netip.AddrFrom4([4]byte{10, 2, byte(rng.Intn(200)), 1})
-		hits[sw.ShardOf(r)]++
+		hk := hashKey(netflow.KeyOf(r))
+		hits[hk.shardOf(len(hits))]++
 	}
 	for s, h := range hits {
 		if h < n*15/100 || h > n*35/100 {

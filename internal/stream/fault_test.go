@@ -198,7 +198,7 @@ func TestSnapshotRetentionUnderConcurrentQuoting(t *testing.T) {
 	}
 	w := mustWindow(t, time.Hour, 4)
 	ingestStreams(t, w, streams)
-	c := netflow.NewCollector(traces.AggregateKey)
+	c := NewCollector(traces.AggregateKey)
 	ingestStreams(t, c, streams)
 	batchAggs := c.Aggregates()
 

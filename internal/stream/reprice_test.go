@@ -34,7 +34,7 @@ func loadedRepricer(t *testing.T, seed int64) (*Repricer, *traces.Dataset, []net
 	}
 	w := mustWindow(t, time.Hour, 4)
 	ingestStreams(t, w, streams)
-	c := netflow.NewCollector(traces.AggregateKey)
+	c := NewCollector(traces.AggregateKey)
 	ingestStreams(t, c, streams)
 
 	rp, err := NewRepricer(Config{

@@ -104,21 +104,13 @@ func (sw *ShardedWindow) slotIndex(t time.Time) int64 {
 	return t.UnixNano() / int64(sw.slotDur)
 }
 
-// ShardOf returns the shard a record routes to. Duplicates share a flow
-// key, hence a hash, hence a shard — which is what keeps per-shard
-// dedup exact. The hash is seeded per process, so placement is stable
-// within a run and not across runs; nothing durable depends on it.
-func (sw *ShardedWindow) ShardOf(r netflow.Record) int {
-	hk := hashKey(netflow.KeyOf(r))
-	return hk.shardOf(len(sw.shards))
-}
-
-// DealBatches partitions recs by shard and invokes fn once per non-empty
-// batch (shard 0 receives an empty one when recs is empty, so a
-// datagram's slot-creation side effect is preserved). The batches are
-// pooled: fn must not retain them past its return. The durable sink uses
-// DealBatches directly so it can pair each batch's WAL append with its
-// shard apply under one per-shard lock.
+// DealBatches partitions recs by shard — duplicates share a flow key,
+// hence a hash, hence a shard, which keeps per-shard dedup exact — and
+// invokes fn once per non-empty batch (shard 0 receives an empty one
+// when recs is empty, so a datagram's slot-creation side effect is
+// preserved). The batches are pooled: fn must not retain them past its
+// return. The durable sink uses DealBatches directly so it can pair each
+// batch's WAL append with its shard apply under one per-shard lock.
 func (sw *ShardedWindow) DealBatches(recs []netflow.Record, fn func(Batch)) {
 	if len(sw.shards) == 1 || len(recs) == 0 {
 		fn(Batch{Records: recs})
@@ -228,7 +220,11 @@ func (sw *ShardedWindow) Export() WindowState {
 		return sw.shards[0].exportAt(cur)
 	}
 	st := WindowState{SlotNanos: int64(sw.slotDur), NumSlots: sw.numSlots}
-	slots := make(map[int64]*SlotState)
+	type slotMerge struct {
+		seen []netflow.FlowKey
+		aggs netflow.AggregateMerge
+	}
+	slots := make(map[int64]*slotMerge)
 	for _, sh := range sw.shards {
 		part := sh.exportAt(cur)
 		st.Records += part.Records
@@ -237,12 +233,13 @@ func (sw *ShardedWindow) Export() WindowState {
 		for _, ss := range part.Slots {
 			m, ok := slots[ss.Index]
 			if !ok {
-				cp := ss
-				slots[ss.Index] = &cp
-				continue
+				m = &slotMerge{seen: []netflow.FlowKey{}} // empty, not nil, like a single window's
+				slots[ss.Index] = m
 			}
-			m.Seen = append(m.Seen, ss.Seen...)
-			m.Aggs = mergeAggLists(m.Aggs, ss.Aggs)
+			m.seen = append(m.seen, ss.Seen...)
+			for i := range ss.Aggs {
+				m.aggs.Add(&ss.Aggs[i])
+			}
 		}
 	}
 	idxs := make([]int64, 0, len(slots))
@@ -250,35 +247,13 @@ func (sw *ShardedWindow) Export() WindowState {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	st.Slots = make([]SlotState, 0, len(idxs)) // empty, not nil, like a single window's
+	st.Slots = make([]SlotState, 0, len(idxs))
 	for _, idx := range idxs {
-		ss := slots[idx]
-		sort.Slice(ss.Seen, func(i, j int) bool { return flowKeyLess(ss.Seen[i], ss.Seen[j]) })
-		sort.Slice(ss.Aggs, func(i, j int) bool { return ss.Aggs[i].Key < ss.Aggs[j].Key })
-		st.Slots = append(st.Slots, *ss)
+		m := slots[idx]
+		sort.Slice(m.seen, func(i, j int) bool { return flowKeyLess(m.seen[i], m.seen[j]) })
+		st.Slots = append(st.Slots, SlotState{Index: idx, Seen: m.seen, Aggs: m.aggs.SortedInto(nil)})
 	}
 	return st
-}
-
-// mergeAggLists merges two per-slot aggregate lists by bucket key,
-// summing volumes and keeping the canonical minimum sample.
-func mergeAggLists(a, b []netflow.Aggregate) []netflow.Aggregate {
-	byKey := make(map[string]int, len(a))
-	for i := range a {
-		byKey[a[i].Key] = i
-	}
-	for _, x := range b {
-		i, ok := byKey[x.Key]
-		if !ok {
-			byKey[x.Key] = len(a)
-			a = append(a, x)
-			continue
-		}
-		a[i].Octets += x.Octets
-		a[i].Records += x.Records
-		a[i].MergeSample(x)
-	}
-	return a
 }
 
 // Import replaces the window's contents with a previously exported

@@ -149,7 +149,7 @@ func TestShardedWindowDeterminism(t *testing.T) {
 	// All arrivals fit inside the window, so the batch collector view
 	// must agree as well (the original online/batch parity, preserved
 	// under the canonical sampling rule).
-	c := netflow.NewCollector(shardKeyFn)
+	c := NewCollector(shardKeyFn)
 	for _, dg := range dgs {
 		c.Ingest(dg.h, dg.recs)
 	}

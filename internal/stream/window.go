@@ -1,10 +1,11 @@
-// Package stream is the online half of the collection pipeline (§5's
-// deployment sketch): a sliding-window flow accumulator fed by the UDP
-// NetFlow collector, and a periodic repricer that re-fits the demand
-// model over the live window and publishes immutable pricing snapshots
-// for the serving layer. The batch pipeline (netflow.Collector →
-// demandfit → core) computes one answer from one capture; this package
-// computes the same answer continuously as the traffic mix shifts.
+// Package stream holds the pipeline's one flow accumulator and the online
+// half built on it (§5's deployment sketch): a sliding-window collector
+// fed by the UDP NetFlow server, and a periodic repricer that re-fits the
+// demand model over the live window and publishes immutable pricing
+// snapshots for the serving layer. The batch pipeline (NewCollector →
+// demandfit → core) computes one answer from one capture through the
+// same accumulator; the repricer computes that answer continuously as
+// the traffic mix shifts.
 package stream
 
 import (
@@ -15,18 +16,19 @@ import (
 	"tieredpricing/internal/netflow"
 )
 
-// Window is a sliding-window flow accumulator: the last Span() of
-// ingested records, de-duplicated across routers and aggregated into
-// demand buckets exactly like the batch netflow.Collector, with older
-// traffic aged out in slot-sized steps. It implements netflow.Sink and is
-// safe for concurrent ingest (core routers export independently).
+// Window is the flow accumulator of §4.1.1: the last Span() of ingested
+// records, sampling-restored, counted once however many routers exported
+// them, and aggregated into demand buckets, with older traffic aged out
+// in slot-sized steps. It implements netflow.Sink and is safe for
+// concurrent ingest (core routers export independently).
 //
 // Time is bucketed into numSlots slots of slotDur each; a record lands in
 // the slot covering its arrival time, and slots older than the window are
 // dropped whole. Cross-router duplicate suppression spans all live slots
 // — one window-wide table remembers which live slot first counted each
 // flow key — so the window's aggregates over a fully-contained capture
-// are identical to the batch collector's.
+// are the batch collector's (NewCollector: the same type, one slot that
+// never ages out).
 type Window struct {
 	keyFn    netflow.AggregateKeyFunc
 	slotDur  time.Duration
@@ -105,6 +107,19 @@ func NewWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slots int)
 	return w, nil
 }
 
+// NewCollector returns the batch collector: a window of one slot on a
+// clock that never moves, so nothing it counts ages out and its dedup
+// spans the whole capture. It panics on a nil keyFn, the one argument
+// NewWindow could reject.
+func NewCollector(keyFn netflow.AggregateKeyFunc) *Window {
+	w, err := NewWindow(keyFn, time.Hour, 1)
+	if err != nil {
+		panic(err)
+	}
+	w.SetClock(func() time.Time { return time.Unix(0, 0) })
+	return w
+}
+
 // SetClock replaces the window's time source — fault rehearsal (empty
 // window stretches driven by a deterministic clock) and tests. Call it
 // before the first Ingest; it is not synchronized with ingest.
@@ -139,9 +154,8 @@ func (w *Window) evictLocked(cur int64) {
 	}
 }
 
-// Ingest processes one export packet (netflow.Sink). Dedup and sampling
-// restoration follow netflow.Collector exactly; the only difference is
-// that the accumulated state ages out slot by slot.
+// Ingest processes one export packet (netflow.Sink) into the slot of the
+// window's clock.
 func (w *Window) Ingest(h netflow.Header, recs []netflow.Record) {
 	w.ingestAt(w.slotIndex(w.now()), h, recs, nil)
 }
@@ -149,7 +163,8 @@ func (w *Window) Ingest(h netflow.Header, recs []netflow.Record) {
 // ingestAt files recs into slot cur; Ingest derives cur from the live
 // clock, IngestAt (WAL replay) from the logged arrival timestamp. keys,
 // when not nil, holds each record's dedup key as the sharded wrapper
-// already hashed it for routing.
+// already hashed it for routing. It is the pipeline's one dedup and
+// sampling-restore loop, batch and online alike.
 func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, keys []hashedKey) {
 	sampling := uint64(h.SamplingInterval)
 	if sampling == 0 {
@@ -197,10 +212,9 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 	}
 }
 
-// Aggregates merges the live slots into the batch collector's output
-// shape: per-bucket aggregates sorted by key, octets and record counts
-// summed across slots, endpoint samples merged under the canonical
-// minimum-tuple rule (matching the collector exactly). Because every
+// Aggregates merges the live slots into per-bucket aggregates sorted by
+// key: octets and record counts summed across slots, endpoint samples
+// merged under the canonical minimum-tuple rule. Because every
 // per-bucket operation commutes — sums, counts, minimum samples — the
 // merge is independent of slot order, ingest order, and any sharding of
 // the records upstream.

@@ -14,8 +14,9 @@ import (
 
 // refWindow is the window as it was before the window-wide dedup table:
 // one map[netflow.FlowKey] set per slot, probed slot by slot. It is kept
-// as the differential oracle for Window and ShardedWindow — slower, and
-// obviously right about what a slot forgets when it is evicted.
+// as the differential oracle for Window, ShardedWindow and the batch
+// collector — slower, and obviously right about what a slot forgets when
+// it is evicted.
 type refWindow struct {
 	keyFn    netflow.AggregateKeyFunc
 	slotDur  time.Duration
@@ -240,6 +241,17 @@ func TestWindowMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzWindowMatchesReference is TestWindowMatchesReference at any seed
+// and any geometry of 1–12 slots and 1–4 shards.
+func FuzzWindowMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(9), uint8(3))
+	f.Add(int64(3), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, slots, shards uint8) {
+		diffRun(t, 1+int(slots)%12, 1+int(shards)%4, seed)
+	})
 }
 
 func diffRun(t *testing.T, slots, shards int, seed int64) {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/netip"
 	"reflect"
@@ -15,9 +16,8 @@ import (
 )
 
 // ingestStreams decodes router export streams in sorted router order and
-// feeds every packet to sink. Sorted order makes the first record of each
-// bucket — and hence the collector's endpoint samples — deterministic, so
-// window and batch collector outputs are comparable field by field.
+// feeds every packet to sink, so every run of a test ingests the same
+// sequence.
 func ingestStreams(t *testing.T, sink netflow.Sink, streams map[string][]byte) {
 	t.Helper()
 	routers := make([]string, 0, len(streams))
@@ -49,36 +49,113 @@ func mustWindow(t *testing.T, slotDur time.Duration, slots int) *Window {
 	return w
 }
 
-// TestWindowMatchesCollector is the aggregation half of the online/batch
-// consistency story: a capture fully contained in the window must yield
-// the batch collector's aggregates exactly.
-func TestWindowMatchesCollector(t *testing.T) {
-	ds, err := traces.EUISP(61)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: 62})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCollectorMatchesReference is the aggregation half of the
+// online/batch consistency story: the batch collector — the one-slot
+// window every batch caller counts through — must agree with the
+// per-slot-map reference, aggregates and counters, on each preset's
+// NetFlow export.
+func TestCollectorMatchesReference(t *testing.T) {
+	for _, name := range traces.Names() {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				ds, err := traces.ByName(name, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: seed + 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := NewCollector(traces.AggregateKey)
+				ingestStreams(t, c, streams)
+				ref := newRefWindow(traces.AggregateKey, time.Hour, 1, func() time.Time { return time.Unix(0, 0) })
+				ingestStreams(t, ref, streams)
 
-	c := netflow.NewCollector(traces.AggregateKey)
-	ingestStreams(t, c, streams)
+				if !reflect.DeepEqual(c.Aggregates(), ref.Aggregates()) {
+					t.Fatal("collector aggregates diverge from the reference")
+				}
+				cr, cd, cx, cl := c.Stats()
+				rr, rd, rx, rl := ref.Stats()
+				if cr != rr || cd != rd || cx != rx || cl != rl {
+					t.Errorf("collector stats (%d,%d,%d,%d) != reference (%d,%d,%d,%d)", cr, cd, cx, cl, rr, rd, rx, rl)
+				}
+				if cd == 0 {
+					t.Error("the export held no cross-router duplicates to suppress")
+				}
+			})
+		}
+	}
+}
 
-	w := mustWindow(t, time.Hour, 4)
-	ingestStreams(t, w, streams)
-
-	if !reflect.DeepEqual(w.Aggregates(), c.Aggregates()) {
-		t.Fatal("window aggregates diverge from batch collector")
+// FuzzCollectorAccounting feeds the collector whatever a datagram
+// decodes to (netflow's FuzzUDPDatagramPath is the decode half) and
+// checks its books: every record is a duplicate, dropped or bucketed,
+// and each distinct flow key's octets count once, times the sampling
+// interval.
+func FuzzCollectorAccounting(f *testing.F) {
+	recs := []netflow.Record{
+		{
+			SrcAddr: netip.MustParseAddr("10.0.0.1"),
+			DstAddr: netip.MustParseAddr("10.1.0.1"),
+			Octets:  4096, Packets: 3, First: 1, Last: 9,
+			SrcPort: 443, DstPort: 51000, Proto: 6,
+		},
+		{
+			SrcAddr: netip.MustParseAddr("10.0.0.2"),
+			DstAddr: netip.MustParseAddr("10.1.0.1"),
+			Octets:  512, Packets: 1, First: 2, Last: 2, Proto: 17,
+		},
 	}
-	cr, cd, cx := c.Stats()
-	wr, wd, wx, live := w.Stats()
-	if wr != cr || wd != cd || wx != cx {
-		t.Errorf("window stats (%d,%d,%d) != collector stats (%d,%d,%d)", wr, wd, wx, cr, cd, cx)
+	unkeyed := recs[1]
+	unkeyed.Proto = 0
+	for _, rs := range [][]netflow.Record{recs, append(recs, recs[0]), {recs[0], unkeyed}} {
+		pkt, err := netflow.EncodePacket(netflow.Header{UnixSecs: 1000, SamplingInterval: 100}, rs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(pkt)
 	}
-	if live < 1 {
-		t.Errorf("live slots = %d, want >= 1", live)
-	}
+	f.Fuzz(func(t *testing.T, datagram []byte) {
+		h, got, err := netflow.DecodePacket(datagram)
+		if err != nil {
+			return
+		}
+		c := NewCollector(func(dst []byte, r netflow.Record) []byte {
+			if r.Proto == 0 {
+				return dst // exercise the dropped path
+			}
+			return r.DstAddr.AppendTo(dst)
+		})
+		c.Ingest(h, got)
+		records, duplicates, dropped, _ := c.Stats()
+		if records != len(got) {
+			t.Fatalf("collector counted %d records, ingested %d", records, len(got))
+		}
+		sampling := uint64(max(h.SamplingInterval, 1))
+		var wantOctets uint64
+		seen := make(map[netflow.FlowKey]bool)
+		for _, r := range got {
+			if key := netflow.KeyOf(r); !seen[key] {
+				seen[key] = true
+				if r.Proto != 0 {
+					wantOctets += uint64(r.Octets) * sampling
+				}
+			}
+		}
+		var bucketed int
+		var gotOctets uint64
+		for _, a := range c.Aggregates() {
+			bucketed += a.Records
+			gotOctets += a.Octets
+		}
+		if records != duplicates+dropped+bucketed {
+			t.Fatalf("%d records, but %d duplicates + %d dropped + %d bucketed", records, duplicates, dropped, bucketed)
+		}
+		if gotOctets != wantOctets {
+			t.Fatalf("aggregated octets %d, want %d (sampling ×%d restored once per distinct key)",
+				gotOctets, wantOctets, sampling)
+		}
+	})
 }
 
 func testRecord(seq uint32, octets uint32) netflow.Record {

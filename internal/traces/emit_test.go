@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tieredpricing/internal/netflow"
+	"tieredpricing/internal/stream"
 )
 
 func TestEmitNetFlowRoundTrip(t *testing.T) {
@@ -26,19 +27,18 @@ func TestEmitNetFlowRoundTrip(t *testing.T) {
 		if len(streams) < 2 {
 			t.Fatalf("%s: only %d router streams", name, len(streams))
 		}
-		c := netflow.NewCollector(AggregateKey)
-		for router, stream := range streams {
-			rd := netflow.NewReader(bytes.NewReader(stream))
+		c := stream.NewCollector(AggregateKey)
+		for _, s := range streams {
+			rd := netflow.NewReader(bytes.NewReader(s))
 			for {
 				h, recs, err := rd.Next()
 				if err != nil {
 					break
 				}
 				c.Ingest(h, recs)
-				_ = router
 			}
 		}
-		records, dups, dropped := c.Stats()
+		records, dups, dropped, _ := c.Stats()
 		if dups == 0 {
 			t.Errorf("%s: expected cross-router duplicates, got none", name)
 		}
