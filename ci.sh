@@ -90,11 +90,13 @@
 #                      fresh one), bundling's FuzzFixedPow (the CED
 #                      block value's power kernel against math.Pow) and
 #                      FuzzCurve (every strategy's
-#                      one-pass capture curve = its per-b bundles), and
+#                      one-pass capture curve = its per-b bundles),
 #                      core's FuzzCostOrder (the carried cost order = a
-#                      fresh sort), actually fuzzes for a short budget
-#                      (FUZZTIME, default 10s each), not just replays its
-#                      seed corpus
+#                      fresh sort) and traces' FuzzAggregateBucket (the
+#                      bucket code's name = the masked addresses as netip
+#                      prints them, one code per name), actually fuzzes
+#                      for a short budget (FUZZTIME, default 10s each),
+#                      not just replays its seed corpus
 set -eu
 
 cd "$(dirname "$0")"
@@ -164,6 +166,8 @@ fuzz_smoke() {
     done
     echo "==> fuzz FuzzCostOrder (internal/core, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzCostOrder$' -fuzztime="$FUZZTIME" ./internal/core
+    echo "==> fuzz FuzzAggregateBucket (internal/traces, ${FUZZTIME})"
+    go test -run='^$' -fuzz='^FuzzAggregateBucket$' -fuzztime="$FUZZTIME" ./internal/traces
 }
 
 case "${1:-}" in

@@ -148,11 +148,19 @@ type (
 // NewNetFlowReader streams export packets from r.
 func NewNetFlowReader(r io.Reader) *NetFlowReader { return netflow.NewReader(r) }
 
-// NewCollector aggregates records by the given bucketing rule.
+// NewCollector aggregates records by the given bucketing rule; a record
+// it names "" is dropped.
 func NewCollector(key func(NetFlowRecord) string) *Collector {
 	return stream.NewCollector(netflow.StringKey(key))
 }
 
 // DatasetAggregateKey is the bucketing rule matching the built-in
-// datasets' address plan (source PoP /20 + destination /24).
-func DatasetAggregateKey(rec NetFlowRecord) string { return string(traces.AggregateKey(nil, rec)) }
+// datasets' address plan (source PoP /20 + destination /24). It names ""
+// a record whose addresses no v5 datagram carries.
+func DatasetAggregateKey(rec NetFlowRecord) string {
+	code, ok := traces.AggregateKey.Code(&rec)
+	if !ok {
+		return ""
+	}
+	return string(traces.AggregateKey.Name(nil, code))
+}

@@ -115,7 +115,6 @@ func PerTierOctets(samples []CounterSample) map[int]uint64 {
 // pipeline's one collector (stream.NewCollector), bucketing each record
 // by its destination's tier. Safe for concurrent ingest.
 type FlowAccountant struct {
-	rib   *bgp.RIB
 	flows *stream.Window
 }
 
@@ -128,18 +127,26 @@ func NewFlowAccountant(rib *bgp.RIB) (*FlowAccountant, error) {
 	if rib == nil {
 		return nil, errors.New("accounting: nil RIB")
 	}
-	fa := &FlowAccountant{rib: rib}
-	fa.flows = stream.NewCollector(fa.tierKey)
-	return fa, nil
+	return &FlowAccountant{flows: stream.NewCollector(tierRule{rib})}, nil
 }
 
-// tierKey names r's bucket: its destination's RIB tier.
-func (fa *FlowAccountant) tierKey(dst []byte, r netflow.Record) []byte {
-	route, ok := fa.rib.Lookup(r.DstAddr)
+// tierRule buckets a record by its destination's RIB tier: code tier+1,
+// and 0 for unrouted traffic.
+type tierRule struct{ rib *bgp.RIB }
+
+func (t tierRule) Code(r *netflow.Record) (uint64, bool) {
+	route, ok := t.rib.Lookup(r.DstAddr)
 	if !ok || route.Tier == nil {
+		return 0, true
+	}
+	return uint64(route.Tier.Tier) + 1, true
+}
+
+func (tierRule) Name(dst []byte, code uint64) []byte {
+	if code == 0 {
 		return append(dst, unroutedKey...)
 	}
-	return strconv.AppendUint(dst, uint64(route.Tier.Tier), 10)
+	return strconv.AppendUint(dst, code-1, 10)
 }
 
 // Ingest processes one NetFlow export packet.

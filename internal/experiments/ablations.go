@@ -234,8 +234,10 @@ func (u *undeduped) Aggregates() []netflow.Aggregate { return u.m.SortedInto(nil
 
 func (u *undeduped) Ingest(h netflow.Header, recs []netflow.Record) {
 	sampling := uint64(max(h.SamplingInterval, 1))
-	for _, r := range recs {
-		if u.key = traces.AggregateKey(u.key[:0], r); len(u.key) > 0 {
+	for i := range recs {
+		r := &recs[i]
+		if code, ok := traces.AggregateKey.Code(r); ok {
+			u.key = traces.AggregateKey.Name(u.key[:0], code)
 			a := netflow.NewAggregate(string(u.key), r)
 			a.Octets, a.Records = uint64(r.Octets)*sampling, 1
 			u.m.Add(a)

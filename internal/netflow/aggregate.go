@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // FlowKey identifies a flow record independently of which router exported
@@ -43,16 +44,54 @@ func KeyOf(r Record) FlowKey {
 // exporter (carried in SrcAS).
 func (r Record) FlowSequence() uint32 { return uint32(r.SrcAS) }
 
-// AggregateKeyFunc maps a record to the demand-aggregation bucket it
-// belongs to — e.g. the destination /24, or an entry/exit PoP pair
-// recovered from addressing — by appending the bucket's name to dst, so
-// the caller looks an existing bucket up from one reused buffer and
-// builds a string only for a new one. Appending nothing drops the record.
-type AggregateKeyFunc func(dst []byte, r Record) []byte
+// BucketRule maps a record to the demand-aggregation bucket it belongs
+// to — e.g. the destination /24, or an entry/exit PoP pair recovered from
+// addressing — in two halves, so a collector files every record by a
+// number and renders a bucket's name only when it first meets the bucket.
+type BucketRule interface {
+	// Code returns r's bucket as a number; false drops the record. Two
+	// records share a bucket exactly when they share a code.
+	Code(r *Record) (code uint64, ok bool)
+	// Name appends to dst the name (Aggregate.Key) of the bucket that
+	// code, a value Code returned, stands for.
+	Name(dst []byte, code uint64) []byte
+}
 
-// StringKey adapts a bucketing rule that returns its key as a string.
-func StringKey(key func(Record) string) AggregateKeyFunc {
-	return func(dst []byte, r Record) []byte { return append(dst, key(r)...) }
+// StringKey adapts a bucketing rule that returns its key as a string,
+// "" dropping the record. It numbers the names in the order it first
+// meets them, under a lock of its own: a rule may be shared by windows
+// that code records concurrently.
+func StringKey(key func(Record) string) BucketRule {
+	return &stringKey{key: key, codes: make(map[string]uint64)}
+}
+
+type stringKey struct {
+	key   func(Record) string
+	mu    sync.Mutex
+	codes map[string]uint64
+	names []string // names[code]
+}
+
+func (s *stringKey) Code(r *Record) (uint64, bool) {
+	name := s.key(*r)
+	if name == "" {
+		return 0, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	code, ok := s.codes[name]
+	if !ok {
+		code = uint64(len(s.names))
+		s.codes[name] = code
+		s.names = append(s.names, name)
+	}
+	return code, true
+}
+
+func (s *stringKey) Name(dst []byte, code uint64) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append(dst, s.names[code]...)
 }
 
 // Aggregate is the accumulated demand of one aggregation bucket.
@@ -93,13 +132,13 @@ func sampleBefore(s1, d1 netip.Addr, i1, o1 uint16, s2, d2 netip.Addr, i2, o2 ui
 
 // NewAggregate starts bucket key's aggregate from its first record: r's
 // endpoints are the sample, its volume is still to be added.
-func NewAggregate(key string, r Record) *Aggregate {
+func NewAggregate(key string, r *Record) *Aggregate {
 	return &Aggregate{Key: key, SrcAddr: r.SrcAddr, DstAddr: r.DstAddr, Input: r.Input, Output: r.Output}
 }
 
 // TakeSample folds r's endpoints into a's canonical sample, keeping the
 // minimum tuple.
-func (a *Aggregate) TakeSample(r Record) {
+func (a *Aggregate) TakeSample(r *Record) {
 	if sampleBefore(r.SrcAddr, r.DstAddr, r.Input, r.Output,
 		a.SrcAddr, a.DstAddr, a.Input, a.Output) {
 		a.SrcAddr, a.DstAddr, a.Input, a.Output = r.SrcAddr, r.DstAddr, r.Input, r.Output

@@ -16,7 +16,7 @@ import (
 	"tieredpricing/internal/stream"
 )
 
-func byDst(dst []byte, r netflow.Record) []byte { return r.DstAddr.AppendTo(dst) }
+var byDst = netflow.StringKey(func(r netflow.Record) string { return r.DstAddr.String() })
 
 func randomRecord(r *rand.Rand) netflow.Record {
 	ip := func() netip.Addr {
@@ -94,7 +94,7 @@ func TestCollectorDropsUnkeyedRecords(t *testing.T) {
 		DstAddr: netip.MustParseAddr("10.1.0.1"),
 		Octets:  1,
 	}
-	c := stream.NewCollector(func(dst []byte, _ netflow.Record) []byte { return dst })
+	c := stream.NewCollector(netflow.StringKey(func(netflow.Record) string { return "" }))
 	c.Ingest(netflow.Header{}, []netflow.Record{rec})
 	if len(c.Aggregates()) != 0 {
 		t.Error("unkeyed record should be dropped")

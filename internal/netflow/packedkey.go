@@ -48,14 +48,29 @@ func unpackAddr(b []byte) netip.Addr {
 func (k FlowKey) Pack() (PackedKey, bool) {
 	var p PackedKey
 	ok := packAddr(p[pkSrc:], k.SrcAddr) && packAddr(p[pkDst:], k.DstAddr)
-	binary.BigEndian.PutUint16(p[pkSrcPort:], k.SrcPort)
-	binary.BigEndian.PutUint16(p[pkDstPort:], k.DstPort)
-	p[pkProto] = k.Proto
-	binary.BigEndian.PutUint32(p[pkFirst:], k.First)
-	binary.BigEndian.PutUint32(p[pkLast:], k.Last)
-	binary.BigEndian.PutUint32(p[pkOctets:], k.Octets)
-	binary.BigEndian.PutUint32(p[pkSeq:], k.Sequence)
+	p.packRest(k.SrcPort, k.DstPort, k.Proto, k.First, k.Last, k.Octets, k.Sequence)
 	return p, ok
+}
+
+// PackRecord is KeyOf(*r).Pack() without the two copies of r that
+// building the FlowKey takes: the collector packs every record it
+// applies.
+func PackRecord(r *Record) (PackedKey, bool) {
+	var p PackedKey
+	ok := packAddr(p[pkSrc:], r.SrcAddr) && packAddr(p[pkDst:], r.DstAddr)
+	p.packRest(r.SrcPort, r.DstPort, r.Proto, r.First, r.Last, r.Octets, uint32(r.SrcAS)) // r.FlowSequence(), uncopied
+	return p, ok
+}
+
+// packRest writes every field after the addresses.
+func (p *PackedKey) packRest(srcPort, dstPort uint16, proto uint8, first, last, octets, seq uint32) {
+	binary.BigEndian.PutUint16(p[pkSrcPort:], srcPort)
+	binary.BigEndian.PutUint16(p[pkDstPort:], dstPort)
+	p[pkProto] = proto
+	binary.BigEndian.PutUint32(p[pkFirst:], first)
+	binary.BigEndian.PutUint32(p[pkLast:], last)
+	binary.BigEndian.PutUint32(p[pkOctets:], octets)
+	binary.BigEndian.PutUint32(p[pkSeq:], seq)
 }
 
 // Unpack returns the FlowKey p was packed from.

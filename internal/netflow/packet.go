@@ -148,31 +148,28 @@ func appendRecord(b []byte, r Record) ([]byte, error) {
 	return b, nil
 }
 
-// parseRecord deserializes one record.
-func parseRecord(b []byte) (Record, error) {
-	if len(b) < RecordSize {
-		return Record{}, errShort
-	}
-	return Record{
-		SrcAddr:  netip.AddrFrom4([4]byte(b[0:4])),
-		DstAddr:  netip.AddrFrom4([4]byte(b[4:8])),
-		NextHop:  netip.AddrFrom4([4]byte(b[8:12])),
-		Input:    binary.BigEndian.Uint16(b[12:14]),
-		Output:   binary.BigEndian.Uint16(b[14:16]),
-		Packets:  binary.BigEndian.Uint32(b[16:20]),
-		Octets:   binary.BigEndian.Uint32(b[20:24]),
-		First:    binary.BigEndian.Uint32(b[24:28]),
-		Last:     binary.BigEndian.Uint32(b[28:32]),
-		SrcPort:  binary.BigEndian.Uint16(b[32:34]),
-		DstPort:  binary.BigEndian.Uint16(b[34:36]),
-		TCPFlags: b[37],
-		Proto:    b[38],
-		ToS:      b[39],
-		SrcAS:    binary.BigEndian.Uint16(b[40:42]),
-		DstAS:    binary.BigEndian.Uint16(b[42:44]),
-		SrcMask:  b[44],
-		DstMask:  b[45],
-	}, nil
+// parseRecord deserializes one record from b[:RecordSize] into r, field
+// by field, so a decode into a caller's buffer builds no Record to copy.
+func parseRecord(r *Record, b []byte) {
+	b = b[:RecordSize]
+	r.SrcAddr = netip.AddrFrom4([4]byte(b[0:4]))
+	r.DstAddr = netip.AddrFrom4([4]byte(b[4:8]))
+	r.NextHop = netip.AddrFrom4([4]byte(b[8:12]))
+	r.Input = binary.BigEndian.Uint16(b[12:14])
+	r.Output = binary.BigEndian.Uint16(b[14:16])
+	r.Packets = binary.BigEndian.Uint32(b[16:20])
+	r.Octets = binary.BigEndian.Uint32(b[20:24])
+	r.First = binary.BigEndian.Uint32(b[24:28])
+	r.Last = binary.BigEndian.Uint32(b[28:32])
+	r.SrcPort = binary.BigEndian.Uint16(b[32:34])
+	r.DstPort = binary.BigEndian.Uint16(b[34:36])
+	r.TCPFlags = b[37]
+	r.Proto = b[38]
+	r.ToS = b[39]
+	r.SrcAS = binary.BigEndian.Uint16(b[40:42])
+	r.DstAS = binary.BigEndian.Uint16(b[42:44])
+	r.SrcMask = b[44]
+	r.DstMask = b[45]
 }
 
 // EncodePacket serializes a header and 1..30 records into one export
@@ -212,8 +209,7 @@ func DecodePacket(b []byte) (Header, []Record, error) {
 	if h.Count == 0 || h.Count > MaxRecordsPerPacket {
 		return Header{}, nil, fmt.Errorf("netflow: bad record count %d", h.Count)
 	}
-	recs := make([]Record, 0, h.Count)
-	return decodeRecords(b, h, recs)
+	return decodeRecords(b, h, nil)
 }
 
 // DecodePacketInto is DecodePacket decoding into recs's backing array:
@@ -229,21 +225,22 @@ func DecodePacketInto(b []byte, recs []Record) (Header, []Record, error) {
 	if h.Count == 0 || h.Count > MaxRecordsPerPacket {
 		return Header{}, nil, fmt.Errorf("netflow: bad record count %d", h.Count)
 	}
-	return decodeRecords(b, h, recs[:0])
+	return decodeRecords(b, h, recs)
 }
 
+// decodeRecords parses h.Count records straight into recs's backing
+// array, or into a new one when it is too small.
 func decodeRecords(b []byte, h Header, recs []Record) (Header, []Record, error) {
-	want := HeaderSize + int(h.Count)*RecordSize
-	if len(b) < want {
+	n := int(h.Count)
+	if len(b) < HeaderSize+n*RecordSize {
 		return Header{}, nil, errShort
 	}
-	for i := 0; i < int(h.Count); i++ {
-		off := HeaderSize + i*RecordSize
-		r, err := parseRecord(b[off:])
-		if err != nil {
-			return Header{}, nil, err
-		}
-		recs = append(recs, r)
+	if cap(recs) < n {
+		recs = make([]Record, n)
+	}
+	recs = recs[:n]
+	for i := range recs {
+		parseRecord(&recs[i], b[HeaderSize+i*RecordSize:])
 	}
 	return h, recs, nil
 }

@@ -105,9 +105,7 @@ func (rd *Reader) Next() (Header, []Record, error) {
 	}
 	recs := make([]Record, h.Count)
 	for i := range recs {
-		if recs[i], err = parseRecord(body[i*RecordSize:]); err != nil {
-			return Header{}, nil, err
-		}
+		parseRecord(&recs[i], body[i*RecordSize:])
 	}
 	return h, recs, nil
 }

@@ -113,7 +113,7 @@ func newChurner(tb testing.TB, rp *Repricer, sources, dests int) *churner {
 			DstAddr: netip.AddrFrom4([4]byte{10, byte(idx % dests >> 8), byte(idx % dests), 1}),
 			Octets:  50_000, Packets: 1,
 		}
-		if !have[string(traces.AggregateKey(nil, r))] {
+		if !have[bucketName(traces.AggregateKey, r)] {
 			c.unused = append(c.unused, r)
 		}
 	}

@@ -87,11 +87,10 @@ type hashedKey struct {
 	ok   bool
 }
 
-func hashKey(k netflow.FlowKey) hashedKey {
-	var hk hashedKey
-	hk.key, hk.ok = k.Pack()
-	hk.hash = maphash.Bytes(dedupSeed, hk.key[:])
-	return hk
+// hashKey hashes a packed key as FlowKey.Pack or netflow.PackRecord
+// returns it.
+func hashKey(key netflow.PackedKey, ok bool) hashedKey {
+	return hashedKey{key: key, hash: maphash.Bytes(dedupSeed, key[:]), ok: ok}
 }
 
 // shardOf routes a hash to one of n shards by its low half, which the

@@ -27,7 +27,7 @@ func TestDedupTableMatchesModel(t *testing.T) {
 	key := func(n uint32) hashedKey {
 		return hashKey(netflow.FlowKey{
 			SrcAddr: netip.AddrFrom4([4]byte{10, 0, 0, 1}), DstAddr: netip.AddrFrom4([4]byte{10, 0, 0, 2}), Sequence: n,
-		})
+		}.Pack())
 	}
 	next := uint32(0)
 	for round := 0; round < 60; round++ {
@@ -180,24 +180,30 @@ func TestImportRejectsUnpackableKeys(t *testing.T) {
 
 // keyFromWire decodes 48 record bytes the way the collector does and
 // optionally blanks an address, covering every key an ingest path or an
-// imported checkpoint can hold.
-func keyFromWire(rec []byte, blank byte) (netflow.FlowKey, bool) {
+// imported checkpoint can hold. The record packs as its key does.
+func keyFromWire(t *testing.T, rec []byte, blank byte) netflow.FlowKey {
+	t.Helper()
 	d := make([]byte, netflow.HeaderSize+netflow.RecordSize)
 	binary.BigEndian.PutUint16(d[0:], netflow.Version)
 	binary.BigEndian.PutUint16(d[2:], 1)
 	copy(d[netflow.HeaderSize:], rec)
 	_, recs, err := netflow.DecodePacketInto(d, make([]netflow.Record, 0, 1))
 	if err != nil {
-		return netflow.FlowKey{}, false
+		t.Fatal(err)
 	}
-	k := netflow.KeyOf(recs[0])
+	r := &recs[0]
 	if blank&1 != 0 {
-		k.SrcAddr = netip.Addr{}
+		r.SrcAddr = netip.Addr{}
 	}
 	if blank&2 != 0 {
-		k.DstAddr = netip.Addr{}
+		r.DstAddr = netip.Addr{}
 	}
-	return k, true
+	k := netflow.KeyOf(*r)
+	pk, okk := k.Pack()
+	if pr, okr := netflow.PackRecord(r); pr != pk || okr != okk {
+		t.Fatalf("PackRecord(%+v) = %x, %v; its key packs to %x, %v", *r, pr, okr, pk, okk)
+	}
+	return k
 }
 
 func checkPackedPair(t *testing.T, a, b netflow.FlowKey) {
@@ -235,8 +241,8 @@ func TestPackedKeyProperty(t *testing.T) {
 		case 1:
 			b[rng.Intn(len(b))] ^= 1 << rng.Intn(8)
 		}
-		ka, _ := keyFromWire(a, byte(rng.Intn(16)))
-		kb, _ := keyFromWire(b, byte(rng.Intn(16)))
+		ka := keyFromWire(t, a, byte(rng.Intn(16)))
+		kb := keyFromWire(t, b, byte(rng.Intn(16)))
 		checkPackedPair(t, ka, kb)
 	}
 	if _, ok := (netflow.FlowKey{SrcAddr: netip.MustParseAddr("::1")}).Pack(); ok {
@@ -251,8 +257,8 @@ func FuzzPackedKey(f *testing.F) {
 		if len(a) < netflow.RecordSize || len(b) < netflow.RecordSize {
 			return
 		}
-		ka, _ := keyFromWire(a, blank)
-		kb, _ := keyFromWire(b, blank>>2)
+		ka := keyFromWire(t, a, blank)
+		kb := keyFromWire(t, b, blank>>2)
 		checkPackedPair(t, ka, kb)
 	})
 }
@@ -266,7 +272,7 @@ func TestShardSpread(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := testRecord(uint32(i), 100)
 		r.DstAddr = netip.AddrFrom4([4]byte{10, 2, byte(rng.Intn(200)), 1})
-		hk := hashKey(netflow.KeyOf(r))
+		hk := hashKey(netflow.PackRecord(&r))
 		hits[hk.shardOf(len(hits))]++
 	}
 	for s, h := range hits {

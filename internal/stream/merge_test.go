@@ -126,7 +126,7 @@ func TestKeptMergeMatchesOneShot(t *testing.T) {
 		t.Fatalf("step %d: no aggregate %q", steps, key)
 		return 0
 	}
-	key50 := string(traces.AggregateKey(nil, rec(50, 1)))
+	key50 := bucketName(traces.AggregateKey, rec(50, 1))
 	step(20*time.Second, rec(50, 1))
 	for i := 0; i < 20; i++ {
 		step(20*time.Second, rec(50, 200))

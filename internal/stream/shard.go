@@ -56,8 +56,9 @@ type Batch struct {
 }
 
 // NewShardedWindow creates a window of slots slots of slotDur each,
-// partitioned across shards shards (1 = the plain single-lock window).
-func NewShardedWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slots, shards int) (*ShardedWindow, error) {
+// partitioned across shards shards (1 = the plain single-lock window),
+// bucketing records by rule.
+func NewShardedWindow(rule netflow.BucketRule, slotDur time.Duration, slots, shards int) (*ShardedWindow, error) {
 	if shards < 1 {
 		return nil, errors.New("stream: need at least one shard")
 	}
@@ -67,7 +68,7 @@ func NewShardedWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slo
 		now:      time.Now,
 	}
 	for i := 0; i < shards; i++ {
-		w, err := NewWindow(keyFn, slotDur, slots)
+		w, err := NewWindow(rule, slotDur, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -120,10 +121,11 @@ func (sw *ShardedWindow) DealBatches(recs []netflow.Record, fn func(Batch)) {
 	for i := range p.bufs {
 		p.bufs[i], p.keys[i] = p.bufs[i][:0], p.keys[i][:0]
 	}
-	for _, r := range recs {
-		hk := hashKey(netflow.KeyOf(r))
+	for i := range recs {
+		r := &recs[i]
+		hk := hashKey(netflow.PackRecord(r))
 		s := hk.shardOf(len(sw.shards))
-		p.bufs[s], p.keys[s] = append(p.bufs[s], r), append(p.keys[s], hk)
+		p.bufs[s], p.keys[s] = append(p.bufs[s], *r), append(p.keys[s], hk)
 	}
 	for i, b := range p.bufs {
 		if len(b) > 0 {
@@ -300,7 +302,7 @@ func (sw *ShardedWindow) Import(st WindowState) error {
 			return sub[i]
 		}
 		for _, key := range ss.Seen {
-			hk := hashKey(key) // whichever shard gets a key with no packed form, its Import rejects it
+			hk := hashKey(key.Pack()) // whichever shard gets a key with no packed form, its Import rejects it
 			s := at(hk.shardOf(n))
 			s.Seen = append(s.Seen, key)
 		}

@@ -23,14 +23,27 @@ import (
 	"tieredpricing/internal/traces"
 )
 
-// shardKeyFn aggregates like the production key but drops records whose
+// shardKeyFn aggregates like the production rule but drops records whose
 // source sits in 10.9.0.0/16, so the property tests exercise the
 // dropped-record counter across shard counts too.
-func shardKeyFn(dst []byte, r netflow.Record) []byte {
+var shardKeyFn netflow.BucketRule = dropTen9{traces.AggregateKey}
+
+type dropTen9 struct{ netflow.BucketRule }
+
+func (d dropTen9) Code(r *netflow.Record) (uint64, bool) {
 	if r.SrcAddr.As4()[1] == 9 {
-		return dst
+		return 0, false
 	}
-	return traces.AggregateKey(dst, r)
+	return d.BucketRule.Code(r)
+}
+
+// bucketName is r's bucket name under rule, "" when it has none.
+func bucketName(rule netflow.BucketRule, r netflow.Record) string {
+	code, ok := rule.Code(&r)
+	if !ok {
+		return ""
+	}
+	return string(rule.Name(nil, code))
 }
 
 // testDatagram is one synthetic export packet with its arrival instant.
@@ -86,9 +99,9 @@ func genDatagrams(seed int64, n int, base time.Time, spread time.Duration) []tes
 	return out
 }
 
-func mustSharded(t *testing.T, keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slots, shards int) *ShardedWindow {
+func mustSharded(t *testing.T, rule netflow.BucketRule, slotDur time.Duration, slots, shards int) *ShardedWindow {
 	t.Helper()
-	sw, err := NewShardedWindow(keyFn, slotDur, slots, shards)
+	sw, err := NewShardedWindow(rule, slotDur, slots, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

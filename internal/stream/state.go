@@ -121,8 +121,10 @@ func (w *Window) exportAt(cur int64) WindowState {
 // restored under different -slot/-window flags would silently misfile
 // records, so the mismatch is an error instead. So is a dedup key the
 // table cannot hold as Export wrote it: an address that is not IPv4, or
-// a key listed twice. Slots that have already aged out of the window (by
-// the window's own clock) are skipped rather than resurrected.
+// a key listed twice. So is an aggregate the window's bucket rule would
+// not have filed under its key, judged by its endpoint sample. Slots
+// that have already aged out of the window (by the window's own clock)
+// are skipped rather than resurrected.
 func (w *Window) Import(st WindowState) error {
 	if st.SlotNanos != int64(w.slotDur) {
 		return fmt.Errorf("stream: import slot duration %v does not match window %v",
@@ -140,6 +142,9 @@ func (w *Window) Import(st WindowState) error {
 	w.records = st.Records
 	w.duplicates = st.Duplicates
 	w.dropped = st.Dropped
+	// One sample record for every aggregate: a pointer handed to the rule,
+	// an interface, escapes, so this costs an Import one allocation.
+	var sample netflow.Record
 	for _, ss := range st.Slots {
 		if ss.Index <= cur-int64(w.numSlots) {
 			continue // aged out while the daemon was down
@@ -149,7 +154,7 @@ func (w *Window) Import(st WindowState) error {
 		}
 		s := newSlot(w.seen.open(), len(ss.Aggs))
 		for _, key := range ss.Seen {
-			hk := hashKey(key)
+			hk := hashKey(key.Pack())
 			if !hk.ok {
 				return fmt.Errorf("stream: import slot %d has a dedup key that is not IPv4 (%v > %v)",
 					ss.Index, key.SrcAddr, key.DstAddr)
@@ -158,8 +163,20 @@ func (w *Window) Import(st WindowState) error {
 				return fmt.Errorf("stream: import has dedup key %+v twice", key)
 			}
 		}
-		for _, a := range ss.Aggs {
-			s.put(a)
+		for i := range ss.Aggs {
+			a := &ss.Aggs[i]
+			// Every record of a bucket has the bucket's code, so the
+			// endpoint sample, one of them, has it too.
+			sample.SrcAddr, sample.DstAddr, sample.Input, sample.Output = a.SrcAddr, a.DstAddr, a.Input, a.Output
+			code, ok := w.rule.Code(&sample)
+			if ok {
+				w.nameBuf = w.rule.Name(w.nameBuf[:0], code)
+			}
+			if !ok || string(w.nameBuf) != a.Key {
+				return fmt.Errorf("stream: import slot %d has bucket %q, which its sample (%v > %v) is not in",
+					ss.Index, a.Key, a.SrcAddr, a.DstAddr)
+			}
+			s.put(code, a)
 		}
 		w.slots[ss.Index] = s
 	}

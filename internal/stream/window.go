@@ -30,7 +30,7 @@ import (
 // are the batch collector's (NewCollector: the same type, one slot that
 // never ages out).
 type Window struct {
-	keyFn    netflow.AggregateKeyFunc
+	rule     netflow.BucketRule
 	slotDur  time.Duration
 	numSlots int
 	now      func() time.Time // injectable for tests
@@ -38,7 +38,7 @@ type Window struct {
 	mu         sync.Mutex
 	slots      map[int64]*slot // keyed by absolute slot index
 	seen       dedupTable      // every live slot's dedup keys
-	keyBuf     []byte          // the record at hand's bucket name
+	nameBuf    []byte          // a new bucket's name, rendered
 	records    int
 	duplicates int
 	dropped    int
@@ -53,28 +53,29 @@ type Window struct {
 var _ netflow.Sink = (*Window)(nil)
 
 // slot holds one slot's partial aggregates, in a slice the merge reads
-// straight through and a map from key to position; inst names it in the
-// dedup table, whose entries it owns until it is evicted.
+// straight through and a map from bucket code to position; inst names it
+// in the dedup table, whose entries it owns until it is evicted.
 type slot struct {
 	inst  uint32
 	aggs  []slotAgg
-	index map[string]int32
+	index map[uint64]int32
 }
 
 func newSlot(inst uint32, n int) *slot {
-	return &slot{inst: inst, aggs: make([]slotAgg, 0, n), index: make(map[string]int32, n)}
+	return &slot{inst: inst, aggs: make([]slotAgg, 0, n), index: make(map[uint64]int32, n)}
 }
 
-// put files a: a key the slot has not seen is appended, and one it has
-// is overwritten — the last write wins, as a map assignment does.
-func (s *slot) put(a netflow.Aggregate) *slotAgg {
-	i, ok := s.index[a.Key]
+// put files a under bucket code: a code the slot has not seen is
+// appended, and one it has is overwritten — the last write wins, as a
+// map assignment does.
+func (s *slot) put(code uint64, a *netflow.Aggregate) *slotAgg {
+	i, ok := s.index[code]
 	if !ok {
 		i = int32(len(s.aggs))
 		s.aggs = append(s.aggs, slotAgg{})
-		s.index[a.Key] = i
+		s.index[code] = i
 	}
-	s.aggs[i].Aggregate = a
+	s.aggs[i].Aggregate = *a
 	return &s.aggs[i]
 }
 
@@ -85,10 +86,11 @@ type slotAgg struct {
 	at int32
 }
 
-// NewWindow creates a window of slots slots of slotDur each.
-func NewWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slots int) (*Window, error) {
-	if keyFn == nil {
-		return nil, errors.New("stream: nil aggregate key function")
+// NewWindow creates a window of slots slots of slotDur each, bucketing
+// records by rule.
+func NewWindow(rule netflow.BucketRule, slotDur time.Duration, slots int) (*Window, error) {
+	if rule == nil {
+		return nil, errors.New("stream: nil bucket rule")
 	}
 	if slotDur <= 0 {
 		return nil, errors.New("stream: slot duration must be positive")
@@ -97,7 +99,7 @@ func NewWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slots int)
 		return nil, errors.New("stream: need at least one slot")
 	}
 	w := &Window{
-		keyFn:    keyFn,
+		rule:     rule,
 		slotDur:  slotDur,
 		numSlots: slots,
 		now:      time.Now,
@@ -109,10 +111,10 @@ func NewWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slots int)
 
 // NewCollector returns the batch collector: a window of one slot on a
 // clock that never moves, so nothing it counts ages out and its dedup
-// spans the whole capture. It panics on a nil keyFn, the one argument
+// spans the whole capture. It panics on a nil rule, the one argument
 // NewWindow could reject.
-func NewCollector(keyFn netflow.AggregateKeyFunc) *Window {
-	w, err := NewWindow(keyFn, time.Hour, 1)
+func NewCollector(rule netflow.BucketRule) *Window {
+	w, err := NewWindow(rule, time.Hour, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -185,7 +187,7 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 		if keys != nil {
 			hk = keys[i]
 		} else {
-			hk = hashKey(netflow.KeyOf(*r))
+			hk = hashKey(netflow.PackRecord(r))
 		}
 		if !hk.ok {
 			w.dropped++ // not an IPv4 flow: nothing a v5 exporter sends
@@ -195,17 +197,20 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 			w.duplicates++
 			continue
 		}
-		w.keyBuf = w.keyFn(w.keyBuf[:0], *r)
-		if len(w.keyBuf) == 0 {
+		code, ok := w.rule.Code(r)
+		if !ok {
 			w.dropped++
 			continue
 		}
 		var agg *slotAgg
-		if i, ok := s.index[string(w.keyBuf)]; ok {
+		if i, ok := s.index[code]; ok {
 			agg = &s.aggs[i]
-			agg.TakeSample(*r)
+			agg.TakeSample(r)
 		} else {
-			agg = s.put(*netflow.NewAggregate(string(w.keyBuf), *r))
+			// The slot's first record of this bucket: the one time the
+			// slot renders the bucket's name.
+			w.nameBuf = w.rule.Name(w.nameBuf[:0], code)
+			agg = s.put(code, netflow.NewAggregate(string(w.nameBuf), r))
 		}
 		agg.Octets += uint64(r.Octets) * sampling
 		agg.Records++

@@ -16,9 +16,10 @@ import (
 // one map[netflow.FlowKey] set per slot, probed slot by slot. It is kept
 // as the differential oracle for Window, ShardedWindow and the batch
 // collector — slower, and obviously right about what a slot forgets when
-// it is evicted.
+// it is evicted. Its slots are keyed by bucket name, as the window's were
+// before bucket codes.
 type refWindow struct {
-	keyFn    netflow.AggregateKeyFunc
+	rule     netflow.BucketRule
 	slotDur  time.Duration
 	numSlots int
 	now      func() time.Time
@@ -34,8 +35,8 @@ type refSlot struct {
 	aggs map[string]*netflow.Aggregate
 }
 
-func newRefWindow(keyFn netflow.AggregateKeyFunc, slotDur time.Duration, slots int, now func() time.Time) *refWindow {
-	return &refWindow{keyFn: keyFn, slotDur: slotDur, numSlots: slots, now: now, slots: make(map[int64]*refSlot)}
+func newRefWindow(rule netflow.BucketRule, slotDur time.Duration, slots int, now func() time.Time) *refWindow {
+	return &refWindow{rule: rule, slotDur: slotDur, numSlots: slots, now: now, slots: make(map[int64]*refSlot)}
 }
 
 func (w *refWindow) slotIndex(t time.Time) int64 { return t.UnixNano() / int64(w.slotDur) }
@@ -72,17 +73,17 @@ func (w *refWindow) IngestAt(ts time.Time, h netflow.Header, recs []netflow.Reco
 			continue
 		}
 		s.seen[key] = struct{}{}
-		bucket := string(w.keyFn(nil, r))
+		bucket := bucketName(w.rule, r)
 		if bucket == "" {
 			w.dropped++
 			continue
 		}
 		agg, ok := s.aggs[bucket]
 		if !ok {
-			agg = netflow.NewAggregate(bucket, r)
+			agg = netflow.NewAggregate(bucket, &r)
 			s.aggs[bucket] = agg
 		} else {
-			agg.TakeSample(r)
+			agg.TakeSample(&r)
 		}
 		agg.Octets += uint64(r.Octets) * sampling
 		agg.Records++

@@ -120,12 +120,12 @@ func FuzzCollectorAccounting(f *testing.F) {
 		if err != nil {
 			return
 		}
-		c := NewCollector(func(dst []byte, r netflow.Record) []byte {
+		c := NewCollector(netflow.StringKey(func(r netflow.Record) string {
 			if r.Proto == 0 {
-				return dst // exercise the dropped path
+				return "" // exercise the dropped path
 			}
-			return r.DstAddr.AppendTo(dst)
-		})
+			return r.DstAddr.String()
+		}))
 		c.Ingest(h, got)
 		records, duplicates, dropped, _ := c.Stats()
 		if records != len(got) {
@@ -234,7 +234,7 @@ func TestWindowSamplingRestoration(t *testing.T) {
 }
 
 func TestWindowDropsUnkeyedRecords(t *testing.T) {
-	w, err := NewWindow(func(dst []byte, _ netflow.Record) []byte { return dst }, time.Minute, 2)
+	w, err := NewWindow(netflow.StringKey(func(netflow.Record) string { return "" }), time.Minute, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestWindowDropsUnkeyedRecords(t *testing.T) {
 
 func TestNewWindowValidation(t *testing.T) {
 	if _, err := NewWindow(nil, time.Minute, 2); err == nil {
-		t.Error("expected error for nil key function")
+		t.Error("expected error for nil bucket rule")
 	}
 	if _, err := NewWindow(traces.AggregateKey, 0, 2); err == nil {
 		t.Error("expected error for zero slot duration")

@@ -127,36 +127,55 @@ func (ds *Dataset) EmitNetFlow(cfg EmitConfig) (map[string][]byte, error) {
 
 // AggregateKey is the collection pipeline's bucketing rule for these
 // datasets: source PoP block plus destination /24, so each synthesized
-// flow maps to exactly one bucket. It appends "<src/20 base>><dst/24
-// base>" to dst (netflow.AggregateKeyFunc).
-func AggregateKey(dst []byte, rec netflow.Record) []byte {
-	dst = appendMasked(dst, rec.SrcAddr, 20)
-	dst = append(dst, '>')
-	return appendMasked(dst, rec.DstAddr, 24)
+// flow maps to exactly one bucket, named "<src/20 base>><dst/24 base>"
+// as netip prints the masked addresses. A record with an address that is
+// neither IPv4 nor the zero netip.Addr — one no v5 datagram carries — has
+// no bucket.
+var AggregateKey netflow.BucketRule = prefixPair{}
+
+// prefixPair is AggregateKey. A code holds the masked source /20 in its
+// high word and the masked destination /24 in its low one (maskedWord).
+type prefixPair struct{}
+
+func (prefixPair) Code(r *netflow.Record) (uint64, bool) {
+	src, srcOK := maskedWord(r.SrcAddr, 20)
+	dst, dstOK := maskedWord(r.DstAddr, 24)
+	return uint64(src)<<32 | uint64(dst), srcOK && dstOK
 }
 
-// appendMasked appends a with the host bits beyond the given prefix
-// length zeroed, as netip.Addr.String prints it. IPv4 — all a v5 record
-// carries — is masked and printed by hand: this runs once per ingested
-// record.
-func appendMasked(dst []byte, a netip.Addr, bits int) []byte {
-	switch {
-	case a.Is4():
+func (prefixPair) Name(dst []byte, code uint64) []byte {
+	dst = appendWord(dst, uint32(code>>32))
+	dst = append(dst, '>')
+	return appendWord(dst, uint32(code))
+}
+
+// maskedWord is IPv4 address a with the host bits beyond the prefix
+// length cleared and bit 0, a host bit, set; and 0 for the zero Addr.
+// Any other address has no word.
+func maskedWord(a netip.Addr, bits int) (uint32, bool) {
+	if a.Is4() {
 		b := a.As4()
-		v := binary.BigEndian.Uint32(b[:]) &^ (1<<(32-bits) - 1)
-		for shift := 24; shift >= 0; shift -= 8 {
-			o := byte(v >> shift)
-			if o >= 100 {
-				dst = append(dst, '0'+o/100)
-			}
-			if o >= 10 {
-				dst = append(dst, '0'+o/10%10)
-			}
-			dst = append(dst, '0'+o%10, '.')
-		}
-		return dst[:len(dst)-1]
-	case !a.IsValid():
+		return binary.BigEndian.Uint32(b[:])&^(1<<(32-bits)-1) | 1, true
+	}
+	return 0, a == netip.Addr{}
+}
+
+// appendWord appends the address a maskedWord stands for as
+// netip.Addr.String prints it: "invalid IP" for the zero Addr.
+func appendWord(dst []byte, w uint32) []byte {
+	if w == 0 {
 		return append(dst, "invalid IP"...)
 	}
-	return netip.PrefixFrom(a, bits).Masked().Addr().AppendTo(dst)
+	w &^= 1
+	for shift := 24; shift >= 0; shift -= 8 {
+		o := byte(w >> shift)
+		if o >= 100 {
+			dst = append(dst, '0'+o/100)
+		}
+		if o >= 10 {
+			dst = append(dst, '0'+o/10%10)
+		}
+		dst = append(dst, '0'+o%10, '.')
+	}
+	return dst[:len(dst)-1]
 }

@@ -59,7 +59,7 @@ func TestEmitNetFlowRoundTrip(t *testing.T) {
 			m := ds.Meta[i]
 			// Recompute the aggregation key the emitter produces.
 			rec := netflow.Record{SrcAddr: m.SrcIP, DstAddr: m.DstPrefix.Addr().Next()}
-			got, ok := byKey[string(AggregateKey(nil, rec))]
+			got, ok := byKey[nameOf(rec)]
 			if !ok {
 				t.Fatalf("%s: flow %d (%s) missing from aggregates", name, i, f.ID)
 			}
@@ -121,19 +121,32 @@ func TestEmitNetFlowInternet2PathDuplication(t *testing.T) {
 	}
 }
 
-// TestAggregateKeyMatchesStringForm pins the appended key to the string
-// it replaced — the masked addresses as netip prints them — for IPv4,
-// and for the addresses no v5 record carries.
-func TestAggregateKeyMatchesStringForm(t *testing.T) {
-	old := func(r netflow.Record) string {
-		mask := func(a netip.Addr, bits int) string { return netip.PrefixFrom(a, bits).Masked().Addr().String() }
-		return mask(r.SrcAddr, 20) + ">" + mask(r.DstAddr, 24)
+// stringForm is the bucket name AggregateKey gives r: the masked
+// addresses as netip prints them. It is how the name was once built, for
+// every record.
+func stringForm(r netflow.Record) string {
+	mask := func(a netip.Addr, bits int) string { return netip.PrefixFrom(a, bits).Masked().Addr().String() }
+	return mask(r.SrcAddr, 20) + ">" + mask(r.DstAddr, 24)
+}
+
+// nameOf is r's bucket name under AggregateKey, "" when it has none.
+func nameOf(r netflow.Record) string {
+	code, ok := AggregateKey.Code(&r)
+	if !ok {
+		return ""
 	}
+	return string(AggregateKey.Name(nil, code))
+}
+
+// TestAggregateKeyMatchesStringForm pins the rendered name to the
+// string form, appended behind what the buffer holds, for IPv4 and the
+// zero address; an address no v5 record carries has no bucket.
+func TestAggregateKeyMatchesStringForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	recs := []netflow.Record{
 		{},
-		{SrcAddr: netip.MustParseAddr("2001:db8:ffff::1"), DstAddr: netip.MustParseAddr("::ffff:10.1.2.3")},
 		{SrcAddr: netip.MustParseAddr("255.255.255.255"), DstAddr: netip.MustParseAddr("0.0.0.0")},
+		{DstAddr: netip.MustParseAddr("10.1.2.3")},
 	}
 	for i := 0; i < 2000; i++ {
 		var s, d [4]byte
@@ -141,10 +154,56 @@ func TestAggregateKeyMatchesStringForm(t *testing.T) {
 		rng.Read(d[:])
 		recs = append(recs, netflow.Record{SrcAddr: netip.AddrFrom4(s), DstAddr: netip.AddrFrom4(d)})
 	}
-	buf := []byte("kept")
 	for _, r := range recs {
-		if got := string(AggregateKey(buf, r)); got != "kept"+old(r) {
-			t.Fatalf("AggregateKey(%v, %v) = %q, want %q", r.SrcAddr, r.DstAddr, got, "kept"+old(r))
+		code, ok := AggregateKey.Code(&r)
+		if got := string(AggregateKey.Name([]byte("kept"), code)); !ok || got != "kept"+stringForm(r) {
+			t.Fatalf("AggregateKey names (%v, %v) %q (coded %v), want %q", r.SrcAddr, r.DstAddr, got, ok, "kept"+stringForm(r))
 		}
 	}
+	for _, r := range []netflow.Record{
+		{SrcAddr: netip.MustParseAddr("2001:db8:ffff::1"), DstAddr: netip.MustParseAddr("10.1.2.3")},
+		{SrcAddr: netip.MustParseAddr("10.1.2.3"), DstAddr: netip.MustParseAddr("::ffff:10.1.2.3")},
+	} {
+		if _, ok := AggregateKey.Code(&r); ok {
+			t.Errorf("AggregateKey coded (%v, %v), which no v5 record carries", r.SrcAddr, r.DstAddr)
+		}
+	}
+}
+
+// FuzzAggregateBucket: over records whose addresses are IPv4 or the zero
+// address, the name of a record's code is its string form, and two
+// records share a code exactly when they share that string.
+func FuzzAggregateBucket(f *testing.F) {
+	f.Add([]byte{172, 16, 15, 1, 10, 0, 0, 9, 172, 16, 0, 200, 10, 0, 0, 1}, byte(0))
+	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0, 255, 255, 240, 0, 0, 0, 0, 255}, byte(5))
+	f.Add(make([]byte, 16), byte(15))
+	f.Fuzz(func(t *testing.T, addrs []byte, zero byte) {
+		if len(addrs) < 16 {
+			return
+		}
+		addr := func(i int) netip.Addr {
+			if zero&(1<<i) != 0 {
+				return netip.Addr{}
+			}
+			return netip.AddrFrom4([4]byte(addrs[4*i : 4*i+4]))
+		}
+		a := netflow.Record{SrcAddr: addr(0), DstAddr: addr(1)}
+		b := netflow.Record{SrcAddr: addr(2), DstAddr: addr(3)}
+		ca, okA := AggregateKey.Code(&a)
+		cb, okB := AggregateKey.Code(&b)
+		if !okA || !okB {
+			t.Fatalf("no code for (%v, %v) or (%v, %v)", a.SrcAddr, a.DstAddr, b.SrcAddr, b.DstAddr)
+		}
+		for _, c := range []struct {
+			r    netflow.Record
+			code uint64
+		}{{a, ca}, {b, cb}} {
+			if got := string(AggregateKey.Name(nil, c.code)); got != stringForm(c.r) {
+				t.Fatalf("code %#x of (%v, %v) names %q, want %q", c.code, c.r.SrcAddr, c.r.DstAddr, got, stringForm(c.r))
+			}
+		}
+		if (ca == cb) != (stringForm(a) == stringForm(b)) {
+			t.Fatalf("codes %#x and %#x for names %q and %q", ca, cb, stringForm(a), stringForm(b))
+		}
+	})
 }

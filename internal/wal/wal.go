@@ -148,8 +148,9 @@ type Log struct {
 
 	mu      sync.Mutex
 	f       *os.File
+	write   func(f *os.File, b []byte, off int64) (int, error) // (*os.File).WriteAt; tests fail it
 	seg     uint64
-	off     int64
+	off     int64 // where the next frame goes: the end of the last whole one
 	dirty   bool
 	closed  bool
 	buf     []byte // frame assembly buffer, reused across appends
@@ -239,10 +240,6 @@ func OpenAt(dir string, opts Options, pos Position) (*Log, error) {
 			f.Close()
 			return nil, err
 		}
-		if _, err := f.Seek(off, 0); err != nil {
-			f.Close()
-			return nil, err
-		}
 	case size < off:
 		// The checkpoint claims more than the file holds (manual
 		// cleanup, copy loss). Everything up to the claim is already in
@@ -253,6 +250,7 @@ func OpenAt(dir string, opts Options, pos Position) (*Log, error) {
 		dir:        dir,
 		opts:       opts,
 		f:          f,
+		write:      (*os.File).WriteAt,
 		seg:        seg,
 		off:        off,
 		fsyncNs:    hist.New(),
@@ -295,12 +293,22 @@ func (l *Log) Append(ts time.Time, h netflow.Header, recs []netflow.Record) erro
 			return err
 		}
 	}
-	n, err := l.f.Write(l.buf)
-	l.off += int64(n)
-	l.bytes += uint64(n)
+	// Frames are written at the log's end, not at the file's offset: a
+	// write that fails part-way (ENOSPC, EIO) leaves l.off at the frame's
+	// start, so the next frame overwrites the partial one instead of
+	// following it, and replay, which stops at the first torn frame, loses
+	// the failed datagram alone. The truncate is best effort; a tail it
+	// leaves behind is at most a torn frame past the last whole one, which
+	// OpenAt cuts.
+	n, err := l.write(l.f, l.buf, l.off)
 	if err != nil {
+		if n > 0 {
+			_ = l.f.Truncate(l.off)
+		}
 		return fmt.Errorf("wal: append: %w", err)
 	}
+	l.off += int64(n)
+	l.bytes += uint64(n)
 	l.entries++
 	l.dirty = true
 	switch l.opts.Sync {

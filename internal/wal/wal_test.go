@@ -3,12 +3,14 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -603,4 +605,54 @@ func TestStatsAndPos(t *testing.T) {
 	if !(Position{1, 0}).Before(pos) || pos.Before(Position{1, 0}) {
 		t.Error("Position.Before inconsistent")
 	}
+}
+
+// TestFailedAppendHidesNoLaterAppend: frame 2 of 5 is half-written when
+// its write fails. The append reports the failure, the log counts only
+// whole frames, and the next frame overwrites the partial one, so replay
+// returns frames 1, 3, 4 and 5 — not frame 1 alone, as it would if the
+// later frames followed the torn one.
+func TestFailedAppendHidesNoLaterAppend(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	l.write = func(f *os.File, b []byte, off int64) (int, error) {
+		if calls++; calls == 2 {
+			n, _ := f.WriteAt(b[:len(b)/2], off)
+			return n, syscall.ENOSPC
+		}
+		return f.WriteAt(b, off)
+	}
+	var want []entry
+	base := time.Unix(1700000000, 0)
+	for i := 0; i < 5; i++ {
+		h, recs := testPacket(i)
+		ts := base.Add(time.Duration(i) * time.Second)
+		err := l.Append(ts, h, recs)
+		if i == 1 {
+			if !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("append 2: %v, want ENOSPC", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("append %d: %v", i+1, err)
+		}
+		want = append(want, entry{ts, h, recs})
+	}
+	if s := l.Stats(); s.Entries != 4 || s.Bytes != 4*frameSize || s.Offset != 4*frameSize {
+		t.Errorf("stats after one failed append of five: %d entries, %d bytes, offset %d; want 4, %d, %d",
+			s.Entries, s.Bytes, s.Offset, 4*frameSize, 4*frameSize)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, res := collect(t, dir, Position{})
+	if res.Torn {
+		t.Errorf("replay reports a torn log (%d bytes)", res.TornBytes)
+	}
+	checkEntries(t, got, want)
 }
