@@ -6,7 +6,9 @@
 #   ./ci.sh recover    — durability gate alone: the crash-recovery
 #                        parity matrix and the kill -9 e2e at every
 #                        pinned seed (RECOVER_SEEDS, default
-#                        "1 7 99 4242 31337").
+#                        "1 7 99 4242 31337"), and the restore of a data
+#                        dir an older, sharded tierd wrote
+#                        (cmd/tierd/testdata/parent-shards4).
 #   ./ci.sh tenants    — multi-tenant gate alone: fleet-vs-solo tier
 #                        table parity (one 3-tenant tierd against three
 #                        single-tenant tierds over partitioned traces,
@@ -82,9 +84,8 @@
 #                      FuzzScan (the one frame decoder under the WAL and
 #                      the history store), stream's FuzzPackedKey (the
 #                      dedup key's packed form), FuzzWindowMatchesReference
-#                      (the one dedup and aggregation path, at 1–12 slots
-#                      and 1–4 shards, against the per-slot-map
-#                      reference), FuzzCollectorAccounting (a decoded
+#                      (the one dedup and aggregation path, at 1–12 slots,
+#                      against the per-slot-map reference), FuzzCollectorAccounting (a decoded
 #                      datagram's records = duplicates + dropped +
 #                      bucketed) and FuzzRepricerMemory (kept repricer =
 #                      fresh one), bundling's FuzzFixedPow (the CED
@@ -105,11 +106,14 @@ recover() {
     # Durability gate: the in-process recovery parity matrix (clean,
     # torn WAL tail, corrupt WAL tail, corrupt checkpoint) plus the
     # out-of-process kill -9 test, each replayed at every pinned seed.
-    # RECOVER_SEEDS overrides the seed list for local bisection.
+    # RECOVER_SEEDS overrides the seed list for local bisection. The
+    # sharded-parent fixture takes no seed, so it runs once.
     for seed in ${RECOVER_SEEDS:-1 7 99 4242 31337}; do
         echo "==> recover stage: RECOVER_SEED=${seed} go test -run 'TestRecoveryParity|TestTierdKill9Recovery' ./cmd/tierd"
         RECOVER_SEED="$seed" go test -count=1 -run 'TestRecoveryParity|TestTierdKill9Recovery' ./cmd/tierd
     done
+    echo "==> recover stage: go test -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd"
+    go test -count=1 -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd
 }
 
 tenants() {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,19 +23,14 @@ import (
 // lives in a histRecorder now (history.go); checkpoints embed the
 // recorder's ring so a restore still warms /v1/history instantly.
 //
-// The central invariant is the pairing discipline: every logged
-// sub-batch is applied to its window shard under the same per-shard
-// lock that appended it, and the checkpoint loop quiesces all of them
-// (the ckpt side of mu is exclusive; ingest holds it shared) across
-// {WAL position read; window export}. A checkpoint therefore covers
-// exactly the WAL prefix its window state contains — never an entry the
-// window hasn't applied, never an applied entry the WAL position
-// excludes — which is what makes "restore checkpoint, replay WAL tail"
-// reproduce the pre-crash window byte for byte. Sharding preserves the
-// invariant without a global ingest lock because entries for different
-// shards commute: they touch disjoint shard state and every read is a
-// commutative merge, so any interleaving of the per-shard append/apply
-// sequences replays to the same merged window.
+// The central invariant is the pairing discipline: every datagram is
+// logged and applied to the window under one lock, mu, which the
+// checkpoint also holds across {WAL position read; window export}. The
+// window therefore applies datagrams in WAL order, and a checkpoint
+// covers exactly the WAL prefix its window state contains — never an
+// entry the window hasn't applied, never an applied entry the WAL
+// position excludes — which is what makes "restore checkpoint, replay
+// WAL tail" reproduce the pre-crash window byte for byte.
 type durability struct {
 	dataDir  string
 	walDir   string
@@ -45,15 +41,12 @@ type durability struct {
 	now      func() time.Time
 
 	log      *wal.Log
-	window   *stream.ShardedWindow
+	window   *stream.Window
 	repricer *stream.Repricer
 
-	// mu is the checkpoint quiesce: ingests hold it shared, a checkpoint
-	// holds it exclusively while capturing {WAL position, window export}.
-	mu sync.RWMutex
-	// shardMu[i] pairs {WAL append; shard apply} for shard i, making the
-	// apply order within a shard equal to its WAL order (see above).
-	shardMu []sync.Mutex
+	// mu pairs {WAL append; window apply} and {WAL position; window
+	// export} (see above).
+	mu sync.Mutex
 
 	stopCh  chan struct{}
 	doneCh  chan struct{}
@@ -93,7 +86,7 @@ type durability struct {
 // empty tenantID (the original <data-dir>/{wal,checkpoint} layout); a
 // -tenants member passes its namespace directory and ID, which stamps
 // checkpoints so a namespace mix-up is refused at boot.
-func openDurability(cfg config, dir, tenantID string, w *stream.ShardedWindow, rp *stream.Repricer,
+func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stream.Repricer,
 	rec *histRecorder, configEpoch func() int64) (*durability, error) {
 	d := &durability{
 		dataDir:     dir,
@@ -107,7 +100,6 @@ func openDurability(cfg config, dir, tenantID string, w *stream.ShardedWindow, r
 		repricer:    rp,
 		hist:        rec,
 		configEpoch: configEpoch,
-		shardMu:     make([]sync.Mutex, w.NumShards()),
 		stopCh:      make(chan struct{}),
 		doneCh:      make(chan struct{}),
 	}
@@ -171,11 +163,8 @@ func openDurability(cfg config, dir, tenantID string, w *stream.ShardedWindow, r
 // sink wraps the window as a netflow.Sink that logs before it applies:
 // the arrival timestamp is captured once and used for both the WAL
 // entry and the window slotting, so replaying the entry reproduces the
-// original slotting decision exactly. The datagram is dealt into its
-// per-shard batches first, and each batch is logged and applied
-// under that shard's pairing lock — concurrent readers ingesting into
-// different shards never serialize against each other, only against a
-// checkpoint's quiesce.
+// original slotting decision exactly. The datagram is logged as one WAL
+// entry and applied under the pairing lock.
 func (d *durability) sink() netflow.Sink { return durableSink{d} }
 
 type durableSink struct{ d *durability }
@@ -183,19 +172,15 @@ type durableSink struct{ d *durability }
 func (s durableSink) Ingest(h netflow.Header, recs []netflow.Record) {
 	d := s.d
 	ts := d.now()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	d.window.DealBatches(recs, func(b stream.Batch) {
-		d.shardMu[b.Shard].Lock()
-		defer d.shardMu[b.Shard].Unlock()
-		if err := d.log.Append(ts, h, b.Records); err != nil {
-			// Keep serving on the in-memory window; until the next good
-			// checkpoint covers it, recovery would under-replay by this
-			// datagram.
-			d.writeFailed(&d.appendErrs, "wal append", err)
-		}
-		d.window.IngestBatchAt(ts, h, b)
-	})
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.log.Append(ts, h, recs); err != nil {
+		// Keep serving on the in-memory window; until the next good
+		// checkpoint covers it, recovery would under-replay by this
+		// datagram.
+		d.writeFailed(&d.appendErrs, "wal append", err)
+	}
+	d.window.IngestAt(ts, h, recs)
 }
 
 // start launches the periodic checkpoint loop.
@@ -243,8 +228,7 @@ func (d *durability) reportErrors() {
 }
 
 // checkpoint takes one snapshot: WAL position and window state are
-// captured atomically under the exclusive side of the quiesce lock
-// (draining all in-flight ingests first), framed with the serving
+// captured atomically under the pairing lock, framed with the serving
 // epoch, current table, and history ring, written atomically, and old
 // checkpoints and fully-covered WAL segments are pruned.
 func (d *durability) checkpoint() error {
@@ -334,13 +318,11 @@ func (d *durability) stopLoop() {
 
 // warmReprice publishes an initial snapshot from the recovered window
 // so a warm restart serves quotes (and 200s on /healthz) immediately
-// instead of waiting out the first re-price interval. An empty window
-// (fresh data dir) is not an error — the daemon warms up normally.
+// instead of waiting out the first re-price interval. A window with
+// nothing to price is not an error — a fresh data dir, one whose slots
+// all aged out while the daemon was down, or one whose records were all
+// duplicates or dropped — and the daemon warms up normally.
 func (d *durability) warmReprice(grace time.Duration) error {
-	records, _, _, _ := d.window.Stats()
-	if records == 0 {
-		return nil
-	}
 	ctx := context.Background()
 	if grace > 0 {
 		var cancel context.CancelFunc
@@ -348,6 +330,9 @@ func (d *durability) warmReprice(grace time.Duration) error {
 		defer cancel()
 	}
 	snap, err := d.repricer.Reprice(ctx)
+	if errors.Is(err, stream.ErrEmptyWindow) {
+		return nil
+	}
 	if err != nil {
 		return fmt.Errorf("warm re-price after recovery: %w", err)
 	}

@@ -83,15 +83,14 @@ type config struct {
 	historyRetain time.Duration // store retention by age (0 = keep forever)
 	configFile    string        // hot-reloadable pricing config (SIGHUP re-reads)
 
-	window       time.Duration
-	slot         time.Duration
-	ingestShards int // window shards (1 = the classic single-lock window)
-	udpRcvbuf    int // SO_RCVBUF request per collector socket (0 = OS default)
-	reprice      time.Duration
-	demandSec    float64 // demand divisor override; 0 = capture duration from meta
-	workers      int
-	maxSnapAge   time.Duration // staleness threshold; 0 = 4× reprice interval
-	drainGrace   time.Duration // bound on the shutdown drain (final re-price and HTTP)
+	window     time.Duration
+	slot       time.Duration
+	udpRcvbuf  int // SO_RCVBUF request per collector socket (0 = OS default)
+	reprice    time.Duration
+	demandSec  float64 // demand divisor override; 0 = capture duration from meta
+	workers    int
+	maxSnapAge time.Duration // staleness threshold; 0 = 4× reprice interval
+	drainGrace time.Duration // bound on the shutdown drain (final re-price and HTTP)
 
 	// The fleet: a -tenants spec file names the per-network pricing
 	// engines; without one the daemon synthesises a fleet of one from the
@@ -127,8 +126,6 @@ func main() {
 	flag.Float64Var(&cfg.blended, "blended", 0, "blended rate override $/Mbps/month (default: meta.txt)")
 	flag.DurationVar(&cfg.window, "window", 10*time.Minute, "sliding window length")
 	flag.DurationVar(&cfg.slot, "slot", time.Minute, "window slot granularity")
-	flag.IntVar(&cfg.ingestShards, "ingest-shards", 1,
-		"ingest/window shards and UDP reader sockets; records route to shards by flow-key hash, so any count yields byte-identical pricing (try NumCPU for line-rate ingest)")
 	flag.IntVar(&cfg.udpRcvbuf, "udp-rcvbuf", 0,
 		"kernel receive buffer (SO_RCVBUF) requested per UDP collector socket in bytes (0 = OS default; kernel drops on overflow surface as tierd_ingest_socket_drops_total)")
 	flag.DurationVar(&cfg.reprice, "reprice", 30*time.Second, "re-price interval")
@@ -271,7 +268,7 @@ type engineReloader struct {
 // non-nil, interposes on the endpoint resolver (fault-injection test
 // hook).
 func buildEngine(cfg config, es engineSpec,
-	wrapResolver func(demandfit.EndpointResolver) demandfit.EndpointResolver) (*stream.ShardedWindow, *stream.Repricer, *engineReloader, error) {
+	wrapResolver func(demandfit.EndpointResolver) demandfit.EndpointResolver) (*stream.Window, *stream.Repricer, *engineReloader, error) {
 	if es.trace == "" {
 		return nil, nil, nil, errors.New("no trace directory (set -trace or the tenant's \"trace\")")
 	}
@@ -344,11 +341,7 @@ func buildEngine(cfg config, es engineSpec,
 	if cfg.slot <= 0 || cfg.window < cfg.slot {
 		return nil, nil, nil, fmt.Errorf("window %v must be at least one slot %v", cfg.window, cfg.slot)
 	}
-	shards := cfg.ingestShards
-	if shards < 1 {
-		shards = 1
-	}
-	w, err := stream.NewShardedWindow(traces.AggregateKey, cfg.slot, int(cfg.window/cfg.slot), shards)
+	w, err := stream.NewWindow(traces.AggregateKey, cfg.slot, int(cfg.window/cfg.slot))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -519,9 +512,11 @@ func (d *daemon) startListeners(handler http.Handler) error {
 	cfg := d.cfg
 	var err error
 	if cfg.udp != "" {
+		// One socket, one reader: more readers only queue on the window's
+		// lock (BenchmarkUDPIngestReaders), and a lone socket without
+		// SO_REUSEPORT keeps a second daemon off a port this one holds.
 		d.udp, err = netflow.NewCollectorServerOpts(cfg.udp, d.sink, netflow.ServerOptions{
-			Sockets: cfg.ingestShards,
-			RcvBuf:  cfg.udpRcvbuf,
+			RcvBuf: cfg.udpRcvbuf,
 		})
 		if err != nil {
 			return err

@@ -393,8 +393,16 @@ func TestStartDaemonErrors(t *testing.T) {
 		c.dataDir = t.TempDir()
 		c.ckptInterval = 5 * time.Millisecond
 	}
+	// A -udp port another daemon holds is refused, not shared: the
+	// collector's one socket binds without SO_REUSEPORT.
+	held, err := startDaemon(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.abort()
 	specPath := writeSpecFile(t, t.TempDir(), `{"tenants": [{"id": "net-a"}, {"id": "net-b", "routers": [2]}]}`)
 	cases := []func(*config){
+		func(c *config) { c.udp = held.udpAddr() },                           // UDP port held by a daemon
 		func(c *config) { c.trace = t.TempDir() },                            // no meta.txt
 		func(c *config) { c.model = "nonesuch" },                             // unknown model
 		func(c *config) { c.strategy = "nonesuch" },                          // unknown strategy

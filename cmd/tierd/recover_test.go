@@ -133,9 +133,7 @@ func shadowTable(t *testing.T, ds *traces.Dataset, w stream.AggregateSource, now
 	return table
 }
 
-// exportJSON serializes a window state for byte comparison; it accepts
-// the plain and the sharded window alike, whose canonical exports are
-// byte-identical for the same traffic.
+// exportJSON serializes a window state for byte comparison.
 func exportJSON(t *testing.T, w interface{ Export() stream.WindowState }) []byte {
 	t.Helper()
 	b, err := json.Marshal(w.Export())

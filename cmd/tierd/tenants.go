@@ -30,7 +30,7 @@ import (
 type member struct {
 	spec     tenant.Spec
 	tn       *tenant.Tenant
-	window   *stream.ShardedWindow
+	window   *stream.Window
 	repricer *stream.Repricer
 	reloader *engineReloader
 	recorder *histRecorder
@@ -182,11 +182,10 @@ func (d *daemon) collectorStats() server.IngestStats {
 func (m *member) ingestStats() server.IngestStats {
 	records, duplicates, dropped, _ := m.window.Stats()
 	return server.IngestStats{
-		Packets:      m.tn.RoutedPackets(),
-		Records:      uint64(records),
-		Duplicates:   uint64(duplicates),
-		Dropped:      uint64(dropped),
-		ShardRecords: m.window.ShardRecords(),
+		Packets:    m.tn.RoutedPackets(),
+		Records:    uint64(records),
+		Duplicates: uint64(duplicates),
+		Dropped:    uint64(dropped),
 	}
 }
 

@@ -115,8 +115,8 @@ type Aggregate struct {
 
 // sampleBefore orders two endpoint-sample tuples lexicographically by
 // (SrcAddr, DstAddr, Input, Output). It is the total order behind the
-// canonical sample: commutative accumulation (shards, slots, merges)
-// needs a sample rule with no dependence on arrival order.
+// canonical sample: commutative accumulation (slots, merges) needs a
+// sample rule with no dependence on arrival order.
 func sampleBefore(s1, d1 netip.Addr, i1, o1 uint16, s2, d2 netip.Addr, i2, o2 uint16) bool {
 	if c := s1.Compare(s2); c != 0 {
 		return c < 0
@@ -155,8 +155,9 @@ func (a *Aggregate) MergeSample(b Aggregate) {
 }
 
 // AggregateMerge folds partial aggregates — one bucket's traffic split
-// across window slots or shards — into the collector's output shape: one aggregate per key with octets and records summed and
-// the canonical minimum endpoint sample, sorted by key. Every per-key
+// across window slots — into the collector's output shape: one aggregate
+// per key with octets and records summed and the canonical minimum
+// endpoint sample, sorted by key. Every per-key
 // operation commutes, so the result is independent of the order parts
 // are added in. The zero value is ready to use.
 //

@@ -63,7 +63,7 @@ type batchReader struct {
 	msgs []mmsghdr
 }
 
-func newBatchReader(pc net.PacketConn, batch int) datagramReader {
+func newBatchReader(pc net.PacketConn) datagramReader {
 	sc, ok := pc.(syscall.Conn)
 	if !ok {
 		return newSingleReader(pc)
@@ -74,9 +74,9 @@ func newBatchReader(pc net.PacketConn, batch int) datagramReader {
 	}
 	br := &batchReader{
 		rc:   rc,
-		bufs: make([][]byte, batch),
-		iov:  make([]syscall.Iovec, batch),
-		msgs: make([]mmsghdr, batch),
+		bufs: make([][]byte, readBatch),
+		iov:  make([]syscall.Iovec, readBatch),
+		msgs: make([]mmsghdr, readBatch),
 	}
 	for i := range br.bufs {
 		br.bufs[i] = make([]byte, maxDatagram)

@@ -12,7 +12,7 @@ const reuseportAvailable = false
 
 func listenConfig(bool) net.ListenConfig { return net.ListenConfig{} }
 
-func newBatchReader(pc net.PacketConn, _ int) datagramReader { return newSingleReader(pc) }
+func newBatchReader(pc net.PacketConn) datagramReader { return newSingleReader(pc) }
 
 func socketDrops(_ int, _ map[uint64]struct{}) uint64 { return 0 }
 

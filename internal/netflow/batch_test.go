@@ -67,16 +67,15 @@ func TestDecodePacketIntoGrows(t *testing.T) {
 	}
 }
 
-// TestCollectorServerMultiSocket exercises the sharded receive path:
-// several sockets (SO_REUSEPORT where available, shared-socket readers
-// elsewhere), a sized kernel buffer, and batched reads must deliver
-// every record exactly once.
+// TestCollectorServerMultiSocket exercises the multi-reader receive
+// path: several sockets (SO_REUSEPORT where available, shared-socket
+// readers elsewhere), a sized kernel buffer, and batched reads must
+// deliver every record exactly once.
 func TestCollectorServerMultiSocket(t *testing.T) {
 	c := &recordSink{}
 	srv, err := NewCollectorServerOpts("127.0.0.1:0", c, ServerOptions{
 		Sockets: 4,
 		RcvBuf:  1 << 20,
-		Batch:   8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,28 +86,19 @@ func TestCollectorServerMultiSocket(t *testing.T) {
 	}
 
 	// 50 records per exporter → one full 30-record datagram plus a
-	// 20-record flush on Close: 2 datagrams per exporter, 8 total.
+	// 20-record one: 2 datagrams per exporter, 8 total.
 	const exporters, perExporter, wantPackets = 4, 50, 8
 	r := rand.New(rand.NewSource(5))
 	sent := 0
 	// Several exporters so REUSEPORT's 4-tuple steering spreads load.
 	for e := 0; e < exporters; e++ {
-		exp, err := NewExporter(srv.Addr(), Header{SamplingInterval: 1})
-		if err != nil {
-			t.Fatal(err)
+		recs := make([]Record, perExporter)
+		for i := range recs {
+			recs[i] = randRecord(r)
+			recs[i].SrcAS = uint16(sent) // distinct dedup stamps
+			sent++
 		}
-		for p := 0; p < perExporter/5; p++ {
-			recs := make([]Record, 5)
-			for i := range recs {
-				recs[i] = randRecord(r)
-				recs[i].SrcAS = uint16(sent) // distinct dedup stamps
-				sent++
-			}
-			if err := exp.Export(recs...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := exp.Close(); err != nil {
+		if err := exportUDP(srv.Addr(), Header{SamplingInterval: 1}, recs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,80 +12,9 @@ import (
 
 // This file adds the wire transport the paper's collection infrastructure
 // actually uses: NetFlow is exported over UDP from each core router to a
-// central collector (Figure 17b, "Flow Collector"). Exporter wraps a
-// Writer around a UDP socket with one datagram per export packet;
-// CollectorServer listens, decodes and feeds a Sink (the stream package's
-// Window, sliding or batch).
-
-// Exporter sends export packets to a collector over UDP, one datagram
-// per packet (as real routers do — NetFlow v5 has no fragmentation or
-// retransmission; loss tolerance is part of the protocol's design).
-type Exporter struct {
-	conn net.Conn
-	mu   sync.Mutex
-	pend []Record
-	// Template is copied into every packet.
-	Template Header
-	sequence uint32
-}
-
-// NewExporter dials the collector address ("host:port").
-func NewExporter(addr string, template Header) (*Exporter, error) {
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netflow: dialing collector: %w", err)
-	}
-	return &Exporter{conn: conn, Template: template}, nil
-}
-
-// Export queues records, sending a datagram whenever a packet fills.
-func (e *Exporter) Export(recs ...Record) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, r := range recs {
-		e.pend = append(e.pend, r)
-		if len(e.pend) == MaxRecordsPerPacket {
-			if err := e.flushLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Flush sends any partially filled packet.
-func (e *Exporter) Flush() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.pend) == 0 {
-		return nil
-	}
-	return e.flushLocked()
-}
-
-func (e *Exporter) flushLocked() error {
-	h := e.Template
-	h.FlowSequence = e.sequence
-	pkt, err := EncodePacket(h, e.pend)
-	if err != nil {
-		return err
-	}
-	if _, err := e.conn.Write(pkt); err != nil {
-		return fmt.Errorf("netflow: udp send: %w", err)
-	}
-	e.sequence += uint32(len(e.pend))
-	e.pend = e.pend[:0]
-	return nil
-}
-
-// Close flushes and closes the socket.
-func (e *Exporter) Close() error {
-	if err := e.Flush(); err != nil {
-		e.conn.Close()
-		return err
-	}
-	return e.conn.Close()
-}
+// central collector (Figure 17b, "Flow Collector"), one datagram per
+// export packet. CollectorServer listens, decodes and feeds a Sink (the
+// stream package's Window, sliding or batch).
 
 // Sink consumes decoded export packets; the stream package's Window is
 // the implementation, online and batch alike. Implementations must be safe for concurrent Ingest calls, and must not
@@ -111,14 +40,12 @@ type ServerOptions struct {
 	// socket (0 = OS default). The kernel may clamp the request; drops
 	// that occur when the buffer overflows are visible via SocketDrops.
 	RcvBuf int
-	// Batch is the number of datagrams read per syscall where batched
-	// receive (recvmmsg) is available (0 = a sensible default). Each
-	// reader goroutine owns Batch reusable packet buffers.
-	Batch int
 }
 
-// defaultBatch is the per-reader datagram batch when none is requested.
-const defaultBatch = 32
+// readBatch is the number of datagrams a reader takes per syscall where
+// batched receive (recvmmsg) is available; each reader goroutine owns
+// readBatch reusable packet buffers.
+const readBatch = 32
 
 // CollectorServer receives export datagrams on one or more UDP sockets
 // bound to the same port and feeds them to a Sink. Reads are batched
@@ -128,7 +55,6 @@ const defaultBatch = 32
 type CollectorServer struct {
 	conns []net.PacketConn
 	sink  Sink
-	batch int
 	port  int
 	// inodes identifies this server's sockets in /proc/net/udp, so drop
 	// accounting excludes foreign SO_REUSEPORT sockets on the same port.
@@ -148,8 +74,8 @@ func NewCollectorServer(addr string, sink Sink) (*CollectorServer, error) {
 	return NewCollectorServerOpts(addr, sink, ServerOptions{})
 }
 
-// NewCollectorServerOpts starts a server with explicit socket, buffer
-// and batching options.
+// NewCollectorServerOpts starts a server with explicit socket and buffer
+// options.
 func NewCollectorServerOpts(addr string, sink Sink, opts ServerOptions) (*CollectorServer, error) {
 	if sink == nil {
 		return nil, errors.New("netflow: nil sink")
@@ -158,11 +84,7 @@ func NewCollectorServerOpts(addr string, sink Sink, opts ServerOptions) (*Collec
 	if sockets < 1 {
 		sockets = 1
 	}
-	batch := opts.Batch
-	if batch < 1 {
-		batch = defaultBatch
-	}
-	s := &CollectorServer{sink: sink, batch: batch}
+	s := &CollectorServer{sink: sink}
 	reuse := sockets > 1 && reuseportAvailable
 	first, err := listenUDP(addr, opts.RcvBuf, reuse)
 	if err != nil {
@@ -187,7 +109,7 @@ func NewCollectorServerOpts(addr string, sink Sink, opts ServerOptions) (*Collec
 	readers := s.conns
 	if len(readers) == 1 && sockets > 1 {
 		// No REUSEPORT: user-space dispatch — several readers drain the
-		// one socket and the sink's shard hash spreads the records.
+		// one socket.
 		for i := 1; i < sockets; i++ {
 			readers = append(readers, first)
 		}
@@ -264,7 +186,7 @@ func (s *CollectorServer) Drain(n int, timeout time.Duration) error {
 // decode into a reusable record slice, synchronous hand-off to the sink.
 func (s *CollectorServer) loop(pc net.PacketConn) {
 	defer s.wg.Done()
-	br := newBatchReader(pc, s.batch)
+	br := newBatchReader(pc)
 	recs := make([]Record, 0, MaxRecordsPerPacket)
 	for {
 		n, err := br.read()

@@ -1,12 +1,37 @@
 package netflow
 
 import (
+	"fmt"
 	"math/rand"
+	"net"
 	"net/netip"
 	"sync"
 	"testing"
 	"time"
 )
+
+// exportUDP sends recs to the collector at addr the way a router
+// exports them: from one socket, MaxRecordsPerPacket records per
+// datagram, the last one partial.
+func exportUDP(addr string, h Header, recs []Record) error {
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	for len(recs) > 0 {
+		n := min(len(recs), MaxRecordsPerPacket)
+		pkt, err := EncodePacket(h, recs[:n])
+		if err != nil {
+			return err
+		}
+		if _, err := conn.Write(pkt); err != nil {
+			return fmt.Errorf("udp send: %w", err)
+		}
+		recs = recs[n:]
+	}
+	return nil
+}
 
 // recordSink is the Sink the transport tests feed: it keeps every record
 // it is handed. Counting them once is the collector's job, not the
@@ -36,20 +61,13 @@ func TestUDPExportCollectRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 
-	exp, err := NewExporter(srv.Addr(), Header{UnixSecs: 1000, SamplingInterval: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rand.New(rand.NewSource(1))
 	recs := make([]Record, 75) // 2 full packets + 1 partial
 	for i := range recs {
 		recs[i] = randRecord(r)
 		recs[i].SrcAS = uint16(i) // distinct dedup stamps
 	}
-	if err := exp.Export(recs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Close(); err != nil {
+	if err := exportUDP(srv.Addr(), Header{UnixSecs: 1000, SamplingInterval: 1}, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Drain(3, 5*time.Second); err != nil {
@@ -85,15 +103,7 @@ func TestUDPMultipleExporters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			exp, err := NewExporter(srv.Addr(), Header{SamplingInterval: 1})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := exp.Export(rec); err != nil {
-				t.Error(err)
-			}
-			if err := exp.Close(); err != nil {
+			if err := exportUDP(srv.Addr(), Header{SamplingInterval: 1}, []Record{rec}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -121,7 +131,7 @@ func TestCollectorServerCountsBadDatagrams(t *testing.T) {
 	}
 	defer srv.Close()
 	// Send garbage straight at the socket.
-	conn, err := NewExporter(srv.Addr(), Header{})
+	conn, err := net.Dial("udp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +144,7 @@ func TestCollectorServerCountsBadDatagrams(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw[1] = 99 // corrupt the version
-	if _, err := conn.conn.Write(raw); err != nil {
+	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Drain(1, 5*time.Second); err != nil {
@@ -166,12 +176,6 @@ func TestNewCollectorServerErrors(t *testing.T) {
 		t.Error("expected error for nil collector")
 	}
 	if _, err := NewCollectorServer("256.0.0.1:99999", &recordSink{}); err == nil {
-		t.Error("expected error for bad address")
-	}
-}
-
-func TestExporterErrors(t *testing.T) {
-	if _, err := NewExporter("256.0.0.1:1", Header{}); err == nil {
 		t.Error("expected error for bad address")
 	}
 }

@@ -109,13 +109,6 @@ var exposition = []struct {
 		{"tierd_ingest_records_total", "Flow records ingested into the window.", "counter", func(v *view) any { return v.ingest.Records }},
 		{"tierd_ingest_duplicates_total", "Cross-router duplicates suppressed.", "counter", func(v *view) any { return v.ingest.Duplicates }},
 		{"tierd_ingest_dropped_total", "Records with no aggregation bucket.", "counter", func(v *view) any { return v.ingest.Dropped }},
-		{"tierd_ingest_shard_records_total", "Flow records ingested per window shard.", "counter", func(v *view) any {
-			out := make([]sample, len(v.ingest.ShardRecords))
-			for i, n := range v.ingest.ShardRecords {
-				out[i] = sample{"", fmt.Sprintf("shard=\"%d\"", i), n}
-			}
-			return out
-		}},
 	}},
 	{func(v *view) bool { return v.sched != nil }, []family{
 		{"tierd_sched_queue_depth", "Reprice jobs queued (bounded by the tenant count).", "gauge", func(v *view) any { return v.sched.QueueDepth }},

@@ -18,7 +18,7 @@ import (
 func expositionConfig(snap *stream.Snapshot, ids ...string) Config {
 	ingest := func() IngestStats {
 		return IngestStats{Packets: 5, BadPackets: 1, Records: 60, Duplicates: 30, Dropped: 2,
-			SocketDrops: 3, ShardRecords: []uint64{40, 20}}
+			SocketDrops: 3}
 	}
 	cfg := Config{
 		Ingest: ingest,

@@ -35,10 +35,6 @@ type IngestStats struct {
 	// collector's UDP sockets (datagrams lost before user space saw
 	// them); zero where the platform exposes no counter.
 	SocketDrops uint64
-	// ShardRecords is each window shard's lifetime record count, indexed
-	// by shard; empty when the pipeline runs unsharded components that
-	// predate sharding.
-	ShardRecords []uint64
 }
 
 // DurabilityStats is a point-in-time view of the durability subsystem

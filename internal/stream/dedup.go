@@ -27,7 +27,7 @@ import (
 // the directory when that segment was alone under its prefix. All of a
 // key's placement — directory bits, home position, match filter — comes
 // from the high half of its hash, which the entry keeps, so a rebuild
-// never hashes; the low half routes records to shards (shardOf).
+// never hashes.
 //
 // Not safe for concurrent use; the window's lock covers it.
 type dedupTable struct {
@@ -79,8 +79,8 @@ func newDedupSeg() *dedupSeg {
 var dedupSeed = maphash.MakeSeed()
 
 // hashedKey is a record's packed dedup key and its hash, computed once
-// and used for shard routing and the table probe alike. ok is false for
-// a record that has no packed key (netflow.FlowKey.Pack).
+// for the table probe. ok is false for a record that has no packed key
+// (netflow.FlowKey.Pack).
 type hashedKey struct {
 	key  netflow.PackedKey
 	hash uint64
@@ -92,10 +92,6 @@ type hashedKey struct {
 func hashKey(key netflow.PackedKey, ok bool) hashedKey {
 	return hashedKey{key: key, hash: maphash.Bytes(dedupSeed, key[:]), ok: ok}
 }
-
-// shardOf routes a hash to one of n shards by its low half, which the
-// table's own placement never reads.
-func (hk *hashedKey) shardOf(n int) int { return int(uint32(hk.hash) % uint32(n)) }
 
 func (t *dedupTable) init() {
 	*t = dedupTable{dir: []*dedupSeg{newDedupSeg()}, spare: newDedupSeg(), base: 1}

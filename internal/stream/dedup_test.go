@@ -3,8 +3,11 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"net"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -161,20 +164,18 @@ func TestImportRejectsUnpackableKeys(t *testing.T) {
 	v6.DstAddr = netip.MustParseAddr("2001:db8::1")
 	mapped := v4
 	mapped.SrcAddr = netip.MustParseAddr("::ffff:10.0.0.1")
-	for _, shards := range []int{1, 4} {
-		sw := mustSharded(t, traces.AggregateKey, time.Minute, 4, shards)
-		sw.SetClock(func() time.Time { return now })
-		if err := sw.Import(state(v4, netflow.FlowKey{})); err != nil {
-			t.Fatalf("shards=%d: IPv4 and zero-address keys: %v", shards, err)
+	w := mustWindow(t, time.Minute, 4)
+	w.SetClock(func() time.Time { return now })
+	if err := w.Import(state(v4, netflow.FlowKey{})); err != nil {
+		t.Fatalf("IPv4 and zero-address keys: %v", err)
+	}
+	for name, st := range map[string]WindowState{"IPv6": state(v6), "4-in-6": state(mapped)} {
+		if err := w.Import(st); err == nil || !strings.Contains(err.Error(), "not IPv4") {
+			t.Errorf("import of an %s dedup key: %v, want a not-IPv4 error", name, err)
 		}
-		for name, st := range map[string]WindowState{"IPv6": state(v6), "4-in-6": state(mapped)} {
-			if err := sw.Import(st); err == nil || !strings.Contains(err.Error(), "not IPv4") {
-				t.Errorf("shards=%d: import of an %s dedup key: %v, want a not-IPv4 error", shards, name, err)
-			}
-		}
-		if err := sw.Import(state(v4, v4)); err == nil || !strings.Contains(err.Error(), "twice") {
-			t.Errorf("shards=%d: import of a repeated dedup key: %v, want an error", shards, err)
-		}
+	}
+	if err := w.Import(state(v4, v4)); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("import of a repeated dedup key: %v, want an error", err)
 	}
 }
 
@@ -261,25 +262,6 @@ func FuzzPackedKey(f *testing.F) {
 		kb := keyFromWire(t, b, blank>>2)
 		checkPackedPair(t, ka, kb)
 	})
-}
-
-// TestShardSpread pins the routing hash's balance: each of four shards
-// takes between 15 % and 35 % of a seeded corpus.
-func TestShardSpread(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 20000
-	var hits [4]int
-	for i := 0; i < n; i++ {
-		r := testRecord(uint32(i), 100)
-		r.DstAddr = netip.AddrFrom4([4]byte{10, 2, byte(rng.Intn(200)), 1})
-		hk := hashKey(netflow.PackRecord(&r))
-		hits[hk.shardOf(len(hits))]++
-	}
-	for s, h := range hits {
-		if h < n*15/100 || h > n*35/100 {
-			t.Errorf("shard %d takes %d of %d records; want 15–35 %%: %v", s, h, n, hits)
-		}
-	}
 }
 
 // ingestLoad is the ingest benchmarks' and the allocation gate's input:
@@ -391,4 +373,94 @@ func BenchmarkWindowIngest(b *testing.B) {
 		}
 		perRec(b)
 	})
+}
+
+// BenchmarkUDPIngestReaders measures the full receive path — loopback
+// UDP, batched reads, decode, the one window's apply — at one reader and
+// at GOMAXPROCS SO_REUSEPORT readers, fed by eight exporter sockets so
+// the kernel's 4-tuple steering spreads datagrams over the readers.
+// Every reader applies under the window's one lock, so only receive and
+// decode can overlap; this sweep is what says whether that buys
+// anything. fresh sends records no window has seen, dup re-sends
+// preloaded ones. The sender runs in this process and competes with the
+// readers for CPUs. Sends go in bursts with a drain barrier, so a full
+// socket buffer fails the run instead of silently shrinking the work.
+func BenchmarkUDPIngestReaders(b *testing.B) {
+	readers := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		readers = append(readers, n)
+	}
+	const exporters, burst = 8, 128
+	for _, mode := range []string{"fresh", "dup"} {
+		for _, n := range readers {
+			b.Run(fmt.Sprintf("%s/readers=%d", mode, n), func(b *testing.B) {
+				l := newIngestLoad(b, 10, 200)
+				srv, err := netflow.NewCollectorServerOpts("127.0.0.1:0", l.w,
+					netflow.ServerOptions{Sockets: n, RcvBuf: 4 << 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				conns := make([]net.Conn, exporters)
+				for i := range conns {
+					if conns[i], err = net.Dial("udp", srv.Addr()); err != nil {
+						b.Fatal(err)
+					}
+					defer conns[i].Close()
+				}
+				recs := make([]netflow.Record, netflow.MaxRecordsPerPacket)
+				pkt := make([]byte, 0, netflow.HeaderSize+netflow.MaxRecordsPerPacket*netflow.RecordSize)
+				records0, _, _, _ := l.w.Stats()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dgram := recs
+					if mode == "fresh" {
+						l.fill(recs)
+					} else {
+						dgram = l.loaded[i%len(l.loaded)]
+					}
+					if pkt, err = netflow.AppendPacket(pkt[:0], netflow.Header{}, dgram); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := conns[i%exporters].Write(pkt); err != nil {
+						b.Fatal(err)
+					}
+					if (i+1)%burst == 0 || i+1 == b.N {
+						awaitPackets(b, srv, i+1)
+					}
+				}
+				// A reader counts a datagram before it applies it.
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Microsecond) {
+					records, _, _, _ := l.w.Stats()
+					if records-records0 == b.N*netflow.MaxRecordsPerPacket {
+						break
+					}
+					if time.Now().After(deadline) {
+						b.Fatalf("window counted %d records, want %d", records-records0, b.N*netflow.MaxRecordsPerPacket)
+					}
+				}
+				b.StopTimer()
+				if s := b.Elapsed().Seconds(); s > 0 {
+					b.ReportMetric(float64(b.N)*netflow.MaxRecordsPerPacket/s, "records/s")
+				}
+			})
+		}
+	}
+}
+
+// awaitPackets waits until srv has received n datagrams, polling at a
+// finer grain than Drain's millisecond so the wait does not swamp a
+// burst's work.
+func awaitPackets(b *testing.B, srv *netflow.CollectorServer, n int) {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if got, _ := srv.Stats(); got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			got, _ := srv.Stats()
+			b.Fatalf("received %d of %d datagrams (socket drops %d)", got, n, srv.SocketDrops())
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/geoip"
 	"tieredpricing/internal/netflow"
-	"tieredpricing/internal/traces"
 )
 
 // memRig drives one repricer that is kept across a schedule beside a
@@ -30,7 +29,7 @@ import (
 type memRig struct {
 	t      *testing.T
 	now    time.Time
-	w      *ShardedWindow
+	w      *Window
 	cfg    Config
 	kept   *Repricer
 	seq    uint32
@@ -45,7 +44,7 @@ func memAddrs(key int, host byte) (src, dst netip.Addr) {
 		netip.AddrFrom4([4]byte{10, byte(key / 4096), byte(key / 16), host})
 }
 
-func newMemRig(t *testing.T, shards int) *memRig {
+func newMemRig(t *testing.T) *memRig {
 	t.Helper()
 	r := &memRig{t: t, now: time.Unix(1_700_000_000, 0), keys: map[int]bool{}, orders: map[string]int{}}
 	geo := new(geoip.DB)
@@ -66,7 +65,7 @@ func newMemRig(t *testing.T, shards int) *memRig {
 		locate(netip.PrefixFrom(dst, 24), fmt.Sprintf("dst%d", n), 45+float64(n%5), 5+float64(n)/3)
 		locate(netip.PrefixFrom(dst, 28), fmt.Sprintf("dst%d-low", n), 60+float64(n%5), 20)
 	}
-	r.w = mustSharded(t, traces.AggregateKey, time.Minute, 4, shards)
+	r.w = mustWindow(t, time.Minute, 4)
 	r.w.SetClock(func() time.Time { return r.now })
 	r.cfg = Config{
 		Window:      r.w,
@@ -184,68 +183,66 @@ func span(from, to int) (keys []int) {
 // step, keys ageing out, rows that never resolve, an empty window, the
 // clock stepping back, α and the mask widths reconfigured mid-way — and a
 // fresh one per step publish the same table bytes, quotes, skips and
-// routes, at one and at four shards.
+// routes.
 func TestRememberingRepricerMatchesFresh(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		r := newMemRig(t, shards)
-		step := func(advance time.Duration, host byte, keys ...int) {
-			t.Helper()
-			r.now = r.now.Add(advance)
-			if len(keys) > 0 {
-				r.ingest(host, keys...)
-			}
-			r.check()
+	r := newMemRig(t)
+	step := func(advance time.Duration, host byte, keys ...int) {
+		t.Helper()
+		r.now = r.now.Add(advance)
+		if len(keys) > 0 {
+			r.ingest(host, keys...)
 		}
-		r.check() // nothing yet: both report the empty window
-		step(0, 100, span(0, 200)...)
-		for i := 0; i < 6; i++ { // steady: nothing arrives
-			step(5*time.Second, 0)
-		}
-		for i := 0; i < 12; i++ { // octets move on 3 % of the rows
-			step(5*time.Second, 100, 3*i, 3*i+70, 3*i+140, 3*i+1, 3*i+71, 3*i+141)
-		}
-		step(5*time.Second, 3, 42) // key 42's sample moves to a lower host
-		step(5*time.Second, 5, 90) // key 90's moves into the far /28: its row changes place in cost order
-		if tr := r.kept.Current().RepriceTrace; tr.CostOrder != "merged" || tr.OrderMerged != 1 {
-			t.Fatalf("%d shards: a row moved across others in cost order: cost order %q with %d merged, want it merged alone",
-				shards, tr.CostOrder, tr.OrderMerged)
-		}
-		for i := 0; i < 12; i++ { // one never-seen key per step
-			step(5*time.Second, 100, 300+i, i)
-		}
-		for i := 0; i < 12; i++ { // the first burst ages out; thirty keys stay
-			step(25*time.Second, 100, span(0, 30)...)
-		}
-		r.reconfigure(func(c *Config) { c.Demand = econ.CED{Alpha: 2.5} })
-		step(5*time.Second, 100, 7)
+		r.check()
+	}
+	r.check() // nothing yet: both report the empty window
+	step(0, 100, span(0, 200)...)
+	for i := 0; i < 6; i++ { // steady: nothing arrives
 		step(5*time.Second, 0)
-		r.reconfigure(func(c *Config) { c.SrcMaskBits, c.DstMaskBits = 16, 22 })
-		step(5*time.Second, 100, 8)
-		step(5*time.Second, 0)
-		r.reconfigure(func(c *Config) { c.DstMaskBits = 28 }) // finer than the bucket: the sample picks the key
-		step(5*time.Second, 100, 8)
-		step(5*time.Second, 2, 8, 24)
-		r.reconfigure(func(c *Config) { c.Demand = econ.Logit{Alpha: 1.1, S0: 0.2}; c.Strategy = bundling.ProfitWeighted{} })
-		step(5*time.Second, 100, 9)
-		r.reconfigure(func(c *Config) {
-			c.Demand, c.Strategy, c.SrcMaskBits, c.DstMaskBits = econ.CED{Alpha: 1.1}, bundling.Optimal{}, 20, 24
-		})
-		step(5*time.Minute, 0) // nothing live
-		if r.kept.Current() == nil {
-			t.Fatal("no snapshot survived the empty window")
-		}
-		step(0, 100, span(0, 60)...)
-		for i := 0; i < 6; i++ { // the clock steps back, into slots behind the newest
-			step(-20*time.Second, 100, span(40, 70)...)
-		}
-		step(time.Hour, 100, 1, 2, 3) // and past the whole window
-		for i := 0; i < 40; i++ {     // a churning set: six keys, sliding by one each step
-			step(20*time.Second, 100, span(500+i, 506+i)...)
-		}
-		if s := r.seen; s.New == 0 || s.Changed == 0 || s.Retired == 0 || s.ResolveReused == 0 || s.FitReused == 0 || s.HintHits == 0 ||
-			r.orders["carried"] == 0 || r.orders["merged"] == 0 {
-			t.Fatalf("%d shards: the schedule never exercised part of the memory: %+v, cost orders %v", shards, s, r.orders)
-		}
+	}
+	for i := 0; i < 12; i++ { // octets move on 3 % of the rows
+		step(5*time.Second, 100, 3*i, 3*i+70, 3*i+140, 3*i+1, 3*i+71, 3*i+141)
+	}
+	step(5*time.Second, 3, 42) // key 42's sample moves to a lower host
+	step(5*time.Second, 5, 90) // key 90's moves into the far /28: its row changes place in cost order
+	if tr := r.kept.Current().RepriceTrace; tr.CostOrder != "merged" || tr.OrderMerged != 1 {
+		t.Fatalf("a row moved across others in cost order: cost order %q with %d merged, want it merged alone",
+			tr.CostOrder, tr.OrderMerged)
+	}
+	for i := 0; i < 12; i++ { // one never-seen key per step
+		step(5*time.Second, 100, 300+i, i)
+	}
+	for i := 0; i < 12; i++ { // the first burst ages out; thirty keys stay
+		step(25*time.Second, 100, span(0, 30)...)
+	}
+	r.reconfigure(func(c *Config) { c.Demand = econ.CED{Alpha: 2.5} })
+	step(5*time.Second, 100, 7)
+	step(5*time.Second, 0)
+	r.reconfigure(func(c *Config) { c.SrcMaskBits, c.DstMaskBits = 16, 22 })
+	step(5*time.Second, 100, 8)
+	step(5*time.Second, 0)
+	r.reconfigure(func(c *Config) { c.DstMaskBits = 28 }) // finer than the bucket: the sample picks the key
+	step(5*time.Second, 100, 8)
+	step(5*time.Second, 2, 8, 24)
+	r.reconfigure(func(c *Config) { c.Demand = econ.Logit{Alpha: 1.1, S0: 0.2}; c.Strategy = bundling.ProfitWeighted{} })
+	step(5*time.Second, 100, 9)
+	r.reconfigure(func(c *Config) {
+		c.Demand, c.Strategy, c.SrcMaskBits, c.DstMaskBits = econ.CED{Alpha: 1.1}, bundling.Optimal{}, 20, 24
+	})
+	step(5*time.Minute, 0) // nothing live
+	if r.kept.Current() == nil {
+		t.Fatal("no snapshot survived the empty window")
+	}
+	step(0, 100, span(0, 60)...)
+	for i := 0; i < 6; i++ { // the clock steps back, into slots behind the newest
+		step(-20*time.Second, 100, span(40, 70)...)
+	}
+	step(time.Hour, 100, 1, 2, 3) // and past the whole window
+	for i := 0; i < 40; i++ {     // a churning set: six keys, sliding by one each step
+		step(20*time.Second, 100, span(500+i, 506+i)...)
+	}
+	if s := r.seen; s.New == 0 || s.Changed == 0 || s.Retired == 0 || s.ResolveReused == 0 || s.FitReused == 0 || s.HintHits == 0 ||
+		r.orders["carried"] == 0 || r.orders["merged"] == 0 {
+		t.Fatalf("the schedule never exercised part of the memory: %+v, cost orders %v", s, r.orders)
 	}
 }
 
@@ -258,7 +255,7 @@ func FuzzRepricerMemory(f *testing.F) {
 		if len(data) > 96 {
 			data = data[:96]
 		}
-		r := newMemRig(t, 1+len(data)%2*3)
+		r := newMemRig(t)
 		for ; len(data) >= 2; data = data[2:] {
 			arg := int(data[1])
 			switch data[0] % 8 {
@@ -289,7 +286,7 @@ func FuzzRepricerMemory(f *testing.F) {
 // first re-price of an outage fails — with the memory warm — and the
 // serving snapshot holds.
 func TestRememberedResolveNeverHidesAnOutage(t *testing.T) {
-	r := newMemRig(t, 1)
+	r := newMemRig(t)
 	rv := faultinject.NewResolver(faultinject.New(24), r.cfg.Resolver)
 	r.reconfigure(func(c *Config) { c.Resolver = rv })
 	r.ingest(100, span(0, 50)...)

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -25,8 +24,8 @@ func oneShot(st WindowState) []netflow.Aggregate {
 	return m.SortedInto(nil)
 }
 
-// TestKeptMergeMatchesOneShot walks a Window and ShardedWindows of one,
-// two and four shards through everything the kept merge has to get right
+// TestKeptMergeMatchesOneShot walks a Window through everything the kept
+// merge has to get right
 // between two re-prices — the same keys again, a burst of new ones, keys
 // that stop and leave slot by slot, a key whose minimum endpoint sample
 // sits in the slot that ages out, an empty window, the clock stepping
@@ -39,19 +38,8 @@ func TestKeptMergeMatchesOneShot(t *testing.T) {
 	clock := func() time.Time { return now }
 	rng := rand.New(rand.NewSource(18))
 
-	type window interface {
-		netflow.Sink
-		Aggregates() []netflow.Aggregate
-		Export() WindowState
-	}
-	plain := mustWindow(t, slotDur, slots)
-	plain.SetClock(clock)
-	suts := map[string]window{"window": plain}
-	for _, shards := range []int{1, 2, 4} {
-		sw := mustSharded(t, traces.AggregateKey, slotDur, slots, shards)
-		sw.SetClock(clock)
-		suts[fmt.Sprintf("%d shards", shards)] = sw
-	}
+	w := mustWindow(t, slotDur, slots)
+	w.SetClock(clock)
 	ref := newRefWindow(traces.AggregateKey, slotDur, slots, clock)
 
 	// rec is one never-repeated record of bucket key; host picks the
@@ -78,19 +66,15 @@ func TestKeptMergeMatchesOneShot(t *testing.T) {
 		h := netflow.Header{SamplingInterval: uint16(rng.Intn(3))}
 		if len(recs) > 0 {
 			ref.Ingest(h, recs)
+			w.Ingest(h, recs)
 		}
 		last = ref.Aggregates()
-		for name, w := range suts {
-			if len(recs) > 0 {
-				w.Ingest(h, recs)
-			}
-			got := w.Aggregates()
-			if !reflect.DeepEqual(got, last) {
-				t.Fatalf("step %d, %s: aggregates\n got %+v\nwant %+v (reference window)", steps, name, got, last)
-			}
-			if want := oneShot(w.Export()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d, %s: aggregates\n got %+v\nwant %+v (one-shot merge of the same slots)", steps, name, got, want)
-			}
+		got := w.Aggregates()
+		if !reflect.DeepEqual(got, last) {
+			t.Fatalf("step %d: aggregates\n got %+v\nwant %+v (reference window)", steps, got, last)
+		}
+		if want := oneShot(w.Export()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: aggregates\n got %+v\nwant %+v (one-shot merge of the same slots)", steps, got, want)
 		}
 	}
 	keys := func(from, to int) (recs []netflow.Record) {
@@ -166,46 +150,44 @@ func TestKeptMergeMatchesOneShot(t *testing.T) {
 // four ingest (the periodic tick and a caller-driven re-price can
 // overlap), for the race detector and for the result once they stop.
 func TestKeptMergeConcurrentReaders(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		sw := mustSharded(t, traces.AggregateKey, time.Minute, 4, shards)
-		var ingest, readers sync.WaitGroup
-		stop := make(chan struct{})
-		for g := 0; g < 2; g++ {
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						aggs := sw.Aggregates()
-						for i := 1; i < len(aggs); i++ {
-							if aggs[i-1].Key >= aggs[i].Key {
-								t.Errorf("aggregates out of order: %q before %q", aggs[i-1].Key, aggs[i].Key)
-								return
-							}
+	w := mustWindow(t, time.Minute, 4)
+	var ingest, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					aggs := w.Aggregates()
+					for i := 1; i < len(aggs); i++ {
+						if aggs[i-1].Key >= aggs[i].Key {
+							t.Errorf("aggregates out of order: %q before %q", aggs[i-1].Key, aggs[i].Key)
+							return
 						}
 					}
 				}
-			}()
-		}
-		for g := 0; g < 4; g++ {
-			ingest.Add(1)
-			go func(g int) {
-				defer ingest.Done()
-				for i := 0; i < 300; i++ {
-					r := testRecord(uint32(g*1000+i), 10)
-					r.DstAddr = netip.AddrFrom4([4]byte{10, 3, byte(i % 64), 1}) // new keys keep arriving
-					sw.Ingest(netflow.Header{}, []netflow.Record{r})
-				}
-			}(g)
-		}
-		ingest.Wait()
-		close(stop)
-		readers.Wait()
-		if got, want := sw.Aggregates(), oneShot(sw.Export()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d shards: aggregates after concurrent reads\n got %+v\nwant %+v", shards, got, want)
-		}
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		ingest.Add(1)
+		go func(g int) {
+			defer ingest.Done()
+			for i := 0; i < 300; i++ {
+				r := testRecord(uint32(g*1000+i), 10)
+				r.DstAddr = netip.AddrFrom4([4]byte{10, 3, byte(i % 64), 1}) // new keys keep arriving
+				w.Ingest(netflow.Header{}, []netflow.Record{r})
+			}
+		}(g)
+	}
+	ingest.Wait()
+	close(stop)
+	readers.Wait()
+	if got, want := w.Aggregates(), oneShot(w.Export()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("aggregates after concurrent reads\n got %+v\nwant %+v", got, want)
 	}
 }

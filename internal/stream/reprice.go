@@ -26,7 +26,7 @@ import (
 var ErrEmptyWindow = errors.New("stream: window holds no aggregates")
 
 // AggregateSource supplies the live demand aggregates a Repricer
-// prices: a *Window, a *ShardedWindow, or any equivalent accumulator.
+// prices: a *Window or any equivalent accumulator.
 // Aggregates must return buckets sorted by key.
 type AggregateSource interface {
 	Aggregates() []netflow.Aggregate

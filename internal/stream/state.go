@@ -68,11 +68,7 @@ func flowKeyLess(a, b netflow.FlowKey) bool {
 // sorted order, so two windows with equal contents export equal states
 // regardless of map iteration order or ingest interleaving.
 func (w *Window) Export() WindowState {
-	return w.exportAt(w.slotIndex(w.now()))
-}
-
-// exportAt is Export with an explicit current slot (see mergeInto).
-func (w *Window) exportAt(cur int64) WindowState {
+	cur := w.slotIndex(w.now())
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.evictLocked(cur)
@@ -189,5 +185,5 @@ func (w *Window) Import(st WindowState) error {
 // uses it to reproduce the original slotting decision for each logged
 // datagram, which is what makes recovery byte-identical.
 func (w *Window) IngestAt(ts time.Time, h netflow.Header, recs []netflow.Record) {
-	w.ingestAt(w.slotIndex(ts), h, recs, nil)
+	w.ingestAt(w.slotIndex(ts), h, recs)
 }

@@ -220,8 +220,7 @@ func TestRestoreEpoch(t *testing.T) {
 
 // TestImportDuplicateAggregateLastWins: a slot listing one bucket twice
 // imports as the later entry alone, as assigning both into a map would,
-// at one shard and at four — and exports that way, round trip after round
-// trip.
+// and exports that way, round trip after round trip.
 func TestImportDuplicateAggregateLastWins(t *testing.T) {
 	at := time.Unix(1700000000, 0)
 	w := newStateWindow(t, at)
@@ -237,29 +236,23 @@ func TestImportDuplicateAggregateLastWins(t *testing.T) {
 	want := slices.Clone(aggs)
 	want[0] = last
 
-	for _, shards := range []int{1, 4} {
-		sw, err := NewShardedWindow(traces.AggregateKey, time.Hour, 4, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw.SetClock(func() time.Time { return at })
-		if err := sw.Import(st); err != nil {
-			t.Fatal(err)
-		}
-		if got := sw.Aggregates(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d shards: aggregates after import\n got %+v\nwant %+v", shards, got, want)
-		}
-		again := sw.Export()
-		if got := again.Slots[0].Aggs; !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d shards: exported slot\n got %+v\nwant %+v", shards, got, want)
-		}
-		if err := sw.Import(again); err != nil {
-			t.Fatal(err)
-		}
-		a, _ := json.Marshal(again)
-		b, _ := json.Marshal(sw.Export())
-		if string(a) != string(b) {
-			t.Fatalf("%d shards: export → import → export is not byte-identical", shards)
-		}
+	w = newStateWindow(t, at)
+	if err := w.Import(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Aggregates(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("aggregates after import\n got %+v\nwant %+v", got, want)
+	}
+	again := w.Export()
+	if got := again.Slots[0].Aggs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("exported slot\n got %+v\nwant %+v", got, want)
+	}
+	if err := w.Import(again); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(again)
+	b, _ := json.Marshal(w.Export())
+	if string(a) != string(b) {
+		t.Fatal("export → import → export is not byte-identical")
 	}
 }

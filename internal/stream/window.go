@@ -80,7 +80,7 @@ func (s *slot) put(code uint64, a *netflow.Aggregate) *slotAgg {
 }
 
 // slotAgg is one slot's share of a bucket and the position the window's
-// merge last folded it at: AddAt's hint, mergeInto's alone to write.
+// merge last folded it at: AddAt's hint, AggregatesInto's alone to write.
 type slotAgg struct {
 	netflow.Aggregate
 	at int32
@@ -159,15 +159,14 @@ func (w *Window) evictLocked(cur int64) {
 // Ingest processes one export packet (netflow.Sink) into the slot of the
 // window's clock.
 func (w *Window) Ingest(h netflow.Header, recs []netflow.Record) {
-	w.ingestAt(w.slotIndex(w.now()), h, recs, nil)
+	w.ingestAt(w.slotIndex(w.now()), h, recs)
 }
 
 // ingestAt files recs into slot cur; Ingest derives cur from the live
-// clock, IngestAt (WAL replay) from the logged arrival timestamp. keys,
-// when not nil, holds each record's dedup key as the sharded wrapper
-// already hashed it for routing. It is the pipeline's one dedup and
-// sampling-restore loop, batch and online alike.
-func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, keys []hashedKey) {
+// clock, IngestAt (WAL replay) from the logged arrival timestamp. It is
+// the pipeline's one dedup and sampling-restore loop, batch and online
+// alike.
+func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record) {
 	sampling := uint64(h.SamplingInterval)
 	if sampling == 0 {
 		sampling = 1
@@ -183,12 +182,7 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 	for i := range recs {
 		r := &recs[i]
 		w.records++
-		var hk hashedKey
-		if keys != nil {
-			hk = keys[i]
-		} else {
-			hk = hashKey(netflow.PackRecord(r))
-		}
+		hk := hashKey(netflow.PackRecord(r))
 		if !hk.ok {
 			w.dropped++ // not an IPv4 flow: nothing a v5 exporter sends
 			continue
@@ -221,19 +215,29 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record, ke
 // key: octets and record counts summed across slots, endpoint samples
 // merged under the canonical minimum-tuple rule. Because every
 // per-bucket operation commutes — sums, counts, minimum samples — the
-// merge is independent of slot order, ingest order, and any sharding of
-// the records upstream.
+// merge is independent of slot order and ingest order.
 func (w *Window) Aggregates() []netflow.Aggregate { return w.AggregatesInto(nil) }
 
 // AggregatesInto is Aggregates written into dst's storage when it has
 // the room: a caller that keeps its rows from one call to the next (the
 // repricer) then allocates nothing for them. Aggregates is
-// AggregatesInto(nil).
+// AggregatesInto(nil). Only the copy out of the slots runs under the
+// window lock; the sort runs after it is released, so ingest never waits
+// for a sort.
 func (w *Window) AggregatesInto(dst []netflow.Aggregate) []netflow.Aggregate {
 	w.mergeMu.Lock()
 	defer w.mergeMu.Unlock()
 	w.merge.Reset()
-	w.mergeInto(&w.merge, w.slotIndex(w.now()))
+	cur := w.slotIndex(w.now())
+	w.mu.Lock()
+	w.evictLocked(cur)
+	for _, s := range w.slots {
+		for i := range s.aggs {
+			a := &s.aggs[i]
+			a.at = w.merge.AddAt(&a.Aggregate, a.at)
+		}
+	}
+	w.mu.Unlock()
 	return w.merge.SortedInto(dst)
 }
 
@@ -244,42 +248,14 @@ func (w *Window) MergeHints() (hits, misses uint64) {
 	return w.merge.Hints()
 }
 
-// mergeInto folds the live slots' partial aggregates into m after
-// evicting against cur, so a sharded wrapper can evict every shard
-// against one shared instant and merge them all into one result. Only
-// the copy out of the slots runs under the window lock; the caller
-// sorts after it is released, so ingest never waits for a sort.
-func (w *Window) mergeInto(m *netflow.AggregateMerge, cur int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.evictLocked(cur)
-	for _, s := range w.slots {
-		for i := range s.aggs {
-			a := &s.aggs[i]
-			a.at = m.AddAt(&a.Aggregate, a.at)
-		}
-	}
-}
-
 // Stats reports lifetime ingest counters (records seen, cross-router
 // duplicates suppressed, unkeyed records dropped) and the number of live
 // slots. Counters are lifetime, not windowed, so they are monotonic and
 // exportable as Prometheus counters.
 func (w *Window) Stats() (records, duplicates, dropped, liveSlots int) {
-	records, duplicates, dropped, idxs := w.statsAt(w.slotIndex(w.now()))
-	return records, duplicates, dropped, len(idxs)
-}
-
-// statsAt returns the lifetime counters and the live slot indices after
-// evicting against cur. The sharded wrapper needs the indices themselves
-// to count slots that are live in any shard exactly once.
-func (w *Window) statsAt(cur int64) (records, duplicates, dropped int, live []int64) {
+	cur := w.slotIndex(w.now())
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.evictLocked(cur)
-	live = make([]int64, 0, len(w.slots))
-	for idx := range w.slots {
-		live = append(live, idx)
-	}
-	return w.records, w.duplicates, w.dropped, live
+	return w.records, w.duplicates, w.dropped, len(w.slots)
 }

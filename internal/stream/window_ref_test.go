@@ -10,12 +10,35 @@ import (
 	"time"
 
 	"tieredpricing/internal/netflow"
+	"tieredpricing/internal/traces"
 )
+
+// dropKeyFn aggregates like the production rule but drops records whose
+// source sits in 10.9.0.0/16, so the differential tests exercise the
+// dropped-record counter too.
+var dropKeyFn netflow.BucketRule = dropTen9{traces.AggregateKey}
+
+type dropTen9 struct{ netflow.BucketRule }
+
+func (d dropTen9) Code(r *netflow.Record) (uint64, bool) {
+	if r.SrcAddr.As4()[1] == 9 {
+		return 0, false
+	}
+	return d.BucketRule.Code(r)
+}
+
+// bucketName is r's bucket name under rule, "" when it has none.
+func bucketName(rule netflow.BucketRule, r netflow.Record) string {
+	code, ok := rule.Code(&r)
+	if !ok {
+		return ""
+	}
+	return string(rule.Name(nil, code))
+}
 
 // refWindow is the window as it was before the window-wide dedup table:
 // one map[netflow.FlowKey] set per slot, probed slot by slot. It is kept
-// as the differential oracle for Window, ShardedWindow and the batch
-// collector — slower, and obviously right about what a slot forgets when
+// as the differential oracle for Window and the batch collector — slower, and obviously right about what a slot forgets when
 // it is evicted. Its slots are keyed by bucket name, as the window's were
 // before bucket codes.
 type refWindow struct {
@@ -168,7 +191,7 @@ type diffStream struct {
 func (d *diffStream) record() netflow.Record {
 	d.seq++
 	r := netflow.Record{
-		// Second octet 9 has no bucket (shardKeyFn); 16 sources × 8
+		// Second octet 9 has no bucket (dropKeyFn); 16 sources × 8
 		// destinations otherwise.
 		SrcAddr:  netip.AddrFrom4([4]byte{10, byte(8 + d.rng.Intn(3)), byte(d.rng.Intn(16) << 4), 1}),
 		DstAddr:  netip.AddrFrom4([4]byte{10, 2, byte(d.rng.Intn(8)), byte(d.rng.Intn(4))}),
@@ -234,28 +257,26 @@ func (d *diffStream) stepClock() {
 // carries on in step.
 func TestWindowMatchesReference(t *testing.T) {
 	for _, slots := range []int{1, 10} {
-		for _, shards := range []int{1, 4} {
-			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("slots=%d/shards=%d/seed=%d", slots, shards, seed), func(t *testing.T) {
-					diffRun(t, slots, shards, seed)
-				})
-			}
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("slots=%d/seed=%d", slots, seed), func(t *testing.T) {
+				diffRun(t, slots, seed)
+			})
 		}
 	}
 }
 
 // FuzzWindowMatchesReference is TestWindowMatchesReference at any seed
-// and any geometry of 1–12 slots and 1–4 shards.
+// and any geometry of 1–12 slots.
 func FuzzWindowMatchesReference(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(9), uint8(3))
-	f.Add(int64(3), uint8(4), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, slots, shards uint8) {
-		diffRun(t, 1+int(slots)%12, 1+int(shards)%4, seed)
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(2), uint8(9))
+	f.Add(int64(3), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, slots uint8) {
+		diffRun(t, 1+int(slots)%12, seed)
 	})
 }
 
-func diffRun(t *testing.T, slots, shards int, seed int64) {
+func diffRun(t *testing.T, slots int, seed int64) {
 	const slotDur = time.Minute
 	d := &diffStream{
 		rng:     rand.New(rand.NewSource(seed)),
@@ -264,11 +285,14 @@ func diffRun(t *testing.T, slots, shards int, seed int64) {
 		now:     time.Unix(1_700_000_000, 0),
 	}
 	clock := func() time.Time { return d.now }
-	ref := newRefWindow(shardKeyFn, slotDur, slots, clock)
-	newSUT := func() *ShardedWindow {
-		sw := mustSharded(t, shardKeyFn, slotDur, slots, shards)
-		sw.SetClock(clock)
-		return sw
+	ref := newRefWindow(dropKeyFn, slotDur, slots, clock)
+	newSUT := func() *Window {
+		w, err := NewWindow(dropKeyFn, slotDur, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetClock(clock)
+		return w
 	}
 	sut := newSUT()
 	span := time.Duration(slots) * slotDur
@@ -281,12 +305,10 @@ func diffRun(t *testing.T, slots, shards int, seed int64) {
 			ref.Ingest(h, recs)
 			sut.Ingest(h, recs)
 		default:
-			// A logged instant behind the clock, as WAL replay supplies. One
-			// ahead of it is fair game for a single window only: shards
-			// evict when touched, so they agree with one window at reads
-			// made on the live clock, not before.
+			// A logged instant behind the clock, as WAL replay supplies, or
+			// now and then one ahead of it.
 			ts := d.now.Add(-time.Duration(d.rng.Int63n(int64(span + 2*slotDur))))
-			if shards == 1 && p == 9 {
+			if p == 9 {
 				ts = d.now.Add(time.Duration(d.rng.Int63n(int64(span))))
 			}
 			ref.IngestAt(ts, h, recs)

@@ -15,7 +15,7 @@ type Tenant struct {
 	Spec Spec
 
 	// Window is the tenant's sliding-window accumulator (a
-	// *stream.Window or *stream.ShardedWindow, held as its sink face).
+	// *stream.Window, held as its sink face).
 	Window netflow.Sink
 	// Limiter guards the tenant's quote path (nil = unlimited).
 	Limiter *Bucket

@@ -76,7 +76,7 @@ func writeWAL(tb testing.TB, dir string, dgrams [][]netflow.Record, at func(i in
 
 // replayInto replays dir into w as tierd's recovery does and returns the
 // entries replayed.
-func replayInto(tb testing.TB, dir string, w *stream.ShardedWindow) int {
+func replayInto(tb testing.TB, dir string, w *stream.Window) int {
 	tb.Helper()
 	res, err := wal.Replay(dir, wal.Position{}, func(ts time.Time, h netflow.Header, recs []netflow.Record) error {
 		w.IngestAt(ts, h, recs)
@@ -90,8 +90,8 @@ func replayInto(tb testing.TB, dir string, w *stream.ShardedWindow) int {
 
 // BenchmarkReplay times recovery's replay of a log shaped like the
 // repository benchmark's ingest stage — 30-record datagrams over 200
-// buckets, arriving across ten one-minute slots — into a new one-shard
-// window, per record: fresh has no duplicates, dup is half duplicates.
+// buckets, arriving across ten one-minute slots — into a new window, per
+// record: fresh has no duplicates, dup is half duplicates.
 func BenchmarkReplay(b *testing.B) {
 	const dgrams, slots = 2000, 10
 	base := time.Unix(1_700_000_000, 0)
@@ -106,7 +106,7 @@ func BenchmarkReplay(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w, err := stream.NewShardedWindow(traces.AggregateKey, time.Minute, slots, 1)
+				w, err := stream.NewWindow(traces.AggregateKey, time.Minute, slots)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func TestReplayAllocs(t *testing.T) {
 	slot := func(s int) func(int) time.Time {
 		return func(int) time.Time { return base.Add(time.Duration(s) * time.Minute) }
 	}
-	w, err := stream.NewShardedWindow(traces.AggregateKey, time.Minute, 2, 1)
+	w, err := stream.NewWindow(traces.AggregateKey, time.Minute, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
