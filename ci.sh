@@ -42,7 +42,9 @@
 #                        top-level docs and docs/*.md cite is declared
 #                        in some _test.go (root module or bench/), and
 #                        every `./ci.sh <stage>`, cmd/<name> and
-#                        internal/<name> they write exists.
+#                        internal/<name> they write exists, and the
+#                        flags cmd/tierd registers are exactly the
+#                        `-flag` rows of docs/OPERATIONS.md's table.
 #
 # Numbers are not this script's job: `go run -C bench .` (bench/README.md,
 # BENCHMARK.json) is the repository's one benchmark.

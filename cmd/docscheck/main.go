@@ -1,5 +1,5 @@
 // Command docscheck is the repo's documentation lint, run by
-// `./ci.sh docs`. It enforces five invariants that otherwise rot
+// `./ci.sh docs`. It enforces six invariants that otherwise rot
 // silently:
 //
 //  1. Every relative markdown link in the repo's .md files resolves to
@@ -21,6 +21,9 @@
 //     path they write is a directory that exists, so a deleted stage or
 //     package cannot live on in prose. (CHANGES.md and ROADMAP.md are
 //     history and exempt.)
+//  6. The flags cmd/tierd/main.go registers and the `-flag` rows of
+//     docs/OPERATIONS.md's flags table are the same set, so a new flag
+//     cannot ship undocumented and a retired one cannot keep its row.
 //
 // Violations are listed one per line on stderr; any violation exits 1.
 package main
@@ -32,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -74,6 +78,7 @@ func check(root string) ([]string, error) {
 
 	for _, lint := range []func(string) ([]string, error){
 		checkLayoutMap, checkMetricsDocumented, checkBenchmarksExist, checkCitedPathsExist,
+		checkFlagsDocumented,
 	} {
 		v, err := lint(root)
 		if err != nil {
@@ -396,4 +401,45 @@ func checkCitedPathsExist(root string) ([]string, error) {
 		}
 	})
 	return violations, err
+}
+
+// flagDefRE matches a flag registration (`flag.IntVar(&cfg.tiers,
+// "tiers", …)` or `flag.Bool("version", …)`); flagRowRE a markdown table
+// row that opens with a `-flag` cell.
+var (
+	flagDefRE = regexp.MustCompile(`\bflag\.[A-Z]\w*\(\s*(?:&[\w.]+\s*,\s*)?"([^"]+)"`)
+	flagRowRE = regexp.MustCompile("(?m)^\\|\\s*`-([^`\\s]+)`")
+)
+
+// checkFlagsDocumented requires every flag cmd/tierd/main.go registers to
+// have a `-flag` row in docs/OPERATIONS.md, and every such row to name a
+// registered flag.
+func checkFlagsDocumented(root string) ([]string, error) {
+	src, err := os.ReadFile(filepath.Join(root, "cmd", "tierd", "main.go"))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	ops, err := os.ReadFile(filepath.Join(root, "docs", "OPERATIONS.md"))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	registered := uniqueMatches(flagDefRE, string(src))
+	documented := uniqueMatches(flagRowRE, string(ops))
+	var violations []string
+	for _, name := range registered {
+		if !slices.Contains(documented, name) {
+			violations = append(violations,
+				fmt.Sprintf("docs/OPERATIONS.md: tierd flag -%s has no row in the flags table", name))
+		}
+	}
+	for _, name := range documented {
+		if !slices.Contains(registered, name) {
+			violations = append(violations,
+				fmt.Sprintf("docs/OPERATIONS.md: flags table has a row for -%s, which cmd/tierd/main.go does not register", name))
+		}
+	}
+	return violations, nil
 }

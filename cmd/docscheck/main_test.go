@@ -168,3 +168,23 @@ func TestDocscheckCitedStageOrPackageMissing(t *testing.T) {
 			"and CHANGES.md exempt: %v", v)
 	}
 }
+
+func TestDocscheckFlagsTable(t *testing.T) {
+	files := healthyTree()
+	files["cmd/tierd/main.go"] = "package main\n\nfunc main() {\n" +
+		"\tflag.StringVar(&cfg.listen, \"listen\", \"127.0.0.1:8080\", \"HTTP listen address\")\n" +
+		"\tflag.IntVar(\n\t\t&cfg.tiers, \"tiers\", 3, \"tiers\")\n" +
+		"\tshowVersion := flag.Bool(\"version\", false, \"print build info\")\n\tflag.Parse()\n}\n"
+	files["docs/OPERATIONS.md"] += "| flag | default | meaning |\n|---|---|---|\n" +
+		"| `-listen` | `127.0.0.1:8080` | HTTP listen address |\n| `-tiers` | `3` | tiers |\n" +
+		"| `-retired` | `1` | a flag tierd no longer defines |\n" +
+		"| `tierd_quote_requests_total` | counter | not a flag row |\n"
+	v, err := check(writeTree(t, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 2 || !strings.Contains(v[0], "flag -version has no row") ||
+		!strings.Contains(v[1], "row for -retired") {
+		t.Fatalf("want the undocumented -version and the unregistered -retired flagged once each: %v", v)
+	}
+}

@@ -17,6 +17,10 @@ import (
 	"tieredpricing/internal/wal"
 )
 
+// ckptRetain is how many checkpoints stay on disk, newest first; the
+// older ones are fallbacks that boot falls back to past a corrupt newest.
+const ckptRetain = 3
+
 // durability owns tierd's persistent state: the write-ahead log every
 // accepted datagram goes through and the periodic checkpoints that
 // bound replay time. The tier-table history ring it used to carry
@@ -36,7 +40,6 @@ type durability struct {
 	walDir   string
 	ckptDir  string
 	tenantID string // stamps checkpoints in tenants/<id> namespaces ("" = a synthesised member's root layout)
-	retain   int
 	interval time.Duration
 	now      func() time.Time
 
@@ -93,7 +96,6 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 		walDir:      filepath.Join(dir, "wal"),
 		ckptDir:     filepath.Join(dir, "checkpoint"),
 		tenantID:    tenantID,
-		retain:      cfg.ckptRetain,
 		interval:    cfg.ckptInterval,
 		now:         cfg.now,
 		window:      w,
@@ -150,10 +152,7 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 			res.Entries, res.Torn, res.TornBytes)
 	}
 
-	d.log, err = wal.OpenAt(d.walDir, wal.Options{
-		SegmentBytes: cfg.walSegBytes,
-		Sync:         cfg.walSync,
-	}, res.End)
+	d.log, err = wal.OpenAt(d.walDir, wal.Options{Sync: cfg.walSync}, res.End)
 	if err != nil {
 		return nil, fmt.Errorf("opening wal: %w", err)
 	}
@@ -256,7 +255,7 @@ func (d *durability) checkpoint() error {
 	}
 	d.checkpoints.Add(1)
 	d.lastCkptNano.Store(d.now().UnixNano())
-	if err := checkpoint.Prune(d.ckptDir, d.retain); err != nil {
+	if err := checkpoint.Prune(d.ckptDir, ckptRetain); err != nil {
 		return err
 	}
 	// Segments wholly before the covered position are now redundant.

@@ -72,9 +72,7 @@ type config struct {
 	// recover-on-boot.
 	dataDir      string
 	ckptInterval time.Duration
-	ckptRetain   int
 	walSync      wal.SyncMode
-	walSegBytes  int64
 
 	// Durable tier-table history (outlives checkpoint retention) and
 	// pricing-config hot reload.
@@ -139,7 +137,6 @@ func main() {
 	flag.StringVar(&cfg.dataDir, "data-dir", "",
 		"durable state directory: WAL + checkpoints, recover-on-boot (empty = memory-only)")
 	flag.DurationVar(&cfg.ckptInterval, "checkpoint-interval", time.Minute, "how often to checkpoint the window (needs -data-dir)")
-	flag.IntVar(&cfg.ckptRetain, "checkpoint-retain", 3, "checkpoints kept on disk (newest first; older are fallbacks for corruption)")
 	flag.StringVar(&cfg.historyStore, "history-store", "",
 		"durable tier-history store file (e.g. /var/lib/tierd/history.db; a sqlite: prefix from old configs is accepted and ignored; empty = in-memory ring only). One store per process, rows namespaced per tenant")
 	flag.IntVar(&cfg.historyRing, "history-ring", defaultHistoryRing,
@@ -153,7 +150,6 @@ func main() {
 	flag.IntVar(&cfg.schedWorkers, "reprice-workers", 1,
 		"re-price jobs running concurrently across tenants (each job still fans out over -parallel workers)")
 	walSyncFlag := flag.String("wal-sync", "batch", "WAL fsync policy: batch (group commit), always, or none")
-	flag.Int64Var(&cfg.walSegBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation size in bytes")
 	showVersion := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 	if *showVersion {

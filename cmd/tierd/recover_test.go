@@ -97,9 +97,9 @@ func recoverConfig(trace, dataDir string, now func() time.Time) config {
 		strategy: "profit-weighted", tiers: 3,
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 		workers: 4, drainGrace: 5 * time.Second,
-		dataDir: dataDir, ckptInterval: time.Hour, ckptRetain: 3,
-		walSync: wal.SyncBatch, walSegBytes: 64 << 20,
-		now: now,
+		dataDir: dataDir, ckptInterval: time.Hour,
+		walSync: wal.SyncBatch,
+		now:     now,
 	}
 }
 

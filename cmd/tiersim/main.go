@@ -25,7 +25,7 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	markdown := flag.Bool("md", false, "print tables as GitHub-flavored markdown instead of ASCII")
 	workers := flag.Int("parallel", runtime.NumCPU(),
-		"worker goroutines for fanning out experiments, seeds and repricings (output is identical for any value; 1 = serial)")
+		"worker goroutines for fanning out experiments and the markets of each one's grid (output is identical for any value; 1 = serial)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()

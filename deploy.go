@@ -86,25 +86,9 @@ type (
 // NewLinkMeter creates an empty link meter.
 func NewLinkMeter() *LinkMeter { return accounting.NewLinkMeter() }
 
-// SNMP realism and industry billing (extensions beyond the paper; see
-// internal/accounting).
-type (
-	// SNMPAgent simulates a router interface MIB with wrapping 32-bit
-	// octet counters.
-	SNMPAgent = accounting.Agent
-	// SNMPPoller accumulates true totals from periodic counter reads,
-	// unwrapping counter wraps.
-	SNMPPoller = accounting.Poller
-	// PercentileBilling prices interval samples at a percentile (default
-	// the industry-standard 95th).
-	PercentileBilling = accounting.PercentileBilling
-)
-
-// NewSNMPAgent creates an agent with no interfaces.
-func NewSNMPAgent() *SNMPAgent { return accounting.NewAgent() }
-
-// NewSNMPPoller creates an empty poller.
-func NewSNMPPoller() *SNMPPoller { return accounting.NewPoller() }
+// PercentileBilling prices interval samples at a percentile (default the
+// industry-standard 95th); an extension beyond the paper.
+type PercentileBilling = accounting.PercentileBilling
 
 // Speaker is a provider-side BGP speaker that serves multiple customer
 // sessions and pushes incremental tier re-pricings (§5.1 at service

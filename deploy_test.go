@@ -104,16 +104,13 @@ func TestDeployFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// §5.2(a) link-based accounting through the SNMP agent + poller
-	// (wrapping counters) instead of the plain link meter.
-	agent := NewSNMPAgent()
-	poller := NewSNMPPoller()
+	// §5.2(a) link-based accounting: each flow's octets are counted on
+	// its tier's link, as fig17 meters them.
 	lm := NewLinkMeter()
 	for tier := range out.Prices {
 		if err := lm.AddLink(uint16(100+tier), tier); err != nil {
 			t.Fatal(err)
 		}
-		poller.Observe(uint16(100+tier), agent.Read(uint16(100+tier)))
 	}
 	for i, f := range market.Flows {
 		route, ok := rib.Lookup(ds.Meta[i].DstPrefix.Addr().Next())
@@ -121,24 +118,11 @@ func TestDeployFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("flow %q unrouted", f.ID)
 		}
 		ifIndex, _ := lm.LinkFor(int(route.Tier.Tier))
-		octets := uint64(f.Demand * 1e6 / 8 * ds.DurationSec)
-		// Feed the wrapping counter in sub-wrap chunks and poll between
-		// them, as a real poller would.
-		for octets > 0 {
-			chunk := octets
-			if chunk > 3_000_000_000 {
-				chunk = 3_000_000_000
-			}
-			agent.Count(ifIndex, chunk)
-			poller.Observe(ifIndex, agent.Read(ifIndex))
-			octets -= chunk
+		if err := lm.Count(ifIndex, uint64(f.Demand*1e6/8*ds.DurationSec)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	perTier := map[int]uint64{}
-	for tier := range out.Prices {
-		ifIndex, _ := lm.LinkFor(tier)
-		perTier[tier] = poller.Total(ifIndex)
-	}
+	perTier := PerTierOctets(lm.Poll())
 	linkBill, err := ComputeBill(perTier, out.Prices, ds.DurationSec)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tieredpricing/internal/bundling"
+	"tieredpricing/internal/core"
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/traces"
 )
@@ -140,28 +141,26 @@ func TestOptimalCaptureHeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		names, seeds := traces.Names(), ablation5Seeds(1)
+		grid, err := sweep(Options{Workers: 2}, len(names)*len(seeds), func(i int) (*core.Market, error) {
+			return datasetMarket(Options{}, names[i/len(seeds)], seeds[i%len(seeds)], dm, cost.Linear{Theta: defaultTheta})
+		}, []bundling.Strategy{bundling.Optimal{}}, allBundles)
+		if err != nil {
+			t.Fatal(err)
+		}
 		lowest := 1.0
-		for _, name := range traces.Names() {
-			for _, seed := range ablation5Seeds(1) {
-				m, err := datasetMarket(Options{}, name, seed, dm, cost.Linear{Theta: defaultTheta})
-				if err != nil {
-					t.Fatal(err)
+		for i, g := range grid {
+			name, seed, row := names[i/len(seeds)], seeds[i%len(seeds)], g.outs[0]
+			for b := 1; b < len(row); b++ {
+				if row[b].Capture < row[b-1].Capture-1e-12 {
+					t.Errorf("%s %s seed %d: optimal capture falls from %v at b=%d to %v at b=%d",
+						model, name, seed, row[b-1].Capture, b, row[b].Capture, b+1)
 				}
-				row, err := captureRow(m, bundling.Optimal{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for b := 1; b < len(row); b++ {
-					if row[b] < row[b-1]-1e-12 {
-						t.Errorf("%s %s seed %d: optimal capture falls from %v at b=%d to %v at b=%d",
-							model, name, seed, row[b-1], b, row[b], b+1)
-					}
-				}
-				if row[3] < floor {
-					t.Errorf("%s %s seed %d: optimal capture at b=4 is %v, below %v", model, name, seed, row[3], floor)
-				}
-				lowest = min(lowest, row[3])
 			}
+			if row[3].Capture < floor {
+				t.Errorf("%s %s seed %d: optimal capture at b=4 is %v, below %v", model, name, seed, row[3].Capture, floor)
+			}
+			lowest = min(lowest, row[3].Capture)
 		}
 		t.Logf("%s: lowest optimal capture at b=4 over the presets and seeds: %.3f", model, lowest)
 	}

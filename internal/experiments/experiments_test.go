@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"tieredpricing/internal/report"
+	"tieredpricing/internal/traces"
 )
 
 // cell parses a table cell as a float.
@@ -271,6 +275,78 @@ func TestFig14RobustAcrossAlpha(t *testing.T) {
 			}
 			if v := cell(t, row[4]); v < floor {
 				t.Errorf("%s %s: min capture at b=4 = %v", table.Title, row[0], v)
+			}
+		}
+	}
+}
+
+// TestSensitivityExtremaBracketDefaults checks the figures' folds
+// against each other. Every sensitivity grid holds the default
+// parameter, so its extremum brackets the default figure's cell: fig14's
+// minimum over α (1.1 is in the grid) and fig15's over P0 (20) are at
+// most fig8/fig9's profit-weighted capture, fig16's maximum over s0 (0.2)
+// is at least fig9's, and ablation5's range over seeds holds the base
+// seed's optimal capture. A wrong grid index or min/max direction breaks
+// one of these.
+func TestSensitivityExtremaBracketDefaults(t *testing.T) {
+	for _, name := range traces.Names() {
+		ds, err := traces.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.P0 != 20 {
+			t.Fatalf("%s: P0 = %v, not fig15's grid point 20", name, ds.P0)
+		}
+	}
+	results, err := RunAll(Options{Seed: 1, Workers: 2}, "fig8", "fig9", "fig14", "fig15", "fig16", "ablation5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8, fig9, fig14, fig15, fig16, ablation5 := results[0], results[1], results[2], results[3], results[4], results[5]
+	// defaults[model][dataset][strategy] is the default figure's row.
+	defaults := map[string]map[string]map[string][]float64{}
+	for model, res := range map[string]*Result{"ced": fig8, "logit": fig9} {
+		defaults[model] = map[string]map[string][]float64{}
+		for i, name := range traces.Names() {
+			rows := map[string][]float64{}
+			for _, row := range res.Tables[i].Rows {
+				for _, c := range row[1:] {
+					rows[row[0]] = append(rows[row[0]], cell(t, c))
+				}
+			}
+			defaults[model][name] = rows
+		}
+	}
+	// bracket checks every cell of table against the default
+	// profit-weighted capture: below it for a minimum, above for a maximum.
+	bracket := func(id, model string, table *report.Table, isMax bool) {
+		for _, row := range table.Rows {
+			pw := defaults[model][row[0]]["profit-weighted"]
+			for b, c := range row[1:] {
+				if v := cell(t, c); (isMax && v < pw[b]) || (!isMax && v > pw[b]) {
+					t.Errorf("%s %s %s b=%d: extremum %v on the wrong side of the default %v",
+						id, model, row[0], b+1, v, pw[b])
+				}
+			}
+		}
+	}
+	for i, model := range demandModels {
+		bracket("fig14", model, fig14.Tables[i], false)
+		bracket("fig15", model, fig15.Tables[i], false)
+	}
+	bracket("fig16", "logit", fig16.Tables[0], true)
+	for i, model := range demandModels {
+		for _, row := range ablation5.Tables[i].Rows {
+			opt := defaults[model][row[0]]["optimal"]
+			for col, b := range []int{2, 4} {
+				var mean, lo, hi float64
+				if _, err := fmt.Sscanf(row[1+col], "%f [%f..%f]", &mean, &lo, &hi); err != nil {
+					t.Fatalf("ablation5 cell %q: %v", row[1+col], err)
+				}
+				if v := opt[b-1]; v < lo || v > hi {
+					t.Errorf("ablation5 %s %s optimal b=%d: [%v..%v] misses the base seed's %v",
+						model, row[0], b, lo, hi, v)
+				}
 			}
 		}
 	}

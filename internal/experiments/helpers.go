@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"tieredpricing/internal/accounting"
 	"tieredpricing/internal/bundling"
 	"tieredpricing/internal/core"
 	"tieredpricing/internal/cost"
@@ -24,9 +23,6 @@ const (
 	defaultTheta = 0.2
 	defaultS0    = 0.2
 )
-
-// maxBundles is the bundle-count axis of the capture figures.
-const maxBundles = 6
 
 // cedStrategies mirrors the Figure 8 legend.
 func cedStrategies() []bundling.Strategy {
@@ -110,20 +106,6 @@ func ingestStreams(c netflow.Sink, streams map[string][]byte) error {
 	return nil
 }
 
-// resolveEUISP converts a collector's aggregates to flows using the EU
-// ISP's resolution rules (geographic entry/exit distance, distance-based
-// regions).
-func resolveEUISP(c collector, ds *traces.Dataset) ([]econ.Flow, error) {
-	rv := &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: true}
-	flows, _, err := demandfit.BuildFlows(c.Aggregates(), rv, ds.DurationSec)
-	return flows, err
-}
-
-// billPercentile prices per-tier 5-minute samples at the 95th percentile.
-func billPercentile(samples map[int][]float64, prices []float64) (accounting.Bill, error) {
-	return accounting.PercentileBilling{}.Bill(samples, prices)
-}
-
 // demandModel constructs the named demand model at the default
 // evaluation parameters.
 func demandModel(name string) (econ.Model, error) {
@@ -145,28 +127,4 @@ func datasetMarket(opts Options, name string, seed int64, dm econ.Model, cm cost
 		return nil, err
 	}
 	return core.NewMarket(ds.Flows, dm, cm, ds.P0)
-}
-
-// captureRow runs one strategy over b = 1..maxBundles, from one
-// Market.Curve, and returns the capture series.
-func captureRow(m *core.Market, s bundling.Strategy) ([]float64, error) {
-	return curveRow(m, s, func(o core.Outcome) float64 { return o.Capture })
-}
-
-// profitRow is captureRow for raw profits (the figure-normalized
-// sensitivity plots).
-func profitRow(m *core.Market, s bundling.Strategy) ([]float64, error) {
-	return curveRow(m, s, func(o core.Outcome) float64 { return o.Profit })
-}
-
-func curveRow(m *core.Market, s bundling.Strategy, read func(core.Outcome) float64) ([]float64, error) {
-	outs, err := m.Curve(s, maxBundles)
-	if err != nil {
-		return nil, err
-	}
-	row := make([]float64, len(outs))
-	for b, o := range outs {
-		row[b] = read(o)
-	}
-	return row, nil
 }

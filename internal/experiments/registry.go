@@ -20,12 +20,11 @@ import (
 type Options struct {
 	// Seed drives all randomness; a fixed seed reproduces a run exactly.
 	Seed int64
-	// Workers bounds the goroutines used to fan out independent work —
-	// whole experiments in RunAll, and the per-dataset, per-seed and
-	// per-parameter loops inside experiments. Zero or one runs
-	// serially. Any value produces byte-identical output: tasks derive
-	// their seeds and parameters from their index, and results merge in
-	// submission order.
+	// Workers bounds the goroutines that fan out independent work: whole
+	// experiments in RunAll, and inside one the markets of its grid
+	// (sweep) or table1's datasets. Zero or one runs serially. Any value
+	// produces byte-identical output: tasks derive their seeds and
+	// parameters from their index, and results merge in submission order.
 	Workers int
 	// shared is RunAll's source of datasets and their NetFlow exports;
 	// nil generates directly.

@@ -38,7 +38,7 @@ func runExt6(opts Options) (*Result, error) {
 		fmt.Sprintf("EU ISP under a %d%%/yr price decline (CED; α rises with competition; %d re-optimized tiers)",
 			int(declineRate*100), tiers),
 		"year", "blended rate $", "α", "blended profit $", "tiered profit $", "tiering retains")
-	var year0Blended float64
+	var year0Blended, lastBlended float64
 	for year := 0; year <= years; year++ {
 		p0 := ds.P0 * math.Pow(1-declineRate, float64(year))
 		// Competition: substitutes get easier to find as the market
@@ -56,6 +56,7 @@ func runExt6(opts Options) (*Result, error) {
 		if year == 0 {
 			year0Blended = m.OriginalProfit
 		}
+		lastBlended = m.OriginalProfit
 		if err := t.AddRow(report.I(year), report.F(p0), report.F(alpha),
 			report.F1(m.OriginalProfit), report.F1(out.Profit),
 			fmt.Sprintf("+%.1f%%", (out.Profit/m.OriginalProfit-1)*100)); err != nil {
@@ -63,18 +64,6 @@ func runExt6(opts Options) (*Result, error) {
 		}
 	}
 	t.AddNote("the blended business erodes with the market (%.0f%% of year-0 profit left by year %d); annual tier re-optimization claws back a growing share as rising elasticity widens the tiering premium",
-		100*math.Pow(1-declineRate, years)*lastBlendedShare(t, year0Blended), years)
+		100*lastBlended/year0Blended, years)
 	return &Result{ID: "ext6", Title: "price-decline trend", Tables: []*report.Table{t}}, nil
-}
-
-// lastBlendedShare is a display helper: ratio of the final blended profit
-// to the year-0 blended profit, divided by the pure price decline (so the
-// note reads in round terms even if demand response shifts it).
-func lastBlendedShare(t *report.Table, year0 float64) float64 {
-	if year0 == 0 || len(t.Rows) == 0 {
-		return 1
-	}
-	var last float64
-	fmt.Sscanf(t.Rows[len(t.Rows)-1][3], "%f", &last)
-	return last / year0 / math.Pow(0.7, float64(len(t.Rows)-1))
 }

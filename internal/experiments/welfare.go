@@ -74,12 +74,12 @@ func runExt4(opts Options) (*Result, error) {
 		if err := addRow("blended", one, []float64{ds.P0}); err != nil {
 			return nil, err
 		}
-		for b := 2; b <= 6; b++ {
-			out, err := m.Run(bundling.Optimal{}, b)
-			if err != nil {
-				return nil, err
-			}
-			if err := addRow(report.I(b), out.Partition, out.Prices); err != nil {
+		curve, err := m.Curve(bundling.Optimal{}, 6)
+		if err != nil {
+			return nil, err
+		}
+		for i, out := range curve[1:] {
+			if err := addRow(report.I(i+2), out.Partition, out.Prices); err != nil {
 				return nil, err
 			}
 		}
