@@ -149,7 +149,7 @@ func BenchmarkProfitWeightedBundling(b *testing.B) {
 	}
 }
 
-func BenchmarkLogitFixedPointPricing(b *testing.B) {
+func BenchmarkLogitPriceBundlesSingletons(b *testing.B) {
 	m := benchMarket(b, econ.Logit{Alpha: 1.1, S0: 0.2})
 	parts := econ.Singletons(len(m.Flows))
 	logit := econ.Logit{Alpha: 1.1, S0: 0.2}

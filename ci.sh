@@ -95,7 +95,9 @@
 #                      FuzzCurve (every strategy's
 #                      one-pass capture curve = its per-b bundles),
 #                      core's FuzzCostOrder (the carried cost order = a
-#                      fresh sort) and traces' FuzzAggregateBucket (the
+#                      fresh sort), econ's FuzzLogitClosedForm (logit
+#                      prices finite and ≥ cost, s0 = 1/(1 + S·e^{−αm})
+#                      within the reference's bound) and traces' FuzzAggregateBucket (the
 #                      bucket code's name = the masked addresses as netip
 #                      prints them, one code per name), actually fuzzes
 #                      for a short budget (FUZZTIME, default 10s each),
@@ -172,6 +174,8 @@ fuzz_smoke() {
     done
     echo "==> fuzz FuzzCostOrder (internal/core, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzCostOrder$' -fuzztime="$FUZZTIME" ./internal/core
+    echo "==> fuzz FuzzLogitClosedForm (internal/econ, ${FUZZTIME})"
+    go test -run='^$' -fuzz='^FuzzLogitClosedForm$' -fuzztime="$FUZZTIME" ./internal/econ
     echo "==> fuzz FuzzAggregateBucket (internal/traces, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzAggregateBucket$' -fuzztime="$FUZZTIME" ./internal/traces
 }

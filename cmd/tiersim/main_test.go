@@ -30,8 +30,9 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // evaluationDigests pins sha256 of `tiersim -seed N run all` (ASCII mode)
-// for N = 1, 2, 3, as printed by commit 5b4241b. A change that is meant to
-// move the evaluation's numbers regenerates them with
+// for N = 1, 2, 3, as printed since logit prices took their closed form
+// and a cell that rounds to zero stopped printing a sign. A change that
+// is meant to move the evaluation's numbers regenerates them with
 //
 //	for s in 1 2 3; do go run ./cmd/tiersim -seed $s run all | sha256sum; done
 //
@@ -41,9 +42,9 @@ func TestRunUnknownExperiment(t *testing.T) {
 //
 //	go run ./cmd/tiersim -seed 1 run all > docs/results-seed1.txt
 var evaluationDigests = map[int64]string{
-	1: "2e503472c48f752cbb3a8eac48e95b588ce0b3eff6953d4a718ec62167fdf3ad",
-	2: "19c11ac977142c6c81d60c7fecfbd7833be94ec647d2fa658a45341de380256c",
-	3: "a39a2191e9a255d5f3f2f2620fbbfa6e23c35bd5ee7fc5119c243d19d9da8f16",
+	1: "6cfaaf59b0e3058f8c803eae4ab0c77576407f6d6bb9e7fd878a8191199dc33e",
+	2: "abde765d108b45009f3a15bd03efde5e08210e676d3c12b77e6d472bdf969e0a",
+	3: "3e571e5ff2a6dbd82d1c54eef11d361034901b5d871d7e9b4d2dbdd38ca16a3f",
 }
 
 // TestEvaluationBytesPinned: the whole evaluation, serial and fanned out,

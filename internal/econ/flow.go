@@ -71,7 +71,7 @@ type Flow struct {
 // model-specific — CED requires v > 0 (checked by its methods), while
 // logit valuations are utilities and may legitimately be negative (a
 // low-share flow fitted against a low blended rate).
-func (f Flow) Validate() error {
+func (f *Flow) Validate() error {
 	if !FinitePositive(f.Demand) {
 		return fmt.Errorf("econ: flow %q has demand %v, want finite and positive", f.ID, f.Demand)
 	}
@@ -87,13 +87,14 @@ func FinitePositive(x float64) bool {
 	return x > 0 && !math.IsInf(x, 1)
 }
 
-// ValidateFlows checks every flow in the slice.
+// ValidateFlows checks every flow in the slice, in place: every pricing
+// call runs it over every flow.
 func ValidateFlows(flows []Flow) error {
 	if len(flows) == 0 {
 		return errors.New("econ: no flows")
 	}
-	for _, f := range flows {
-		if err := f.Validate(); err != nil {
+	for i := range flows {
+		if err := flows[i].Validate(); err != nil {
 			return err
 		}
 	}

@@ -28,14 +28,9 @@ type Logit struct {
 	S0 float64
 }
 
-// logitMarkupFloor bounds the no-purchase share away from 0 and 1 in the
-// fixed-point solve, and MinGammaFraction floors the clamped cost scale in
-// the infeasible corner of the s0 sweep (documented in DESIGN.md §4).
-const (
-	logitS0Floor        = 1e-12
-	minGammaFraction    = 1e-6 // γ floor as a fraction of p0 per unit relative cost
-	logitFixedPointIter = 200
-)
+// minGammaFraction floors the clamped cost scale in the infeasible corner
+// of the s0 sweep (documented in DESIGN.md §4).
+const minGammaFraction = 1e-6 // γ floor as a fraction of p0 per unit relative cost
 
 // Name implements Model.
 func (m Logit) Name() string { return "logit" }
@@ -51,14 +46,13 @@ func (m Logit) check() error {
 }
 
 // logitScratch holds the reusable buffers of the logit hot paths — the
-// equal-markup bisection (one softmax per iteration), per-bundle
-// aggregation, and profit evaluation — so that repeated pricing calls
-// (experiment fan-out, the repricer's ticks) stop churning the allocator.
-// The floating-point operation order through these buffers is identical to
-// the allocating formulations, so results are bit-for-bit unchanged.
+// utility exponents of the equal-markup solve and of profit evaluation,
+// and profit's per-flow valuations and prices — so that repeated pricing
+// calls (experiment fan-out, the repricer's ticks) stop churning the
+// allocator.
 type logitScratch struct {
-	exps, w []float64 // utility exponents and softmax weights, n+1 wide
-	bv, bc  []float64 // one block's valuations and costs
+	exps, w []float64 // utility exponents and softmax weights
+	lo      []float64 // the exponents' rounding errors (equalMarkup)
 	fv, fp  []float64 // per-flow valuations and prices
 }
 
@@ -212,51 +206,134 @@ func (m Logit) CalibrateScale(valuations, relCosts []float64, p0 float64) (float
 }
 
 // bundleAggregates reduces a partition to per-bundle (valuation, cost)
-// pairs via Eqs. 10–11, computing through sc's buffers. vals and costs are
-// freshly allocated (callers may retain them); only working state is
-// pooled. The computation is operation-for-operation the same as calling
-// BundleValuation and BundleCost per block.
-func (m Logit) bundleAggregates(flows []Flow, partition [][]int, sc *logitScratch) (vals, costs []float64, err error) {
+// pairs via Eqs. 10–11 in their stable form, one exponent pass per block:
+// with x_i = α·v_i and e_i = e^{x_i − max x},
+//
+//	v_b = (max x + ln Σe_i)/α,  c_b = Σe_i·c_i / Σe_i.
+//
+// v_b is bit for bit BundleValuation's; c_b is BundleCost's up to its
+// rounding. vals and costs are freshly allocated (callers may retain
+// them).
+func (m Logit) bundleAggregates(flows []Flow, partition [][]int) (vals, costs []float64) {
 	vals = make([]float64, len(partition))
 	costs = make([]float64, len(partition))
 	for b, block := range partition {
-		sc.bv = grown(sc.bv, len(block))
-		sc.bc = grown(sc.bc, len(block))
-		sc.exps = grown(sc.exps, len(block))
-		sc.w = grown(sc.w, len(block))
-		for j, i := range block {
-			sc.bv[j] = flows[i].Valuation
-			sc.bc[j] = flows[i].Cost
+		max := math.Inf(-1)
+		for _, i := range block {
+			if x := m.Alpha * flows[i].Valuation; x > max {
+				max = x
+			}
 		}
-		// Eq. 10: v_b = ln(Σ e^{α·v_i}) / α.
-		for j, v := range sc.bv {
-			sc.exps[j] = m.Alpha * v
+		var sum, sumC float64
+		for _, i := range block {
+			e := math.Exp(m.Alpha*flows[i].Valuation - max)
+			sum += e
+			sumC += e * flows[i].Cost
 		}
-		lse, err := stats.LogSumExp(sc.exps)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals[b] = lse / m.Alpha
-		// Eq. 11: the e^{αv}-weighted mean cost.
-		if err := stats.SoftmaxInto(sc.w, sc.exps); err != nil {
-			return nil, nil, err
-		}
-		var c float64
-		for j := range sc.bc {
-			c += sc.w[j] * sc.bc[j]
-		}
-		costs[b] = c
+		vals[b] = (max + math.Log(sum)) / m.Alpha
+		costs[b] = sumC / sum
 	}
-	return vals, costs, nil
+	return vals, costs
+}
+
+// lambertW returns w = W(x), Lambert's W at x = S/e = e^y: the w ≥ 0 with
+// w·e^w = x, or w + ln w = y. Halley steps take it to within rounding in
+// three iterations or so (at most five), from the asymptote y − ln y
+// above y = 1 and from x below it. They run on f(w) = w·e^w − x, whose
+// residual is relative to x, and only where x overflows (passed as +Inf)
+// on f(w) = w + ln w − y, whose residual carries y's rounding. Below
+// x = 2⁻⁵³, w = x·e^{−w} is x to within rounding — down to its underflow
+// to 0, where the market has collapsed.
+func lambertW(x, y float64) float64 {
+	w := x
+	if y > 1 {
+		w = y - math.Log(y)
+	} else if x < 0x1p-53 {
+		return x
+	}
+	logs := math.IsInf(x, 1)
+	for range 8 {
+		// Halley: Δ = (f/f')/(1 − f·f''/(2f'²)), written per form so no
+		// intermediate overflows.
+		var d float64
+		if logs {
+			t := (w + math.Log(w) - y) / (1 + w)
+			d = w * t / (1 + t/(2*(1+w)))
+		} else {
+			e := math.Exp(w)
+			f := w*e - x
+			d = f / (e*(w+1) - (w+2)*f/(2*w+2))
+		}
+		w -= d
+		if math.Abs(d) <= 0x1p-50*w {
+			break // the error left is ≈ d³: the step was the last one needed
+		}
+	}
+	return w
+}
+
+// exponent returns α(v − c) as hi + lo: hi rounded, lo its rounding
+// error to first order (the subtraction's by TwoSum, the product's by
+// FMA), so e^{α(v−c)} = e^{hi}·(1 + lo) to within rounding. Where v and c
+// are large against v − c, the rounding of hi alone moves e^{α(v−c)} by
+// many ulps. From |hi| = 2⁵⁰ on, lo may pass 1/4 and 1 + lo stops being
+// e^{lo}; lo is 0 there, where ln S dwarfs it.
+func (m Logit) exponent(v, c float64) (hi, lo float64) {
+	d := v - c
+	bb := d - v
+	dErr := (v - (d - bb)) + (-c - bb)
+	hi = m.Alpha * d
+	if !(math.Abs(hi) < 0x1p50) {
+		return hi, 0
+	}
+	return hi, math.FMA(m.Alpha, d, -hi) + m.Alpha*dErr
+}
+
+// equalMarkup solves the equal-markup condition (Eq. 9) given the
+// exponents x_b = α(v_b − c_b) = hi_b + lo_b of the bundles at cost: with
+// S = Σe^{x_b}, the markup m = 1/(α·s0) and the shares
+// s0 = 1/(1 + S·e^{−αm}) give (αm − 1)·e^{αm−1} = S/e, so αm = 1 + w with
+// w = W(S/e), s0 = 1/(1 + w) and the flows' joint share 1 − s0 = w·s0. It
+// returns w. One exponent pass gives ln S = max + ln Σe^{x_b − max} and,
+// unless S is huge or tiny, S/e = e^{max−1}·Σe^{x_b − max} without
+// rounding ln S − 1.
+func (m Logit) equalMarkup(hi, lo []float64) (float64, error) {
+	max := math.Inf(-1)
+	for _, x := range hi {
+		if x > max {
+			max = x
+		}
+	}
+	var sum float64
+	for b, x := range hi {
+		e := math.Exp(x - max)
+		sum += e + e*lo[b]
+	}
+	lnS := max + math.Log(sum)
+	if math.IsNaN(lnS) || math.IsInf(lnS, 0) {
+		return 0, fmt.Errorf("econ: logit utilities overflow at alpha %v (ln S = %v)", m.Alpha, lnS)
+	}
+	var x float64
+	switch {
+	case max > 690:
+		x = math.Inf(1) // S/e may overflow: solve in logs
+	case max > -700:
+		x = math.Exp(max-1) * sum
+	default:
+		x = math.Exp(lnS - 1) // tiny, and e^{max} would lose bits
+	}
+	return lambertW(x, lnS-1), nil
 }
 
 // PriceBundles implements Model. The multiproduct-logit first-order
 // condition is the equal-markup property (Eq. 9): every bundle's price
 // exceeds its Eq. 11 cost by the same markup 1/(α·s0), where s0 is the
-// equilibrium no-purchase share. That reduces the n-dimensional price
-// optimization the paper solves by gradient descent to a scalar
-// root-finding problem in s0, solved here by bisection (the gradient
-// solver lives in internal/optimize and is cross-checked in tests).
+// equilibrium no-purchase share. That markup has the closed form
+// (1 + W(S/e))/α (equalMarkup), so the n-dimensional price optimization
+// the paper solves by gradient descent takes one exponent pass (the
+// gradient solver lives in internal/optimize and is cross-checked in
+// tests). Where S/e underflows the market has collapsed to the outside
+// option and every price is c_b + 1/α.
 func (m Logit) PriceBundles(flows []Flow, partition [][]int) ([]float64, error) {
 	if err := m.check(); err != nil {
 		return nil, err
@@ -267,59 +344,22 @@ func (m Logit) PriceBundles(flows []Flow, partition [][]int) ([]float64, error) 
 	if err := checkPartition(len(flows), partition); err != nil {
 		return nil, err
 	}
+	vals, costs := m.bundleAggregates(flows, partition)
 	sc := logitScratchPool.Get().(*logitScratch)
 	defer logitScratchPool.Put(sc)
-	vals, costs, err := m.bundleAggregates(flows, partition, sc)
+	sc.exps, sc.lo = grown(sc.exps, len(vals)), grown(sc.lo, len(vals))
+	for b := range vals {
+		sc.exps[b], sc.lo[b] = m.exponent(vals[b], costs[b])
+	}
+	w, err := m.equalMarkup(sc.exps, sc.lo)
 	if err != nil {
 		return nil, err
 	}
-
-	// implied maps a candidate no-purchase share to the share the
-	// resulting equal-markup prices would actually produce. The bisection
-	// evaluates it a couple hundred times per call, so the exponent and
-	// weight buffers come from the pooled scratch rather than being
-	// reallocated per iteration.
-	sc.exps = grown(sc.exps, len(vals)+1)
-	sc.w = grown(sc.w, len(vals)+1)
-	implied := func(s0 float64) float64 {
-		markup := 1 / (m.Alpha * s0)
-		exps := sc.exps
-		for b := range vals {
-			exps[b] = m.Alpha * (vals[b] - costs[b] - markup)
-		}
-		exps[len(vals)] = 0
-		_ = stats.SoftmaxInto(sc.w, exps)
-		return sc.w[len(vals)]
+	markup := (1 + w) / m.Alpha
+	for b := range costs {
+		costs[b] += markup
 	}
-
-	lo, hi := logitS0Floor, 1-logitS0Floor
-	// g(s0) = implied(s0) − s0 is positive at lo (huge markup kills all
-	// demand) and, except in the degenerate no-market corner, negative at
-	// hi. Bisect.
-	if implied(hi)-hi > 0 {
-		// Degenerate: even the minimal markup leaves (almost) nobody
-		// buying; the market collapses to the outside option.
-		hi = implied(hi)
-	}
-	s0 := 0.0
-	for iter := 0; iter < logitFixedPointIter; iter++ {
-		mid := (lo + hi) / 2
-		if implied(mid)-mid > 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		s0 = (lo + hi) / 2
-		if hi-lo < 1e-15 {
-			break
-		}
-	}
-	markup := 1 / (m.Alpha * s0)
-	prices := make([]float64, len(partition))
-	for b := range prices {
-		prices[b] = costs[b] + markup
-	}
-	return prices, nil
+	return costs, nil
 }
 
 // Profit implements Model: Eq. 8 evaluated per flow, with every flow
@@ -368,15 +408,28 @@ func (m Logit) Profit(flows []Flow, partition [][]int, prices []float64) (float6
 	return profit, nil
 }
 
-// MaxProfit implements Model: every flow priced separately via the same
-// fixed point.
+// MaxProfit implements Model: every flow priced separately, at the
+// equal markup (1 + w)/α over its own cost, earns
+// K·(1 − s0)·(1 + w)/α = K·w/α with w the equalMarkup of the flows
+// themselves — no singleton partition, no aggregates, no profit softmax.
 func (m Logit) MaxProfit(flows []Flow) (float64, error) {
-	parts := Singletons(len(flows))
-	prices, err := m.PriceBundles(flows, parts)
+	if err := m.check(); err != nil {
+		return 0, err
+	}
+	if err := ValidateFlows(flows); err != nil {
+		return 0, err
+	}
+	sc := logitScratchPool.Get().(*logitScratch)
+	defer logitScratchPool.Put(sc)
+	sc.exps, sc.lo = grown(sc.exps, len(flows)), grown(sc.lo, len(flows))
+	for i, f := range flows {
+		sc.exps[i], sc.lo[i] = m.exponent(f.Valuation, f.Cost)
+	}
+	w, err := m.equalMarkup(sc.exps, sc.lo)
 	if err != nil {
 		return 0, err
 	}
-	return m.Profit(flows, parts, prices)
+	return m.MarketSize(flows) * w / m.Alpha, nil
 }
 
 // PotentialProfits implements Model: Eq. 13,

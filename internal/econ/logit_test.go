@@ -1,10 +1,13 @@
 package econ
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tieredpricing/internal/stats"
 )
 
 func TestLogitRejectsBadParams(t *testing.T) {
@@ -172,28 +175,68 @@ func TestLogitCalibrateScaleClampsInfeasible(t *testing.T) {
 	}
 }
 
+// logitEdgeFlows builds n flows whose exponents α(v − c) sit at x + j/n
+// for j < n: every ln S a test needs, at costs from 1 to 6.
+func logitEdgeFlows(alpha, x float64, n int) []Flow {
+	flows := make([]Flow, n)
+	for j := range flows {
+		c := 1 + 5*float64(j)/float64(n)
+		flows[j] = Flow{ID: "e", Demand: 1 + float64(j), Cost: c, Valuation: c + (x+float64(j)/float64(n))/alpha}
+	}
+	return flows
+}
+
 func TestLogitPriceBundlesSatisfiesFOC(t *testing.T) {
 	// Eq. 9: at the solution every bundle's markup over its Eq. 11 cost
-	// equals 1/(α·s0) with s0 the realized no-purchase share.
-	m := Logit{Alpha: 1.1, S0: 0.2}
-	flows := randomFlows(t, 9, 23, m, 20)
+	// equals 1/(α·s0) with s0 the realized no-purchase share — on a
+	// fitted market, where S itself overflows (ln S ≥ 700), where S/e
+	// underflows and the markup is 1/α (ln S ≤ −750), and at the ends of
+	// the α grid. MaxProfit is Profit at the singleton prices.
 	parts := [][]int{{0, 3, 6}, {1, 4, 7}, {2, 5, 8}}
-	prices, err := m.PriceBundles(flows, parts)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		m     Logit
+		flows []Flow
+	}{
+		{"fitted", Logit{Alpha: 1.1, S0: 0.2}, randomFlows(t, 9, 23, Logit{Alpha: 1.1, S0: 0.2}, 20)},
+		{"fitted α=1.001", Logit{Alpha: 1.001, S0: 0.2}, randomFlows(t, 9, 23, Logit{Alpha: 1.001, S0: 0.2}, 20)},
+		{"fitted α=9", Logit{Alpha: 9, S0: 0.2}, randomFlows(t, 9, 23, Logit{Alpha: 9, S0: 0.2}, 20)},
+		{"ln S ≥ 700", Logit{Alpha: 2, S0: 0.2}, logitEdgeFlows(2, 705, 9)},
+		{"ln S ≤ −750", Logit{Alpha: 2, S0: 0.2}, logitEdgeFlows(2, -760, 9)},
+		{"ln S ≥ 700, α=1.001", Logit{Alpha: 1.001, S0: 0.2}, logitEdgeFlows(1.001, 705, 9)},
+		{"ln S ≤ −750, α=9", Logit{Alpha: 9, S0: 0.2}, logitEdgeFlows(9, -760, 9)},
 	}
-	vals, costs, err := m.bundleAggregates(flows, parts, new(logitScratch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, s0, err := m.Shares(vals, prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	markup := 1 / (m.Alpha * s0)
-	for b := range parts {
-		if !almostEq(prices[b]-costs[b], markup, 1e-6*markup) {
-			t.Errorf("bundle %d markup = %v, want %v", b, prices[b]-costs[b], markup)
+	for _, c := range cases {
+		m, flows := c.m, c.flows
+		prices, err := m.PriceBundles(flows, parts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		vals, costs := m.bundleAggregates(flows, parts)
+		_, s0, err := m.Shares(vals, prices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		markup := 1 / (m.Alpha * s0)
+		for b := range parts {
+			if !almostEq(prices[b]-costs[b], markup, 1e-6*markup) {
+				t.Errorf("%s: bundle %d markup = %v, want %v", c.name, b, prices[b]-costs[b], markup)
+			}
+		}
+		max, err := m.MaxProfit(flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := m.PriceBundles(flows, Singletons(len(flows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, err := m.Profit(flows, Singletons(len(flows)), single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !almostEq(max, pi, 1e-12*max+1e-300) {
+			t.Errorf("%s: MaxProfit %v, Profit at the singleton prices %v", c.name, max, pi)
 		}
 	}
 }
@@ -242,10 +285,7 @@ func TestLogitProfitPerFlowMatchesBundleAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, costs, err := m.bundleAggregates(flows, parts, new(logitScratch))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals, costs := m.bundleAggregates(flows, parts)
 	shares, _, err := m.Shares(vals, prices)
 	if err != nil {
 		t.Fatal(err)
@@ -329,19 +369,151 @@ func TestLogitMarketSize(t *testing.T) {
 
 func TestLogitDegenerateMarketDoesNotHang(t *testing.T) {
 	// Valuations far below cost: the market collapses; PriceBundles must
-	// still terminate with finite prices ≥ cost.
-	m := Logit{Alpha: 2, S0: 0.2}
-	flows := []Flow{
-		{ID: "a", Demand: 1, Valuation: 0.001, Cost: 1000},
-		{ID: "b", Demand: 1, Valuation: 0.002, Cost: 2000},
+	// still terminate with finite prices ≥ cost — c + 1/α once S/e
+	// underflows — and so must a market whose S overflows.
+	cases := []struct {
+		m     Logit
+		flows []Flow
+	}{
+		{Logit{Alpha: 2, S0: 0.2}, []Flow{
+			{ID: "a", Demand: 1, Valuation: 0.001, Cost: 1000},
+			{ID: "b", Demand: 1, Valuation: 0.002, Cost: 2000},
+		}},
+		{Logit{Alpha: 1.001, S0: 0.2}, logitEdgeFlows(1.001, -800, 2)},
+		{Logit{Alpha: 9, S0: 0.2}, logitEdgeFlows(9, -800, 2)},
+		{Logit{Alpha: 1.001, S0: 0.2}, logitEdgeFlows(1.001, 800, 2)},
+		{Logit{Alpha: 9, S0: 0.2}, logitEdgeFlows(9, 800, 2)},
 	}
-	prices, err := m.PriceBundles(flows, Singletons(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, p := range prices {
-		if math.IsNaN(p) || math.IsInf(p, 0) || p < flows[b].Cost {
-			t.Fatalf("degenerate price[%d] = %v", b, p)
+	for _, c := range cases {
+		prices, err := c.m.PriceBundles(c.flows, Singletons(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, p := range prices {
+			f := c.flows[b]
+			if math.IsNaN(p) || math.IsInf(p, 0) || p < f.Cost {
+				t.Fatalf("α=%v: degenerate price[%d] = %v", c.m.Alpha, b, p)
+			}
+			if f.Valuation < f.Cost && p != f.Cost+1/c.m.Alpha {
+				t.Errorf("α=%v: collapsed market's price[%d] = %v, want c + 1/α = %v", c.m.Alpha, b, p, f.Cost+1/c.m.Alpha)
+			}
 		}
 	}
 }
+
+// TestLogitNoFlows: an empty market is an error, not a zero price or
+// profit, on both entry points of the equal-markup solve.
+func TestLogitNoFlows(t *testing.T) {
+	m := Logit{Alpha: 1.1, S0: 0.2}
+	if _, err := m.MaxProfit(nil); err == nil || err.Error() != "econ: no flows" {
+		t.Errorf("MaxProfit(nil): error %v, want econ: no flows", err)
+	}
+	if _, err := m.PriceBundles(nil, nil); err == nil || err.Error() != "econ: no flows" {
+		t.Errorf("PriceBundles(nil, nil): error %v, want econ: no flows", err)
+	}
+}
+
+// FuzzLogitClosedForm: over arbitrary finite α, valuations and costs,
+// PriceBundles does not panic and either prices every bundle finitely
+// at or above its Eq. 11 cost, or refuses a market whose exponents
+// α(v_b − c_b) overflow; and the no-purchase share 1/(1 + w) it prices
+// at satisfies s0 = 1/(1 + S·e^{−αm}) with αm = 1 + w, within the s0
+// bound the 256-bit reference pins (refBounds) on the condition
+// 2 + |ln S| + w of evaluating that residual in float64 — wherever that
+// condition leaves the residual a digit.
+func FuzzLogitClosedForm(f *testing.F) {
+	seed := func(alpha float64, vc ...float64) {
+		buf := make([]byte, 0, 8*len(vc))
+		for _, x := range vc {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+		f.Add(alpha, buf)
+	}
+	seed(1.1, 21, 15, 19, 14, 25, 16)
+	seed(9, 100, 1, 90, 2)
+	seed(1.001, -800, 1000, 3, 2)
+	seed(2, 1e300, 1, -1e300, 5)
+	seed(1e-300, 5, 3)
+	seed(1e300, 5, 3, 4, 2)
+	f.Fuzz(func(t *testing.T, alpha float64, raw []byte) {
+		alpha = math.Abs(alpha)
+		if !FinitePositive(alpha) {
+			return
+		}
+		var flows []Flow
+		for len(raw) >= 16 && len(flows) < 16 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			c := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(raw[8:])))
+			raw = raw[16:]
+			if math.IsNaN(v) || math.IsInf(v, 0) || !FinitePositive(c) {
+				return
+			}
+			flows = append(flows, Flow{ID: "z", Demand: 1, Valuation: v, Cost: c})
+		}
+		if len(flows) == 0 {
+			return
+		}
+		m := Logit{Alpha: alpha, S0: 0.2}
+		half := [][]int{}
+		for i := range flows {
+			if i%2 == 0 {
+				half = append(half, []int{i})
+			} else {
+				half[len(half)-1] = append(half[len(half)-1], i)
+			}
+		}
+		for _, parts := range [][][]int{Singletons(len(flows)), OneBundle(len(flows)), half} {
+			vals, costs := m.bundleAggregates(flows, parts)
+			hi, lo := make([]float64, len(parts)), make([]float64, len(parts))
+			finite := true
+			for b := range parts {
+				hi[b], lo[b] = m.exponent(vals[b], costs[b])
+				finite = finite && !math.IsNaN(hi[b]) && !math.IsInf(hi[b], 0)
+			}
+			prices, err := m.PriceBundles(flows, parts)
+			if err != nil {
+				if finite {
+					t.Fatalf("α=%v %v: %v on finite exponents %v", alpha, flows, err, hi)
+				}
+				continue
+			}
+			for b, p := range prices {
+				if math.IsNaN(p) || math.IsInf(p, 0) || p < costs[b] {
+					t.Fatalf("α=%v %v: price[%d] = %v, cost %v", alpha, flows, b, p, costs[b])
+				}
+			}
+			w, err := m.equalMarkup(hi, lo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lnS, _ := stats.LogSumExp(hi)
+			s0 := 1 / (1 + w)
+			implied := 1 / (1 + math.Exp(lnS-1-w))
+			tol := refBounds["logit s0"] * refU * (2 + math.Abs(lnS) + w)
+			if tol < 0.01 && math.Abs(s0-implied) > tol*math.Max(s0, implied) {
+				t.Fatalf("α=%v %v: s0 = %v, 1/(1 + S·e^{−αm}) = %v (ln S = %v, w = %v)", alpha, flows, s0, implied, lnS, w)
+			}
+		}
+	})
+}
+
+// BenchmarkLogitMaxProfit20k: π_max of a 20 000-flow fitted market, the
+// size of a tier table's re-price.
+func BenchmarkLogitMaxProfit20k(b *testing.B) {
+	m := Logit{Alpha: 1.1, S0: 0.2}
+	flows, ok := drawMarket(20, m, 20000, 20)
+	if !ok {
+		b.Fatal("drawMarket failed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pi, err := m.MaxProfit(flows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		maxProfitSink = pi
+	}
+}
+
+var maxProfitSink float64

@@ -227,10 +227,7 @@ func TestPropertyLogitEqualMarkup(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, costs, err := m.bundleAggregates(flows, parts, new(logitScratch))
-		if err != nil {
-			return false
-		}
+		_, costs := m.bundleAggregates(flows, parts)
 		markup := prices[0] - costs[0]
 		for b := range prices {
 			if math.Abs((prices[b]-costs[b])-markup) > 1e-6*markup {

@@ -372,7 +372,7 @@ func runAblation5(opts Options) (*Result, error) {
 						sum += v
 						lo, hi = math.Min(lo, v), math.Max(hi, v)
 					}
-					cells = append(cells, fmt.Sprintf("%.3f [%.3f..%.3f]", sum/float64(n), lo, hi))
+					cells = append(cells, report.F(sum/float64(n))+" ["+report.F(lo)+".."+report.F(hi)+"]")
 				}
 			}
 			if err := t.AddRow(cells...); err != nil {

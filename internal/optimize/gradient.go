@@ -47,8 +47,9 @@ func (c *GradientConfig) defaults() {
 // the general-purpose heuristic the paper describes for finding logit
 // profit-maximizing prices ("a heuristic based on gradient descent that
 // starts from a fixed set of prices and greedily updates them towards the
-// optimum", §3.2.2); the econ package normally uses the faster
-// equal-markup fixed point, and the two are cross-checked in tests.
+// optimum", §3.2.2); the econ package prices logit bundles by the
+// equal markup's closed form instead, and the two are cross-checked in
+// tests.
 func GradientAscent(f func([]float64) float64, x0 []float64, cfg GradientConfig) ([]float64, float64, error) {
 	if len(x0) == 0 {
 		return nil, 0, errors.New("optimize: empty start point")

@@ -2,8 +2,8 @@
 // set and a partition into tiers, it computes the profit-maximizing price
 // of each tier and the resulting ISP profit, plus the paper's
 // profit-capture metric (§4.2.2). It also provides the gradient-ascent
-// logit pricer the paper describes, used to cross-check the closed-form
-// fixed point in econ.
+// logit pricer the paper describes, used to cross-check econ's
+// closed-form equal markup.
 package pricing
 
 import (
@@ -56,9 +56,10 @@ func Capture(profit, original, max float64) float64 {
 // on profit, starting from each bundle's Eq. 11 cost — the heuristic the
 // paper describes in §3.2.2 ("starts from a fixed set of prices and
 // greedily updates them towards the optimum"). econ.Logit.PriceBundles
-// solves the same problem through the equal-markup fixed point; the two
-// agree to high precision (see tests), and the fixed point is what the
-// rest of the repository uses because it is orders of magnitude faster.
+// solves the same problem in closed form — the equal markup
+// (1 + W(S/e))/α, with W Lambert's — the two agree to high precision (see
+// tests), and the closed form is what the rest of the repository uses
+// because it is orders of magnitude faster.
 func GradientPrices(m econ.Logit, flows []econ.Flow, partition [][]int) ([]float64, error) {
 	if len(partition) == 0 {
 		return nil, errors.New("pricing: empty partition")

@@ -91,8 +91,8 @@ func TestCapture(t *testing.T) {
 }
 
 func TestGradientPricesMatchFixedPoint(t *testing.T) {
-	// The paper's gradient-descent heuristic and the equal-markup fixed
-	// point must find the same logit optimum.
+	// The paper's gradient-descent heuristic and the closed-form equal
+	// markup must find the same logit optimum.
 	m := econ.Logit{Alpha: 1.1, S0: 0.2}
 	flows := fitFlows(t, m, 8, 5, 20)
 	parts := [][]int{{0, 1, 2}, {3, 4}, {5, 6, 7}}

@@ -112,20 +112,23 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 // F formats a float for table cells: fixed 3 decimals, with NaN rendered
-// as "n/a".
-func F(v float64) string {
-	if math.IsNaN(v) {
-		return "n/a"
-	}
-	return strconv.FormatFloat(v, 'f', 3, 64)
-}
+// as "n/a" and a value that rounds to zero as "0.000", whatever its sign.
+func F(v float64) string { return fixed(v, 3) }
 
-// F1 formats with 1 decimal.
-func F1(v float64) string {
+// F1 formats with 1 decimal, as F does.
+func F1(v float64) string { return fixed(v, 1) }
+
+// fixed formats v with prec decimals. A negative value that rounds to
+// zero prints unsigned: the sign of rounding noise is not a result.
+func fixed(v float64, prec int) string {
 	if math.IsNaN(v) {
 		return "n/a"
 	}
-	return strconv.FormatFloat(v, 'f', 1, 64)
+	s := strconv.FormatFloat(v, 'f', prec, 64)
+	if s[0] == '-' && strings.Trim(s[1:], "0.") == "" {
+		return s[1:]
+	}
+	return s
 }
 
 // G formats a float compactly (shortest representation).

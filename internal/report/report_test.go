@@ -84,6 +84,33 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// TestFormattersNeverPrintNegativeZero: a value that rounds to zero
+// prints as zero, whichever side of it the rounding noise fell; a value
+// that does not keeps its sign.
+func TestFormattersNeverPrintNegativeZero(t *testing.T) {
+	for _, c := range []struct {
+		v     float64
+		f, f1 string
+	}{
+		{math.Copysign(0, -1), "0.000", "0.0"},
+		{-1e-17, "0.000", "0.0"},
+		{-0.0004, "0.000", "0.0"},
+		{-0.0006, "-0.001", "0.0"},
+		{-0.04, "-0.040", "0.0"},
+		{-0.06, "-0.060", "-0.1"},
+		{-12.5, "-12.500", "-12.5"},
+		{1e-17, "0.000", "0.0"},
+		{math.Inf(-1), "-Inf", "-Inf"},
+	} {
+		if got := F(c.v); got != c.f {
+			t.Errorf("F(%v) = %q, want %q", c.v, got, c.f)
+		}
+		if got := F1(c.v); got != c.f1 {
+			t.Errorf("F1(%v) = %q, want %q", c.v, got, c.f1)
+		}
+	}
+}
+
 func TestTableMarkdown(t *testing.T) {
 	tb := New("Md", "a", "b")
 	tb.MustAddRow("1", "x|y")

@@ -227,9 +227,9 @@ func Softmax(xs []float64) ([]float64, error) {
 }
 
 // SoftmaxInto is Softmax writing into dst (len(dst) must equal len(xs)),
-// for hot paths that reuse a weights buffer across calls — e.g. the logit
-// equal-markup bisection, which evaluates a softmax per iteration. The
-// floating-point operation order is identical to Softmax.
+// for hot paths that reuse a weights buffer across calls — e.g. logit
+// profit evaluation, once per priced partition. The floating-point
+// operation order is identical to Softmax.
 func SoftmaxInto(dst, xs []float64) error {
 	if len(xs) == 0 {
 		return ErrEmpty
