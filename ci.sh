@@ -38,9 +38,10 @@
 #                        README repo-layout map names every cmd/ and
 #                        internal/ package and bench/, every tierd_*
 #                        metric minted in internal/server is documented
-#                        in docs/OPERATIONS.md, every Benchmark* the
-#                        top-level docs and docs/*.md cite is declared
-#                        in some _test.go (root module or bench/), and
+#                        in docs/OPERATIONS.md, every Benchmark*,
+#                        Test* and Fuzz* the top-level docs, docs/*.md
+#                        and this script cite is declared in some
+#                        _test.go (root module or bench/), and
 #                        every `./ci.sh <stage>`, cmd/<name> and
 #                        internal/<name> they write exists, and the
 #                        flags cmd/tierd registers are exactly the

@@ -42,7 +42,6 @@ import (
 	"tieredpricing/internal/parallel"
 	"tieredpricing/internal/report"
 	"tieredpricing/internal/stream"
-	"tieredpricing/internal/topology"
 	"tieredpricing/internal/traces"
 )
 
@@ -146,23 +145,14 @@ func run(ctx context.Context, cfg runConfig) error {
 	}
 	records, dups, dropped, _ := collector.Stats()
 
-	rv := &demandfit.Resolver{Geo: geo, DistanceRegions: meta.Dataset == "euisp"}
-	if meta.Dataset == "internet2" {
-		rv.Topo = topology.Internet2()
-	}
-	flows, skipped, err := demandfit.BuildFlows(collector.Aggregates(), rv, meta.DurationSec)
+	flows, skipped, err := demandfit.BuildFlows(collector.Aggregates(), demandfit.NewResolver(meta.Dataset, geo), meta.DurationSec)
 	if err != nil {
 		return err
 	}
 
-	var dm econ.Model
-	switch cfg.model {
-	case "ced":
-		dm = econ.CED{Alpha: cfg.alpha}
-	case "logit":
-		dm = econ.Logit{Alpha: cfg.alpha, S0: cfg.s0}
-	default:
-		return fmt.Errorf("unknown demand model %q", cfg.model)
+	dm, err := econ.ByName(cfg.model, cfg.alpha, cfg.s0)
+	if err != nil {
+		return err
 	}
 	strategy, err := bundling.ByName(cfg.strategy)
 	if err != nil {

@@ -12,10 +12,12 @@
 //     internal/server (the tierd_* families) appears in
 //     docs/OPERATIONS.md, so the operator manual cannot drift behind
 //     the exposition.
-//  4. Every Go benchmark named in README.md, DESIGN.md, EXPERIMENTS.md
-//     or docs/*.md (a `Benchmark[A-Z]…` identifier, up to any `/sub`
-//     suffix) is a func in some _test.go of the root module or of
-//     bench/, so a perf claim always names something runnable.
+//  4. Every Go benchmark, test or fuzz target named in README.md,
+//     DESIGN.md, EXPERIMENTS.md, docs/*.md or ci.sh (a
+//     `Benchmark[A-Z]…`, `Test[A-Z]…` or `Fuzz[A-Z]…` identifier, up to
+//     any `/sub` suffix) is a func in some _test.go of the root module
+//     or of bench/, so a perf claim always names something runnable and
+//     a `go test -run` stage cannot pass green with nothing to run.
 //  5. Every `./ci.sh <stage>` the same documents write is a stage
 //     ci.sh's dispatch accepts, and every cmd/<name> or internal/<name>
 //     path they write is a directory that exists, so a deleted stage or
@@ -77,7 +79,7 @@ func check(root string) ([]string, error) {
 	}
 
 	for _, lint := range []func(string) ([]string, error){
-		checkLayoutMap, checkMetricsDocumented, checkBenchmarksExist, checkCitedPathsExist,
+		checkLayoutMap, checkMetricsDocumented, checkTestsExist, checkCitedPathsExist,
 		checkFlagsDocumented,
 	} {
 		v, err := lint(root)
@@ -258,17 +260,17 @@ func checkMetricsDocumented(root string) ([]string, error) {
 	return violations, nil
 }
 
-// benchCiteRE matches a Go benchmark name as prose cites it; benchFuncRE
-// matches its declaration.
+// testCiteRE matches a Go benchmark, test or fuzz target name as prose
+// or a ci.sh stage cites it; testFuncRE matches its declaration.
 var (
-	benchCiteRE = regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
-	benchFuncRE = regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+	testCiteRE = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z]\w*`)
+	testFuncRE = regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Z]\w*)\(`)
 )
 
-// checkBenchmarksExist requires every benchmark the top-level documents
-// and docs/*.md cite to be declared in a _test.go file somewhere under
-// root (the root module and bench/ alike).
-func checkBenchmarksExist(root string) ([]string, error) {
+// checkTestsExist requires every benchmark, test and fuzz target the
+// top-level documents, docs/*.md and ci.sh cite to be declared in a
+// _test.go file somewhere under root (the root module and bench/ alike).
+func checkTestsExist(root string) ([]string, error) {
 	declared := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -284,7 +286,7 @@ func checkBenchmarksExist(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		for _, m := range benchFuncRE.FindAllSubmatch(b, -1) {
+		for _, m := range testFuncRE.FindAllSubmatch(b, -1) {
 			declared[string(m[1])] = true
 		}
 		return nil
@@ -294,26 +296,26 @@ func checkBenchmarksExist(root string) ([]string, error) {
 	}
 	var violations []string
 	err = eachCurrentDoc(root, func(rel, text string) {
-		for _, name := range uniqueMatches(benchCiteRE, text) {
+		for _, name := range uniqueMatches(testCiteRE, text) {
 			if !declared[name] {
 				violations = append(violations,
 					fmt.Sprintf("%s: cites %s, which no _test.go declares", rel, name))
 			}
 		}
-	})
+	}, "ci.sh")
 	return violations, err
 }
 
 // eachCurrentDoc calls fn with the root-relative name and the text of
 // every document that describes the tree as it is — README.md, DESIGN.md,
-// EXPERIMENTS.md and docs/*.md, in sorted order, skipping any that do
-// not exist.
-func eachCurrentDoc(root string, fn func(rel, text string)) error {
+// EXPERIMENTS.md, docs/*.md and any extra root-level files, in sorted
+// order, skipping any that do not exist.
+func eachCurrentDoc(root string, fn func(rel, text string), extra ...string) error {
 	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+	for _, name := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, extra...) {
 		docs = append(docs, filepath.Join(root, name))
 	}
 	sort.Strings(docs)

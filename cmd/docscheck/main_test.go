@@ -151,6 +151,21 @@ func TestDocscheckCitedBenchmarkMissing(t *testing.T) {
 	}
 }
 
+func TestDocscheckCitedTestMissing(t *testing.T) {
+	files := healthyTree()
+	files["cmd/tierd/main_test.go"] = "package main\n\nfunc TestKept(t *testing.T) {}\n\nfunc FuzzKept(f *testing.F) {}\n"
+	files["ci.sh"] = ciFixture + "go test -run 'TestKept|TestGone' ./cmd/tierd\ngo test -fuzz='^FuzzKept$' ./cmd/tierd\n"
+	files["README.md"] += "`TestKept/sub` runs; Tests and Fuzzing in general are fine\n"
+	v, err := check(writeTree(t, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 1 || !strings.Contains(v[0], "ci.sh") || !strings.Contains(v[0], "TestGone") {
+		t.Fatalf("want one violation for TestGone in ci.sh (declared tests and fuzz targets, "+
+			"subtest suffixes and plain words must not add more): %v", v)
+	}
+}
+
 func TestDocscheckCitedStageOrPackageMissing(t *testing.T) {
 	files := healthyTree()
 	files["DESIGN.md"] = "`./ci.sh recover` and `SEED=1 ./ci.sh docs` exist; `./ci.sh later` is another case, not the dispatch\n"

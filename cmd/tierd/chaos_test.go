@@ -84,7 +84,7 @@ func TestTierdChaos(t *testing.T) {
 		model: "ced", alpha: 1.1, s0: 0.2, theta: 0.2,
 		strategy: "profit-weighted", tiers: 3,
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
-		workers: 4, maxSnapAge: maxAge, drainGrace: 2 * time.Second,
+		maxSnapAge: maxAge, drainGrace: 2 * time.Second,
 		wrapSink: func(s netflow.Sink) netflow.Sink {
 			fsink = faultinject.NewSink(inj, teeSink{a: s, b: shadow})
 			fsink.DropPermille = 40

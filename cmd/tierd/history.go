@@ -192,22 +192,3 @@ func (d *daemon) startPruneLoop() func() {
 	}()
 	return func() { close(stopCh); <-done }
 }
-
-// histStoreStats adapts the store's counters for /metrics.
-func histStoreStats(st *histstore.Store) func() server.HistoryStoreStats {
-	return func() server.HistoryStoreStats {
-		s := st.Stats()
-		return server.HistoryStoreStats{
-			Entries:       s.Entries,
-			Bytes:         s.Bytes,
-			Appends:       s.Appends,
-			Dupes:         s.Dupes,
-			AppendErrors:  s.AppendErrors,
-			Flushes:       s.Flushes,
-			Compactions:   s.Compactions,
-			Pruned:        s.Pruned,
-			Scans:         s.Scans,
-			OpenTornBytes: s.OpenTornBytes,
-		}
-	}
-}

@@ -220,7 +220,7 @@ func reloadTestConfig(traceDir, tmp string) config {
 		model: "ced", alpha: 1.1, s0: 0.2, theta: 0.2,
 		strategy: "profit-weighted", tiers: 3,
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
-		workers: 4, drainGrace: 2 * time.Second,
+		drainGrace:   2 * time.Second,
 		historyStore: filepath.Join(tmp, "history.db"),
 		historyRing:  4,
 		configFile:   filepath.Join(tmp, "pricing.json"),

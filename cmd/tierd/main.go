@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -47,7 +46,6 @@ import (
 	"tieredpricing/internal/server"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/tenant"
-	"tieredpricing/internal/topology"
 	"tieredpricing/internal/traces"
 	"tieredpricing/internal/wal"
 )
@@ -85,8 +83,7 @@ type config struct {
 	slot       time.Duration
 	udpRcvbuf  int // SO_RCVBUF request per collector socket (0 = OS default)
 	reprice    time.Duration
-	demandSec  float64 // demand divisor override; 0 = capture duration from meta
-	workers    int
+	demandSec  float64       // demand divisor override; 0 = capture duration from meta
 	maxSnapAge time.Duration // staleness threshold; 0 = 4× reprice interval
 	drainGrace time.Duration // bound on the shutdown drain (final re-price and HTTP)
 
@@ -129,7 +126,6 @@ func main() {
 	flag.DurationVar(&cfg.reprice, "reprice", 30*time.Second, "re-price interval")
 	flag.Float64Var(&cfg.demandSec, "demand-sec", 0,
 		"seconds of traffic the window represents when converting octets to Mbps (0 = capture duration from meta.txt)")
-	flag.IntVar(&cfg.workers, "parallel", runtime.NumCPU(), "worker goroutines for the re-fit resolve fan-out")
 	flag.DurationVar(&cfg.maxSnapAge, "max-snapshot-age", 0,
 		"snapshot age after which /healthz reports degraded and quotes carry X-Tierd-Stale (0 = 4x the re-price interval)")
 	flag.DurationVar(&cfg.drainGrace, "drain-grace", 5*time.Second,
@@ -148,7 +144,7 @@ func main() {
 	flag.StringVar(&cfg.tenantsFile, "tenants", "",
 		"tenant spec file (JSON): one pricing engine per entry, each with its own window, repricer, quota and durability namespace (default: one engine, \"default\", from the flags)")
 	flag.IntVar(&cfg.schedWorkers, "reprice-workers", 1,
-		"re-price jobs running concurrently across tenants (each job still fans out over -parallel workers)")
+		"re-price jobs running concurrently across tenants (each job still fans out its resolve stage over every CPU)")
 	walSyncFlag := flag.String("wal-sync", "batch", "WAL fsync policy: batch (group commit), always, or none")
 	showVersion := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
@@ -281,12 +277,7 @@ func buildEngine(cfg config, es engineSpec,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var rv demandfit.EndpointResolver
-	base := &demandfit.Resolver{Geo: geo, DistanceRegions: meta.Dataset == "euisp"}
-	if meta.Dataset == "internet2" {
-		base.Topo = topology.Internet2()
-	}
-	rv = base
+	var rv demandfit.EndpointResolver = demandfit.NewResolver(meta.Dataset, geo)
 	if wrapResolver != nil {
 		rv = wrapResolver(rv)
 	}
@@ -295,14 +286,9 @@ func buildEngine(cfg config, es engineSpec,
 	// one code path construction and every later reload go through, so
 	// the two can't diverge on defaults or validation.
 	pricingConfig := func(es engineSpec) (stream.Config, error) {
-		var dm econ.Model
-		switch es.model {
-		case "ced":
-			dm = econ.CED{Alpha: es.alpha}
-		case "logit":
-			dm = econ.Logit{Alpha: es.alpha, S0: es.s0}
-		default:
-			return stream.Config{}, fmt.Errorf("unknown demand model %q", es.model)
+		dm, err := econ.ByName(es.model, es.alpha, es.s0)
+		if err != nil {
+			return stream.Config{}, err
 		}
 		strategy, err := bundling.ByName(es.strategy)
 		if err != nil {
@@ -326,7 +312,6 @@ func buildEngine(cfg config, es engineSpec,
 			Strategy:    strategy,
 			Tiers:       es.tiers,
 			DurationSec: durationSec,
-			Workers:     cfg.workers,
 		}, nil
 	}
 
@@ -464,12 +449,12 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 		DefaultTenant: defaultID,
 		Sole:          synthesised,
 		Ingest:        d.collectorStats,
-		Sched:         d.schedStats,
+		Sched:         func() (tenant.Stats, []tenant.FlowStats) { return d.sched.Stats(), d.sched.FlowStats() },
 		Now:           cfg.now,
 		Reload:        d.reload.stats,
 	}
 	if d.histStore != nil {
-		srvCfg.HistoryStore = histStoreStats(d.histStore)
+		srvCfg.HistoryStore = d.histStore.Stats
 	}
 	srv, err := server.New(srvCfg)
 	if err != nil {

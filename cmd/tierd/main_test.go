@@ -183,7 +183,6 @@ func TestTierdEndToEnd(t *testing.T) {
 		model: "ced", alpha: 1.1, s0: 0.2, theta: 0.2,
 		strategy: "profit-weighted", tiers: 3,
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
-		workers: 4,
 	}
 	d, err := startDaemon(cfg)
 	if err != nil {
@@ -479,7 +478,7 @@ func TestRunDrain(t *testing.T) {
 			cfg := config{
 				listen: "127.0.0.1:0", trace: dir,
 				model: "ced", alpha: 1.1, theta: 0.2, strategy: "profit-weighted", tiers: 3,
-				window: 4 * time.Hour, slot: time.Hour, workers: 2,
+				window: 4 * time.Hour, slot: time.Hour,
 				// Interval far beyond the test's lifetime: the only re-price
 				// that can happen is the drain pass.
 				reprice: time.Hour, drainGrace: 200 * time.Millisecond,

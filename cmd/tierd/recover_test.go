@@ -96,8 +96,8 @@ func recoverConfig(trace, dataDir string, now func() time.Time) config {
 		model: "ced", alpha: 1.1, s0: 0.2, theta: 0.2,
 		strategy: "profit-weighted", tiers: 3,
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
-		workers: 4, drainGrace: 5 * time.Second,
-		dataDir: dataDir, ckptInterval: time.Hour,
+		drainGrace: 5 * time.Second,
+		dataDir:    dataDir, ckptInterval: time.Hour,
 		walSync: wal.SyncBatch,
 		now:     now,
 	}

@@ -189,30 +189,6 @@ func (m *member) ingestStats() server.IngestStats {
 	}
 }
 
-// schedStats adapts the scheduler's telemetry for /metrics.
-func (d *daemon) schedStats() server.SchedStats {
-	st := d.sched.Stats()
-	out := server.SchedStats{
-		QueueDepth: st.QueueDepth,
-		Dispatched: st.Dispatched,
-		Coalesced:  st.Coalesced,
-		Starved:    st.Starved,
-	}
-	for _, fs := range d.sched.FlowStats() {
-		out.Flows = append(out.Flows, server.SchedFlowStats{
-			Tenant:          fs.ID,
-			Weight:          fs.Weight,
-			Dispatched:      fs.Dispatched,
-			Coalesced:       fs.Coalesced,
-			Starved:         fs.Starved,
-			LastWaitSeconds: fs.LastWait.Seconds(),
-			LastRunSeconds:  fs.LastRun.Seconds(),
-			CostSeconds:     fs.CostSeconds,
-		})
-	}
-	return out
-}
-
 // repriceOnce runs one re-price for the member and feeds its telemetry.
 func (m *member) repriceOnce(ctx context.Context) {
 	start := time.Now()

@@ -448,7 +448,7 @@ func fleetConfig(traceDir, specPath string) config {
 		strategy: "profit-weighted", tiers: 3,
 		window: 4 * time.Hour, slot: time.Hour,
 		reprice: 25 * time.Millisecond, maxSnapAge: time.Minute,
-		workers: 2, schedWorkers: 1, drainGrace: 2 * time.Second,
+		schedWorkers: 1, drainGrace: 2 * time.Second,
 	}
 }
 

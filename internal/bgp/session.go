@@ -76,16 +76,6 @@ func (s *Session) SendUpdate(u Update) error {
 	return s.writeDeadline(msg)
 }
 
-// SendNotification transmits a NOTIFICATION (typically followed by
-// Close).
-func (s *Session) SendNotification(n Notification) error {
-	msg, err := EncodeNotification(n)
-	if err != nil {
-		return err
-	}
-	return s.writeDeadline(msg)
-}
-
 // Recv reads the next message, returning *Update, *Notification, or nil
 // for a KEEPALIVE. io.EOF signals an orderly close.
 func (s *Session) Recv() (interface{}, error) {

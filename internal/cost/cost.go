@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"tieredpricing/internal/econ"
 )
@@ -239,44 +238,4 @@ func effDistance(f econ.Flow) float64 {
 		return MinDistance
 	}
 	return f.Distance
-}
-
-// Composite multiplies the relative costs of several models, e.g.
-// distance-proportional transport cost times the on-/off-net recovery
-// multiplier — the "destination type on top of distance" variant the
-// §3.3 text hints at ("the cost of the traffic to peers to be twice as
-// costly than traffic to other customers").
-type Composite struct {
-	// Models are the factors; at least one is required.
-	Models []Model
-}
-
-// Name implements Model.
-func (m Composite) Name() string {
-	names := make([]string, len(m.Models))
-	for i, sub := range m.Models {
-		names[i] = sub.Name()
-	}
-	return "composite(" + strings.Join(names, "*") + ")"
-}
-
-// RelativeCosts implements Model.
-func (m Composite) RelativeCosts(flows []econ.Flow) ([]float64, error) {
-	if len(m.Models) == 0 {
-		return nil, errors.New("cost: composite needs at least one factor")
-	}
-	out := make([]float64, len(flows))
-	for i := range out {
-		out[i] = 1
-	}
-	for _, sub := range m.Models {
-		f, err := sub.RelativeCosts(flows)
-		if err != nil {
-			return nil, fmt.Errorf("cost: composite factor %s: %w", sub.Name(), err)
-		}
-		for i := range out {
-			out[i] *= f[i]
-		}
-	}
-	return out, nil
 }

@@ -274,33 +274,3 @@ func TestAllModelsReturnPositiveCosts(t *testing.T) {
 		}
 	}
 }
-
-func TestCompositeMultipliesFactors(t *testing.T) {
-	flows := []econ.Flow{
-		{ID: "on", Demand: 1, Distance: 10, OnNet: true},
-		{ID: "off", Demand: 1, Distance: 100, OnNet: false},
-	}
-	m := Composite{Models: []Model{Linear{Theta: 0}, DestType{}}}
-	f, err := m.RelativeCosts(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Linear gives (10, 100); DestType gives (1, 2); product (10, 200).
-	if f[0] != 10 || f[1] != 200 {
-		t.Fatalf("composite = %v, want [10 200]", f)
-	}
-	if m.Name() != "composite(linear*desttype)" {
-		t.Errorf("Name = %q", m.Name())
-	}
-}
-
-func TestCompositeErrors(t *testing.T) {
-	flows := flowsAt(1, 2)
-	if _, err := (Composite{}).RelativeCosts(flows); err == nil {
-		t.Error("expected error for no factors")
-	}
-	bad := Composite{Models: []Model{Linear{Theta: -1}}}
-	if _, err := bad.RelativeCosts(flows); err == nil {
-		t.Error("expected factor error to propagate")
-	}
-}

@@ -52,6 +52,18 @@ type Resolver struct {
 	DistanceRegions bool
 }
 
+// NewResolver returns the paper's endpoint heuristic for the named
+// dataset (§4.1.1): routed path lengths over the Internet2 backbone for
+// "internet2", distance-threshold regions for "euisp", and great-circle
+// distance with city/country regions otherwise.
+func NewResolver(dataset string, geo *geoip.DB) *Resolver {
+	rv := &Resolver{Geo: geo, DistanceRegions: dataset == "euisp"}
+	if dataset == "internet2" {
+		rv.Topo = topology.Internet2()
+	}
+	return rv
+}
+
 // Resolve maps a (src, dst) address pair to flow distance and region.
 func (rv *Resolver) Resolve(src, dst netip.Addr) (float64, econ.Region, error) {
 	if rv.Geo == nil {
@@ -96,25 +108,20 @@ func (rv *Resolver) Resolve(src, dst netip.Addr) (float64, econ.Region, error) {
 // Aggregates that fail to resolve are reported in skipped rather than
 // aborting the build (real captures always contain unroutable junk).
 func BuildFlows(aggs []netflow.Aggregate, rv EndpointResolver, durationSec float64) (flows []econ.Flow, skipped int, err error) {
-	return BuildFlowsParallel(context.Background(), aggs, rv, durationSec, 1)
+	return BuildFlowsParallelInto(context.Background(), nil, aggs, rv, durationSec, 1)
 }
 
-// BuildFlowsParallel is BuildFlows with the per-aggregate resolution
+// BuildFlowsParallelInto is BuildFlows with the per-aggregate resolution
 // (GeoIP lookups and topology shortest paths, the expensive part of a
-// re-fit) fanned out across workers goroutines. Each aggregate resolves
-// independently and results are merged in index order, so the output is
-// byte-identical to the serial build at any worker count — the property
-// the online repricer's consistency test relies on.
-func BuildFlowsParallel(ctx context.Context, aggs []netflow.Aggregate, rv EndpointResolver, durationSec float64, workers int) (flows []econ.Flow, skipped int, err error) {
-	return BuildFlowsParallelInto(ctx, nil, aggs, rv, durationSec, workers)
-}
-
-// BuildFlowsParallelInto is BuildFlowsParallel resolving into dst's
-// capacity, so a caller that re-fits the same window repeatedly (the
+// re-fit) fanned out across workers goroutines, resolving into dst's
+// capacity. Each aggregate resolves independently and results are merged
+// in index order, so the output is byte-identical to the serial build at
+// any worker count — the property the online repricer's consistency test
+// relies on. A caller that re-fits the same window repeatedly (the
 // online repricer's ticks) can reuse one flow buffer instead of
-// reallocating it per tick. The returned slice aliases dst when dst has
+// reallocating it per tick: the returned slice aliases dst when dst has
 // capacity for len(aggs) flows; pass nil for the allocate-per-call
-// behavior. Output is byte-identical to the serial build either way.
+// behavior.
 func BuildFlowsParallelInto(ctx context.Context, dst []econ.Flow, aggs []netflow.Aggregate, rv EndpointResolver, durationSec float64, workers int) (flows []econ.Flow, skipped int, err error) {
 	return BuildFlowsKnown(ctx, dst, aggs, nil, rv, durationSec, workers)
 }

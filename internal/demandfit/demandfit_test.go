@@ -135,7 +135,7 @@ func TestBuildFlowsContextResolverCancellation(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := BuildFlowsParallel(ctx, aggs, hangingResolver{}, 3600, 2)
+		_, _, err := BuildFlowsParallelInto(ctx, nil, aggs, hangingResolver{}, 3600, 2)
 		done <- err
 	}()
 	select {

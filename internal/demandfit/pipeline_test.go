@@ -174,7 +174,7 @@ func TestBuildFlowsParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		par, skippedPar, err := demandfit.BuildFlowsParallel(context.Background(), aggs, rv, ds.DurationSec, workers)
+		par, skippedPar, err := demandfit.BuildFlowsParallelInto(context.Background(), nil, aggs, rv, ds.DurationSec, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestBuildFlowsParallelCancellation(t *testing.T) {
 	aggs := collectDataset(t, ds)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := demandfit.BuildFlowsParallel(ctx, aggs, &demandfit.Resolver{Geo: ds.Geo}, ds.DurationSec, 4); err == nil {
+	if _, _, err := demandfit.BuildFlowsParallelInto(ctx, nil, aggs, &demandfit.Resolver{Geo: ds.Geo}, ds.DurationSec, 4); err == nil {
 		t.Error("expected error from cancelled context")
 	}
 }

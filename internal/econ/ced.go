@@ -129,6 +129,31 @@ func CEDSurplus(v, p, alpha float64) float64 {
 	return math.Pow(v, alpha) * math.Pow(p, 1-alpha) / (alpha - 1)
 }
 
+// Surplus returns aggregate consumer surplus at the given bundle prices
+// under CED: the sum of per-flow surpluses v^α·p^{1−α}/(α−1) (demand is
+// separable, so flow surpluses add).
+func (m CED) Surplus(flows []Flow, partition [][]int, prices []float64) (float64, error) {
+	if err := m.check(); err != nil {
+		return 0, err
+	}
+	if err := m.checkFlows(flows); err != nil {
+		return 0, err
+	}
+	if err := checkPartition(len(flows), partition); err != nil {
+		return 0, err
+	}
+	if len(prices) != len(partition) {
+		return 0, errors.New("econ: one price per bundle required")
+	}
+	var s float64
+	for b, block := range partition {
+		for _, i := range block {
+			s += CEDSurplus(flows[i].Valuation, prices[b], m.Alpha)
+		}
+	}
+	return s, nil
+}
+
 // Quantity evaluates Eq. 2 at the model's α.
 func (m CED) Quantity(v, p float64) float64 { return CEDQuantity(v, p, m.Alpha) }
 

@@ -257,3 +257,29 @@ func TestCEDSurplusFiniteAndDecreasing(t *testing.T) {
 		t.Fatalf("surplus = %v, want 0.5", s2)
 	}
 }
+
+func TestCEDSurplusMethodMatchesPerFlow(t *testing.T) {
+	m := CED{Alpha: 1.5}
+	flows := randomFlows(t, 6, 3, m, 20)
+	parts := [][]int{{0, 1, 2}, {3, 4, 5}}
+	prices, err := m.PriceBundles(flows, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Surplus(flows, parts, prices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for b, block := range parts {
+		for _, i := range block {
+			want += CEDSurplus(flows[i].Valuation, prices[b], m.Alpha)
+		}
+	}
+	if !almostEq(got, want, 1e-9*want) {
+		t.Fatalf("Surplus = %v, want %v", got, want)
+	}
+	if _, err := m.Surplus(flows, parts, []float64{1}); err == nil {
+		t.Error("expected price-count error")
+	}
+}

@@ -148,6 +148,19 @@ type Model interface {
 	PotentialProfits(flows []Flow) ([]float64, error)
 }
 
+// ByName builds the demand model the commands and the evaluation select
+// by name: "ced" at price sensitivity alpha, or "logit" at alpha with
+// no-purchase share s0 (ced ignores s0).
+func ByName(name string, alpha, s0 float64) (Model, error) {
+	switch name {
+	case "ced":
+		return CED{Alpha: alpha}, nil
+	case "logit":
+		return Logit{Alpha: alpha, S0: s0}, nil
+	}
+	return nil, fmt.Errorf("econ: unknown demand model %q", name)
+}
+
 // checkPartition verifies that partition is a disjoint cover of
 // 0..n-1 with non-empty blocks.
 func checkPartition(n int, partition [][]int) error {

@@ -20,6 +20,30 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	cases := []struct {
+		name string
+		want Model
+	}{
+		{"ced", CED{Alpha: 1.1}},
+		{"logit", Logit{Alpha: 1.1, S0: 0.2}},
+	}
+	for _, c := range cases {
+		got, err := ByName(c.name, 1.1, 0.2)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", c.name, err)
+		}
+		if got != c.want || got.Name() != c.name {
+			t.Errorf("ByName(%q) = %#v (%q), want %#v", c.name, got, got.Name(), c.want)
+		}
+	}
+	if m, err := ByName("nonesuch", 1.1, 0.2); err == nil || m != nil {
+		t.Errorf("ByName(nonesuch) = %v, %v; want nil and an error", m, err)
+	} else if !strings.Contains(err.Error(), `"nonesuch"`) {
+		t.Errorf("error %q does not name the model", err)
+	}
+}
+
 func TestFlowValidate(t *testing.T) {
 	good := Flow{ID: "a", Demand: 1, Valuation: 2, Cost: 3}
 	if err := good.Validate(); err != nil {

@@ -73,7 +73,7 @@ func runAblation1(opts Options) (*Result, error) {
 			return nil, err
 		}
 		for _, model := range []string{"ced", "logit"} {
-			dm, err := demandModel(model)
+			dm, err := econ.ByName(model, defaultAlpha, defaultS0)
 			if err != nil {
 				return nil, err
 			}
@@ -134,7 +134,7 @@ func runAblation2(opts Options) (*Result, error) {
 	}
 	bs := []int{2, 3, 4, 5, 6}
 	grid, err := sweep(opts, len(demandModels), func(i int) (*core.Market, error) {
-		dm, err := demandModel(demandModels[i])
+		dm, err := econ.ByName(demandModels[i], defaultAlpha, defaultS0)
 		if err != nil {
 			return nil, err
 		}

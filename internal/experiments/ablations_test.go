@@ -8,6 +8,7 @@ import (
 	"tieredpricing/internal/bundling"
 	"tieredpricing/internal/core"
 	"tieredpricing/internal/cost"
+	"tieredpricing/internal/econ"
 	"tieredpricing/internal/traces"
 )
 
@@ -137,7 +138,7 @@ func TestOptimalCaptureHeadline(t *testing.T) {
 	}
 	floorAt4 := map[string]float64{"ced": 0.88, "logit": 0.97}
 	for model, floor := range floorAt4 {
-		dm, err := demandModel(model)
+		dm, err := econ.ByName(model, defaultAlpha, defaultS0)
 		if err != nil {
 			t.Fatal(err)
 		}

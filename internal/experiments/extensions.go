@@ -35,7 +35,7 @@ func init() {
 func runExt2(opts Options) (*Result, error) {
 	res := &Result{ID: "ext2", Title: "product taxonomy capture"}
 	for _, model := range []string{"ced", "logit"} {
-		dm, err := demandModel(model)
+		dm, err := econ.ByName(model, defaultAlpha, defaultS0)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 
 	"tieredpricing/internal/bundling"
@@ -69,11 +68,7 @@ func collectedDataset(opts Options, name string, seed int64) (*traces.Dataset, [
 	if err := ingestStreams(c, streams); err != nil {
 		return nil, nil, pipeStats{}, err
 	}
-	rv := &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: ds.Name == "euisp"}
-	if ds.Name == "internet2" {
-		rv.Topo = ds.Graph
-	}
-	flows, skipped, err := demandfit.BuildFlows(c.Aggregates(), rv, ds.DurationSec)
+	flows, skipped, err := demandfit.BuildFlows(c.Aggregates(), demandfit.NewResolver(ds.Name, ds.Geo), ds.DurationSec)
 	if err != nil {
 		return nil, nil, pipeStats{}, err
 	}
@@ -104,19 +99,6 @@ func ingestStreams(c netflow.Sink, streams map[string][]byte) error {
 		}
 	}
 	return nil
-}
-
-// demandModel constructs the named demand model at the default
-// evaluation parameters.
-func demandModel(name string) (econ.Model, error) {
-	switch name {
-	case "ced":
-		return econ.CED{Alpha: defaultAlpha}, nil
-	case "logit":
-		return econ.Logit{Alpha: defaultAlpha, S0: defaultS0}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown demand model %q", name)
-	}
 }
 
 // datasetMarket fits the default §4.2.2 market over a preset dataset's

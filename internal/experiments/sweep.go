@@ -85,7 +85,7 @@ func init() {
 				"Minimum capture over P0 ∈ [5, 30] (profit-weighted)", false, demandModels,
 				[]float64{5, 10, 15, 20, 25, 30},
 				func(model, dataset string, p0 float64) (*core.Market, error) {
-					dm, err := demandModel(model)
+					dm, err := econ.ByName(model, defaultAlpha, defaultS0)
 					if err != nil {
 						return nil, err
 					}
@@ -189,7 +189,7 @@ func capture(o core.Outcome) float64 { return o.Capture }
 // the datasets; the fold is one table per dataset.
 func captureFigure(id, model string, strategies []bundling.Strategy) Runner {
 	return func(opts Options) (*Result, error) {
-		dm, err := demandModel(model)
+		dm, err := econ.ByName(model, defaultAlpha, defaultS0)
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +261,7 @@ func profitIncrease(opts Options, res *Result, s bundling.Strategy, label, axis 
 	thetas []float64, note string, fit func(dm econ.Model, theta float64) (*core.Market, error)) (*Result, error) {
 	n := len(thetas)
 	grid, err := sweep(opts, len(demandModels)*n, func(i int) (*core.Market, error) {
-		dm, err := demandModel(demandModels[i/n])
+		dm, err := econ.ByName(demandModels[i/n], defaultAlpha, defaultS0)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +286,7 @@ func profitIncrease(opts Options, res *Result, s bundling.Strategy, label, axis 
 				return nil, err
 			}
 		}
-		t.AddNote(note)
+		t.AddNote("%s", note)
 		res.Tables = append(res.Tables, t)
 	}
 	return res, nil
@@ -349,7 +349,7 @@ func runAblation5(opts Options) (*Result, error) {
 	strategies := []bundling.Strategy{bundling.Optimal{}, bundling.ProfitWeighted{}}
 	res := &Result{ID: "ablation5", Title: "seed robustness"}
 	for _, model := range demandModels {
-		dm, err := demandModel(model)
+		dm, err := econ.ByName(model, defaultAlpha, defaultS0)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ type surplusModel interface {
 func runExt4(opts Options) (*Result, error) {
 	res := &Result{ID: "ext4", Title: "welfare accounting"}
 	for _, model := range []string{"ced", "logit"} {
-		dm, err := demandModel(model)
+		dm, err := econ.ByName(model, defaultAlpha, defaultS0)
 		if err != nil {
 			return nil, err
 		}

@@ -131,14 +131,6 @@ func fixed(v float64, prec int) string {
 	return s
 }
 
-// G formats a float compactly (shortest representation).
-func G(v float64) string {
-	if math.IsNaN(v) {
-		return "n/a"
-	}
-	return strconv.FormatFloat(v, 'g', 6, 64)
-}
-
 // I formats an int.
 func I(v int) string { return strconv.Itoa(v) }
 

@@ -70,14 +70,11 @@ func TestFormatters(t *testing.T) {
 	if F(1.23456) != "1.235" {
 		t.Errorf("F = %s", F(1.23456))
 	}
-	if F(math.NaN()) != "n/a" || F1(math.NaN()) != "n/a" || G(math.NaN()) != "n/a" {
+	if F(math.NaN()) != "n/a" || F1(math.NaN()) != "n/a" {
 		t.Error("NaN should render as n/a")
 	}
 	if F1(2.78) != "2.8" {
 		t.Errorf("F1 = %s", F1(2.78))
-	}
-	if G(1988) != "1988" {
-		t.Errorf("G = %s", G(1988))
 	}
 	if I(42) != "42" {
 		t.Errorf("I = %s", I(42))

@@ -5,7 +5,9 @@ import (
 	"io"
 	"net/http"
 
+	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/stream"
+	"tieredpricing/internal/tenant"
 )
 
 // sample is one exposition line of a metric family:
@@ -25,14 +27,14 @@ type view struct {
 
 	srv       *Server
 	collector *IngestStats
-	sched     *SchedStats
-	histStore *HistoryStoreStats
+	sched     *tenant.Stats
+	histStore *histstore.Stats
 	reload    *ReloadStats
 
 	tenant *Tenant
 	ingest *IngestStats
 	dur    *DurabilityStats
-	flow   *SchedFlowStats
+	flow   *tenant.FlowStats
 	snap   *stream.Snapshot
 	age    float64 // snapshot age in seconds on the server's clock
 	stale  int     // 1 when the snapshot exceeds the staleness policy
@@ -120,7 +122,7 @@ var exposition = []struct {
 		{"tierd_sched_tenant_dispatched_total", "Reprice jobs dispatched for the tenant.", "counter", func(v *view) any { return v.flow.Dispatched }},
 		{"tierd_sched_tenant_coalesced_total", "Reprice submissions coalesced for the tenant.", "counter", func(v *view) any { return v.flow.Coalesced }},
 		{"tierd_sched_tenant_starved_total", "Starvation-bound dispatches for the tenant.", "counter", func(v *view) any { return v.flow.Starved }},
-		{"tierd_sched_tenant_last_wait_seconds", "Queue wait of the tenant's last dispatched job.", "gauge", func(v *view) any { return v.flow.LastWaitSeconds }},
+		{"tierd_sched_tenant_last_wait_seconds", "Queue wait of the tenant's last dispatched job.", "gauge", func(v *view) any { return v.flow.LastWait.Seconds() }},
 		{"tierd_sched_tenant_cost_seconds", "Smoothed reprice cost estimate driving the tenant's fair tags.", "gauge", func(v *view) any { return v.flow.CostSeconds }},
 	}},
 	{func(v *view) bool { return v.dur != nil }, []family{
@@ -183,8 +185,10 @@ func (s *Server) scrape() []*view {
 		in := s.ingest()
 		p.collector = &in
 	}
+	var flows []tenant.FlowStats
 	if s.sched != nil {
-		st := s.sched()
+		var st tenant.Stats
+		st, flows = s.sched()
 		p.sched = &st
 	}
 	if s.histStore != nil {
@@ -206,12 +210,10 @@ func (s *Server) scrape() []*view {
 			d := t.Durability()
 			v.dur = &d
 		}
-		if p.sched != nil {
-			for i := range p.sched.Flows {
-				if p.sched.Flows[i].Tenant == t.ID {
-					v.flow = &p.sched.Flows[i]
-					break
-				}
+		for i := range flows {
+			if flows[i].ID == t.ID {
+				v.flow = &flows[i]
+				break
 			}
 		}
 		if snap := t.Snapshots.Current(); snap != nil {

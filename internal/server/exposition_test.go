@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"tieredpricing/internal/buildinfo"
+	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/stream"
+	"tieredpricing/internal/tenant"
 )
 
 // expositionConfig wires every /metrics source — ingest, durability,
@@ -23,14 +25,14 @@ func expositionConfig(snap *stream.Snapshot, ids ...string) Config {
 	cfg := Config{
 		Ingest: ingest,
 		Now:    func() time.Time { return snap.FittedAt.Add(5 * time.Second) },
-		HistoryStore: func() HistoryStoreStats {
-			return HistoryStoreStats{Entries: 9, Bytes: 900, Appends: 11, Dupes: 2, AppendErrors: 1,
+		HistoryStore: func() histstore.Stats {
+			return histstore.Stats{Entries: 9, Bytes: 900, Appends: 11, Dupes: 2, AppendErrors: 1,
 				Flushes: 3, Compactions: 1, Pruned: 2, Scans: 4, OpenTornBytes: 5}
 		},
 		Reload: func() ReloadStats { return ReloadStats{ConfigEpoch: 3, Reloads: 2, ReloadErrors: 1} },
 		Build:  buildinfo.Info{Revision: "deadbeef", GoVersion: "go1.22"},
 	}
-	var flows []SchedFlowStats
+	var flows []tenant.FlowStats
 	for _, id := range ids {
 		m := NewMetrics()
 		m.QuoteRequests.Add(7)
@@ -54,9 +56,9 @@ func expositionConfig(snap *stream.Snapshot, ids ...string) Config {
 					CheckpointAge: 1.5, RecoveryReplayed: 7, RecoveryTornBytes: 13, Errors: 6}
 			},
 		})
-		flows = append(flows, SchedFlowStats{Tenant: id, Dispatched: 3, LastWaitSeconds: 0.25, CostSeconds: 0.01})
+		flows = append(flows, tenant.FlowStats{ID: id, Dispatched: 3, LastWait: 250 * time.Millisecond, CostSeconds: 0.01})
 	}
-	cfg.Sched = func() SchedStats { return SchedStats{QueueDepth: 1, Dispatched: 6, Flows: flows} }
+	cfg.Sched = func() (tenant.Stats, []tenant.FlowStats) { return tenant.Stats{QueueDepth: 1, Dispatched: 6}, flows }
 	return cfg
 }
 

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tieredpricing/internal/tenant"
 )
 
 // fakeLimiter scripts the quote path's admission decision.
@@ -157,11 +159,9 @@ func TestFleetHealth(t *testing.T) {
 func TestFleetMetricsLabeled(t *testing.T) {
 	snap := makeSnapshot(t)
 	s, a, _, ts := newFleet(t, &fakeSource{snap: snap}, &fakeSource{snap: snap}, nil)
-	s.sched = func() SchedStats {
-		return SchedStats{
-			QueueDepth: 1, Dispatched: 5, Coalesced: 2, Starved: 1,
-			Flows: []SchedFlowStats{{Tenant: "alpha", Weight: 2, Dispatched: 3, CostSeconds: 0.01}},
-		}
+	s.sched = func() (tenant.Stats, []tenant.FlowStats) {
+		return tenant.Stats{QueueDepth: 1, Dispatched: 5, Coalesced: 2, Starved: 1},
+			[]tenant.FlowStats{{ID: "alpha", Weight: 2, Dispatched: 3, CostSeconds: 0.01}}
 	}
 	a.Ingest = func() IngestStats { return IngestStats{Packets: 9, Records: 90} }
 	get(t, ts.URL+"/v1/t/alpha/quote?src=10.0.0.1&dst=10.1.0.1")

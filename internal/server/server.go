@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"tieredpricing/internal/buildinfo"
+	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/stream"
+	"tieredpricing/internal/tenant"
 )
 
 // SnapshotSource supplies the current pricing snapshot (nil before the
@@ -96,22 +98,6 @@ type HistoryQuery struct {
 	Limit int
 }
 
-// HistoryStoreStats is a point-in-time view of the durable tier-history
-// store for /metrics. It mirrors histstore.Stats without importing the
-// package, keeping the HTTP layer decoupled from the storage engine.
-type HistoryStoreStats struct {
-	Entries       uint64
-	Bytes         uint64
-	Appends       uint64
-	Dupes         uint64
-	AppendErrors  uint64
-	Flushes       uint64
-	Compactions   uint64
-	Pruned        uint64
-	Scans         uint64
-	OpenTornBytes uint64
-}
-
 // ReloadStats is a point-in-time view of config hot-reload for
 // /metrics: the process-wide pricing-config epoch (1 at boot, +1 per
 // successful SIGHUP reload) and the reload outcome counters.
@@ -154,13 +140,14 @@ type Config struct {
 	// HistoryStore reports the durable tier-history store's counters
 	// for /metrics; nil when the daemon runs without -history-store.
 	// Process-wide: every tenant shares one store.
-	HistoryStore func() HistoryStoreStats
+	HistoryStore func() histstore.Stats
 	// Reload reports config hot-reload state for /metrics; nil omits it.
 	// Process-wide.
 	Reload func() ReloadStats
-	// Sched reports the weighted-fair reprice scheduler's counters for
-	// /metrics; nil omits the scheduler block.
-	Sched func() SchedStats
+	// Sched reports the weighted-fair reprice scheduler's counters and
+	// its per-tenant telemetry for /metrics; nil omits the scheduler
+	// block.
+	Sched func() (tenant.Stats, []tenant.FlowStats)
 	// Build identifies the running binary; the zero value is filled
 	// from the embedded build metadata.
 	Build buildinfo.Info
@@ -174,11 +161,11 @@ type Server struct {
 	def     *Tenant
 	sole    bool // synthesised fleet of one: unlabeled exposition, plain /healthz
 
-	proc      *Metrics                 // process-wide counters (health, metrics scrapes)
-	ingest    func() IngestStats       // optional; process-wide datagram counters
-	sched     func() SchedStats        // optional; reprice scheduler
-	histStore func() HistoryStoreStats // optional; shared durable history store
-	reload    func() ReloadStats       // optional; config hot-reload state
+	proc      *Metrics                                  // process-wide counters (health, metrics scrapes)
+	ingest    func() IngestStats                        // optional; process-wide datagram counters
+	sched     func() (tenant.Stats, []tenant.FlowStats) // optional; reprice scheduler
+	histStore func() histstore.Stats                    // optional; shared durable history store
+	reload    func() ReloadStats                        // optional; config hot-reload state
 
 	now      func() time.Time
 	build    buildinfo.Info

@@ -53,26 +53,3 @@ type Tenant struct {
 	// samples; New leaves it empty for a sole tenant.
 	label string
 }
-
-// SchedFlowStats is one tenant's reprice-scheduler telemetry as the
-// /metrics exposition consumes it.
-type SchedFlowStats struct {
-	Tenant          string
-	Weight          float64
-	Dispatched      uint64
-	Coalesced       uint64
-	Starved         uint64
-	LastWaitSeconds float64
-	LastRunSeconds  float64
-	CostSeconds     float64
-}
-
-// SchedStats is a point-in-time view of the weighted-fair reprice
-// scheduler for /metrics.
-type SchedStats struct {
-	QueueDepth int
-	Dispatched uint64
-	Coalesced  uint64
-	Starved    uint64
-	Flows      []SchedFlowStats
-}

@@ -1,12 +1,11 @@
 // Package stats provides the small numerical toolkit the rest of the
 // repository is built on: descriptive statistics (weighted means,
 // coefficients of variation, quantiles), least-squares curve fitting for the
-// concave distance-to-price mapping of the paper's Figure 6, and seeded
-// random samplers for the heavy-tailed demand and distance distributions
-// used by the synthetic trace generators.
+// concave distance-to-price mapping of the paper's Figure 6, and the
+// log-sum-exp and softmax kernels of the logit model.
 //
-// Everything here is deterministic given its inputs (samplers are
-// deterministic given a seed); nothing reaches for the network or the clock.
+// Everything here is deterministic given its inputs; nothing reaches for
+// the network or the clock.
 package stats
 
 import (
@@ -178,28 +177,6 @@ func MinMax(xs []float64) (min, max float64, err error) {
 		}
 	}
 	return min, max, nil
-}
-
-// Normalize scales xs so its maximum is 1, returning a new slice. All values
-// must be non-negative and at least one must be positive. The paper
-// normalizes both the ITU and NTT price sheets this way before fitting the
-// concave distance-to-cost curve (Figure 6).
-func Normalize(xs []float64) ([]float64, error) {
-	_, max, err := MinMax(xs)
-	if err != nil {
-		return nil, err
-	}
-	if max <= 0 {
-		return nil, errors.New("stats: non-positive maximum")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if x < 0 {
-			return nil, errors.New("stats: negative value")
-		}
-		out[i] = x / max
-	}
-	return out, nil
 }
 
 // LogSumExp computes ln(Σ e^{x_i}) without overflow. It is the workhorse of

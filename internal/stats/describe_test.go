@@ -198,25 +198,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.25, 0.5, 1}
-	for i := range want {
-		if !almostEq(out[i], want[i], 1e-12) {
-			t.Fatalf("Normalize[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if _, err := Normalize([]float64{0, 0}); err == nil {
-		t.Error("expected error for all-zero input")
-	}
-	if _, err := Normalize([]float64{-1, 2}); err == nil {
-		t.Error("expected error for negative input")
-	}
-}
-
 func TestLogSumExpStability(t *testing.T) {
 	// Would overflow naive exp.
 	got, err := LogSumExp([]float64{1000, 1000})

@@ -1,132 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-	"math/rand"
-)
-
-// Sampler draws values from a fixed distribution using a caller-owned
-// random source, so trace generation is reproducible from a seed.
-type Sampler interface {
-	Sample(r *rand.Rand) float64
-}
-
-// Lognormal samples e^{Mu + Sigma·Z} with Z standard normal. Flow demands
-// in the synthetic traces are lognormal: a small number of destinations
-// carry most of the traffic, matching the high demand CVs of Table 1.
-type Lognormal struct {
-	Mu    float64
-	Sigma float64
-}
-
-// Sample draws one lognormal variate.
-func (l Lognormal) Sample(r *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
-}
-
-// Mean returns the analytic mean e^{μ+σ²/2}.
-func (l Lognormal) Mean() float64 {
-	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
-}
-
-// CV returns the analytic coefficient of variation sqrt(e^{σ²} − 1).
-// It is independent of μ, which makes lognormals easy to calibrate to the
-// CV column of Table 1: pick σ from the CV, then μ from the mean.
-func (l Lognormal) CV() float64 {
-	return math.Sqrt(math.Exp(l.Sigma*l.Sigma) - 1)
-}
-
-// LognormalFromMeanCV constructs the lognormal with the given analytic mean
-// and coefficient of variation. mean and cv must be positive.
-func LognormalFromMeanCV(mean, cv float64) (Lognormal, error) {
-	if mean <= 0 || cv <= 0 {
-		return Lognormal{}, errors.New("stats: mean and cv must be positive")
-	}
-	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return Lognormal{Mu: mu, Sigma: math.Sqrt(sigma2)}, nil
-}
-
-// Pareto samples a Pareto(Scale, Shape) variate: x ≥ Scale with
-// P(X > x) = (Scale/x)^Shape.
-type Pareto struct {
-	Scale float64 // minimum value, > 0
-	Shape float64 // tail index, > 0
-}
-
-// Sample draws one Pareto variate by inversion.
-func (p Pareto) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return p.Scale / math.Pow(u, 1/p.Shape)
-}
-
-// Exponential samples an exponential variate with the given mean.
-type Exponential struct {
-	Mean float64
-}
-
-// Sample draws one exponential variate.
-func (e Exponential) Sample(r *rand.Rand) float64 {
-	return e.Mean * r.ExpFloat64()
-}
-
-// Uniform samples uniformly from [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample draws one uniform variate.
-func (u Uniform) Sample(r *rand.Rand) float64 {
-	return u.Lo + (u.Hi-u.Lo)*r.Float64()
-}
-
-// ZipfWeights returns n weights proportional to 1/rank^s, normalized to sum
-// to one. Destination popularity in the CDN trace follows such a law.
-func ZipfWeights(n int, s float64) ([]float64, error) {
-	if n <= 0 {
-		return nil, errors.New("stats: n must be positive")
-	}
-	w := make([]float64, n)
-	var sum float64
-	for i := range w {
-		w[i] = 1 / math.Pow(float64(i+1), s)
-		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return w, nil
-}
-
-// WeightedChoice picks an index with probability proportional to ws[i].
-// Weights must be non-negative with a positive sum.
-func WeightedChoice(r *rand.Rand, ws []float64) (int, error) {
-	if len(ws) == 0 {
-		return 0, ErrEmpty
-	}
-	var total float64
-	for _, w := range ws {
-		if w < 0 {
-			return 0, errors.New("stats: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		return 0, errors.New("stats: zero total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range ws {
-		x -= w
-		if x < 0 {
-			return i, nil
-		}
-	}
-	return len(ws) - 1, nil
-}
+import "errors"
 
 // Linspace returns n evenly spaced points from lo to hi inclusive.
 // n must be at least 2.

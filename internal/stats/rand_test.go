@@ -1,163 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
-
-func sampleMany(s Sampler, n int, seed int64) []float64 {
-	r := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Sample(r)
-	}
-	return out
-}
-
-func TestLognormalFromMeanCV(t *testing.T) {
-	ln, err := LognormalFromMeanCV(54, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(ln.Mean(), 54, 1e-9) {
-		t.Fatalf("analytic mean = %v, want 54", ln.Mean())
-	}
-	if !almostEq(ln.CV(), 0.7, 1e-9) {
-		t.Fatalf("analytic CV = %v, want 0.7", ln.CV())
-	}
-	// Empirical check with a large sample.
-	xs := sampleMany(ln, 200000, 1)
-	m, _ := Mean(xs)
-	cv, _ := CV(xs)
-	if !almostEq(m, 54, 1.0) {
-		t.Fatalf("empirical mean = %v, want ~54", m)
-	}
-	if !almostEq(cv, 0.7, 0.03) {
-		t.Fatalf("empirical CV = %v, want ~0.7", cv)
-	}
-}
-
-func TestLognormalFromMeanCVErrors(t *testing.T) {
-	if _, err := LognormalFromMeanCV(0, 1); err == nil {
-		t.Error("expected error for zero mean")
-	}
-	if _, err := LognormalFromMeanCV(1, -1); err == nil {
-		t.Error("expected error for negative cv")
-	}
-}
-
-func TestParetoSamplesAboveScale(t *testing.T) {
-	p := Pareto{Scale: 3, Shape: 2.5}
-	for _, x := range sampleMany(p, 10000, 2) {
-		if x < 3 {
-			t.Fatalf("sample %v below scale", x)
-		}
-	}
-}
-
-func TestParetoEmpiricalMean(t *testing.T) {
-	// Mean of Pareto(scale, shape) = scale·shape/(shape−1) for shape > 1.
-	p := Pareto{Scale: 1, Shape: 3}
-	xs := sampleMany(p, 300000, 3)
-	m, _ := Mean(xs)
-	if !almostEq(m, 1.5, 0.02) {
-		t.Fatalf("empirical mean = %v, want ~1.5", m)
-	}
-}
-
-func TestExponentialEmpiricalMean(t *testing.T) {
-	e := Exponential{Mean: 4}
-	xs := sampleMany(e, 200000, 4)
-	m, _ := Mean(xs)
-	if !almostEq(m, 4, 0.05) {
-		t.Fatalf("empirical mean = %v, want ~4", m)
-	}
-}
-
-func TestUniformRange(t *testing.T) {
-	u := Uniform{Lo: -2, Hi: 5}
-	xs := sampleMany(u, 10000, 5)
-	for _, x := range xs {
-		if x < -2 || x >= 5 {
-			t.Fatalf("sample %v out of [-2, 5)", x)
-		}
-	}
-	m, _ := Mean(xs)
-	if !almostEq(m, 1.5, 0.1) {
-		t.Fatalf("empirical mean = %v, want ~1.5", m)
-	}
-}
-
-func TestZipfWeights(t *testing.T) {
-	w, err := ZipfWeights(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1, 1/2, 1/3, 1/4 normalized.
-	h := 1 + 0.5 + 1.0/3 + 0.25
-	want := []float64{1 / h, 0.5 / h, (1.0 / 3) / h, 0.25 / h}
-	for i := range want {
-		if !almostEq(w[i], want[i], 1e-12) {
-			t.Fatalf("w[%d] = %v, want %v", i, w[i], want[i])
-		}
-	}
-	var sum float64
-	for _, x := range w {
-		sum += x
-	}
-	if !almostEq(sum, 1, 1e-12) {
-		t.Fatalf("sum = %v, want 1", sum)
-	}
-	if _, err := ZipfWeights(0, 1); err == nil {
-		t.Error("expected error for n = 0")
-	}
-}
-
-func TestZipfWeightsMonotone(t *testing.T) {
-	w, err := ZipfWeights(100, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(w); i++ {
-		if w[i] > w[i-1] {
-			t.Fatalf("weights not monotone at %d", i)
-		}
-	}
-}
-
-func TestWeightedChoiceDistribution(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	ws := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 40000; i++ {
-		idx, err := WeightedChoice(r, ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[idx]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index chosen %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if math.Abs(ratio-3) > 0.2 {
-		t.Fatalf("ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestWeightedChoiceErrors(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	if _, err := WeightedChoice(r, nil); err != ErrEmpty {
-		t.Error("expected ErrEmpty")
-	}
-	if _, err := WeightedChoice(r, []float64{0, 0}); err == nil {
-		t.Error("expected error for zero total")
-	}
-	if _, err := WeightedChoice(r, []float64{-1, 2}); err == nil {
-		t.Error("expected error for negative weight")
-	}
-}
+import "testing"
 
 func TestLinspace(t *testing.T) {
 	xs, err := Linspace(0, 1, 5)
@@ -172,23 +15,5 @@ func TestLinspace(t *testing.T) {
 	}
 	if _, err := Linspace(0, 1, 1); err == nil {
 		t.Error("expected error for n = 1")
-	}
-}
-
-func TestSamplersDeterministicPerSeed(t *testing.T) {
-	samplers := []Sampler{
-		Lognormal{Mu: 1, Sigma: 0.5},
-		Pareto{Scale: 1, Shape: 2},
-		Exponential{Mean: 2},
-		Uniform{Lo: 0, Hi: 1},
-	}
-	for _, s := range samplers {
-		a := sampleMany(s, 100, 42)
-		b := sampleMany(s, 100, 42)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%T not deterministic at %d", s, i)
-			}
-		}
 	}
 }

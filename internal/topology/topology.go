@@ -180,8 +180,9 @@ func (g *Graph) ShortestPath(from, to string) (Path, error) {
 }
 
 // PairDistances returns the shortest-path distance between every ordered
-// pair of distinct cities, keyed by [2]string{from, to}. Used by the trace
-// generators to snap sampled distances onto real PoP pairs.
+// pair of distinct cities, keyed by [2]string{from, to}: the all-pairs
+// view that metric properties such as the triangle inequality are checked
+// against.
 func (g *Graph) PairDistances() (map[[2]string]float64, error) {
 	out := make(map[[2]string]float64)
 	for _, a := range g.cities {
