@@ -98,9 +98,12 @@
 #                      core's FuzzCostOrder (the carried cost order = a
 #                      fresh sort), econ's FuzzLogitClosedForm (logit
 #                      prices finite and ≥ cost, s0 = 1/(1 + S·e^{−αm})
-#                      within the reference's bound) and traces' FuzzAggregateBucket (the
+#                      within the reference's bound), traces' FuzzAggregateBucket (the
 #                      bucket code's name = the masked addresses as netip
-#                      prints them, one code per name), actually fuzzes
+#                      prints them, one code per name) and tenant's
+#                      FuzzDecodeSpecs (the one strict decoder under
+#                      -tenants and -config: accepted input re-encodes
+#                      equal, Over idempotent), actually fuzzes
 #                      for a short budget (FUZZTIME, default 10s each),
 #                      not just replays its seed corpus
 set -eu
@@ -179,6 +182,8 @@ fuzz_smoke() {
     go test -run='^$' -fuzz='^FuzzLogitClosedForm$' -fuzztime="$FUZZTIME" ./internal/econ
     echo "==> fuzz FuzzAggregateBucket (internal/traces, ${FUZZTIME})"
     go test -run='^$' -fuzz='^FuzzAggregateBucket$' -fuzztime="$FUZZTIME" ./internal/traces
+    echo "==> fuzz FuzzDecodeSpecs (internal/tenant, ${FUZZTIME})"
+    go test -run='^$' -fuzz='^FuzzDecodeSpecs$' -fuzztime="$FUZZTIME" ./internal/tenant
 }
 
 case "${1:-}" in

@@ -266,13 +266,7 @@ func (d *durability) checkpoint() error {
 func (d *durability) stats() server.DurabilityStats {
 	ws := d.log.Stats()
 	s := server.DurabilityStats{
-		WALBytes:          ws.Bytes,
-		WALEntries:        ws.Entries,
-		WALFsyncs:         ws.Fsyncs,
-		WALFsyncP50:       float64(ws.FsyncP50Ns) / 1e9,
-		WALFsyncP99:       float64(ws.FsyncP99Ns) / 1e9,
-		WALFsyncMax:       float64(ws.FsyncMaxNs) / 1e9,
-		WALFsyncSum:       ws.FsyncSumNs / 1e9,
+		WAL:               ws,
 		Checkpoints:       d.checkpoints.Load(),
 		CheckpointAge:     -1,
 		RecoveryReplayed:  d.recoveryReplayed.Load(),

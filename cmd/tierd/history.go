@@ -19,14 +19,14 @@ import (
 const defaultHistoryRing = 512
 
 // histRecorder owns one pricing engine's tier-table history. The
-// bounded in-memory ring is a cache: it serves shallow /v1/history
-// queries without touching disk and rides along in checkpoints, while
-// every published table is also appended to the durable store (when
-// one is configured), which outlives checkpoint retention and serves
-// deep range queries. The store append is idempotent on
-// (tenant, epoch), so replaying the ring into the store after a
-// restore from an older checkpoint is a no-op for rows the store
-// already has — history cannot double-append across crashes.
+// bounded in-memory ring rides along in checkpoints and answers
+// /v1/history when no store is configured; every published table is
+// also appended to the durable store (when one is configured), which
+// outlives checkpoint retention and then answers every range query.
+// The store append is idempotent on (tenant, epoch), so replaying the
+// ring into the store after a restore from an older checkpoint is a
+// no-op for rows the store already has — history cannot double-append
+// across crashes.
 type histRecorder struct {
 	tenant   string
 	max      int
@@ -124,15 +124,6 @@ func (r *histRecorder) restore(entries []checkpoint.HistoryEntry, lastEpoch int6
 	}
 }
 
-// snapshot copies the ring for GET /v1/history's shallow path.
-func (r *histRecorder) snapshot() []server.HistoryEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]server.HistoryEntry, len(r.ring))
-	copy(out, r.ring)
-	return out
-}
-
 // checkpointEntries copies the ring in checkpoint form.
 func (r *histRecorder) checkpointEntries() []checkpoint.HistoryEntry {
 	r.mu.Lock()
@@ -144,11 +135,17 @@ func (r *histRecorder) checkpointEntries() []checkpoint.HistoryEntry {
 	return out
 }
 
-// scan serves a deep /v1/history range query from the store.
-func (r *histRecorder) scan(q server.HistoryQuery) ([]server.HistoryEntry, error) {
-	rows, err := r.store.Scan(r.tenant, histstore.Query{
-		SinceEpoch: q.Since, UntilEpoch: q.Until, Limit: q.Limit,
-	})
+// query answers GET /v1/history: from the store when one is
+// configured (it reaches every retained epoch, far past the ring), else
+// from the ring, under the same histstore.Query semantics.
+func (r *histRecorder) query(q histstore.Query) ([]server.HistoryEntry, error) {
+	if r.store == nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		lo, hi := q.Range(len(r.ring), func(i int) int64 { return r.ring[i].Epoch })
+		return append([]server.HistoryEntry(nil), r.ring[lo:hi]...), nil
+	}
+	rows, err := r.store.Scan(r.tenant, q)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +181,7 @@ func (d *daemon) startPruneLoop() func() {
 			case <-stopCh:
 				return
 			case <-ticker.C:
-				if _, err := d.histStore.Prune(histstore.Retention{MaxAge: d.cfg.historyRetain}); err != nil {
+				if _, err := d.histStore.Prune(d.cfg.historyRetain); err != nil {
 					fmt.Fprintln(os.Stderr, "tierd: history prune:", err)
 				}
 			}

@@ -29,6 +29,7 @@ import (
 	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/server"
 	"tieredpricing/internal/stream"
+	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 )
 
@@ -90,19 +91,22 @@ func histEntriesEqual(t *testing.T, label string, got, want []server.HistoryEntr
 }
 
 // TestHistoryStoreRingParity is the store-vs-ring property test: after
-// recording a long series, the ring must be exactly the store's newest
-// window, and seeded random range queries against the store must match
-// a reference filter over the full series.
+// recording a long series, a store-backed recorder answers every query
+// from the store, a ring-only recorder holds exactly the store's newest
+// window, and seeded random range queries against both must match a
+// reference filter over the series each one holds.
 func TestHistoryStoreRingParity(t *testing.T) {
 	const total, ringMax = 600, 64
 	store := openTestStore(t, filepath.Join(t.TempDir(), "history.db"))
 	rec := newHistRecorder("default", ringMax, store, nil)
+	ringOnly := newHistRecorder("default", ringMax, nil, nil)
 	base := time.Unix(1700000000, 0).UTC()
 
 	var all []server.HistoryEntry
 	for ep := int64(1); ep <= total; ep++ {
 		snap := fakeTableSnap(ep, float64(ep)+0.25, base.Add(time.Duration(ep)*time.Second))
 		rec.record(snap)
+		ringOnly.record(snap)
 		table, err := snap.Table.Marshal()
 		if err != nil {
 			t.Fatal(err)
@@ -112,30 +116,29 @@ func TestHistoryStoreRingParity(t *testing.T) {
 		})
 	}
 
-	full, err := rec.scan(server.HistoryQuery{})
-	if err != nil {
-		t.Fatal(err)
+	query := func(r *histRecorder, q histstore.Query) []server.HistoryEntry {
+		t.Helper()
+		got, err := r.query(q)
+		if err != nil {
+			t.Fatalf("query %+v: %v", q, err)
+		}
+		return got
 	}
-	histEntriesEqual(t, "full store scan", full, all)
+	histEntriesEqual(t, "full store scan", query(rec, histstore.Query{}), all)
 
 	// The ring is a strict cache of the store's newest ringMax entries.
-	tail, err := rec.scan(server.HistoryQuery{Limit: ringMax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	histEntriesEqual(t, "ring vs store tail", rec.snapshot(), tail)
+	tail := query(rec, histstore.Query{Limit: ringMax})
+	histEntriesEqual(t, "ring vs store tail", query(ringOnly, histstore.Query{}), tail)
 
 	rnd := rand.New(rand.NewSource(recoverSeed(t)))
 	for i := 0; i < 300; i++ {
 		since := rnd.Int63n(total + 50)
 		until := rnd.Int63n(total + 50)
 		limit := rnd.Intn(ringMax + 20)
-		got, err := rec.scan(server.HistoryQuery{Since: since, Until: until, Limit: limit})
-		if err != nil {
-			t.Fatalf("scan(since=%d until=%d limit=%d): %v", since, until, limit, err)
-		}
-		want := refFilterHistory(all, since, until, limit)
-		histEntriesEqual(t, fmt.Sprintf("query since=%d until=%d limit=%d", since, until, limit), got, want)
+		q := histstore.Query{SinceEpoch: since, UntilEpoch: until, Limit: limit}
+		label := fmt.Sprintf("since=%d until=%d limit=%d", since, until, limit)
+		histEntriesEqual(t, "store query "+label, query(rec, q), refFilterHistory(all, since, until, limit))
+		histEntriesEqual(t, "ring query "+label, query(ringOnly, q), refFilterHistory(tail, since, until, limit))
 	}
 }
 
@@ -217,8 +220,8 @@ func TestHistoryRestoreDoubleAppend(t *testing.T) {
 func reloadTestConfig(traceDir, tmp string) config {
 	return config{
 		listen: "127.0.0.1:0", trace: traceDir,
-		model: "ced", alpha: 1.1, s0: 0.2, theta: 0.2,
-		strategy: "profit-weighted", tiers: 3,
+		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
+			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 		drainGrace:   2 * time.Second,
 		historyStore: filepath.Join(tmp, "history.db"),
@@ -326,10 +329,10 @@ func TestReloadUnderLoad(t *testing.T) {
 		}
 	}
 
-	// Failed reloads must not move the generation: invalid value,
-	// unknown key, and unparseable JSON.
+	// Failed reloads must not move the generation: invalid values (a
+	// negative blended rate included), unknown key, and unparseable JSON.
 	epochBefore := d.reload.epoch()
-	for _, bad := range []string{`{"tiers": 0}`, `{"bogus": 1}`, `{`} {
+	for _, bad := range []string{`{"tiers": 0}`, `{"blended": -3}`, `{"bogus": 1}`, `{`} {
 		writeConfigFile(t, cfg.configFile, bad)
 		if err := d.reloadConfig(); err == nil {
 			t.Fatalf("reload of %q succeeded, want error", bad)
@@ -393,11 +396,11 @@ func TestReloadUnderLoad(t *testing.T) {
 	}
 
 	// The /metrics view agrees: epoch = 1 boot + 6 loop reloads + 1
-	// SIGHUP; three failed reloads counted.
+	// SIGHUP; four failed reloads counted.
 	checks := map[string]float64{
 		"tierd_config_epoch":               float64(reloads + 2),
 		"tierd_config_reloads_total":       float64(reloads + 1),
-		"tierd_config_reload_errors_total": 3,
+		"tierd_config_reload_errors_total": 4,
 		"tierd_history_entries":            float64(reloads + 1),
 	}
 	for name, want := range checks {
@@ -460,10 +463,22 @@ func TestFleetHistoryNamespacing(t *testing.T) {
 	waitEpoch("net-a", 6)
 	waitEpoch("net-b", 6)
 
-	if got := h.d.histStore.Tenants(); len(got) != 2 || got[0] != "net-a" || got[1] != "net-b" {
-		t.Fatalf("store tenants = %v, want [net-a net-b]", got)
+	// The store holds each tenant's rows under its own ID, and nothing
+	// under the synthesised member's.
+	if rows, err := h.d.histStore.Scan("default", histstore.Query{}); err != nil || len(rows) != 0 {
+		t.Fatalf("store has %d rows under \"default\" (%v), want none", len(rows), err)
 	}
 	for _, id := range []string{"net-a", "net-b"} {
+		rows, err := h.d.histStore.Scan(id, histstore.Query{})
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("tenant %s: %d store rows (%v)", id, len(rows), err)
+		}
+		for i, row := range rows {
+			if row.Tenant != id || row.Epoch != int64(i)+1 {
+				t.Fatalf("tenant %s store row %d is %s/%d — cross-tenant bleed or gap", id, i, row.Tenant, row.Epoch)
+			}
+		}
+
 		var hist struct {
 			Entries []struct {
 				Epoch int64 `json:"epoch"`

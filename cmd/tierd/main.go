@@ -57,13 +57,9 @@ type config struct {
 	stdin     bool
 	trace     string
 
-	model    string
-	alpha    float64
-	s0       float64
-	theta    float64
-	strategy string
-	tiers    int
-	blended  float64 // override meta blended rate when > 0
+	// pricing is the flags' pricing; -config overrides it and each
+	// tenant spec overlays it (tenant.Pricing).
+	pricing tenant.Pricing
 
 	// Durability: empty dataDir runs memory-only (the pre-durability
 	// behavior); a data dir enables the WAL + checkpoint subsystem and
@@ -83,7 +79,6 @@ type config struct {
 	slot       time.Duration
 	udpRcvbuf  int // SO_RCVBUF request per collector socket (0 = OS default)
 	reprice    time.Duration
-	demandSec  float64       // demand divisor override; 0 = capture duration from meta
 	maxSnapAge time.Duration // staleness threshold; 0 = 4× reprice interval
 	drainGrace time.Duration // bound on the shutdown drain (final re-price and HTTP)
 
@@ -112,19 +107,19 @@ func main() {
 	flag.StringVar(&cfg.udp, "udp", "", "UDP NetFlow listen address (e.g. 127.0.0.1:2055; empty disables)")
 	flag.BoolVar(&cfg.stdin, "stdin", false, "ingest a concatenated NetFlow stream from stdin (tracegen -stdout)")
 	flag.StringVar(&cfg.trace, "trace", "", "trace directory with geoip.csv and meta.txt (required)")
-	flag.StringVar(&cfg.model, "model", "ced", "demand model: ced or logit")
-	flag.Float64Var(&cfg.alpha, "alpha", 1.1, "price sensitivity α")
-	flag.Float64Var(&cfg.s0, "s0", 0.2, "logit no-purchase share")
-	flag.Float64Var(&cfg.theta, "theta", 0.2, "linear cost model base fraction θ")
-	flag.StringVar(&cfg.strategy, "strategy", "profit-weighted", "bundling strategy")
-	flag.IntVar(&cfg.tiers, "tiers", 3, "number of pricing tiers")
-	flag.Float64Var(&cfg.blended, "blended", 0, "blended rate override $/Mbps/month (default: meta.txt)")
+	flag.StringVar(&cfg.pricing.Model, "model", "ced", "demand model: ced or logit")
+	flag.Float64Var(&cfg.pricing.Alpha, "alpha", 1.1, "price sensitivity α")
+	flag.Float64Var(&cfg.pricing.S0, "s0", 0.2, "logit no-purchase share")
+	flag.Float64Var(&cfg.pricing.Theta, "theta", 0.2, "linear cost model base fraction θ")
+	flag.StringVar(&cfg.pricing.Strategy, "strategy", "profit-weighted", "bundling strategy")
+	flag.IntVar(&cfg.pricing.Tiers, "tiers", 3, "number of pricing tiers")
+	flag.Float64Var(&cfg.pricing.Blended, "blended", 0, "blended rate override $/Mbps/month (default: meta.txt)")
 	flag.DurationVar(&cfg.window, "window", 10*time.Minute, "sliding window length")
 	flag.DurationVar(&cfg.slot, "slot", time.Minute, "window slot granularity")
 	flag.IntVar(&cfg.udpRcvbuf, "udp-rcvbuf", 0,
 		"kernel receive buffer (SO_RCVBUF) requested per UDP collector socket in bytes (0 = OS default; kernel drops on overflow surface as tierd_ingest_socket_drops_total)")
 	flag.DurationVar(&cfg.reprice, "reprice", 30*time.Second, "re-price interval")
-	flag.Float64Var(&cfg.demandSec, "demand-sec", 0,
+	flag.Float64Var(&cfg.pricing.DemandSec, "demand-sec", 0,
 		"seconds of traffic the window represents when converting octets to Mbps (0 = capture duration from meta.txt)")
 	flag.DurationVar(&cfg.maxSnapAge, "max-snapshot-age", 0,
 		"snapshot age after which /healthz reports degraded and quotes carry X-Tierd-Stale (0 = 4x the re-price interval)")
@@ -213,62 +208,32 @@ type daemon struct {
 	pprofLn  net.Listener
 }
 
-// engineSpec is one pricing engine's effective configuration: the
-// daemon flags (and -config file) overlaid with the member's spec
-// overrides.
-type engineSpec struct {
-	trace     string
-	model     string
-	alpha     float64
-	s0        float64
-	theta     float64
-	strategy  string
-	tiers     int
-	blended   float64
-	demandSec float64
-}
-
-// engineFromConfig is the base every member overlays: the flags verbatim.
-func engineFromConfig(cfg config) engineSpec {
-	return engineSpec{
-		trace:     cfg.trace,
-		model:     cfg.model,
-		alpha:     cfg.alpha,
-		s0:        cfg.s0,
-		theta:     cfg.theta,
-		strategy:  cfg.strategy,
-		tiers:     cfg.tiers,
-		blended:   cfg.blended,
-		demandSec: cfg.demandSec,
-	}
-}
-
 // engineReloader re-derives and swaps one engine's pricing
-// configuration from a (possibly file-overlaid) engineSpec — the hot
-// reload path. check validates without applying; apply swaps the
+// configuration from a (possibly file-overlaid) tenant.Pricing — the
+// hot reload path. check validates without applying; apply swaps the
 // running repricer's configuration in place. Both close over the
 // engine's trace metadata and resolver, which a reload never rebuilds:
 // a reload re-prices the demand you have under new economics, it does
 // not change where the demand comes from.
 type engineReloader struct {
-	check func(engineSpec) error
-	apply func(engineSpec) error
+	check func(tenant.Pricing) error
+	apply func(tenant.Pricing) error
 }
 
 // buildEngine loads the trace metadata and builds one window → repricer
 // pricing engine plus its hot-reload handle. wrapResolver, when
 // non-nil, interposes on the endpoint resolver (fault-injection test
 // hook).
-func buildEngine(cfg config, es engineSpec,
+func buildEngine(cfg config, trace string, p tenant.Pricing,
 	wrapResolver func(demandfit.EndpointResolver) demandfit.EndpointResolver) (*stream.Window, *stream.Repricer, *engineReloader, error) {
-	if es.trace == "" {
+	if trace == "" {
 		return nil, nil, nil, errors.New("no trace directory (set -trace or the tenant's \"trace\")")
 	}
-	meta, err := traces.ReadMetaFile(filepath.Join(es.trace, "meta.txt"))
+	meta, err := traces.ReadMetaFile(filepath.Join(trace, "meta.txt"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	geoFile, err := os.Open(filepath.Join(es.trace, "geoip.csv"))
+	geoFile, err := os.Open(filepath.Join(trace, "geoip.csv"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -282,23 +247,25 @@ func buildEngine(cfg config, es engineSpec,
 		rv = wrapResolver(rv)
 	}
 
-	// pricingConfig derives the repricer configuration from a spec: the
-	// one code path construction and every later reload go through, so
-	// the two can't diverge on defaults or validation.
-	pricingConfig := func(es engineSpec) (stream.Config, error) {
-		dm, err := econ.ByName(es.model, es.alpha, es.s0)
+	// pricingConfig derives the repricer configuration from a pricing:
+	// the one code path construction and every later reload go through,
+	// so the two can't diverge on defaults or validation.
+	pricingConfig := func(p tenant.Pricing) (stream.Config, error) {
+		dm, err := econ.ByName(p.Model, p.Alpha, p.S0)
 		if err != nil {
 			return stream.Config{}, err
 		}
-		strategy, err := bundling.ByName(es.strategy)
+		strategy, err := bundling.ByName(p.Strategy)
 		if err != nil {
 			return stream.Config{}, err
 		}
 		p0 := meta.P0
-		if es.blended > 0 {
-			p0 = es.blended
+		if p.Blended != 0 {
+			// Any override, so the repricer refuses a negative or NaN one
+			// instead of quietly pricing at the meta's rate.
+			p0 = p.Blended
 		}
-		durationSec := es.demandSec
+		durationSec := p.DemandSec
 		if durationSec == 0 {
 			// Replaying a capture: the octets in the window represent the
 			// capture duration, not the window span.
@@ -307,15 +274,15 @@ func buildEngine(cfg config, es engineSpec,
 		return stream.Config{
 			Resolver:    rv,
 			Demand:      dm,
-			Cost:        cost.Linear{Theta: es.theta},
+			Cost:        cost.Linear{Theta: p.Theta},
 			P0:          p0,
 			Strategy:    strategy,
-			Tiers:       es.tiers,
+			Tiers:       p.Tiers,
 			DurationSec: durationSec,
 		}, nil
 	}
 
-	scfg, err := pricingConfig(es)
+	scfg, err := pricingConfig(p)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -336,15 +303,15 @@ func buildEngine(cfg config, es engineSpec,
 		return nil, nil, nil, err
 	}
 	rl := &engineReloader{
-		check: func(es engineSpec) error {
-			c, err := pricingConfig(es)
+		check: func(p tenant.Pricing) error {
+			c, err := pricingConfig(p)
 			if err != nil {
 				return err
 			}
 			return rp.CheckConfig(c)
 		},
-		apply: func(es engineSpec) error {
-			c, err := pricingConfig(es)
+		apply: func(p tenant.Pricing) error {
+			c, err := pricingConfig(p)
 			if err != nil {
 				return err
 			}
@@ -368,16 +335,14 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 			return nil, err
 		}
 	}
-	base := engineFromConfig(cfg)
+	base := cfg.pricing
 	if cfg.configFile != "" {
 		// The boot read of -config is strict: a file the daemon cannot
 		// serve under is a refusal to start, not a silent fallback. Later
 		// SIGHUP re-reads keep serving on error instead.
-		fc, err := loadFileConfig(cfg.configFile)
-		if err != nil {
+		if base, err = tenant.LoadPricingFile(cfg.configFile, base); err != nil {
 			return nil, fmt.Errorf("-config: %w", err)
 		}
-		base = applyFileConfig(base, fc)
 	}
 	maxAge := cfg.maxSnapAge
 	if maxAge == 0 {
@@ -408,15 +373,15 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 		if !synthesised {
 			dir, stamp = tenantDir(cfg.dataDir, sp.ID), sp.ID
 		}
-		m, err := d.newMember(sp, overlaySpec(base, sp), dir, stamp)
+		m, err := d.newMember(sp, sp.Pricing.Over(base), dir, stamp)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %q: %w", sp.ID, err)
 		}
 		tenants = append(tenants, m.tn)
-		srvTenants = append(srvTenants, m.serverTenant(maxAge, d.histStore != nil))
+		srvTenants = append(srvTenants, m.serverTenant(maxAge))
 	}
 	// The registry routes export datagrams to members by engine ID.
-	registry, err := tenant.NewRegistry(tenants, defaultID)
+	registry, err := tenant.NewRegistry(tenants)
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,7 @@ import (
 	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
+	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 )
 
@@ -180,8 +181,8 @@ func TestTierdEndToEnd(t *testing.T) {
 
 	cfg := config{
 		listen: "127.0.0.1:0", udp: "127.0.0.1:0", trace: dir,
-		model: "ced", alpha: 1.1, s0: 0.2, theta: 0.2,
-		strategy: "profit-weighted", tiers: 3,
+		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
+			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 	}
 	d, err := startDaemon(cfg)
@@ -334,8 +335,8 @@ func TestTierdStdinIngest(t *testing.T) {
 
 	cfg := config{
 		listen: "127.0.0.1:0", trace: dir, stdin: true,
-		model: "ced", alpha: 1.1, theta: 0.2,
-		strategy: "profit-weighted", tiers: 3,
+		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, Theta: 0.2,
+			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 	}
 	d, err := startDaemon(cfg)
@@ -377,8 +378,8 @@ func TestStartDaemonErrors(t *testing.T) {
 	dir := writeTraceDir(t, ds, 2)
 	good := config{
 		listen: "127.0.0.1:0", udp: "127.0.0.1:0", trace: dir,
-		model: "ced", alpha: 1.1, theta: 0.2, strategy: "profit-weighted",
-		tiers: 3, window: time.Hour, slot: time.Minute, reprice: time.Minute,
+		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, Theta: 0.2, Strategy: "profit-weighted", Tiers: 3},
+		window:  time.Hour, slot: time.Minute, reprice: time.Minute,
 	}
 	// A taken -listen port fails the start after durability is open and
 	// its checkpoint loop is ticking: the teardown must release both.
@@ -400,15 +401,18 @@ func TestStartDaemonErrors(t *testing.T) {
 	}
 	defer held.abort()
 	specPath := writeSpecFile(t, t.TempDir(), `{"tenants": [{"id": "net-a"}, {"id": "net-b", "routers": [2]}]}`)
+	negBlended := writeSpecFile(t, t.TempDir(), `{"tenants": [{"id": "net-a"}, {"id": "net-b", "routers": [2], "blended": -3}]}`)
 	cases := []func(*config){
 		func(c *config) { c.udp = held.udpAddr() },                           // UDP port held by a daemon
 		func(c *config) { c.trace = t.TempDir() },                            // no meta.txt
-		func(c *config) { c.model = "nonesuch" },                             // unknown model
-		func(c *config) { c.strategy = "nonesuch" },                          // unknown strategy
+		func(c *config) { c.pricing.Model = "nonesuch" },                     // unknown model
+		func(c *config) { c.pricing.Strategy = "nonesuch" },                  // unknown strategy
 		func(c *config) { c.window = time.Second; c.slot = 2 * time.Second }, // window < slot
-		func(c *config) { c.tiers = 0 },                                      // repricer validation
+		func(c *config) { c.pricing.Tiers = 0 },                              // repricer validation
 		takenPort,                                                            // occupied port, synthesised member
 		func(c *config) { takenPort(c); c.tenantsFile = specPath },           // occupied port, -tenants fleet
+		func(c *config) { c.pricing.Blended = -3 },                           // negative -blended
+		func(c *config) { c.tenantsFile = negBlended },                       // negative blended in a spec
 	}
 	for i, mutate := range cases {
 		cfg := good
@@ -477,8 +481,8 @@ func TestRunDrain(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config{
 				listen: "127.0.0.1:0", trace: dir,
-				model: "ced", alpha: 1.1, theta: 0.2, strategy: "profit-weighted", tiers: 3,
-				window: 4 * time.Hour, slot: time.Hour,
+				pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, Theta: 0.2, Strategy: "profit-weighted", Tiers: 3},
+				window:  4 * time.Hour, slot: time.Hour,
 				// Interval far beyond the test's lifetime: the only re-price
 				// that can happen is the drain pass.
 				reprice: time.Hour, drainGrace: 200 * time.Millisecond,

@@ -40,6 +40,7 @@ import (
 	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
+	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 	"tieredpricing/internal/wal"
 )
@@ -93,8 +94,8 @@ func traceDatagrams(t *testing.T, streams map[string][]byte) []datagram {
 func recoverConfig(trace, dataDir string, now func() time.Time) config {
 	return config{
 		listen: "127.0.0.1:0", trace: trace,
-		model: "ced", alpha: 1.1, s0: 0.2, theta: 0.2,
-		strategy: "profit-weighted", tiers: 3,
+		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
+			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 		drainGrace: 5 * time.Second,
 		dataDir:    dataDir, ckptInterval: time.Hour,

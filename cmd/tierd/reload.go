@@ -9,8 +9,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/signal"
@@ -19,75 +17,8 @@ import (
 	"syscall"
 
 	"tieredpricing/internal/server"
+	"tieredpricing/internal/tenant"
 )
-
-// fileConfig is the hot-reloadable pricing configuration: a JSON
-// object whose present fields override the corresponding flags
-// (tenant-spec overrides still win on top — the overlay order is
-// flags < config file < tenant spec). Pointer fields
-// distinguish "absent, inherit the flag" from an explicit zero, and
-// unknown keys are rejected so a typo cannot reload as a silent no-op.
-type fileConfig struct {
-	Model     *string  `json:"model,omitempty"`
-	Alpha     *float64 `json:"alpha,omitempty"`
-	S0        *float64 `json:"s0,omitempty"`
-	Theta     *float64 `json:"theta,omitempty"`
-	Strategy  *string  `json:"strategy,omitempty"`
-	Tiers     *int     `json:"tiers,omitempty"`
-	Blended   *float64 `json:"blended,omitempty"`
-	DemandSec *float64 `json:"demand_sec,omitempty"`
-}
-
-// loadFileConfig reads and strictly parses a -config file.
-func loadFileConfig(path string) (*fileConfig, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var fc fileConfig
-	if err := dec.Decode(&fc); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("parsing %s: trailing data after the config object", path)
-	}
-	return &fc, nil
-}
-
-// applyFileConfig overlays a config file's present fields on an
-// engine spec.
-func applyFileConfig(es engineSpec, fc *fileConfig) engineSpec {
-	if fc == nil {
-		return es
-	}
-	if fc.Model != nil {
-		es.model = *fc.Model
-	}
-	if fc.Alpha != nil {
-		es.alpha = *fc.Alpha
-	}
-	if fc.S0 != nil {
-		es.s0 = *fc.S0
-	}
-	if fc.Theta != nil {
-		es.theta = *fc.Theta
-	}
-	if fc.Strategy != nil {
-		es.strategy = *fc.Strategy
-	}
-	if fc.Tiers != nil {
-		es.tiers = *fc.Tiers
-	}
-	if fc.Blended != nil {
-		es.blended = *fc.Blended
-	}
-	if fc.DemandSec != nil {
-		es.demandSec = *fc.DemandSec
-	}
-	return es
-}
 
 // reloadState is the process-wide hot-reload bookkeeping: the config
 // epoch (generation 1 is the boot config; restore fast-forwards past
@@ -127,7 +58,9 @@ func (rs *reloadState) stats() server.ReloadStats {
 	}
 }
 
-// reloadConfig performs one hot reload: re-read the -config file,
+// reloadConfig performs one hot reload: re-read the -config file onto
+// the flags (tenant.LoadPricingFile: present keys override, tenant-spec
+// overrides still win on top),
 // validate every member's new configuration, swap them in, and bump
 // the config epoch. Any failure leaves every member on its current
 // configuration (all are validated before any is touched) and counts a
@@ -141,23 +74,22 @@ func (d *daemon) reloadConfig() error {
 		fmt.Fprintln(os.Stderr, "tierd: config reload:", err)
 		return err
 	}
-	fc, err := loadFileConfig(d.cfg.configFile)
+	base, err := tenant.LoadPricingFile(d.cfg.configFile, d.cfg.pricing)
 	if err != nil {
 		return fail(err)
 	}
-	base := applyFileConfig(engineFromConfig(d.cfg), fc)
 	// All-or-nothing across the fleet: a bad overlay for any tenant
 	// rejects the reload for all of them, so tenants never serve mixed
 	// config generations.
-	specs := make([]engineSpec, len(d.members))
+	next := make([]tenant.Pricing, len(d.members))
 	for i, m := range d.members {
-		specs[i] = overlaySpec(base, m.spec)
-		if err := m.reloader.check(specs[i]); err != nil {
+		next[i] = m.spec.Pricing.Over(base)
+		if err := m.reloader.check(next[i]); err != nil {
 			return fail(fmt.Errorf("tenant %s: %w", m.spec.ID, err))
 		}
 	}
 	for i, m := range d.members {
-		if err := m.reloader.apply(specs[i]); err != nil {
+		if err := m.reloader.apply(next[i]); err != nil {
 			// check passed on identical inputs; reaching here is a bug,
 			// but count and report it rather than hide it.
 			return fail(fmt.Errorf("tenant %s: %w", m.spec.ID, err))

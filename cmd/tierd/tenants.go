@@ -46,10 +46,11 @@ func tenantDir(dataDir, id string) string {
 	return filepath.Join(dataDir, "tenants", id)
 }
 
-// newMember builds one pricing engine from its effective spec, recovers
-// it from dir (the member's durability namespace; stamp is the tenant ID
-// its checkpoints carry) when -data-dir is set, and adds it to the fleet.
-func (d *daemon) newMember(sp tenant.Spec, es engineSpec, dir, stamp string) (*member, error) {
+// newMember builds one pricing engine from the spec's trace (else
+// -trace) and its effective pricing p, recovers it from dir (the
+// member's durability namespace; stamp is the tenant ID its checkpoints
+// carry) when -data-dir is set, and adds it to the fleet.
+func (d *daemon) newMember(sp tenant.Spec, p tenant.Pricing, dir, stamp string) (*member, error) {
 	cfg := d.cfg
 	wrap := cfg.wrapResolver
 	if cfg.wrapTenantResolver != nil {
@@ -57,7 +58,11 @@ func (d *daemon) newMember(sp tenant.Spec, es engineSpec, dir, stamp string) (*m
 			return cfg.wrapTenantResolver(sp.ID, rv)
 		}
 	}
-	w, rp, rl, err := buildEngine(cfg, es, wrap)
+	trace := sp.Trace
+	if trace == "" {
+		trace = cfg.trace
+	}
+	w, rp, rl, err := buildEngine(cfg, trace, p, wrap)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +80,6 @@ func (d *daemon) newMember(sp tenant.Spec, es engineSpec, dir, stamp string) (*m
 	}
 	m.tn = &tenant.Tenant{
 		Spec:    sp,
-		Window:  w,
 		Limiter: tenant.NewBucket(sp.RateQPS, sp.RateBurst, cfg.now),
 		Sink:    sink,
 	}
@@ -84,13 +88,13 @@ func (d *daemon) newMember(sp tenant.Spec, es engineSpec, dir, stamp string) (*m
 }
 
 // serverTenant is the member's handle on the HTTP layer.
-func (m *member) serverTenant(maxAge time.Duration, deepHistory bool) *server.Tenant {
+func (m *member) serverTenant(maxAge time.Duration) *server.Tenant {
 	st := &server.Tenant{
 		ID:             m.spec.ID,
 		Snapshots:      m.repricer,
 		Metrics:        m.metrics,
 		Ingest:         m.ingestStats,
-		History:        m.recorder.snapshot,
+		History:        m.recorder.query,
 		MaxSnapshotAge: maxAge,
 		Weight:         m.tn.Weight(),
 		RateQPS:        m.tn.Limiter.Rate(),
@@ -99,47 +103,10 @@ func (m *member) serverTenant(maxAge time.Duration, deepHistory bool) *server.Te
 	if m.tn.Limiter != nil {
 		st.Limiter = m.tn.Limiter
 	}
-	if deepHistory {
-		st.HistoryScan = m.recorder.scan
-	}
 	if m.durable != nil {
 		st.Durability = m.durable.stats
 	}
 	return st
-}
-
-// overlaySpec overlays a tenant's overrides on a base engine spec
-// (the flags, possibly already overlaid with -config): zero-valued
-// spec fields inherit the base.
-func overlaySpec(es engineSpec, sp tenant.Spec) engineSpec {
-	if sp.Trace != "" {
-		es.trace = sp.Trace
-	}
-	if sp.Model != "" {
-		es.model = sp.Model
-	}
-	if sp.Alpha != 0 {
-		es.alpha = sp.Alpha
-	}
-	if sp.S0 != 0 {
-		es.s0 = sp.S0
-	}
-	if sp.Theta != 0 {
-		es.theta = sp.Theta
-	}
-	if sp.Strategy != "" {
-		es.strategy = sp.Strategy
-	}
-	if sp.Tiers != 0 {
-		es.tiers = sp.Tiers
-	}
-	if sp.Blended != 0 {
-		es.blended = sp.Blended
-	}
-	if sp.DemandSec != 0 {
-		es.demandSec = sp.DemandSec
-	}
-	return es
 }
 
 // warnOrphanNamespaces flags on-disk tenant namespaces no configured

@@ -36,6 +36,7 @@ import (
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
+	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 )
 
@@ -444,8 +445,8 @@ func (h *fleetHarness) waitTenantServing(t *testing.T, id string) {
 func fleetConfig(traceDir, specPath string) config {
 	return config{
 		listen: "127.0.0.1:0", trace: traceDir, tenantsFile: specPath,
-		model: "ced", alpha: 1.1, s0: 0.2, theta: 0.2,
-		strategy: "profit-weighted", tiers: 3,
+		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
+			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour,
 		reprice: 25 * time.Millisecond, maxSnapAge: time.Minute,
 		schedWorkers: 1, drainGrace: 2 * time.Second,

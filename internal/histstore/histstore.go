@@ -14,6 +14,7 @@ package histstore
 
 import (
 	"encoding/json"
+	"sort"
 	"time"
 )
 
@@ -35,7 +36,9 @@ type Entry struct {
 	Table json.RawMessage `json:"table"`
 }
 
-// Query selects a slice of one tenant's series by epoch range.
+// Query selects a slice of one tenant's series by epoch range. It is
+// the one definition of /v1/history's range semantics: the store's Scan
+// and tierd's in-memory ring both select through Range.
 type Query struct {
 	// SinceEpoch and UntilEpoch bound the scan inclusively; zero means
 	// unbounded on that side.
@@ -46,13 +49,24 @@ type Query struct {
 	Limit int
 }
 
-// Retention is a Prune policy. Zero fields mean "keep everything" on
-// that axis.
-type Retention struct {
-	// MaxEntries bounds each tenant's row count (oldest epochs drop).
-	MaxEntries int
-	// MaxAge drops entries whose At is older than now-MaxAge.
-	MaxAge time.Duration
+// Range selects q from an oldest-first series of n entries whose i-th
+// epoch is epochAt(i), epochs strictly ascending: the series' [lo, hi)
+// is what q returns. An empty selection has lo == hi.
+func (q Query) Range(n int, epochAt func(int) int64) (lo, hi int) {
+	if q.SinceEpoch > 0 {
+		lo = sort.Search(n, func(i int) bool { return epochAt(i) >= q.SinceEpoch })
+	}
+	hi = n
+	if q.UntilEpoch > 0 {
+		hi = sort.Search(n, func(i int) bool { return epochAt(i) > q.UntilEpoch })
+	}
+	if lo >= hi {
+		return lo, lo
+	}
+	if q.Limit > 0 && hi-lo > q.Limit {
+		lo = hi - q.Limit // newest Limit, still oldest-first
+	}
+	return lo, hi
 }
 
 // Stats is a point-in-time view of a store for /metrics.
@@ -92,6 +106,6 @@ type Options struct {
 	// FlushBytes triggers an immediate commit when the staged batch
 	// exceeds it (default 256 KiB).
 	FlushBytes int
-	// Now is the store's clock (Prune MaxAge); nil selects time.Now.
+	// Now is the store's clock (Prune's cutoff); nil selects time.Now.
 	Now func() time.Time
 }

@@ -60,7 +60,7 @@ type rowLoc struct {
 
 // rowMeta is the resident index entry for one row.
 type rowMeta struct {
-	atNS int64 // Entry.At, for MaxAge pruning without a disk read
+	atNS int64 // Entry.At, for Prune's age cutoff without a disk read
 	loc  rowLoc
 }
 
@@ -370,21 +370,11 @@ func (s *Store) Scan(tenant string, q Query) ([]Entry, error) {
 	if ti == nil {
 		return nil, nil
 	}
-	lo := 0
-	if q.SinceEpoch > 0 {
-		lo = sort.Search(len(ti.epochs), func(i int) bool { return ti.epochs[i] >= q.SinceEpoch })
-	}
-	hi := len(ti.epochs)
-	if q.UntilEpoch > 0 {
-		hi = sort.Search(len(ti.epochs), func(i int) bool { return ti.epochs[i] > q.UntilEpoch })
-	}
-	if lo >= hi {
+	lo, hi := q.Range(len(ti.epochs), func(i int) int64 { return ti.epochs[i] })
+	if lo == hi {
 		return nil, nil
 	}
 	epochs := ti.epochs[lo:hi]
-	if q.Limit > 0 && len(epochs) > q.Limit {
-		epochs = epochs[len(epochs)-q.Limit:] // newest Limit, still oldest-first
-	}
 	out := make([]Entry, 0, len(epochs))
 	for _, ep := range epochs {
 		raw, err := s.rawRowLocked(ti.rows[ep])
@@ -400,46 +390,24 @@ func (s *Store) Scan(tenant string, q Query) ([]Entry, error) {
 	return out, nil
 }
 
-// Tenants lists tenants with live rows.
-func (s *Store) Tenants() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.idx))
-	for t, ti := range s.idx {
-		if len(ti.epochs) > 0 {
-			out = append(out, t)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Prune drops rows beyond the retention policy across every tenant,
-// reports how many it removed, and compacts the file when any were.
-func (s *Store) Prune(policy Retention) (int, error) {
+// Prune drops every tenant's rows whose At is older than now-maxAge
+// (maxAge <= 0 keeps everything), reports how many it removed, and
+// compacts the file when any were.
+func (s *Store) Prune(maxAge time.Duration) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, errors.New("histstore: store is closed")
 	}
-	removed := 0
-	var cutoffNS int64
-	if policy.MaxAge > 0 {
-		cutoffNS = s.opts.Now().Add(-policy.MaxAge).UnixNano()
+	if maxAge <= 0 {
+		return 0, nil
 	}
+	removed := 0
+	cutoffNS := s.opts.Now().Add(-maxAge).UnixNano()
 	for _, ti := range s.idx {
-		drop := 0
-		if policy.MaxEntries > 0 && len(ti.epochs) > policy.MaxEntries {
-			drop = len(ti.epochs) - policy.MaxEntries
-		}
-		if cutoffNS > 0 {
-			aged := sort.Search(len(ti.epochs), func(i int) bool {
-				return ti.rows[ti.epochs[i]].atNS >= cutoffNS
-			})
-			if aged > drop {
-				drop = aged
-			}
-		}
+		drop := sort.Search(len(ti.epochs), func(i int) bool {
+			return ti.rows[ti.epochs[i]].atNS >= cutoffNS
+		})
 		for _, ep := range ti.epochs[:drop] {
 			rm := ti.rows[ep]
 			ti.bytes -= uint64(rm.loc.n)

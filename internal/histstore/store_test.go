@@ -136,8 +136,8 @@ func TestReopenPersists(t *testing.T) {
 
 	s = mustOpen(t, path, testOpts())
 	defer s.Close()
-	if ts := s.Tenants(); len(ts) != 2 || ts[0] != "alpha" || ts[1] != "beta" {
-		t.Fatalf("Tenants after reopen: %v", ts)
+	if got, err := s.Scan("beta", Query{}); err != nil || len(got) != 5 {
+		t.Fatalf("beta after reopen: %d rows, %v", len(got), err)
 	}
 	got, err := s.Scan("alpha", Query{})
 	if err != nil {
@@ -442,71 +442,95 @@ func TestParentFixture(t *testing.T) {
 	}
 }
 
-func TestPruneMaxEntriesCompacts(t *testing.T) {
+// TestPruneMaxAge: rows older than the cutoff go from every tenant,
+// the file is compacted to the live set, and a prune with nothing to
+// drop does not rewrite it.
+func TestPruneMaxAge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "h.db")
-	s := mustOpen(t, path, testOpts())
-	base := time.Unix(1700000000, 0).UTC()
-	appendN(t, s, "alpha", 1, 30, base)
-	appendN(t, s, "beta", 1, 4, base)
-	removed, err := s.Prune(Retention{MaxEntries: 10})
+	now := time.Unix(1700000000, 0).UTC()
+	opts := testOpts()
+	opts.Now = func() time.Time { return now.Add(100 * time.Second) }
+	s := mustOpen(t, path, opts)
+	appendN(t, s, "default", 1, 90, now) // entry ep has At = now+ep seconds
+	appendN(t, s, "beta", 1, 4, now.Add(80*time.Second))
+	// Cutoff at now+40s: default's epochs 1..39 age out, beta is younger.
+	removed, err := s.Prune(60 * time.Second)
 	if err != nil {
-		t.Fatalf("Prune: %v", err)
+		t.Fatal(err)
 	}
-	if removed != 20 {
-		t.Fatalf("Prune removed %d, want 20", removed)
+	if removed != 39 {
+		t.Fatalf("prune removed %d, want 39", removed)
 	}
-	got, _ := s.Scan("alpha", Query{})
-	if eps := epochsOf(got); len(eps) != 10 || eps[0] != 21 || eps[9] != 30 {
-		t.Fatalf("alpha after prune: %v", eps)
+	got, _ := s.Scan("default", Query{})
+	if eps := epochsOf(got); len(eps) != 51 || eps[0] != 40 || eps[50] != 90 {
+		t.Fatalf("default after prune: %v", eps)
 	}
 	if got, _ = s.Scan("beta", Query{}); len(got) != 4 {
 		t.Fatalf("beta lost rows: %d", len(got))
 	}
 	st := s.Stats()
-	if st.Pruned != 20 || st.Compactions != 1 || st.Entries != 14 {
+	if st.Pruned != 39 || st.Compactions != 1 || st.Entries != 55 {
 		t.Fatalf("stats after prune: %+v", st)
+	}
+	// No-op prunes don't compact.
+	for _, maxAge := range []time.Duration{60 * time.Second, 0} {
+		if removed, _ := s.Prune(maxAge); removed != 0 {
+			t.Fatalf("prune(%v) after prune removed %d", maxAge, removed)
+		}
+	}
+	if st2 := s.Stats(); st2.Compactions != st.Compactions {
+		t.Fatal("no-op prune compacted")
 	}
 	// Compaction rewrote the main file: the pruned rows are gone from
 	// disk, and a reopen sees only the live set.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s = mustOpen(t, path, testOpts())
+	s = mustOpen(t, path, opts)
 	defer s.Close()
-	if got, _ = s.Scan("alpha", Query{}); len(got) != 10 {
-		t.Fatalf("alpha after prune+reopen: %d rows", len(got))
+	if got, _ = s.Scan("default", Query{}); len(got) != 51 || got[0].Epoch != 40 {
+		t.Fatalf("default after prune+reopen: %v", epochsOf(got))
 	}
-	if st := s.Stats(); st.Entries != 14 {
+	if st := s.Stats(); st.Entries != 55 {
 		t.Fatalf("Entries after prune+reopen = %d", st.Entries)
 	}
 }
 
-func TestPruneMaxAge(t *testing.T) {
-	now := time.Unix(1700000000, 0).UTC()
-	opts := testOpts()
-	opts.Now = func() time.Time { return now.Add(100 * time.Second) }
-	s := mustOpen(t, filepath.Join(t.TempDir(), "h.db"), opts)
-	defer s.Close()
-	appendN(t, s, "default", 1, 90, now) // entry ep has At = now+ep seconds
-	// Cutoff at now+40s: epochs 1..39 age out.
-	removed, err := s.Prune(Retention{MaxAge: 60 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+// TestQueryRange pins /v1/history's range semantics on a 40-epoch
+// series: inclusive epoch bounds (0 = unbounded), the newest Limit
+// kept, oldest first.
+func TestQueryRange(t *testing.T) {
+	epochs := make([]int64, 40)
+	for i := range epochs {
+		epochs[i] = int64(i + 1)
 	}
-	if removed != 39 {
-		t.Fatalf("MaxAge prune removed %d, want 39", removed)
+	cases := []struct {
+		q      Query
+		lo, hi int64 // wanted epochs, inclusive; lo > hi for none
+	}{
+		{Query{}, 1, 40},
+		{Query{SinceEpoch: 35}, 35, 40},
+		{Query{UntilEpoch: 4}, 1, 4},
+		{Query{SinceEpoch: 10, UntilEpoch: 13}, 10, 13},
+		{Query{Limit: 3}, 38, 40},
+		{Query{SinceEpoch: 10, UntilEpoch: 30, Limit: 5}, 26, 30},
+		{Query{Limit: 100}, 1, 40},
+		{Query{SinceEpoch: 100}, 1, 0},                // empty range
+		{Query{SinceEpoch: 20, UntilEpoch: 10}, 1, 0}, // inverted range is empty
 	}
-	got, _ := s.Scan("default", Query{})
-	if eps := epochsOf(got); eps[0] != 40 {
-		t.Fatalf("oldest surviving epoch %d, want 40", eps[0])
-	}
-	// No-op prune doesn't compact.
-	st := s.Stats()
-	if removed, _ := s.Prune(Retention{MaxAge: 60 * time.Second}); removed != 0 {
-		t.Fatalf("second prune removed %d", removed)
-	}
-	if st2 := s.Stats(); st2.Compactions != st.Compactions {
-		t.Fatal("no-op prune compacted")
+	for _, tc := range cases {
+		lo, hi := tc.q.Range(len(epochs), func(i int) int64 { return epochs[i] })
+		var got []int64
+		if lo < hi {
+			got = epochs[lo:hi]
+		}
+		var want []int64
+		for ep := tc.lo; ep <= tc.hi; ep++ {
+			want = append(want, ep)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%+v: epochs %v, want %v", tc.q, got, want)
+		}
 	}
 }
 
@@ -604,7 +628,7 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 	if err := s.Append(entry("default", 1, time.Unix(0, 0))); err == nil {
 		t.Fatal("append after close accepted")
 	}
-	if _, err := s.Prune(Retention{MaxEntries: 1}); err == nil {
+	if _, err := s.Prune(time.Second); err == nil {
 		t.Fatal("prune after close accepted")
 	}
 	if err := s.Close(); err != nil {

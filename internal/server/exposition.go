@@ -126,18 +126,18 @@ var exposition = []struct {
 		{"tierd_sched_tenant_cost_seconds", "Smoothed reprice cost estimate driving the tenant's fair tags.", "gauge", func(v *view) any { return v.flow.CostSeconds }},
 	}},
 	{func(v *view) bool { return v.dur != nil }, []family{
-		{"tierd_wal_bytes_total", "Bytes appended to the write-ahead log.", "counter", func(v *view) any { return v.dur.WALBytes }},
-		{"tierd_wal_entries_total", "Entries appended to the write-ahead log.", "counter", func(v *view) any { return v.dur.WALEntries }},
-		{"tierd_wal_fsyncs_total", "WAL fsync syscalls issued.", "counter", func(v *view) any { return v.dur.WALFsyncs }},
+		{"tierd_wal_bytes_total", "Bytes appended to the write-ahead log.", "counter", func(v *view) any { return v.dur.WAL.Bytes }},
+		{"tierd_wal_entries_total", "Entries appended to the write-ahead log.", "counter", func(v *view) any { return v.dur.WAL.Entries }},
+		{"tierd_wal_fsyncs_total", "WAL fsync syscalls issued.", "counter", func(v *view) any { return v.dur.WAL.Fsyncs }},
 		{"tierd_wal_fsync_seconds", "WAL fsync latency.", "summary", func(v *view) any {
 			return []sample{
-				{"", `quantile="0.5"`, v.dur.WALFsyncP50},
-				{"", `quantile="0.99"`, v.dur.WALFsyncP99},
-				{"_sum", "", v.dur.WALFsyncSum},
-				{"_count", "", v.dur.WALFsyncs},
+				{"", `quantile="0.5"`, float64(v.dur.WAL.FsyncP50Ns) / 1e9},
+				{"", `quantile="0.99"`, float64(v.dur.WAL.FsyncP99Ns) / 1e9},
+				{"_sum", "", v.dur.WAL.FsyncSumNs / 1e9},
+				{"_count", "", v.dur.WAL.Fsyncs},
 			}
 		}},
-		{"tierd_wal_fsync_max_seconds", "Worst WAL fsync latency observed.", "gauge", func(v *view) any { return v.dur.WALFsyncMax }},
+		{"tierd_wal_fsync_max_seconds", "Worst WAL fsync latency observed.", "gauge", func(v *view) any { return float64(v.dur.WAL.FsyncMaxNs) / 1e9 }},
 		{"tierd_checkpoints_total", "Checkpoints written since boot.", "counter", func(v *view) any { return v.dur.Checkpoints }},
 		{"tierd_checkpoint_age_seconds", "Seconds since the newest checkpoint.", "gauge", func(v *view) any {
 			if v.dur.CheckpointAge < 0 {

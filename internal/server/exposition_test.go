@@ -11,6 +11,7 @@ import (
 	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/tenant"
+	"tieredpricing/internal/wal"
 )
 
 // expositionConfig wires every /metrics source — ingest, durability,
@@ -51,8 +52,8 @@ func expositionConfig(snap *stream.Snapshot, ids ...string) Config {
 			ID: id, Snapshots: &fakeSource{snap: snap}, Metrics: m, Ingest: ingest,
 			MaxSnapshotAge: 30 * time.Second, Weight: 1,
 			Durability: func() DurabilityStats {
-				return DurabilityStats{WALBytes: 4096, WALEntries: 12, WALFsyncs: 4, WALFsyncP50: 0.001,
-					WALFsyncP99: 0.004, WALFsyncMax: 0.005, WALFsyncSum: 0.009, Checkpoints: 2,
+				return DurabilityStats{WAL: wal.Stats{Bytes: 4096, Entries: 12, Fsyncs: 4, FsyncP50Ns: 1e6,
+					FsyncP99Ns: 4e6, FsyncMaxNs: 5e6, FsyncSumNs: 9e6}, Checkpoints: 2,
 					CheckpointAge: 1.5, RecoveryReplayed: 7, RecoveryTornBytes: 13, Errors: 6}
 			},
 		})

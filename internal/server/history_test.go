@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"tieredpricing/internal/histstore"
 )
 
 // ringOf builds an oldest-first history series with epochs 1..n.
@@ -24,14 +27,12 @@ func ringOf(n int) []HistoryEntry {
 	return out
 }
 
-func historyServer(t *testing.T, history func() []HistoryEntry,
-	scan func(HistoryQuery) ([]HistoryEntry, error)) *httptest.Server {
+func historyServer(t *testing.T, history func(histstore.Query) ([]HistoryEntry, error)) *httptest.Server {
 	t.Helper()
 	s, err := New(Config{Sole: true, Tenants: []*Tenant{{
-		ID:          "default",
-		Snapshots:   &fakeSource{snap: makeSnapshot(t)},
-		History:     history,
-		HistoryScan: scan,
+		ID:        "default",
+		Snapshots: &fakeSource{snap: makeSnapshot(t)},
+		History:   history,
 	}}})
 	if err != nil {
 		t.Fatal(err)
@@ -50,50 +51,11 @@ func decodeHistory(t *testing.T, body []byte) []HistoryEntry {
 	return resp.Entries
 }
 
-// TestHistoryParamsRingFallback pins the since/until/limit semantics on
-// the ring-backed path: inclusive epoch bounds, newest-limit-kept,
-// oldest-first order.
-func TestHistoryParamsRingFallback(t *testing.T) {
-	ts := historyServer(t, func() []HistoryEntry { return ringOf(40) }, nil)
-
-	cases := []struct {
-		query string
-		want  []int64
-	}{
-		{"", seq(1, 40)},
-		{"?since=35", seq(35, 40)},
-		{"?until=4", seq(1, 4)},
-		{"?since=10&until=13", seq(10, 13)},
-		{"?limit=3", seq(38, 40)}, // newest 3, oldest-first
-		{"?since=10&until=30&limit=5", seq(26, 30)},
-		{"?since=0&until=0", seq(1, 40)}, // 0 = unbounded
-		{"?since=100", nil},              // empty range
-		{"?since=20&until=10", nil},      // inverted range is empty
-	}
-	for _, tc := range cases {
-		status, body := get(t, ts.URL+"/v1/history"+tc.query)
-		if status != http.StatusOK {
-			t.Fatalf("%q: status %d: %s", tc.query, status, body)
-		}
-		entries := decodeHistory(t, body)
-		got := make([]int64, len(entries))
-		for i, e := range entries {
-			got[i] = e.Epoch
-			if e.ConfigEpoch != 1 {
-				t.Errorf("%q: entry %d lost config_epoch: %+v", tc.query, i, e)
-			}
-		}
-		if !int64SlicesEqual(got, tc.want) {
-			t.Errorf("%q: epochs %v, want %v", tc.query, got, tc.want)
-		}
-	}
-}
-
 // TestHistoryParamValidation pins the 400 contract: negative or
 // non-numeric since/until/limit are rejected before any scan runs.
 func TestHistoryParamValidation(t *testing.T) {
 	scanned := false
-	ts := historyServer(t, nil, func(q HistoryQuery) ([]HistoryEntry, error) {
+	ts := historyServer(t, func(histstore.Query) ([]HistoryEntry, error) {
 		scanned = true
 		return nil, nil
 	})
@@ -108,7 +70,7 @@ func TestHistoryParamValidation(t *testing.T) {
 			t.Errorf("%q: status %d, want 400 (%s)", query, status, body)
 		}
 		if scanned {
-			t.Errorf("%q: invalid query reached the store scan", query)
+			t.Errorf("%q: invalid query reached the history source", query)
 		}
 	}
 }
@@ -116,8 +78,8 @@ func TestHistoryParamValidation(t *testing.T) {
 // TestHistoryLimitCap: absent, zero, and over-cap limits all clamp to
 // the documented server-side cap.
 func TestHistoryLimitCap(t *testing.T) {
-	var got []HistoryQuery
-	ts := historyServer(t, nil, func(q HistoryQuery) ([]HistoryEntry, error) {
+	var got []histstore.Query
+	ts := historyServer(t, func(q histstore.Query) ([]HistoryEntry, error) {
 		got = append(got, q)
 		return nil, nil
 	})
@@ -126,82 +88,55 @@ func TestHistoryLimitCap(t *testing.T) {
 			t.Fatalf("%q: status %d: %s", query, status, body)
 		}
 	}
+	if len(got) != 3 {
+		t.Fatalf("history source saw %d queries, want 3", len(got))
+	}
 	for i, q := range got {
 		if q.Limit != HistoryLimitCap {
-			t.Errorf("request %d: limit %d reached the store, want cap %d", i, q.Limit, HistoryLimitCap)
+			t.Errorf("request %d: limit %d reached the history source, want cap %d", i, q.Limit, HistoryLimitCap)
 		}
-	}
-	// The ring fallback honors the cap too.
-	ts2 := historyServer(t, func() []HistoryEntry { return ringOf(HistoryLimitCap + 50) }, nil)
-	status, body := get(t, ts2.URL+"/v1/history")
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	entries := decodeHistory(t, body)
-	if len(entries) != HistoryLimitCap {
-		t.Fatalf("ring fallback returned %d entries, want cap %d", len(entries), HistoryLimitCap)
-	}
-	if entries[0].Epoch != 51 || entries[len(entries)-1].Epoch != HistoryLimitCap+50 {
-		t.Fatalf("capped ring kept [%d..%d], want the newest %d",
-			entries[0].Epoch, entries[len(entries)-1].Epoch, HistoryLimitCap)
 	}
 }
 
-// TestHistoryStorePreferred: with a HistoryScan wired, the handler
-// serves the store's answer (which can reach far past the ring) and
-// passes the parsed query through.
-func TestHistoryStorePreferred(t *testing.T) {
-	var sawQuery HistoryQuery
-	deep := ringOf(5) // stands in for store rows older than any ring entry
-	ts := historyServer(t,
-		func() []HistoryEntry { t.Error("ring consulted despite store"); return nil },
-		func(q HistoryQuery) ([]HistoryEntry, error) {
-			sawQuery = q
-			return deep, nil
-		})
+// TestHistoryQueryPassThrough: the handler passes the parsed query to
+// the tenant's History callback and serves its answer verbatim; with no
+// callback, or an empty answer, the series is [] rather than null.
+func TestHistoryQueryPassThrough(t *testing.T) {
+	var sawQuery histstore.Query
+	ts := historyServer(t, func(q histstore.Query) ([]HistoryEntry, error) {
+		sawQuery = q
+		return ringOf(5), nil
+	})
 	status, body := get(t, ts.URL+"/v1/history?since=2&until=900&limit=10")
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	if sawQuery != (HistoryQuery{Since: 2, Until: 900, Limit: 10}) {
-		t.Fatalf("store saw query %+v", sawQuery)
+	if sawQuery != (histstore.Query{SinceEpoch: 2, UntilEpoch: 900, Limit: 10}) {
+		t.Fatalf("history source saw query %+v", sawQuery)
 	}
-	if entries := decodeHistory(t, body); len(entries) != 5 {
-		t.Fatalf("got %d entries, want the store's 5", len(entries))
+	entries := decodeHistory(t, body)
+	if len(entries) != 5 || entries[4].Epoch != 5 || entries[4].ConfigEpoch != 1 {
+		t.Fatalf("got %+v, want the source's 5 entries", entries)
+	}
+	for _, history := range []func(histstore.Query) ([]HistoryEntry, error){
+		nil,
+		func(histstore.Query) ([]HistoryEntry, error) { return nil, nil },
+	} {
+		status, body := get(t, historyServer(t, history).URL+"/v1/history")
+		if status != http.StatusOK || !strings.Contains(string(body), `"entries":[]`) {
+			t.Fatalf("empty series: status %d, body %s", status, body)
+		}
 	}
 }
 
 // TestHistoryStoreError: a failing store scan is a 500, not a silent
 // empty series.
 func TestHistoryStoreError(t *testing.T) {
-	ts := historyServer(t, nil, func(HistoryQuery) ([]HistoryEntry, error) {
+	ts := historyServer(t, func(histstore.Query) ([]HistoryEntry, error) {
 		return nil, fmt.Errorf("disk on fire")
 	})
 	status, body := get(t, ts.URL+"/v1/history")
 	if status != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500 (%s)", status, body)
 	}
-}
-
-func seq(from, to int64) []int64 {
-	if from > to {
-		return nil
-	}
-	out := make([]int64, 0, to-from+1)
-	for ep := from; ep <= to; ep++ {
-		out = append(out, ep)
-	}
-	return out
-}
-
-func int64SlicesEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -15,6 +15,7 @@ import (
 	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/tenant"
+	"tieredpricing/internal/wal"
 )
 
 // SnapshotSource supplies the current pricing snapshot (nil before the
@@ -44,15 +45,9 @@ type IngestStats struct {
 // "durability disabled" only through Tenant.Durability being nil; with
 // a callback installed every field is live.
 type DurabilityStats struct {
-	// WAL counters: bytes and entries appended, fsync syscalls issued.
-	WALBytes   uint64
-	WALEntries uint64
-	WALFsyncs  uint64
-	// Fsync latency summary, in seconds (internal/hist quantiles).
-	WALFsyncP50 float64
-	WALFsyncP99 float64
-	WALFsyncMax float64
-	WALFsyncSum float64
+	// WAL is the log's own counters; the exposition renders its fsync
+	// latencies in seconds.
+	WAL wal.Stats
 	// Checkpoints taken since boot; CheckpointAge is the seconds since
 	// the newest one (negative = none yet, the age line is suppressed).
 	Checkpoints   uint64
@@ -73,8 +68,7 @@ type DurabilityStats struct {
 // them at that epoch, plus the pricing-config epoch that produced the
 // table (1 = boot config; each successful hot reload increments it).
 // The daemon's history recorder appends one entry per epoch to the
-// durable store (when configured) and keeps a bounded ring in front of
-// it.
+// durable store (when configured) and keeps a bounded ring beside it.
 type HistoryEntry struct {
 	At          time.Time       `json:"at"`
 	Epoch       int64           `json:"epoch"`
@@ -87,16 +81,6 @@ type HistoryEntry struct {
 // limit selects it, so a deep store scan can never become an unbounded
 // response body.
 const HistoryLimitCap = 1000
-
-// HistoryQuery is a parsed /v1/history range request. Since and Until
-// bound the epoch range inclusively (0 = unbounded on that side);
-// Limit caps the returned entries, keeping the newest when more match
-// (still returned oldest-first).
-type HistoryQuery struct {
-	Since int64
-	Until int64
-	Limit int
-}
 
 // ReloadStats is a point-in-time view of config hot-reload for
 // /metrics: the process-wide pricing-config epoch (1 at boot, +1 per
@@ -454,7 +438,7 @@ type historyResponse struct {
 // Each must be a non-negative decimal integer when present (anything
 // else is a 400); an absent or zero limit selects the server-side cap,
 // and larger requests are clamped to it.
-func parseHistoryQuery(r *http.Request) (HistoryQuery, error) {
+func parseHistoryQuery(r *http.Request) (histstore.Query, error) {
 	vals := r.URL.Query()
 	parse := func(name string) (int64, error) {
 		raw := vals.Get(name)
@@ -470,12 +454,12 @@ func parseHistoryQuery(r *http.Request) (HistoryQuery, error) {
 		}
 		return n, nil
 	}
-	var q HistoryQuery
+	var q histstore.Query
 	var err error
-	if q.Since, err = parse("since"); err != nil {
+	if q.SinceEpoch, err = parse("since"); err != nil {
 		return q, err
 	}
-	if q.Until, err = parse("until"); err != nil {
+	if q.UntilEpoch, err = parse("until"); err != nil {
 		return q, err
 	}
 	limit, err := parse("limit")
@@ -489,30 +473,10 @@ func parseHistoryQuery(r *http.Request) (HistoryQuery, error) {
 	return q, nil
 }
 
-// filterHistory applies HistoryQuery semantics to an oldest-first
-// series — the ring-backed fallback when no durable store is wired.
-func filterHistory(entries []HistoryEntry, q HistoryQuery) []HistoryEntry {
-	out := entries[:0:0]
-	for _, e := range entries {
-		if q.Since > 0 && e.Epoch < q.Since {
-			continue
-		}
-		if q.Until > 0 && e.Epoch > q.Until {
-			continue
-		}
-		out = append(out, e)
-	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[len(out)-q.Limit:] // newest Limit, still oldest-first
-	}
-	return out
-}
-
 // handleHistory serves the tier-table time series, oldest first,
-// bounded by ?since=&until=&limit= (epochs, inclusive). With a durable
-// history store wired the scan reaches every retained epoch — far past
-// the in-memory ring; without one it filters the ring (restored from
-// the newest checkpoint at boot).
+// bounded by ?since=&until=&limit= (epochs, inclusive, as
+// histstore.Query selects them). The tenant's History callback decides
+// where the series comes from.
 func (s *Server) handleHistory(t *Tenant, w http.ResponseWriter, r *http.Request) {
 	t.Metrics.HistoryRequests.Inc()
 	if r.Method != http.MethodGet {
@@ -525,18 +489,13 @@ func (s *Server) handleHistory(t *Tenant, w http.ResponseWriter, r *http.Request
 		return
 	}
 	entries := []HistoryEntry{}
-	switch {
-	case t.HistoryScan != nil:
-		got, err := t.HistoryScan(q)
+	if t.History != nil {
+		got, err := t.History(q)
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 			return
 		}
 		if got != nil {
-			entries = got
-		}
-	case t.History != nil:
-		if got := filterHistory(t.History(), q); got != nil {
 			entries = got
 		}
 	}

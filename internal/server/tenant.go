@@ -1,6 +1,10 @@
 package server
 
-import "time"
+import (
+	"time"
+
+	"tieredpricing/internal/histstore"
+)
 
 // RateLimiter admits or rejects one request on a tenant's quote path.
 // A rejected request carries the Retry-After hint. tenant.Bucket
@@ -28,11 +32,9 @@ type Tenant struct {
 	// Durability reports the tenant's WAL/checkpoint counters; nil when
 	// the tenant runs without a durability namespace.
 	Durability func() DurabilityStats
-	// History supplies the tenant's tier-table time series (the ring).
-	History func() []HistoryEntry
-	// HistoryScan serves deep /v1/history range queries from the
-	// durable store; nil falls back to filtering History's ring.
-	HistoryScan func(q HistoryQuery) ([]HistoryEntry, error)
+	// History answers the tenant's /v1/history range queries, oldest
+	// first; nil serves an empty series.
+	History func(histstore.Query) ([]HistoryEntry, error)
 	// Limiter guards the tenant's quote path; nil admits everything.
 	Limiter RateLimiter
 	// MaxSnapshotAge is the tenant's staleness policy: once the serving

@@ -23,13 +23,65 @@ package tenant
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 )
 
+// Pricing is one pricing engine's economics: the demand and cost
+// models, the bundling strategy and tier count, the blended-rate anchor
+// and the octets→Mbps window. tierd's flags fill one, a -config file is
+// decoded onto a copy of it, and each tenant spec overlays its own
+// (Over) — flags < -config < tenant spec.
+type Pricing struct {
+	Model    string  `json:"model,omitempty"`    // "ced" or "logit"
+	Alpha    float64 `json:"alpha,omitempty"`    // price sensitivity α
+	S0       float64 `json:"s0,omitempty"`       // logit no-purchase share
+	Theta    float64 `json:"theta,omitempty"`    // linear cost base fraction θ
+	Strategy string  `json:"strategy,omitempty"` // bundling strategy name
+	Tiers    int     `json:"tiers,omitempty"`    // tier count
+	// Blended overrides the trace meta's blended rate ($/Mbps/month);
+	// zero keeps the meta's.
+	Blended float64 `json:"blended,omitempty"`
+	// DemandSec overrides the octets→Mbps conversion window (seconds);
+	// zero keeps the trace meta's capture duration.
+	DemandSec float64 `json:"demand_sec,omitempty"`
+}
+
+// Over overlays p on base: every non-zero field of p wins, every zero
+// field inherits base's. This is the tenant-spec rule; a -config file
+// instead overrides with whatever keys it holds (LoadPricingFile).
+func (p Pricing) Over(base Pricing) Pricing {
+	if p.Model != "" {
+		base.Model = p.Model
+	}
+	if p.Alpha != 0 {
+		base.Alpha = p.Alpha
+	}
+	if p.S0 != 0 {
+		base.S0 = p.S0
+	}
+	if p.Theta != 0 {
+		base.Theta = p.Theta
+	}
+	if p.Strategy != "" {
+		base.Strategy = p.Strategy
+	}
+	if p.Tiers != 0 {
+		base.Tiers = p.Tiers
+	}
+	if p.Blended != 0 {
+		base.Blended = p.Blended
+	}
+	if p.DemandSec != 0 {
+		base.DemandSec = p.DemandSec
+	}
+	return base
+}
+
 // Spec is one tenant's configuration, as read from the -tenants file.
-// Zero-valued model fields inherit the daemon's global flags, so a spec
-// can be as small as {"id": "x", "trace": "/path"}.
+// Zero-valued pricing fields inherit the daemon's global flags, so a
+// spec can be as small as {"id": "x", "trace": "/path"}.
 type Spec struct {
 	// ID names the tenant on the API (/v1/t/{id}/...) and on disk
 	// (<data-dir>/tenants/<id>). Lowercase letters, digits, '-', '_',
@@ -61,17 +113,9 @@ type Spec struct {
 	// tenant.
 	Routers []uint8 `json:"routers,omitempty"`
 
-	// Demand-model overrides; zero values inherit the daemon flags.
-	Model    string  `json:"model,omitempty"`    // "ced" or "logit"
-	Alpha    float64 `json:"alpha,omitempty"`    // price sensitivity α
-	S0       float64 `json:"s0,omitempty"`       // logit no-purchase share
-	Theta    float64 `json:"theta,omitempty"`    // linear cost base fraction θ
-	Strategy string  `json:"strategy,omitempty"` // bundling strategy name
-	Tiers    int     `json:"tiers,omitempty"`    // tier count
-	Blended  float64 `json:"blended,omitempty"`  // blended-rate override $/Mbps/month
-	// DemandSec overrides the octets→Mbps conversion window (seconds);
-	// zero inherits -demand-sec / the trace meta's capture duration.
-	DemandSec float64 `json:"demand_sec,omitempty"`
+	// Pricing holds the tenant's overrides of the daemon's pricing
+	// (Pricing.Over). Its keys sit directly in the tenant's object.
+	Pricing
 }
 
 // configFile is the -tenants file shape.
@@ -140,25 +184,51 @@ func ValidateSpecs(specs []Spec) (defaultID string, err error) {
 	return defaultID, nil
 }
 
+// decodeStrict decodes the one JSON value in data into v. Unknown keys
+// and anything after the value are errors, so a misspelt key cannot load
+// as a silent no-op. Keys absent from data (or null) leave v's fields as
+// they were.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
 // LoadSpecFile reads and validates a -tenants JSON file. Parsing is
-// strict — unknown keys and trailing data are rejected — so a misspelt
-// quota ("rate_qsp") refuses to boot instead of running unlimited.
+// strict (decodeStrict), so a misspelt quota ("rate_qsp") refuses to
+// boot instead of running unlimited.
 func LoadSpecFile(path string) (specs []Spec, defaultID string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", fmt.Errorf("tenant: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var f configFile
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeStrict(data, &f); err != nil {
 		return nil, "", fmt.Errorf("tenant: parsing %s: %w", path, err)
-	}
-	if dec.More() {
-		return nil, "", fmt.Errorf("tenant: parsing %s: trailing data after the tenants object", path)
 	}
 	if defaultID, err = ValidateSpecs(f.Tenants); err != nil {
 		return nil, "", fmt.Errorf("tenant: %s: %w", path, err)
 	}
 	return f.Tenants, defaultID, nil
+}
+
+// LoadPricingFile reads a -config file onto a copy of base (the flags).
+// Every key the file holds overrides, an explicit 0 included; absent and
+// null keys keep base's value. The keys are exactly Pricing's, read
+// strictly (decodeStrict).
+func LoadPricingFile(path string, base Pricing) (Pricing, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Pricing{}, err
+	}
+	if err := decodeStrict(data, &base); err != nil {
+		return Pricing{}, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return base, nil
 }

@@ -7,20 +7,16 @@ import (
 	"tieredpricing/internal/netflow"
 )
 
-// Tenant is one network's ingest and quota face inside tierd: its
-// sliding window, quote quota and ingest sink. The daemon wires Sink to
-// the window — possibly behind the tenant's durability layer — and the
-// Registry routes export datagrams into it.
+// Tenant is one network's ingest and quota face inside tierd: its quote
+// quota and ingest sink. The daemon wires Sink to the tenant's window —
+// possibly behind its durability layer — and the Registry routes export
+// datagrams into it.
 type Tenant struct {
 	Spec Spec
 
-	// Window is the tenant's sliding-window accumulator (a
-	// *stream.Window, held as its sink face).
-	Window netflow.Sink
 	// Limiter guards the tenant's quote path (nil = unlimited).
 	Limiter *Bucket
-	// Sink receives the tenant's routed export packets. It defaults to
-	// Window; durable daemons interpose the WAL here.
+	// Sink receives the tenant's routed export packets.
 	Sink netflow.Sink
 
 	// routedPackets counts export datagrams the registry routed here.
@@ -51,43 +47,30 @@ type Registry struct {
 	def      *Tenant
 }
 
-// NewRegistry indexes the tenants. defaultID selects the tenant the
-// legacy API paths and unmapped routers fall back to; it must name a
-// registered tenant. Every tenant must carry a distinct, valid ID and
-// disjoint router sets (ValidateSpecs enforces the same rules on specs
-// before runtime construction).
-func NewRegistry(tenants []*Tenant, defaultID string) (*Registry, error) {
-	if len(tenants) == 0 {
-		return nil, fmt.Errorf("tenant: registry needs at least one tenant")
+// NewRegistry indexes the tenants. Their specs must pass ValidateSpecs,
+// whose default tenant is the one unmapped routers fall back to, and
+// every tenant needs a sink.
+func NewRegistry(tenants []*Tenant) (*Registry, error) {
+	specs := make([]Spec, len(tenants))
+	for i, t := range tenants {
+		specs[i] = t.Spec
+	}
+	defaultID, err := ValidateSpecs(specs)
+	if err != nil {
+		return nil, err
 	}
 	r := &Registry{byRouter: make(map[uint8]*Tenant)}
-	byID := make(map[string]*Tenant, len(tenants))
 	for _, t := range tenants {
-		if !validID(t.ID()) {
-			return nil, fmt.Errorf("tenant: invalid id %q", t.ID())
-		}
-		if _, dup := byID[t.ID()]; dup {
-			return nil, fmt.Errorf("tenant: duplicate id %q", t.ID())
-		}
-		if t.Sink == nil {
-			t.Sink = t.Window
-		}
 		if t.Sink == nil {
 			return nil, fmt.Errorf("tenant %q: no ingest sink", t.ID())
 		}
-		byID[t.ID()] = t
+		if t.ID() == defaultID {
+			r.def = t
+		}
 		for _, router := range t.Spec.Routers {
-			if prev, taken := r.byRouter[router]; taken {
-				return nil, fmt.Errorf("tenant %q: router %d already routed to %q", t.ID(), router, prev.ID())
-			}
 			r.byRouter[router] = t
 		}
 	}
-	def, ok := byID[defaultID]
-	if !ok {
-		return nil, fmt.Errorf("tenant: default %q is not a registered tenant", defaultID)
-	}
-	r.def = def
 	return r, nil
 }
 

@@ -347,7 +347,7 @@ func TestRegistryRouting(t *testing.T) {
 	sinkA, sinkB := &countSink{}, &countSink{}
 	a := &Tenant{Spec: Spec{ID: "a", Routers: []uint8{1, 2}}, Sink: sinkA}
 	b := &Tenant{Spec: Spec{ID: "b", Routers: []uint8{7}}, Sink: sinkB}
-	r, err := NewRegistry([]*Tenant{a, b}, "a")
+	r, err := NewRegistry([]*Tenant{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestRegistryRouting(t *testing.T) {
 	ingest(1)
 	ingest(2)
 	ingest(7)
-	ingest(99) // unmapped → default (a)
+	ingest(99) // unmapped → default (a, the first)
 
 	if got := sinkA.count(); got != 3 {
 		t.Fatalf("tenant a saw %d packets, want 3 (routers 1,2 + unmapped fallback)", got)
@@ -370,15 +370,29 @@ func TestRegistryRouting(t *testing.T) {
 		t.Fatalf("routed counters = %d/%d, want 3/1", a.RoutedPackets(), b.RoutedPackets())
 	}
 
-	// Construction errors.
-	if _, err := NewRegistry(nil, "a"); err == nil {
+	// An explicit default takes the unmapped routers.
+	c := &Tenant{Spec: Spec{ID: "c", Default: true}, Sink: &countSink{}}
+	r, err = NewRegistry([]*Tenant{a, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Ingest(netflow.Header{EngineID: 99, Count: 1}, []netflow.Record{{}})
+	if c.RoutedPackets() != 1 || a.RoutedPackets() != 3 {
+		t.Fatalf("unmapped router went to a (%d) / c (%d), want c", a.RoutedPackets(), c.RoutedPackets())
+	}
+
+	// Construction errors: ValidateSpecs' rules, and a tenant needs a sink.
+	if _, err := NewRegistry(nil); err == nil {
 		t.Fatal("empty registry must error")
 	}
-	if _, err := NewRegistry([]*Tenant{a}, "ghost"); err == nil {
-		t.Fatal("unknown default must error")
-	}
-	dupRouter := &Tenant{Spec: Spec{ID: "c", Routers: []uint8{1}}, Sink: &countSink{}}
-	if _, err := NewRegistry([]*Tenant{a, dupRouter}, "a"); err == nil {
+	dupRouter := &Tenant{Spec: Spec{ID: "d", Routers: []uint8{1}}, Sink: &countSink{}}
+	if _, err := NewRegistry([]*Tenant{a, dupRouter}); err == nil {
 		t.Fatal("duplicate router must error")
+	}
+	if _, err := NewRegistry([]*Tenant{a, {Spec: Spec{ID: "a"}, Sink: &countSink{}}}); err == nil {
+		t.Fatal("duplicate id must error")
+	}
+	if _, err := NewRegistry([]*Tenant{a, {Spec: Spec{ID: "e"}}}); err == nil {
+		t.Fatal("tenant without a sink must error")
 	}
 }
