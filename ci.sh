@@ -33,6 +33,9 @@
 #                        older than the ring and every retained
 #                        checkpoint) — each replayed at a pinned seed
 #                        (HISTORY_SEED, default 4242).
+#   ./ci.sh examples   — every examples/* program run with `go run`; a
+#                        non-zero exit fails the gate (they are built by
+#                        step 3 but otherwise never executed).
 #   ./ci.sh docs       — documentation lint alone (cmd/docscheck):
 #                        every relative markdown link resolves, the
 #                        README repo-layout map names every cmd/ and
@@ -80,10 +83,12 @@
 #   9. history stage — the durable-history + hot-reload gate (see
 #                      ./ci.sh history)
 #  10. docs stage    — the documentation lint (see ./ci.sh docs)
-#  11. benchmarks    — every benchmark compiles and runs one iteration
+#  11. examples      — every example runs to a zero exit (see
+#                      ./ci.sh examples)
+#  12. benchmarks    — every benchmark compiles and runs one iteration
 #                      (catches bit-rotted benchmark code without paying
 #                      for a timed run)
-#  12. fuzz smoke    — every netflow/bgp fuzz target, framelog's
+#  13. fuzz smoke    — every netflow/bgp fuzz target, framelog's
 #                      FuzzScan (the one frame decoder under the WAL and
 #                      the history store), stream's FuzzPackedKey (the
 #                      dedup key's packed form), FuzzWindowMatchesReference
@@ -156,6 +161,13 @@ docs() {
     go run ./cmd/docscheck
 }
 
+examples() {
+    for dir in examples/*/; do
+        echo "==> examples stage: go run ./${dir%/}"
+        go run "./${dir%/}" >/dev/null
+    done
+}
+
 fuzz_smoke() {
     # `go test -fuzz` accepts only one target per run, so iterate.
     for target in FuzzDecodePacket FuzzUDPDatagramPath FuzzReader; do
@@ -188,12 +200,12 @@ fuzz_smoke() {
 
 case "${1:-}" in
 "") ;;
-recover | tenants | history | docs)
+recover | tenants | history | docs | examples)
     "$1"
     exit 0
     ;;
 *)
-    echo "ci.sh: unknown stage '$1' (stages: recover tenants history docs; no argument runs the whole gate)" >&2
+    echo "ci.sh: unknown stage '$1' (stages: recover tenants history docs examples; no argument runs the whole gate)" >&2
     exit 2
     ;;
 esac
@@ -234,6 +246,8 @@ tenants
 history
 
 docs
+
+examples
 
 echo "==> go test -run='^$' -bench=. -benchtime=1x ./..."
 go test -run='^$' -bench=. -benchtime=1x ./...

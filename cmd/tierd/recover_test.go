@@ -106,7 +106,7 @@ func recoverConfig(trace, dataDir string, now func() time.Time) config {
 
 // shadowTable prices a window the batch way the repricer would: same
 // resolver, models and strategy over the same aggregates.
-func shadowTable(t *testing.T, ds *traces.Dataset, w stream.AggregateSource, now func() time.Time) []byte {
+func shadowTable(t *testing.T, ds *traces.Dataset, w *stream.Window, now func() time.Time) []byte {
 	t.Helper()
 	rp, err := stream.NewRepricer(stream.Config{
 		Window:      w,

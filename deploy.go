@@ -2,7 +2,6 @@ package transit
 
 import (
 	"io"
-	"net"
 	"net/netip"
 
 	"tieredpricing/internal/accounting"
@@ -51,21 +50,24 @@ type (
 	BGPOpen = bgp.Open
 	// BGPUpdate is a route announcement/withdrawal.
 	BGPUpdate = bgp.Update
-	// BGPSession is an established session.
-	BGPSession = bgp.Session
+	// BGPCustomer is a customer session to a Speaker whose RIB holds the
+	// speaker's tier-tagged table; Wait blocks until the next push is in.
+	BGPCustomer = bgp.Customer
 	// RIB is a tier-tagged routing table with longest-prefix matching.
 	RIB = bgp.RIB
 )
 
-// EstablishBGP performs the OPEN/KEEPALIVE handshake over conn.
-func EstablishBGP(conn net.Conn, local BGPOpen) (*BGPSession, error) {
-	return bgp.Establish(conn, local)
+// DialBGP connects a customer to the speaker at addr and returns once
+// the speaker's table is in the customer's RIB.
+func DialBGP(addr string, local BGPOpen) (*BGPCustomer, error) {
+	return bgp.DialCustomer(addr, local)
 }
 
 // NewRIB creates an empty routing table.
 func NewRIB() *RIB { return bgp.NewRIB() }
 
-// AnnounceTiered groups prefixes by tier into tagged UPDATE messages.
+// AnnounceTiered groups prefixes by tier into tagged UPDATE messages,
+// each small enough to send.
 func AnnounceTiered(prefixes []netip.Prefix, nextHop netip.Addr,
 	tierOf func(netip.Prefix) int, prices []float64) ([]BGPUpdate, error) {
 	return bgp.AnnounceTiered(prefixes, nextHop, tierOf, prices)

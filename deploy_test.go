@@ -3,7 +3,6 @@ package transit
 import (
 	"bytes"
 	"io"
-	"net"
 	"net/netip"
 	"testing"
 )
@@ -26,8 +25,8 @@ func TestDeployFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// §5.1 over the facade: provider Speaker, customer session with loop
-	// prevention enabled.
+	// §5.1 over the facade: provider Speaker, customer session (its RIB
+	// drops routes that carry its own AS).
 	speaker, err := NewSpeaker("127.0.0.1:0",
 		BGPOpen{AS: 64512, HoldTime: 180, ID: 1}, netip.MustParseAddr("192.0.2.1"))
 	if err != nil {
@@ -43,7 +42,7 @@ func TestDeployFacadeEndToEnd(t *testing.T) {
 			prefixes = append(prefixes, ds.Meta[i].DstPrefix)
 		}
 	}
-	// AnnounceTiered is the session-level alternative to the Speaker;
+	// AnnounceTiered is the batch the speaker builds its table from;
 	// exercise it for coverage of the facade path.
 	if _, err := AnnounceTiered(prefixes, netip.MustParseAddr("192.0.2.1"),
 		func(p netip.Prefix) int { return tierOf[p] }, out.Prices); err != nil {
@@ -54,28 +53,17 @@ func TestDeployFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := net.Dial("tcp", speaker.Addr())
+	customer, err := DialBGP(speaker.Addr(), BGPOpen{AS: 64513, HoldTime: 180, ID: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := EstablishBGP(conn, BGPOpen{AS: 64513, HoldTime: 180, ID: 2})
-	if err != nil {
+	rib := customer.RIB()
+	if rib.Len() != len(ds.Flows) {
+		t.Fatalf("RIB holds %d routes after the replay, want %d", rib.Len(), len(ds.Flows))
+	}
+	if err := customer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rib := NewRIB()
-	rib.LocalAS = 64513
-	for rib.Len() < len(ds.Flows) {
-		msg, err := sess.Recv()
-		if err != nil {
-			t.Fatalf("RIB stuck at %d routes: %v", rib.Len(), err)
-		}
-		if u, ok := msg.(*BGPUpdate); ok {
-			if err := rib.Apply(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sess.Close()
 
 	// §5.2(b) flow-based accounting from the replayed trace.
 	fa, err := NewFlowAccountant(rib)

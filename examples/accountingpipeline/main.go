@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/netip"
 
 	transit "tieredpricing"
@@ -36,7 +35,8 @@ func main() {
 		len(ds.Flows), len(out.Prices), formatted(out.Prices))
 
 	// §5.1 — associate destinations with tiers via BGP extended
-	// communities over a live session.
+	// communities: a provider speaker replays the tagged table to a
+	// customer over a live session.
 	tierOf := map[netip.Prefix]int{}
 	var prefixes []netip.Prefix
 	for b, block := range out.Partition {
@@ -45,10 +45,21 @@ func main() {
 			prefixes = append(prefixes, ds.Meta[i].DstPrefix)
 		}
 	}
-	rib, err := announce(prefixes, tierOf, out.Prices)
+	speaker, err := transit.NewSpeaker("127.0.0.1:0",
+		transit.BGPOpen{AS: 64512, HoldTime: 180, ID: 1}, netip.MustParseAddr("192.0.2.1"))
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer speaker.Close()
+	if err := speaker.Reprice(prefixes, func(p netip.Prefix) int { return tierOf[p] }, out.Prices); err != nil {
+		log.Fatal(err)
+	}
+	customer, err := transit.DialBGP(speaker.Addr(), transit.BGPOpen{AS: 64513, HoldTime: 180, ID: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer customer.Close()
+	rib := customer.RIB()
 	fmt.Printf("customer RIB holds %d tier-tagged routes after the BGP exchange\n", rib.Len())
 
 	// §5.2(b) — flow-based accounting from the raw NetFlow streams.
@@ -109,88 +120,6 @@ func main() {
 	fmt.Printf("total            $%12.2f    $%12.2f\n", flowBill.Total, linkBill.Total)
 	fmt.Println("\nthe two §5.2 architectures agree (up to 1-in-1000 sampling noise), so an")
 	fmt.Println("ISP can deploy tiered pricing post facto without per-tier links.")
-}
-
-// announce runs the provider/customer BGP exchange on loopback TCP and
-// returns the customer's RIB.
-func announce(prefixes []netip.Prefix, tierOf map[netip.Prefix]int, prices []float64) (*transit.RIB, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-	type result struct {
-		rib *transit.RIB
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- result{nil, err}
-			return
-		}
-		defer conn.Close()
-		sess, err := transit.EstablishBGP(conn, transit.BGPOpen{AS: 64513, HoldTime: 180, ID: 2})
-		if err != nil {
-			done <- result{nil, err}
-			return
-		}
-		rib := transit.NewRIB()
-		for {
-			msg, err := sess.Recv()
-			if err == io.EOF {
-				done <- result{rib, nil}
-				return
-			}
-			if err != nil {
-				done <- result{nil, err}
-				return
-			}
-			if u, ok := msg.(*transit.BGPUpdate); ok {
-				if err := rib.Apply(u); err != nil {
-					done <- result{nil, err}
-					return
-				}
-			}
-		}
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		return nil, err
-	}
-	sess, err := transit.EstablishBGP(conn, transit.BGPOpen{AS: 64512, HoldTime: 180, ID: 1})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	updates, err := transit.AnnounceTiered(prefixes, netip.MustParseAddr("192.0.2.1"),
-		func(p netip.Prefix) int { return tierOf[p] }, prices)
-	if err != nil {
-		sess.Close()
-		return nil, err
-	}
-	for _, u := range updates {
-		for len(u.Announced) > 0 {
-			n := len(u.Announced)
-			if n > 500 {
-				n = 500
-			}
-			part := u
-			part.Announced = u.Announced[:n]
-			if err := sess.SendUpdate(part); err != nil {
-				sess.Close()
-				return nil, err
-			}
-			u.Announced = u.Announced[n:]
-		}
-	}
-	if err := sess.Close(); err != nil {
-		return nil, err
-	}
-	res := <-done
-	return res.rib, res.err
 }
 
 func formatted(prices []float64) []string {

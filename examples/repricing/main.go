@@ -10,11 +10,8 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"net/netip"
-	"time"
 
 	transit "tieredpricing"
 )
@@ -33,36 +30,35 @@ func main() {
 	}
 	defer speaker.Close()
 
-	customers := []*customer{
-		dial(speaker.Addr(), 64601),
-		dial(speaker.Addr(), 64602),
+	var customers []*transit.BGPCustomer
+	for _, as := range []uint16{64601, 64602} {
+		c, err := transit.DialBGP(speaker.Addr(), transit.BGPOpen{AS: as, HoldTime: 180, ID: uint32(as)})
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer c.Close()
+		customers = append(customers, c)
 	}
-	waitSessions(speaker, len(customers))
 	fmt.Printf("%d customers connected to the provider speaker\n\n", speaker.Sessions())
 
 	// Year 1: blended rate $20, three profit-weighted tiers.
-	if err := reprice(speaker, ds, 20.0); err != nil {
+	if err := reprice(speaker, ds, 20.0, customers); err != nil {
 		log.Fatal(err)
 	}
-	waitRoutes(customers, len(ds.Flows))
-	show(customers[0], ds, "year 1 (P0=$20)")
+	show(customers[0].RIB(), "year 1 (P0=$20)")
 
 	// Year 2: the market fell 30%; re-fit at $14 and push the diff.
-	if err := reprice(speaker, ds, 14.0); err != nil {
+	if err := reprice(speaker, ds, 14.0, customers); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond) // let the diff propagate
-	show(customers[1], ds, "year 2 (P0=$14, pushed as an incremental diff)")
+	show(customers[1].RIB(), "year 2 (P0=$14, pushed as an incremental diff)")
 
-	for _, c := range customers {
-		c.sess.Close()
-	}
 	fmt.Println("customers repriced in place: the communities travel with the routes (§5.1).")
 }
 
-// reprice fits the market at blended rate p0 and installs the resulting
-// tier table on the speaker.
-func reprice(speaker *transit.Speaker, ds *transit.Dataset, p0 float64) error {
+// reprice fits the market at blended rate p0, installs the resulting
+// tier table on the speaker and waits until every customer holds it.
+func reprice(speaker *transit.Speaker, ds *transit.Dataset, p0 float64, customers []*transit.BGPCustomer) error {
 	market, err := transit.NewMarket(ds.Flows,
 		transit.CED{Alpha: 1.1}, transit.Linear{Theta: 0.2}, p0)
 	if err != nil {
@@ -80,71 +76,26 @@ func reprice(speaker *transit.Speaker, ds *transit.Dataset, p0 float64) error {
 			prefixes = append(prefixes, ds.Meta[i].DstPrefix)
 		}
 	}
-	return speaker.Reprice(prefixes,
-		func(p netip.Prefix) int { return tierOf[p] }, out.Prices)
-}
-
-type customer struct {
-	sess *transit.BGPSession
-	rib  *transit.RIB
-}
-
-func dial(addr string, as uint16) *customer {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
+	if err := speaker.Reprice(prefixes,
+		func(p netip.Prefix) int { return tierOf[p] }, out.Prices); err != nil {
+		return err
 	}
-	sess, err := transit.EstablishBGP(conn,
-		transit.BGPOpen{AS: as, HoldTime: 180, ID: uint32(as)})
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := &customer{sess: sess, rib: transit.NewRIB()}
-	go func() {
-		for {
-			msg, err := sess.Recv()
-			if err == io.EOF || err != nil {
-				return
-			}
-			if u, ok := msg.(*transit.BGPUpdate); ok {
-				if err := c.rib.Apply(u); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-	}()
-	return c
-}
-
-func waitSessions(s *transit.Speaker, n int) {
-	for deadline := time.Now().Add(5 * time.Second); s.Sessions() < n; {
-		if time.Now().After(deadline) {
-			log.Fatalf("only %d sessions", s.Sessions())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func waitRoutes(customers []*customer, n int) {
-	deadline := time.Now().Add(5 * time.Second)
 	for _, c := range customers {
-		for c.rib.Len() < n {
-			if time.Now().After(deadline) {
-				log.Fatalf("customer RIB stuck at %d routes", c.rib.Len())
-			}
-			time.Sleep(time.Millisecond)
+		if err := c.Wait(); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // show prints a customer's view of the tier structure.
-func show(c *customer, ds *transit.Dataset, label string) {
+func show(rib *transit.RIB, label string) {
 	type tierView struct {
 		price  float64
 		routes int
 	}
 	tiers := map[uint16]*tierView{}
-	for _, r := range c.rib.Routes() {
+	for _, r := range rib.Routes() {
 		if r.Tier == nil {
 			continue
 		}
@@ -155,7 +106,7 @@ func show(c *customer, ds *transit.Dataset, label string) {
 		}
 		tv.routes++
 	}
-	fmt.Printf("%s — %d routes in RIB:\n", label, c.rib.Len())
+	fmt.Printf("%s — %d routes in RIB:\n", label, rib.Len())
 	for tier := uint16(0); int(tier) < len(tiers); tier++ {
 		tv := tiers[tier]
 		fmt.Printf("  tier %d: $%6.2f/Mbps, %d destinations\n", tier, tv.price, tv.routes)

@@ -101,6 +101,13 @@ type Update struct {
 	Announced []netip.Prefix
 }
 
+// endOfRIB reports whether u is End-of-RIB (RFC 4724): an UPDATE with no
+// routes and no attributes. RIB.Apply takes it as the no-op it is.
+func (u *Update) endOfRIB() bool {
+	return len(u.Withdrawn) == 0 && len(u.Announced) == 0 && len(u.ASPath) == 0 &&
+		!u.NextHop.IsValid() && u.Tier == nil
+}
+
 // Notification reports a protocol error before close.
 type Notification struct {
 	Code    uint8

@@ -134,34 +134,3 @@ func (rib *RIB) Routes() []Route {
 	})
 	return out
 }
-
-// AnnounceTiered builds the per-tier UPDATE batch an upstream sends a
-// customer: prefixes grouped by tier, each group tagged with its tier
-// community (§5.1). prices are in $/Mbps/month, converted to
-// milli-dollars on the wire; tierOf maps each prefix to a tier index into
-// prices.
-func AnnounceTiered(prefixes []netip.Prefix, nextHop netip.Addr,
-	tierOf func(netip.Prefix) int, prices []float64) ([]Update, error) {
-	groups := make(map[int][]netip.Prefix)
-	for _, p := range prefixes {
-		t := tierOf(p)
-		if t < 0 || t >= len(prices) {
-			return nil, fmt.Errorf("bgp: prefix %v mapped to tier %d outside price list", p, t)
-		}
-		groups[t] = append(groups[t], p)
-	}
-	tiers := make([]int, 0, len(groups))
-	for t := range groups {
-		tiers = append(tiers, t)
-	}
-	sort.Ints(tiers)
-	out := make([]Update, 0, len(tiers))
-	for _, t := range tiers {
-		out = append(out, Update{
-			NextHop:   nextHop,
-			Tier:      &TierCommunity{Tier: uint16(t), PriceMilli: uint32(prices[t]*1000 + 0.5)},
-			Announced: groups[t],
-		})
-	}
-	return out, nil
-}

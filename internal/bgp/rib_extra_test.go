@@ -77,11 +77,13 @@ func TestRIBLoopPrevention(t *testing.T) {
 }
 
 func TestSpeakerStampsASPath(t *testing.T) {
-	updates := diffTables(nil, map[netip.Prefix]TierCommunity{
-		netip.MustParsePrefix("10.0.0.0/24"): {Tier: 0, PriceMilli: 1000},
-	}, netip.MustParseAddr("192.0.2.1"), []uint16{64512})
-	if len(updates) != 1 || len(updates[0].ASPath) != 1 || updates[0].ASPath[0] != 64512 {
-		t.Fatalf("updates = %+v", updates)
+	s := &Speaker{local: Open{AS: 64512}, nextHop: netip.MustParseAddr("192.0.2.1")}
+	if err := s.Reprice([]netip.Prefix{netip.MustParsePrefix("10.0.0.0/24")},
+		func(netip.Prefix) int { return 0 }, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.replay) != 1 || len(s.replay[0].ASPath) != 1 || s.replay[0].ASPath[0] != 64512 {
+		t.Fatalf("replay = %+v", s.replay)
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 // trade UPDATEs.
 type Session struct {
 	conn net.Conn
-	// Local and Peer are the OPEN parameters of each side.
-	Local Open
-	Peer  Open
+	// Peer is the OPEN the other side sent.
+	Peer Open
 }
 
 // defaultTimeout bounds each handshake I/O operation.
@@ -26,7 +25,7 @@ const defaultTimeout = 5 * time.Second
 // the session. Both endpoints call Establish concurrently (there is no
 // client/server asymmetry in BGP session setup once TCP is connected).
 func Establish(conn net.Conn, local Open) (*Session, error) {
-	s := &Session{conn: conn, Local: local}
+	s := &Session{conn: conn}
 	msg, err := EncodeOpen(local)
 	if err != nil {
 		return nil, err

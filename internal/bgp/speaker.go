@@ -3,10 +3,8 @@ package bgp
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/netip"
-	"sort"
 	"sync"
 )
 
@@ -16,14 +14,19 @@ import (
 // when the operator re-prices (re-bundles) destinations — the paper's
 // "simply apply a profit-weighted bundling strategy to re-factor their
 // pricing ... possibly without even making many changes to the network
-// configuration".
+// configuration". The replay and every push end with End-of-RIB (RFC
+// 4724: an UPDATE with nothing in it), so a Customer knows from the wire
+// when it holds a whole table.
 type Speaker struct {
 	local   Open
 	nextHop netip.Addr
 	ln      net.Listener
 
+	// mu guards the table and the sessions, and is held through the
+	// writes, so pushes and replays reach each customer in the order
+	// their tables were installed.
 	mu       sync.Mutex
-	table    map[netip.Prefix]TierCommunity
+	replay   []Update // the table, as the full announcement of it
 	sessions map[*Session]struct{}
 	closed   bool
 	wg       sync.WaitGroup
@@ -43,7 +46,6 @@ func NewSpeaker(addr string, local Open, nextHop netip.Addr) (*Speaker, error) {
 		local:    local,
 		nextHop:  nextHop,
 		ln:       ln,
-		table:    map[netip.Prefix]TierCommunity{},
 		sessions: map[*Session]struct{}{},
 	}
 	s.wg.Add(1)
@@ -66,34 +68,74 @@ func (s *Speaker) Sessions() int {
 // resulting UPDATE batch is pushed to every connected customer. tierOf
 // maps each prefix to an index into prices.
 func (s *Speaker) Reprice(prefixes []netip.Prefix, tierOf func(netip.Prefix) int, prices []float64) error {
-	next := make(map[netip.Prefix]TierCommunity, len(prefixes))
-	for _, p := range prefixes {
-		if !p.IsValid() || !p.Addr().Is4() {
-			return fmt.Errorf("bgp: invalid prefix %v", p)
-		}
-		t := tierOf(p)
-		if t < 0 || t >= len(prices) {
-			return fmt.Errorf("bgp: prefix %v mapped to tier %d outside price list", p, t)
-		}
-		next[p.Masked()] = TierCommunity{Tier: uint16(t), PriceMilli: uint32(prices[t]*1000 + 0.5)}
+	replay, err := AnnounceTiered(prefixes, s.nextHop, tierOf, prices)
+	if err != nil {
+		return err
 	}
-
+	path := []uint16{s.local.AS}
+	for i := range replay {
+		replay[i].ASPath = path
+	}
 	s.mu.Lock()
-	updates := diffTables(s.table, next, s.nextHop, []uint16{s.local.AS})
-	s.table = next
-	targets := make([]*Session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		targets = append(targets, sess)
-	}
-	s.mu.Unlock()
-
+	defer s.mu.Unlock()
+	push := s.install(replay)
 	var firstErr error
-	for _, sess := range targets {
-		if err := sendAll(sess, updates); err != nil && firstErr == nil {
+	for sess := range s.sessions {
+		if err := sendPush(sess, push); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// install makes replay, the full announcement of a table, the speaker's
+// table and returns the push that carries a customer from the old table
+// to it: withdrawals of the prefixes it drops, then replay's UPDATEs cut
+// down to the prefixes that are new or re-tagged (none grows, so each
+// still fits a message). s.mu must be held.
+func (s *Speaker) install(replay []Update) []Update {
+	old := s.replay
+	s.replay = replay
+	if len(old) == 0 {
+		return replay // every prefix is new
+	}
+	was, is := tagsOf(old), tagsOf(replay)
+	var push []Update
+	for _, u := range old {
+		var gone []netip.Prefix
+		for _, p := range u.Announced {
+			if _, ok := is[p.Masked()]; !ok {
+				gone = append(gone, p)
+			}
+		}
+		if len(gone) > 0 {
+			push = append(push, Update{Withdrawn: gone})
+		}
+	}
+	for _, u := range replay {
+		var changed []netip.Prefix
+		for _, p := range u.Announced {
+			if tag, ok := was[p.Masked()]; !ok || tag != *u.Tier {
+				changed = append(changed, p)
+			}
+		}
+		if len(changed) > 0 {
+			u.Announced = changed
+			push = append(push, u)
+		}
+	}
+	return push
+}
+
+// tagsOf maps each prefix a batch announces to its tier community.
+func tagsOf(batch []Update) map[netip.Prefix]TierCommunity {
+	tags := make(map[netip.Prefix]TierCommunity)
+	for _, u := range batch {
+		for _, p := range u.Announced {
+			tags[p.Masked()] = *u.Tier
+		}
+	}
+	return tags
 }
 
 // Close stops accepting and tears down all sessions.
@@ -147,23 +189,13 @@ func (s *Speaker) serve(conn net.Conn) {
 		sess.Close()
 		return
 	}
-	snapshot := diffTables(nil, s.table, s.nextHop, []uint16{s.local.AS})
 	s.sessions[sess] = struct{}{}
+	err = sendPush(sess, s.replay)
 	s.mu.Unlock()
-
-	if err := sendAll(sess, snapshot); err != nil {
-		s.drop(sess)
-		return
+	for err == nil {
+		_, err = sess.Recv()
 	}
-	for {
-		if _, err := sess.Recv(); err != nil {
-			if err != io.EOF {
-				_ = err // session error; drop either way
-			}
-			s.drop(sess)
-			return
-		}
-	}
+	s.drop(sess) // a session error or the customer's close
 }
 
 func (s *Speaker) drop(sess *Session) {
@@ -173,82 +205,53 @@ func (s *Speaker) drop(sess *Session) {
 	sess.Close()
 }
 
-// diffTables computes the UPDATE batch that transforms table old into
-// table next: withdrawals for removed prefixes, tier-grouped
-// announcements for added or re-tagged prefixes, each carrying the
-// speaker's AS path. Passing old = nil yields a full-table replay.
-// Announcements are chunked to fit the message size limit.
-func diffTables(old, next map[netip.Prefix]TierCommunity, nextHop netip.Addr, asPath []uint16) []Update {
-	var withdrawn []netip.Prefix
-	for p := range old {
-		if _, ok := next[p]; !ok {
-			withdrawn = append(withdrawn, p)
+// sendPush transmits a batch of updates on one session and ends it with
+// End-of-RIB.
+func sendPush(sess *Session, updates []Update) error {
+	for _, u := range updates {
+		if err := sess.SendUpdate(u); err != nil {
+			return err
 		}
 	}
-	sort.Slice(withdrawn, func(i, j int) bool {
-		return withdrawn[i].String() < withdrawn[j].String()
-	})
-
-	byTag := map[TierCommunity][]netip.Prefix{}
-	for p, tag := range next {
-		if oldTag, ok := old[p]; ok && oldTag == tag {
-			continue // unchanged
-		}
-		byTag[tag] = append(byTag[tag], p)
-	}
-	tags := make([]TierCommunity, 0, len(byTag))
-	for tag := range byTag {
-		tags = append(tags, tag)
-	}
-	sort.Slice(tags, func(i, j int) bool {
-		if tags[i].Tier != tags[j].Tier {
-			return tags[i].Tier < tags[j].Tier
-		}
-		return tags[i].PriceMilli < tags[j].PriceMilli
-	})
-
-	var out []Update
-	for len(withdrawn) > 0 {
-		n := len(withdrawn)
-		if n > maxPrefixesPerUpdate {
-			n = maxPrefixesPerUpdate
-		}
-		out = append(out, Update{Withdrawn: withdrawn[:n]})
-		withdrawn = withdrawn[n:]
-	}
-	for _, tag := range tags {
-		prefixes := byTag[tag]
-		sort.Slice(prefixes, func(i, j int) bool {
-			return prefixes[i].String() < prefixes[j].String()
-		})
-		for len(prefixes) > 0 {
-			n := len(prefixes)
-			if n > maxPrefixesPerUpdate {
-				n = maxPrefixesPerUpdate
-			}
-			t := tag
-			out = append(out, Update{
-				NextHop:   nextHop,
-				ASPath:    asPath,
-				Tier:      &t,
-				Announced: prefixes[:n],
-			})
-			prefixes = prefixes[n:]
-		}
-	}
-	return out
+	return sess.SendUpdate(Update{})
 }
 
 // maxPrefixesPerUpdate keeps every UPDATE safely inside MaxMsgLen
 // (a /32 prefix costs 5 NLRI bytes; 500·5 + attributes ≪ 4096).
 const maxPrefixesPerUpdate = 500
 
-// sendAll transmits a batch of updates on one session.
-func sendAll(sess *Session, updates []Update) error {
-	for _, u := range updates {
-		if err := sess.SendUpdate(u); err != nil {
-			return err
+// AnnounceTiered builds the per-tier UPDATE batch an upstream sends a
+// customer, and is the one builder of tier-tagged announcements: it
+// checks each prefix (valid, IPv4) and the tier tierOf maps it to (an
+// index into prices), groups the prefixes by their tier's community
+// (§5.1) — in tier order, each group in input order — and splits each
+// group into UPDATEs of at most maxPrefixesPerUpdate prefixes, so every
+// one fits the message size limit. prices are in $/Mbps/month, converted
+// to milli-dollars on the wire.
+func AnnounceTiered(prefixes []netip.Prefix, nextHop netip.Addr,
+	tierOf func(netip.Prefix) int, prices []float64) ([]Update, error) {
+	tags := make([]TierCommunity, len(prices))
+	for t, price := range prices {
+		tags[t] = TierCommunity{Tier: uint16(t), PriceMilli: uint32(price*1000 + 0.5)}
+	}
+	groups := make([][]netip.Prefix, len(prices))
+	for _, p := range prefixes {
+		if !p.IsValid() || !p.Addr().Is4() {
+			return nil, fmt.Errorf("bgp: invalid IPv4 prefix %v", p)
+		}
+		t := tierOf(p)
+		if t < 0 || t >= len(prices) {
+			return nil, fmt.Errorf("bgp: prefix %v mapped to tier %d outside price list", p, t)
+		}
+		groups[t] = append(groups[t], p)
+	}
+	var out []Update
+	for t, group := range groups {
+		for len(group) > 0 {
+			n := min(len(group), maxPrefixesPerUpdate)
+			out = append(out, Update{NextHop: nextHop, Tier: &tags[t], Announced: group[:n:n]})
+			group = group[n:]
 		}
 	}
-	return nil
+	return out, nil
 }

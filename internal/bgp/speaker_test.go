@@ -1,64 +1,30 @@
 package bgp
 
 import (
-	"io"
-	"net"
 	"net/netip"
+	"reflect"
 	"testing"
-	"time"
 )
 
-// customer connects to a speaker and applies updates into a RIB until
-// told to stop or the session ends.
-type customer struct {
-	sess *Session
-	rib  *RIB
-	done chan error
+func newTestSpeaker(t *testing.T) *Speaker {
+	t.Helper()
+	s, err := NewSpeaker("127.0.0.1:0", Open{AS: 64512, HoldTime: 180, ID: 1},
+		netip.MustParseAddr("192.0.2.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
-func dialCustomer(t *testing.T, addr string, as uint16) *customer {
+func dialCustomer(t *testing.T, addr string, as uint16) *Customer {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	c, err := DialCustomer(addr, Open{AS: as, HoldTime: 180, ID: uint32(as)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := Establish(conn, Open{AS: as, HoldTime: 180, ID: uint32(as)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &customer{sess: sess, rib: NewRIB(), done: make(chan error, 1)}
-	go func() {
-		for {
-			msg, err := sess.Recv()
-			if err == io.EOF {
-				c.done <- nil
-				return
-			}
-			if err != nil {
-				c.done <- err
-				return
-			}
-			if u, ok := msg.(*Update); ok {
-				if err := c.rib.Apply(u); err != nil {
-					c.done <- err
-					return
-				}
-			}
-		}
-	}()
+	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-// waitRIB polls until the customer's RIB holds n routes.
-func (c *customer) waitRIB(t *testing.T, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.rib.Len() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("RIB has %d routes, want %d", c.rib.Len(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func prefixN(t *testing.T, i int) netip.Prefix {
@@ -67,50 +33,58 @@ func prefixN(t *testing.T, i int) netip.Prefix {
 }
 
 func TestSpeakerReplaysTableToNewCustomers(t *testing.T) {
-	s, err := NewSpeaker("127.0.0.1:0", Open{AS: 64512, HoldTime: 180, ID: 1},
-		netip.MustParseAddr("192.0.2.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
+	s := newTestSpeaker(t)
 	var prefixes []netip.Prefix
 	for i := 0; i < 1200; i++ { // forces update chunking
 		prefixes = append(prefixes, prefixN(t, i))
 	}
 	tierOf := func(p netip.Prefix) int { return int(p.Addr().As4()[2]) % 3 }
-	if err := s.Reprice(prefixes, tierOf, []float64{10, 15, 22}); err != nil {
+	prices := []float64{10, 15, 22}
+	if err := s.Reprice(prefixes, tierOf, prices); err != nil {
 		t.Fatal(err)
 	}
 
-	// A customer connecting AFTER the reprice gets the full table.
+	// A customer connecting AFTER the reprice gets the full table, and
+	// holds what applying AnnounceTiered's batch directly — the snapshot
+	// path — installs.
 	c := dialCustomer(t, s.Addr(), 64513)
-	c.waitRIB(t, 1200)
-	r, ok := c.rib.Lookup(netip.MustParseAddr("10.0.1.5"))
+	if c.RIB().Len() != 1200 {
+		t.Fatalf("RIB has %d routes after the replay, want 1200", c.RIB().Len())
+	}
+	r, ok := c.RIB().Lookup(netip.MustParseAddr("10.0.1.5"))
 	if !ok || r.Tier == nil || int(r.Tier.Tier) != 1 {
 		t.Fatalf("route = %+v, want tier 1", r)
 	}
 	if r.Tier.PriceMilli != 15000 {
 		t.Fatalf("price = %d, want 15000", r.Tier.PriceMilli)
 	}
-	c.sess.Close()
-}
-
-func TestSpeakerPushesRepriceDiff(t *testing.T) {
-	s, err := NewSpeaker("127.0.0.1:0", Open{AS: 64512, HoldTime: 180, ID: 1},
-		netip.MustParseAddr("192.0.2.1"))
+	direct := NewRIB()
+	updates, err := AnnounceTiered(prefixes, netip.MustParseAddr("192.0.2.1"), tierOf, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	for i := range updates {
+		updates[i].ASPath = []uint16{64512}
+		if err := direct.Apply(&updates[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := c.RIB().Routes(), direct.Routes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed RIB differs from AnnounceTiered's: %d routes vs %d", len(got), len(want))
+	}
+}
 
+func TestSpeakerPushesRepriceDiff(t *testing.T) {
+	s := newTestSpeaker(t)
 	p0, p1, p2 := prefixN(t, 0), prefixN(t, 1), prefixN(t, 2)
 	if err := s.Reprice([]netip.Prefix{p0, p1}, func(netip.Prefix) int { return 0 },
 		[]float64{10}); err != nil {
 		t.Fatal(err)
 	}
 	c := dialCustomer(t, s.Addr(), 64513)
-	c.waitRIB(t, 2)
+	if c.RIB().Len() != 2 {
+		t.Fatalf("RIB has %d routes after the replay, want 2", c.RIB().Len())
+	}
 
 	// Re-bundle: p0 moves to tier 1, p1 is withdrawn, p2 appears.
 	if err := s.Reprice([]netip.Prefix{p0, p2},
@@ -123,64 +97,45 @@ func TestSpeakerPushesRepriceDiff(t *testing.T) {
 		[]float64{9, 30}); err != nil {
 		t.Fatal(err)
 	}
-	c.waitRIB(t, 2)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r0, ok0 := c.rib.Lookup(p0.Addr())
-		_, ok1 := c.rib.Lookup(p1.Addr().Next())
-		r2, ok2 := c.rib.Lookup(p2.Addr().Next())
-		if ok0 && !ok1 && ok2 &&
-			r0.Tier != nil && r0.Tier.Tier == 1 && r0.Tier.PriceMilli == 30000 &&
-			r2.Tier != nil && r2.Tier.Tier == 0 && r2.Tier.PriceMilli == 9000 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("diff not applied: p0=%v(%v) p1ok=%v p2=%v(%v)", r0, ok0, ok1, r2, ok2)
-		}
-		time.Sleep(time.Millisecond)
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
 	}
-	c.sess.Close()
+	r0, ok0 := c.RIB().Lookup(p0.Addr())
+	_, ok1 := c.RIB().Lookup(p1.Addr().Next())
+	r2, ok2 := c.RIB().Lookup(p2.Addr().Next())
+	if c.RIB().Len() != 2 || !ok0 || ok1 || !ok2 ||
+		r0.Tier == nil || r0.Tier.Tier != 1 || r0.Tier.PriceMilli != 30000 ||
+		r2.Tier == nil || r2.Tier.Tier != 0 || r2.Tier.PriceMilli != 9000 {
+		t.Fatalf("diff not applied: p0=%v(%v) p1ok=%v p2=%v(%v)", r0, ok0, ok1, r2, ok2)
+	}
 }
 
 func TestSpeakerMultipleCustomers(t *testing.T) {
-	s, err := NewSpeaker("127.0.0.1:0", Open{AS: 64512, HoldTime: 180, ID: 1},
-		netip.MustParseAddr("192.0.2.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	customers := make([]*customer, 3)
+	s := newTestSpeaker(t)
+	customers := make([]*Customer, 3)
 	for i := range customers {
 		customers[i] = dialCustomer(t, s.Addr(), uint16(64600+i))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Sessions() != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions = %d, want 3", s.Sessions())
-		}
-		time.Sleep(time.Millisecond)
+	if s.Sessions() != 3 {
+		t.Fatalf("sessions = %d, want 3", s.Sessions())
 	}
 	if err := s.Reprice([]netip.Prefix{prefixN(t, 7)},
 		func(netip.Prefix) int { return 0 }, []float64{12.5}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range customers {
-		c.waitRIB(t, 1)
-		r, ok := c.rib.Lookup(prefixN(t, 7).Addr().Next())
-		if !ok || r.Tier == nil || r.Tier.PriceMilli != 12500 {
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		r, ok := c.RIB().Lookup(prefixN(t, 7).Addr().Next())
+		if c.RIB().Len() != 1 || !ok || r.Tier == nil || r.Tier.PriceMilli != 12500 {
 			t.Fatalf("customer route = %+v", r)
 		}
-		c.sess.Close()
 	}
 }
 
 func TestSpeakerRepriceValidation(t *testing.T) {
-	s, err := NewSpeaker("127.0.0.1:0", Open{AS: 64512}, netip.MustParseAddr("192.0.2.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestSpeaker(t)
 	if err := s.Reprice([]netip.Prefix{prefixN(t, 0)},
 		func(netip.Prefix) int { return 3 }, []float64{1}); err == nil {
 		t.Error("expected error for out-of-range tier")
@@ -208,27 +163,76 @@ func TestSpeakerCloseIdempotentAndRejectsIPv6Hop(t *testing.T) {
 }
 
 func TestDiffTablesMinimality(t *testing.T) {
-	hop := netip.MustParseAddr("192.0.2.1")
+	s := &Speaker{local: Open{AS: 64512}, nextHop: netip.MustParseAddr("192.0.2.1")}
 	a := netip.MustParsePrefix("10.0.0.0/24")
 	b := netip.MustParsePrefix("10.0.1.0/24")
-	old := map[netip.Prefix]TierCommunity{
-		a: {Tier: 0, PriceMilli: 1000},
-		b: {Tier: 1, PriceMilli: 2000},
+	install := func(prefixes []netip.Prefix, tierOf func(netip.Prefix) int) []Update {
+		t.Helper()
+		replay, err := AnnounceTiered(prefixes, s.nextHop, tierOf, []float64{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.install(replay)
 	}
-	// b unchanged, a re-tiered: the diff must not mention b.
-	next := map[netip.Prefix]TierCommunity{
-		a: {Tier: 1, PriceMilli: 2000},
-		b: {Tier: 1, PriceMilli: 2000},
-	}
-	updates := diffTables(old, next, hop, []uint16{64512})
+	install([]netip.Prefix{a, b}, func(p netip.Prefix) int {
+		if p == a {
+			return 0
+		}
+		return 1
+	})
+	// b unchanged, a re-tiered: the push must not mention b.
+	retier := func(netip.Prefix) int { return 1 }
+	updates := install([]netip.Prefix{a, b}, retier)
 	if len(updates) != 1 {
 		t.Fatalf("updates = %+v, want exactly one", updates)
 	}
-	if len(updates[0].Announced) != 1 || updates[0].Announced[0] != a {
-		t.Fatalf("diff should re-announce only a: %+v", updates[0])
+	if len(updates[0].Announced) != 1 || updates[0].Announced[0] != a || updates[0].Tier.Tier != 1 {
+		t.Fatalf("push should re-announce only a, in tier 1: %+v", updates[0])
 	}
-	// Identical tables produce no updates.
-	if got := diffTables(next, next, hop, []uint16{64512}); len(got) != 0 {
-		t.Fatalf("no-op diff = %+v", got)
+	// An identical table pushes nothing; a smaller one only withdraws.
+	if got := install([]netip.Prefix{b, a}, retier); len(got) != 0 {
+		t.Fatalf("no-op push = %+v", got)
+	}
+	if got := install([]netip.Prefix{b}, retier); len(got) != 1 || len(got[0].Announced) != 0 ||
+		len(got[0].Withdrawn) != 1 || got[0].Withdrawn[0] != a {
+		t.Fatalf("shrinking push = %+v, want a withdrawn", got)
+	}
+}
+
+// TestAnnounceTieredFitsMessages: a tier far larger than one UPDATE
+// holds is split into UPDATEs that each encode, and together announce
+// every prefix once, with its tier's community.
+func TestAnnounceTieredFitsMessages(t *testing.T) {
+	prefixes := make([]netip.Prefix, 20000)
+	for i := range prefixes {
+		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+	}
+	tierOf := func(p netip.Prefix) int { return int(p.Addr().As4()[2]) % 4 }
+	prices := []float64{8, 11.5, 17.25, 30}
+	updates, err := AnnounceTiered(prefixes, netip.MustParseAddr("192.0.2.1"), tierOf, prices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[netip.Prefix]int, len(prefixes))
+	for _, u := range updates {
+		if _, err := EncodeUpdate(u); err != nil {
+			t.Fatalf("update of %d prefixes does not encode: %v", len(u.Announced), err)
+		}
+		for _, p := range u.Announced {
+			seen[p]++
+			tier := tierOf(p)
+			want := TierCommunity{Tier: uint16(tier), PriceMilli: uint32(prices[tier]*1000 + 0.5)}
+			if u.Tier == nil || *u.Tier != want {
+				t.Fatalf("%v tagged %+v, want %+v", p, u.Tier, want)
+			}
+		}
+	}
+	for _, p := range prefixes {
+		if seen[p] != 1 {
+			t.Fatalf("%v announced %d times, want once", p, seen[p])
+		}
+	}
+	if len(seen) != len(prefixes) {
+		t.Fatalf("%d prefixes announced, want %d", len(seen), len(prefixes))
 	}
 }

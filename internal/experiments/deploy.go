@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/netip"
 
 	"tieredpricing/internal/accounting"
@@ -97,10 +96,24 @@ func runFig17(opts Options) (*Result, error) {
 		}
 	}
 
-	// §5.1: announce tier-tagged routes over a live BGP session; the
-	// customer side builds its RIB from the received updates.
-	rib, err := announceOverTCP(prefixes, tierOf, outcome.Prices)
+	// §5.1: a provider speaker holds the tier-tagged table and replays it
+	// over a live BGP session on loopback TCP; the customer builds its
+	// RIB from it.
+	speaker, err := bgp.NewSpeaker("127.0.0.1:0", bgp.Open{AS: 64512, HoldTime: 180, ID: 1},
+		netip.MustParseAddr("192.0.2.1"))
 	if err != nil {
+		return nil, err
+	}
+	defer speaker.Close()
+	if err := speaker.Reprice(prefixes, func(p netip.Prefix) int { return tierOf[p] }, outcome.Prices); err != nil {
+		return nil, err
+	}
+	customer, err := bgp.DialCustomer(speaker.Addr(), bgp.Open{AS: 64513, HoldTime: 180, ID: 2})
+	if err != nil {
+		return nil, err
+	}
+	rib := customer.RIB()
+	if err := customer.Close(); err != nil {
 		return nil, err
 	}
 
@@ -187,89 +200,4 @@ func runFig17(opts Options) (*Result, error) {
 	}
 	t2.AddNote("link-based overhead grows with tiers (a session+link each); flow-based is flat in tiers (%d records processed)", totalRecords)
 	return &Result{ID: "fig17", Title: "deployment pipeline", Tables: []*report.Table{t, t2}}, nil
-}
-
-// announceOverTCP runs a provider/customer BGP exchange on loopback TCP:
-// the provider announces every prefix tagged with its tier, the customer
-// applies the updates to a fresh RIB.
-func announceOverTCP(prefixes []netip.Prefix, tierOf map[netip.Prefix]int, prices []float64) (*bgp.RIB, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-
-	type result struct {
-		rib *bgp.RIB
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- result{nil, err}
-			return
-		}
-		defer conn.Close()
-		sess, err := bgp.Establish(conn, bgp.Open{AS: 64513, HoldTime: 180, ID: 2})
-		if err != nil {
-			done <- result{nil, err}
-			return
-		}
-		rib := bgp.NewRIB()
-		for {
-			msg, err := sess.Recv()
-			if err == io.EOF {
-				done <- result{rib, nil}
-				return
-			}
-			if err != nil {
-				done <- result{nil, err}
-				return
-			}
-			if u, ok := msg.(*bgp.Update); ok {
-				if err := rib.Apply(u); err != nil {
-					done <- result{nil, err}
-					return
-				}
-			}
-		}
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		return nil, err
-	}
-	sess, err := bgp.Establish(conn, bgp.Open{AS: 64512, HoldTime: 180, ID: 1})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	updates, err := bgp.AnnounceTiered(prefixes, netip.MustParseAddr("192.0.2.1"),
-		func(p netip.Prefix) int { return tierOf[p] }, prices)
-	if err != nil {
-		sess.Close()
-		return nil, err
-	}
-	for _, u := range updates {
-		// Keep each UPDATE under the 4096-byte message limit.
-		for len(u.Announced) > 0 {
-			n := len(u.Announced)
-			if n > 500 {
-				n = 500
-			}
-			part := u
-			part.Announced = u.Announced[:n]
-			if err := sess.SendUpdate(part); err != nil {
-				sess.Close()
-				return nil, err
-			}
-			u.Announced = u.Announced[n:]
-		}
-	}
-	if err := sess.Close(); err != nil {
-		return nil, err
-	}
-	res := <-done
-	return res.rib, res.err
 }

@@ -44,6 +44,15 @@ func KeyOf(r Record) FlowKey {
 // exporter (carried in SrcAS).
 func (r Record) FlowSequence() uint32 { return uint32(r.SrcAS) }
 
+// SrcPrefixBits and DstPrefixBits are the widths a demand bucket masks
+// its IPv4 endpoints to: the source PoP's /20 block and the destination
+// /24. The collection rule (traces.AggregateKey) and the repricer's
+// quote key both read them, so a quote finds the bucket its flow filled.
+const (
+	SrcPrefixBits = 20
+	DstPrefixBits = 24
+)
+
 // BucketRule maps a record to the demand-aggregation bucket it belongs
 // to — e.g. the destination /24, or an entry/exit PoP pair recovered from
 // addressing — in two halves, so a collector files every record by a

@@ -101,7 +101,7 @@ type churner struct {
 
 func newChurner(tb testing.TB, rp *Repricer, sources, dests int) *churner {
 	tb.Helper()
-	c := &churner{w: rp.cfg.Window.(*Window), rng: rand.New(rand.NewSource(7)), seq: 1 << 20}
+	c := &churner{w: rp.cfg.Window, rng: rand.New(rand.NewSource(7)), seq: 1 << 20}
 	c.live = c.w.Aggregates()
 	have := make(map[string]bool, len(c.live))
 	for _, a := range c.live {
@@ -251,7 +251,7 @@ func TestRepriceAllocBudget(t *testing.T) {
 		reprice()
 	}
 	measure("churning", 8, func() { ch.epoch(t, 700) })
-	w := rp.cfg.Window.(*Window)
+	w := rp.cfg.Window
 	if allocs := testing.AllocsPerRun(3, func() { w.Aggregates() }); allocs > 2 {
 		t.Errorf("Aggregates over an unchanged key set allocates %.0f objects, want the result alone", allocs)
 	}

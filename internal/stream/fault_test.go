@@ -1,8 +1,8 @@
 package stream
 
 // Regression tests for the live-path bugs the fault-injection harness
-// flushed out of the serving loop: IPv4 mask widths applied to IPv6
-// quote keys, tier-index tie-breaking on multi-bucket destinations, and
+// flushed out of the serving loop: quote keys outside the IPv4 bucket
+// widths, tier-index tie-breaking on multi-bucket destinations, and
 // snapshot retention across every failure class while quotes are being
 // served concurrently. (The bounded final drain is the daemon's now:
 // cmd/tierd's TestRunDrain.)
@@ -77,52 +77,30 @@ func crafted(t *testing.T, rp *Repricer, aggs []netflow.Aggregate, partition [][
 	return snap
 }
 
-// TestQuoteMasksPerAddressFamily is the regression test for the IPv6
-// quote-key collapse: buildSnapshot used to mask every endpoint with
-// the IPv4 widths, so distinct IPv6 /48s collapsed onto one bucket (and
-// the /24-masked IPv6 destination wedged the IPv4-only RIB). Each
-// family now masks at its own widths on both the build path and the
-// Quote path.
+// TestQuoteMasksPerAddressFamily: quotes key on the IPv4 bucket widths,
+// a 4-in-6 mapped pair unmaps onto its IPv4 bucket, and what no bucket
+// can hold misses — an IPv6 pair (no v5 export carries one) and an
+// invalid endpoint. A non-IPv4 sample never reaches the index: the build
+// refuses it as it refuses an invalid one.
 func TestQuoteMasksPerAddressFamily(t *testing.T) {
 	rp := craftedRepricer(t)
 	aggs := []netflow.Aggregate{
 		{Key: "v4", SrcAddr: netip.MustParseAddr("10.0.0.1"), DstAddr: netip.MustParseAddr("10.1.0.1")},
-		{Key: "v6a", SrcAddr: netip.MustParseAddr("2001:db8:a:1::1"), DstAddr: netip.MustParseAddr("2001:db8:100:1::1")},
-		{Key: "v6b", SrcAddr: netip.MustParseAddr("2001:db8:b:1::1"), DstAddr: netip.MustParseAddr("2001:db8:200:1::1")},
 	}
-	snap := crafted(t, rp, aggs, [][]int{{0}, {1}, {2}}, []float64{10, 20, 30})
+	snap := crafted(t, rp, aggs, [][]int{{0}}, []float64{10})
 
-	// The two IPv6 buckets share their top 20 bits — under the IPv4 mask
-	// widths they collapsed onto a single key. They must quote their own
-	// tiers, from the window path, at any address inside the /48 and /64.
-	qa, ok := snap.Quote(netip.MustParseAddr("2001:db8:a:1::99"), netip.MustParseAddr("2001:db8:100:1::42"))
-	if !ok || qa.Source != SourceWindow {
-		t.Fatalf("v6a quote = %+v ok=%v, want a window hit", qa, ok)
-	}
-	qb, ok := snap.Quote(netip.MustParseAddr("2001:db8:b:1::99"), netip.MustParseAddr("2001:db8:200:1::42"))
-	if !ok || qb.Source != SourceWindow {
-		t.Fatalf("v6b quote = %+v ok=%v, want a window hit", qb, ok)
-	}
-	if qa.Tier != 1 || qb.Tier != 2 {
-		t.Fatalf("IPv6 buckets collapsed: tiers (%d, %d), want (1, 2)", qa.Tier, qb.Tier)
-	}
-
-	// The IPv4 bucket still quotes tier 0, and a 4-in-6 mapped pair
-	// unmaps onto the same bucket.
-	q4, ok := snap.Quote(netip.MustParseAddr("10.0.0.9"), netip.MustParseAddr("10.1.0.9"))
-	if !ok || q4.Tier != 0 {
-		t.Fatalf("v4 quote = %+v ok=%v, want tier 0", q4, ok)
+	// Any address inside the source /20 and the destination /24 quotes
+	// the bucket, and a 4-in-6 mapped pair unmaps onto it.
+	q4, ok := snap.Quote(netip.MustParseAddr("10.0.15.9"), netip.MustParseAddr("10.1.0.250"))
+	if !ok || q4.Tier != 0 || q4.Source != SourceWindow {
+		t.Fatalf("v4 quote = %+v ok=%v, want the v4 bucket", q4, ok)
 	}
 	qm, ok := snap.Quote(netip.MustParseAddr("::ffff:10.0.0.9"), netip.MustParseAddr("::ffff:10.1.0.9"))
 	if !ok || qm.Tier != 0 || qm.Source != SourceWindow {
 		t.Fatalf("4-in-6 quote = %+v ok=%v, want the v4 bucket", qm, ok)
 	}
-
-	// Different /48 source: no bucket, and no RIB fallback either — the
-	// tier-tagged RIB speaks IPv4 only, so IPv6 serves from the window
-	// exact-match path alone.
-	if q, ok := snap.Quote(netip.MustParseAddr("2001:db8:ffff::1"), netip.MustParseAddr("2001:db8:100:1::1")); ok {
-		t.Fatalf("unknown IPv6 source got a quote %+v, want a miss", q)
+	if q, ok := snap.Quote(netip.MustParseAddr("2001:db8:a:1::99"), netip.MustParseAddr("2001:db8:100:1::42")); ok {
+		t.Fatalf("IPv6 pair got a quote %+v, want a miss", q)
 	}
 	// Invalid endpoints can never match.
 	if _, ok := snap.Quote(netip.Addr{}, netip.MustParseAddr("10.1.0.1")); ok {
@@ -130,6 +108,18 @@ func TestQuoteMasksPerAddressFamily(t *testing.T) {
 	}
 	if _, ok := snap.Quote(netip.MustParseAddr("10.0.0.1"), netip.Addr{}); ok {
 		t.Fatal("invalid destination got a quote")
+	}
+
+	flows := []econ.Flow{{ID: "bad", Demand: 100, Distance: 50, Region: econ.RegionNational}}
+	out := core.Outcome{Strategy: "crafted", Bundles: 1, Partition: [][]int{{0}}, Prices: []float64{10}, Capture: math.NaN()}
+	for _, bad := range []netflow.Aggregate{
+		{Key: "bad", SrcAddr: netip.MustParseAddr("2001:db8:a:1::1"), DstAddr: netip.MustParseAddr("10.1.0.1")},
+		{Key: "bad", SrcAddr: netip.MustParseAddr("10.0.0.1"), DstAddr: netip.MustParseAddr("2001:db8:100:1::1")},
+		{Key: "bad", SrcAddr: netip.MustParseAddr("10.0.0.1")},
+	} {
+		if _, err := craftedRepricer(t).buildSnapshot(flows, 0, out, []netflow.Aggregate{bad}); err == nil {
+			t.Errorf("sample %v>%v built a snapshot", bad.SrcAddr, bad.DstAddr)
+		}
 	}
 }
 
@@ -311,33 +301,4 @@ func TestSnapshotRetentionUnderConcurrentQuoting(t *testing.T) {
 
 	close(stop)
 	wg.Wait()
-}
-
-// TestNewRepricerValidationFaultKnobs covers the knobs this harness
-// added: the IPv6 mask widths.
-func TestNewRepricerValidationFaultKnobs(t *testing.T) {
-	ds, err := traces.EUISP(87)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := Config{
-		Window:   mustWindow(t, time.Minute, 2),
-		Resolver: &demandfit.Resolver{Geo: ds.Geo},
-		Demand:   econ.CED{Alpha: 1.1},
-		Cost:     cost.Linear{Theta: 0.2},
-		P0:       ds.P0,
-		Strategy: bundling.ProfitWeighted{},
-		Tiers:    3,
-	}
-	bad := []func(*Config){
-		func(c *Config) { c.Src6MaskBits = 200 },
-		func(c *Config) { c.Dst6MaskBits = -2 },
-	}
-	for i, mutate := range bad {
-		cfg := good
-		mutate(&cfg)
-		if _, err := NewRepricer(cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
 }

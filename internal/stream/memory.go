@@ -46,7 +46,7 @@ type RepriceTrace struct {
 // last priced — only what depends on one row alone, so that a kept value
 // is the value a fresh re-price would compute: resolved distance and
 // region (endpoint sample; pure resolver only), the masked quote key and
-// route prefix (sample, masks) and, in the fitter, v, v^α and (v/p0)^α
+// route prefix (sample) and, in the fitter, v, v^α and (v/p0)^α
 // (octets, duration, α, p0). Whatever depends on γ, a price or the other
 // rows is recomputed. Reconfigure and an empty window reset it to zero.
 type rowMemory struct {
@@ -65,10 +65,10 @@ type rowMemory struct {
 	prefixes []netip.Prefix
 }
 
-// rowKey is a row's part in the snapshot build: prefix is 1 + the id of
-// its IPv4 route prefix, −1 for none (IPv6), 0 while not yet computed.
+// rowKey is a row's part in the snapshot build: its quote key, and 1 +
+// the id of its route prefix, 0 while not yet computed.
 type rowKey struct {
-	key    quoteKey
+	key    uint64
 	prefix int32
 }
 

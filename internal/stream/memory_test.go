@@ -141,7 +141,7 @@ func (r *memRig) check() {
 	if got.Skipped != want.Skipped {
 		t.Fatalf("step %d: skipped %d, fresh skipped %d", r.steps, got.Skipped, want.Skipped)
 	}
-	if g, w := got.RIB().Routes(), want.RIB().Routes(); !reflect.DeepEqual(g, w) {
+	if g, w := got.rib.Routes(), want.rib.Routes(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("step %d: RIB routes\n got %+v\nwant %+v", r.steps, g, w)
 	}
 	stranger := netip.MustParseAddr("192.0.2.1")
@@ -181,7 +181,7 @@ func span(from, to int) (keys []int) {
 // unobservable. One repricer kept across a schedule — steady epochs,
 // octets moving on a few rows, a moved endpoint sample, a new key per
 // step, keys ageing out, rows that never resolve, an empty window, the
-// clock stepping back, α and the mask widths reconfigured mid-way — and a
+// clock stepping back, α, the tier count and p0 reconfigured mid-way — and a
 // fresh one per step publish the same table bytes, quotes, skips and
 // routes.
 func TestRememberingRepricerMatchesFresh(t *testing.T) {
@@ -217,16 +217,16 @@ func TestRememberingRepricerMatchesFresh(t *testing.T) {
 	r.reconfigure(func(c *Config) { c.Demand = econ.CED{Alpha: 2.5} })
 	step(5*time.Second, 100, 7)
 	step(5*time.Second, 0)
-	r.reconfigure(func(c *Config) { c.SrcMaskBits, c.DstMaskBits = 16, 22 })
+	r.reconfigure(func(c *Config) { c.Tiers = 4 })
 	step(5*time.Second, 100, 8)
 	step(5*time.Second, 0)
-	r.reconfigure(func(c *Config) { c.DstMaskBits = 28 }) // finer than the bucket: the sample picks the key
+	r.reconfigure(func(c *Config) { c.P0 = 23 })
 	step(5*time.Second, 100, 8)
 	step(5*time.Second, 2, 8, 24)
 	r.reconfigure(func(c *Config) { c.Demand = econ.Logit{Alpha: 1.1, S0: 0.2}; c.Strategy = bundling.ProfitWeighted{} })
 	step(5*time.Second, 100, 9)
 	r.reconfigure(func(c *Config) {
-		c.Demand, c.Strategy, c.SrcMaskBits, c.DstMaskBits = econ.CED{Alpha: 1.1}, bundling.Optimal{}, 20, 24
+		c.Demand, c.Strategy, c.Tiers, c.P0 = econ.CED{Alpha: 1.1}, bundling.Optimal{}, 3, 20
 	})
 	step(5*time.Minute, 0) // nothing live
 	if r.kept.Current() == nil {
@@ -272,7 +272,7 @@ func FuzzRepricerMemory(f *testing.F) {
 			case 5:
 				r.reconfigure(func(c *Config) { c.Demand = econ.CED{Alpha: 1.1 + float64(arg%4)/2} })
 			case 6:
-				r.reconfigure(func(c *Config) { c.SrcMaskBits, c.DstMaskBits = 16+2*(arg%3), 20+2*(arg%3) })
+				r.reconfigure(func(c *Config) { c.Tiers = 2 + arg%3 })
 			case 7:
 				r.now = r.now.Add(5 * time.Minute)
 			}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,18 +26,10 @@ import (
 // aggregates yet; the previous snapshot (if any) stays current.
 var ErrEmptyWindow = errors.New("stream: window holds no aggregates")
 
-// AggregateSource supplies the live demand aggregates a Repricer
-// prices: a *Window or any equivalent accumulator.
-// Aggregates must return buckets sorted by key.
-type AggregateSource interface {
-	Aggregates() []netflow.Aggregate
-	Span() time.Duration
-}
-
 // Config wires a Repricer to the window it reads and the models it fits.
 type Config struct {
 	// Window supplies the live aggregates.
-	Window AggregateSource
+	Window *Window
 	// Resolver maps aggregate endpoints to distance and region. A
 	// resolver that also implements demandfit.ContextResolver gets the
 	// re-price context, so a wedged lookup cannot outlive a bounded
@@ -53,23 +46,8 @@ type Config struct {
 	// window span — the steady-state choice; set it explicitly when
 	// replaying a capture whose duration differs from the window.
 	DurationSec float64
-	// SrcMaskBits and DstMaskBits define the IPv4 quote key: a quote
-	// request's endpoints are masked to these widths before lookup. They
-	// must match the window's aggregation rule; zero selects the defaults
-	// of traces.AggregateKey (src /20, dst /24).
-	SrcMaskBits int
-	DstMaskBits int
-	// Src6MaskBits and Dst6MaskBits are the IPv6 mask widths. IPv4 widths
-	// applied to IPv6 endpoints would collapse whole address ranges onto
-	// one bucket, so the two families mask independently; zero selects
-	// src /48, dst /64.
-	Src6MaskBits int
-	Dst6MaskBits int
 	// Workers bounds the parallel resolve fan-out (0 = NumCPU).
 	Workers int
-	// NextHop is stamped on the tier-tagged RIB routes (§5.1); zero
-	// selects the unspecified address.
-	NextHop netip.Addr
 	// Now is the repricer's time source (snapshot FittedAt stamps); nil
 	// selects time.Now. Injectable for fault rehearsal and tests.
 	Now func() time.Time
@@ -133,11 +111,20 @@ type Quote struct {
 	Source QuoteSource
 }
 
-// quoteKey is the masked endpoint pair quotes are looked up by.
-// netip.Addr is comparable, so the hot-path lookup allocates nothing.
-type quoteKey struct {
-	src netip.Addr
-	dst netip.Addr
+// quoteKey is the key quotes are looked up by: the source masked to
+// netflow.SrcPrefixBits in the high word, the destination masked to
+// netflow.DstPrefixBits in the low one — the bucket a flow between them
+// filled. 4-in-6 mapped addresses unmap, as NetFlow records key the
+// window; ok is false for any other pair (IPv6 or invalid), which no
+// bucket holds.
+func quoteKey(src, dst netip.Addr) (key uint64, ok bool) {
+	const srcMask, dstMask = 1<<32 - 1<<(32-netflow.SrcPrefixBits), 1<<32 - 1<<(32-netflow.DstPrefixBits)
+	src, dst = src.Unmap(), dst.Unmap()
+	if !src.Is4() || !dst.Is4() {
+		return 0, false
+	}
+	s, d := src.As4(), dst.As4()
+	return uint64(binary.BigEndian.Uint32(s[:])&srcMask)<<32 | uint64(binary.BigEndian.Uint32(d[:])&dstMask), true
 }
 
 // Stage names one step of the re-price pipeline, in pipeline order.
@@ -181,46 +168,21 @@ type Snapshot struct {
 	// RepriceTrace is what this re-price did; its Stages, the wall time.
 	RepriceTrace
 
-	index    quoteIndex
-	rib      *bgp.RIB
-	srcBits  int
-	dstBits  int
-	src6Bits int
-	dst6Bits int
+	index quoteIndex
+	rib   *bgp.RIB
 }
 
-// maskAddr masks a to the width of its address family (4-in-6 mapped
-// addresses count as IPv4, matching how NetFlow records key the window).
-// ok is false for an invalid address, which can never match a bucket.
-func maskAddr(a netip.Addr, v4Bits, v6Bits int) (masked netip.Addr, ok bool) {
-	if !a.IsValid() {
-		return netip.Addr{}, false
-	}
-	a = a.Unmap()
-	bits := v6Bits
-	if a.Is4() {
-		bits = v4Bits
-	}
-	p := netip.PrefixFrom(a, bits)
-	if !p.IsValid() {
-		return netip.Addr{}, false
-	}
-	return p.Masked().Addr(), true
-}
-
-// Quote prices one flow: the endpoints are masked to the snapshot's
-// per-family key widths and matched against the window buckets; a miss
-// falls back to a longest-prefix match of the destination in the
-// tier-tagged RIB (the §5.2 accounting path for traffic the window has
-// not seen from this source). The exact-match path performs no
-// allocations.
+// Quote prices one flow: the endpoints' quote key is matched against the
+// window buckets; a miss falls back to a longest-prefix match of the
+// destination in the tier-tagged RIB (the §5.2 accounting path for
+// traffic the window has not seen from this source). The exact-match
+// path performs no allocations.
 func (s *Snapshot) Quote(src, dst netip.Addr) (Quote, bool) {
-	srcMasked, srcOK := maskAddr(src, s.srcBits, s.src6Bits)
-	dstMasked, dstOK := maskAddr(dst, s.dstBits, s.dst6Bits)
-	if !srcOK || !dstOK {
+	key, ok := quoteKey(src, dst)
+	if !ok {
 		return Quote{}, false
 	}
-	if tier, ok := s.index.get(quoteKey{src: srcMasked, dst: dstMasked}); ok {
+	if tier, ok := s.index.get(key); ok {
 		return Quote{Tier: tier, Price: s.Table.Tiers[tier].Price, Source: SourceWindow}, true
 	}
 	if route, ok := s.rib.Lookup(dst.Unmap()); ok && route.Tier != nil {
@@ -233,9 +195,6 @@ func (s *Snapshot) Quote(src, dst netip.Addr) (Quote, bool) {
 	}
 	return Quote{}, false
 }
-
-// RIB exposes the snapshot's tier-tagged routing table (read-only use).
-func (s *Snapshot) RIB() *bgp.RIB { return s.rib }
 
 // Repricer periodically re-fits the demand model over the window and
 // publishes pricing snapshots. Reads (Current) and the periodic rebuild
@@ -351,29 +310,8 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if !econ.FinitePositive(cfg.DurationSec) {
 		return fail(fmt.Errorf("stream: demand duration must be finite and positive, got %v", cfg.DurationSec))
 	}
-	if cfg.SrcMaskBits == 0 {
-		cfg.SrcMaskBits = 20
-	}
-	if cfg.DstMaskBits == 0 {
-		cfg.DstMaskBits = 24
-	}
-	if cfg.SrcMaskBits < 0 || cfg.SrcMaskBits > 32 || cfg.DstMaskBits < 0 || cfg.DstMaskBits > 32 {
-		return fail(fmt.Errorf("stream: mask bits out of range (%d, %d)", cfg.SrcMaskBits, cfg.DstMaskBits))
-	}
-	if cfg.Src6MaskBits == 0 {
-		cfg.Src6MaskBits = 48
-	}
-	if cfg.Dst6MaskBits == 0 {
-		cfg.Dst6MaskBits = 64
-	}
-	if cfg.Src6MaskBits < 0 || cfg.Src6MaskBits > 128 || cfg.Dst6MaskBits < 0 || cfg.Dst6MaskBits > 128 {
-		return fail(fmt.Errorf("stream: IPv6 mask bits out of range (%d, %d)", cfg.Src6MaskBits, cfg.Dst6MaskBits))
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if !cfg.NextHop.IsValid() {
-		cfg.NextHop = netip.AddrFrom4([4]byte{0, 0, 0, 0})
 	}
 	return cfg, nil
 }
@@ -415,21 +353,12 @@ func (r *Repricer) reprice(ctx context.Context) (*Snapshot, error) {
 		now := time.Now()
 		tr.Stages[s], mark = now.Sub(mark), now
 	}
-	var aggs []netflow.Aggregate
-	if w, ok := r.cfg.Window.(interface {
-		AggregatesInto([]netflow.Aggregate) []netflow.Aggregate
-	}); ok {
-		aggs = w.AggregatesInto(r.mem.spareAggs) // the rows of the epoch before last
-	} else {
-		aggs = r.cfg.Window.Aggregates()
-	}
+	aggs := r.cfg.Window.AggregatesInto(r.mem.spareAggs) // the rows of the epoch before last
 	if len(aggs) == 0 {
 		r.mem = rowMemory{} // no rows, nothing to remember them by
 		return nil, ErrEmptyWindow
 	}
-	if h, ok := r.cfg.Window.(interface{ MergeHints() (hits, misses uint64) }); ok {
-		tr.HintHits, tr.HintMisses = h.MergeHints()
-	}
+	tr.HintHits, tr.HintMisses = r.cfg.Window.MergeHints()
 	lap(StageAggregate)
 	// Only the in-memory resolver's answer depends on the address pair
 	// alone; a kept answer of any other would hide its outage.
@@ -514,9 +443,7 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 	// tiers, the route advertises the cheaper tier — by price, not tier
 	// index, since nothing guarantees prices are sorted by index (ties
 	// break toward the lower index); it is indexed by the prefix ids the
-	// rows remember. IPv6 buckets get quote keys but no route: the
-	// tier-tagged RIB speaks the IPv4 wire format, so IPv6 traffic is
-	// served from the window exact-match path only.
+	// rows remember.
 	tierOf := make([]int, len(m.prefixes), len(m.prefixes)+64)
 	for id := range tierOf {
 		tierOf[id] = -1
@@ -526,29 +453,22 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 			k := &keys[aggOf[i]]
 			if k.prefix == 0 {
 				a := &aggs[aggOf[i]]
-				srcMasked, srcOK := maskAddr(a.SrcAddr, r.cfg.SrcMaskBits, r.cfg.Src6MaskBits)
-				dstMasked, dstOK := maskAddr(a.DstAddr, r.cfg.DstMaskBits, r.cfg.Dst6MaskBits)
-				if !srcOK || !dstOK {
-					return nil, fmt.Errorf("stream: aggregate %q has an invalid endpoint sample (%v>%v)",
+				key, ok := quoteKey(a.SrcAddr, a.DstAddr)
+				if !ok {
+					return nil, fmt.Errorf("stream: aggregate %q has an invalid or non-IPv4 endpoint sample (%v>%v)",
 						a.Key, a.SrcAddr, a.DstAddr)
 				}
-				k.key, k.prefix = quoteKey{src: srcMasked, dst: dstMasked}, -1
-				if dstMasked.Is4() {
-					pfx := netip.PrefixFrom(dstMasked, r.cfg.DstMaskBits)
-					id, ok := m.prefixID[pfx]
-					if !ok { // first seen now: the next id
-						if id = int32(len(m.prefixes)); id == 0 {
-							m.prefixID = make(map[netip.Prefix]int32)
-						}
-						m.prefixID[pfx], m.prefixes, tierOf = id, append(m.prefixes, pfx), append(tierOf, -1)
+				pfx := netip.PrefixFrom(a.DstAddr.Unmap(), netflow.DstPrefixBits).Masked()
+				id, ok := m.prefixID[pfx]
+				if !ok { // first seen now: the next id
+					if id = int32(len(m.prefixes)); id == 0 {
+						m.prefixID = make(map[netip.Prefix]int32)
 					}
-					k.prefix = 1 + id
+					m.prefixID[pfx], m.prefixes, tierOf = id, append(m.prefixes, pfx), append(tierOf, -1)
 				}
+				k.key, k.prefix = key, 1+id
 			}
 			index.set(k.key, tier)
-			if k.prefix < 0 {
-				continue
-			}
 			if prev := tierOf[k.prefix-1]; prev < 0 ||
 				out.Prices[tier] < out.Prices[prev] ||
 				(out.Prices[tier] == out.Prices[prev] && tier < prev) {
@@ -564,7 +484,7 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 			prefixes = append(prefixes, m.prefixes[id])
 		}
 	}
-	updates, err := bgp.AnnounceTiered(prefixes, r.cfg.NextHop,
+	updates, err := bgp.AnnounceTiered(prefixes, netip.IPv4Unspecified(),
 		func(p netip.Prefix) int { return tierOf[m.prefixID[p]] }, out.Prices)
 	if err != nil {
 		return nil, fmt.Errorf("stream: tier announcements: %w", err)
@@ -589,10 +509,6 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 		Skipped:  skipped,
 		index:    index,
 		rib:      rib,
-		srcBits:  r.cfg.SrcMaskBits,
-		dstBits:  r.cfg.DstMaskBits,
-		src6Bits: r.cfg.Src6MaskBits,
-		dst6Bits: r.cfg.Dst6MaskBits,
 	}, nil
 }
 

@@ -251,8 +251,6 @@ func TestNewRepricerValidation(t *testing.T) {
 		func(c *Config) { c.DurationSec = -1 },
 		func(c *Config) { c.DurationSec = math.NaN() },
 		func(c *Config) { c.DurationSec = math.Inf(1) },
-		func(c *Config) { c.SrcMaskBits = 40 },
-		func(c *Config) { c.DstMaskBits = -2 },
 	}
 	for i, mutate := range bad {
 		cfg := good

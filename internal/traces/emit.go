@@ -138,8 +138,8 @@ var AggregateKey netflow.BucketRule = prefixPair{}
 type prefixPair struct{}
 
 func (prefixPair) Code(r *netflow.Record) (uint64, bool) {
-	src, srcOK := maskedWord(r.SrcAddr, 20)
-	dst, dstOK := maskedWord(r.DstAddr, 24)
+	src, srcOK := maskedWord(r.SrcAddr, netflow.SrcPrefixBits)
+	dst, dstOK := maskedWord(r.DstAddr, netflow.DstPrefixBits)
 	return uint64(src)<<32 | uint64(dst), srcOK && dstOK
 }
 
