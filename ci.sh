@@ -58,7 +58,12 @@
 #                      that need formatting and fails otherwise)
 #   2. go vet        — static analysis across every package
 #   3. go build      — the full module compiles, commands included
-#   4. bench module  — go vet + go test inside bench/: the repository
+#   4. layering      — `go list -deps ./internal/stream` does not list
+#                      internal/bgp: a snapshot's quote fallback is its
+#                      own route index, and the §5.1 wire (AnnounceTiered,
+#                      Speaker, Customer, RIB) stays out of the serving
+#                      package
+#   5. bench module  — go vet + go test inside bench/: the repository
 #                      benchmark is a module of its own that the root
 #                      build never compiles, and its smoke test drives
 #                      both workloads against real tierd/tiersim with
@@ -66,29 +71,29 @@
 #                      removal bench/layers depends on or a broken
 #                      daemon fails here, not in the next benchmark run.
 #                      Writes only .bench_build/ and bench/out/.
-#   5. go test -race — the whole test suite under the race detector,
+#   6. go test -race — the whole test suite under the race detector,
 #                      covering the parallel experiment engine, the
 #                      concurrent NetFlow collector, the sliding-window
 #                      repricer (including the failure-path snapshot
 #                      retention tests that hammer Quote against
 #                      injected reprice failures), and the registry
-#   6. chaos stage   — the tierd fault-injection e2e re-run explicitly
+#   7. chaos stage   — the tierd fault-injection e2e re-run explicitly
 #                      at a pinned seed (CHAOS_SEED, default 4242), so
 #                      the fault schedule the gate certifies is the one
 #                      a failure replays locally
-#   7. recover stage — crash-recovery parity (in-process fault matrix +
+#   8. recover stage — crash-recovery parity (in-process fault matrix +
 #                      out-of-process kill -9) replayed at every pinned
 #                      seed in RECOVER_SEEDS
-#   8. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
-#   9. history stage — the durable-history + hot-reload gate (see
+#   9. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
+#  10. history stage — the durable-history + hot-reload gate (see
 #                      ./ci.sh history)
-#  10. docs stage    — the documentation lint (see ./ci.sh docs)
-#  11. examples      — every example runs to a zero exit (see
+#  11. docs stage    — the documentation lint (see ./ci.sh docs)
+#  12. examples      — every example runs to a zero exit (see
 #                      ./ci.sh examples)
-#  12. benchmarks    — every benchmark compiles and runs one iteration
+#  13. benchmarks    — every benchmark compiles and runs one iteration
 #                      (catches bit-rotted benchmark code without paying
 #                      for a timed run)
-#  13. fuzz smoke    — every netflow/bgp fuzz target, framelog's
+#  14. fuzz smoke    — every netflow/bgp fuzz target, framelog's
 #                      FuzzScan (the one frame decoder under the WAL and
 #                      the history store), stream's FuzzPackedKey (the
 #                      dedup key's packed form), FuzzWindowMatchesReference
@@ -225,6 +230,12 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> go list -deps ./internal/stream must not list internal/bgp"
+if go list -deps ./internal/stream | grep -qx 'tieredpricing/internal/bgp'; then
+    echo "ci.sh: internal/stream imports internal/bgp; quotes fall back to the snapshot's route index" >&2
+    exit 1
+fi
 
 # -count=1: the smoke builds and drives tierd and tiersim as subprocesses,
 # which the test cache cannot see change.

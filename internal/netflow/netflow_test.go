@@ -2,6 +2,7 @@ package netflow
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"net/netip"
@@ -193,9 +194,16 @@ func TestWriterReaderStream(t *testing.T) {
 	if w.Sequence() != 95 {
 		t.Fatalf("sequence = %d, want 95", w.Sequence())
 	}
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var got []Record
+	for rd := NewReader(&buf); ; {
+		_, batch, err := rd.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, batch...)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("read %d records, want %d", len(got), len(recs))

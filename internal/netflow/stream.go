@@ -1,7 +1,6 @@
 package netflow
 
 import (
-	"errors"
 	"fmt"
 	"io"
 )
@@ -108,20 +107,4 @@ func (rd *Reader) Next() (Header, []Record, error) {
 		parseRecord(&recs[i], body[i*RecordSize:])
 	}
 	return h, recs, nil
-}
-
-// ReadAll drains the stream, returning all records in order.
-func ReadAll(r io.Reader) ([]Record, error) {
-	rd := NewReader(r)
-	var out []Record
-	for {
-		_, recs, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, recs...)
-	}
 }

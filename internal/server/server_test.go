@@ -136,6 +136,20 @@ func TestQuoteEndpoint(t *testing.T) {
 		t.Errorf("flow= form: status %d, body %s (want %s)", code, body2, body)
 	}
 
+	// A source no bucket holds, towards a /24 the window routes: the
+	// snapshot's route fallback answers.
+	code, body = get(t, ts.URL+"/v1/quote?src=203.0.113.1&dst=10.1.0.9")
+	if code != http.StatusOK {
+		t.Fatalf("fallback quote: status %d body %s", code, body)
+	}
+	var fq quoteResponse
+	if err := json.Unmarshal(body, &fq); err != nil {
+		t.Fatal(err)
+	}
+	if fq.Tier != want.Tier || fq.Price != want.Price || fq.Source != "rib" || fq.Epoch != snap.Epoch {
+		t.Errorf("fallback quote %+v, want tier=%d price=%v source=rib epoch=%d", fq, want.Tier, want.Price, snap.Epoch)
+	}
+
 	if code, _ := get(t, ts.URL+"/v1/quote?src=10.0.0.1"); code != http.StatusBadRequest {
 		t.Errorf("missing dst: status %d, want 400", code)
 	}

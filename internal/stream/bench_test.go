@@ -211,8 +211,8 @@ func BenchmarkReprice(b *testing.B) {
 }
 
 // TestRepriceAllocBudget holds the 20k-aggregate re-price to the
-// allocations it makes today (≈ 120 objects, 3.6 MB: the published
-// snapshot's quote index, routes and tiers, the fit's per-flow values,
+// allocations it makes today (≈ 43 objects, 2.9 MB: the published
+// snapshot's two quote indexes and tiers, the fit's per-flow values,
 // per-stage scratch) so per-flow garbage cannot come back unnoticed —
 // also when every epoch brings a new key, which must not regrow the row
 // buffers or the DP's tables each time — and the window's kept merge to
@@ -240,8 +240,9 @@ func TestRepriceAllocBudget(t *testing.T) {
 		}
 		objects, bytes = objects/uint64(runs), bytes/uint64(runs)
 		t.Logf("%s: %d objects, %d bytes", name, objects, bytes)
-		if objects > 150 || (bytes > 4<<20 && !raceEnabled) {
-			t.Errorf("a warm %s 20k re-price allocates %d objects and %d bytes, budget 150 and %d", name, objects, bytes, 4<<20)
+		const budgetObjects, budgetBytes = 55, 7 << 19 // 3.5 MiB
+		if objects > budgetObjects || (bytes > budgetBytes && !raceEnabled) {
+			t.Errorf("a warm %s 20k re-price allocates %d objects and %d bytes, budget %d and %d", name, objects, bytes, budgetObjects, budgetBytes)
 		}
 	}
 	measure("steady", 3, func() {})

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"net/netip"
 	"slices"
 	"strings"
 
@@ -45,31 +44,26 @@ type RepriceTrace struct {
 // rowMemory is what a Repricer keeps, between epochs, of the rows it
 // last priced — only what depends on one row alone, so that a kept value
 // is the value a fresh re-price would compute: resolved distance and
-// region (endpoint sample; pure resolver only), the masked quote key and
-// route prefix (sample) and, in the fitter, v, v^α and (v/p0)^α
+// region (endpoint sample; pure resolver only), the masked quote key
+// (sample) and, in the fitter, v, v^α and (v/p0)^α
 // (octets, duration, α, p0). Whatever depends on γ, a price or the other
 // rows is recomputed. Reconfigure and an empty window reset it to zero.
 type rowMemory struct {
 	aggs       []netflow.Aggregate    // last epoch's rows, key-sorted
 	spareAggs  []netflow.Aggregate    // the rows before those: the window merges this epoch's into their storage
 	known      []demandfit.Resolution // known[i]: aggs[i] resolved
-	keys       []rowKey               // keys[i]: aggs[i]'s quote key and route prefix
+	keys       []rowKey               // keys[i]: aggs[i]'s quote key
 	from       []int32                // this epoch's row → last epoch's, or −1
 	fitter     core.Fitter
 	flows      []econ.Flow            // the resolve buffer
 	spareKnown []demandfit.Resolution // advance fills these while it reads those
 	spareKeys  []rowKey
-	// Route prefixes get dense ids (prefixes[prefixID[p]] == p), so a
-	// snapshot build settles each prefix's tier in an array, not a map.
-	prefixID map[netip.Prefix]int32
-	prefixes []netip.Prefix
 }
 
-// rowKey is a row's part in the snapshot build: its quote key, and 1 +
-// the id of its route prefix, 0 while not yet computed.
+// rowKey is a row's quote key, once the snapshot build has computed it.
 type rowKey struct {
-	key    uint64
-	prefix int32
+	key      uint64
+	computed bool
 }
 
 // advance makes aggs the remembered rows: each is paired with its

@@ -5,16 +5,16 @@ import (
 	"math/rand/v2"
 )
 
-// quoteIndex is a snapshot's map from quote key to tier: an
-// open-addressed table (linear probing) over the packed (src, dst) pair,
-// a single pointer-free array, so a build is one allocation the
-// collector never scans, where a Go map of 20 000 keys is a graph of
-// buckets it marks every epoch. Setting a key twice keeps the last tier,
-// as a map assignment does. Each snapshot builds its own; none is shared
-// or changed once published.
+// quoteIndex is a snapshot's map from a packed key — a quote key's
+// (src, dst) pair, or its destination word alone — to tier: an
+// open-addressed table (linear probing), a single pointer-free array,
+// so a build is one allocation the collector never scans, where a Go map
+// of 20 000 keys is a graph of buckets it marks every epoch. Setting a
+// key twice keeps the last tier, as a map assignment does. Each snapshot
+// builds its own; none is shared or changed once published.
 type quoteIndex []quoteEntry // a power of two long, at most two thirds full
 
-// quoteEntry is one table entry: the packed pair and 1 + its tier, 0 for
+// quoteEntry is one table entry: the packed key and 1 + its tier, 0 for
 // an entry no key has taken.
 type quoteEntry struct {
 	key  uint64

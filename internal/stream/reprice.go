@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tieredpricing/internal/bgp"
 	"tieredpricing/internal/bundling"
 	"tieredpricing/internal/core"
 	"tieredpricing/internal/cost"
@@ -85,8 +84,8 @@ func (t TierTable) Marshal() ([]byte, error) { return json.Marshal(t) }
 // QuoteSource says which structure answered a quote.
 type QuoteSource uint8
 
-// Quote sources: an exact window-bucket match, or the tier-tagged BGP
-// RIB's longest-prefix match on the destination.
+// Quote sources: an exact window-bucket match, or the tier of the route
+// to the destination's /24 — the tier the §5.1 announcements tag it with.
 const (
 	SourceWindow QuoteSource = iota
 	SourceRIB
@@ -168,15 +167,14 @@ type Snapshot struct {
 	// RepriceTrace is what this re-price did; its Stages, the wall time.
 	RepriceTrace
 
-	index quoteIndex
-	rib   *bgp.RIB
+	index  quoteIndex // window bucket → tier, by quote key
+	routes quoteIndex // destination /24 → route tier, by the quote key's low word
 }
 
 // Quote prices one flow: the endpoints' quote key is matched against the
-// window buckets; a miss falls back to a longest-prefix match of the
-// destination in the tier-tagged RIB (the §5.2 accounting path for
-// traffic the window has not seen from this source). The exact-match
-// path performs no allocations.
+// window buckets; a miss falls back to the route tier of the
+// destination's /24 (the §5.2 accounting path for traffic the window has
+// not seen from this source). Neither path allocates.
 func (s *Snapshot) Quote(src, dst netip.Addr) (Quote, bool) {
 	key, ok := quoteKey(src, dst)
 	if !ok {
@@ -185,13 +183,8 @@ func (s *Snapshot) Quote(src, dst netip.Addr) (Quote, bool) {
 	if tier, ok := s.index.get(key); ok {
 		return Quote{Tier: tier, Price: s.Table.Tiers[tier].Price, Source: SourceWindow}, true
 	}
-	if route, ok := s.rib.Lookup(dst.Unmap()); ok && route.Tier != nil {
-		tier := int(route.Tier.Tier)
-		if tier < len(s.Table.Tiers) {
-			// The snapshot price is authoritative; the community's
-			// milli-dollar price is the wire approximation.
-			return Quote{Tier: tier, Price: s.Table.Tiers[tier].Price, Source: SourceRIB}, true
-		}
+	if tier, ok := s.routes.get(key & (1<<32 - 1)); ok {
+		return Quote{Tier: tier, Price: s.Table.Tiers[tier].Price, Source: SourceRIB}, true
 	}
 	return Quote{}, false
 }
@@ -437,69 +430,31 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 	if len(aggs) == 0 || len(m.aggs) != len(aggs) || &m.aggs[0] != &aggs[0] {
 		keys = make([]rowKey, len(aggs)) // not the rows advance was given: nothing kept is theirs
 	}
-	index := newQuoteIndex(len(flows))
-	// tierOf resolves multi-bucket destinations deterministically: when
-	// two source PoPs reach the same destination prefix in different
-	// tiers, the route advertises the cheaper tier — by price, not tier
-	// index, since nothing guarantees prices are sorted by index (ties
-	// break toward the lower index); it is indexed by the prefix ids the
-	// rows remember.
-	tierOf := make([]int, len(m.prefixes), len(m.prefixes)+64)
-	for id := range tierOf {
-		tierOf[id] = -1
-	}
+	index, routes := newQuoteIndex(len(flows)), newQuoteIndex(len(flows))
 	for tier, block := range out.Partition {
 		for _, i := range block {
 			k := &keys[aggOf[i]]
-			if k.prefix == 0 {
+			if !k.computed {
 				a := &aggs[aggOf[i]]
 				key, ok := quoteKey(a.SrcAddr, a.DstAddr)
 				if !ok {
 					return nil, fmt.Errorf("stream: aggregate %q has an invalid or non-IPv4 endpoint sample (%v>%v)",
 						a.Key, a.SrcAddr, a.DstAddr)
 				}
-				pfx := netip.PrefixFrom(a.DstAddr.Unmap(), netflow.DstPrefixBits).Masked()
-				id, ok := m.prefixID[pfx]
-				if !ok { // first seen now: the next id
-					if id = int32(len(m.prefixes)); id == 0 {
-						m.prefixID = make(map[netip.Prefix]int32)
-					}
-					m.prefixID[pfx], m.prefixes, tierOf = id, append(m.prefixes, pfx), append(tierOf, -1)
-				}
-				k.key, k.prefix = key, 1+id
+				*k = rowKey{key: key, computed: true}
 			}
 			index.set(k.key, tier)
-			if prev := tierOf[k.prefix-1]; prev < 0 ||
+			// When two source PoPs reach the same destination /24 in
+			// different tiers, its route takes the cheaper tier — by price,
+			// not tier index, since nothing guarantees prices are sorted by
+			// index (ties break toward the lower index).
+			dst := k.key & (1<<32 - 1)
+			if prev, ok := routes.get(dst); !ok ||
 				out.Prices[tier] < out.Prices[prev] ||
 				(out.Prices[tier] == out.Prices[prev] && tier < prev) {
-				tierOf[k.prefix-1] = tier
+				routes.set(dst, tier)
 			}
 		}
-	}
-
-	rib := bgp.NewRIB()
-	prefixes := make([]netip.Prefix, 0, len(tierOf))
-	for id, tier := range tierOf {
-		if tier >= 0 {
-			prefixes = append(prefixes, m.prefixes[id])
-		}
-	}
-	updates, err := bgp.AnnounceTiered(prefixes, netip.IPv4Unspecified(),
-		func(p netip.Prefix) int { return tierOf[m.prefixID[p]] }, out.Prices)
-	if err != nil {
-		return nil, fmt.Errorf("stream: tier announcements: %w", err)
-	}
-	for i := range updates {
-		if err := rib.Apply(&updates[i]); err != nil {
-			return nil, fmt.Errorf("stream: installing tier routes: %w", err)
-		}
-	}
-	if len(m.prefixes) > 2*len(prefixes)+64 {
-		// Most ids name prefixes nothing routes to any more: forget them,
-		// and every row's key with them, so that destinations that churn
-		// do not grow the table without bound.
-		m.prefixID, m.prefixes = nil, nil
-		clear(m.keys)
 	}
 
 	return &Snapshot{
@@ -508,7 +463,7 @@ func (r *Repricer) buildSnapshot(flows []econ.Flow, skipped int, out core.Outcom
 		Table:    table,
 		Skipped:  skipped,
 		index:    index,
-		rib:      rib,
+		routes:   routes,
 	}, nil
 }
 

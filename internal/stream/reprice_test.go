@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tieredpricing/internal/bgp"
 	"tieredpricing/internal/bundling"
 	"tieredpricing/internal/core"
 	"tieredpricing/internal/cost"
@@ -145,9 +146,84 @@ func TestQuoteFallsBackToRIB(t *testing.T) {
 	}
 }
 
+// TestRouteIndexMatchesAnnouncedRoutes: the snapshot's route fallback
+// answers what the §5.1 wire tells a customer. Each destination /24's
+// tier is derived from the window quotes alone (cheapest price, ties to
+// the lower index), announced through a Speaker, and read off a
+// Customer's RIB; a quote from a source no bucket holds must answer
+// that route's tier from the RIB source, and miss where no route is.
+func TestRouteIndexMatchesAnnouncedRoutes(t *testing.T) {
+	const dests = 96
+	rp := syntheticRepricer(t, 5, 8, dests, 200, econ.CED{Alpha: 1.1}, bundling.Optimal{}, 4)
+	snap, err := rp.Reprice(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prices := make([]float64, len(snap.Table.Tiers))
+	for i, tq := range snap.Table.Tiers {
+		prices[i] = tq.Price
+	}
+	tierOf := map[netip.Prefix]int{}
+	var prefixes []netip.Prefix
+	for _, a := range rp.cfg.Window.Aggregates() {
+		q, ok := snap.Quote(a.SrcAddr, a.DstAddr)
+		if !ok || q.Source != SourceWindow {
+			continue
+		}
+		pfx := netip.PrefixFrom(a.DstAddr, netflow.DstPrefixBits).Masked()
+		prev, seen := tierOf[pfx]
+		if !seen {
+			prefixes = append(prefixes, pfx)
+		}
+		if !seen || prices[q.Tier] < prices[prev] || (prices[q.Tier] == prices[prev] && q.Tier < prev) {
+			tierOf[pfx] = q.Tier
+		}
+	}
+
+	speaker, err := bgp.NewSpeaker("127.0.0.1:0", bgp.Open{AS: 64512, HoldTime: 180, ID: 1}, netip.MustParseAddr("192.0.2.254"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer speaker.Close()
+	if err := speaker.Reprice(prefixes, func(p netip.Prefix) int { return tierOf[p] }, prices); err != nil {
+		t.Fatal(err)
+	}
+	customer, err := bgp.DialCustomer(speaker.Addr(), bgp.Open{AS: 64513, HoldTime: 180, ID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer customer.Close()
+	if n := customer.RIB().Len(); n != len(prefixes) || n == 0 {
+		t.Fatalf("customer holds %d routes, want the %d announced", n, len(prefixes))
+	}
+
+	stranger := netip.MustParseAddr("192.0.2.1")
+	var routed, unrouted int
+	for j := 0; j < dests+8; j++ {
+		dst := netip.AddrFrom4([4]byte{10, byte(j >> 8), byte(j), 77})
+		q, ok := snap.Quote(stranger, dst)
+		route, routedHere := customer.RIB().Lookup(dst)
+		if !routedHere {
+			unrouted++
+			if ok {
+				t.Fatalf("%v has no route but quotes %+v", dst, q)
+			}
+			continue
+		}
+		routed++
+		want := Quote{Tier: int(route.Tier.Tier), Price: prices[route.Tier.Tier], Source: SourceRIB}
+		if !ok || q != want {
+			t.Fatalf("%v: quote %+v ok=%v, route says %+v", dst, q, ok, want)
+		}
+	}
+	if routed != len(prefixes) || unrouted == 0 {
+		t.Fatalf("probed %d routed and %d unrouted /24s, want all %d routed and some not", routed, unrouted, len(prefixes))
+	}
+}
+
 // TestQuoteZeroAllocs pins the hot-path property the serving layer's
 // latency depends on: a quote performs no allocations, whether the window
-// answers it, the RIB does or nothing does.
+// answers it, the route fallback does or nothing does.
 func TestQuoteZeroAllocs(t *testing.T) {
 	rp, _, batchAggs := loadedRepricer(t, 74)
 	snap, err := rp.Reprice(context.Background())
