@@ -34,8 +34,12 @@
 #                        checkpoint) — each replayed at a pinned seed
 #                        (HISTORY_SEED, default 4242).
 #   ./ci.sh examples   — every examples/* program run with `go run`; a
-#                        non-zero exit fails the gate (they are built by
-#                        step 3 but otherwise never executed).
+#                        non-zero exit, or stdout that differs from the
+#                        program's committed examples/<name>/stdout.golden,
+#                        fails the gate (every example is deterministic;
+#                        a change meant to move an example's output
+#                        regenerates its golden file with
+#                        `go run ./examples/<name> > examples/<name>/stdout.golden`).
 #   ./ci.sh docs       — documentation lint alone (cmd/docscheck):
 #                        every relative markdown link resolves, the
 #                        README repo-layout map names every cmd/ and
@@ -88,8 +92,8 @@
 #  10. history stage — the durable-history + hot-reload gate (see
 #                      ./ci.sh history)
 #  11. docs stage    — the documentation lint (see ./ci.sh docs)
-#  12. examples      — every example runs to a zero exit (see
-#                      ./ci.sh examples)
+#  12. examples      — every example runs to a zero exit and prints
+#                      its stdout.golden (see ./ci.sh examples)
 #  13. benchmarks    — every benchmark compiles and runs one iteration
 #                      (catches bit-rotted benchmark code without paying
 #                      for a timed run)
@@ -167,9 +171,12 @@ docs() {
 }
 
 examples() {
+    out="$(mktemp)"
+    trap 'rm -f "$out"' EXIT
     for dir in examples/*/; do
-        echo "==> examples stage: go run ./${dir%/}"
-        go run "./${dir%/}" >/dev/null
+        echo "==> examples stage: go run ./${dir%/} | diff ${dir}stdout.golden -"
+        go run "./${dir%/}" >"$out"
+        diff -u "${dir}stdout.golden" "$out"
     done
 }
 

@@ -19,7 +19,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"syscall"
 	"time"
@@ -37,9 +35,7 @@ import (
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/demandfit"
 	"tieredpricing/internal/econ"
-	"tieredpricing/internal/geoip"
 	"tieredpricing/internal/netflow"
-	"tieredpricing/internal/parallel"
 	"tieredpricing/internal/report"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/traces"
@@ -49,7 +45,6 @@ import (
 type runConfig struct {
 	dir      string
 	tiers    int
-	workers  int
 	model    string
 	alpha    float64
 	s0       float64
@@ -77,8 +72,6 @@ func main() {
 	flag.StringVar(&cfg.strategy, "strategy", "profit-weighted",
 		"bundling strategy (optimal, profit-weighted, cost-weighted, demand-weighted, cost division, index division)")
 	flag.StringVar(&cfg.truth, "truth", "", "optional ground-truth flows CSV (from tracegen) to verify the recovery against")
-	flag.IntVar(&cfg.workers, "parallel", runtime.NumCPU(),
-		"worker goroutines for ingesting router streams (the collector is concurrency-safe; 1 = serial)")
 	flag.StringVar(&cfg.udp, "udp", "", "also capture live NetFlow over UDP at this address (e.g. 127.0.0.1:2055)")
 	flag.DurationVar(&cfg.listenFor, "for", 0, "stop the UDP capture after this duration (0 = until SIGINT/SIGTERM)")
 	flag.Parse()
@@ -101,21 +94,14 @@ func run(ctx context.Context, cfg runConfig) error {
 	if out == nil {
 		out = os.Stdout
 	}
-	meta, err := traces.ReadMetaFile(filepath.Join(cfg.dir, "meta.txt"))
-	if err != nil {
-		return err
-	}
-	geoFile, err := os.Open(filepath.Join(cfg.dir, "geoip.csv"))
-	if err != nil {
-		return err
-	}
-	geo, err := geoip.ReadCSV(geoFile)
-	geoFile.Close()
+	meta, geo, err := traces.ReadDir(cfg.dir)
 	if err != nil {
 		return err
 	}
 
 	// Collect every router stream through the deduplicating collector.
+	// Dedup and the accumulated aggregates are order-insensitive, so the
+	// fitted market does not depend on the order the files are read in.
 	collector := stream.NewCollector(traces.AggregateKey)
 	streams, err := filepath.Glob(filepath.Join(cfg.dir, "*.nf5"))
 	if err != nil {
@@ -124,19 +110,16 @@ func run(ctx context.Context, cfg runConfig) error {
 	if len(streams) == 0 && cfg.udp == "" {
 		return fmt.Errorf("no .nf5 streams in %s (and no -udp listener)", cfg.dir)
 	}
-	// Router streams are independent files and the collector is safe for
-	// concurrent ingest (core routers export independently); dedup and the
-	// accumulated aggregates are order-insensitive, so the fitted market is
-	// identical for any worker count.
-	if err := parallel.ForEach(ctx, len(streams), cfg.workers,
-		func(_ context.Context, i int) error {
-			return ingestFile(collector, streams[i])
-		}); err != nil {
-		if !errors.Is(err, context.Canceled) {
+	for _, path := range streams {
+		f, err := os.Open(path)
+		if err != nil {
 			return err
 		}
-		// Interrupted mid-capture: flush what we have rather than dying.
-		fmt.Fprintln(out, "interrupted during file ingest — flushing partial results")
+		_, err = netflow.Feed(collector, bufio.NewReader(f))
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
 	}
 	if cfg.udp != "" {
 		if err := captureUDP(ctx, cfg, collector, out); err != nil {
@@ -222,25 +205,6 @@ func captureUDP(ctx context.Context, cfg runConfig, collector *stream.Window, ou
 	packets, bad := srv.Stats()
 	fmt.Fprintf(out, "udp capture stopped: %d packets (%d bad)\n", packets, bad)
 	return nil
-}
-
-func ingestFile(c *stream.Window, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rd := netflow.NewReader(bufio.NewReader(f))
-	for {
-		h, recs, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		c.Ingest(h, recs)
-	}
 }
 
 // verifyRecovery compares the pipeline-recovered flows against the

@@ -115,7 +115,7 @@ func TestRunEndToEnd(t *testing.T) {
 	truth.Close()
 
 	base := runConfig{
-		dir: dir, tiers: 3, workers: 2, model: "ced", alpha: 1.1, s0: 0.2,
+		dir: dir, tiers: 3, model: "ced", alpha: 1.1, s0: 0.2,
 		theta: 0.2, strategy: "profit-weighted",
 		truth: filepath.Join(dir, "truth.csv"), out: io.Discard,
 	}
@@ -155,7 +155,7 @@ func TestRunUDPGracefulShutdown(t *testing.T) {
 	defer cancel()
 	var buf bytes.Buffer
 	cfg := runConfig{
-		dir: dir, tiers: 3, workers: 1, model: "ced", alpha: 1.1,
+		dir: dir, tiers: 3, model: "ced", alpha: 1.1,
 		theta: 0.2, strategy: "profit-weighted",
 		udp: "127.0.0.1:0", out: &buf,
 		onListen: func(srv *netflow.CollectorServer) {
@@ -231,7 +231,7 @@ func TestRunUDPListenFor(t *testing.T) {
 	dir := writeTraceDir(t, ds, streams, true)
 	var buf bytes.Buffer
 	cfg := runConfig{
-		dir: dir, tiers: 3, workers: 1, model: "ced", alpha: 1.1,
+		dir: dir, tiers: 3, model: "ced", alpha: 1.1,
 		theta: 0.2, strategy: "profit-weighted",
 		udp: "127.0.0.1:0", listenFor: 50 * time.Millisecond, out: &buf,
 	}

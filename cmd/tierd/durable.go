@@ -51,10 +51,6 @@ type durability struct {
 	// export} (see above).
 	mu sync.Mutex
 
-	stopCh  chan struct{}
-	doneCh  chan struct{}
-	started bool // the checkpoint loop is running (start was called)
-
 	checkpoints       atomic.Uint64
 	lastCkptNano      atomic.Int64
 	recoveryReplayed  atomic.Uint64
@@ -84,11 +80,12 @@ type durability struct {
 // openDurability recovers state from dir and returns the live
 // subsystem: window and repricer are restored (newest valid checkpoint
 // + WAL-tail replay through the window's own ingest path), the WAL is
-// open for appending at the recovered end, and the checkpoint loop is
-// ready to start. A synthesised member passes dir = cfg.dataDir and an
-// empty tenantID (the original <data-dir>/{wal,checkpoint} layout); a
-// -tenants member passes its namespace directory and ID, which stamps
-// checkpoints so a namespace mix-up is refused at boot.
+// open for appending at the recovered end, and tick is ready to run as
+// the daemon's checkpoint loop. A synthesised member passes dir =
+// cfg.dataDir and an empty tenantID (the original
+// <data-dir>/{wal,checkpoint} layout); a -tenants member passes its
+// namespace directory and ID, which stamps checkpoints so a namespace
+// mix-up is refused at boot.
 func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stream.Repricer,
 	rec *histRecorder, configEpoch func() int64) (*durability, error) {
 	d := &durability{
@@ -102,8 +99,6 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 		repricer:    rp,
 		hist:        rec,
 		configEpoch: configEpoch,
-		stopCh:      make(chan struct{}),
-		doneCh:      make(chan struct{}),
 	}
 	if d.configEpoch == nil {
 		d.configEpoch = func() int64 { return 1 }
@@ -182,25 +177,13 @@ func (s durableSink) Ingest(h netflow.Header, recs []netflow.Record) {
 	d.window.IngestAt(ts, h, recs)
 }
 
-// start launches the periodic checkpoint loop.
-func (d *durability) start() {
-	d.started = true
-	go func() {
-		defer close(d.doneCh)
-		ticker := time.NewTicker(d.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-d.stopCh:
-				return
-			case <-ticker.C:
-				if err := d.checkpoint(); err != nil {
-					d.writeFailed(&d.ckptErrs, "checkpoint", err)
-				}
-				d.reportErrors()
-			}
-		}
-	}()
+// tick is one turn of the checkpoint loop: a checkpoint, then the
+// summary of durable writes that failed since the last turn.
+func (d *durability) tick() {
+	if err := d.checkpoint(); err != nil {
+		d.writeFailed(&d.ckptErrs, "checkpoint", err)
+	}
+	d.reportErrors()
 }
 
 // writeFailed counts one failed durable write. The daemon's policy under
@@ -216,7 +199,7 @@ func (d *durability) writeFailed(n *atomic.Uint64, what string, err error) {
 }
 
 // reportErrors logs one summary line if durable writes failed since the
-// last line. The checkpoint loop calls it once per interval.
+// last line. tick calls it once per checkpoint interval.
 func (d *durability) reportErrors() {
 	appends, fsyncs, ckpts := d.appendErrs.Load(), d.log.Stats().SyncErrors, d.ckptErrs.Load()
 	total := appends + fsyncs + ckpts
@@ -279,34 +262,17 @@ func (d *durability) stats() server.DurabilityStats {
 	return s
 }
 
-// close stops the checkpoint loop, takes a final checkpoint (covering
-// everything the drain re-price saw), and closes the WAL. A clean
-// shutdown therefore restarts instantly — the final checkpoint covers
-// the whole log, leaving nothing to replay.
+// close takes a final checkpoint (covering everything the drain
+// re-price saw) and closes the WAL; the daemon has stopped the
+// checkpoint loop first. A clean shutdown therefore restarts instantly
+// — the final checkpoint covers the whole log, leaving nothing to
+// replay.
 func (d *durability) close() error {
-	d.stopLoop()
 	err := d.checkpoint()
 	if cerr := d.log.Close(); err == nil {
 		err = cerr
 	}
 	return err
-}
-
-// abort releases the subsystem of a daemon that failed to start: the
-// checkpoint loop stops before the WAL it reads closes, and no final
-// checkpoint is taken (nothing was served).
-func (d *durability) abort() {
-	d.stopLoop()
-	d.log.Close()
-}
-
-// stopLoop stops the checkpoint loop, if start ever launched it, and
-// waits for it to exit.
-func (d *durability) stopLoop() {
-	if d.started {
-		close(d.stopCh)
-		<-d.doneCh
-	}
 }
 
 // warmReprice publishes an initial snapshot from the recovered window

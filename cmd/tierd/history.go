@@ -156,36 +156,16 @@ func (r *histRecorder) query(q histstore.Query) ([]server.HistoryEntry, error) {
 	return out, nil
 }
 
-// startPruneLoop applies -history-retain to the store periodically
-// (age-based retention; pruning compacts the store file). Returns a
-// stop function, or nil when no retention is configured.
-func (d *daemon) startPruneLoop() func() {
-	if d.histStore == nil || d.cfg.historyRetain <= 0 {
-		return nil
+// pruneHistory applies -history-retain to the store (age-based
+// retention; pruning compacts the store file). The daemon runs it
+// every pruneInterval.
+func (d *daemon) pruneHistory() {
+	if _, err := d.histStore.Prune(d.cfg.historyRetain); err != nil {
+		fmt.Fprintln(os.Stderr, "tierd: history prune:", err)
 	}
-	interval := d.cfg.historyRetain / 4
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	if interval < time.Second {
-		interval = time.Second
-	}
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-ticker.C:
-				if _, err := d.histStore.Prune(d.cfg.historyRetain); err != nil {
-					fmt.Fprintln(os.Stderr, "tierd: history prune:", err)
-				}
-			}
-		}
-	}()
-	return func() { close(stopCh); <-done }
+}
+
+// pruneInterval is a quarter of the retention, clamped to [1s, 1m].
+func pruneInterval(retain time.Duration) time.Duration {
+	return min(max(retain/4, time.Second), time.Minute)
 }

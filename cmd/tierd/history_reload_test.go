@@ -264,6 +264,7 @@ func TestReloadUnderLoad(t *testing.T) {
 	}
 	defer d.close()
 	defer d.histStore.Close()
+	defer d.stopLoops()
 	for _, g := range grams {
 		d.sink.Ingest(g.h, g.recs)
 	}
@@ -343,8 +344,6 @@ func TestReloadUnderLoad(t *testing.T) {
 	}
 
 	// The real signal path: SIGHUP on the watcher must reload too.
-	stopWatcher := d.startReloadWatcher()
-	defer stopWatcher()
 	writeConfigFile(t, cfg.configFile, `{"tiers": 3}`)
 	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
+	"sync"
 	"syscall"
 	"time"
 
@@ -40,7 +40,6 @@ import (
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/demandfit"
 	"tieredpricing/internal/econ"
-	"tieredpricing/internal/geoip"
 	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/server"
@@ -206,39 +205,29 @@ type daemon struct {
 	ln       net.Listener
 	pprofSrv *http.Server
 	pprofLn  net.Listener
+
+	// The background loops — each member's checkpoints, the history
+	// prune, the SIGHUP reload — run on loopCtx and are counted in loops;
+	// stopLoops ends them all.
+	loopCtx     context.Context
+	cancelLoops context.CancelFunc
+	loops       sync.WaitGroup
 }
 
-// engineReloader re-derives and swaps one engine's pricing
-// configuration from a (possibly file-overlaid) tenant.Pricing — the
-// hot reload path. check validates without applying; apply swaps the
-// running repricer's configuration in place. Both close over the
-// engine's trace metadata and resolver, which a reload never rebuilds:
-// a reload re-prices the demand you have under new economics, it does
-// not change where the demand comes from.
-type engineReloader struct {
-	check func(tenant.Pricing) error
-	apply func(tenant.Pricing) error
-}
-
-// buildEngine loads the trace metadata and builds one window → repricer
-// pricing engine plus its hot-reload handle. wrapResolver, when
-// non-nil, interposes on the endpoint resolver (fault-injection test
-// hook).
+// buildEngine loads the trace directory and builds one window →
+// repricer pricing engine plus its pricingConfig, the hot reload's
+// derivation of a repricer configuration from a (possibly file-
+// overlaid) tenant.Pricing. pricingConfig closes over the engine's
+// trace metadata and resolver, which a reload never rebuilds: a reload
+// re-prices the demand you have under new economics, it does not
+// change where the demand comes from. wrapResolver, when non-nil,
+// interposes on the endpoint resolver (fault-injection test hook).
 func buildEngine(cfg config, trace string, p tenant.Pricing,
-	wrapResolver func(demandfit.EndpointResolver) demandfit.EndpointResolver) (*stream.Window, *stream.Repricer, *engineReloader, error) {
+	wrapResolver func(demandfit.EndpointResolver) demandfit.EndpointResolver) (*stream.Window, *stream.Repricer, func(tenant.Pricing) (stream.Config, error), error) {
 	if trace == "" {
 		return nil, nil, nil, errors.New("no trace directory (set -trace or the tenant's \"trace\")")
 	}
-	meta, err := traces.ReadMetaFile(filepath.Join(trace, "meta.txt"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	geoFile, err := os.Open(filepath.Join(trace, "geoip.csv"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	geo, err := geoip.ReadCSV(geoFile)
-	geoFile.Close()
+	meta, geo, err := traces.ReadDir(trace)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -302,23 +291,7 @@ func buildEngine(cfg config, trace string, p tenant.Pricing,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rl := &engineReloader{
-		check: func(p tenant.Pricing) error {
-			c, err := pricingConfig(p)
-			if err != nil {
-				return err
-			}
-			return rp.CheckConfig(c)
-		},
-		apply: func(p tenant.Pricing) error {
-			c, err := pricingConfig(p)
-			if err != nil {
-				return err
-			}
-			return rp.Reconfigure(c)
-		},
-	}
-	return w, rp, rl, nil
+	return w, rp, pricingConfig, nil
 }
 
 // startDaemon builds the fleet — one pricing engine per spec, each
@@ -352,6 +325,7 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 	}
 
 	d := &daemon{cfg: cfg, reload: newReloadState()}
+	d.loopCtx, d.cancelLoops = context.WithCancel(context.Background())
 	defer func() {
 		if err != nil {
 			d.abort()
@@ -427,8 +401,17 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 	}
 	for _, m := range d.members {
 		if m.durable != nil {
-			m.durable.start()
+			d.every(cfg.ckptInterval, m.durable.tick)
 		}
+	}
+	if d.histStore != nil && cfg.historyRetain > 0 {
+		d.every(pruneInterval(cfg.historyRetain), d.pruneHistory)
+	}
+	if cfg.configFile != "" {
+		hup := make(chan os.Signal, 1)
+		signal.Notify(hup, syscall.SIGHUP)
+		// Failures are counted and logged inside reloadConfig.
+		loop(d, hup, func() { d.reloadConfig() }, func() { signal.Stop(hup) })
 	}
 	if err := d.startListeners(srv.Handler()); err != nil {
 		return nil, err
@@ -438,17 +421,50 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 
 // abort tears a partially-started daemon down in reverse order of
 // construction: listeners first (nothing feeds the sink afterwards),
-// then each member's checkpoint loop and WAL, then the history store.
+// then the background loops, each member's WAL and the history store.
+// No final checkpoint is taken: nothing was served.
 func (d *daemon) abort() {
 	d.close()
+	d.stopLoops()
 	for _, m := range d.members {
 		if m.durable != nil {
-			m.durable.abort()
+			m.durable.log.Close()
 		}
 	}
 	if d.histStore != nil {
 		d.histStore.Close()
 	}
+}
+
+// every runs fn each interval as one of the daemon's background loops.
+func (d *daemon) every(interval time.Duration, fn func()) {
+	ticker := time.NewTicker(interval)
+	loop(d, ticker.C, fn, ticker.Stop)
+}
+
+// loop runs fn for each value wake delivers, on a goroutine of its own,
+// until stopLoops; then it calls done.
+func loop[T any](d *daemon, wake <-chan T, fn, done func()) {
+	d.loops.Add(1)
+	go func() {
+		defer d.loops.Done()
+		defer done()
+		for {
+			select {
+			case <-d.loopCtx.Done():
+				return
+			case <-wake:
+				fn()
+			}
+		}
+	}()
+}
+
+// stopLoops ends the background loops and waits for any turn in
+// progress to finish. Calling it again is a no-op.
+func (d *daemon) stopLoops() {
+	d.cancelLoops()
+	d.loops.Wait()
 }
 
 // startListeners starts the daemon's UDP collector (feeding d.sink) and
@@ -517,20 +533,14 @@ func (d *daemon) udpAddr() string { return d.udp.Addr() }
 
 // run serves until ctx is cancelled, then drains: ingest stops, the
 // scheduler finishes in-flight jobs, every member runs one final
-// re-price over everything received, durability closes with a covering
-// checkpoint per member, and HTTP completes in-flight requests.
+// re-price over everything received, the background loops stop,
+// durability closes with a covering checkpoint per member, and HTTP
+// completes in-flight requests.
 func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 	if d.histStore != nil {
 		// Deferred first so it runs last: /v1/history can hit the store
-		// until the final in-flight HTTP request completes, and the prune
-		// loop must stop before its store disappears.
+		// until the final in-flight HTTP request completes.
 		defer d.histStore.Close()
-	}
-	if stop := d.startReloadWatcher(); stop != nil {
-		defer stop()
-	}
-	if stop := d.startPruneLoop(); stop != nil {
-		defer stop()
 	}
 	// The scheduler outlives ctx on purpose: in-flight re-prices finish
 	// after ingest has stopped, so it gets its own cancellation.
@@ -545,24 +555,21 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 		defer close(tickDone)
 		d.tickLoop(ctx)
 	}()
-	stdinDone := make(chan struct{})
+	stdinGate := &gate{sink: d.sink}
 	if d.cfg.stdin {
-		go func() {
-			defer close(stdinDone)
-			d.ingestStdin(ctx, stdin)
-		}()
-	} else {
-		close(stdinDone)
+		go d.ingestStdin(ctx, stdin, stdinGate)
 	}
 
 	<-ctx.Done()
 
 	// Drain order: stop ingest, stop scheduling, final re-price per
-	// member, close durability, then HTTP.
+	// member, stop the background loops, close durability, then HTTP.
+	// Stdin stops at its gate, not at its read, which no signal
+	// interrupts: a silent open pipe cannot hold the drain up.
 	if d.udp != nil {
 		d.udp.Close() // blocks until the receive loop exits
 	}
-	<-stdinDone
+	stdinGate.close()
 	<-tickDone
 	schedCancel()
 	<-schedDone
@@ -576,6 +583,7 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 		m.repriceOnce(drainCtx)
 		cancel()
 	}
+	d.stopLoops()
 	for _, m := range d.members {
 		if m.durable == nil {
 			continue

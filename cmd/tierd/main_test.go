@@ -112,16 +112,8 @@ func batchAggregates(t testing.TB, streams map[string][]byte) []netflow.Aggregat
 	t.Helper()
 	c := stream.NewCollector(traces.AggregateKey)
 	for _, router := range sortedRouters(streams) {
-		rd := netflow.NewReader(bytes.NewReader(streams[router]))
-		for {
-			h, recs, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Ingest(h, recs)
+		if _, err := netflow.Feed(c, bytes.NewReader(streams[router])); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return c.Aggregates()
@@ -530,6 +522,85 @@ func TestRunDrain(t *testing.T) {
 	}
 }
 
+// TestRunDrainStdinOpen: SIGTERM drains within -drain-grace while
+// stdin is an open pipe that has gone silent. The read blocked on it is
+// not waited for; the datagrams it delivered before are covered by the
+// final re-price.
+func TestRunDrainStdinOpen(t *testing.T) {
+	ds, err := traces.EUISP(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: 81})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config{
+		listen: "127.0.0.1:0", trace: writeTraceDir(t, ds, len(streams)), stdin: true,
+		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, Theta: 0.2, Strategy: "profit-weighted", Tiers: 3},
+		window:  4 * time.Hour, slot: time.Hour,
+		reprice: time.Hour, drainGrace: 500 * time.Millisecond,
+	}
+	d, err := startDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close() // only after run has returned: the pipe stays open across the drain
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- d.run(ctx, pr) }()
+	for _, router := range sortedRouters(streams) {
+		if _, err := pw.Write(streams[router]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := batchAggregates(t, streams)
+	m := d.members[0]
+	for deadline := time.Now().Add(30 * time.Second); !demandMatches(m.window.Aggregates(), batch); {
+		if time.Now().After(deadline) {
+			t.Fatal("window never applied the stdin datagrams")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(cfg.drainGrace + 5*time.Second):
+		t.Fatal("run waited on the open stdin pipe past the drain grace")
+	}
+	t.Logf("drained in %v", time.Since(start))
+
+	snap := m.repricer.Current()
+	if snap == nil {
+		t.Fatal("no snapshot after the drain re-price")
+	}
+	got, err := snap.Table.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, _, err := demandfit.BuildFlows(batch, &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: true}, ds.DurationSec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stream.BatchTable(flows, econ.CED{Alpha: 1.1}, cost.Linear{Theta: 0.2}, ds.P0, bundling.ProfitWeighted{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := want.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantBytes) {
+		t.Fatalf("final table does not cover the stdin datagrams:\ngot  %s\nwant %s", got, wantBytes)
+	}
+}
+
 // BenchmarkQuoteLoad is the quote-path load benchmark: it drives the
 // snapshot lookup that backs /v1/quote and reports tail latency. The
 // hot path must not allocate (allocs/op 0; pinned by the stream
@@ -548,16 +619,8 @@ func BenchmarkQuoteLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, router := range sortedRouters(streams) {
-		rd := netflow.NewReader(bytes.NewReader(streams[router]))
-		for {
-			h, recs, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			w.Ingest(h, recs)
+		if _, err := netflow.Feed(w, bytes.NewReader(streams[router])); err != nil {
+			b.Fatal(err)
 		}
 	}
 	rp, err := stream.NewRepricer(stream.Config{

@@ -11,12 +11,11 @@ package main
 import (
 	"fmt"
 	"os"
-	"os/signal"
 	"sync"
 	"sync/atomic"
-	"syscall"
 
 	"tieredpricing/internal/server"
+	"tieredpricing/internal/stream"
 	"tieredpricing/internal/tenant"
 )
 
@@ -81,16 +80,20 @@ func (d *daemon) reloadConfig() error {
 	// All-or-nothing across the fleet: a bad overlay for any tenant
 	// rejects the reload for all of them, so tenants never serve mixed
 	// config generations.
-	next := make([]tenant.Pricing, len(d.members))
+	next := make([]stream.Config, len(d.members))
 	for i, m := range d.members {
-		next[i] = m.spec.Pricing.Over(base)
-		if err := m.reloader.check(next[i]); err != nil {
+		c, err := m.pricingConfig(m.spec.Pricing.Over(base))
+		if err == nil {
+			err = m.repricer.CheckConfig(c)
+		}
+		if err != nil {
 			return fail(fmt.Errorf("tenant %s: %w", m.spec.ID, err))
 		}
+		next[i] = c
 	}
 	for i, m := range d.members {
-		if err := m.reloader.apply(next[i]); err != nil {
-			// check passed on identical inputs; reaching here is a bug,
+		if err := m.repricer.Reconfigure(next[i]); err != nil {
+			// CheckConfig passed on identical inputs; reaching here is a bug,
 			// but count and report it rather than hide it.
 			return fail(fmt.Errorf("tenant %s: %w", m.spec.ID, err))
 		}
@@ -99,26 +102,4 @@ func (d *daemon) reloadConfig() error {
 	rs.reloads.Add(1)
 	fmt.Fprintf(os.Stderr, "tierd: config reloaded from %s (config epoch %d)\n", d.cfg.configFile, epoch)
 	return nil
-}
-
-// startReloadWatcher subscribes to SIGHUP when -config is set.
-// Returns a stop function, or nil when reloads are not enabled.
-func (d *daemon) startReloadWatcher() func() {
-	if d.cfg.configFile == "" {
-		return nil
-	}
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range hup {
-			d.reloadConfig() // failures are counted and logged inside
-		}
-	}()
-	return func() {
-		signal.Stop(hup)
-		close(hup)
-		<-done
-	}
 }

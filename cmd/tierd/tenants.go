@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,10 +33,13 @@ type member struct {
 	tn       *tenant.Tenant
 	window   *stream.Window
 	repricer *stream.Repricer
-	reloader *engineReloader
 	recorder *histRecorder
 	metrics  *server.Metrics
 	durable  *durability // nil without -data-dir
+
+	// pricingConfig derives a repricer configuration from a pricing:
+	// buildEngine's, which every hot reload goes through.
+	pricingConfig func(tenant.Pricing) (stream.Config, error)
 
 	// lastFailed marks the member for the tick loop's fast retry lane.
 	lastFailed atomic.Bool
@@ -62,11 +66,11 @@ func (d *daemon) newMember(sp tenant.Spec, p tenant.Pricing, dir, stamp string) 
 	if trace == "" {
 		trace = cfg.trace
 	}
-	w, rp, rl, err := buildEngine(cfg, trace, p, wrap)
+	w, rp, pc, err := buildEngine(cfg, trace, p, wrap)
 	if err != nil {
 		return nil, err
 	}
-	m := &member{spec: sp, window: w, repricer: rp, reloader: rl, metrics: server.NewMetrics()}
+	m := &member{spec: sp, window: w, repricer: rp, pricingConfig: pc, metrics: server.NewMetrics()}
 	m.recorder = newHistRecorder(sp.ID, cfg.historyRing, d.histStore, d.reload.epoch)
 	var sink netflow.Sink = w
 	if cfg.dataDir != "" {
@@ -219,24 +223,44 @@ func (d *daemon) tickLoop(ctx context.Context) {
 	}
 }
 
-// ingestStdin feeds a concatenated export stream (tracegen -stdout) into
-// the router; at EOF every member re-prices immediately so piped replays
-// serve quotes without waiting out the next tick.
-func (d *daemon) ingestStdin(ctx context.Context, stdin io.Reader) {
-	rd := netflow.NewReader(bufio.NewReader(stdin))
-	for ctx.Err() == nil {
-		h, recs, err := rd.Next()
-		if err == io.EOF {
-			for _, m := range d.members {
-				m.repriceOnce(ctx)
-			}
-			fmt.Fprintln(os.Stderr, "tierd: stdin stream complete, snapshots published")
-			return
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tierd: stdin:", err)
-			return
-		}
-		d.sink.Ingest(h, recs)
+// ingestStdin feeds a concatenated export stream (tracegen -stdout)
+// through g into the router; at EOF every member re-prices immediately
+// so piped replays serve quotes without waiting out the next tick. Once
+// the drain has begun it delivers nothing more, EOF re-price included:
+// the drain's own re-price covers what came before.
+func (d *daemon) ingestStdin(ctx context.Context, stdin io.Reader, g *gate) {
+	if _, err := netflow.Feed(g, bufio.NewReader(stdin)); err != nil {
+		fmt.Fprintln(os.Stderr, "tierd: stdin:", err)
+		return
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.sink == nil || ctx.Err() != nil {
+		return
+	}
+	for _, m := range d.members {
+		m.repriceOnce(ctx)
+	}
+	fmt.Fprintln(os.Stderr, "tierd: stdin stream complete, snapshots published")
+}
+
+// gate hands datagrams to sink until close. A datagram being handed
+// over when close is called completes first; none follows it.
+type gate struct {
+	mu   sync.Mutex
+	sink netflow.Sink // nil once closed
+}
+
+func (g *gate) Ingest(h netflow.Header, recs []netflow.Record) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.sink != nil {
+		g.sink.Ingest(h, recs)
+	}
+}
+
+func (g *gate) close() {
+	g.mu.Lock()
+	g.sink = nil
+	g.mu.Unlock()
 }

@@ -27,9 +27,12 @@ func TestRunWritesTraceDirectory(t *testing.T) {
 	if err := run("euisp", 7, dir, false); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := traces.ReadMetaFile(filepath.Join(dir, "meta.txt"))
+	meta, geo, err := traces.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if geo.Len() == 0 {
+		t.Error("geoip.csv read back empty")
 	}
 	if meta.Dataset != "euisp" || meta.Seed != 7 || meta.Routers < 2 {
 		t.Errorf("unexpected meta %+v", meta)

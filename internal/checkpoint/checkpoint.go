@@ -40,11 +40,6 @@ const Magic = "TPCKPT01"
 // headerSize is magic + u32 CRC32-C(payload) + u32 len(payload).
 const headerSize = len(Magic) + 8
 
-// DefaultRetain is how many checkpoints Prune keeps when the caller
-// does not say: the newest plus two fallbacks for the CRC-mismatch
-// recovery path.
-const DefaultRetain = 3
-
 // HistoryEntry is one published TierTable in the checkpointed time
 // series served by GET /v1/history. Table carries the canonical
 // stream.TierTable.Marshal bytes, exactly as /v1/tiers served them.
@@ -196,11 +191,8 @@ func LoadNewest(dir string) (*State, string, error) {
 }
 
 // Prune deletes all but the newest keep checkpoints (and any leftover
-// temp files from crashed writes). keep < 1 is treated as DefaultRetain.
+// temp files from crashed writes).
 func Prune(dir string, keep int) error {
-	if keep < 1 {
-		keep = DefaultRetain
-	}
 	framelog.RemoveTemps(dir, filePrefix)
 	seqs, err := framelog.ListSeq(dir, filePrefix, fileSuffix)
 	if err != nil {

@@ -387,10 +387,3 @@ func (m CED) PotentialProfits(flows []Flow) ([]float64, error) {
 	m.counted(len(flows))
 	return out, nil
 }
-
-// BlendedProfit returns the profit when every flow is charged the single
-// price p0 — the paper's status quo (π_original in the profit-capture
-// metric).
-func (m CED) BlendedProfit(flows []Flow, p0 float64) (float64, error) {
-	return m.Profit(flows, OneBundle(len(flows)), []float64{p0})
-}

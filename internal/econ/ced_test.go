@@ -235,13 +235,13 @@ func TestCEDBlendedProfit(t *testing.T) {
 		{ID: "a", Demand: 1, Valuation: 2, Cost: 1},
 		{ID: "b", Demand: 1, Valuation: 4, Cost: 0.5},
 	}
-	got, err := m.BlendedProfit(flows, 2)
+	got, err := m.Profit(flows, OneBundle(2), []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := CEDFlowProfit(2, 2, 1, 2) + CEDFlowProfit(4, 2, 0.5, 2)
 	if !almostEq(got, want, 1e-12) {
-		t.Fatalf("BlendedProfit = %v, want %v", got, want)
+		t.Fatalf("blended profit = %v, want %v", got, want)
 	}
 }
 

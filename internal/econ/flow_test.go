@@ -163,19 +163,3 @@ func TestCEDOptimalPriceMethod(t *testing.T) {
 		t.Error("method and free function disagree")
 	}
 }
-
-func TestLogitBlendedProfitMatchesOneBundle(t *testing.T) {
-	m := Logit{Alpha: 1.1, S0: 0.2}
-	flows := randomFlows(t, 5, 77, m, 20)
-	got, err := m.BlendedProfit(flows, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.Profit(flows, OneBundle(5), []float64{20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("BlendedProfit %v != Profit %v", got, want)
-	}
-}

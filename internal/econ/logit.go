@@ -454,12 +454,6 @@ func (m Logit) PotentialProfits(flows []Flow) ([]float64, error) {
 	return out, nil
 }
 
-// BlendedProfit returns the profit of charging the single price p0 for
-// all flows.
-func (m Logit) BlendedProfit(flows []Flow, p0 float64) (float64, error) {
-	return m.Profit(flows, OneBundle(len(flows)), []float64{p0})
-}
-
 // Surplus returns aggregate consumer surplus at the given prices: the
 // standard logit log-sum formula K/α · ln(Σ e^{α(v_i−p_i)} + 1).
 func (m Logit) Surplus(flows []Flow, partition [][]int, prices []float64) (float64, error) {

@@ -382,7 +382,7 @@ func TestLogitAgainstReference(t *testing.T) {
 				}
 			}
 			if mk.demands != nil && n >= 4 {
-				orig, _ := m.BlendedProfit(flows, mk.p0)
+				orig, _ := m.Profit(flows, OneBundle(n), []float64{mk.p0})
 				wantOrig, _ := refLogitProfit(m, flows, OneBundle(n), []*big.Float{rf(mk.p0)})
 				for _, b := range []int{2, 4} {
 					parts := contiguous(flows, b)
@@ -451,7 +451,7 @@ func TestCEDAgainstReference(t *testing.T) {
 				}
 				wantMax, _ := refCEDProfit(alpha, flows, singles, wantSingle)
 				errs.check(t, "ced max profit", at(""), max, wantMax, wantMax)
-				orig, _ := m.BlendedProfit(flows, 20)
+				orig, _ := m.Profit(flows, OneBundle(n), []float64{20})
 				wantOrig, _ := refCEDProfit(alpha, flows, OneBundle(n), []*big.Float{rf(20)})
 				for _, b := range []int{1, 2, 4} {
 					parts := contiguous(flows, b)

@@ -168,7 +168,7 @@ func runAblation3(opts Options) (*Result, error) {
 		return nil, err
 	}
 	collect := func(c collector) (*core.Market, traces.Stats, error) {
-		if err := ingestStreams(c, streams); err != nil {
+		if _, err := ingestStreams(c, streams); err != nil {
 			return nil, traces.Stats{}, err
 		}
 		rv := &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: true}

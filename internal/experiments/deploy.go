@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"net/netip"
 
@@ -13,7 +11,6 @@ import (
 	"tieredpricing/internal/core"
 	"tieredpricing/internal/cost"
 	"tieredpricing/internal/econ"
-	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/peering"
 	"tieredpricing/internal/report"
 	"tieredpricing/internal/stats"
@@ -126,20 +123,9 @@ func runFig17(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var totalRecords int
-	for _, stream := range streams {
-		rd := netflow.NewReader(bytes.NewReader(stream))
-		for {
-			h, recs, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			totalRecords += len(recs)
-			fa.Ingest(h, recs)
-		}
+	totalRecords, err := ingestStreams(fa, streams)
+	if err != nil {
+		return nil, err
 	}
 
 	// §5.2(a): link-based accounting — the data path steers each flow

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 
 	"tieredpricing/internal/bundling"
 	"tieredpricing/internal/core"
@@ -65,7 +64,7 @@ func collectedDataset(opts Options, name string, seed int64) (*traces.Dataset, [
 		return nil, nil, pipeStats{}, err
 	}
 	c := stream.NewCollector(traces.AggregateKey)
-	if err := ingestStreams(c, streams); err != nil {
+	if _, err := ingestStreams(c, streams); err != nil {
 		return nil, nil, pipeStats{}, err
 	}
 	flows, skipped, err := demandfit.BuildFlows(c.Aggregates(), demandfit.NewResolver(ds.Name, ds.Geo), ds.DurationSec)
@@ -83,22 +82,17 @@ type collector interface {
 	Aggregates() []netflow.Aggregate
 }
 
-// ingestStreams feeds every router stream into a collector.
-func ingestStreams(c netflow.Sink, streams map[string][]byte) error {
+// ingestStreams feeds every router stream into a sink and returns the
+// records handed over.
+func ingestStreams(sink netflow.Sink, streams map[string][]byte) (records int, err error) {
 	for _, s := range streams {
-		rd := netflow.NewReader(bytes.NewReader(s))
-		for {
-			h, recs, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			c.Ingest(h, recs)
+		n, err := netflow.Feed(sink, bytes.NewReader(s))
+		records += n
+		if err != nil {
+			return records, err
 		}
 	}
-	return nil
+	return records, nil
 }
 
 // datasetMarket fits the default §4.2.2 market over a preset dataset's

@@ -185,14 +185,6 @@ type AggregateMerge struct {
 	hits, misses uint64 // since Reset: AddAt hints that held, parts that paid the probe
 }
 
-// Grow pre-sizes the merge to hold about n distinct keys in total.
-func (m *AggregateMerge) Grow(n int) {
-	if m.index == nil {
-		m.index = make(map[string]int32, n)
-	}
-	m.aggs = slices.Grow(m.aggs, max(0, n-len(m.aggs)))
-}
-
 // Reset forgets every sum and sample, and nothing else: the next round
 // of Adds starts each key from its first part again.
 func (m *AggregateMerge) Reset() { m.now, m.hits, m.misses = m.now+1, 0, 0 }

@@ -113,7 +113,8 @@ func FuzzUDPDatagramPath(f *testing.F) {
 	})
 }
 
-// FuzzReader exercises the stream reader on arbitrary byte streams.
+// FuzzReader exercises the stream reader, and Feed over it, on
+// arbitrary byte streams.
 func FuzzReader(f *testing.F) {
 	recs := []Record{{
 		SrcAddr: netip.MustParseAddr("10.0.0.1"),
@@ -132,15 +133,34 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every Next consumes at least a header, so len(data)/HeaderSize+1
+		// calls bound a reader that terminates.
+		var records int
+		var firstErr error
 		rd := NewReader(bytes.NewReader(data))
-		for i := 0; i < 100; i++ { // bounded: a reader must terminate
-			_, _, err := rd.Next()
+		for i := 0; ; i++ {
+			if i > len(data)/HeaderSize {
+				t.Fatal("reader did not terminate")
+			}
+			_, recs, err := rd.Next()
 			if err == io.EOF {
-				return
+				break
 			}
 			if err != nil {
-				return // malformed input must error, not loop or panic
+				firstErr = err // malformed input must error, not loop or panic
+				break
 			}
+			records += len(recs)
+		}
+		// Feed is the same walk: the record count Next summed, and the
+		// first error Next returned.
+		var sink recordSink
+		n, err := Feed(&sink, bytes.NewReader(data))
+		if n != records || len(sink.records()) != records {
+			t.Fatalf("Feed counted %d records and delivered %d, Next summed %d", n, len(sink.records()), records)
+		}
+		if (err == nil) != (firstErr == nil) || (err != nil && err.Error() != firstErr.Error()) {
+			t.Fatalf("Feed returned %v, Next's first error was %v", err, firstErr)
 		}
 	})
 }

@@ -191,8 +191,8 @@ func TestWriterReaderStream(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Sequence() != 95 {
-		t.Fatalf("sequence = %d, want 95", w.Sequence())
+	if w.sequence != 95 {
+		t.Fatalf("sequence = %d, want 95", w.sequence)
 	}
 	var got []Record
 	for rd := NewReader(&buf); ; {
@@ -235,6 +235,41 @@ func TestReaderTruncatedStream(t *testing.T) {
 	rd := NewReader(bytes.NewReader(pkt[:len(pkt)-4]))
 	if _, _, err := rd.Next(); err == nil || err == io.EOF {
 		t.Errorf("expected truncation error, got %v", err)
+	}
+}
+
+// TestFeedTruncatedStream: a stream cut mid-packet is an error, and
+// Feed has handed over (and counts) only the whole packets before the
+// cut.
+func TestFeedTruncatedStream(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	recs := make([]Record, 2*MaxRecordsPerPacket+7) // two full packets and a partial one
+	for i := range recs {
+		recs[i] = randRecord(r)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, Header{UnixSecs: 1000})
+	if err := w.Write(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.Bytes()
+	for _, cut := range []int{1, RecordSize, 7 * RecordSize, 7*RecordSize + HeaderSize - 1} {
+		var sink recordSink
+		n, err := Feed(&sink, bytes.NewReader(whole[:len(whole)-cut]))
+		if err == nil {
+			t.Errorf("cut %d: no error for a stream truncated mid-packet", cut)
+		}
+		if n != 2*MaxRecordsPerPacket || len(sink.records()) != n {
+			t.Errorf("cut %d: Feed counted %d records and delivered %d, want the %d of the whole packets",
+				cut, n, len(sink.records()), 2*MaxRecordsPerPacket)
+		}
+	}
+	var sink recordSink
+	if n, err := Feed(&sink, bytes.NewReader(whole)); err != nil || n != len(recs) || len(sink.records()) != n {
+		t.Errorf("whole stream: Feed = %d, %v with %d delivered; want %d, nil", n, err, len(sink.records()), len(recs))
 	}
 }
 

@@ -50,9 +50,6 @@ func (wr *Writer) Flush() error {
 	return wr.flushPacket()
 }
 
-// Sequence returns the number of records exported so far.
-func (wr *Writer) Sequence() uint32 { return wr.sequence }
-
 func (wr *Writer) flushPacket() error {
 	h := wr.Template
 	h.FlowSequence = wr.sequence
@@ -72,8 +69,7 @@ func (wr *Writer) flushPacket() error {
 
 // Reader streams export packets back from a concatenated packet stream.
 type Reader struct {
-	r   io.Reader
-	buf []byte
+	r io.Reader
 }
 
 // NewReader creates a Reader consuming from r.
@@ -107,4 +103,23 @@ func (rd *Reader) Next() (Header, []Record, error) {
 		parseRecord(&recs[i], body[i*RecordSize:])
 	}
 	return h, recs, nil
+}
+
+// Feed drains a concatenated packet stream into sink, one Ingest per
+// export packet, and returns the number of records it handed over. EOF
+// on a packet boundary ends the stream cleanly; a truncated or corrupt
+// packet stops it with Next's error, after every whole packet before it.
+func Feed(sink Sink, r io.Reader) (records int, err error) {
+	rd := NewReader(r)
+	for {
+		h, recs, err := rd.Next()
+		if err == io.EOF {
+			return records, nil
+		}
+		if err != nil {
+			return records, err
+		}
+		sink.Ingest(h, recs)
+		records += len(recs)
+	}
 }

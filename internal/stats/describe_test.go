@@ -162,32 +162,6 @@ func TestWeightedCV(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Error("expected error for q > 1")
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Error("expected ErrEmpty")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	min, max, err := MinMax([]float64{3, -1, 7, 2})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 	"reflect"
 	"sort"
@@ -32,16 +31,8 @@ func ingestStreams(t *testing.T, sink netflow.Sink, streams map[string][]byte) {
 	}
 	sort.Strings(routers)
 	for _, router := range routers {
-		rd := netflow.NewReader(bytes.NewReader(streams[router]))
-		for {
-			h, recs, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink.Ingest(h, recs)
+		if _, err := netflow.Feed(sink, bytes.NewReader(streams[router])); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

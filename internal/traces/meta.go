@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"tieredpricing/internal/econ"
+	"tieredpricing/internal/geoip"
 )
 
 // Meta is the dataset metadata tracegen writes next to the export
@@ -95,16 +97,27 @@ func parsePositive(s string) (float64, error) {
 	return v, err
 }
 
-// ReadMetaFile reads and parses a meta.txt on disk.
-func ReadMetaFile(path string) (Meta, error) {
+// ReadDir reads what a trace directory (tracegen -out) gives the
+// collection pipeline: its meta.txt and its geoip.csv.
+func ReadDir(dir string) (Meta, *geoip.DB, error) {
+	path := filepath.Join(dir, "meta.txt")
 	f, err := os.Open(path)
 	if err != nil {
-		return Meta{}, err
+		return Meta{}, nil, err
+	}
+	m, err := ReadMeta(f)
+	f.Close()
+	if err != nil {
+		return Meta{}, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	path = filepath.Join(dir, "geoip.csv")
+	if f, err = os.Open(path); err != nil {
+		return Meta{}, nil, err
 	}
 	defer f.Close()
-	m, err := ReadMeta(f)
+	geo, err := geoip.ReadCSV(f)
 	if err != nil {
-		return Meta{}, fmt.Errorf("%s: %w", path, err)
+		return Meta{}, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return m, nil
+	return m, geo, nil
 }
