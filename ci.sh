@@ -4,10 +4,11 @@
 #   ./ci.sh            — the gate: everything a change must pass before
 #                        it lands.
 #   ./ci.sh recover    — durability gate alone: the crash-recovery
-#                        parity matrix and the kill -9 e2e at every
-#                        pinned seed (RECOVER_SEEDS, default
-#                        "1 7 99 4242 31337"), and the restore of a data
-#                        dir an older, sharded tierd wrote
+#                        parity matrix, the fallback to an older
+#                        checkpoint the WAL has rotated past and the
+#                        kill -9 e2e at every pinned seed (RECOVER_SEEDS,
+#                        default "1 7 99 4242 31337"), and the restore of
+#                        a data dir an older, sharded tierd wrote
 #                        (cmd/tierd/testdata/parent-shards4).
 #   ./ci.sh tenants    — multi-tenant gate alone: fleet-vs-solo tier
 #                        table parity (one 3-tenant tierd against three
@@ -97,42 +98,25 @@
 #  13. benchmarks    — every benchmark compiles and runs one iteration
 #                      (catches bit-rotted benchmark code without paying
 #                      for a timed run)
-#  14. fuzz smoke    — every netflow/bgp fuzz target, framelog's
-#                      FuzzScan (the one frame decoder under the WAL and
-#                      the history store), stream's FuzzPackedKey (the
-#                      dedup key's packed form), FuzzWindowMatchesReference
-#                      (the one dedup and aggregation path, at 1–12 slots,
-#                      against the per-slot-map reference), FuzzCollectorAccounting (a decoded
-#                      datagram's records = duplicates + dropped +
-#                      bucketed) and FuzzRepricerMemory (kept repricer =
-#                      fresh one), bundling's FuzzFixedPow (the CED
-#                      block value's power kernel against math.Pow) and
-#                      FuzzCurve (every strategy's
-#                      one-pass capture curve = its per-b bundles),
-#                      core's FuzzCostOrder (the carried cost order = a
-#                      fresh sort), econ's FuzzLogitClosedForm (logit
-#                      prices finite and ≥ cost, s0 = 1/(1 + S·e^{−αm})
-#                      within the reference's bound), traces' FuzzAggregateBucket (the
-#                      bucket code's name = the masked addresses as netip
-#                      prints them, one code per name) and tenant's
-#                      FuzzDecodeSpecs (the one strict decoder under
-#                      -tenants and -config: accepted input re-encodes
-#                      equal, Over idempotent), actually fuzzes
-#                      for a short budget (FUZZTIME, default 10s each),
-#                      not just replays its seed corpus
+#  14. fuzz smoke    — every Fuzz* target `go test -list` finds in the
+#                      module actually fuzzes for a short budget
+#                      (FUZZTIME, default 10s each), not just replays
+#                      its seed corpus; a new target joins without an
+#                      edit here
 set -eu
 
 cd "$(dirname "$0")"
 
 recover() {
     # Durability gate: the in-process recovery parity matrix (clean,
-    # torn WAL tail, corrupt WAL tail, corrupt checkpoint) plus the
+    # torn WAL tail, corrupt WAL tail, corrupt checkpoint), the fallback
+    # to a checkpoint in a rotated-past WAL segment, and the
     # out-of-process kill -9 test, each replayed at every pinned seed.
     # RECOVER_SEEDS overrides the seed list for local bisection. The
     # sharded-parent fixture takes no seed, so it runs once.
     for seed in ${RECOVER_SEEDS:-1 7 99 4242 31337}; do
-        echo "==> recover stage: RECOVER_SEED=${seed} go test -run 'TestRecoveryParity|TestTierdKill9Recovery' ./cmd/tierd"
-        RECOVER_SEED="$seed" go test -count=1 -run 'TestRecoveryParity|TestTierdKill9Recovery' ./cmd/tierd
+        echo "==> recover stage: RECOVER_SEED=${seed} go test -run 'TestRecoveryParity|TestRecoveryFallbackAcrossSegments|TestTierdKill9Recovery' ./cmd/tierd"
+        RECOVER_SEED="$seed" go test -count=1 -run 'TestRecoveryParity|TestRecoveryFallbackAcrossSegments|TestTierdKill9Recovery' ./cmd/tierd
     done
     echo "==> recover stage: go test -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd"
     go test -count=1 -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd
@@ -181,33 +165,21 @@ examples() {
 }
 
 fuzz_smoke() {
-    # `go test -fuzz` accepts only one target per run, so iterate.
-    for target in FuzzDecodePacket FuzzUDPDatagramPath FuzzReader; do
-        echo "==> fuzz ${target} (internal/netflow, ${FUZZTIME})"
-        go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/netflow
+    # `go test -fuzz` accepts only one target per run, so iterate over
+    # what `go test -list` prints: each package's Fuzz* names, then
+    # `ok <pkg>`.
+    list="$(go test -run='^$' -list='^Fuzz' ./...)"
+    targets="$(printf '%s\n' "$list" |
+        awk '/^Fuzz/ { t[n++] = $1 } /^ok / { for (i = 0; i < n; i++) print t[i] "@" $2; n = 0 }')"
+    if [ -z "$targets" ]; then
+        echo "ci.sh: go test -list found no fuzz targets" >&2
+        exit 1
+    fi
+    for pair in $targets; do
+        target="${pair%@*}" pkg="${pair#*@}"
+        echo "==> fuzz ${target} (${pkg#tieredpricing/}, ${FUZZTIME})"
+        go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" "$pkg"
     done
-    for target in FuzzDecodeUpdate FuzzDecodeBody FuzzDecodeOpen; do
-        echo "==> fuzz ${target} (internal/bgp, ${FUZZTIME})"
-        go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/bgp
-    done
-    echo "==> fuzz FuzzScan (internal/framelog, ${FUZZTIME})"
-    go test -run='^$' -fuzz='^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/framelog
-    for target in FuzzPackedKey FuzzWindowMatchesReference FuzzCollectorAccounting FuzzRepricerMemory; do
-        echo "==> fuzz ${target} (internal/stream, ${FUZZTIME})"
-        go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/stream
-    done
-    for target in FuzzFixedPow FuzzCurve; do
-        echo "==> fuzz ${target} (internal/bundling, ${FUZZTIME})"
-        go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/bundling
-    done
-    echo "==> fuzz FuzzCostOrder (internal/core, ${FUZZTIME})"
-    go test -run='^$' -fuzz='^FuzzCostOrder$' -fuzztime="$FUZZTIME" ./internal/core
-    echo "==> fuzz FuzzLogitClosedForm (internal/econ, ${FUZZTIME})"
-    go test -run='^$' -fuzz='^FuzzLogitClosedForm$' -fuzztime="$FUZZTIME" ./internal/econ
-    echo "==> fuzz FuzzAggregateBucket (internal/traces, ${FUZZTIME})"
-    go test -run='^$' -fuzz='^FuzzAggregateBucket$' -fuzztime="$FUZZTIME" ./internal/traces
-    echo "==> fuzz FuzzDecodeSpecs (internal/tenant, ${FUZZTIME})"
-    go test -run='^$' -fuzz='^FuzzDecodeSpecs$' -fuzztime="$FUZZTIME" ./internal/tenant
 }
 
 case "${1:-}" in

@@ -36,7 +36,6 @@ const ckptRetain = 3
 // position excludes — which is what makes "restore checkpoint, replay
 // WAL tail" reproduce the pre-crash window byte for byte.
 type durability struct {
-	dataDir  string
 	walDir   string
 	ckptDir  string
 	tenantID string // stamps checkpoints in tenants/<id> namespaces ("" = a synthesised member's root layout)
@@ -50,6 +49,12 @@ type durability struct {
 	// mu pairs {WAL append; window apply} and {WAL position; window
 	// export} (see above).
 	mu sync.Mutex
+
+	// kept is the WAL position of each checkpoint this process knows is
+	// on disk, oldest first and at most ckptRetain: a fallback replays
+	// from its own position, so the log is truncated only before the
+	// oldest. Only checkpoint touches it, and its callers never overlap.
+	kept []wal.Position
 
 	checkpoints       atomic.Uint64
 	lastCkptNano      atomic.Int64
@@ -72,8 +77,9 @@ type durability struct {
 	// checkpoint framing.
 	configEpoch func() int64
 	// restoredConfigEpoch is the generation the restored checkpoint was
-	// taken under (0 when booting fresh); the daemon fast-forwards its
-	// epoch counter to at least this.
+	// taken under (0 when booting fresh or from a pre-reload
+	// checkpoint); the daemon fast-forwards its epoch counter, which
+	// starts at 1, to at least this.
 	restoredConfigEpoch int64
 }
 
@@ -89,7 +95,6 @@ type durability struct {
 func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stream.Repricer,
 	rec *histRecorder, configEpoch func() int64) (*durability, error) {
 	d := &durability{
-		dataDir:     dir,
 		walDir:      filepath.Join(dir, "wal"),
 		ckptDir:     filepath.Join(dir, "checkpoint"),
 		tenantID:    tenantID,
@@ -107,7 +112,9 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 		d.now = time.Now
 	}
 
-	st, ckptPath, err := checkpoint.LoadNewest(d.ckptDir)
+	st, ckptPath, err := checkpoint.LoadNewestFunc(d.ckptDir, func(path string, err error) {
+		fmt.Fprintf(os.Stderr, "tierd: skipped corrupt checkpoint %s: %v\n", path, err)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("loading checkpoint: %w", err)
 	}
@@ -121,11 +128,9 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 			return nil, fmt.Errorf("restoring window from %s: %w", ckptPath, err)
 		}
 		from = st.WAL
+		d.kept = []wal.Position{from}
 		rp.RestoreEpoch(st.Epoch)
 		d.restoredConfigEpoch = st.ConfigEpoch
-		if d.restoredConfigEpoch == 0 {
-			d.restoredConfigEpoch = 1 // pre-reload checkpoint
-		}
 		if d.hist != nil {
 			d.hist.restore(st.History, st.Epoch)
 		}
@@ -212,7 +217,8 @@ func (d *durability) reportErrors() {
 // checkpoint takes one snapshot: WAL position and window state are
 // captured atomically under the pairing lock, framed with the serving
 // epoch, current table, and history ring, written atomically, and old
-// checkpoints and fully-covered WAL segments are pruned.
+// checkpoints are pruned, with the WAL segments wholly before the
+// oldest retained one.
 func (d *durability) checkpoint() error {
 	d.mu.Lock()
 	pos := d.log.Pos()
@@ -236,13 +242,16 @@ func (d *durability) checkpoint() error {
 	if _, err := checkpoint.Write(d.ckptDir, st); err != nil {
 		return err
 	}
+	d.kept = append(d.kept, pos)
+	if len(d.kept) > ckptRetain {
+		d.kept = d.kept[1:]
+	}
 	d.checkpoints.Add(1)
 	d.lastCkptNano.Store(d.now().UnixNano())
 	if err := checkpoint.Prune(d.ckptDir, ckptRetain); err != nil {
 		return err
 	}
-	// Segments wholly before the covered position are now redundant.
-	return d.log.TruncateBefore(pos)
+	return d.log.TruncateBefore(d.kept[0])
 }
 
 // stats feeds the /metrics durability section.

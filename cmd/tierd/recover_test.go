@@ -359,6 +359,91 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 	}
 }
 
+// TestRecoveryFallbackAcrossSegments: with the newest checkpoint
+// corrupt, boot falls back to an older one whose WAL position lies in a
+// segment the log has since rotated past. Checkpointing must have kept
+// that segment, so the fallback replays the whole tail and the window
+// equals an uninterrupted run over every datagram logged.
+func TestRecoveryFallbackAcrossSegments(t *testing.T) {
+	seed := recoverSeed(t)
+	ds, err := traces.EUISP(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: seed + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceDir := writeTraceDir(t, ds, len(streams))
+	dataDir := t.TempDir()
+	trace := traceDatagrams(t, streams)
+
+	clock := faultinject.NewClock(time.Unix(1700000000, 0))
+	d, err := startDaemon(recoverConfig(traceDir, dataDir, clock.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := d.members[0].durable
+	// Cycle through the trace (repeats are duplicates to the window but
+	// logged all the same) until the WAL's active segment is seg, then
+	// checkpoint: once after two full 4 MiB segments, once after four.
+	var logged []datagram
+	ingestUntil := func(seg uint64) {
+		for durable.log.Pos().Segment < seg {
+			g := trace[len(logged)%len(trace)]
+			g.ts = clock.Now()
+			d.sink.Ingest(g.h, g.recs)
+			logged = append(logged, g)
+		}
+	}
+	ingestUntil(3)
+	if err := durable.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	covered := len(logged) // the fallback's coverage
+	clock.Advance(time.Hour)
+	ingestUntil(5)
+	if err := durable.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	d.close()
+
+	ckpts, err := filepath.Glob(filepath.Join(dataDir, "checkpoint", "checkpoint-*.ckpt"))
+	if err != nil || len(ckpts) != 2 {
+		t.Fatalf("checkpoints: %v %v", ckpts, err)
+	}
+	if hit, err := faultinject.New(seed).NewSite(3).CorruptByte(ckpts[1], 0); err != nil || !hit {
+		t.Fatalf("CorruptByte: %v %v", hit, err)
+	}
+
+	d2, err := startDaemon(recoverConfig(traceDir, dataDir, clock.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		d2.members[0].durable.log.Close()
+		d2.close()
+	}()
+	if replayed := int(d2.members[0].durable.recoveryReplayed.Load()); covered+replayed != len(logged) {
+		t.Fatalf("fallback checkpoint covers %d entries and replayed %d, want the other %d",
+			covered, replayed, len(logged)-covered)
+	}
+	shadow, err := stream.NewWindow(traces.AggregateKey, time.Hour, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow.SetClock(clock.Now)
+	for _, g := range logged {
+		shadow.IngestAt(g.ts, g.h, g.recs)
+	}
+	if !bytes.Equal(exportJSON(t, d2.members[0].window), exportJSON(t, shadow)) {
+		t.Fatal("recovered window diverges from the uninterrupted run")
+	}
+}
+
 // startTierd launches a tierd binary and parses its serving line.
 func startTierd(t *testing.T, bin string, args ...string) (*exec.Cmd, string, string) {
 	t.Helper()

@@ -72,7 +72,8 @@ type State struct {
 	// which therefore stays loadable.
 	Tenant string `json:"tenant,omitempty"`
 	// Table is the serving snapshot's canonical TierTable bytes, empty
-	// before the first successful re-price.
+	// before the first successful re-price. Recovery never reads it (the
+	// warm re-price rebuilds the table); it stays while the format does.
 	Table json.RawMessage `json:"table,omitempty"`
 	// ConfigEpoch is the process-wide pricing-config generation at
 	// checkpoint time (1 at first boot, +1 per successful hot reload;
@@ -168,6 +169,13 @@ func Write(dir string, st *State) (string, error) {
 // failing recovery. With no loadable checkpoint it returns (nil, "",
 // nil): recovery then starts from an empty window and the WAL head.
 func LoadNewest(dir string) (*State, string, error) {
+	return LoadNewestFunc(dir, nil)
+}
+
+// LoadNewestFunc is LoadNewest that also calls skipped, when non-nil,
+// with each corrupt file it passes over and the file's decode error,
+// newest first.
+func LoadNewestFunc(dir string, skipped func(path string, err error)) (*State, string, error) {
 	seqs, err := framelog.ListSeq(dir, filePrefix, fileSuffix)
 	if err != nil {
 		return nil, "", err
@@ -183,6 +191,9 @@ func LoadNewest(dir string) (*State, string, error) {
 		}
 		st, err := Decode(data)
 		if err != nil {
+			if skipped != nil {
+				skipped(path, err)
+			}
 			continue // corrupt — fall back to the next-older checkpoint
 		}
 		return st, path, nil

@@ -261,12 +261,22 @@ func TestParentFixture(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	st, path, err := LoadNewest(fixture)
+	var skipped []string
+	st, path, err := LoadNewestFunc(fixture, func(path string, err error) {
+		if err == nil {
+			t.Errorf("%s reported as corrupt with a nil error", path)
+		}
+		skipped = append(skipped, filepath.Base(path))
+	})
 	if err != nil || st == nil {
-		t.Fatalf("LoadNewest: %+v, %v", st, err)
+		t.Fatalf("LoadNewestFunc: %+v, %v", st, err)
 	}
 	if filepath.Base(path) != want.File || !reflect.DeepEqual(st, want.State) {
 		t.Fatalf("loaded %s = %+v, the parent loaded %s = %+v", path, st, want.File, want.State)
+	}
+	// The newest file has the flipped bit: it, and only it, is reported.
+	if want := []string{"checkpoint-0000000000000002.ckpt"}; !reflect.DeepEqual(skipped, want) {
+		t.Fatalf("reported corrupt %q, want %q", skipped, want)
 	}
 	onDisk, err := os.ReadFile(path)
 	if err != nil {

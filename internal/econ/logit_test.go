@@ -242,32 +242,68 @@ func TestLogitPriceBundlesSatisfiesFOC(t *testing.T) {
 }
 
 func TestLogitPriceBundlesIsLocalOptimum(t *testing.T) {
-	// Perturbing any one bundle price away from the fixed-point solution
-	// must not increase profit.
-	m := Logit{Alpha: 1.3, S0: 0.25}
-	flows := randomFlows(t, 8, 31, m, 15)
-	parts := [][]int{{0, 1}, {2, 3, 4}, {5, 6, 7}}
-	prices, err := m.PriceBundles(flows, parts)
-	if err != nil {
-		t.Fatal(err)
+	// No move away from the closed-form prices may increase profit:
+	// neither one bundle's price alone nor all of them at once, in every
+	// sign pattern, at two step sizes. The second market is the one the
+	// paper's §3.2.2 gradient heuristic was checked against.
+	cases := []struct {
+		m     Logit
+		seed  int64
+		p0    float64
+		parts [][]int
+	}{
+		{Logit{Alpha: 1.3, S0: 0.25}, 31, 15, [][]int{{0, 1}, {2, 3, 4}, {5, 6, 7}}},
+		{Logit{Alpha: 1.1, S0: 0.2}, 5, 20, [][]int{{0, 1, 2}, {3, 4}, {5, 6, 7}}},
 	}
-	base, err := m.Profit(flows, parts, prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range prices {
-		for _, eps := range []float64{0.97, 1.03} {
+	for _, c := range cases {
+		m := c.m
+		flows := randomFlows(t, 8, c.seed, m, c.p0)
+		prices, err := m.PriceBundles(flows, c.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := m.Profit(flows, c.parts, prices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// try moves to prices[b]·scale(b) and returns the relative
+		// change in profit.
+		try := func(scale func(b int) float64) float64 {
 			mod := append([]float64(nil), prices...)
-			mod[b] *= eps
-			pi, err := m.Profit(flows, parts, mod)
+			for b := range mod {
+				mod[b] *= scale(b)
+			}
+			pi, err := m.Profit(flows, c.parts, mod)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if pi > base+1e-7*math.Abs(base) {
-				t.Fatalf("perturbing bundle %d by %v improves profit %v → %v",
-					b, eps, base, pi)
+				t.Fatalf("%+v: prices %v → %v improve profit %v → %v", m, prices, mod, base, pi)
+			}
+			return (pi - base) / math.Abs(base)
+		}
+		bestJoint := math.Inf(-1)
+		for _, step := range []float64{0.03, 0.001} {
+			for b := range prices {
+				for _, eps := range []float64{1 - step, 1 + step} {
+					try(func(i int) float64 {
+						if i == b {
+							return eps
+						}
+						return 1
+					})
+				}
+			}
+			for signs := 0; signs < 1<<len(prices); signs++ {
+				bestJoint = math.Max(bestJoint, try(func(i int) float64 {
+					if signs&(1<<i) != 0 {
+						return 1 + step
+					}
+					return 1 - step
+				}))
 			}
 		}
+		t.Logf("%+v: best joint move's relative profit change %.3g", m, bestJoint)
 	}
 }
 

@@ -52,7 +52,6 @@ type pipeStats struct {
 	records    int
 	duplicates int
 	dropped    int
-	skipped    int
 }
 
 // collectedDataset runs a preset dataset through the full §4.1.1
@@ -67,12 +66,12 @@ func collectedDataset(opts Options, name string, seed int64) (*traces.Dataset, [
 	if _, err := ingestStreams(c, streams); err != nil {
 		return nil, nil, pipeStats{}, err
 	}
-	flows, skipped, err := demandfit.BuildFlows(c.Aggregates(), demandfit.NewResolver(ds.Name, ds.Geo), ds.DurationSec)
+	flows, _, err := demandfit.BuildFlows(c.Aggregates(), demandfit.NewResolver(ds.Name, ds.Geo), ds.DurationSec)
 	if err != nil {
 		return nil, nil, pipeStats{}, err
 	}
 	records, dups, dropped, _ := c.Stats()
-	return ds, flows, pipeStats{records: records, duplicates: dups, dropped: dropped, skipped: skipped}, nil
+	return ds, flows, pipeStats{records: records, duplicates: dups, dropped: dropped}, nil
 }
 
 // collector is what ablation3 ingests into and reads aggregates back

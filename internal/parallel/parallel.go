@@ -33,19 +33,6 @@ func Workers(requested, tasks int) int {
 	return w
 }
 
-// ForEach runs fn(ctx, i) for every i in [0, n) on at most workers
-// goroutines (after Workers normalization). The first task error cancels
-// the context passed to in-flight and queued tasks and is returned;
-// tasks skipped because of the cancellation are not treated as failures.
-// With workers <= 1 the calls happen serially on the calling goroutine,
-// exactly like the plain loop.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, n, workers, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}
-
 // Map runs fn(ctx, i) for every i in [0, n) on at most workers
 // goroutines and returns the n results in index order, however the tasks
 // interleaved. On failure it returns the error of the lowest-indexed

@@ -75,7 +75,7 @@ func TestPoolSaturation(t *testing.T) {
 	reached.Add(workers)
 	var once sync.Once
 	release := make(chan struct{})
-	err := ForEach(context.Background(), n, workers, func(_ context.Context, i int) error {
+	_, err := Map(context.Background(), n, workers, func(_ context.Context, i int) (int, error) {
 		cur := running.Add(1)
 		defer running.Add(-1)
 		for {
@@ -97,7 +97,7 @@ func TestPoolSaturation(t *testing.T) {
 			})
 			<-release
 		}
-		return nil
+		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,11 +172,12 @@ func TestContextCancellation(t *testing.T) {
 	const n = 1000
 	errc := make(chan error, 1)
 	go func() {
-		errc <- ForEach(ctx, n, 4, func(ctx context.Context, i int) error {
+		_, err := Map(ctx, n, 4, func(ctx context.Context, i int) (int, error) {
 			started.Add(1)
 			<-ctx.Done()
-			return nil
+			return i, nil
 		})
+		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
@@ -186,7 +187,7 @@ func TestContextCancellation(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ForEach did not return after cancellation")
+		t.Fatal("Map did not return after cancellation")
 	}
 	if s := started.Load(); s == n {
 		t.Error("cancellation did not stop the index feed")
@@ -227,14 +228,14 @@ func TestSerialAndParallelAgree(t *testing.T) {
 	}
 }
 
-func TestForEachNilContext(t *testing.T) {
+func TestMapNilContext(t *testing.T) {
 	var count atomic.Int64
-	if err := ForEach(nil, 5, 3, func(ctx context.Context, i int) error { //nolint:staticcheck
+	if _, err := Map(nil, 5, 3, func(ctx context.Context, i int) (int, error) { //nolint:staticcheck
 		if ctx == nil {
-			return errors.New("nil ctx passed to task")
+			return 0, errors.New("nil ctx passed to task")
 		}
 		count.Add(1)
-		return nil
+		return i, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -353,19 +354,20 @@ func TestCoarseFanOutClaimsSingleIndices(t *testing.T) {
 	oneStarted := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- ForEach(context.Background(), 63, 2, func(ctx context.Context, i int) error {
+		_, err := Map(context.Background(), 63, 2, func(ctx context.Context, i int) (int, error) {
 			switch i {
 			case 0:
 				select {
 				case <-oneStarted:
 				case <-ctx.Done():
-					return ctx.Err()
+					return 0, ctx.Err()
 				}
 			case 1:
 				close(oneStarted)
 			}
-			return nil
+			return i, nil
 		})
+		done <- err
 	}()
 	select {
 	case err := <-done:

@@ -89,66 +89,3 @@ func TestCapture(t *testing.T) {
 		t.Errorf("negative headroom should be NaN, got %v", got)
 	}
 }
-
-func TestGradientPricesMatchFixedPoint(t *testing.T) {
-	// The paper's gradient-descent heuristic and the closed-form equal
-	// markup must find the same logit optimum.
-	m := econ.Logit{Alpha: 1.1, S0: 0.2}
-	flows := fitFlows(t, m, 8, 5, 20)
-	parts := [][]int{{0, 1, 2}, {3, 4}, {5, 6, 7}}
-
-	fixed, err := m.PriceBundles(flows, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grad, err := GradientPrices(m, flows, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	piFixed, err := m.Profit(flows, parts, fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	piGrad, err := m.Profit(flows, parts, grad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Profits agree tightly even if prices wander on a flat ridge.
-	if math.Abs(piFixed-piGrad) > 1e-4*math.Abs(piFixed) {
-		t.Fatalf("profit mismatch: fixed %v vs gradient %v", piFixed, piGrad)
-	}
-	// Prices of bundles that actually attract demand must agree; bundles
-	// with negligible share sit on an exponentially flat profit ridge
-	// where the gradient method legitimately stops anywhere.
-	vals := make([]float64, len(parts))
-	for b, block := range parts {
-		bv := make([]float64, len(block))
-		for j, i := range block {
-			bv[j] = flows[i].Valuation
-		}
-		v, err := m.BundleValuation(bv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals[b] = v
-	}
-	shares, _, err := m.Shares(vals, fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range fixed {
-		if shares[b] < 0.01 {
-			continue
-		}
-		if math.Abs(fixed[b]-grad[b]) > 1e-2*fixed[b] {
-			t.Fatalf("price %d mismatch: fixed %v vs gradient %v", b, fixed[b], grad[b])
-		}
-	}
-}
-
-func TestGradientPricesEmptyPartition(t *testing.T) {
-	m := econ.Logit{Alpha: 1, S0: 0.2}
-	if _, err := GradientPrices(m, nil, nil); err == nil {
-		t.Error("expected error for empty partition")
-	}
-}

@@ -207,6 +207,37 @@ func keyFromWire(t *testing.T, rec []byte, blank byte) netflow.FlowKey {
 	return k
 }
 
+// flowKeyLess is the field-by-field order over dedup keys that Export's
+// bytewise sort of packed keys must reproduce. netip.Addr.Compare orders
+// by family then bytes.
+func flowKeyLess(a, b netflow.FlowKey) bool {
+	if c := a.SrcAddr.Compare(b.SrcAddr); c != 0 {
+		return c < 0
+	}
+	if c := a.DstAddr.Compare(b.DstAddr); c != 0 {
+		return c < 0
+	}
+	if a.SrcPort != b.SrcPort {
+		return a.SrcPort < b.SrcPort
+	}
+	if a.DstPort != b.DstPort {
+		return a.DstPort < b.DstPort
+	}
+	if a.Proto != b.Proto {
+		return a.Proto < b.Proto
+	}
+	if a.First != b.First {
+		return a.First < b.First
+	}
+	if a.Last != b.Last {
+		return a.Last < b.Last
+	}
+	if a.Octets != b.Octets {
+		return a.Octets < b.Octets
+	}
+	return a.Sequence < b.Sequence
+}
+
 func checkPackedPair(t *testing.T, a, b netflow.FlowKey) {
 	t.Helper()
 	pa, ok := a.Pack()

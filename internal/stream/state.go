@@ -33,36 +33,6 @@ type WindowState struct {
 	Slots      []SlotState `json:"slots"`
 }
 
-// flowKeyLess is a total order over dedup keys (for deterministic
-// export). netip.Addr.Compare orders by family then bytes.
-func flowKeyLess(a, b netflow.FlowKey) bool {
-	if c := a.SrcAddr.Compare(b.SrcAddr); c != 0 {
-		return c < 0
-	}
-	if c := a.DstAddr.Compare(b.DstAddr); c != 0 {
-		return c < 0
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	if a.Proto != b.Proto {
-		return a.Proto < b.Proto
-	}
-	if a.First != b.First {
-		return a.First < b.First
-	}
-	if a.Last != b.Last {
-		return a.Last < b.Last
-	}
-	if a.Octets != b.Octets {
-		return a.Octets < b.Octets
-	}
-	return a.Sequence < b.Sequence
-}
-
 // Export snapshots the window into a deterministic WindowState. Slots
 // are emitted in ascending index order, dedup keys and aggregates in
 // sorted order, so two windows with equal contents export equal states

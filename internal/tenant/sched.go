@@ -65,7 +65,6 @@ type flowState struct {
 	coalesced  uint64
 	starved    uint64
 	lastWait   time.Duration
-	lastRun    time.Duration
 }
 
 // minCost floors the cost estimate so a zero-duration measurement can
@@ -213,7 +212,6 @@ func (s *Scheduler) worker(ctx context.Context) {
 		ran := s.now().Sub(began)
 
 		s.mu.Lock()
-		st.lastRun = ran
 		// EWMA so one outlier re-fit doesn't permanently distort the
 		// tenant's share; the floor keeps tags strictly advancing.
 		st.cost = 0.5*st.cost + 0.5*ran.Seconds()
@@ -252,7 +250,6 @@ type FlowStats struct {
 	Coalesced   uint64
 	Starved     uint64
 	LastWait    time.Duration
-	LastRun     time.Duration
 	CostSeconds float64 // smoothed cost estimate driving the tags
 }
 
@@ -269,7 +266,6 @@ func (s *Scheduler) FlowStats() []FlowStats {
 			Coalesced:   st.coalesced,
 			Starved:     st.starved,
 			LastWait:    st.lastWait,
-			LastRun:     st.lastRun,
 			CostSeconds: st.cost,
 		})
 	}

@@ -105,7 +105,6 @@ type Stats struct {
 	Flows                int
 	WeightedMeanDistance float64
 	DistanceCV           float64 // demand-weighted
-	UnweightedDistanceCV float64
 	AggregateGbps        float64
 	DemandCV             float64
 }
@@ -134,10 +133,6 @@ func MeasureFlows(flows []econ.Flow) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	ucv, err := stats.CV(ds)
-	if err != nil {
-		return Stats{}, err
-	}
 	qcv, err := stats.CV(qs)
 	if err != nil {
 		return Stats{}, err
@@ -146,7 +141,6 @@ func MeasureFlows(flows []econ.Flow) (Stats, error) {
 		Flows:                len(flows),
 		WeightedMeanDistance: wm,
 		DistanceCV:           wcv,
-		UnweightedDistanceCV: ucv,
 		AggregateGbps:        stats.Sum(qs) / 1000,
 		DemandCV:             qcv,
 	}, nil
