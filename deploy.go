@@ -122,7 +122,8 @@ type (
 	// NetFlowHeader and NetFlowRecord are the v5 export structures.
 	NetFlowHeader = netflow.Header
 	NetFlowRecord = netflow.Record
-	// NetFlowReader streams export packets.
+	// NetFlowReader streams export packets. The records Next returns are
+	// valid until the next call, which decodes into the same array.
 	NetFlowReader = netflow.Reader
 	// Collector de-duplicates and aggregates records into demands: the
 	// one-slot, never-ageing form of the online sliding window.
@@ -131,7 +132,8 @@ type (
 	EmitConfig = traces.EmitConfig
 )
 
-// NewNetFlowReader streams export packets from r.
+// NewNetFlowReader streams export packets from r. Each Next's records
+// are valid until the next call: copy them to keep them.
 func NewNetFlowReader(r io.Reader) *NetFlowReader { return netflow.NewReader(r) }
 
 // NewCollector aggregates records by the given bucketing rule; a record

@@ -53,9 +53,10 @@ func ByName(name string) (Strategy, error) {
 
 // Curve partitions flows for every bundle count at once: entry b-1 is what
 // s.Bundle(flows, model, b) returns, for b = 1..maxB. Optimal solves one
-// DP for the whole curve (optimize.DPScratch.SolveCurve), and the
+// DP for the whole curve (optimize.DPScratch.SolveCurve), the
 // token-bucket strategies weigh and sort the flows once, then bucket per
-// b; every other strategy bundles per b.
+// b, and ClassAware splits the classes once and takes each class's inner
+// curve; every other strategy bundles per b.
 func Curve(s Strategy, flows []econ.Flow, model econ.Model, maxB int) ([][][]int, error) {
 	if err := validateInput(flows, maxB); err != nil {
 		return nil, err
@@ -66,6 +67,8 @@ func Curve(s Strategy, flows []econ.Flow, model econ.Model, maxB int) ([][][]int
 		if !s.Quadratic {
 			return s.curve(flows, model, maxB)
 		}
+	case ClassAware:
+		return s.curve(flows, model, maxB)
 	case weighting:
 		w, err := s.weights(flows, model)
 		if err != nil {
@@ -115,20 +118,21 @@ func bundleWeighted(s weighting, flows []econ.Flow, model econ.Model, b int) ([]
 }
 
 // sortIndexesDesc returns flow indices sorted by descending weight,
-// breaking ties by index for determinism.
+// breaking ties by index for determinism. That is a total order, so the
+// unstable sort yields the one permutation a stable sort would.
 func sortIndexesDesc(weights []float64) []int {
 	idx := make([]int, len(weights))
 	for i := range idx {
 		idx[i] = i
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
+	slices.SortFunc(idx, func(a, b int) int {
 		switch wa, wb := weights[a], weights[b]; {
 		case wa > wb:
 			return -1
 		case wa < wb:
 			return 1
 		}
-		return 0
+		return a - b
 	})
 	return idx
 }
@@ -140,7 +144,10 @@ func sortIndexesDesc(weights []float64) []int {
 // bundles; flows are visited in that order and assigned to the first
 // bundle that is empty or still has budget, with deficits carried into the
 // next bundle. High-weight flows get bundles of their own; low-weight
-// flows share the tail bundles.
+// flows share the tail bundles. The current bundle only moves forward, so
+// each bundle is a run of the order: every b's bundles are
+// capacity-capped subslices of the one sorted order, which no caller may
+// reorder or append to in place.
 func buckets(weights []float64) (bucket func(b int) [][]int, err error) {
 	var total float64
 	for i, w := range weights {
@@ -156,25 +163,32 @@ func buckets(weights []float64) (bucket func(b int) [][]int, err error) {
 		for j := range budgets {
 			budgets[j] = total / float64(b)
 		}
-		bundles := make([][]int, b)
-		j := 0
-		for _, i := range order {
+		// Bundle j, the current one, is order[start:k] before flow
+		// order[k] is placed; j == len(bundles).
+		bundles := make([][]int, 0, b)
+		start, j := 0, 0
+		next := func(end int) {
+			bundles = append(bundles, order[start:end:end])
+			start = end
+			j++
+		}
+		for k, i := range order {
 			// Advance to the first bundle that is empty or has budget left.
-			for j < b-1 && len(bundles[j]) > 0 && budgets[j] <= 0 {
-				j++
+			for j < b-1 && k > start && budgets[j] <= 0 {
+				next(k)
 			}
-			bundles[j] = append(bundles[j], i)
 			budgets[j] -= weights[i]
 			if budgets[j] < 0 && j+1 < b {
 				// Carry the deficit into the next bundle.
 				budgets[j+1] += budgets[j]
 				budgets[j] = 0
-				if len(bundles[j]) > 0 {
-					j++
-				}
+				next(k + 1)
 			}
 		}
-		return dropEmpty(bundles)
+		if start < len(order) {
+			bundles = append(bundles, order[start:])
+		}
+		return bundles
 	}, nil
 }
 

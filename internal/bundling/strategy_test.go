@@ -3,6 +3,7 @@ package bundling
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tieredpricing/internal/econ"
@@ -183,6 +184,92 @@ func TestTokenBucketMoreBundlesThanFlows(t *testing.T) {
 	}
 	if len(p) != 2 {
 		t.Fatalf("got %d bundles, want 2", len(p))
+	}
+}
+
+// refSortIndexesDesc is sortIndexesDesc as a stable sort whose
+// comparator leaves ties to the input order.
+func refSortIndexesDesc(weights []float64) []int {
+	idx := make([]int, len(weights))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch wa, wb := weights[a], weights[b]; {
+		case wa > wb:
+			return -1
+		case wa < wb:
+			return 1
+		}
+		return 0
+	})
+	return idx
+}
+
+// refBucket is one bucket of the weighting algorithm as a loop that
+// appends each flow to its bundle, then drops the empty tail bundles.
+func refBucket(weights []float64, b int) [][]int {
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	order := refSortIndexesDesc(weights)
+	b = min(b, len(weights))
+	budgets := make([]float64, b)
+	for j := range budgets {
+		budgets[j] = total / float64(b)
+	}
+	bundles := make([][]int, b)
+	j := 0
+	for _, i := range order {
+		for j < b-1 && len(bundles[j]) > 0 && budgets[j] <= 0 {
+			j++
+		}
+		bundles[j] = append(bundles[j], i)
+		budgets[j] -= weights[i]
+		if budgets[j] < 0 && j+1 < b {
+			budgets[j+1] += budgets[j]
+			budgets[j] = 0
+			if len(bundles[j]) > 0 {
+				j++
+			}
+		}
+	}
+	return dropEmpty(bundles)
+}
+
+// TestBucketsMatchReference: on random weights with forced ties — every
+// third a repeat of an earlier weight, and runs of one value — the
+// unstable sort with its index tie-break is the stable sort's
+// permutation, and bucket(b), whose bundles are runs of one shared
+// order, is the append loop's partition for b = 1..n+1.
+func TestBucketsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(40)
+		w := make([]float64, n)
+		for i := range w {
+			switch {
+			case trial%5 == 0:
+				w[i] = 2.5
+			case i > 0 && r.Intn(3) == 0:
+				w[i] = w[r.Intn(i)]
+			default:
+				w[i] = 0.1 + r.Float64()*float64(1+r.Intn(100))
+			}
+		}
+		if got, want := sortIndexesDesc(w), refSortIndexesDesc(w); !slices.Equal(got, want) {
+			t.Fatalf("weights %v: sorted %v, stable sort %v", w, got, want)
+		}
+		bucket, err := buckets(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 1; b <= n+1; b++ {
+			if got, want := bucket(b), refBucket(w, b); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+				t.Fatalf("weights %v, b=%d: bucket %v, append loop %v", w, b, got, want)
+			}
+		}
 	}
 }
 

@@ -111,7 +111,7 @@ func (f *Fitter) Fit(flows []econ.Flow, demand econ.Model, costModel cost.Model,
 	ced, refits := demand.(econ.CED)
 	owned := append(f.owned[:0], flows...)
 	f.owned = owned
-	demands := f.demands[:0]
+	demands := slices.Grow(f.demands[:0], len(owned))
 	for _, fl := range owned {
 		if !econ.FinitePositive(fl.Demand) {
 			return nil, fmt.Errorf("core: flow %q has demand %v, want finite and positive", fl.ID, fl.Demand)

@@ -164,7 +164,12 @@ func ByName(name string, alpha, s0 float64) (Model, error) {
 // checkPartition verifies that partition is a disjoint cover of
 // 0..n-1 with non-empty blocks.
 func checkPartition(n int, partition [][]int) error {
-	seen := make([]bool, n)
+	// One bit per flow, kept on the stack up to 4 096 flows.
+	var small [64]uint64
+	seen := small[:]
+	if words := (n + 63) / 64; words > len(small) {
+		seen = make([]uint64, words)
+	}
 	count := 0
 	for b, block := range partition {
 		if len(block) == 0 {
@@ -174,10 +179,11 @@ func checkPartition(n int, partition [][]int) error {
 			if i < 0 || i >= n {
 				return fmt.Errorf("econ: bundle %d references flow %d out of range", b, i)
 			}
-			if seen[i] {
+			word, bit := i/64, uint64(1)<<(i%64)
+			if seen[word]&bit != 0 {
 				return fmt.Errorf("econ: flow %d assigned to two bundles", i)
 			}
-			seen[i] = true
+			seen[word] |= bit
 			count++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -114,7 +115,10 @@ func FuzzUDPDatagramPath(f *testing.F) {
 }
 
 // FuzzReader exercises the stream reader, and Feed over it, on
-// arbitrary byte streams.
+// arbitrary byte streams. Every record Feed delivers must equal, by
+// value, a fresh DecodePacket of its packet's bytes: the reader decodes
+// into one reused array, and a record left over from an earlier packet
+// must not reach the sink.
 func FuzzReader(f *testing.F) {
 	recs := []Record{{
 		SrcAddr: netip.MustParseAddr("10.0.0.1"),
@@ -128,9 +132,24 @@ func FuzzReader(f *testing.F) {
 	if err := w.Flush(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	f.Add(append(buf.Bytes(), buf.Bytes()...))
+	one := buf.Bytes()
+	f.Add(one)
+	f.Add(append(one, one...))
 	f.Add([]byte("garbage"))
+	// A full packet, then a shorter one that reuses the array.
+	var long []Record
+	for i := range MaxRecordsPerPacket {
+		long = append(long, Record{
+			SrcAddr: netip.AddrFrom4([4]byte{10, 0, byte(i), 1}),
+			DstAddr: netip.AddrFrom4([4]byte{10, 1, byte(i), 1}),
+			Octets:  uint32(1000 + i),
+		})
+	}
+	full, err := EncodePacket(Header{FlowSequence: 7}, long)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(full, one...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every Next consumes at least a header, so len(data)/HeaderSize+1
@@ -154,13 +173,45 @@ func FuzzReader(f *testing.F) {
 		}
 		// Feed is the same walk: the record count Next summed, and the
 		// first error Next returned.
-		var sink recordSink
+		var sink packetSink
 		n, err := Feed(&sink, bytes.NewReader(data))
-		if n != records || len(sink.records()) != records {
-			t.Fatalf("Feed counted %d records and delivered %d, Next summed %d", n, len(sink.records()), records)
+		if delivered := sink.records(); n != records || delivered != records {
+			t.Fatalf("Feed counted %d records and delivered %d, Next summed %d", n, delivered, records)
 		}
 		if (err == nil) != (firstErr == nil) || (err != nil && err.Error() != firstErr.Error()) {
 			t.Fatalf("Feed returned %v, Next's first error was %v", err, firstErr)
 		}
+		off := 0
+		for k, p := range sink.packets {
+			h, want, err := DecodePacket(data[off:])
+			if err != nil {
+				t.Fatalf("packet %d at byte %d: Feed delivered it, DecodePacket says %v", k, off, err)
+			}
+			off += HeaderSize + len(want)*RecordSize
+			if p.h != h || !slices.Equal(p.recs, want) {
+				t.Fatalf("packet %d: Feed delivered %+v %v, DecodePacket of its bytes is %+v %v", k, p.h, p.recs, h, want)
+			}
+		}
 	})
+}
+
+// packetSink keeps a copy of each packet it is handed, as handed.
+type packetSink struct {
+	packets []packet
+}
+
+type packet struct {
+	h    Header
+	recs []Record
+}
+
+func (s *packetSink) Ingest(h Header, recs []Record) {
+	s.packets = append(s.packets, packet{h, slices.Clone(recs)})
+}
+
+func (s *packetSink) records() (n int) {
+	for _, p := range s.packets {
+		n += len(p.recs)
+	}
+	return n
 }

@@ -12,6 +12,7 @@ import (
 type Writer struct {
 	w        io.Writer
 	pending  []Record
+	pkt      []byte // the packet being written, reused across packets
 	sequence uint32
 	// Template header copied into every packet (timestamps and sampling).
 	Template Header
@@ -20,7 +21,12 @@ type Writer struct {
 
 // NewWriter creates a Writer exporting through w.
 func NewWriter(w io.Writer, template Header) *Writer {
-	return &Writer{w: w, Template: template}
+	return &Writer{
+		w:        w,
+		pending:  make([]Record, 0, MaxRecordsPerPacket),
+		pkt:      make([]byte, 0, maxDatagram),
+		Template: template,
+	}
 }
 
 // Write queues records for export, flushing full packets as it goes.
@@ -53,11 +59,12 @@ func (wr *Writer) Flush() error {
 func (wr *Writer) flushPacket() error {
 	h := wr.Template
 	h.FlowSequence = wr.sequence
-	pkt, err := EncodePacket(h, wr.pending)
+	pkt, err := AppendPacket(wr.pkt[:0], h, wr.pending)
 	if err != nil {
 		wr.err = err
 		return err
 	}
+	wr.pkt = pkt
 	if _, err := wr.w.Write(pkt); err != nil {
 		wr.err = fmt.Errorf("netflow: write: %w", err)
 		return wr.err
@@ -68,19 +75,26 @@ func (wr *Writer) flushPacket() error {
 }
 
 // Reader streams export packets back from a concatenated packet stream.
+// It frames each packet into one reused buffer and decodes it with
+// DecodePacketInto, the UDP path's decoder, into one reused record slice.
 type Reader struct {
-	r io.Reader
+	r    io.Reader
+	buf  []byte
+	recs []Record
 }
 
 // NewReader creates a Reader consuming from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
+	return &Reader{r: r, buf: make([]byte, maxDatagram), recs: make([]Record, MaxRecordsPerPacket)}
 }
 
 // Next reads one export packet. It returns io.EOF cleanly at end of
-// stream and an error for truncated or corrupt input.
+// stream and an error for truncated or corrupt input. The records are
+// valid until the next call, which decodes into the same array — the
+// contract a Sink is handed records under — so a caller that keeps them
+// copies them.
 func (rd *Reader) Next() (Header, []Record, error) {
-	head := make([]byte, HeaderSize)
+	head := rd.buf[:HeaderSize]
 	if _, err := io.ReadFull(rd.r, head); err != nil {
 		if err == io.EOF {
 			return Header{}, nil, io.EOF
@@ -94,15 +108,11 @@ func (rd *Reader) Next() (Header, []Record, error) {
 	if h.Count == 0 || h.Count > MaxRecordsPerPacket {
 		return Header{}, nil, fmt.Errorf("netflow: bad record count %d", h.Count)
 	}
-	body := make([]byte, int(h.Count)*RecordSize)
-	if _, err := io.ReadFull(rd.r, body); err != nil {
+	pkt := rd.buf[:HeaderSize+int(h.Count)*RecordSize]
+	if _, err := io.ReadFull(rd.r, pkt[HeaderSize:]); err != nil {
 		return Header{}, nil, fmt.Errorf("netflow: reading %d records: %w", h.Count, err)
 	}
-	recs := make([]Record, h.Count)
-	for i := range recs {
-		parseRecord(&recs[i], body[i*RecordSize:])
-	}
-	return h, recs, nil
+	return DecodePacketInto(pkt, rd.recs)
 }
 
 // Feed drains a concatenated packet stream into sink, one Ingest per

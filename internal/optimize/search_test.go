@@ -128,13 +128,13 @@ func TestSearchPartitionsMatchesEnumeration(t *testing.T) {
 }
 
 // TestSearchPartitionsWorkPin pins the search's work as counts, not
-// times: at (n, B) = (10, 4) — ablation1's shape — one g per search node,
-// 58 769 of them (1+2+5+15+51+187+715+2795+11051+43947, the ≤4-block
-// prefixes of each length) for 43 947 partitions, and allocations that do
-// not scale with either: the block sums, the walk's closure, a shortlist of
-// one. A second search of the same items returns the same thing — the way
-// back restored every block sum, or the from-scratch oracle above would
-// disagree too.
+// times: at (n, B) = (10, 4) — ablation1's shape — one g per non-empty
+// subset of the items, 1 023 of them (2¹⁰ − 1; a node's g was 58 769
+// calls before the memo, one per ≤4-block prefix), for 43 947 partitions,
+// and allocations that do not scale with either: the memo, the block
+// sets, the walk's closure, a shortlist of one. A second search of the
+// same items returns the same thing — the way back restored every block
+// set, or the from-scratch oracle above would disagree too.
 func TestSearchPartitionsWorkPin(t *testing.T) {
 	w, cw := searchItems(rand.New(rand.NewSource(1)), 10, "plain")
 	evals := 0
@@ -144,8 +144,8 @@ func TestSearchPartitionsWorkPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evals != 58769 || leaves != 43947 || len(first) != 1 {
-		t.Fatalf("%d g evaluations over %d partitions, shortlist of %d; want 58769 over 43947, shortlist of 1",
+	if evals != 1023 || leaves != 43947 || len(first) != 1 {
+		t.Fatalf("%d g evaluations over %d partitions, shortlist of %d; want 1023 over 43947, shortlist of 1",
 			evals, leaves, len(first))
 	}
 	if again, _, _ := SearchPartitions(w, cw, 4, g); !reflect.DeepEqual(again, first) {

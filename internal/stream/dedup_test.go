@@ -376,6 +376,42 @@ func TestWindowIngestAllocs(t *testing.T) {
 	}
 }
 
+// TestFeedAllocs gates tierd's -stdin ingest (netflow.Feed into the
+// window) at no allocation per datagram: Feed over a 100-packet stream
+// into a warm window allocates no more than over the stream's first
+// packet alone — the reader's buffers, made once per Feed, and nothing
+// per packet.
+func TestFeedAllocs(t *testing.T) {
+	l := newIngestLoad(t, 1, 100)
+	var stream bytes.Buffer
+	wr := netflow.NewWriter(&stream, netflow.Header{})
+	for _, recs := range l.loaded {
+		if err := wr.Write(recs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	all := stream.Bytes()
+	first := all[:netflow.HeaderSize+netflow.MaxRecordsPerPacket*netflow.RecordSize]
+	feed := func(b []byte) {
+		if _, err := netflow.Feed(l.w, bytes.NewReader(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(all)
+	many := testing.AllocsPerRun(20, func() { feed(all) })
+	one := testing.AllocsPerRun(20, func() { feed(first) })
+	if many > one {
+		t.Fatalf("Feed allocates %v objects over 100 datagrams and %v over one: %.2f per datagram, want 0",
+			many, one, (many-one)/99)
+	}
+	if _, dups, _, _ := l.w.Stats(); dups != 30*(100*22+21) {
+		t.Fatalf("duplicates = %d: the gate did not feed what it claims", dups)
+	}
+}
+
 // BenchmarkWindowIngest times the ingest hot path, one 30-record
 // datagram per op, at ten live slots of 6 000 keys each: fresh is a
 // datagram of new flow keys onto existing buckets, dup is a datagram the

@@ -29,7 +29,8 @@ const maxSampledOctets = 4_000_000_000
 // record is exported by EVERY router on the flow's path (entry and exit
 // PoP for the EU ISP and CDN, the full routed path for Internet2), so the
 // collection pipeline must de-duplicate; volumes are 1-in-N sampled per
-// Dataset.SamplingInterval.
+// Dataset.SamplingInterval. A first pass counts each router's records, so
+// each stream is written into a buffer of its final size.
 func (ds *Dataset) EmitNetFlow(cfg EmitConfig) (map[string][]byte, error) {
 	if cfg.RecordsPerFlow <= 0 {
 		cfg.RecordsPerFlow = 20
@@ -40,43 +41,32 @@ func (ds *Dataset) EmitNetFlow(cfg EmitConfig) (map[string][]byte, error) {
 		sampling = 1
 	}
 
-	streams := map[string]*netflow.Writer{}
-	bufs := map[string]*bytes.Buffer{}
-	writer := func(router string) *netflow.Writer {
-		if w, ok := streams[router]; ok {
-			return w
+	counts := map[string]int{}
+	for i := range ds.Flows {
+		records, perRecord, _ := ds.split(i, cfg.RecordsPerFlow, sampling)
+		if perRecord == 0 {
+			records = 1 // only the last record, carrying the remainder
 		}
-		buf := &bytes.Buffer{}
+		for _, router := range exporters(&ds.Meta[i]) {
+			counts[router] += records
+		}
+	}
+	streams := make(map[string]*netflow.Writer, len(counts))
+	bufs := make(map[string]*bytes.Buffer, len(counts))
+	for router, n := range counts {
+		packets := (n + netflow.MaxRecordsPerPacket - 1) / netflow.MaxRecordsPerPacket
+		buf := bytes.NewBuffer(make([]byte, 0, packets*netflow.HeaderSize+n*netflow.RecordSize))
 		bufs[router] = buf
-		w := netflow.NewWriter(buf, netflow.Header{
+		streams[router] = netflow.NewWriter(buf, netflow.Header{
 			UnixSecs:         1257985000,
 			SamplingInterval: uint16(sampling),
 		})
-		streams[router] = w
-		return w
 	}
 
 	for i, f := range ds.Flows {
-		m := ds.Meta[i]
-		totalOctets := uint64(f.Demand * 1e6 / 8 * ds.DurationSec)
-		sampledTotal := totalOctets / sampling
-		if sampledTotal == 0 {
-			sampledTotal = 1
-		}
-		records := cfg.RecordsPerFlow
-		if need := int(sampledTotal/maxSampledOctets) + 1; need > records {
-			records = need
-		}
-		perRecord := sampledTotal / uint64(records)
-		remainder := sampledTotal % uint64(records)
-
-		routers := m.Path
-		if len(routers) == 0 {
-			routers = []string{m.SrcCity, m.DstCity}
-			if m.SrcCity == m.DstCity {
-				routers = routers[:1]
-			}
-		}
+		m := &ds.Meta[i]
+		records, perRecord, remainder := ds.split(i, cfg.RecordsPerFlow, sampling)
+		routers := exporters(m)
 		dstIP := m.DstPrefix.Addr().Next()
 		for seq := 0; seq < records; seq++ {
 			octets := perRecord
@@ -108,7 +98,7 @@ func (ds *Dataset) EmitNetFlow(cfg EmitConfig) (map[string][]byte, error) {
 				dup := rec
 				dup.Input = uint16(hop)
 				dup.Output = uint16(hop + 1)
-				if err := writer(router).Write(dup); err != nil {
+				if err := streams[router].Write(dup); err != nil {
 					return nil, err
 				}
 			}
@@ -123,6 +113,28 @@ func (ds *Dataset) EmitNetFlow(cfg EmitConfig) (map[string][]byte, error) {
 		out[router] = bufs[router].Bytes()
 	}
 	return out, nil
+}
+
+// split is how flow i's sampled volume splits into records: records of
+// perRecord octets each, the last one carrying remainder more. A record
+// of zero octets is not exported.
+func (ds *Dataset) split(i, recordsPerFlow int, sampling uint64) (records int, perRecord, remainder uint64) {
+	totalOctets := uint64(ds.Flows[i].Demand * 1e6 / 8 * ds.DurationSec)
+	sampledTotal := max(totalOctets/sampling, 1)
+	records = max(recordsPerFlow, int(sampledTotal/maxSampledOctets)+1)
+	return records, sampledTotal / uint64(records), sampledTotal % uint64(records)
+}
+
+// exporters returns the routers that export a flow's records: its routed
+// path, or else its entry and exit PoP (one router when they coincide).
+func exporters(m *FlowMeta) []string {
+	switch {
+	case len(m.Path) > 0:
+		return m.Path
+	case m.SrcCity == m.DstCity:
+		return []string{m.SrcCity}
+	}
+	return []string{m.SrcCity, m.DstCity}
 }
 
 // AggregateKey is the collection pipeline's bucketing rule for these

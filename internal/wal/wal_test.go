@@ -393,6 +393,91 @@ func TestTornTailTruncation(t *testing.T) {
 // prefix rule: damage in an early segment discards every later segment,
 // even intact ones — a hole in the log would otherwise let replay
 // fabricate a state the live window never held.
+// segments lists dir's WAL segment numbers.
+func segments(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	segs, err := framelog.ListSeq(dir, segPrefix, segSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// TestTruncateBeforeKeepsCheckpointSegment pins TruncateBefore's keep
+// boundary: a checkpoint that points into the middle of segment 4 keeps
+// segment 4 whole, deletes 1–3, and replays from its position exactly the
+// entries after it; a position past the end never deletes the segment
+// being written.
+func TestTruncateBeforeKeepsCheckpointSegment(t *testing.T) {
+	const perSeg = 4 // 40 entries in 512-byte segments: segments 1..10
+	dir := t.TempDir()
+	want := appendN(t, dir, Options{SegmentBytes: 512}, 40)
+	l, err := OpenAt(dir, Options{SegmentBytes: 512}, Position{Segment: 10, Offset: perSeg * frameSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := Position{Segment: 4, Offset: 2 * frameSize}
+	if err := l.TruncateBefore(cut); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segments(t, dir); !reflect.DeepEqual(segs, []uint64{4, 5, 6, 7, 8, 9, 10}) {
+		t.Fatalf("segments after TruncateBefore(%+v): %v, want 4..10", cut, segs)
+	}
+	got, res := collect(t, dir, cut)
+	checkEntries(t, got, want[3*perSeg+2:])
+	if res.Torn {
+		t.Error("replay from the checkpoint reported torn")
+	}
+
+	if err := l.TruncateBefore(Position{Segment: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segments(t, dir); !reflect.DeepEqual(segs, []uint64{10}) {
+		t.Fatalf("segments after TruncateBefore past the end: %v, want the active 10 alone", segs)
+	}
+	h, recs := testPacket(40)
+	ts := time.Unix(1700000040, 0)
+	if err := l.Append(ts, h, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ = collect(t, dir, Position{Segment: 10})
+	checkEntries(t, got, append(want[9*perSeg:], entry{ts, h, recs}))
+}
+
+// TestOpenAtDropsSegmentsBeyondRecoveryPoint pins OpenAt's rule that the
+// log resumes exactly at the recovery point: opened in the middle of
+// segment 4, segments 5..10 are deleted and segment 4 is cut back, so the
+// next append follows the recovered prefix and nothing after it replays.
+func TestOpenAtDropsSegmentsBeyondRecoveryPoint(t *testing.T) {
+	const perSeg = 4
+	dir := t.TempDir()
+	want := appendN(t, dir, Options{SegmentBytes: 512}, 40)
+	pos := Position{Segment: 4, Offset: 2 * frameSize}
+	l, err := OpenAt(dir, Options{SegmentBytes: 512}, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs := segments(t, dir); !reflect.DeepEqual(segs, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("segments after OpenAt(%+v): %v, want 1..4", pos, segs)
+	}
+	h, recs := testPacket(100)
+	ts := time.Unix(1700000100, 0)
+	if err := l.Append(ts, h, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, res := collect(t, dir, Position{})
+	checkEntries(t, got, append(want[:3*perSeg+2:3*perSeg+2], entry{ts, h, recs}))
+	if res.Torn || res.End != (Position{Segment: 4, Offset: 3 * frameSize}) {
+		t.Errorf("Torn %v End %+v, want a clean end after the new entry", res.Torn, res.End)
+	}
+}
+
 func TestCorruptionMidSegmentDiscardsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
 	appendN(t, dir, Options{SegmentBytes: 512}, 40)
