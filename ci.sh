@@ -110,13 +110,14 @@ cd "$(dirname "$0")"
 recover() {
     # Durability gate: the in-process recovery parity matrix (clean,
     # torn WAL tail, corrupt WAL tail, corrupt checkpoint), the fallback
-    # to a checkpoint in a rotated-past WAL segment, and the
-    # out-of-process kill -9 test, each replayed at every pinned seed.
+    # to a checkpoint in a rotated-past WAL segment, WAL retention across
+    # a restart, and the out-of-process kill -9 test, each replayed at
+    # every pinned seed.
     # RECOVER_SEEDS overrides the seed list for local bisection. The
     # sharded-parent fixture takes no seed, so it runs once.
     for seed in ${RECOVER_SEEDS:-1 7 99 4242 31337}; do
-        echo "==> recover stage: RECOVER_SEED=${seed} go test -run 'TestRecoveryParity|TestRecoveryFallbackAcrossSegments|TestTierdKill9Recovery' ./cmd/tierd"
-        RECOVER_SEED="$seed" go test -count=1 -run 'TestRecoveryParity|TestRecoveryFallbackAcrossSegments|TestTierdKill9Recovery' ./cmd/tierd
+        echo "==> recover stage: RECOVER_SEED=${seed} go test -run 'TestRecoveryParity|TestRecoveryFallbackAcrossSegments|TestRecoveryRetentionAcrossRestart|TestTierdKill9Recovery' ./cmd/tierd"
+        RECOVER_SEED="$seed" go test -count=1 -run 'TestRecoveryParity|TestRecoveryFallbackAcrossSegments|TestRecoveryRetentionAcrossRestart|TestTierdKill9Recovery' ./cmd/tierd
     done
     echo "==> recover stage: go test -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd"
     go test -count=1 -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd

@@ -37,7 +37,6 @@ import (
 	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
-	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 )
 
@@ -82,8 +81,6 @@ func TestTierdChaos(t *testing.T) {
 	var frv *faultinject.Resolver
 	cfg := config{
 		listen: "127.0.0.1:0", udp: "127.0.0.1:0", trace: dir,
-		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
-			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 		maxSnapAge: maxAge, drainGrace: 2 * time.Second,
 		wrapSink: func(s netflow.Sink) netflow.Sink {

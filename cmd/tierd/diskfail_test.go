@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/traces"
 )
 
@@ -156,4 +157,72 @@ func TestTierdFailingDisk(t *testing.T) {
 		t.Fatalf("%d stderr lines for %v failed writes (%d datagrams sent) over %d intervals:\n%s",
 			len(reports), failures, sent, intervals, strings.Join(reports, "\n"))
 	}
+}
+
+// TestDurabilityErrorsCount: a failed background fsync, a failed
+// checkpoint and a failed WAL append each raise
+// tierd_durability_errors_total by exactly one. The first WAL segment is
+// /dev/null, which takes writes and refuses fsync; the checkpoint
+// directory is a plain file for one checkpoint; the last append meets a
+// closed log.
+func TestDurabilityErrorsCount(t *testing.T) {
+	if _, err := os.Stat("/dev/null"); err != nil {
+		t.Skip("no /dev/null here:", err)
+	}
+	ds, err := traces.EUISP(19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := traceDatagrams(t, streams)[0]
+	dataDir := t.TempDir()
+	walDir, ckptDir := filepath.Join(dataDir, "wal"), filepath.Join(dataDir, "checkpoint")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/null", filepath.Join(walDir, "wal-0000000000000001.log")); err != nil {
+		t.Fatal(err)
+	}
+	d, err := startDaemon(recoverConfig(writeTraceDir(t, ds, len(streams)), dataDir,
+		faultinject.NewClock(time.Unix(1700000000, 0)).Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.abort()
+	durable := d.members[0].durable
+
+	errorsTotal := func() float64 {
+		t.Helper()
+		v, ok := metricValue(t, d.httpAddr(), "tierd_durability_errors_total")
+		if !ok {
+			t.Fatal("no tierd_durability_errors_total")
+		}
+		return v
+	}
+	step := func(what string, fail func(), failed func() bool) {
+		t.Helper()
+		before := errorsTotal()
+		fail()
+		for deadline := time.Now().Add(10 * time.Second); !failed(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never failed", what)
+			}
+		}
+		if after := errorsTotal(); after != before+1 {
+			t.Fatalf("a failed %s moved tierd_durability_errors_total %v -> %v, want +1", what, before, after)
+		}
+	}
+	step("background fsync", func() { d.sink.Ingest(g.h, g.recs) },
+		func() bool { return durable.log.Stats().SyncErrors == 1 })
+	if err := os.WriteFile(ckptDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	step("checkpoint", durable.tick, func() bool { return durable.ckptErrs.Load() == 1 })
+	step("wal append", func() {
+		durable.log.Close() // its own fsync of the dirty tail fails too, and is returned, not counted
+		d.sink.Ingest(g.h, g.recs)
+	}, func() bool { return durable.appendErrs.Load() == 1 })
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,10 +51,12 @@ type durability struct {
 	// export} (see above).
 	mu sync.Mutex
 
-	// kept is the WAL position of each checkpoint this process knows is
-	// on disk, oldest first and at most ckptRetain: a fallback replays
-	// from its own position, so the log is truncated only before the
-	// oldest. Only checkpoint touches it, and its callers never overlap.
+	// kept is the WAL position of each checkpoint on disk, oldest first
+	// and at most ckptRetain: a fallback replays from its own position,
+	// so the log is truncated only before the oldest. Boot holds the zero
+	// position ("keep everything") for each older file it did not decode,
+	// until pruning retires them. Only checkpoint touches it, and its
+	// callers never overlap.
 	kept []wal.Position
 
 	checkpoints       atomic.Uint64
@@ -128,7 +131,14 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 			return nil, fmt.Errorf("restoring window from %s: %w", ckptPath, err)
 		}
 		from = st.WAL
-		d.kept = []wal.Position{from}
+		// The older files on disk are fallbacks the first checkpoint
+		// after this boot must not truncate away.
+		files, err := checkpoint.List(d.ckptDir)
+		if err != nil {
+			return nil, fmt.Errorf("listing checkpoints: %w", err)
+		}
+		older := min(max(slices.Index(files, ckptPath), 0), ckptRetain-1)
+		d.kept = append(make([]wal.Position, older), from)
 		rp.RestoreEpoch(st.Epoch)
 		d.restoredConfigEpoch = st.ConfigEpoch
 		if d.hist != nil {
@@ -216,9 +226,8 @@ func (d *durability) reportErrors() {
 
 // checkpoint takes one snapshot: WAL position and window state are
 // captured atomically under the pairing lock, framed with the serving
-// epoch, current table, and history ring, written atomically, and old
-// checkpoints are pruned, with the WAL segments wholly before the
-// oldest retained one.
+// epoch and history ring, written atomically, and old checkpoints are
+// pruned, with the WAL segments wholly before the oldest retained one.
 func (d *durability) checkpoint() error {
 	d.mu.Lock()
 	pos := d.log.Pos()
@@ -229,11 +238,6 @@ func (d *durability) checkpoint() error {
 		ConfigEpoch: d.configEpoch()}
 	if snap := d.repricer.Current(); snap != nil {
 		st.Epoch = snap.Epoch
-		table, err := snap.Table.Marshal()
-		if err != nil {
-			return fmt.Errorf("marshaling tier table: %w", err)
-		}
-		st.Table = table
 	}
 	if d.hist != nil {
 		st.History = d.hist.checkpointEntries()

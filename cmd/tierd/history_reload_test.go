@@ -11,6 +11,7 @@ package main
 // out-of-process kill -9 + SIGHUP cycle against a real binary.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -26,10 +27,11 @@ import (
 	"testing"
 	"time"
 
+	"tieredpricing/internal/econ"
+	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/server"
 	"tieredpricing/internal/stream"
-	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 )
 
@@ -220,8 +222,6 @@ func TestHistoryRestoreDoubleAppend(t *testing.T) {
 func reloadTestConfig(traceDir, tmp string) config {
 	return config{
 		listen: "127.0.0.1:0", trace: traceDir,
-		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
-			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 		drainGrace:   2 * time.Second,
 		historyStore: filepath.Join(tmp, "history.db"),
@@ -234,6 +234,61 @@ func writeConfigFile(t *testing.T, path, content string) {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConfigOverridesDefaults: a -config file holding {"model":
+// "logit", "tiers": 4} prices under the logit model with four tiers and
+// the defaults for every other key. SIGHUP then swaps in an empty file,
+// which prices under the defaults alone.
+func TestConfigOverridesDefaults(t *testing.T) {
+	ds, err := traces.EUISP(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := recoverConfig(writeTraceDir(t, ds, len(streams)), "", faultinject.NewClock(time.Unix(1700000000, 0)).Now)
+	cfg.configFile = filepath.Join(t.TempDir(), "pricing.json")
+	writeConfigFile(t, cfg.configFile, `{"model": "logit", "tiers": 4}`)
+	d, err := startDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.abort()
+	for _, g := range traceDatagrams(t, streams) {
+		d.sink.Ingest(g.h, g.recs)
+	}
+	m := d.members[0]
+	reprice := func() []byte {
+		t.Helper()
+		snap, err := m.repricer.Reprice(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, err := snap.Table.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table
+	}
+	if got, want := reprice(), shadowTableWith(t, ds, m.window, cfg.now, econ.Logit{Alpha: 1.1, S0: 0.2}, 4); !bytes.Equal(got, want) {
+		t.Fatalf("-config {model: logit, tiers: 4}: table\n%s\nwant\n%s", got, want)
+	}
+
+	writeConfigFile(t, cfg.configFile, `{}`)
+	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); d.reload.stats().Reloads != 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("SIGHUP reload never landed (stats %+v)", d.reload.stats())
+		}
+	}
+	if got, want := reprice(), shadowTable(t, ds, m.window, cfg.now); !bytes.Equal(got, want) {
+		t.Fatalf("after SIGHUP to an empty -config: table\n%s\nwant the defaults'\n%s", got, want)
 	}
 }
 

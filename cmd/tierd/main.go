@@ -56,10 +56,6 @@ type config struct {
 	stdin     bool
 	trace     string
 
-	// pricing is the flags' pricing; -config overrides it and each
-	// tenant spec overlays it (tenant.Pricing).
-	pricing tenant.Pricing
-
 	// Durability: empty dataDir runs memory-only (the pre-durability
 	// behavior); a data dir enables the WAL + checkpoint subsystem and
 	// recover-on-boot.
@@ -82,8 +78,8 @@ type config struct {
 	drainGrace time.Duration // bound on the shutdown drain (final re-price and HTTP)
 
 	// The fleet: a -tenants spec file names the per-network pricing
-	// engines; without one the daemon synthesises a fleet of one from the
-	// flags (see cmd/tierd/tenants.go).
+	// engines; without one the daemon synthesises a fleet of one (see
+	// cmd/tierd/tenants.go).
 	tenantsFile  string
 	schedWorkers int // reprice jobs running concurrently across tenants
 
@@ -106,20 +102,11 @@ func main() {
 	flag.StringVar(&cfg.udp, "udp", "", "UDP NetFlow listen address (e.g. 127.0.0.1:2055; empty disables)")
 	flag.BoolVar(&cfg.stdin, "stdin", false, "ingest a concatenated NetFlow stream from stdin (tracegen -stdout)")
 	flag.StringVar(&cfg.trace, "trace", "", "trace directory with geoip.csv and meta.txt (required)")
-	flag.StringVar(&cfg.pricing.Model, "model", "ced", "demand model: ced or logit")
-	flag.Float64Var(&cfg.pricing.Alpha, "alpha", 1.1, "price sensitivity α")
-	flag.Float64Var(&cfg.pricing.S0, "s0", 0.2, "logit no-purchase share")
-	flag.Float64Var(&cfg.pricing.Theta, "theta", 0.2, "linear cost model base fraction θ")
-	flag.StringVar(&cfg.pricing.Strategy, "strategy", "profit-weighted", "bundling strategy")
-	flag.IntVar(&cfg.pricing.Tiers, "tiers", 3, "number of pricing tiers")
-	flag.Float64Var(&cfg.pricing.Blended, "blended", 0, "blended rate override $/Mbps/month (default: meta.txt)")
 	flag.DurationVar(&cfg.window, "window", 10*time.Minute, "sliding window length")
 	flag.DurationVar(&cfg.slot, "slot", time.Minute, "window slot granularity")
 	flag.IntVar(&cfg.udpRcvbuf, "udp-rcvbuf", 0,
 		"kernel receive buffer (SO_RCVBUF) requested per UDP collector socket in bytes (0 = OS default; kernel drops on overflow surface as tierd_ingest_socket_drops_total)")
 	flag.DurationVar(&cfg.reprice, "reprice", 30*time.Second, "re-price interval")
-	flag.Float64Var(&cfg.pricing.DemandSec, "demand-sec", 0,
-		"seconds of traffic the window represents when converting octets to Mbps (0 = capture duration from meta.txt)")
 	flag.DurationVar(&cfg.maxSnapAge, "max-snapshot-age", 0,
 		"snapshot age after which /healthz reports degraded and quotes carry X-Tierd-Stale (0 = 4x the re-price interval)")
 	flag.DurationVar(&cfg.drainGrace, "drain-grace", 5*time.Second,
@@ -134,9 +121,9 @@ func main() {
 	flag.DurationVar(&cfg.historyRetain, "history-retain", 0,
 		"drop history-store entries older than this (0 = keep forever; pruning compacts the store)")
 	flag.StringVar(&cfg.configFile, "config", "",
-		"hot-reloadable pricing config file (JSON); SIGHUP re-reads and swaps it with zero quoting downtime. Present fields override flags; tenant-spec overrides still win")
+		"hot-reloadable pricing config file (JSON); SIGHUP re-reads and swaps it with zero quoting downtime. Present fields override the defaults; tenant-spec overrides still win")
 	flag.StringVar(&cfg.tenantsFile, "tenants", "",
-		"tenant spec file (JSON): one pricing engine per entry, each with its own window, repricer, quota and durability namespace (default: one engine, \"default\", from the flags)")
+		"tenant spec file (JSON): one pricing engine per entry, each with its own window, repricer, quota and durability namespace (default: one engine, \"default\", priced by the defaults and -config)")
 	flag.IntVar(&cfg.schedWorkers, "reprice-workers", 1,
 		"re-price jobs running concurrently across tenants (each job still fans out its resolve stage over every CPU)")
 	walSyncFlag := flag.String("wal-sync", "batch", "WAL fsync policy: batch (group commit), always, or none")
@@ -308,7 +295,7 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 			return nil, err
 		}
 	}
-	base := cfg.pricing
+	base := tenant.DefaultPricing
 	if cfg.configFile != "" {
 		// The boot read of -config is strict: a file the daemon cannot
 		// serve under is a refusal to start, not a silent fallback. Later

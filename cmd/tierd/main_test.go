@@ -10,7 +10,9 @@ import (
 	"net/http"
 	"net/netip"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,7 +26,6 @@ import (
 	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
-	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 )
 
@@ -173,8 +174,6 @@ func TestTierdEndToEnd(t *testing.T) {
 
 	cfg := config{
 		listen: "127.0.0.1:0", udp: "127.0.0.1:0", trace: dir,
-		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
-			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 	}
 	d, err := startDaemon(cfg)
@@ -327,8 +326,6 @@ func TestTierdStdinIngest(t *testing.T) {
 
 	cfg := config{
 		listen: "127.0.0.1:0", trace: dir, stdin: true,
-		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, Theta: 0.2,
-			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 	}
 	d, err := startDaemon(cfg)
@@ -370,8 +367,7 @@ func TestStartDaemonErrors(t *testing.T) {
 	dir := writeTraceDir(t, ds, 2)
 	good := config{
 		listen: "127.0.0.1:0", udp: "127.0.0.1:0", trace: dir,
-		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, Theta: 0.2, Strategy: "profit-weighted", Tiers: 3},
-		window:  time.Hour, slot: time.Minute, reprice: time.Minute,
+		window: time.Hour, slot: time.Minute, reprice: time.Minute,
 	}
 	// A taken -listen port fails the start after durability is open and
 	// its checkpoint loop is ticking: the teardown must release both.
@@ -394,16 +390,23 @@ func TestStartDaemonErrors(t *testing.T) {
 	defer held.abort()
 	specPath := writeSpecFile(t, t.TempDir(), `{"tenants": [{"id": "net-a"}, {"id": "net-b", "routers": [2]}]}`)
 	negBlended := writeSpecFile(t, t.TempDir(), `{"tenants": [{"id": "net-a"}, {"id": "net-b", "routers": [2], "blended": -3}]}`)
+	// pricing sets a -config file holding body.
+	pricing := func(body string) func(*config) {
+		return func(c *config) {
+			c.configFile = filepath.Join(t.TempDir(), "pricing.json")
+			writeConfigFile(t, c.configFile, body)
+		}
+	}
 	cases := []func(*config){
 		func(c *config) { c.udp = held.udpAddr() },                           // UDP port held by a daemon
 		func(c *config) { c.trace = t.TempDir() },                            // no meta.txt
-		func(c *config) { c.pricing.Model = "nonesuch" },                     // unknown model
-		func(c *config) { c.pricing.Strategy = "nonesuch" },                  // unknown strategy
+		pricing(`{"model": "nonesuch"}`),                                     // unknown model
+		pricing(`{"strategy": "nonesuch"}`),                                  // unknown strategy
 		func(c *config) { c.window = time.Second; c.slot = 2 * time.Second }, // window < slot
-		func(c *config) { c.pricing.Tiers = 0 },                              // repricer validation
+		pricing(`{"tiers": 0}`),                                              // repricer validation
 		takenPort,                                                            // occupied port, synthesised member
 		func(c *config) { takenPort(c); c.tenantsFile = specPath },           // occupied port, -tenants fleet
-		func(c *config) { c.pricing.Blended = -3 },                           // negative -blended
+		pricing(`{"blended": -3}`),                                           // negative blended in -config
 		func(c *config) { c.tenantsFile = negBlended },                       // negative blended in a spec
 	}
 	for i, mutate := range cases {
@@ -473,8 +476,7 @@ func TestRunDrain(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config{
 				listen: "127.0.0.1:0", trace: dir,
-				pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, Theta: 0.2, Strategy: "profit-weighted", Tiers: 3},
-				window:  4 * time.Hour, slot: time.Hour,
+				window: 4 * time.Hour, slot: time.Hour,
 				// Interval far beyond the test's lifetime: the only re-price
 				// that can happen is the drain pass.
 				reprice: time.Hour, drainGrace: 200 * time.Millisecond,
@@ -537,8 +539,7 @@ func TestRunDrainStdinOpen(t *testing.T) {
 	}
 	cfg := config{
 		listen: "127.0.0.1:0", trace: writeTraceDir(t, ds, len(streams)), stdin: true,
-		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, Theta: 0.2, Strategy: "profit-weighted", Tiers: 3},
-		window:  4 * time.Hour, slot: time.Hour,
+		window: 4 * time.Hour, slot: time.Hour,
 		reprice: time.Hour, drainGrace: 500 * time.Millisecond,
 	}
 	d, err := startDaemon(cfg)
@@ -664,5 +665,33 @@ func BenchmarkQuoteLoad(b *testing.B) {
 	p99 := lat[len(lat)*99/100]
 	if len(lat) > 0 {
 		b.ReportMetric(float64(p99), "p99-ns")
+	}
+}
+
+// TestTierdFlags: tierd registers 21 flags. The eight pricing flags
+// are gone: the pricing starts from tenant.DefaultPricing, and a
+// -config file sets the same keys.
+func TestTierdFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "tierd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building tierd: %v\n%s", err, out)
+	}
+	out, _ := exec.Command(bin, "-h").CombinedOutput()
+	var flags []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			flags = append(flags, strings.FieldsFunc(rest, func(r rune) bool { return r == ' ' || r == '\t' })[0])
+		}
+	}
+	if len(flags) != 21 {
+		t.Errorf("tierd -h lists %d flags, want 21: %v", len(flags), flags)
+	}
+	for _, gone := range []string{"model", "alpha", "s0", "theta", "strategy", "tiers", "blended", "demand-sec"} {
+		if slices.Contains(flags, gone) {
+			t.Errorf("tierd still registers -%s", gone)
+		}
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
-	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 	"tieredpricing/internal/wal"
 )
@@ -94,8 +93,6 @@ func traceDatagrams(t *testing.T, streams map[string][]byte) []datagram {
 func recoverConfig(trace, dataDir string, now func() time.Time) config {
 	return config{
 		listen: "127.0.0.1:0", trace: trace,
-		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
-			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour, reprice: time.Hour,
 		drainGrace: 5 * time.Second,
 		dataDir:    dataDir, ckptInterval: time.Hour,
@@ -104,18 +101,26 @@ func recoverConfig(trace, dataDir string, now func() time.Time) config {
 	}
 }
 
-// shadowTable prices a window the batch way the repricer would: same
-// resolver, models and strategy over the same aggregates.
+// shadowTable prices a window the batch way the repricer would under
+// tenant.DefaultPricing: same resolver, models and strategy over the
+// same aggregates.
 func shadowTable(t *testing.T, ds *traces.Dataset, w *stream.Window, now func() time.Time) []byte {
+	t.Helper()
+	return shadowTableWith(t, ds, w, now, econ.CED{Alpha: 1.1}, 3)
+}
+
+// shadowTableWith is shadowTable with another demand model and tier
+// count.
+func shadowTableWith(t *testing.T, ds *traces.Dataset, w *stream.Window, now func() time.Time, demand econ.Model, tiers int) []byte {
 	t.Helper()
 	rp, err := stream.NewRepricer(stream.Config{
 		Window:      w,
 		Resolver:    &demandfit.Resolver{Geo: ds.Geo, DistanceRegions: true},
-		Demand:      econ.CED{Alpha: 1.1},
+		Demand:      demand,
 		Cost:        cost.Linear{Theta: 0.2},
 		P0:          ds.P0,
 		Strategy:    bundling.ProfitWeighted{},
-		Tiers:       3,
+		Tiers:       tiers,
 		DurationSec: ds.DurationSec,
 		Workers:     4,
 		Now:         now,
@@ -440,6 +445,124 @@ func TestRecoveryFallbackAcrossSegments(t *testing.T) {
 		shadow.IngestAt(g.ts, g.h, g.recs)
 	}
 	if !bytes.Equal(exportJSON(t, d2.members[0].window), exportJSON(t, shadow)) {
+		t.Fatal("recovered window diverges from the uninterrupted run")
+	}
+}
+
+// TestRecoveryRetentionAcrossRestart: checkpoints at WAL segments 3, 5
+// and 7, a restart, one more checkpoint, then the two newest
+// checkpoints bit-flipped. The first checkpoint after the restart must
+// not truncate the segments the older files on disk replay from, so boot
+// falls back to the one at segment 5, replays the whole tail and
+// recovers the window of the uninterrupted run. After every checkpoint,
+// every checkpoint on disk must replay to the end of the log.
+func TestRecoveryRetentionAcrossRestart(t *testing.T) {
+	seed := recoverSeed(t)
+	ds, err := traces.EUISP(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: seed + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceDir := writeTraceDir(t, ds, len(streams))
+	dataDir := t.TempDir()
+	walDir, ckptDir := filepath.Join(dataDir, "wal"), filepath.Join(dataDir, "checkpoint")
+	trace := traceDatagrams(t, streams)
+	clock := faultinject.NewClock(time.Unix(1700000000, 0))
+
+	boot := func() *daemon {
+		t.Helper()
+		d, err := startDaemon(recoverConfig(traceDir, dataDir, clock.Now))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// Cycle through the trace (repeats are duplicates to the window but
+	// logged all the same) until the WAL's active segment is seg.
+	var logged []datagram
+	ingestUntil := func(d *daemon, seg uint64) {
+		for d.members[0].durable.log.Pos().Segment < seg {
+			g := trace[len(logged)%len(trace)]
+			g.ts = clock.Now()
+			d.sink.Ingest(g.h, g.recs)
+			logged = append(logged, g)
+		}
+	}
+	// covers[i] is how many logged entries checkpoint i (1-based, file
+	// order) holds.
+	covers := []int{0}
+	checkpointNow := func(d *daemon) {
+		t.Helper()
+		durable := d.members[0].durable
+		if err := durable.checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		covers = append(covers, len(logged))
+		end := durable.log.Pos()
+		files, err := checkpoint.List(ckptDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := checkpoint.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := wal.Replay(walDir, st.WAL, func(time.Time, netflow.Header, []netflow.Record) error { return nil })
+			if err != nil || res.End != end {
+				t.Fatalf("%s (wal %+v) replays to %+v, %v; the log ends at %+v",
+					filepath.Base(f), st.WAL, res.End, err, end)
+			}
+		}
+		clock.Advance(30 * time.Minute)
+	}
+
+	d := boot()
+	for _, seg := range []uint64{3, 5, 7} {
+		ingestUntil(d, seg)
+		checkpointNow(d)
+	}
+	d.abort() // a crash after the log's last fsync: no covering checkpoint
+
+	d = boot()
+	ingestUntil(d, 8)
+	checkpointNow(d)
+	d.abort()
+
+	files, err := checkpoint.List(ckptDir)
+	if err != nil || len(files) != ckptRetain {
+		t.Fatalf("checkpoints on disk: %v %v", files, err)
+	}
+	site := faultinject.New(seed).NewSite(3)
+	for _, f := range files[1:] {
+		if hit, err := site.CorruptByte(f, 0); err != nil || !hit {
+			t.Fatalf("CorruptByte %s: %v %v", f, hit, err)
+		}
+	}
+
+	d = boot()
+	defer d.abort()
+	fallback := covers[2] // the oldest file left is the second checkpoint
+	if replayed := int(d.members[0].durable.recoveryReplayed.Load()); fallback+replayed != len(logged) {
+		t.Fatalf("fallback checkpoint covers %d entries and replayed %d, want the other %d",
+			fallback, replayed, len(logged)-fallback)
+	}
+	shadow, err := stream.NewWindow(traces.AggregateKey, time.Hour, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow.SetClock(clock.Now)
+	for _, g := range logged {
+		shadow.IngestAt(g.ts, g.h, g.recs)
+	}
+	if !bytes.Equal(exportJSON(t, d.members[0].window), exportJSON(t, shadow)) {
 		t.Fatal("recovered window diverges from the uninterrupted run")
 	}
 }

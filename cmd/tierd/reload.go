@@ -58,10 +58,9 @@ func (rs *reloadState) stats() server.ReloadStats {
 }
 
 // reloadConfig performs one hot reload: re-read the -config file onto
-// the flags (tenant.LoadPricingFile: present keys override, tenant-spec
-// overrides still win on top),
-// validate every member's new configuration, swap them in, and bump
-// the config epoch. Any failure leaves every member on its current
+// the defaults (tenant.LoadPricingFile: present keys override,
+// tenant-spec overrides still win on top), validate every member's new
+// configuration, swap them in, and bump the config epoch. Any failure leaves every member on its current
 // configuration (all are validated before any is touched) and counts a
 // reload error; the daemon keeps serving either way.
 func (d *daemon) reloadConfig() error {
@@ -73,7 +72,7 @@ func (d *daemon) reloadConfig() error {
 		fmt.Fprintln(os.Stderr, "tierd: config reload:", err)
 		return err
 	}
-	base, err := tenant.LoadPricingFile(d.cfg.configFile, d.cfg.pricing)
+	base, err := tenant.LoadPricingFile(d.cfg.configFile, tenant.DefaultPricing)
 	if err != nil {
 		return fail(err)
 	}

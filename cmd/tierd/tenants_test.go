@@ -34,9 +34,9 @@ import (
 
 	"tieredpricing/internal/demandfit"
 	"tieredpricing/internal/econ"
+	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
-	"tieredpricing/internal/tenant"
 	"tieredpricing/internal/traces"
 )
 
@@ -445,8 +445,6 @@ func (h *fleetHarness) waitTenantServing(t *testing.T, id string) {
 func fleetConfig(traceDir, specPath string) config {
 	return config{
 		listen: "127.0.0.1:0", trace: traceDir, tenantsFile: specPath,
-		pricing: tenant.Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
-			Strategy: "profit-weighted", Tiers: 3},
 		window: 4 * time.Hour, slot: time.Hour,
 		reprice: 25 * time.Millisecond, maxSnapAge: time.Minute,
 		schedWorkers: 1, drainGrace: 2 * time.Second,
@@ -691,4 +689,75 @@ func get2(t *testing.T, url string) (int, []byte) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	return resp.StatusCode, buf.Bytes()
+}
+
+// TestTenantNamespaceRefusal: a member booted on another tenant's data
+// dir refuses to start, naming both tenants. A member's own namespace, a
+// tenant namespace holding an unstamped checkpoint (a synthesised
+// member's, as every checkpoint before fleets was), and a synthesised
+// member reading a stamped one all boot.
+func TestTenantNamespaceRefusal(t *testing.T) {
+	ds, err := traces.EUISP(17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceDir := writeTraceDir(t, ds, len(streams))
+	grams := traceDatagrams(t, streams)
+	now := faultinject.NewClock(time.Unix(1700000000, 0)).Now
+	dataDir := t.TempDir()
+
+	fleet := func(id string) config {
+		cfg := recoverConfig(traceDir, dataDir, now)
+		cfg.tenantsFile = writeSpecFile(t, t.TempDir(), fmt.Sprintf(`{"tenants": [{"id": %q}]}`, id))
+		return cfg
+	}
+	boot := func(cfg config) error {
+		d, err := startDaemon(cfg)
+		if err == nil {
+			d.abort()
+		}
+		return err
+	}
+	// checkpointed boots cfg, ingests the trace, checkpoints and crashes.
+	checkpointed := func(cfg config) {
+		t.Helper()
+		d, err := startDaemon(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.abort()
+		for _, g := range grams {
+			d.sink.Ingest(g.h, g.recs)
+		}
+		if err := d.members[0].durable.checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	checkpointed(fleet("alpha"))
+	if err := boot(fleet("alpha")); err != nil {
+		t.Fatalf("alpha on its own namespace: %v", err)
+	}
+	if err := os.Rename(tenantDir(dataDir, "alpha"), tenantDir(dataDir, "beta")); err != nil {
+		t.Fatal(err)
+	}
+	err = boot(fleet("beta"))
+	if want := `belongs to tenant "alpha", not "beta" — wrong namespace?`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("beta on alpha's namespace: %v, want an error containing %q", err, want)
+	}
+	if err := boot(recoverConfig(traceDir, tenantDir(dataDir, "beta"), now)); err != nil {
+		t.Fatalf("synthesised member on alpha's stamped checkpoint: %v", err)
+	}
+	rootDir := filepath.Join(t.TempDir(), "root")
+	checkpointed(recoverConfig(traceDir, rootDir, now))
+	if err := os.Rename(rootDir, tenantDir(dataDir, "gamma")); err != nil {
+		t.Fatal(err)
+	}
+	if err := boot(fleet("gamma")); err != nil {
+		t.Fatalf("gamma on an unstamped checkpoint: %v", err)
+	}
 }

@@ -1,7 +1,7 @@
 // Package checkpoint persists tierd's recovery state: a point-in-time
 // snapshot of the sliding window (slots, dedup sets, counters), the
-// WAL position the snapshot covers, the serving epoch, the current
-// canonical TierTable, and a bounded history of published tables.
+// WAL position the snapshot covers, the serving epoch, and a bounded
+// history of published tables.
 //
 // Each checkpoint is published whole (framelog.PublishFile): a crash at
 // any point leaves either the old checkpoint set or the old set plus a
@@ -71,9 +71,10 @@ type State struct {
 	// single-tenant namespaces — and in every pre-fleet checkpoint,
 	// which therefore stays loadable.
 	Tenant string `json:"tenant,omitempty"`
-	// Table is the serving snapshot's canonical TierTable bytes, empty
-	// before the first successful re-price. Recovery never reads it (the
-	// warm re-price rebuilds the table); it stays while the format does.
+	// Table held the serving snapshot's canonical TierTable bytes in
+	// checkpoints written before tierd stopped writing it. Recovery never
+	// read it (the warm re-price rebuilds the table); the field stays so
+	// those files decode and re-encode byte for byte.
 	Table json.RawMessage `json:"table,omitempty"`
 	// ConfigEpoch is the process-wide pricing-config generation at
 	// checkpoint time (1 at first boot, +1 per successful hot reload;
@@ -161,6 +162,16 @@ func Write(dir string, st *State) (string, error) {
 		return "", fmt.Errorf("checkpoint: write: %w", err)
 	}
 	return final, nil
+}
+
+// List returns the paths of dir's checkpoint files, oldest first.
+func List(dir string) ([]string, error) {
+	seqs, err := framelog.ListSeq(dir, filePrefix, fileSuffix)
+	paths := make([]string, len(seqs))
+	for i, seq := range seqs {
+		paths[i] = filePath(dir, seq)
+	}
+	return paths, err
 }
 
 // LoadNewest returns the newest checkpoint that decodes and validates,

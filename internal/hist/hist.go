@@ -1,137 +1,105 @@
-// Package hist is an HDR-style latency histogram: fixed-size,
-// allocation-free recording of non-negative int64 values (nanoseconds,
-// by convention) into logarithmic buckets with a bounded relative
-// error, plus exact-rank quantile extraction.
-//
-// The bucket geometry follows the High Dynamic Range histogram design:
-// values below 2^precision land in exact unit buckets; above that, each
-// power-of-two range is split into 2^precision sub-buckets, so every
-// recorded value is reproduced to within a relative error of
-// 2^-precision (≈1.6% at the precision of 6 used here). Covering the
-// full int64 range takes (64-p)·2^p buckets, so a histogram is ~29 KiB
-// and recording is two array index computations, never an allocation.
-//
-// Histograms are NOT safe for concurrent use: the one caller, the WAL's
-// fsync summary (wal.Stats), records and reads under its own mutex.
+// Package hist is tierd's one histogram type: fixed buckets in the
+// Prometheus cumulative style, lock-free to observe. The server renders
+// its latency histograms from it and the WAL summarises its fsync
+// latencies with it; both read quantiles at bucket resolution.
 package hist
 
 import (
+	"fmt"
 	"math"
-	"math/bits"
+	"sync/atomic"
 )
 
-// precision is the sub-bucket resolution exponent: values are resolved
-// to 2^-6 ≈ 1.6% relative error.
-const precision = 6
-
-// bucketCount is the number of buckets the geometry needs to cover
-// [0, MaxInt64]: 2^p exact unit buckets plus 2^p sub-buckets for each of
-// the (63-p) remaining octaves.
-const bucketCount = 1<<precision + (63-precision)<<precision
-
-// Histogram records int64 values into fixed logarithmic buckets.
+// Histogram is a fixed-bucket histogram in the Prometheus cumulative
+// style. Observations are lock-free.
 type Histogram struct {
-	counts   []uint64
-	total    uint64
-	sum      float64 // running sum of recorded values
-	min, max int64   // exact extremes; valid when total > 0
+	bounds []float64       // ascending upper bounds
+	counts []atomic.Uint64 // len(bounds)+1; the last is the +Inf bucket
+	sum    atomic.Uint64   // float64 bits, CAS-accumulated
+	max    atomic.Uint64   // float64 bits of the largest observation, CAS-raised from 0
+	count  atomic.Uint64
 }
 
-// New returns an empty histogram.
-func New() *Histogram {
-	return &Histogram{counts: make([]uint64, bucketCount)}
+// New creates a histogram with the given ascending upper bounds. An
+// implicit +Inf bucket is appended.
+func New(bounds ...float64) (*Histogram, error) {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			return nil, fmt.Errorf("hist: bounds not ascending at %d", i)
+		}
+	}
+	return &Histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]atomic.Uint64, len(bounds)+1),
+	}, nil
 }
 
-// bucketIndex maps a non-negative value to its bucket.
-func bucketIndex(v int64) int {
-	if v < 1<<precision {
-		return int(v)
+// Observe records one value: it lands in the first bucket whose upper
+// bound is at least v.
+func (h *Histogram) Observe(v float64) {
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
 	}
-	// v ∈ [2^exp, 2^(exp+1)): keep the top precision bits after the
-	// leading one as the sub-bucket.
-	exp := uint(bits.Len64(uint64(v))) - 1
-	sub := int(v>>(exp-precision)) - 1<<precision
-	return 1<<precision + int(exp-precision)<<precision + sub
+	h.counts[i].Add(1)
+	h.count.Add(1)
+	for {
+		old := h.sum.Load()
+		newBits := math.Float64bits(math.Float64frombits(old) + v)
+		if h.sum.CompareAndSwap(old, newBits) {
+			break
+		}
+	}
+	for {
+		old := h.max.Load()
+		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
 }
 
-// bucketUpper is the largest value that maps into bucket i; quantiles
-// report it so they never understate a latency.
-func bucketUpper(i int) int64 {
-	if i < 1<<precision {
-		return int64(i)
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// Sum returns the sum of the observations.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+
+// Max returns the largest observation, or 0 if none exceeded 0.
+func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
+
+// Buckets calls fn with each bucket's upper bound, ascending and ending
+// at +Inf, and the number of observations at or below it.
+func (h *Histogram) Buckets(fn func(le float64, cumulative uint64)) {
+	var cum uint64
+	for i, b := range h.bounds {
+		cum += h.counts[i].Load()
+		fn(b, cum)
 	}
-	i -= 1 << precision
-	octave := uint(i >> precision)
-	sub := int64(i&(1<<precision-1)) + 1<<precision
-	return (sub+1)<<octave - 1
+	fn(math.Inf(1), cum+h.counts[len(h.bounds)].Load())
 }
 
-// Record adds one observation. Negative values are clamped to zero
-// (latency math can produce tiny negatives from clock adjustments).
-func (h *Histogram) Record(v int64) {
-	if v < 0 {
-		v = 0
+// Quantile returns the q-quantile by nearest rank at bucket resolution:
+// the upper bound of the bucket holding the ⌈q·n⌉-th smallest
+// observation, or Max when that is smaller — always so in the +Inf
+// bucket. It never understates the observation at the rank, and an
+// observation equal to a bound reads back exactly. 0 when empty.
+func (h *Histogram) Quantile(q float64) float64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
 	}
-	if h.total == 0 || v < h.min {
-		h.min = v
-	}
-	if h.total == 0 || v > h.max {
-		h.max = v
-	}
-	h.counts[bucketIndex(v)]++
-	h.total++
-	h.sum += float64(v)
-}
-
-// Count is the number of recorded observations.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Max is the largest recorded value, exact; 0 when empty.
-func (h *Histogram) Max() int64 {
-	if h.total == 0 {
+	if n == 0 {
 		return 0
 	}
-	return h.max
-}
-
-// Sum is the sum of recorded values (after clamping), exact while it
-// stays below 2^53; 0 when empty.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Quantile returns the q-quantile (q in [0,1]) under the nearest-rank
-// definition: the smallest recorded value v such that at least ⌈q·n⌉
-// observations are ≤ v. q=0 returns the exact minimum, q=1 the exact
-// maximum; interior quantiles are bucket upper bounds, within the
-// histogram's relative error of the exact order statistic. Returns 0
-// when empty.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
+	rank := uint64(math.Ceil(q * float64(n)))
 	if rank == 0 {
 		rank = 1
 	}
 	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			v := bucketUpper(i)
-			// The top bucket's upper bound can overshoot the true max.
-			if v > h.max {
-				v = h.max
-			}
-			if v < h.min {
-				v = h.min
-			}
-			return v
+	for i, b := range h.bounds {
+		if cum += h.counts[i].Load(); cum >= rank {
+			return math.Min(b, h.Max())
 		}
 	}
-	return h.max // unreachable: cum reaches total
+	return h.Max()
 }

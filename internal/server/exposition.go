@@ -75,8 +75,8 @@ var exposition = []struct {
 		{"tierd_reprice_failures_total", "Re-price attempts that failed (retries and ingest gaps included).", "counter", func(v *view) any { return v.tenant.Metrics.RepriceFailures.Value() }},
 		{"tierd_reprice_flows", "Flows priced by the most recent re-price.", "gauge", func(v *view) any { return v.tenant.Metrics.RepriceFlows.Value() }},
 		{"tierd_reprice_consecutive_failures", "Consecutive failed re-price attempts (0 while healthy).", "gauge", func(v *view) any { return v.tenant.Metrics.ConsecutiveFailures.Value() }},
-		{"tierd_quote_seconds", "Server-side quote latency.", "histogram", func(v *view) any { return v.tenant.Metrics.QuoteSeconds.samples() }},
-		{"tierd_reprice_seconds", "Re-price latency.", "histogram", func(v *view) any { return v.tenant.Metrics.RepriceSeconds.samples() }},
+		{"tierd_quote_seconds", "Server-side quote latency.", "histogram", func(v *view) any { return histSamples(v.tenant.Metrics.QuoteSeconds) }},
+		{"tierd_reprice_seconds", "Re-price latency.", "histogram", func(v *view) any { return histSamples(v.tenant.Metrics.RepriceSeconds) }},
 		{"tierd_reprice_stage_seconds", "Wall time of each re-price pipeline stage, over published snapshots.", "summary", func(v *view) any {
 			m := v.tenant.Metrics
 			out := make([]sample, 0, 2*stream.NumStages)
@@ -129,7 +129,7 @@ var exposition = []struct {
 		{"tierd_wal_bytes_total", "Bytes appended to the write-ahead log.", "counter", func(v *view) any { return v.dur.WAL.Bytes }},
 		{"tierd_wal_entries_total", "Entries appended to the write-ahead log.", "counter", func(v *view) any { return v.dur.WAL.Entries }},
 		{"tierd_wal_fsyncs_total", "WAL fsync syscalls issued.", "counter", func(v *view) any { return v.dur.WAL.Fsyncs }},
-		{"tierd_wal_fsync_seconds", "WAL fsync latency.", "summary", func(v *view) any {
+		{"tierd_wal_fsync_seconds", "WAL fsync latency; quantiles at bucket resolution (the upper bound of the bucket holding the rank, never below it).", "summary", func(v *view) any {
 			return []sample{
 				{"", `quantile="0.5"`, float64(v.dur.WAL.FsyncP50Ns) / 1e9},
 				{"", `quantile="0.99"`, float64(v.dur.WAL.FsyncP99Ns) / 1e9},

@@ -5,11 +5,11 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tieredpricing/internal/hist"
 	"tieredpricing/internal/stream"
 )
 
@@ -39,65 +39,14 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket latency histogram in the Prometheus
-// cumulative style. Observations are lock-free.
-type Histogram struct {
-	bounds []float64       // ascending upper bounds, seconds
-	counts []atomic.Uint64 // len(bounds)+1; the last is the +Inf bucket
-	sum    atomic.Uint64   // float64 bits, CAS-accumulated
-	count  atomic.Uint64
+// histSamples renders a histogram's cumulative buckets, sum and count.
+func histSamples(h *hist.Histogram) []sample {
+	var out []sample
+	h.Buckets(func(le float64, cum uint64) {
+		out = append(out, sample{"_bucket", fmt.Sprintf(`le="%g"`, le), cum})
+	})
+	return append(out, sample{"_sum", "", h.Sum()}, sample{"_count", "", h.Count()})
 }
-
-// NewHistogram creates a histogram with the given ascending upper
-// bounds. An implicit +Inf bucket is appended.
-func NewHistogram(bounds ...float64) (*Histogram, error) {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("server: histogram bounds not ascending at %d", i)
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}, nil
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		newBits := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, newBits) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// samples renders the histogram's cumulative buckets, sum and count.
-func (h *Histogram) samples() []sample {
-	out := make([]sample, 0, len(h.bounds)+3)
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		out = append(out, sample{"_bucket", fmt.Sprintf("le=%q", formatBound(b)), cum})
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	return append(out,
-		sample{"_bucket", `le="+Inf"`, cum},
-		sample{"_sum", "", math.Float64frombits(h.sum.Load())},
-		sample{"_count", "", h.count.Load()})
-}
-
-func formatBound(b float64) string { return fmt.Sprintf("%g", b) }
 
 // Metrics is tierd's telemetry: request counters per endpoint, quote
 // outcome counters, and the re-price cycle's count/error/latency.
@@ -119,13 +68,13 @@ type Metrics struct {
 	// QuoteSeconds is the server-side quote latency — request arrival to
 	// response written — the daemon-side complement of the latency a
 	// client observes (bench/'s quote_p50_us).
-	QuoteSeconds *Histogram
+	QuoteSeconds *hist.Histogram
 
 	Reprices Counter
 	// RepriceFailures counts failed re-price attempts (including backoff
 	// retries and empty windows once a snapshot exists — an ingest gap).
 	RepriceFailures Counter
-	RepriceSeconds  *Histogram
+	RepriceSeconds  *hist.Histogram
 	// RepriceStageNanos sums, per pipeline stage, the wall time of every
 	// published re-price, and RepriceStaged counts them: where a re-price
 	// spends its time, on the same scrape as how long it took.
@@ -151,11 +100,11 @@ type Metrics struct {
 // 1 ms to 30 s and quote latency buckets from 50 µs to 1 s (the quote
 // path is sub-microsecond; the buckets resolve the HTTP stack on top).
 func NewMetrics() *Metrics {
-	h, err := NewHistogram(0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 5, 10, 30)
+	h, err := hist.New(0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 5, 10, 30)
 	if err != nil {
 		panic(err) // static bounds; unreachable
 	}
-	q, err := NewHistogram(0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
+	q, err := hist.New(0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
 		0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1)
 	if err != nil {
 		panic(err) // static bounds; unreachable

@@ -5,15 +5,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"tieredpricing/internal/hist"
 	"tieredpricing/internal/stream"
 )
 
+// TestHistogramBuckets pins a histogram's exposition: cumulative
+// buckets, +Inf, sum and count.
 func TestHistogramBuckets(t *testing.T) {
-	h, err := NewHistogram(0.01, 0.1, 1)
+	h, err := hist.New(0.01, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("count = %d, want 4", h.Count())
 	}
 	var b strings.Builder
-	writeSamples(&b, "x", "", h.samples())
+	writeSamples(&b, "x", "", histSamples(h))
 	out := b.String()
 	for _, want := range []string{
 		`x_bucket{le="0.01"} 1`,
@@ -37,36 +39,6 @@ func TestHistogramBuckets(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestHistogramRejectsUnsortedBounds(t *testing.T) {
-	if _, err := NewHistogram(1, 0.5); err == nil {
-		t.Error("expected error for descending bounds")
-	}
-	if _, err := NewHistogram(1, 1); err == nil {
-		t.Error("expected error for duplicate bounds")
-	}
-}
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	h, err := NewHistogram(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Observe(0.25)
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("count = %d, want 8000", h.Count())
 	}
 }
 

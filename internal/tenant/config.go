@@ -30,9 +30,9 @@ import (
 
 // Pricing is one pricing engine's economics: the demand and cost
 // models, the bundling strategy and tier count, the blended-rate anchor
-// and the octets→Mbps window. tierd's flags fill one, a -config file is
-// decoded onto a copy of it, and each tenant spec overlays its own
-// (Over) — flags < -config < tenant spec.
+// and the octets→Mbps window. tierd starts from DefaultPricing, a
+// -config file is decoded onto a copy of it, and each tenant spec
+// overlays its own (Over) — defaults < -config < tenant spec.
 type Pricing struct {
 	Model    string  `json:"model,omitempty"`    // "ced" or "logit"
 	Alpha    float64 `json:"alpha,omitempty"`    // price sensitivity α
@@ -47,6 +47,13 @@ type Pricing struct {
 	// zero keeps the trace meta's capture duration.
 	DemandSec float64 `json:"demand_sec,omitempty"`
 }
+
+// DefaultPricing is the pricing tierd starts from: CED demand at α 1.1
+// (s0 0.2 should a -config switch to logit), the linear cost model at
+// θ 0.2, three profit-weighted tiers, and the trace meta's blended rate
+// and capture duration.
+var DefaultPricing = Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
+	Strategy: "profit-weighted", Tiers: 3}
 
 // Over overlays p on base: every non-zero field of p wins, every zero
 // field inherits base's. This is the tenant-spec rule; a -config file
@@ -80,8 +87,9 @@ func (p Pricing) Over(base Pricing) Pricing {
 }
 
 // Spec is one tenant's configuration, as read from the -tenants file.
-// Zero-valued pricing fields inherit the daemon's global flags, so a
-// spec can be as small as {"id": "x", "trace": "/path"}.
+// Zero-valued pricing fields inherit the daemon's pricing (the defaults
+// under any -config file), so a spec can be as small as
+// {"id": "x", "trace": "/path"}.
 type Spec struct {
 	// ID names the tenant on the API (/v1/t/{id}/...) and on disk
 	// (<data-dir>/tenants/<id>). Lowercase letters, digits, '-', '_',
@@ -218,7 +226,7 @@ func LoadSpecFile(path string) (specs []Spec, defaultID string, err error) {
 	return f.Tenants, defaultID, nil
 }
 
-// LoadPricingFile reads a -config file onto a copy of base (the flags).
+// LoadPricingFile reads a -config file onto a copy of base (the defaults).
 // Every key the file holds overrides, an explicit 0 included; absent and
 // null keys keep base's value. The keys are exactly Pricing's, read
 // strictly (decodeStrict).

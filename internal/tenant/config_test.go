@@ -10,10 +10,21 @@ import (
 	"testing"
 )
 
-// flagPricing stands in for tierd's flag values: every field non-zero,
-// so inheriting one is visible.
-var flagPricing = Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
+// basePricing stands in for the pricing a -config file overlays: every
+// field non-zero, so inheriting one is visible.
+var basePricing = Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
 	Strategy: "profit-weighted", Tiers: 3, Blended: 2.5, DemandSec: 600}
+
+// TestDefaultPricing pins tierd's base pricing to the values its eight
+// retired pricing flags defaulted to, so a deployment that never set
+// them prices exactly as before.
+func TestDefaultPricing(t *testing.T) {
+	want := Pricing{Model: "ced", Alpha: 1.1, S0: 0.2, Theta: 0.2,
+		Strategy: "profit-weighted", Tiers: 3, Blended: 0, DemandSec: 0}
+	if DefaultPricing != want {
+		t.Fatalf("DefaultPricing = %+v, want %+v", DefaultPricing, want)
+	}
+}
 
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
@@ -33,12 +44,12 @@ func writeFile(t *testing.T, path, body string) string {
 }
 
 // TestPricingLayers pins the two overlay rules, field by field, over
-// flags → -config → tenant spec. A -config key overrides whenever it is
+// base → -config → tenant spec. A -config key overrides whenever it is
 // present, an explicit zero included, and an absent or null key keeps
-// the flag; a tenant spec's field overrides only when non-zero.
+// the base's value; a tenant spec's field overrides only when non-zero.
 func TestPricingLayers(t *testing.T) {
 	// A -config value and a tenant-spec value per key, both non-zero and
-	// different from the flag's.
+	// different from the base's.
 	overrides := map[string][2]any{
 		"model":      {"logit", "ced-spec"},
 		"alpha":      {1.7, 2.3},
@@ -54,7 +65,7 @@ func TestPricingLayers(t *testing.T) {
 	if len(fields) != len(overrides) {
 		t.Fatalf("Pricing has %d fields, the table covers %d", len(fields), len(overrides))
 	}
-	// with is flagPricing, or base, with one field set to v.
+	// with is basePricing, or base, with one field set to v.
 	with := func(base Pricing, f reflect.StructField, v any) Pricing {
 		reflect.ValueOf(&base).Elem().FieldByIndex(f.Index).Set(reflect.ValueOf(v))
 		return base
@@ -65,23 +76,23 @@ func TestPricingLayers(t *testing.T) {
 		if !ok {
 			t.Fatalf("no override values for key %q", key)
 		}
-		flagV := reflect.ValueOf(flagPricing).FieldByIndex(f.Index).Interface()
+		baseV := reflect.ValueOf(basePricing).FieldByIndex(f.Index).Interface()
 		zero := reflect.Zero(f.Type).Interface()
 		for _, c := range []struct {
 			name, body string
 			want       any
 		}{
-			{"absent", `{}`, flagV},
-			{"null", fmt.Sprintf(`{%q: null}`, key), flagV},
+			{"absent", `{}`, baseV},
+			{"null", fmt.Sprintf(`{%q: null}`, key), baseV},
 			{"explicit zero", fmt.Sprintf(`{%q: %s}`, key, mustJSON(t, zero)), zero},
 			{"set", fmt.Sprintf(`{%q: %s}`, key, mustJSON(t, ov[0])), ov[0]},
 		} {
 			path := writeFile(t, filepath.Join(dir, "pricing.json"), c.body)
-			afterConfig, err := LoadPricingFile(path, flagPricing)
+			afterConfig, err := LoadPricingFile(path, basePricing)
 			if err != nil {
 				t.Fatalf("%s %s: %v", key, c.name, err)
 			}
-			if want := with(flagPricing, f, c.want); afterConfig != want {
+			if want := with(basePricing, f, c.want); afterConfig != want {
 				t.Fatalf("%s %s in -config: got %+v, want %+v", key, c.name, afterConfig, want)
 			}
 			for _, sc := range []struct {
@@ -109,7 +120,7 @@ func TestPricingLayers(t *testing.T) {
 // the file holds one JSON object.
 func TestLoadPricingFileStrict(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := LoadPricingFile(filepath.Join(dir, "missing.json"), flagPricing); err == nil {
+	if _, err := LoadPricingFile(filepath.Join(dir, "missing.json"), basePricing); err == nil {
 		t.Fatal("missing file should error")
 	}
 	for _, body := range []string{
@@ -120,7 +131,7 @@ func TestLoadPricingFileStrict(t *testing.T) {
 		`{`,
 	} {
 		path := writeFile(t, filepath.Join(dir, "pricing.json"), body)
-		if got, err := LoadPricingFile(path, flagPricing); err == nil {
+		if got, err := LoadPricingFile(path, basePricing); err == nil {
 			t.Errorf("%s loaded as %+v, want an error", body, got)
 		}
 	}
@@ -166,20 +177,20 @@ func FuzzDecodeSpecs(f *testing.F) {
 					t.Fatalf("default %q became %q over a re-encode", def, def2)
 				}
 				for _, sp := range file.Tenants {
-					once := sp.Pricing.Over(flagPricing)
+					once := sp.Pricing.Over(basePricing)
 					if twice := sp.Pricing.Over(once); twice != once {
 						t.Fatalf("Over not idempotent: %+v then %+v", once, twice)
 					}
 				}
 			}
 		}
-		p := flagPricing
+		p := basePricing
 		if decodeStrict(data, &p) == nil {
 			var again Pricing
 			if err := decodeStrict([]byte(mustJSON(t, p)), &again); err != nil || again != p {
 				t.Fatalf("-config pricing %+v re-decoded as %+v (%v)", p, again, err)
 			}
-			if twice := p.Over(p.Over(flagPricing)); twice != p.Over(flagPricing) {
+			if twice := p.Over(p.Over(basePricing)); twice != p.Over(basePricing) {
 				t.Fatalf("Over not idempotent on %+v", p)
 			}
 		}

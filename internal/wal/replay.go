@@ -32,10 +32,12 @@ type ReplayResult struct {
 // stops at the first frame that fails validation — a torn final write,
 // a corrupt length or CRC, an undecodable packet — or at the first
 // missing segment, and everything from that point on, including all
-// later segments, is excluded from the result. A checkpoint's position
-// (from.Segment > 0) whose segment is gone while newer ones survive is
-// such a gap at the head: nothing replays and End == from. fn returning
-// an error aborts the replay and propagates.
+// later segments, is excluded from the result. The one gap that is an
+// error instead is at the head: a checkpoint's position (from.Segment >
+// 0) whose segment is gone while newer ones survive. Replaying nothing
+// from there would hand OpenAt a position that drops the surviving
+// segments, so Replay refuses and names both. fn returning an error
+// aborts the replay and propagates.
 //
 // The zero Position replays whatever head of the log survives. A missing
 // directory or an empty log replays nothing and returns End == from (or
@@ -54,8 +56,8 @@ func Replay(dir string, from Position, fn func(ts time.Time, h netflow.Header, r
 	}
 	segs = segs[sort.Search(len(segs), func(i int) bool { return segs[i] >= from.Segment }):]
 	if from.Segment > 0 && len(segs) > 0 && segs[0] != from.Segment {
-		res.Torn = true
-		return res, nil
+		return res, fmt.Errorf("wal: replay starts in segment %d, which is missing, but segment %d survives",
+			from.Segment, segs[0])
 	}
 	for i, seq := range segs {
 		off := int64(0)

@@ -125,7 +125,9 @@ type Stats struct {
 	Bytes   uint64
 	Entries uint64
 	// Fsyncs counts fsync syscalls issued; the latency fields summarize
-	// their distribution (internal/hist, ≤1.6% relative error).
+	// their distribution. The quantiles read at bucket resolution
+	// (fsyncBounds): the upper bound of the bucket holding the rank, or
+	// the max when that is smaller, so they never understate.
 	Fsyncs uint64
 	// SyncErrors counts fsyncs the background syncer saw fail; it has no
 	// caller to return them to (inline failures come back from Append,
@@ -168,6 +170,12 @@ type Log struct {
 
 const segPrefix, segSuffix = "wal-", ".log"
 
+// fsyncBounds are the fsync latency buckets in nanoseconds: 1 µs to 1 s
+// in 1-2.5-5 steps, from a flush the page cache absorbs to a stalled
+// disk.
+var fsyncBounds = []float64{1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5,
+	1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8, 1e9}
+
 // segmentPath is the file of segment seq.
 func segmentPath(dir string, seq uint64) string {
 	return filepath.Join(dir, framelog.SeqName(segPrefix, seq, segSuffix))
@@ -205,6 +213,10 @@ func OpenAt(dir string, opts Options, pos Position) (*Log, error) {
 		opts.SegmentBytes = 4 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	fsyncNs, err := hist.New(fsyncBounds...)
+	if err != nil {
 		return nil, err
 	}
 	segs, err := framelog.ListSeq(dir, segPrefix, segSuffix)
@@ -253,7 +265,7 @@ func OpenAt(dir string, opts Options, pos Position) (*Log, error) {
 		write:      (*os.File).WriteAt,
 		seg:        seg,
 		off:        off,
-		fsyncNs:    hist.New(),
+		fsyncNs:    fsyncNs,
 		syncReq:    make(chan struct{}, 1),
 		stopSyncer: make(chan struct{}),
 		syncerDone: make(chan struct{}),
@@ -354,7 +366,7 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.fsyncs++
-	l.fsyncNs.Record(int64(time.Since(start)))
+	l.fsyncNs.Observe(float64(time.Since(start)))
 	l.dirty = false
 	return nil
 }
@@ -408,7 +420,7 @@ func (l *Log) syncBatch() {
 	switch {
 	case err == nil:
 		l.fsyncs++
-		l.fsyncNs.Record(int64(took))
+		l.fsyncNs.Observe(float64(took))
 		if l.seg == seg && l.off == off {
 			l.dirty = false
 		}
@@ -462,21 +474,18 @@ func (l *Log) TruncateBefore(pos Position) error {
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Bytes:      l.bytes,
 		Entries:    l.entries,
 		Fsyncs:     l.fsyncs,
 		SyncErrors: l.syncErr,
+		FsyncP50Ns: int64(l.fsyncNs.Quantile(0.50)),
+		FsyncP99Ns: int64(l.fsyncNs.Quantile(0.99)),
+		FsyncMaxNs: int64(l.fsyncNs.Max()),
+		FsyncSumNs: l.fsyncNs.Sum(),
 		Segment:    l.seg,
 		Offset:     l.off,
 	}
-	if l.fsyncNs.Count() > 0 {
-		s.FsyncP50Ns = l.fsyncNs.Quantile(0.50)
-		s.FsyncP99Ns = l.fsyncNs.Quantile(0.99)
-		s.FsyncMaxNs = l.fsyncNs.Max()
-		s.FsyncSumNs = l.fsyncNs.Sum()
-	}
-	return s
 }
 
 // Close stops the syncer, fsyncs the tail, and closes the segment.

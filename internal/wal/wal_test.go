@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -514,8 +515,10 @@ func TestCorruptionMidSegmentDiscardsLaterSegments(t *testing.T) {
 // TestReplayStopsAtSegmentGap: a missing segment ends the log wherever
 // it is. Frames after a hole are not a continuation of the state before
 // it, so they must not replay — not after a gap in the middle, and not
-// when the segment a checkpoint points into is itself the one missing.
-// Only the zero Position (no checkpoint) takes whatever head survives.
+// when the segment a checkpoint points into is itself the one missing,
+// which is an error rather than an empty replay: OpenAt at that position
+// would delete the segments that survive. Only the zero Position (no
+// checkpoint) takes whatever head survives.
 func TestReplayStopsAtSegmentGap(t *testing.T) {
 	// 40 entries at 4 frames per 512-byte segment: segments 1..10.
 	const perSeg = 4
@@ -526,16 +529,32 @@ func TestReplayStopsAtSegmentGap(t *testing.T) {
 		from2, n int // the entries delivered: want[from2 : from2+n]
 		torn     bool
 		end      Position
+		err      string // the refusal, when the gap is at a checkpoint's head
 	}{
-		{"mid-log", 2, Position{}, 0, perSeg, true, Position{Segment: 1, Offset: perSeg * frameSize}},
-		{"head-of-range", 2, Position{Segment: 2}, 0, 0, true, Position{Segment: 2}},
-		{"head-no-checkpoint", 1, Position{}, perSeg, 40 - perSeg, false, Position{Segment: 10, Offset: perSeg * frameSize}},
+		{"mid-log", 2, Position{}, 0, perSeg, true, Position{Segment: 1, Offset: perSeg * frameSize}, ""},
+		{"head-of-range", 2, Position{Segment: 2}, 0, 0, false, Position{Segment: 2},
+			"replay starts in segment 2, which is missing, but segment 3 survives"},
+		{"head-no-checkpoint", 1, Position{}, perSeg, 40 - perSeg, false, Position{Segment: 10, Offset: perSeg * frameSize}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			want := appendN(t, dir, Options{SegmentBytes: 512}, 40)
 			if err := os.Remove(segmentPath(dir, tc.remove)); err != nil {
 				t.Fatal(err)
+			}
+			if tc.err != "" {
+				// Nothing may replay, and the error names both segments.
+				res, err := Replay(dir, tc.from, func(time.Time, netflow.Header, []netflow.Record) error {
+					t.Fatal("replayed an entry past the missing head segment")
+					return nil
+				})
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("Replay error %v, want %q", err, tc.err)
+				}
+				if res.Entries != 0 || res.End != tc.end {
+					t.Errorf("result %+v, want no entries and End %+v", res, tc.end)
+				}
+				return
 			}
 			got, res := collect(t, dir, tc.from)
 			checkEntries(t, got, want[tc.from2:tc.from2+tc.n])
