@@ -7,9 +7,14 @@
 #                        parity matrix, the fallback to an older
 #                        checkpoint the WAL has rotated past and the
 #                        kill -9 e2e at every pinned seed (RECOVER_SEEDS,
-#                        default "1 7 99 4242 31337"), and the restore of
+#                        default "1 7 99 4242 31337"), the restore of
 #                        a data dir an older, sharded tierd wrote
-#                        (cmd/tierd/testdata/parent-shards4).
+#                        (cmd/tierd/testdata/parent-shards4), and the
+#                        dedup table and WAL replay that recovery
+#                        rebuilds the window through (internal/stream's
+#                        TestDedupTableMatchesModel and
+#                        TestWindowMatchesReference, and every
+#                        internal/wal test with Replay in its name).
 #   ./ci.sh tenants    — multi-tenant gate alone: fleet-vs-solo tier
 #                        table parity (one 3-tenant tierd against three
 #                        single-tenant tierds over partitioned traces,
@@ -88,7 +93,8 @@
 #                      a failure replays locally
 #   8. recover stage — crash-recovery parity (in-process fault matrix +
 #                      out-of-process kill -9) replayed at every pinned
-#                      seed in RECOVER_SEEDS
+#                      seed in RECOVER_SEEDS, plus the dedup-table and
+#                      WAL-replay suites recovery rebuilds through
 #   9. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
 #  10. history stage — the durable-history + hot-reload gate (see
 #                      ./ci.sh history)
@@ -121,6 +127,12 @@ recover() {
     done
     echo "==> recover stage: go test -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd"
     go test -count=1 -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd
+    # Recovery replays the WAL through the window's ingest path, so the
+    # dedup table's claim path is part of what it restores.
+    echo "==> recover stage: go test -run 'TestDedupTableMatchesModel|TestWindowMatchesReference' ./internal/stream"
+    go test -count=1 -run 'TestDedupTableMatchesModel|TestWindowMatchesReference' ./internal/stream
+    echo "==> recover stage: go test -run 'Replay' ./internal/wal"
+    go test -count=1 -run 'Replay' ./internal/wal
 }
 
 tenants() {

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -161,10 +162,11 @@ func TestTierdFailingDisk(t *testing.T) {
 
 // TestDurabilityErrorsCount: a failed background fsync, a failed
 // checkpoint and a failed WAL append each raise
-// tierd_durability_errors_total by exactly one. The first WAL segment is
-// /dev/null, which takes writes and refuses fsync; the checkpoint
-// directory is a plain file for one checkpoint; the last append meets a
-// closed log.
+// tierd_durability_errors_total by exactly one, and the first of them,
+// the fsync, is the one stderr's first-failure line names. The first WAL
+// segment is /dev/null, which takes writes and refuses fsync; the
+// checkpoint directory is a plain file for one checkpoint; the last
+// append meets a closed log.
 func TestDurabilityErrorsCount(t *testing.T) {
 	if _, err := os.Stat("/dev/null"); err != nil {
 		t.Skip("no /dev/null here:", err)
@@ -186,12 +188,15 @@ func TestDurabilityErrorsCount(t *testing.T) {
 	if err := os.Symlink("/dev/null", filepath.Join(walDir, "wal-0000000000000001.log")); err != nil {
 		t.Fatal(err)
 	}
+	restore := captureStderr(t)
 	d, err := startDaemon(recoverConfig(writeTraceDir(t, ds, len(streams)), dataDir,
 		faultinject.NewClock(time.Unix(1700000000, 0)).Now))
 	if err != nil {
+		restore()
 		t.Fatal(err)
 	}
-	defer d.abort()
+	stop := sync.OnceValue(func() string { d.abort(); return restore() })
+	defer stop()
 	durable := d.members[0].durable
 
 	errorsTotal := func() float64 {
@@ -225,4 +230,14 @@ func TestDurabilityErrorsCount(t *testing.T) {
 		durable.log.Close() // its own fsync of the dirty tail fails too, and is returned, not counted
 		d.sink.Ingest(g.h, g.recs)
 	}, func() bool { return durable.appendErrs.Load() == 1 })
+	logged := stop()
+	for _, line := range strings.Split(logged, "\n") {
+		if strings.Contains(line, "still ingesting and quoting from memory") {
+			if !strings.Contains(line, "wal fsync") || !strings.Contains(line, "wal-0000000000000001.log") {
+				t.Fatalf("the first failure logged is not the fsync that failed first:\n%s", line)
+			}
+			return
+		}
+	}
+	t.Fatalf("no first-failure line on stderr:\n%s", logged)
 }

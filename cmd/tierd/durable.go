@@ -162,7 +162,9 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 			res.Entries, res.Torn, res.TornBytes)
 	}
 
-	d.log, err = wal.OpenAt(d.walDir, wal.Options{Sync: cfg.walSync}, res.End)
+	d.log, err = wal.OpenAt(d.walDir, wal.Options{Sync: cfg.walSync, OnSyncError: func(err error) {
+		d.writeFailed(nil, "wal fsync", err) // the log counts it: Stats().SyncErrors
+	}}, res.End)
 	if err != nil {
 		return nil, fmt.Errorf("opening wal: %w", err)
 	}
@@ -201,12 +203,15 @@ func (d *durability) tick() {
 	d.reportErrors()
 }
 
-// writeFailed counts one failed durable write. The daemon's policy under
-// a failing disk is to keep ingesting and quoting from memory and to say
+// writeFailed counts one failed durable write in n (nil for a background
+// fsync, which the WAL counts itself). The daemon's policy under a
+// failing disk is to keep ingesting and quoting from memory and to say
 // so without flooding: the first failure is logged with its cause, later
 // ones only move tierd_durability_errors_total and reportErrors' summary.
 func (d *durability) writeFailed(n *atomic.Uint64, what string, err error) {
-	n.Add(1)
+	if n != nil {
+		n.Add(1)
+	}
 	if d.errsLogged.CompareAndSwap(0, 1) {
 		fmt.Fprintf(os.Stderr, "tierd: %s: %v — still ingesting and quoting from memory; further failures are counted in tierd_durability_errors_total and summarised every %s\n",
 			what, err, d.interval)

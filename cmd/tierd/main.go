@@ -192,6 +192,7 @@ type daemon struct {
 	ln       net.Listener
 	pprofSrv *http.Server
 	pprofLn  net.Listener
+	serving  sync.WaitGroup // the two servers' Serve goroutines; close waits for them
 
 	// The background loops — each member's checkpoints, the history
 	// prune, the SIGHUP reload — run on loopCtx and are counted in loops;
@@ -476,7 +477,9 @@ func (d *daemon) startListeners(handler http.Handler) error {
 		return fmt.Errorf("http listen: %w", err)
 	}
 	d.httpSrv = &http.Server{Handler: handler}
+	d.serving.Add(1)
 	go func() {
+		defer d.serving.Done()
 		if err := d.httpSrv.Serve(d.ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "tierd: http:", err)
 		}
@@ -495,7 +498,9 @@ func (d *daemon) startListeners(handler http.Handler) error {
 			return fmt.Errorf("pprof listen: %w", err)
 		}
 		d.pprofSrv = &http.Server{Handler: mux}
+		d.serving.Add(1)
 		go func() {
+			defer d.serving.Done()
 			if err := d.pprofSrv.Serve(d.pprofLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "tierd: pprof:", err)
 			}
@@ -504,14 +509,22 @@ func (d *daemon) startListeners(handler http.Handler) error {
 	return nil
 }
 
-// close tears down whichever listeners are up.
+// close tears down whichever listeners are up and waits for the HTTP
+// servers to stop. The servers are closed, not just their listeners, so
+// Serve ends with ErrServerClosed and logs nothing.
 func (d *daemon) close() {
 	if d.udp != nil {
 		d.udp.Close()
 	}
-	if d.ln != nil {
-		d.ln.Close()
+	for _, srv := range []*http.Server{d.httpSrv, d.pprofSrv} {
+		if srv != nil {
+			srv.Close()
+		}
 	}
+	if d.ln != nil {
+		d.ln.Close() // in case Serve has not taken it yet
+	}
+	d.serving.Wait()
 }
 
 func (d *daemon) httpAddr() string { return d.ln.Addr().String() }

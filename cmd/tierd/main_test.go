@@ -452,6 +452,62 @@ func assertReleased(t *testing.T, i int, dataDir string) {
 	}
 }
 
+// captureStderr points os.Stderr at a file until the returned function
+// puts it back and returns what was written meanwhile. The daemon logs
+// to os.Stderr as it finds it at each write, so a caller starts its
+// daemon after this and stops it before restoring.
+func captureStderr(t *testing.T) (restore func() string) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stderr
+	os.Stderr = f
+	return func() string {
+		os.Stderr = orig
+		f.Close()
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+}
+
+// TestAbortedStartLogsNoAcceptError: a start that fails once the HTTP
+// server is serving (here the pprof port is taken) is torn down by
+// closing the server, not just its listener, which would make Serve log
+// "use of closed network connection". The abort waits for Serve to
+// return, so stderr is complete when the start fails.
+func TestAbortedStartLogsNoAcceptError(t *testing.T) {
+	ds, err := traces.EUISP(96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cfg := config{
+		listen: "127.0.0.1:0", udp: "127.0.0.1:0", trace: writeTraceDir(t, ds, 2),
+		window: time.Hour, slot: time.Minute, reprice: time.Minute, pprofAddr: taken.Addr().String(),
+	}
+	restore := captureStderr(t)
+	_, err = startDaemon(cfg)
+	// A line that must not appear cannot be waited for: give a Serve
+	// goroutine that outlived the abort anyway the time to print it.
+	time.Sleep(50 * time.Millisecond)
+	logged := restore()
+	if err == nil || !strings.Contains(err.Error(), "pprof listen") {
+		t.Fatalf("start with the pprof port taken: %v, want a pprof listen error", err)
+	}
+	if strings.Contains(logged, "use of closed network connection") || strings.Contains(logged, "tierd: http:") {
+		t.Fatalf("an aborted start logged a serve error:\n%s", logged)
+	}
+}
+
 // TestRunDrain pins the one drain sequence's re-price step (formerly
 // stream.Repricer.Run's): cancelling run performs exactly one final
 // re-price per member, so traffic ingested after the last tick is still

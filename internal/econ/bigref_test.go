@@ -212,6 +212,36 @@ func refLogitProfit(m Logit, flows []Flow, partition [][]int, prices []*big.Floa
 	return profit, scale
 }
 
+// refLogitPotential is Eq. 13 per flow, π_i = K·s_i/(α·s0) with
+// s_i = q_i·(1 − s0)/Σq.
+func refLogitPotential(m Logit, flows []Flow) []*big.Float {
+	total := rz()
+	for _, f := range flows {
+		total = radd(total, rf(f.Demand))
+	}
+	k, s0 := refLogitK(m, flows), rf(m.S0)
+	den := rmul(rf(m.Alpha), s0)
+	out := make([]*big.Float, len(flows))
+	for i, f := range flows {
+		si := rquo(rmul(rf(f.Demand), rsub(ri(1), s0)), total)
+		out[i] = rquo(rmul(k, si), den)
+	}
+	return out
+}
+
+// refLogitSurplus is the log-sum consumer surplus at the given bundle
+// prices, K/α·ln(1 + Σ_i e^{α(v_i − p_b)}), and the log-sum alone.
+func refLogitSurplus(m Logit, flows []Flow, partition [][]int, prices []float64) (surplus, lse *big.Float) {
+	a, sum := rf(m.Alpha), ri(1)
+	for b, block := range partition {
+		for _, i := range block {
+			sum = radd(sum, refExp(rmul(a, rsub(rf(flows[i].Valuation), rf(prices[b])))))
+		}
+	}
+	lse = refLog(sum)
+	return rquo(rmul(refLogitK(m, flows), lse), a), lse
+}
+
 // refLogitFit is §4.1.2's v_i = (ln s_i − ln s0)/α + p0 with
 // s_i = q_i·(1 − s0)/Σq, and its terms' magnitudes.
 func refLogitFit(m Logit, demands []float64, p0 float64) (vals, scales []*big.Float) {

@@ -39,6 +39,8 @@ var refBounds = map[string]float64{
 	"logit max profit": 1,  // relative to κ·π_max, floored at κ·K·2⁻¹⁰²²/α
 	"logit profit":     1,  // relative to κ·Σ K·s_i·(p + c_i), floored likewise
 	"logit capture":    8,  // absolute, over the quotient's condition (refCapture)
+	"logit potential":  8,  // relative (Eq. 13)
+	"logit surplus":    1,  // relative to κ_p·K/α·(1 + ln(1 + Σe)), κ_p = 1 + α·max(|v| + p)
 	"ced fit v":        4,  // relative to (1 + |ln q|/α)·v: 1/α's rounding
 	"ced Eq4 price":    3,  // relative
 	"ced Eq5 price":    24, // relative
@@ -231,8 +233,9 @@ func logitMarkets(t *testing.T, r *rand.Rand, alpha float64) []refMarket {
 }
 
 // TestLogitAgainstReference holds the logit fit, calibration, Eqs. 10–11,
-// the closed-form equilibrium (s0, prices, π_max), profit and capture to
-// the 256-bit reference, and gates the closed form on the bisection it
+// the closed-form equilibrium (s0, prices, π_max), profit, capture,
+// Eq. 13's potential profits and the consumer surplus to the 256-bit
+// reference, and gates the closed form on the bisection it
 // replaced: at every grid point its s0, prices and π_max are no farther
 // from the truth than the bisection's plus 2 ulp, and its worst error
 // over the grid is no larger than the bisection's. Per point, both solve
@@ -340,6 +343,21 @@ func TestLogitAgainstReference(t *testing.T) {
 				for b := range parts {
 					gate(where+" price", prices[b], bisP[b], radd(fc[b], markup))
 				}
+				// The surplus's exponents are α(v − p): their condition is
+				// κ_p, κ's with the prices for the costs.
+				kappaP := 0.0
+				for b, block := range parts {
+					for _, i := range block {
+						kappaP = math.Max(kappaP, math.Abs(flows[i].Valuation)+math.Abs(prices[b]))
+					}
+				}
+				sur, err := m.Surplus(flows, parts, prices)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSur, lse := refLogitSurplus(m, flows, parts, prices)
+				scaleSur := rmul(rquo(rmul(k, radd(ri(1), lse)), rf(alpha)), rf(1+alpha*kappaP))
+				errs.check(t, "logit surplus", where, sur, wantSur, scaleSur)
 				if n <= 13 || len(parts) <= 4 {
 					pi, _ := m.Profit(flows, parts, prices)
 					wantPi, scale := refLogitProfit(m, flows, parts, wantP)
@@ -350,6 +368,13 @@ func TestLogitAgainstReference(t *testing.T) {
 					}
 					errs.check(t, "logit profit", where, pi, wantPi, conditioned(scale))
 				}
+			}
+			pots, err := m.PotentialProfits(flows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range refLogitPotential(m, flows) {
+				errs.check(t, "logit potential", at("flow "+itoa(i)), pots[i], want, want)
 			}
 			max, err := m.MaxProfit(flows)
 			if err != nil {

@@ -10,13 +10,24 @@ import (
 // live slot, each tagged with the slot instance that counted it. It
 // replaces a Go map per slot, so a record costs one hash and one probe
 // however many slots are live, and it holds no pointers the collector
-// would have to trace — the directory aside, one pointer per segment.
+// would have to trace — the directory and the chunk list aside, one
+// pointer per segment and per key chunk.
+//
+// The keys themselves are not in the hash table. Each slot instance
+// appends the keys it claims, in claim order, to a list of fixed-size
+// chunks it owns (keyChunk), and a table entry holds 12 bytes: the key's
+// hash tag and instance (meta) and the key's position in the chunk pool
+// (pos). A probe reads a key only for an entry whose instance is live,
+// so a "duplicate" answer always rests on a live instance that holds the
+// exact 32 bytes; there is no fingerprint-only match.
 //
 // Slot instances, not slot indices, name the owner: a slot that is
 // evicted and later re-created at the same index (the clock stepped back)
 // is a new instance, and the old one's keys stay forgotten. Evicting a
-// slot is retire — one flag, O(1) — after which its entries read as
-// absent. Their space comes back in bounded steps: an insert overwrites
+// slot is retire — one flag and one list splice, O(1) — after which its
+// entries read as absent and its chunks are free for the next keys
+// anyone claims, so a window rotating at a steady rate allocates nothing
+// for keys. An entry's space comes back in bounded steps: an insert takes
 // the first dead entry on its probe path, and a segment that fills up is
 // rebuilt without them. There is never a pass over the whole table.
 //
@@ -27,7 +38,7 @@ import (
 // the directory when that segment was alone under its prefix. All of a
 // key's placement — directory bits, home position, match filter — comes
 // from the high half of its hash, which the entry keeps, so a rebuild
-// never hashes.
+// never hashes and never touches a key: it moves meta and pos alone.
 //
 // Not safe for concurrent use; the window's lock covers it.
 type dedupTable struct {
@@ -35,17 +46,40 @@ type dedupTable struct {
 	depth uint8
 	spare *dedupSeg // zeroed; the next rebuild's destination, so a compaction allocates nothing
 
-	// Slot instances are numbered in creation order. alive[i] is instance
+	// Slot instances are numbered in creation order. insts[i] is instance
 	// base+i; instances below base are all retired. Ids wrap at 2^32
 	// (136 years of one-second slots) and skip 0, which marks an entry
 	// that was never used.
 	base  uint32
-	alive []bool
+	insts []dedupInst
+
+	// chunks is every key chunk the table holds, each on one list: a live
+	// instance's, in claim order, or the free list, which new keys draw
+	// from before a chunk is allocated. An entry's pos is its key's chunk
+	// index << chunkShift | offset, which bounds the pool at 2^32 keys
+	// (128 GiB of them).
+	chunks []keyChunk
+	free   int32 // head of the free list, -1 when it is empty
+}
+
+// dedupInst is one slot instance: whether it is live, how many keys it
+// has claimed, and the first and last of the chunks they fill.
+type dedupInst struct {
+	live       bool
+	n          uint32
+	head, tail int32
+}
+
+// keyChunk is one chunk of the key pool and the chunk after it on its
+// list (-1 ends a list).
+type keyChunk struct {
+	keys *[chunkKeys]netflow.PackedKey
+	next int32
 }
 
 const (
 	// segSize is a segment's entry count, the unit of every reclaim and
-	// growth step: 40 KiB, a few microseconds to rebuild under the lock.
+	// growth step: 12 KiB, a few microseconds to rebuild under the lock.
 	segSize = 1 << 10
 	segMask = segSize - 1
 	// segLimit is how many entries, live or dead, a segment may hold
@@ -57,21 +91,29 @@ const (
 	// segSplit = 256 inserts before its next rebuild, and each half of a
 	// split starts at least a quarter full.
 	segSplit = segSize / 2
+
+	// A key chunk holds chunkKeys keys: 16 KiB, an exact allocator size
+	// class. An instance wastes at most one chunk's tail.
+	chunkShift = 9
+	chunkKeys  = 1 << chunkShift
+	chunkMask  = chunkKeys - 1
 )
 
 // dedupSeg is one open-addressed segment. meta[i] is the entry's hash
 // tag (high 32 bits) over its slot instance (low 32); 0 is an entry no
-// key has ever occupied, which ends a probe. The arrays are allocated
-// apart so each is an exact allocator size class and pointer-free.
+// key has ever occupied, which ends a probe. pos[i] is where the entry's
+// key sits in the chunk pool, meaningful only while its instance is
+// live. The arrays are allocated apart so each is an exact allocator
+// size class and pointer-free.
 type dedupSeg struct {
 	depth uint8
 	used  int32 // entries with meta != 0
 	meta  *[segSize]uint64
-	keys  *[segSize]netflow.PackedKey
+	pos   *[segSize]uint32
 }
 
 func newDedupSeg() *dedupSeg {
-	return &dedupSeg{meta: new([segSize]uint64), keys: new([segSize]netflow.PackedKey)}
+	return &dedupSeg{meta: new([segSize]uint64), pos: new([segSize]uint32)}
 }
 
 // dedupSeed keys the dedup hash for this process, so no exporter can
@@ -93,39 +135,51 @@ func hashKey(key netflow.PackedKey, ok bool) hashedKey {
 	return hashedKey{key: key, hash: maphash.Bytes(dedupSeed, key[:]), ok: ok}
 }
 
+// init empties the table, releasing every segment and key chunk.
 func (t *dedupTable) init() {
-	*t = dedupTable{dir: []*dedupSeg{newDedupSeg()}, spare: newDedupSeg(), base: 1}
+	*t = dedupTable{dir: []*dedupSeg{newDedupSeg()}, spare: newDedupSeg(), base: 1, free: -1}
 }
 
 // open registers a new slot instance and returns its id.
 func (t *dedupTable) open() uint32 {
-	if t.base+uint32(len(t.alive)) == 0 {
-		t.alive = append(t.alive, false) // burn id 0
+	if t.base+uint32(len(t.insts)) == 0 {
+		t.insts = append(t.insts, dedupInst{}) // burn id 0
 	}
-	t.alive = append(t.alive, true)
-	return t.base + uint32(len(t.alive)) - 1
+	t.insts = append(t.insts, dedupInst{live: true})
+	return t.base + uint32(len(t.insts)) - 1
 }
 
-// retire marks an instance evicted: from here on its entries are absent.
+// retire marks an instance evicted: from here on its entries are absent,
+// and its chunks go to the front of the free list.
 func (t *dedupTable) retire(inst uint32) {
-	t.alive[inst-t.base] = false
+	in := &t.insts[inst-t.base]
+	if in.n > 0 {
+		t.chunks[in.tail].next = t.free
+		t.free = in.head
+	}
+	*in = dedupInst{}
 	n := 0
-	for n < len(t.alive) && !t.alive[n] {
+	for n < len(t.insts) && !t.insts[n].live {
 		n++
 	}
-	t.alive = t.alive[:copy(t.alive, t.alive[n:])]
+	t.insts = t.insts[:copy(t.insts, t.insts[n:])]
 	t.base += uint32(n)
 }
 
 func (t *dedupTable) live(inst uint32) bool {
 	i := inst - t.base // wraps high for an instance below base
-	return i < uint32(len(t.alive)) && t.alive[i]
+	return i < uint32(len(t.insts)) && t.insts[i].live
+}
+
+// key returns the key at pool position p.
+func (t *dedupTable) key(p uint32) *netflow.PackedKey {
+	return &t.chunks[p>>chunkShift].keys[p&chunkMask]
 }
 
 // claim reports whether a live instance already holds hk's key; if none
-// does, it records the key under inst. A key occupies at most one entry:
-// the probe runs to the end of the key's path before anything is
-// written, and a dead entry for the same key is taken over in place.
+// does, it records the key under inst. A key occupies at most one live
+// entry: the probe runs to the end of the key's path before anything is
+// written, and the new entry takes the first dead one on the way.
 func (t *dedupTable) claim(hk *hashedKey, inst uint32) (dup bool) {
 	tag := uint32(hk.hash >> 32)
 	for {
@@ -136,12 +190,8 @@ func (t *dedupTable) claim(hk *hashedKey, inst uint32) (dup bool) {
 			if m == 0 {
 				break
 			}
-			if uint32(m>>32) == tag && seg.keys[i] == hk.key {
-				if t.live(uint32(m)) {
-					return true
-				}
-				free = int(i)
-				break
+			if uint32(m>>32) == tag && t.live(uint32(m)) && *t.key(seg.pos[i]) == hk.key {
+				return true
 			}
 			if free < 0 && !t.live(uint32(m)) {
 				free = int(i)
@@ -158,9 +208,36 @@ func (t *dedupTable) claim(hk *hashedKey, inst uint32) (dup bool) {
 			seg.used++
 		}
 		seg.meta[i] = uint64(tag)<<32 | uint64(inst)
-		seg.keys[i] = hk.key
+		seg.pos[i] = t.push(inst, &hk.key)
 		return false
 	}
+}
+
+// push appends k to inst's key list and returns its pool position,
+// taking a chunk from the free list, or allocating one, when the
+// instance's last chunk is full.
+func (t *dedupTable) push(inst uint32, k *netflow.PackedKey) uint32 {
+	in := &t.insts[inst-t.base]
+	off := in.n & chunkMask
+	if off == 0 {
+		c := t.free
+		if c < 0 {
+			c = int32(len(t.chunks))
+			t.chunks = append(t.chunks, keyChunk{keys: new([chunkKeys]netflow.PackedKey)})
+		} else {
+			t.free = t.chunks[c].next
+		}
+		t.chunks[c].next = -1
+		if in.n == 0 {
+			in.head = c
+		} else {
+			t.chunks[in.tail].next = c
+		}
+		in.tail = c
+	}
+	in.n++
+	t.chunks[in.tail].keys[off] = *k
+	return uint32(in.tail)<<chunkShift | off
 }
 
 // rebuild replaces a full segment — the one h routes to — with one
@@ -200,7 +277,7 @@ func (t *dedupTable) rebuild(old *dedupSeg, h uint64) {
 		for dst.meta[j] != 0 {
 			j = (j + 1) & segMask
 		}
-		dst.meta[j], dst.keys[j] = m, old.keys[i]
+		dst.meta[j], dst.pos[j] = m, old.pos[i]
 		dst.used++
 	}
 	span := 1 << (t.depth - old.depth) // directory entries that led to old
@@ -217,16 +294,14 @@ func (t *dedupTable) rebuild(old *dedupSeg, h uint64) {
 	t.spare = old
 }
 
-// each calls fn for every key a live instance holds, in no particular
-// order, with the instance's offset from t.base.
-func (t *dedupTable) each(fn func(slot int, k *netflow.PackedKey)) {
-	for i := 0; i < len(t.dir); {
-		seg := t.dir[i]
-		for j, m := range seg.meta {
-			if m != 0 && t.live(uint32(m)) {
-				fn(int(uint32(m)-t.base), &seg.keys[j])
-			}
-		}
-		i += 1 << (t.depth - seg.depth)
+// appendKeys appends the keys live instance inst holds to dst, in the
+// order it claimed them.
+func (t *dedupTable) appendKeys(dst []netflow.PackedKey, inst uint32) []netflow.PackedKey {
+	in := &t.insts[inst-t.base]
+	for c, n := in.head, in.n; n > 0; c = t.chunks[c].next {
+		k := min(n, chunkKeys)
+		dst = append(dst, t.chunks[c].keys[:k]...)
+		n -= k
 	}
+	return dst
 }

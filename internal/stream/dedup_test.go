@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,14 +19,16 @@ import (
 
 // TestDedupTableMatchesModel runs the table against a map from key to
 // owning instance through growth (splits, directory doublings),
-// retirement, in-place takeover of dead entries and compaction, and
-// checks after every phase that each() lists exactly the live keys.
+// retirement, dead entries reused by the next keys on their paths
+// (including a dead key claimed again, now new) and compaction, and
+// checks after every phase that the table's live entries and its key
+// lists hold exactly the live keys (checkDedupTable).
 func TestDedupTableMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var tab dedupTable
 	tab.init()
-	model := map[netflow.PackedKey]uint32{} // key → instance, live or not
-	live := map[uint32]bool{}
+	model := map[netflow.PackedKey]uint32{}     // key → instance, live or not
+	claimed := map[uint32][]netflow.PackedKey{} // live instance → its keys in claim order
 	var insts []uint32
 	key := func(n uint32) hashedKey {
 		return hashKey(netflow.FlowKey{
@@ -35,7 +38,7 @@ func TestDedupTableMatchesModel(t *testing.T) {
 	next := uint32(0)
 	for round := 0; round < 60; round++ {
 		inst := tab.open()
-		insts, live[inst] = append(insts, inst), true
+		insts, claimed[inst] = append(insts, inst), []netflow.PackedKey{}
 		for i := 0; i < 3000; i++ {
 			n := next
 			if rng.Intn(3) == 0 && next > 0 {
@@ -45,12 +48,14 @@ func TestDedupTableMatchesModel(t *testing.T) {
 			}
 			hk := key(n)
 			owner, known := model[hk.key]
-			wantDup := known && live[owner]
+			_, live := claimed[owner]
+			wantDup := known && live
 			if got := tab.claim(&hk, inst); got != wantDup {
 				t.Fatalf("round %d: claim(key %d) = %v, model says %v", round, n, got, wantDup)
 			}
 			if !wantDup {
 				model[hk.key] = inst
+				claimed[inst] = append(claimed[inst], hk.key)
 			}
 		}
 		// Retire out of order now and then, like a clock that stepped.
@@ -60,26 +65,10 @@ func TestDedupTableMatchesModel(t *testing.T) {
 				i = rng.Intn(len(insts))
 			}
 			tab.retire(insts[i])
-			delete(live, insts[i])
+			delete(claimed, insts[i])
 			insts = append(insts[:i], insts[i+1:]...)
 		}
-		want := 0
-		for _, owner := range model {
-			if live[owner] {
-				want++
-			}
-		}
-		got := 0
-		tab.each(func(slot int, k *netflow.PackedKey) {
-			got++
-			if owner := model[*k]; owner != tab.base+uint32(slot) || !live[owner] {
-				t.Fatalf("round %d: each() lists a key under instance %d, model has %d (live %v)",
-					round, tab.base+uint32(slot), owner, live[owner])
-			}
-		})
-		if got != want {
-			t.Fatalf("round %d: each() lists %d keys, model has %d live", round, got, want)
-		}
+		checkDedupTable(t, fmt.Sprintf("round %d", round), &tab, claimed)
 	}
 	if tab.depth < 3 {
 		t.Fatalf("directory depth %d: the run never grew the table", tab.depth)
@@ -88,6 +77,75 @@ func TestDedupTableMatchesModel(t *testing.T) {
 	// keys each fit in 12 000/(segSize/4) segments however long the run.
 	if max := 12000 / (segSize / 4); len(tab.dir) > 2*max {
 		t.Fatalf("%d directory entries for ≤ 12 000 live keys; want ≤ %d", len(tab.dir), 2*max)
+	}
+	// Nor may key chunks: each live instance holds at most 3 000/chunkKeys
+	// of them, rounded up, and a retired one's are reused.
+	if max := 5 * (3000/chunkKeys + 1); len(tab.chunks) > max {
+		t.Fatalf("%d key chunks for ≤ 5 live instances; want ≤ %d", len(tab.chunks), max)
+	}
+}
+
+// checkDedupTable fails unless tab's live entries are exactly the keys
+// of claimed (live instance → its keys in claim order), each once, under
+// its instance and tagged with its hash; every live instance's key list
+// is its keys in claim order; and every key chunk is on exactly one
+// list, a live instance's or the free list.
+func checkDedupTable(t *testing.T, where string, tab *dedupTable, claimed map[uint32][]netflow.PackedKey) {
+	t.Helper()
+	entries := map[netflow.PackedKey]uint32{}
+	for i := 0; i < len(tab.dir); {
+		seg := tab.dir[i]
+		for j, m := range seg.meta {
+			if m == 0 || !tab.live(uint32(m)) {
+				continue
+			}
+			k := *tab.key(seg.pos[j])
+			if owner, twice := entries[k]; twice {
+				t.Fatalf("%s: key %x has live entries under instances %d and %d", where, k, owner, uint32(m))
+			}
+			if hk := hashKey(k, true); uint32(hk.hash>>32) != uint32(m>>32) {
+				t.Fatalf("%s: entry tagged %08x points at key %x, whose tag is %08x", where, uint32(m>>32), k, uint32(hk.hash>>32))
+			}
+			entries[k] = uint32(m)
+		}
+		i += 1 << (tab.depth - seg.depth)
+	}
+	onList := make([]bool, len(tab.chunks))
+	mark := func(c int32) {
+		if onList[c] {
+			t.Fatalf("%s: key chunk %d is on two lists", where, c)
+		}
+		onList[c] = true
+	}
+	want := 0
+	for inst, keys := range claimed {
+		want += len(keys)
+		for _, k := range keys {
+			if entries[k] != inst {
+				t.Fatalf("%s: key %x of live instance %d has its live entry under %d", where, k, inst, entries[k])
+			}
+		}
+		if got := tab.appendKeys(nil, inst); !slices.Equal(got, keys) {
+			t.Fatalf("%s: instance %d lists %d keys, claimed %d (or in another order)", where, inst, len(got), len(keys))
+		}
+		in := tab.insts[inst-tab.base]
+		c := in.head
+		for left := len(keys); left > 0; left -= chunkKeys {
+			mark(c)
+			if left <= chunkKeys && (c != in.tail || tab.chunks[c].next != -1) {
+				t.Fatalf("%s: instance %d's list does not end at its tail", where, inst)
+			}
+			c = tab.chunks[c].next
+		}
+	}
+	if len(entries) != want {
+		t.Fatalf("%s: %d live entries, model has %d live keys", where, len(entries), want)
+	}
+	for c := tab.free; c >= 0; c = tab.chunks[c].next {
+		mark(c)
+	}
+	if i := slices.Index(onList, false); i >= 0 {
+		t.Fatalf("%s: key chunk %d is on no list", where, i)
 	}
 }
 
@@ -133,7 +191,8 @@ func TestWindowEmptySlotSurvives(t *testing.T) {
 }
 
 // TestWindowDrainReleasesTable: the table keeps its high-water size while
-// any slot is live and is given back whole once the window drains.
+// any slot is live and is given back whole, key chunks and all, once the
+// window drains.
 func TestWindowDrainReleasesTable(t *testing.T) {
 	l := newIngestLoad(t, 2, 100)
 	if len(l.w.seen.dir) < 4 {
@@ -141,12 +200,83 @@ func TestWindowDrainReleasesTable(t *testing.T) {
 	}
 	now := l.w.now().Add(time.Hour)
 	l.w.now = func() time.Time { return now }
-	if _, _, _, live := l.w.Stats(); live != 0 || len(l.w.seen.dir) != 1 || l.w.seen.dir[0].used != 0 {
-		t.Fatalf("after draining: %d live slots, %d directory entries", live, len(l.w.seen.dir))
+	if _, _, _, live := l.w.Stats(); live != 0 || len(l.w.seen.dir) != 1 || l.w.seen.dir[0].used != 0 || len(l.w.seen.chunks) != 0 {
+		t.Fatalf("after draining: %d live slots, %d directory entries, %d key chunks", live, len(l.w.seen.dir), len(l.w.seen.chunks))
 	}
 	l.w.Ingest(netflow.Header{}, l.loaded[0])
 	if _, dups, _, _ := l.w.Stats(); dups != 0 {
 		t.Fatalf("%d duplicates on re-ingest into a drained window", dups)
+	}
+}
+
+// TestWindowRotationReusesKeyChunks: a window rotating through its slots
+// at a steady rate files each new slot's keys in the chunks the slot it
+// replaced gave back, so once warm it allocates no key chunk per slot.
+func TestWindowRotationReusesKeyChunks(t *testing.T) {
+	const slots, perSlot = 4, 50 // 1 500 keys, three chunks, a slot
+	l := newIngestLoad(t, slots, perSlot)
+	warm := len(l.w.seen.chunks)
+	if want := slots * (perSlot*netflow.MaxRecordsPerPacket/chunkKeys + 1); warm != want {
+		t.Fatalf("%d key chunks for %d slots of %d keys, want %d", warm, slots, perSlot*netflow.MaxRecordsPerPacket, want)
+	}
+	recs := l.datagram()
+	now := l.w.now()
+	l.w.now = func() time.Time { return now }
+	for s := 1; s <= 3*slots; s++ {
+		now = now.Add(time.Minute)
+		for d := 0; d < perSlot; d++ {
+			l.fill(recs)
+			l.w.Ingest(netflow.Header{}, recs)
+		}
+		if got := len(l.w.seen.chunks); got != warm {
+			t.Fatalf("slot %d of the rotation: %d key chunks, want the warm window's %d", s, got, warm)
+		}
+	}
+	if _, dups, _, live := l.w.Stats(); dups != 0 || live != slots {
+		t.Fatalf("%d duplicates, %d live slots: the rotation did not run as claimed", dups, live)
+	}
+}
+
+// TestDedupHeapPerKey is the dedup table's memory budget: heap bytes per
+// live key, entries and keys together, for one instance of random keys.
+// At 100 000 keys the segments have just split (the table at its
+// emptiest, 12-byte entries over fill ≈ 0.4); at 177 000, the ingest
+// window of the benchmark's fresh_keys workload, they are ≈ 0.68 full.
+func TestDedupHeapPerKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates more bytes for the same objects")
+	}
+	for _, c := range []struct {
+		keys int
+		max  float64
+	}{{100_000, 62}, {177_000, 52}} {
+		rng := rand.New(rand.NewSource(int64(c.keys)))
+		keys := make([]hashedKey, c.keys)
+		for i := range keys {
+			var k netflow.PackedKey
+			rng.Read(k[:])
+			keys[i] = hashKey(k, true)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		tab := new(dedupTable)
+		tab.init()
+		inst := tab.open()
+		for i := range keys {
+			if tab.claim(&keys[i], inst) {
+				t.Fatalf("random key %d claimed twice", i)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(tab)
+		runtime.KeepAlive(keys) // or its release offsets the table
+		perKey := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / float64(c.keys)
+		t.Logf("%d keys: %.1f heap bytes per key, %d segments", c.keys, perKey, len(tab.dir))
+		if perKey > c.max {
+			t.Errorf("%d keys cost %.1f heap bytes each, budget %g", c.keys, perKey, c.max)
+		}
 	}
 }
 
@@ -351,8 +481,8 @@ func newIngestLoad(tb testing.TB, slots, perSlot int) *ingestLoad {
 // duplicates.
 func TestWindowIngestAllocs(t *testing.T) {
 	// One slot of 30 000 keys has aged out of a two-slot window, so the
-	// table is grown and the fresh keys below take over dead entries —
-	// the steady state of a rotating window.
+	// table is grown and the fresh keys below take over dead entries and
+	// the key chunks it gave back — the steady state of a rotating window.
 	l := newIngestLoad(t, 2, 1000)
 	now := l.w.now().Add(time.Minute)
 	l.w.now = func() time.Time { return now }

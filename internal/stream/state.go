@@ -50,20 +50,18 @@ func (w *Window) Export() WindowState {
 		Dropped:    w.dropped,
 		Slots:      make([]SlotState, 0, len(w.slots)),
 	}
-	// One pass over the table deals every live key to its slot instance;
-	// packed keys sort bytewise into the export order (netflow.PackedKey).
-	seen := make([][]netflow.PackedKey, len(w.seen.alive))
-	w.seen.each(func(slot int, k *netflow.PackedKey) {
-		seen[slot] = append(seen[slot], *k)
-	})
 	idxs := make([]int64, 0, len(w.slots))
 	for idx := range w.slots {
 		idxs = append(idxs, idx)
 	}
 	slices.Sort(idxs)
+	// Each slot's keys are copied out of its key list into one reused
+	// buffer; packed keys sort bytewise into the export order
+	// (netflow.PackedKey).
+	var keys []netflow.PackedKey
 	for _, idx := range idxs {
 		s := w.slots[idx]
-		keys := seen[s.inst-w.seen.base]
+		keys = w.seen.appendKeys(keys[:0], s.inst)
 		slices.SortFunc(keys, func(a, b netflow.PackedKey) int { return bytes.Compare(a[:], b[:]) })
 		ss := SlotState{
 			Index: idx,

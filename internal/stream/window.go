@@ -54,7 +54,8 @@ var _ netflow.Sink = (*Window)(nil)
 
 // slot holds one slot's partial aggregates, in a slice the merge reads
 // straight through and a map from bucket code to position; inst names it
-// in the dedup table, whose entries it owns until it is evicted.
+// in the dedup table, whose entries and key chunks it owns until it is
+// evicted.
 type slot struct {
 	inst  uint32
 	aggs  []slotAgg
@@ -143,7 +144,7 @@ func (w *Window) slotIndex(t time.Time) int64 {
 
 // evictLocked drops slots that have aged out of the window ending at the
 // current slot cur. A slot's dedup keys go with it at the cost of one
-// flag (dedupTable.retire), whatever their number.
+// flag and one list splice (dedupTable.retire), whatever their number.
 func (w *Window) evictLocked(cur int64) {
 	for idx, s := range w.slots {
 		if idx <= cur-int64(w.numSlots) {

@@ -103,6 +103,11 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncBatch).
 	Sync SyncMode
+	// OnSyncError, when set, is handed the error of each fsync the
+	// background syncer saw fail — the one failure with no caller to
+	// return it to. It runs on the syncer's goroutine, outside the log's
+	// lock.
+	OnSyncError func(error)
 }
 
 // Position addresses a byte boundary in the log: the start of segment
@@ -131,7 +136,7 @@ type Stats struct {
 	Fsyncs uint64
 	// SyncErrors counts fsyncs the background syncer saw fail; it has no
 	// caller to return them to (inline failures come back from Append,
-	// Sync and Close).
+	// Sync and Close), so each also goes to Options.OnSyncError.
 	SyncErrors uint64
 	FsyncP50Ns int64
 	FsyncP99Ns int64
@@ -416,7 +421,6 @@ func (l *Log) syncBatch() {
 	err := f.Sync()
 	took := time.Since(start)
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	switch {
 	case err == nil:
 		l.fsyncs++
@@ -426,6 +430,12 @@ func (l *Log) syncBatch() {
 		}
 	case l.seg == seg && !l.closed:
 		l.syncErr++ // the log stays dirty: the next Sync or Close retries and reports
+	default:
+		err = nil // the segment was rotated or closed, and fsynced there
+	}
+	l.mu.Unlock()
+	if err != nil && l.opts.OnSyncError != nil {
+		l.opts.OnSyncError(fmt.Errorf("wal: background fsync: %w", err))
 	}
 }
 
