@@ -12,7 +12,8 @@
 #                        (cmd/tierd/testdata/parent-shards4), and the
 #                        dedup table and WAL replay that recovery
 #                        rebuilds the window through (internal/stream's
-#                        TestDedupTableMatchesModel and
+#                        TestDedupTableMatchesModel,
+#                        TestDedupGenerationWrap and
 #                        TestWindowMatchesReference, and every
 #                        internal/wal test with Replay in its name).
 #   ./ci.sh tenants    — multi-tenant gate alone: fleet-vs-solo tier
@@ -128,9 +129,10 @@ recover() {
     echo "==> recover stage: go test -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd"
     go test -count=1 -run 'TestRecoveryParentShards4|TestWarmRepriceAfterLongDowntime' ./cmd/tierd
     # Recovery replays the WAL through the window's ingest path, so the
-    # dedup table's claim path is part of what it restores.
-    echo "==> recover stage: go test -run 'TestDedupTableMatchesModel|TestWindowMatchesReference' ./internal/stream"
-    go test -count=1 -run 'TestDedupTableMatchesModel|TestWindowMatchesReference' ./internal/stream
+    # dedup table's claim path, and a key chunk's generation wrapping
+    # under it, are part of what it restores.
+    echo "==> recover stage: go test -run 'TestDedupTableMatchesModel|TestDedupGenerationWrap|TestWindowMatchesReference' ./internal/stream"
+    go test -count=1 -run 'TestDedupTableMatchesModel|TestDedupGenerationWrap|TestWindowMatchesReference' ./internal/stream
     echo "==> recover stage: go test -run 'Replay' ./internal/wal"
     go test -count=1 -run 'Replay' ./internal/wal
 }

@@ -110,7 +110,7 @@ var exposition = []struct {
 		{"tierd_ingest_routed_packets_total", "Export datagrams routed to the tenant.", "counter", func(v *view) any { return v.ingest.Packets }},
 		{"tierd_ingest_records_total", "Flow records ingested into the window.", "counter", func(v *view) any { return v.ingest.Records }},
 		{"tierd_ingest_duplicates_total", "Cross-router duplicates suppressed.", "counter", func(v *view) any { return v.ingest.Duplicates }},
-		{"tierd_ingest_dropped_total", "Records with no aggregation bucket.", "counter", func(v *view) any { return v.ingest.Dropped }},
+		{"tierd_ingest_dropped_total", "Records dropped: no dedup key, no aggregation bucket, or the dedup key pool at its bound.", "counter", func(v *view) any { return v.ingest.Dropped }},
 	}},
 	{func(v *view) bool { return v.sched != nil }, []family{
 		{"tierd_sched_queue_depth", "Reprice jobs queued (bounded by the tenant count).", "gauge", func(v *view) any { return v.sched.QueueDepth }},

@@ -17,28 +17,73 @@ import (
 	"tieredpricing/internal/traces"
 )
 
-// TestDedupTableMatchesModel runs the table against a map from key to
-// owning instance through growth (splits, directory doublings),
-// retirement, dead entries reused by the next keys on their paths
-// (including a dead key claimed again, now new) and compaction, and
-// checks after every phase that the table's live entries and its key
-// lists hold exactly the live keys (checkDedupTable).
+// dedupModel is the dedup table's reference: the instance each key was
+// last claimed under, and each live instance's keys in claim order.
+type dedupModel struct {
+	owner   map[netflow.PackedKey]uint32
+	claimed map[uint32][]netflow.PackedKey
+}
+
+func newDedupModel() *dedupModel {
+	return &dedupModel{owner: map[netflow.PackedKey]uint32{}, claimed: map[uint32][]netflow.PackedKey{}}
+}
+
+func (m *dedupModel) open(tab *dedupTable) uint32 {
+	inst := tab.open()
+	m.claimed[inst] = []netflow.PackedKey{}
+	return inst
+}
+
+func (m *dedupModel) retire(tab *dedupTable, inst uint32) {
+	tab.retire(inst)
+	delete(m.claimed, inst)
+}
+
+// claim claims hk under inst in tab and fails unless the table answers
+// as the model does: a duplicate exactly when a live instance holds the
+// key.
+func (m *dedupModel) claim(t *testing.T, where string, tab *dedupTable, hk hashedKey, inst uint32) {
+	t.Helper()
+	owner, known := m.owner[hk.key]
+	_, live := m.claimed[owner]
+	want := claimNew
+	if known && live {
+		want = claimDup
+	}
+	if got := tab.claim(&hk, inst); got != want {
+		t.Fatalf("%s: claim(%x) = %d, model says %d (new %d, duplicate %d)", where, hk.key, got, want, claimNew, claimDup)
+	}
+	if want == claimNew {
+		m.owner[hk.key] = inst
+		m.claimed[inst] = append(m.claimed[inst], hk.key)
+	}
+}
+
+// seqKey is the n-th key of the dedup table tests.
+func seqKey(n uint32) hashedKey {
+	return hashKey(netflow.FlowKey{
+		SrcAddr: netip.AddrFrom4([4]byte{10, 0, 0, 1}), DstAddr: netip.AddrFrom4([4]byte{10, 0, 0, 2}), Sequence: n,
+	}.Pack())
+}
+
+// TestDedupTableMatchesModel runs the table against the model through
+// growth (splits, directory doublings), retirement, dead entries reused
+// by the next keys on their paths (including a dead key claimed again,
+// now new) and compaction, and checks after every phase that the table's
+// live entries and its key lists hold exactly the live keys
+// (checkDedupTable). A chunk is taken at most once a round, so in 60
+// rounds no generation wraps and no stale entry may read live.
 func TestDedupTableMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var tab dedupTable
 	tab.init()
-	model := map[netflow.PackedKey]uint32{}     // key → instance, live or not
-	claimed := map[uint32][]netflow.PackedKey{} // live instance → its keys in claim order
+	model := newDedupModel()
 	var insts []uint32
-	key := func(n uint32) hashedKey {
-		return hashKey(netflow.FlowKey{
-			SrcAddr: netip.AddrFrom4([4]byte{10, 0, 0, 1}), DstAddr: netip.AddrFrom4([4]byte{10, 0, 0, 2}), Sequence: n,
-		}.Pack())
-	}
 	next := uint32(0)
 	for round := 0; round < 60; round++ {
-		inst := tab.open()
-		insts, claimed[inst] = append(insts, inst), []netflow.PackedKey{}
+		where := fmt.Sprintf("round %d", round)
+		inst := model.open(&tab)
+		insts = append(insts, inst)
 		for i := 0; i < 3000; i++ {
 			n := next
 			if rng.Intn(3) == 0 && next > 0 {
@@ -46,17 +91,7 @@ func TestDedupTableMatchesModel(t *testing.T) {
 			} else {
 				next++
 			}
-			hk := key(n)
-			owner, known := model[hk.key]
-			_, live := claimed[owner]
-			wantDup := known && live
-			if got := tab.claim(&hk, inst); got != wantDup {
-				t.Fatalf("round %d: claim(key %d) = %v, model says %v", round, n, got, wantDup)
-			}
-			if !wantDup {
-				model[hk.key] = inst
-				claimed[inst] = append(claimed[inst], hk.key)
-			}
+			model.claim(t, where, &tab, seqKey(n), inst)
 		}
 		// Retire out of order now and then, like a clock that stepped.
 		for len(insts) > 4 || (len(insts) > 1 && rng.Intn(4) == 0) {
@@ -64,11 +99,12 @@ func TestDedupTableMatchesModel(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				i = rng.Intn(len(insts))
 			}
-			tab.retire(insts[i])
-			delete(claimed, insts[i])
+			model.retire(&tab, insts[i])
 			insts = append(insts[:i], insts[i+1:]...)
 		}
-		checkDedupTable(t, fmt.Sprintf("round %d", round), &tab, claimed)
+		if stale := checkDedupTable(t, where, &tab, model.claimed); stale != 0 {
+			t.Fatalf("%s: %d stale entries read live, and no generation has wrapped", where, stale)
+		}
 	}
 	if tab.depth < 3 {
 		t.Fatalf("directory depth %d: the run never grew the table", tab.depth)
@@ -85,31 +121,114 @@ func TestDedupTableMatchesModel(t *testing.T) {
 	}
 }
 
-// checkDedupTable fails unless tab's live entries are exactly the keys
-// of claimed (live instance → its keys in claim order), each once, under
-// its instance and tagged with its hash; every live instance's key list
-// is its keys in claim order; and every key chunk is on exactly one
-// list, a live instance's or the free list.
-func checkDedupTable(t *testing.T, where string, tab *dedupTable, claimed map[uint32][]netflow.PackedKey) {
-	t.Helper()
-	entries := map[netflow.PackedKey]uint32{}
-	for i := 0; i < len(tab.dir); {
-		seg := tab.dir[i]
-		for j, m := range seg.meta {
-			if m == 0 || !tab.live(uint32(m)) {
-				continue
-			}
-			k := *tab.key(seg.pos[j])
-			if owner, twice := entries[k]; twice {
-				t.Fatalf("%s: key %x has live entries under instances %d and %d", where, k, owner, uint32(m))
-			}
-			if hk := hashKey(k, true); uint32(hk.hash>>32) != uint32(m>>32) {
-				t.Fatalf("%s: entry tagged %08x points at key %x, whose tag is %08x", where, uint32(m>>32), k, uint32(hk.hash>>32))
-			}
-			entries[k] = uint32(m)
+// TestDedupGenerationWrap takes one key chunk through 260 tenures — one
+// instance at a time, each claiming one key, so chunk 0 is taken every
+// time — while entries of its first tenure stay behind in a segment
+// nothing rebuilds. At tenure 256 the chunk's 8-bit generation is its
+// first tenure's again. Then k0's stale entry points past the new fill
+// and k0 is claimed fresh; f2's and f3's stale entries read live, each
+// pointing at another key, and answer nothing. The model is the judge
+// throughout. A table without the fill check answers k0 as a duplicate;
+// one without the chunk-live check answers f1 as one at tenure 2, before
+// its chunk is taken again.
+func TestDedupGenerationWrap(t *testing.T) {
+	var tab dedupTable
+	tab.init()
+	model := newDedupModel()
+	// Four keys whose home positions are at least four apart, so no probe
+	// for one passes another's entry.
+	var keys []hashedKey
+	home := func(hk hashedKey) int { return int(hk.hash>>tagShift) & segMask }
+	for n := uint32(0); len(keys) < 4; n++ {
+		hk := seqKey(n)
+		if !slices.ContainsFunc(keys, func(k hashedKey) bool {
+			d := (home(hk) - home(k)) & segMask
+			return d < 4 || d > segSize-4
+		}) {
+			keys = append(keys, hk)
 		}
-		i += 1 << (tab.depth - seg.depth)
 	}
+	f1, f2, f3, k0 := keys[0], keys[1], keys[2], keys[3]
+	seg := tab.dir[0]
+
+	first := model.open(&tab)
+	for _, hk := range keys { // positions 0–3 of chunk 0, generation 1
+		model.claim(t, "tenure 1", &tab, hk, first)
+	}
+	model.retire(&tab, first)
+	stale0 := seg.ent[home(k0)]
+	if stale0>>tagShift != k0.hash>>tagShift || uint32(stale0)&posMask != 3 || uint8(stale0>>posBits) != 1 {
+		t.Fatalf("k0's entry is %016x; want its tag over generation 1, position 3", stale0)
+	}
+	for tenure := 2; tenure <= 260; tenure++ {
+		where := fmt.Sprintf("tenure %d", tenure)
+		inst := model.open(&tab)
+		model.claim(t, where, &tab, f1, inst) // new: its last instance is retired
+		wantGen := uint8(tenure)
+		if tenure >= 256 {
+			wantGen++ // generations skip 0
+		}
+		if c := tab.chunks[0]; c.n != 1 || c.gen != wantGen {
+			t.Fatalf("%s: chunk 0 holds %d keys at generation %d, want 1 at %d", where, c.n, c.gen, wantGen)
+		}
+		if tenure == 256 {
+			if seg.ent[home(k0)] != stale0 {
+				t.Fatalf("%s: k0's stale entry is gone; the test needs it to survive the wrap", where)
+			}
+			model.claim(t, where, &tab, k0, inst) // new: its stale entry points past the fill
+			// f2's entry (position 1) now reads live, and points at k0.
+			if stale := checkDedupTable(t, where+", k0 claimed", &tab, model.claimed); stale != 1 {
+				t.Fatalf("%s: %d stale entries read live after k0's claim, want f2's", where, stale)
+			}
+			for _, hk := range []hashedKey{f2, f3, k0, f2, f3} { // new, new, then duplicates
+				model.claim(t, where, &tab, hk, inst)
+			}
+			if stale := checkDedupTable(t, where+", f2 and f3 claimed", &tab, model.claimed); stale != 2 {
+				t.Fatalf("%s: %d stale entries read live, want f2's and f3's", where, stale)
+			}
+		} else if stale := checkDedupTable(t, where, &tab, model.claimed); stale != 0 {
+			t.Fatalf("%s: %d stale entries read live", where, stale)
+		}
+		model.retire(&tab, inst)
+	}
+	if tab.depth != 0 || tab.dir[0] != seg || len(tab.chunks) != 1 {
+		t.Fatalf("depth %d, %d key chunks, segment rebuilt %v: the run did not take one chunk round its generations in one segment",
+			tab.depth, len(tab.chunks), tab.dir[0] != seg)
+	}
+}
+
+// TestDedupKeyPoolBound: positions are never wrapped. A window whose key
+// pool is at its bound counts a new key as dropped, files no entry for
+// it and no aggregate, and so drops its resend too.
+func TestDedupKeyPoolBound(t *testing.T) {
+	w := mustWindow(t, time.Minute, 4)
+	now := time.Unix(1_700_000_000, 0)
+	w.now = func() time.Time { return now }
+	w.seen.chunks = make([]keyChunk, maxChunks) // every chunk on no list: none is free
+	for i := 1; i <= 2; i++ {
+		w.Ingest(netflow.Header{}, []netflow.Record{testRecord(0, 100)})
+		if records, dups, dropped, _ := w.Stats(); records != i || dups != 0 || dropped != i {
+			t.Fatalf("after %d records: %d records, %d duplicates, %d dropped; want each dropped", i, records, dups, dropped)
+		}
+	}
+	if used, aggs := w.seen.dir[0].used, w.Aggregates(); used != 0 || len(aggs) != 0 {
+		t.Fatalf("%d table entries, %d aggregates for keys the pool had no room for", used, len(aggs))
+	}
+}
+
+// checkDedupTable fails unless tab holds exactly the keys of claimed
+// (live instance → its keys in claim order), and returns how many stale
+// entries read live. Each live instance's key list is its keys in claim
+// order, in live chunks of a nonzero generation filled in order; every
+// key chunk is on exactly one list, a live instance's or the free list,
+// whose chunks are not live. An entry that reads live points at a live
+// instance's key and is genuine when it carries that key's tag and sits
+// in the segment the tag routes to; each live key has one genuine entry.
+// A second one at the same position, or an entry carrying another key's
+// tag, is stale: written in an earlier tenure whose generation the chunk
+// has wrapped back to.
+func checkDedupTable(t *testing.T, where string, tab *dedupTable, claimed map[uint32][]netflow.PackedKey) (stale int) {
+	t.Helper()
 	onList := make([]bool, len(tab.chunks))
 	mark := func(c int32) {
 		if onList[c] {
@@ -117,36 +236,70 @@ func checkDedupTable(t *testing.T, where string, tab *dedupTable, claimed map[ui
 		}
 		onList[c] = true
 	}
-	want := 0
+	held := map[uint32]bool{} // pool positions of live keys
 	for inst, keys := range claimed {
-		want += len(keys)
-		for _, k := range keys {
-			if entries[k] != inst {
-				t.Fatalf("%s: key %x of live instance %d has its live entry under %d", where, k, inst, entries[k])
-			}
-		}
 		if got := tab.appendKeys(nil, inst); !slices.Equal(got, keys) {
 			t.Fatalf("%s: instance %d lists %d keys, claimed %d (or in another order)", where, inst, len(got), len(keys))
 		}
 		in := tab.insts[inst-tab.base]
-		c := in.head
-		for left := len(keys); left > 0; left -= chunkKeys {
+		last, left := int32(-1), len(keys)
+		for c := in.head; c >= 0; c = tab.chunks[c].next {
 			mark(c)
-			if left <= chunkKeys && (c != in.tail || tab.chunks[c].next != -1) {
-				t.Fatalf("%s: instance %d's list does not end at its tail", where, inst)
+			ch := &tab.chunks[c]
+			if n := min(left, chunkKeys); !ch.live || ch.gen == 0 || int(ch.n) != n {
+				t.Fatalf("%s: instance %d's chunk %d (live %v, generation %d) holds %d keys; want live, generation ≥ 1, %d",
+					where, inst, c, ch.live, ch.gen, ch.n, n)
 			}
-			c = tab.chunks[c].next
+			for o := uint32(0); o < uint32(ch.n); o++ {
+				held[uint32(c)<<chunkShift|o] = true
+			}
+			left -= int(ch.n)
+			last = c
 		}
-	}
-	if len(entries) != want {
-		t.Fatalf("%s: %d live entries, model has %d live keys", where, len(entries), want)
+		if left != 0 || last != in.tail {
+			t.Fatalf("%s: instance %d's list does not end at its tail after its %d keys", where, inst, len(keys))
+		}
 	}
 	for c := tab.free; c >= 0; c = tab.chunks[c].next {
 		mark(c)
+		if tab.chunks[c].live {
+			t.Fatalf("%s: free key chunk %d is live", where, c)
+		}
 	}
 	if i := slices.Index(onList, false); i >= 0 {
 		t.Fatalf("%s: key chunk %d is on no list", where, i)
 	}
+	genuine := map[uint32]bool{}
+	for i := 0; i < len(tab.dir); {
+		seg := tab.dir[i]
+		span := 1 << (tab.depth - seg.depth)
+		for _, m := range seg.ent {
+			if m == 0 {
+				continue
+			}
+			if !tab.live(m) {
+				continue
+			}
+			p := uint32(m) & posMask
+			if !held[p] {
+				t.Fatalf("%s: entry %016x reads live at a position no live instance holds", where, m)
+			}
+			hk := hashKey(*tab.key(m), true)
+			if hk.hash>>tagShift != m>>tagShift || genuine[p] {
+				stale++
+				continue
+			}
+			if d := int(hk.hash >> (64 - tab.depth)); d < i || d >= i+span {
+				t.Fatalf("%s: key %x sits in the segment of directory entries %d–%d, its hash routes to %d", where, *tab.key(m), i, i+span-1, d)
+			}
+			genuine[p] = true
+		}
+		i += span
+	}
+	if len(genuine) != len(held) {
+		t.Fatalf("%s: %d keys have a live entry, live instances hold %d", where, len(genuine), len(held))
+	}
+	return stale
 }
 
 // TestWindowForgetsEvictedSlotOnClockStepBack pins slot instances: a slot
@@ -240,7 +393,7 @@ func TestWindowRotationReusesKeyChunks(t *testing.T) {
 // TestDedupHeapPerKey is the dedup table's memory budget: heap bytes per
 // live key, entries and keys together, for one instance of random keys.
 // At 100 000 keys the segments have just split (the table at its
-// emptiest, 12-byte entries over fill ≈ 0.4); at 177 000, the ingest
+// emptiest, 8-byte entries over fill ≈ 0.4); at 177 000, the ingest
 // window of the benchmark's fresh_keys workload, they are ≈ 0.68 full.
 func TestDedupHeapPerKey(t *testing.T) {
 	if raceEnabled {
@@ -249,7 +402,7 @@ func TestDedupHeapPerKey(t *testing.T) {
 	for _, c := range []struct {
 		keys int
 		max  float64
-	}{{100_000, 62}, {177_000, 52}} {
+	}{{100_000, 54}, {177_000, 47}} {
 		rng := rand.New(rand.NewSource(int64(c.keys)))
 		keys := make([]hashedKey, c.keys)
 		for i := range keys {
@@ -264,7 +417,7 @@ func TestDedupHeapPerKey(t *testing.T) {
 		tab.init()
 		inst := tab.open()
 		for i := range keys {
-			if tab.claim(&keys[i], inst) {
+			if tab.claim(&keys[i], inst) != claimNew {
 				t.Fatalf("random key %d claimed twice", i)
 			}
 		}

@@ -84,11 +84,11 @@ func (w *Window) Export() WindowState {
 // state. The state's slot geometry must match the window's — a window
 // restored under different -slot/-window flags would silently misfile
 // records, so the mismatch is an error instead. So is a dedup key the
-// table cannot hold as Export wrote it: an address that is not IPv4, or
-// a key listed twice. So is an aggregate the window's bucket rule would
-// not have filed under its key, judged by its endpoint sample. Slots
-// that have already aged out of the window (by the window's own clock)
-// are skipped rather than resurrected.
+// table cannot hold as Export wrote it: an address that is not IPv4, a
+// key listed twice, or one past the key pool's bound. So is an aggregate
+// the window's bucket rule would not have filed under its key, judged by
+// its endpoint sample. Slots that have already aged out of the window
+// (by the window's own clock) are skipped rather than resurrected.
 func (w *Window) Import(st WindowState) error {
 	if st.SlotNanos != int64(w.slotDur) {
 		return fmt.Errorf("stream: import slot duration %v does not match window %v",
@@ -123,8 +123,11 @@ func (w *Window) Import(st WindowState) error {
 				return fmt.Errorf("stream: import slot %d has a dedup key that is not IPv4 (%v > %v)",
 					ss.Index, key.SrcAddr, key.DstAddr)
 			}
-			if w.seen.claim(&hk, s.inst) {
+			switch w.seen.claim(&hk, s.inst) {
+			case claimDup:
 				return fmt.Errorf("stream: import has dedup key %+v twice", key)
+			case claimFull:
+				return fmt.Errorf("stream: import slot %d has more dedup keys than the table holds", ss.Index)
 			}
 		}
 		for i := range ss.Aggs {

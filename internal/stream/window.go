@@ -144,7 +144,7 @@ func (w *Window) slotIndex(t time.Time) int64 {
 
 // evictLocked drops slots that have aged out of the window ending at the
 // current slot cur. A slot's dedup keys go with it at the cost of one
-// flag and one list splice (dedupTable.retire), whatever their number.
+// pass over its key chunks and one list splice (dedupTable.retire).
 func (w *Window) evictLocked(cur int64) {
 	for idx, s := range w.slots {
 		if idx <= cur-int64(w.numSlots) {
@@ -188,8 +188,12 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record) {
 			w.dropped++ // not an IPv4 flow: nothing a v5 exporter sends
 			continue
 		}
-		if w.seen.claim(&hk, s.inst) {
+		switch w.seen.claim(&hk, s.inst) {
+		case claimDup:
 			w.duplicates++
+			continue
+		case claimFull:
+			w.dropped++ // the dedup key pool is at its bound
 			continue
 		}
 		code, ok := w.rule.Code(r)
@@ -250,7 +254,8 @@ func (w *Window) MergeHints() (hits, misses uint64) {
 }
 
 // Stats reports lifetime ingest counters (records seen, cross-router
-// duplicates suppressed, unkeyed records dropped) and the number of live
+// duplicates suppressed, records dropped because they have no key or no
+// bucket or the dedup key pool is at its bound) and the number of live
 // slots. Counters are lifetime, not windowed, so they are monotonic and
 // exportable as Prometheus counters.
 func (w *Window) Stats() (records, duplicates, dropped, liveSlots int) {
