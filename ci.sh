@@ -27,17 +27,20 @@
 #                        the bound is latency), tenant isolation under
 #                        the race detector, and the internal/tenant unit
 #                        suite.
-#   ./ci.sh history    — durable-history + hot-reload gate alone: the
+#   ./ci.sh history    — history + hot-reload gate alone: the
 #                        internal/histstore unit suite under the race
-#                        detector, the store/ring parity property test
-#                        and the SIGHUP reload-under-load test (zero
-#                        non-200 quote responses, monotone config
-#                        epochs) under -race, the idempotent-restore
-#                        double-append test, and the out-of-process
-#                        kill -9 + SIGHUP e2e (a real tierd with
-#                        -history-store and -config, reloaded, killed,
-#                        restarted; /v1/history must still serve epochs
-#                        older than the ring and every retained
+#                        detector; under -race too, the memory/file
+#                        store parity property test, the restart that
+#                        must not reuse an epoch, the /v1/history
+#                        bodies pinned byte for byte, and the SIGHUP
+#                        reload-under-load test (zero non-200 quote
+#                        responses, monotone config epochs); then the
+#                        idempotent back-fill test, the upgrade from a
+#                        checkpoint that carried history, and the
+#                        out-of-process kill -9 + SIGHUP e2e (a real
+#                        tierd with -history-store and -config,
+#                        reloaded, killed, restarted; /v1/history must
+#                        still serve epochs older than every retained
 #                        checkpoint) — each replayed at a pinned seed
 #                        (HISTORY_SEED, default 4242).
 #   ./ci.sh examples   — every examples/* program run with `go run`; a
@@ -97,7 +100,7 @@
 #                      seed in RECOVER_SEEDS, plus the dedup-table and
 #                      WAL-replay suites recovery rebuilds through
 #   9. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
-#  10. history stage — the durable-history + hot-reload gate (see
+#  10. history stage — the history + hot-reload gate (see
 #                      ./ci.sh history)
 #  11. docs stage    — the documentation lint (see ./ci.sh docs)
 #  12. examples      — every example runs to a zero exit and prints
@@ -156,12 +159,12 @@ history() {
     seed="${HISTORY_SEED:-4242}"
     echo "==> history stage: go test -race ./internal/histstore"
     go test -race -count=1 ./internal/histstore
-    echo "==> history stage: RECOVER_SEED=${seed} go test -race -run 'TestHistoryStoreRingParity|TestReloadUnderLoad|TestFleetHistoryNamespacing' ./cmd/tierd"
+    echo "==> history stage: RECOVER_SEED=${seed} go test -race -run 'TestHistoryStoreModeParity|TestHistoryEpochContinuity|TestHistoryBodiesPinned|TestReloadUnderLoad|TestFleetHistoryNamespacing' ./cmd/tierd"
     RECOVER_SEED="$seed" go test -race -count=1 \
-        -run 'TestHistoryStoreRingParity|TestReloadUnderLoad|TestFleetHistoryNamespacing' ./cmd/tierd
-    echo "==> history stage: RECOVER_SEED=${seed} go test -run 'TestHistoryRestoreDoubleAppend|TestTierdHistoryKill9Reload' ./cmd/tierd"
+        -run 'TestHistoryStoreModeParity|TestHistoryEpochContinuity|TestHistoryBodiesPinned|TestReloadUnderLoad|TestFleetHistoryNamespacing' ./cmd/tierd
+    echo "==> history stage: RECOVER_SEED=${seed} go test -run 'TestHistoryRestoreDoubleAppend|TestHistoryUpgradeBackfill|TestTierdHistoryKill9Reload' ./cmd/tierd"
     RECOVER_SEED="$seed" go test -count=1 \
-        -run 'TestHistoryRestoreDoubleAppend|TestTierdHistoryKill9Reload' ./cmd/tierd
+        -run 'TestHistoryRestoreDoubleAppend|TestHistoryUpgradeBackfill|TestTierdHistoryKill9Reload' ./cmd/tierd
 }
 
 docs() {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -24,9 +25,9 @@ const ckptRetain = 3
 
 // durability owns tierd's persistent state: the write-ahead log every
 // accepted datagram goes through and the periodic checkpoints that
-// bound replay time. The tier-table history ring it used to carry
-// lives in a histRecorder now (history.go); checkpoints embed the
-// recorder's ring so a restore still warms /v1/history instantly.
+// bound replay time. Tier-table history is not part of it: the
+// daemon's history store (history.go) keeps it, and a checkpoint
+// holds only the window, its WAL position and the two epochs.
 //
 // The central invariant is the pairing discipline: every datagram is
 // logged and applied to the window under one lock, mu, which the
@@ -73,9 +74,6 @@ type durability struct {
 	ckptErrs   atomic.Uint64
 	errsLogged atomic.Uint64
 
-	// hist is the engine's history recorder: checkpoints embed its ring
-	// and a restore seeds it back.
-	hist *histRecorder
 	// configEpoch reads the process-wide pricing-config generation for
 	// checkpoint framing.
 	configEpoch func() int64
@@ -90,13 +88,14 @@ type durability struct {
 // subsystem: window and repricer are restored (newest valid checkpoint
 // + WAL-tail replay through the window's own ingest path), the WAL is
 // open for appending at the recovered end, and tick is ready to run as
-// the daemon's checkpoint loop. A synthesised member passes dir =
+// the daemon's checkpoint loop. A checkpoint in the old format hands
+// the history it carries to backfill. A synthesised member passes dir =
 // cfg.dataDir and an empty tenantID (the original
 // <data-dir>/{wal,checkpoint} layout); a -tenants member passes its
 // namespace directory and ID, which stamps checkpoints so a namespace
 // mix-up is refused at boot.
 func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stream.Repricer,
-	rec *histRecorder, configEpoch func() int64) (*durability, error) {
+	backfill func(json.RawMessage), configEpoch func() int64) (*durability, error) {
 	d := &durability{
 		walDir:      filepath.Join(dir, "wal"),
 		ckptDir:     filepath.Join(dir, "checkpoint"),
@@ -105,7 +104,6 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 		now:         cfg.now,
 		window:      w,
 		repricer:    rp,
-		hist:        rec,
 		configEpoch: configEpoch,
 	}
 	if d.configEpoch == nil {
@@ -141,9 +139,7 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 		d.kept = append(make([]wal.Position, older), from)
 		rp.RestoreEpoch(st.Epoch)
 		d.restoredConfigEpoch = st.ConfigEpoch
-		if d.hist != nil {
-			d.hist.restore(st.History, st.Epoch)
-		}
+		backfill(st.History)
 		fmt.Fprintf(os.Stderr, "tierd: restored checkpoint %s (epoch %d, %d slots, wal %d/%d)\n",
 			filepath.Base(ckptPath), st.Epoch, len(st.Window.Slots), st.WAL.Segment, st.WAL.Offset)
 	}
@@ -231,7 +227,7 @@ func (d *durability) reportErrors() {
 
 // checkpoint takes one snapshot: WAL position and window state are
 // captured atomically under the pairing lock, framed with the serving
-// epoch and history ring, written atomically, and old checkpoints are
+// and config epochs, written atomically, and old checkpoints are
 // pruned, with the WAL segments wholly before the oldest retained one.
 func (d *durability) checkpoint() error {
 	d.mu.Lock()
@@ -243,9 +239,6 @@ func (d *durability) checkpoint() error {
 		ConfigEpoch: d.configEpoch()}
 	if snap := d.repricer.Current(); snap != nil {
 		st.Epoch = snap.Epoch
-	}
-	if d.hist != nil {
-		st.History = d.hist.checkpointEntries()
 	}
 
 	if _, err := checkpoint.Write(d.ckptDir, st); err != nil {
@@ -295,11 +288,12 @@ func (d *durability) close() error {
 
 // warmReprice publishes an initial snapshot from the recovered window
 // so a warm restart serves quotes (and 200s on /healthz) immediately
-// instead of waiting out the first re-price interval. A window with
-// nothing to price is not an error — a fresh data dir, one whose slots
-// all aged out while the daemon was down, or one whose records were all
-// duplicates or dropped — and the daemon warms up normally.
-func (d *durability) warmReprice(grace time.Duration) error {
+// instead of waiting out the first re-price interval, and returns it. A
+// window with nothing to price is not an error — a fresh data dir, one
+// whose slots all aged out while the daemon was down, or one whose
+// records were all duplicates or dropped — and the daemon warms up
+// normally (no snapshot, no error).
+func (d *durability) warmReprice(grace time.Duration) (*stream.Snapshot, error) {
 	ctx := context.Background()
 	if grace > 0 {
 		var cancel context.CancelFunc
@@ -308,13 +302,10 @@ func (d *durability) warmReprice(grace time.Duration) error {
 	}
 	snap, err := d.repricer.Reprice(ctx)
 	if errors.Is(err, stream.ErrEmptyWindow) {
-		return nil
+		return nil, nil
 	}
 	if err != nil {
-		return fmt.Errorf("warm re-price after recovery: %w", err)
+		return nil, fmt.Errorf("warm re-price after recovery: %w", err)
 	}
-	if d.hist != nil {
-		d.hist.record(snap)
-	}
-	return nil
+	return snap, nil
 }

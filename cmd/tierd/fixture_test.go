@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"tieredpricing/internal/checkpoint"
 	"tieredpricing/internal/faultinject"
+	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/traces"
 )
 
@@ -139,7 +141,7 @@ func TestWarmRepriceAfterLongDowntime(t *testing.T) {
 	if records, _, _, live := m.window.Stats(); records == 0 || live != 0 {
 		t.Fatalf("restored window holds %d records in %d live slots; want records, all aged out", records, live)
 	}
-	if err := m.durable.warmReprice(cfg.drainGrace); err != nil {
+	if _, err := m.durable.warmReprice(cfg.drainGrace); err != nil {
 		t.Fatalf("warm re-price of an aged-out window: %v", err)
 	}
 	if m.repricer.Current() != nil {
@@ -157,4 +159,61 @@ func mustMarshal(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestHistoryUpgradeBackfill boots on a data dir whose newest
+// checkpoint carries history in the old format (the sharded parent's,
+// rewritten with one history row that predates config epochs). The row
+// must be back-filled into <data-dir>/history.db and served with config
+// epoch 1, the warm re-price must follow it, and the next checkpoint
+// must carry no history.
+func TestHistoryUpgradeBackfill(t *testing.T) {
+	traceDir, dataDir, _ := restoreParentShards4(t)
+	ckptDir := filepath.Join(dataDir, "checkpoint")
+	st, _, err := checkpoint.LoadNewest(ckptDir)
+	if err != nil || st == nil {
+		t.Fatalf("fixture checkpoint: %v", err)
+	}
+	oldTable := json.RawMessage(`{"model":"ced","tiers":[]}`)
+	st.History = oldCheckpointHistory(t, []histstore.Entry{{
+		Epoch: st.Epoch, At: time.Unix(1_700_000_000, 0).UTC(), Table: oldTable,
+	}})
+	if _, err := checkpoint.Write(ckptDir, st); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := startDaemon(recoverConfig(traceDir, dataDir, faultinject.NewClock(parentShards4Clock).Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.abort()
+	var hist struct {
+		Entries []struct {
+			Epoch       int64           `json:"epoch"`
+			ConfigEpoch int64           `json:"config_epoch"`
+			Table       json.RawMessage `json:"table"`
+		} `json:"entries"`
+	}
+	if code := getJSON(t, "http://"+d.httpAddr()+"/v1/history", &hist); code != http.StatusOK {
+		t.Fatalf("/v1/history: %d", code)
+	}
+	if len(hist.Entries) != 2 {
+		t.Fatalf("/v1/history holds %d entries, want the back-filled row and the warm re-price's", len(hist.Entries))
+	}
+	if e := hist.Entries[0]; e.Epoch != st.Epoch || e.ConfigEpoch != 1 || !bytes.Equal(e.Table, oldTable) {
+		t.Fatalf("back-filled row is epoch %d, config epoch %d, table %s", e.Epoch, e.ConfigEpoch, e.Table)
+	}
+	if e := hist.Entries[1]; e.Epoch != st.Epoch+1 || !bytes.Equal(e.Table, tableBytes(t, d.httpAddr(), "/v1/tiers")) {
+		t.Fatalf("warm re-price row is epoch %d, want %d with the served table", e.Epoch, st.Epoch+1)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "history.db")); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := d.members[0].durable.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if next, _, err := checkpoint.LoadNewest(ckptDir); err != nil || next.History != nil {
+		t.Fatalf("a new checkpoint carries history %s (%v)", next.History, err)
+	}
 }

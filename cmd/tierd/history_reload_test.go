@@ -1,14 +1,16 @@
 package main
 
-// Durable history + hot-reload acceptance tests.
+// History + hot-reload acceptance tests.
 //
-// The recorder-level tests pin the store/ring contract: the in-memory
-// ring is a strict cache of the store's newest entries (parity under
-// random range queries), and the (tenant, epoch) append key makes
-// history immune to double-append when a crash restores an older
-// checkpoint. The daemon-level tests drive the zero-downtime reload
-// path under concurrent quote load (run with -race in CI) and the
-// out-of-process kill -9 + SIGHUP cycle against a real binary.
+// The store-level tests pin the history store's contract: a memory
+// store and a file store with the same row bound answer the same
+// (parity under random range queries), and the (tenant, epoch) append
+// key makes the back-fill of an old checkpoint's history immune to
+// double-append. The daemon-level tests drive the zero-downtime reload
+// path under concurrent quote load (run with -race in CI), a restart
+// that must not reuse an epoch, the upgrade from a checkpoint that
+// carried history, and the out-of-process kill -9 + SIGHUP cycle
+// against a real binary.
 
 import (
 	"bytes"
@@ -30,7 +32,6 @@ import (
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/faultinject"
 	"tieredpricing/internal/histstore"
-	"tieredpricing/internal/server"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/traces"
 )
@@ -48,9 +49,9 @@ func fakeTableSnap(epoch int64, price float64, at time.Time) *stream.Snapshot {
 	}
 }
 
-func openTestStore(t *testing.T, path string) *histstore.Store {
+func openTestStore(t *testing.T, path string, opts histstore.Options) *histstore.Store {
 	t.Helper()
-	st, err := histstore.Open(path, histstore.Options{FlushInterval: -1})
+	st, err := histstore.Open(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +62,8 @@ func openTestStore(t *testing.T, path string) *histstore.Store {
 // refFilterHistory is the reference since/until/limit semantics:
 // inclusive epoch bounds (0 = unbounded), newest-limit kept,
 // oldest-first order.
-func refFilterHistory(all []server.HistoryEntry, since, until int64, limit int) []server.HistoryEntry {
-	var out []server.HistoryEntry
+func refFilterHistory(all []histstore.Entry, since, until int64, limit int) []histstore.Entry {
+	var out []histstore.Entry
 	for _, e := range all {
 		if since != 0 && e.Epoch < since {
 			continue
@@ -78,147 +79,184 @@ func refFilterHistory(all []server.HistoryEntry, since, until int64, limit int) 
 	return out
 }
 
-func histEntriesEqual(t *testing.T, label string, got, want []server.HistoryEntry) {
+func histEntriesEqual(t *testing.T, label string, got, want []histstore.Entry) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d entries, want %d", label, len(got), len(want))
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.Epoch != w.Epoch || g.ConfigEpoch != w.ConfigEpoch || !g.At.Equal(w.At) ||
+		if g.Tenant != w.Tenant || g.Epoch != w.Epoch || g.ConfigEpoch != w.ConfigEpoch || !g.At.Equal(w.At) ||
 			string(g.Table) != string(w.Table) {
 			t.Fatalf("%s: entry %d diverges:\ngot  %+v\nwant %+v", label, i, g, w)
 		}
 	}
 }
 
-// TestHistoryStoreRingParity is the store-vs-ring property test: after
-// recording a long series, a store-backed recorder answers every query
-// from the store, a ring-only recorder holds exactly the store's newest
-// window, and seeded random range queries against both must match a
-// reference filter over the series each one holds.
-func TestHistoryStoreRingParity(t *testing.T) {
-	const total, ringMax = 600, 64
-	store := openTestStore(t, filepath.Join(t.TempDir(), "history.db"))
-	rec := newHistRecorder("default", ringMax, store, nil)
-	ringOnly := newHistRecorder("default", ringMax, nil, nil)
+// TestHistoryStoreModeParity: a memory store and a file store with the
+// same MaxRows bound are fed one seeded series over two tenants, with
+// gaps in the epochs. Both must keep exactly each tenant's newest bound
+// rows, and both must answer 300 seeded random range queries as a
+// reference filter over those rows does. The file, trimmed on most
+// appends, must stay within twice its live rows plus one frame, and a
+// reopen must keep the same rows.
+func TestHistoryStoreModeParity(t *testing.T) {
+	const total, bound = 900, 48
+	rnd := rand.New(rand.NewSource(recoverSeed(t)))
+	path := filepath.Join(t.TempDir(), "history.db")
+	opts := histstore.Options{FlushInterval: -1, FlushBytes: 4 << 10, MaxRows: bound}
+	file := openTestStore(t, path, opts)
+	mem := histstore.NewMemory(opts)
+	defer mem.Close()
+	tenants := []string{"net-a", "net-b"}
 	base := time.Unix(1700000000, 0).UTC()
 
-	var all []server.HistoryEntry
-	for ep := int64(1); ep <= total; ep++ {
-		snap := fakeTableSnap(ep, float64(ep)+0.25, base.Add(time.Duration(ep)*time.Second))
-		rec.record(snap)
-		ringOnly.record(snap)
+	all := map[string][]histstore.Entry{}
+	last := map[string]int64{}
+	for i := 0; i < total; i++ {
+		tn := tenants[rnd.Intn(len(tenants))]
+		last[tn] += 1 + rnd.Int63n(3)
+		snap := fakeTableSnap(last[tn], rnd.Float64(), base.Add(time.Duration(i)*time.Second))
 		table, err := snap.Table.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, server.HistoryEntry{
-			At: snap.FittedAt, Epoch: ep, ConfigEpoch: 1, Table: json.RawMessage(table),
-		})
+		e := histstore.Entry{Tenant: tn, Epoch: last[tn], ConfigEpoch: 1 + int64(i/300), At: snap.FittedAt, Table: table}
+		all[tn] = append(all[tn], e)
+		for _, st := range []*histstore.Store{mem, file} {
+			if err := st.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The bound: twice the live rows (each a u32 length and its
+		// JSON, after the file's 8-byte magic) plus one frame, which a
+		// group commit fills to FlushBytes and the row that crossed it.
+		st := file.Stats()
+		live := 8 + int64(st.Bytes) + 4*int64(st.Entries)
+		if fi, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		} else if limit := 2*live + int64(opts.FlushBytes) + 1<<10; fi.Size() > limit {
+			t.Fatalf("append %d: file is %d bytes, over its limit %d (%+v)", i, fi.Size(), limit, st)
+		}
+	}
+	if st := file.Stats(); st.Compactions == 0 || st.Pruned != uint64(total-len(tenants)*bound) {
+		t.Fatalf("file store after %d appends: %+v, want compactions and %d pruned", total, st, total-len(tenants)*bound)
 	}
 
-	query := func(r *histRecorder, q histstore.Query) []server.HistoryEntry {
+	scan := func(st *histstore.Store, tn string, q histstore.Query) []histstore.Entry {
 		t.Helper()
-		got, err := r.query(q)
+		got, err := st.Scan(tn, q)
 		if err != nil {
-			t.Fatalf("query %+v: %v", q, err)
+			t.Fatalf("scan %s %+v: %v", tn, q, err)
 		}
 		return got
 	}
-	histEntriesEqual(t, "full store scan", query(rec, histstore.Query{}), all)
-
-	// The ring is a strict cache of the store's newest ringMax entries.
-	tail := query(rec, histstore.Query{Limit: ringMax})
-	histEntriesEqual(t, "ring vs store tail", query(ringOnly, histstore.Query{}), tail)
-
-	rnd := rand.New(rand.NewSource(recoverSeed(t)))
+	for _, tn := range tenants {
+		kept := all[tn][len(all[tn])-bound:]
+		histEntriesEqual(t, "memory "+tn, scan(mem, tn, histstore.Query{}), kept)
+		histEntriesEqual(t, "file "+tn, scan(file, tn, histstore.Query{}), kept)
+	}
 	for i := 0; i < 300; i++ {
-		since := rnd.Int63n(total + 50)
-		until := rnd.Int63n(total + 50)
-		limit := rnd.Intn(ringMax + 20)
-		q := histstore.Query{SinceEpoch: since, UntilEpoch: until, Limit: limit}
-		label := fmt.Sprintf("since=%d until=%d limit=%d", since, until, limit)
-		histEntriesEqual(t, "store query "+label, query(rec, q), refFilterHistory(all, since, until, limit))
-		histEntriesEqual(t, "ring query "+label, query(ringOnly, q), refFilterHistory(tail, since, until, limit))
+		tn := tenants[rnd.Intn(len(tenants))]
+		top := last[tn] + 20
+		q := histstore.Query{SinceEpoch: rnd.Int63n(top), UntilEpoch: rnd.Int63n(top), Limit: rnd.Intn(bound + 20)}
+		want := refFilterHistory(all[tn][len(all[tn])-bound:], q.SinceEpoch, q.UntilEpoch, q.Limit)
+		label := fmt.Sprintf("%s since=%d until=%d limit=%d", tn, q.SinceEpoch, q.UntilEpoch, q.Limit)
+		histEntriesEqual(t, "memory "+label, scan(mem, tn, q), want)
+		histEntriesEqual(t, "file "+label, scan(file, tn, q), want)
+	}
+
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openTestStore(t, path, opts)
+	for _, tn := range tenants {
+		histEntriesEqual(t, "reopened "+tn, scan(reopened, tn, histstore.Query{}), all[tn][len(all[tn])-bound:])
 	}
 }
 
-// TestHistoryRestoreDoubleAppend: a crash recovered from an OLDER
-// checkpoint replays epochs the store already holds. The (tenant,
-// epoch) append key must keep the first-written row for each — the
-// series stays one row per epoch with the original bytes — and the
-// dedup must hold across a store reopen (the crash-durable form).
+// oldCheckpointHistory encodes rows the way checkpoints written before
+// the history store was tierd's only history carried them: no tenant,
+// and no config epoch before hot reload existed.
+func oldCheckpointHistory(t *testing.T, rows []histstore.Entry) json.RawMessage {
+	t.Helper()
+	type oldRow struct {
+		At          time.Time       `json:"at"`
+		Epoch       int64           `json:"epoch"`
+		Table       json.RawMessage `json:"table"`
+		ConfigEpoch int64           `json:"config_epoch,omitempty"`
+	}
+	old := make([]oldRow, len(rows))
+	for i, e := range rows {
+		old[i] = oldRow{At: e.At, Epoch: e.Epoch, Table: e.Table, ConfigEpoch: e.ConfigEpoch}
+	}
+	return mustMarshal(t, old)
+}
+
+// TestHistoryRestoreDoubleAppend: a checkpoint in the old format
+// carries history rows the store partly holds already. The back-fill
+// must keep the first-written row of each epoch — the series stays one
+// row per epoch with the original bytes — add the rows the store
+// lacks with config epoch 0 read as 1, and change nothing when it runs
+// again (a crash before the next checkpoint) or after a store reopen.
 func TestHistoryRestoreDoubleAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.db")
-	store := openTestStore(t, path)
+	store := openTestStore(t, path, histstore.Options{FlushInterval: -1})
 	base := time.Unix(1700000000, 0).UTC()
-	at := func(ep int64) time.Time { return base.Add(time.Duration(ep) * time.Second) }
-
-	// First life: epochs 1..10 published and stored.
-	recA := newHistRecorder("default", 512, store, nil)
-	for ep := int64(1); ep <= 10; ep++ {
-		recA.record(fakeTableSnap(ep, float64(ep)+0.25, at(ep)))
-	}
-
-	// Crash; recovery loads a checkpoint from epoch 5. The restored ring
-	// is backfilled into the store, and the repricer re-publishes epochs
-	// 6..10 with (deliberately different) tables before moving on.
-	older := recA.checkpointEntries()[:5]
-	recB := newHistRecorder("default", 512, store, nil)
-	recB.restore(older, 5)
-	for ep := int64(6); ep <= 13; ep++ {
-		recB.record(fakeTableSnap(ep, float64(ep)+100, at(ep)))
-	}
-
-	verify := func(st *histstore.Store, label string) {
-		t.Helper()
-		rows, err := st.Scan("default", histstore.Query{})
+	row := func(ep int64, price float64, cfgEpoch int64) histstore.Entry {
+		snap := fakeTableSnap(ep, price, base.Add(time.Duration(ep)*time.Second))
+		table, err := snap.Table.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) != 13 {
-			t.Fatalf("%s: %d rows, want 13 (one per epoch)", label, len(rows))
+		return histstore.Entry{Tenant: "default", Epoch: ep, ConfigEpoch: cfgEpoch, At: snap.FittedAt, Table: table}
+	}
+
+	// The store holds epochs 6..10; the old checkpoint's history holds
+	// 1..8 with (deliberately different) tables.
+	var want, old []histstore.Entry
+	for ep := int64(1); ep <= 10; ep++ {
+		if ep <= 8 {
+			old = append(old, row(ep, float64(ep)+100, 0))
 		}
-		for i, row := range rows {
-			wantEpoch := int64(i + 1)
-			if row.Epoch != wantEpoch {
-				t.Fatalf("%s: row %d has epoch %d, want %d", label, i, row.Epoch, wantEpoch)
+		if ep >= 6 {
+			if err := store.Append(row(ep, float64(ep)+0.25, 1)); err != nil {
+				t.Fatal(err)
 			}
-			var tbl struct {
-				Tiers []struct {
-					Price float64 `json:"price_usd_per_mbps_month"`
-				} `json:"tiers"`
-			}
-			if err := json.Unmarshal(row.Table, &tbl); err != nil || len(tbl.Tiers) != 1 {
-				t.Fatalf("%s: row %d table %s: %v", label, i, row.Table, err)
-			}
-			want := float64(wantEpoch) + 0.25 // the first-written row
-			if wantEpoch > 10 {
-				want = float64(wantEpoch) + 100 // only published in the second life
-			}
-			if tbl.Tiers[0].Price != want {
-				t.Fatalf("%s: epoch %d kept price %v, want first-written %v",
-					label, wantEpoch, tbl.Tiers[0].Price, want)
-			}
+			want = append(want, row(ep, float64(ep)+0.25, 1))
+		} else {
+			want = append(want, row(ep, float64(ep)+100, 1))
 		}
+	}
+	raw := oldCheckpointHistory(t, old)
+	backfillHistory(store, "default", raw)
+
+	verify := func(st *histstore.Store, label string) {
+		t.Helper()
+		got, err := st.Scan("default", histstore.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		histEntriesEqual(t, label, got, want)
 	}
 	verify(store, "live store")
-	if dupes := store.Stats().Dupes; dupes == 0 {
-		t.Error("restore replay recorded no dupes — the idempotent path never ran")
+	if dupes := store.Stats().Dupes; dupes != 3 {
+		t.Errorf("back-fill over epochs 6..8 counted %d dupes, want 3", dupes)
 	}
-	if err := store.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	backfillHistory(store, "default", raw)
+	verify(store, "second back-fill")
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	verify(openTestStore(t, path), "reopened store")
+	reopened := openTestStore(t, path, histstore.Options{FlushInterval: -1})
+	backfillHistory(reopened, "default", raw)
+	verify(reopened, "reopened store")
 }
 
 // reloadTestConfig is the in-process daemon config for the reload
-// tests: manual re-prices (huge interval), a tiny ring so /v1/history
-// depth proves the store path, and a -config file under tmp.
+// tests: manual re-prices (huge interval), an unbounded -history-store
+// beside a tiny -history-ring (which it must ignore: /v1/history depth
+// proves it), and a -config file under tmp.
 func reloadTestConfig(traceDir, tmp string) config {
 	return config{
 		listen: "127.0.0.1:0", trace: traceDir,
@@ -420,9 +458,9 @@ func TestReloadUnderLoad(t *testing.T) {
 		t.Error("load generator made no successful requests")
 	}
 
-	// History is store-backed (deeper than the 4-entry ring) and its
-	// config epochs are monotone, ending at the last re-priced
-	// generation.
+	// History comes from the unbounded store (deeper than the 4-row
+	// -history-ring) and its config epochs are monotone, ending at the
+	// last re-priced generation.
 	var hist struct {
 		Entries []struct {
 			Epoch       int64 `json:"epoch"`
@@ -436,7 +474,7 @@ func TestReloadUnderLoad(t *testing.T) {
 		t.Fatalf("history has %d entries, want %d (one per published epoch)", len(hist.Entries), reloads+1)
 	}
 	if len(hist.Entries) <= cfg.historyRing {
-		t.Fatalf("history depth %d does not exceed the ring (%d) — store path unused", len(hist.Entries), cfg.historyRing)
+		t.Fatalf("history depth %d does not exceed -history-ring (%d), which -history-store must not apply", len(hist.Entries), cfg.historyRing)
 	}
 	var prev int64
 	for i, e := range hist.Entries {
@@ -496,7 +534,7 @@ func TestFleetHistoryNamespacing(t *testing.T) {
 	h.waitTenantServing(t, "net-a")
 	h.waitTenantServing(t, "net-b")
 
-	// Let both tenants publish past the ring depth, then reload.
+	// Let both tenants publish past -history-ring, then reload.
 	base := "http://" + h.d.httpAddr()
 	waitEpoch := func(id string, min int64) {
 		t.Helper()
@@ -542,7 +580,7 @@ func TestFleetHistoryNamespacing(t *testing.T) {
 			t.Fatalf("tenant %s history: %d", id, code)
 		}
 		if len(hist.Entries) <= cfg.historyRing {
-			t.Fatalf("tenant %s history depth %d does not exceed the ring (%d)", id, len(hist.Entries), cfg.historyRing)
+			t.Fatalf("tenant %s history depth %d does not exceed -history-ring (%d)", id, len(hist.Entries), cfg.historyRing)
 		}
 		for i, e := range hist.Entries {
 			if e.Epoch != int64(i)+1 {
@@ -593,9 +631,9 @@ func TestFleetHistoryNamespacing(t *testing.T) {
 // tierd with -history-store and -config ingests over UDP, hot-reloads
 // on a real SIGHUP, is SIGKILLed, and restarts. The restarted
 // /v1/history must still serve the full series from the store —
-// including epochs that fell out of both the ring and checkpoint
-// retention — with the config-epoch step preserved, and the restore
-// replay must dedup instead of double-appending.
+// including epochs past -history-ring and checkpoint retention — with
+// the config-epoch step preserved, and the restart must append no row
+// twice: it resumes past every epoch the store holds.
 func TestTierdHistoryKill9Reload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -649,7 +687,7 @@ func TestTierdHistoryKill9Reload(t *testing.T) {
 			time.Sleep(100 * time.Millisecond)
 		}
 	}
-	// Publish past the ring depth under generation 1, then SIGHUP.
+	// Publish past -history-ring under generation 1, then SIGHUP.
 	waitMetric(httpAddr, "tierd_snapshot_epoch", 6)
 	ckpts, _ := metricValue(t, httpAddr, "tierd_checkpoints_total")
 	writeConfigFile(t, cfgPath, `{"tiers": 4}`)
@@ -688,10 +726,10 @@ func TestTierdHistoryKill9Reload(t *testing.T) {
 	if v, ok := metricValue(t, httpAddr2, "tierd_config_epoch"); !ok || v != 2 {
 		t.Errorf("restarted tierd_config_epoch = %v (present %v), want 2", v, ok)
 	}
-	// The checkpoint-ring backfill re-appended rows the store already
-	// had; the (tenant, epoch) key absorbed them.
-	if v, ok := metricValue(t, httpAddr2, "tierd_history_dupes_total"); !ok || v == 0 {
-		t.Errorf("tierd_history_dupes_total = %v (present %v), want > 0 (idempotent restore replay)", v, ok)
+	// Nothing is re-appended: new checkpoints carry no history to
+	// back-fill, and the restart publishes no epoch the store holds.
+	if v, ok := metricValue(t, httpAddr2, "tierd_history_dupes_total"); !ok || v != 0 {
+		t.Errorf("tierd_history_dupes_total = %v (present %v), want 0 (no reused epoch, no back-fill)", v, ok)
 	}
 
 	var hist struct {
@@ -728,8 +766,8 @@ func TestTierdHistoryKill9Reload(t *testing.T) {
 		t.Errorf("history does not show the generation step (first %d, saw gen2 %v)",
 			hist.Entries[0].ConfigEpoch, sawGen2)
 	}
-	// Range queries hit the store too: the oldest two epochs are long
-	// gone from the ring and every retained checkpoint.
+	// Range queries reach the oldest rows too: epochs 1 and 2 are long
+	// past every retained checkpoint.
 	var oldest struct {
 		Entries []struct {
 			Epoch int64 `json:"epoch"`
@@ -743,4 +781,96 @@ func TestTierdHistoryKill9Reload(t *testing.T) {
 	}
 	fmt.Fprintf(os.Stderr, "history kill9: %d entries survived restart (pre-crash epoch %v)\n",
 		len(hist.Entries), preCrash)
+}
+
+// TestHistoryEpochContinuity: a daemon with -data-dir and a history
+// store publishes past its newest checkpoint and crashes; the store
+// keeps the rows the checkpoint never saw. The recovered daemon must
+// not publish those epoch numbers again: every epoch it serves must be
+// the one /v1/history recorded for it, table for table.
+func TestHistoryEpochContinuity(t *testing.T) {
+	seed := recoverSeed(t)
+	ds, err := traces.EUISP(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := ds.EmitNetFlow(traces.EmitConfig{Seed: seed + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grams := traceDatagrams(t, streams)
+	tmp := t.TempDir()
+	clock := faultinject.NewClock(time.Unix(1700000000, 0))
+	cfg := recoverConfig(writeTraceDir(t, ds, len(streams)), filepath.Join(tmp, "data"), clock.Now)
+	cfg.historyStore = filepath.Join(tmp, "history.db")
+
+	d, err := startDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := d.members[0]
+	third := len(grams) / 3
+	for i, g := range grams {
+		d.sink.Ingest(g.h, g.recs)
+		switch i + 1 {
+		case third:
+			m.repriceOnce(context.Background())
+			if err := m.durable.checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		case 2 * third, len(grams):
+			// Published after the newest checkpoint: only the store knows.
+			m.repriceOnce(context.Background())
+		}
+	}
+	if got := m.repricer.Current().Epoch; got != 3 {
+		t.Fatalf("first life published up to epoch %d, want 3", got)
+	}
+	// Crash: nothing more is checkpointed. The WAL and the store keep
+	// what they were sent; the store is closed before the next daemon
+	// opens the same file.
+	if err := m.durable.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	d.close()
+	d.stopLoops()
+	m.durable.log.Close()
+	if err := d.histStore.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := startDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.abort()
+	base := "http://" + d2.httpAddr()
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			d2.members[0].repriceOnce(context.Background())
+		}
+		var tiers struct {
+			Epoch int64           `json:"epoch"`
+			Table json.RawMessage `json:"table"`
+		}
+		if code := getJSON(t, base+"/v1/tiers", &tiers); code != http.StatusOK {
+			t.Fatalf("/v1/tiers: %d", code)
+		}
+		if tiers.Epoch <= 3 {
+			t.Errorf("recovered daemon serves epoch %d, which the first life already published", tiers.Epoch)
+		}
+		var hist struct {
+			Entries []struct {
+				Epoch int64           `json:"epoch"`
+				Table json.RawMessage `json:"table"`
+			} `json:"entries"`
+		}
+		url := fmt.Sprintf("%s/v1/history?since=%d&until=%d", base, tiers.Epoch, tiers.Epoch)
+		if code := getJSON(t, url, &hist); code != http.StatusOK || len(hist.Entries) != 1 {
+			t.Fatalf("%s: status %d, %d entries", url, code, len(hist.Entries))
+		}
+		if !bytes.Equal(hist.Entries[0].Table, tiers.Table) {
+			t.Fatalf("epoch %d: /v1/history holds\n%s\nbut /v1/tiers served\n%s", tiers.Epoch, hist.Entries[0].Table, tiers.Table)
+		}
+	}
 }

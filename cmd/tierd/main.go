@@ -63,10 +63,10 @@ type config struct {
 	ckptInterval time.Duration
 	walSync      wal.SyncMode
 
-	// Durable tier-table history (outlives checkpoint retention) and
-	// pricing-config hot reload.
-	historyStore  string        // store DSN or path (empty = ring-only)
-	historyRing   int           // in-memory ring entries per engine
+	// Tier-table history (see openHistory) and pricing-config hot
+	// reload.
+	historyStore  string        // unbounded store file (empty = <data-dir>/history.db, else memory)
+	historyRing   int           // rows per tenant kept without -history-store
 	historyRetain time.Duration // store retention by age (0 = keep forever)
 	configFile    string        // hot-reloadable pricing config (SIGHUP re-reads)
 
@@ -115,9 +115,9 @@ func main() {
 		"durable state directory: WAL + checkpoints, recover-on-boot (empty = memory-only)")
 	flag.DurationVar(&cfg.ckptInterval, "checkpoint-interval", time.Minute, "how often to checkpoint the window (needs -data-dir)")
 	flag.StringVar(&cfg.historyStore, "history-store", "",
-		"durable tier-history store file (e.g. /var/lib/tierd/history.db; a sqlite: prefix from old configs is accepted and ignored; empty = in-memory ring only). One store per process, rows namespaced per tenant")
+		"tier-history store file kept without a row bound (e.g. /var/lib/tierd/history.db; a sqlite: prefix from old configs is accepted and ignored; empty = <data-dir>/history.db, or memory without -data-dir). One store per process, rows namespaced per tenant")
 	flag.IntVar(&cfg.historyRing, "history-ring", defaultHistoryRing,
-		"in-memory tier-history ring entries per engine (the cache in front of -history-store, carried in checkpoints)")
+		"tier-history rows kept per tenant when -history-store is unset (in <data-dir>/history.db, or in memory)")
 	flag.DurationVar(&cfg.historyRetain, "history-retain", 0,
 		"drop history-store entries older than this (0 = keep forever; pruning compacts the store)")
 	flag.StringVar(&cfg.configFile, "config", "",
@@ -182,8 +182,8 @@ type daemon struct {
 	sched   *tenant.Scheduler
 	sink    netflow.Sink // the tenant registry, possibly behind a fault-injection wrapper
 
-	// histStore is the shared durable tier-history store (nil without
-	// -history-store); reload is the process-wide hot-reload state.
+	// histStore is the tier-history store every member records into
+	// (openHistory); reload is the process-wide hot-reload state.
 	histStore *histstore.Store
 	reload    *reloadState
 
@@ -313,19 +313,15 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 	}
 
 	d := &daemon{cfg: cfg, reload: newReloadState()}
+	if d.histStore, err = openHistory(cfg); err != nil {
+		return nil, fmt.Errorf("opening history store: %w", err)
+	}
 	d.loopCtx, d.cancelLoops = context.WithCancel(context.Background())
 	defer func() {
 		if err != nil {
 			d.abort()
 		}
 	}()
-	if cfg.historyStore != "" {
-		// One store for the whole fleet: rows are namespaced by the
-		// tenant column, so tenants share the file and its group commits.
-		if d.histStore, err = histstore.Open(cfg.historyStore, histstore.Options{}); err != nil {
-			return nil, fmt.Errorf("opening history store: %w", err)
-		}
-	}
 	tenants := make([]*tenant.Tenant, 0, len(specs))
 	srvTenants := make([]*server.Tenant, 0, len(specs))
 	for _, sp := range specs {
@@ -355,10 +351,14 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 		if m.durable == nil {
 			continue
 		}
-		if err := m.durable.warmReprice(cfg.drainGrace); err != nil {
+		snap, err := m.durable.warmReprice(cfg.drainGrace)
+		if err != nil {
 			// Serve cold rather than refuse to boot; the periodic loop
 			// will publish once the resolver (or window) comes back.
 			fmt.Fprintf(os.Stderr, "tierd: tenant %s: %v\n", m.spec.ID, err)
+		}
+		if snap != nil {
+			m.recordHistory(snap)
 		}
 	}
 
@@ -378,10 +378,8 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 		Ingest:        d.collectorStats,
 		Sched:         func() (tenant.Stats, []tenant.FlowStats) { return d.sched.Stats(), d.sched.FlowStats() },
 		Now:           cfg.now,
+		HistoryStore:  d.histStore.Stats,
 		Reload:        d.reload.stats,
-	}
-	if d.histStore != nil {
-		srvCfg.HistoryStore = d.histStore.Stats
 	}
 	srv, err := server.New(srvCfg)
 	if err != nil {
@@ -392,7 +390,7 @@ func startDaemon(cfg config) (_ *daemon, err error) {
 			d.every(cfg.ckptInterval, m.durable.tick)
 		}
 	}
-	if d.histStore != nil && cfg.historyRetain > 0 {
+	if cfg.historyRetain > 0 {
 		d.every(pruneInterval(cfg.historyRetain), d.pruneHistory)
 	}
 	if cfg.configFile != "" {
@@ -419,9 +417,7 @@ func (d *daemon) abort() {
 			m.durable.log.Close()
 		}
 	}
-	if d.histStore != nil {
-		d.histStore.Close()
-	}
+	d.histStore.Close()
 }
 
 // every runs fn each interval as one of the daemon's background loops.
@@ -537,11 +533,9 @@ func (d *daemon) udpAddr() string { return d.udp.Addr() }
 // durability closes with a covering checkpoint per member, and HTTP
 // completes in-flight requests.
 func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
-	if d.histStore != nil {
-		// Deferred first so it runs last: /v1/history can hit the store
-		// until the final in-flight HTTP request completes.
-		defer d.histStore.Close()
-	}
+	// Deferred first so it runs last: /v1/history can hit the store
+	// until the final in-flight HTTP request completes.
+	defer d.histStore.Close()
 	// The scheduler outlives ctx on purpose: in-flight re-prices finish
 	// after ingest has stopped, so it gets its own cancellation.
 	schedCtx, schedCancel := context.WithCancel(context.Background())

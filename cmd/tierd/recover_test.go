@@ -38,6 +38,7 @@ import (
 	"tieredpricing/internal/demandfit"
 	"tieredpricing/internal/econ"
 	"tieredpricing/internal/faultinject"
+	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/stream"
 	"tieredpricing/internal/traces"
@@ -213,11 +214,18 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 
 	// Crash: abandon the daemon without a clean shutdown (no final
 	// checkpoint, no WAL close — the on-disk state is whatever the
-	// appends left), then damage the survivors per the fault class.
+	// appends left), then damage the survivors per the fault class. The
+	// history store is closed so the next daemon is its file's only
+	// writer.
 	if err := d.members[0].durable.log.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	d.close()
+	stored, err := d.histStore.Scan("default", histstore.Query{Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.histStore.Close()
 
 	walDir := filepath.Join(dataDir, "wal")
 	ckptDir := filepath.Join(dataDir, "checkpoint")
@@ -279,6 +287,7 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 	defer func() {
 		d2.members[0].durable.log.Close()
 		d2.close()
+		d2.histStore.Close()
 	}()
 	applied := covered + int(d2.members[0].durable.recoveryReplayed.Load())
 	if applied < covered || applied > len(grams) {
@@ -316,10 +325,15 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 		t.Fatalf("recovered tier table diverges:\ngot  %s\nwant %s", gotTable, wantTable)
 	}
 
-	// Epoch continuity: the warm snapshot continues the checkpointed
-	// sequence instead of restarting from 1.
-	if snap.Epoch != loaded.Epoch+1 {
-		t.Errorf("warm snapshot epoch %d, want %d", snap.Epoch, loaded.Epoch+1)
+	// Epoch continuity: the warm snapshot continues one past the newer
+	// of the checkpoint's epoch and the history store's newest, instead
+	// of restarting from 1.
+	want := loaded.Epoch
+	for _, e := range stored {
+		want = max(want, e.Epoch)
+	}
+	if snap.Epoch != want+1 {
+		t.Errorf("warm snapshot epoch %d, want %d (checkpoint %d, store %v)", snap.Epoch, want+1, loaded.Epoch, stored)
 	}
 
 	if fault != "clean" {
@@ -343,6 +357,7 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 	if err := d2.members[0].durable.log.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	d2.histStore.Close()
 	d3, err := startDaemon(recoverConfig(traceDir, dataDir, clock.Now))
 	if err != nil {
 		t.Fatal(err)
@@ -350,6 +365,7 @@ func runRecoveryParity(t *testing.T, seed int64, fault string) {
 	defer func() {
 		d3.members[0].durable.log.Close()
 		d3.close()
+		d3.histStore.Close()
 	}()
 	shadow2, err := stream.NewWindow(traces.AggregateKey, time.Hour, 4)
 	if err != nil {
@@ -415,6 +431,7 @@ func TestRecoveryFallbackAcrossSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.close()
+	d.histStore.Close()
 
 	ckpts, err := filepath.Glob(filepath.Join(dataDir, "checkpoint", "checkpoint-*.ckpt"))
 	if err != nil || len(ckpts) != 2 {
@@ -431,6 +448,7 @@ func TestRecoveryFallbackAcrossSegments(t *testing.T) {
 	defer func() {
 		d2.members[0].durable.log.Close()
 		d2.close()
+		d2.histStore.Close()
 	}()
 	if replayed := int(d2.members[0].durable.recoveryReplayed.Load()); covered+replayed != len(logged) {
 		t.Fatalf("fallback checkpoint covers %d entries and replayed %d, want the other %d",
@@ -781,6 +799,9 @@ func TestTierdKill9Recovery(t *testing.T) {
 	}
 	if len(histResp.Entries) == 0 {
 		t.Error("/v1/history empty after recovery")
+	} else if histResp.Entries[0].Epoch != 1 {
+		// <data-dir>/history.db kept the first life's rows.
+		t.Errorf("/v1/history after recovery starts at epoch %d, want the first life's epoch 1", histResp.Entries[0].Epoch)
 	}
 	fmt.Fprintf(os.Stderr, "kill9: %d WAL entries survived, killDelay %v, history %d entries\n",
 		res.Entries, killDelay, len(histResp.Entries))

@@ -11,6 +11,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"tieredpricing/internal/demandfit"
+	"tieredpricing/internal/histstore"
 	"tieredpricing/internal/netflow"
 	"tieredpricing/internal/server"
 	"tieredpricing/internal/stream"
@@ -33,9 +35,14 @@ type member struct {
 	tn       *tenant.Tenant
 	window   *stream.Window
 	repricer *stream.Repricer
-	recorder *histRecorder
 	metrics  *server.Metrics
 	durable  *durability // nil without -data-dir
+
+	// history is the daemon's one history store (rows under spec.ID);
+	// configEpoch reads the process-wide pricing-config generation each
+	// row is stamped with.
+	history     *histstore.Store
+	configEpoch func() int64
 
 	// pricingConfig derives a repricer configuration from a pricing:
 	// buildEngine's, which every hot reload goes through.
@@ -53,7 +60,8 @@ func tenantDir(dataDir, id string) string {
 // newMember builds one pricing engine from the spec's trace (else
 // -trace) and its effective pricing p, recovers it from dir (the
 // member's durability namespace; stamp is the tenant ID its checkpoints
-// carry) when -data-dir is set, and adds it to the fleet.
+// carry) when -data-dir is set, resumes its epochs past every one it
+// published before, and adds it to the fleet.
 func (d *daemon) newMember(sp tenant.Spec, p tenant.Pricing, dir, stamp string) (*member, error) {
 	cfg := d.cfg
 	wrap := cfg.wrapResolver
@@ -70,17 +78,28 @@ func (d *daemon) newMember(sp tenant.Spec, p tenant.Pricing, dir, stamp string) 
 	if err != nil {
 		return nil, err
 	}
-	m := &member{spec: sp, window: w, repricer: rp, pricingConfig: pc, metrics: server.NewMetrics()}
-	m.recorder = newHistRecorder(sp.ID, cfg.historyRing, d.histStore, d.reload.epoch)
+	m := &member{spec: sp, window: w, repricer: rp, pricingConfig: pc, metrics: server.NewMetrics(),
+		history: d.histStore, configEpoch: d.reload.epoch}
 	var sink netflow.Sink = w
 	if cfg.dataDir != "" {
 		// Recover before serving: restore the newest checkpoint and replay
 		// the WAL tail through the window.
-		if m.durable, err = openDurability(cfg, dir, stamp, w, rp, m.recorder, d.reload.epoch); err != nil {
+		backfill := func(raw json.RawMessage) { backfillHistory(d.histStore, sp.ID, raw) }
+		if m.durable, err = openDurability(cfg, dir, stamp, w, rp, backfill, d.reload.epoch); err != nil {
 			return nil, err
 		}
 		d.reload.raise(m.durable.restoredConfigEpoch)
 		sink = m.durable.sink()
+	}
+	// A restart never reuses an epoch: the store may hold epochs
+	// published after the newest checkpoint, or without one at all.
+	newest, err := d.histStore.Scan(sp.ID, histstore.Query{Limit: 1})
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range newest {
+		rp.RestoreEpoch(e.Epoch)
+		d.reload.raise(e.ConfigEpoch)
 	}
 	m.tn = &tenant.Tenant{
 		Spec:    sp,
@@ -98,7 +117,7 @@ func (m *member) serverTenant(maxAge time.Duration) *server.Tenant {
 		Snapshots:      m.repricer,
 		Metrics:        m.metrics,
 		Ingest:         m.ingestStats,
-		History:        m.recorder.query,
+		History:        func(q histstore.Query) ([]histstore.Entry, error) { return m.history.Scan(m.spec.ID, q) },
 		MaxSnapshotAge: maxAge,
 		Weight:         m.tn.Weight(),
 		RateQPS:        m.tn.Limiter.Rate(),
@@ -183,7 +202,7 @@ func (m *member) onTick(snap *stream.Snapshot, elapsed time.Duration, err error)
 	if snap != nil {
 		m.metrics.RepriceFlows.Set(int64(snap.Table.Flows))
 		m.metrics.ObserveSnapshot(snap)
-		m.recorder.record(snap)
+		m.recordHistory(snap)
 	}
 	if err != nil && !errors.Is(err, stream.ErrEmptyWindow) {
 		fmt.Fprintf(os.Stderr, "tierd: tenant %s: reprice: %v\n", m.spec.ID, err)

@@ -1,7 +1,8 @@
 // Package checkpoint persists tierd's recovery state: a point-in-time
 // snapshot of the sliding window (slots, dedup sets, counters), the
-// WAL position the snapshot covers, the serving epoch, and a bounded
-// history of published tables.
+// WAL position the snapshot covers, the serving epoch and the
+// pricing-config epoch. Tier-table history lives in internal/histstore;
+// checkpoints written before it did carry a copy, which boot reads once.
 //
 // Each checkpoint is published whole (framelog.PublishFile): a crash at
 // any point leaves either the old checkpoint set or the old set plus a
@@ -40,18 +41,6 @@ const Magic = "TPCKPT01"
 // headerSize is magic + u32 CRC32-C(payload) + u32 len(payload).
 const headerSize = len(Magic) + 8
 
-// HistoryEntry is one published TierTable in the checkpointed time
-// series served by GET /v1/history. Table carries the canonical
-// stream.TierTable.Marshal bytes, exactly as /v1/tiers served them.
-type HistoryEntry struct {
-	At    time.Time       `json:"at"`
-	Epoch int64           `json:"epoch"`
-	Table json.RawMessage `json:"table"`
-	// ConfigEpoch is the pricing-config generation the table was
-	// produced under (0 in pre-reload checkpoints, read as 1).
-	ConfigEpoch int64 `json:"config_epoch,omitempty"`
-}
-
 // State is everything a checkpoint persists.
 type State struct {
 	// CreatedAt is when the checkpoint was taken (daemon clock).
@@ -82,8 +71,13 @@ type State struct {
 	// fast-forwards the daemon's epoch so a restart cannot reuse a
 	// generation number an earlier config already published under.
 	ConfigEpoch int64 `json:"config_epoch,omitempty"`
-	// History is the bounded TierTable time series (oldest first).
-	History []HistoryEntry `json:"history,omitempty"`
+	// History held the tier-table time series (oldest first) in
+	// checkpoints written before tierd kept history only in its
+	// histstore. Boot back-fills it into the store — the rows decode as
+	// []histstore.Entry, whose JSON tags match — and tierd no longer
+	// writes it; the field stays so those files decode and re-encode
+	// byte for byte.
+	History json.RawMessage `json:"history,omitempty"`
 }
 
 // Encode frames the state for disk: Magic, CRC32-C over the JSON

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -43,11 +44,8 @@ func testState(epoch int64) *State {
 				}},
 			}},
 		},
-		Table: json.RawMessage(`{"tiers":[{"price":1.5}]}`),
-		History: []HistoryEntry{{
-			At: time.Unix(1700000000, 0).UTC(), Epoch: epoch,
-			Table: json.RawMessage(`{"tiers":[{"price":1.5}]}`),
-		}},
+		Table:   json.RawMessage(`{"tiers":[{"price":1.5}]}`),
+		History: json.RawMessage(fmt.Sprintf(`[{"at":"2023-11-14T22:13:20Z","epoch":%d,"table":{"tiers":[{"price":1.5}]}}]`, epoch)),
 	}
 }
 

@@ -71,9 +71,6 @@ var ErrCorrupt = errors.New("framelog: corrupt frame")
 // that is not end-of-file, is returned with the prefix end so far — the
 // caller must not truncate on those. A nil fn only validates.
 func Scan(r io.ReaderAt, off, size int64, maxPayload int, fn func(payloadOff int64, payload []byte) error) (int64, error) {
-	if off >= size {
-		return off, nil
-	}
 	br := bufio.NewReaderSize(io.NewSectionReader(r, off, size-off), 64<<10)
 	var hdr [HeaderSize]byte
 	var payload []byte
@@ -82,6 +79,7 @@ func Scan(r io.ReaderAt, off, size int64, maxPayload int, fn func(payloadOff int
 			return off, readErr(err)
 		}
 		n := int64(binary.BigEndian.Uint32(hdr[:]))
+		// The size bound keeps a torn header from allocating up to maxPayload for a doomed ReadFull.
 		if n == 0 || n > int64(maxPayload) || off+HeaderSize+n > size {
 			return off, nil
 		}

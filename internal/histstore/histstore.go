@@ -1,15 +1,16 @@
-// Package histstore persists the tier-table time series beyond the
-// checkpoint retention window: every published TierTable (and the
-// pricing-config epoch it was produced under) becomes one durable row
-// keyed by (tenant, epoch), queryable long after the in-memory history
-// ring and the checkpoints that carried it have rotated away.
+// Package histstore holds tierd's tier-table time series, the one
+// record /v1/history serves: every published TierTable (and the
+// pricing-config epoch it was produced under) becomes one row keyed by
+// (tenant, epoch).
 //
-// The store (store.go) is one append-only file of CRC-framed
+// A file store (Open, store.go) is one append-only file of CRC-framed
 // transactions with a resident (tenant, epoch) index: appends are staged
 // in memory and group-committed off the caller's path — one write and
 // one fsync per batch, so a re-price never pays a syscall — scans see
 // staged rows immediately, and pruning rewrites the file with the live
-// rows only (appends and scans wait while it does).
+// rows only (appends and scans wait while it does). A memory store
+// (NewMemory) is the same index without the file. Either may bound each
+// tenant's series to its newest Options.MaxRows rows.
 package histstore
 
 import (
@@ -37,8 +38,8 @@ type Entry struct {
 }
 
 // Query selects a slice of one tenant's series by epoch range. It is
-// the one definition of /v1/history's range semantics: the store's Scan
-// and tierd's in-memory ring both select through Range.
+// the one definition of /v1/history's range semantics: Scan selects
+// through Range.
 type Query struct {
 	// SinceEpoch and UntilEpoch bound the scan inclusively; zero means
 	// unbounded on that side.
@@ -76,17 +77,18 @@ type Stats struct {
 	Entries uint64
 	Bytes   uint64
 	// Appends are rows accepted; Dupes are appends ignored because the
-	// (tenant, epoch) key already existed (the idempotent re-append
-	// path after a restore from an older checkpoint); AppendErrors are
-	// group commits that failed to reach the file.
+	// (tenant, epoch) key already existed (the idempotent back-fill of
+	// an old checkpoint's history); AppendErrors are group commits that
+	// failed to reach the file.
 	Appends      uint64
 	Dupes        uint64
 	AppendErrors uint64
 	// Flushes counts group commits (one fsync each); Compactions counts
-	// file rewrites (pruning).
+	// file rewrites (pruning, or trimmed rows outweighing live ones).
 	Flushes     uint64
 	Compactions uint64
-	// Pruned counts rows removed by retention policy.
+	// Pruned counts rows removed by retention policy: Prune's age
+	// cutoff and the MaxRows bound.
 	Pruned uint64
 	// Scans counts Scan calls served.
 	Scans uint64
@@ -108,4 +110,7 @@ type Options struct {
 	FlushBytes int
 	// Now is the store's clock (Prune's cutoff); nil selects time.Now.
 	Now func() time.Time
+	// MaxRows keeps each tenant's newest MaxRows rows and drops older
+	// ones, at Open and on every Append; 0 keeps every row.
+	MaxRows int
 }

@@ -4,7 +4,8 @@ package histstore
 //
 //	history.db   header + committed transaction frames; a group commit
 //	             appends one frame here (one write, one fsync), and only
-//	             Prune rewrites the file (compaction)
+//	             compaction (Prune, or a commit after MaxRows trims)
+//	             rewrites the file
 //
 // A transaction frame is an internal/framelog frame whose payload is a
 // sequence of `u32 rowLen | rowJSON` rows — it either commits wholly or,
@@ -22,6 +23,16 @@ package histstore
 // Reads are served from an in-memory index (tenant → sorted epochs →
 // row location); row bytes stay on disk and are pread on demand, so
 // resident memory is ~48 bytes per row regardless of table size.
+//
+// Options.MaxRows bounds each tenant's series to its newest rows. A
+// trimmed row that was committed stays in the file, dead, until a group
+// commit finds dead bytes outweighing the rest and compacts, so the
+// file stays within about twice its live rows plus one frame; a trimmed
+// row still staged is never written.
+//
+// A memory store (NewMemory) is the same index with every row's bytes
+// held beside it, as a file store holds its staged rows': no file, no
+// flusher, no fsync.
 
 import (
 	"encoding/binary"
@@ -31,6 +42,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,47 +62,34 @@ const (
 	compactFramePayload = 512 << 10
 )
 
-// rowLoc locates one row's JSON bytes: offset + length in the file for
-// a committed row, an index into the pending batch for a staged one.
-type rowLoc struct {
-	off  int64
-	n    int32
-	pend bool
-}
-
 // rowMeta is the resident index entry for one row.
 type rowMeta struct {
 	atNS int64 // Entry.At, for Prune's age cutoff without a disk read
-	loc  rowLoc
-}
-
-// pendRow is one staged row: its encoded bytes plus the index entry to
-// re-point at the durable offset once the batch commits.
-type pendRow struct {
-	enc []byte
-	rm  *rowMeta
+	off  int64 // where the row's JSON starts in the file, once committed
+	n    int32 // the row's JSON length
 }
 
 // tenantIdx is one tenant's slice of the series.
 type tenantIdx struct {
 	epochs []int64 // sorted ascending
 	rows   map[int64]*rowMeta
-	bytes  uint64 // encoded size of live rows
 }
 
 // Store is an open tier-history store, safe for concurrent use. Append
 // is idempotent on (Tenant, Epoch): re-appending an existing key is a
-// no-op that keeps the first-written row, which is what makes replaying
-// history after a restore from an older checkpoint safe.
+// no-op that keeps the first-written row, which is what makes
+// back-filling rows the store may already hold safe.
 type Store struct {
 	path string
 	opts Options
 
 	mu     sync.Mutex
-	f      *os.File
-	size   int64 // end of the committed frames: where the next commit lands
+	f      *os.File // nil in a memory store
+	size   int64    // end of the committed frames: where the next commit lands
+	dead   int64    // file bytes of rows no longer indexed (compaction reclaims them)
 	idx    map[string]*tenantIdx
-	pend   []pendRow // encoded rows staged for the next commit
+	held   map[*rowMeta][]byte // JSON of rows not in the file: the staged ones, or all in a memory store
+	pend   []*rowMeta          // rows staged for the next commit, oldest first
 	pendB  int
 	closed bool
 
@@ -111,26 +110,12 @@ func Open(path string, opts Options) (*Store, error) {
 	case strings.Contains(path, "://"):
 		return nil, fmt.Errorf("histstore: unknown DSN scheme in %q (want a file path)", path)
 	}
-	if opts.FlushInterval == 0 {
-		opts.FlushInterval = defaultFlushEvery
-	}
-	if opts.FlushBytes <= 0 {
-		opts.FlushBytes = defaultFlushBytes
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("histstore: %w", err)
 	}
 	framelog.RemoveTemps(filepath.Dir(path), filepath.Base(path)) // what a crashed compaction left
-	s := &Store{
-		path:   path,
-		opts:   opts,
-		idx:    make(map[string]*tenantIdx),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-	}
+	s := newStore(opts)
+	s.path = path
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: %w", err)
@@ -140,7 +125,7 @@ func Open(path string, opts Options) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	if opts.FlushInterval > 0 {
+	if s.opts.FlushInterval > 0 {
 		go s.flushLoop()
 	} else {
 		close(s.doneCh)
@@ -148,9 +133,39 @@ func Open(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// NewMemory returns a store that holds its rows in memory only: the
+// same index, Append, Scan, Prune and MaxRows bound as a file store,
+// with no file, no flusher and no fsync. Its rows end with the process.
+func NewMemory(opts Options) *Store {
+	s := newStore(opts)
+	close(s.doneCh)
+	return s
+}
+
+// newStore fills in opts' defaults and builds an empty store.
+func newStore(opts Options) *Store {
+	if opts.FlushInterval == 0 {
+		opts.FlushInterval = defaultFlushEvery
+	}
+	if opts.FlushBytes <= 0 {
+		opts.FlushBytes = defaultFlushBytes
+	}
+	if opts.Now == nil {
+		opts.Now = time.Now
+	}
+	return &Store{
+		opts:   opts,
+		idx:    make(map[string]*tenantIdx),
+		held:   make(map[*rowMeta][]byte),
+		stopCh: make(chan struct{}),
+		doneCh: make(chan struct{}),
+	}
+}
+
 // load brings the freshly opened main file to a clean end: a new file
 // gets its header, an existing one is indexed and loses any torn or
 // corrupt tail, and an older binary's sidecar is migrated onto it.
+// Then the MaxRows bound applies.
 func (s *Store) load() error {
 	fi, err := s.f.Stat()
 	if err != nil {
@@ -175,7 +190,13 @@ func (s *Store) load() error {
 	if err != nil {
 		return fmt.Errorf("histstore: preparing %s: %w", s.path, err)
 	}
-	return s.migrateSidecar()
+	if err := s.migrateSidecar(); err != nil {
+		return err
+	}
+	for _, ti := range s.idx {
+		s.trimLocked(ti)
+	}
+	return s.tidyLocked()
 }
 
 // index checks f's magic, indexes the rows of its valid frame prefix as
@@ -249,37 +270,63 @@ func (s *Store) indexFrame(payload []byte, base int64) error {
 		if err := json.Unmarshal(payload[pos:pos+n], &e); err != nil {
 			return fmt.Errorf("histstore: decoding row: %w", err)
 		}
-		s.indexRow(e, rowLoc{off: base + int64(pos), n: int32(n)})
+		rm := &rowMeta{atNS: e.At.UnixNano(), off: base + int64(pos), n: int32(n)}
+		if s.indexRow(e.Tenant, e.Epoch, rm) == nil {
+			s.dead += 4 + int64(n)
+		}
 		pos += n
 	}
 	return nil
 }
 
-// indexRow inserts one row if its key is new, returning the index
-// entry; duplicates keep the first-indexed copy and return nil.
-func (s *Store) indexRow(e Entry, loc rowLoc) *rowMeta {
-	ti := s.idx[e.Tenant]
+// indexRow inserts rm under (tenant, epoch) and returns the tenant's
+// index; a duplicate key keeps the first-indexed row and returns nil.
+func (s *Store) indexRow(tenant string, epoch int64, rm *rowMeta) *tenantIdx {
+	ti := s.idx[tenant]
 	if ti == nil {
 		ti = &tenantIdx{rows: make(map[int64]*rowMeta)}
-		s.idx[e.Tenant] = ti
+		s.idx[tenant] = ti
 	}
-	if _, dup := ti.rows[e.Epoch]; dup {
+	if _, dup := ti.rows[epoch]; dup {
 		return nil
 	}
-	rm := &rowMeta{atNS: e.At.UnixNano(), loc: loc}
-	ti.rows[e.Epoch] = rm
-	i := sort.Search(len(ti.epochs), func(i int) bool { return ti.epochs[i] >= e.Epoch })
-	ti.epochs = append(ti.epochs, 0)
-	copy(ti.epochs[i+1:], ti.epochs[i:])
-	ti.epochs[i] = e.Epoch
-	ti.bytes += uint64(loc.n)
+	ti.rows[epoch] = rm
+	i := sort.Search(len(ti.epochs), func(i int) bool { return ti.epochs[i] >= epoch })
+	ti.epochs = slices.Insert(ti.epochs, i, epoch)
 	s.stats.Entries++
-	s.stats.Bytes += uint64(loc.n)
-	return rm
+	s.stats.Bytes += uint64(rm.n)
+	return ti
+}
+
+// dropLocked removes ti's oldest n rows from the index. A committed
+// row's bytes stay in the file, dead, until the next compaction; a held
+// one is let go.
+func (s *Store) dropLocked(ti *tenantIdx, n int) {
+	for _, ep := range ti.epochs[:n] {
+		rm := ti.rows[ep]
+		s.stats.Bytes -= uint64(rm.n)
+		s.stats.Entries--
+		if _, held := s.held[rm]; held {
+			delete(s.held, rm)
+		} else {
+			s.dead += 4 + int64(rm.n)
+		}
+		delete(ti.rows, ep)
+	}
+	ti.epochs = append(ti.epochs[:0], ti.epochs[n:]...)
+	s.stats.Pruned += uint64(n)
+}
+
+// trimLocked applies the MaxRows bound to one tenant.
+func (s *Store) trimLocked(ti *tenantIdx) {
+	if over := len(ti.epochs) - s.opts.MaxRows; s.opts.MaxRows > 0 && over > 0 {
+		s.dropLocked(ti, over)
+	}
 }
 
 // Append stages one row for the next group commit. Idempotent on
-// (Tenant, Epoch): an existing key is counted as a dupe and ignored.
+// (Tenant, Epoch): an existing key is counted as a dupe and ignored. A
+// row older than every row the MaxRows bound keeps is pruned at once.
 func (s *Store) Append(e Entry) error {
 	if e.Tenant == "" {
 		return errors.New("histstore: append needs a tenant")
@@ -293,13 +340,19 @@ func (s *Store) Append(e Entry) error {
 	if s.closed {
 		return errors.New("histstore: store is closed")
 	}
-	rm := s.indexRow(e, rowLoc{pend: true, off: int64(len(s.pend)), n: int32(len(enc))})
-	if rm == nil {
+	rm := &rowMeta{atNS: e.At.UnixNano(), n: int32(len(enc))}
+	ti := s.indexRow(e.Tenant, e.Epoch, rm)
+	if ti == nil {
 		s.stats.Dupes++
 		return nil
 	}
 	s.stats.Appends++
-	s.pend = append(s.pend, pendRow{enc: enc, rm: rm})
+	s.held[rm] = enc
+	s.trimLocked(ti)
+	if s.f == nil {
+		return nil // a memory store keeps every row held
+	}
+	s.pend = append(s.pend, rm)
 	s.pendB += len(enc)
 	if s.pendB >= s.opts.FlushBytes {
 		return s.flushLocked()
@@ -316,16 +369,20 @@ func appendRow(frame, enc []byte) ([]byte, int) {
 
 // flushLocked commits the pending batch as one frame: one write at the
 // end of the file, one fsync, then the rows are re-pointed at their
-// durable offsets. On failure the batch stays pending and the next
-// attempt overwrites whatever the failed one left past s.size.
+// durable offsets. Staged rows the bound trimmed meanwhile are left
+// out. On failure the batch stays pending and the next attempt
+// overwrites whatever the failed one left past s.size. A commit that
+// leaves dead bytes outweighing live ones compacts the file.
 func (s *Store) flushLocked() error {
+	s.pend = slices.DeleteFunc(s.pend, func(rm *rowMeta) bool { _, held := s.held[rm]; return !held })
 	if len(s.pend) == 0 {
+		s.pendB = 0
 		return nil
 	}
 	frame := framelog.AppendHeader(make([]byte, 0, s.pendB+4*len(s.pend)+framelog.HeaderSize))
 	at := make([]int, len(s.pend))
-	for i, pr := range s.pend {
-		frame, at[i] = appendRow(frame, pr.enc)
+	for i, rm := range s.pend {
+		frame, at[i] = appendRow(frame, s.held[rm])
 	}
 	framelog.Seal(frame, 0)
 	if _, err := s.f.WriteAt(frame, s.size); err != nil {
@@ -336,25 +393,35 @@ func (s *Store) flushLocked() error {
 		s.stats.AppendErrors++
 		return fmt.Errorf("histstore: fsync: %w", err)
 	}
-	// A row pruned while pending just repoints a dead rowMeta — its bytes
-	// stay dead until the next compaction.
-	for i, pr := range s.pend {
-		pr.rm.loc = rowLoc{off: s.size + int64(at[i]), n: int32(len(pr.enc))}
+	for i, rm := range s.pend {
+		rm.off = s.size + int64(at[i])
+		delete(s.held, rm)
 	}
 	s.size += int64(len(frame))
+	clear(s.pend)
 	s.pend = s.pend[:0]
 	s.pendB = 0
 	s.stats.Flushes++
-	return nil
+	return s.tidyLocked()
+}
+
+// tidyLocked compacts a file store once its dead bytes outweigh the
+// rest, so the file stays within about twice its live rows plus the
+// frame just committed.
+func (s *Store) tidyLocked() error {
+	if s.f == nil || 2*s.dead <= s.size {
+		return nil
+	}
+	return s.compactLocked()
 }
 
 // rawRowLocked fetches one row's encoded bytes.
 func (s *Store) rawRowLocked(rm *rowMeta) ([]byte, error) {
-	if rm.loc.pend {
-		return s.pend[rm.loc.off].enc, nil
+	if raw, held := s.held[rm]; held {
+		return raw, nil
 	}
-	raw := make([]byte, rm.loc.n)
-	if _, err := s.f.ReadAt(raw, rm.loc.off); err != nil {
+	raw := make([]byte, rm.n)
+	if _, err := s.f.ReadAt(raw, rm.off); err != nil {
 		return nil, fmt.Errorf("histstore: reading row: %w", err)
 	}
 	return raw, nil
@@ -408,34 +475,20 @@ func (s *Store) Prune(maxAge time.Duration) (int, error) {
 		drop := sort.Search(len(ti.epochs), func(i int) bool {
 			return ti.rows[ti.epochs[i]].atNS >= cutoffNS
 		})
-		for _, ep := range ti.epochs[:drop] {
-			rm := ti.rows[ep]
-			ti.bytes -= uint64(rm.loc.n)
-			s.stats.Bytes -= uint64(rm.loc.n)
-			s.stats.Entries--
-			delete(ti.rows, ep)
-		}
-		ti.epochs = append(ti.epochs[:0], ti.epochs[drop:]...)
+		s.dropLocked(ti, drop)
 		removed += drop
 	}
-	if removed == 0 {
-		return 0, nil
+	if removed == 0 || s.f == nil {
+		return removed, nil
 	}
-	s.stats.Pruned += uint64(removed)
-	if err := s.compactLocked(); err != nil {
-		return removed, err
-	}
-	return removed, nil
+	return removed, s.compactLocked()
 }
 
 // compactLocked rewrites the file with only the live rows, published
-// whole under the same name (framelog.PublishFile). Pending rows are
-// flushed first so the compacted file is complete. It holds s.mu
+// whole under the same name (framelog.PublishFile); live pending rows go
+// into it too, so the batch it replaces is dropped. It holds s.mu
 // throughout: appends and scans wait for it.
 func (s *Store) compactLocked() error {
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
 	// Deterministic layout: tenants sorted, epochs ascending, frames
 	// bounded so open never buffers more than one frame.
 	tenants := make([]string, 0, len(s.idx))
@@ -493,10 +546,13 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("histstore: compact reopen: %w", err)
 	}
 	s.f.Close()
-	s.f, s.size = f, size
+	s.f, s.size, s.dead = f, size, 0
 	for _, m := range moves {
-		m.rm.loc.off = m.off
+		m.rm.off = m.off
 	}
+	clear(s.held)
+	clear(s.pend)
+	s.pend, s.pendB = s.pend[:0], 0
 	s.stats.Compactions++
 	return nil
 }
@@ -530,6 +586,9 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	close(s.stopCh)
 	<-s.doneCh
+	if s.f == nil {
+		return err
+	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}

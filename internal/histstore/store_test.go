@@ -645,3 +645,61 @@ func TestBadMagicRejected(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 }
+
+// TestMaxRows: the bound keeps each tenant's newest rows on append —
+// a staged row it trims, a row older than every kept one included, is
+// never written — and applies again at Open, where the trimmed file is
+// compacted down to the kept rows.
+func TestMaxRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "h.db")
+	base := time.Unix(1700000000, 0).UTC()
+	s := mustOpen(t, path, testOpts())
+	appendN(t, s, "default", 1, 40, base)
+	appendN(t, s, "beta", 1, 40, base)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts := testOpts()
+	opts.MaxRows = 10
+	s = mustOpen(t, path, opts)
+	defer s.Close()
+	if got, _ := s.Scan("default", Query{}); !reflect.DeepEqual(epochsOf(got), []int64{31, 32, 33, 34, 35, 36, 37, 38, 39, 40}) {
+		t.Fatalf("default after a bounded open: %v", epochsOf(got))
+	}
+	if got, _ := s.Scan("beta", Query{}); len(got) != 10 || got[0].Epoch != 31 {
+		t.Fatalf("beta after a bounded open: %v", epochsOf(got))
+	}
+	if st := s.Stats(); st.Pruned != 60 || st.Compactions != 1 || st.Entries != 20 {
+		t.Fatalf("stats after a bounded open: %+v", st)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() >= full.Size()/2 {
+		t.Fatalf("bounded open left %v bytes of %d (%v)", fi.Size(), full.Size(), err)
+	}
+
+	// Staged rows 41..55 trim 41..45 before any commit, and epoch 3 goes
+	// as it comes: only 46..55 are written.
+	before, _ := os.Stat(path)
+	appendN(t, s, "default", 41, 55, base)
+	if err := s.Append(entry("default", 3, base)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Scan("default", Query{}); len(got) != 10 || got[0].Epoch != 46 {
+		t.Fatalf("default after staged trims: %v", epochsOf(got))
+	}
+	if st := s.Stats(); st.Pruned != 60+15+1 || st.Appends != 16 || st.Compactions != 1 {
+		t.Fatalf("stats after staged trims: %+v", st)
+	}
+	after, _ := os.Stat(path)
+	row := int64(len(`{"tenant":"default","epoch":46,"config_epoch":1,"at":"2023-11-14T22:13:20Z","table":{"epoch":46,"tiers":[{"price":46.5}]}}`))
+	if grew := after.Size() - before.Size(); grew > 10*(row+4)+64 {
+		t.Fatalf("the commit grew the file by %d bytes, more than the 10 surviving rows", grew)
+	}
+}

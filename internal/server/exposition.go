@@ -149,17 +149,17 @@ var exposition = []struct {
 		{"tierd_recovery_torn_bytes_total", "Trailing WAL bytes recovery distrusted and discarded.", "counter", func(v *view) any { return v.dur.RecoveryTornBytes }},
 		{"tierd_durability_errors_total", "Failed durable writes (WAL appends, WAL fsyncs, checkpoints) served through from memory.", "counter", func(v *view) any { return v.dur.Errors }},
 	}},
-	// The durable history store and the config hot-reload state are one
-	// per process, so both stay unlabeled.
+	// The history store and the config hot-reload state are one per
+	// process, so both stay unlabeled.
 	{func(v *view) bool { return v.histStore != nil }, []family{
-		{"tierd_history_entries", "Rows live in the durable tier-history store.", "gauge", func(v *view) any { return v.histStore.Entries }},
+		{"tierd_history_entries", "Rows live in the tier-history store.", "gauge", func(v *view) any { return v.histStore.Entries }},
 		{"tierd_history_bytes", "Encoded size of the live tier-history rows.", "gauge", func(v *view) any { return v.histStore.Bytes }},
 		{"tierd_history_appends_total", "Tier-history rows accepted for append.", "counter", func(v *view) any { return v.histStore.Appends }},
 		{"tierd_history_dupes_total", "Appends ignored because the (tenant, epoch) key already existed.", "counter", func(v *view) any { return v.histStore.Dupes }},
 		{"tierd_history_append_errors_total", "Tier-history appends that failed to reach durable storage.", "counter", func(v *view) any { return v.histStore.AppendErrors }},
 		{"tierd_history_flushes_total", "Group commits of staged tier-history rows (one fsync each).", "counter", func(v *view) any { return v.histStore.Flushes }},
-		{"tierd_history_compactions_total", "History file rewrites triggered by retention pruning.", "counter", func(v *view) any { return v.histStore.Compactions }},
-		{"tierd_history_pruned_total", "Tier-history rows removed by retention policy.", "counter", func(v *view) any { return v.histStore.Pruned }},
+		{"tierd_history_compactions_total", "History file rewrites (retention pruning, or trimmed rows outweighing live ones).", "counter", func(v *view) any { return v.histStore.Compactions }},
+		{"tierd_history_pruned_total", "Tier-history rows removed by retention policy (age or row bound).", "counter", func(v *view) any { return v.histStore.Pruned }},
 		{"tierd_history_scans_total", "Tier-history range scans served.", "counter", func(v *view) any { return v.histStore.Scans }},
 		{"tierd_history_torn_bytes_total", "Trailing history-file bytes open-time recovery distrusted and discarded.", "counter", func(v *view) any { return v.histStore.OpenTornBytes }},
 	}},

@@ -13,11 +13,12 @@ import (
 )
 
 // ringOf builds an oldest-first history series with epochs 1..n.
-func ringOf(n int) []HistoryEntry {
-	out := make([]HistoryEntry, 0, n)
+func ringOf(n int) []histstore.Entry {
+	out := make([]histstore.Entry, 0, n)
 	base := time.Unix(1700000000, 0).UTC()
 	for ep := 1; ep <= n; ep++ {
-		out = append(out, HistoryEntry{
+		out = append(out, histstore.Entry{
+			Tenant:      "default",
 			At:          base.Add(time.Duration(ep) * time.Minute),
 			Epoch:       int64(ep),
 			ConfigEpoch: 1,
@@ -27,7 +28,7 @@ func ringOf(n int) []HistoryEntry {
 	return out
 }
 
-func historyServer(t *testing.T, history func(histstore.Query) ([]HistoryEntry, error)) *httptest.Server {
+func historyServer(t *testing.T, history func(histstore.Query) ([]histstore.Entry, error)) *httptest.Server {
 	t.Helper()
 	s, err := New(Config{Sole: true, Tenants: []*Tenant{{
 		ID:        "default",
@@ -42,7 +43,7 @@ func historyServer(t *testing.T, history func(histstore.Query) ([]HistoryEntry, 
 	return ts
 }
 
-func decodeHistory(t *testing.T, body []byte) []HistoryEntry {
+func decodeHistory(t *testing.T, body []byte) []historyRow {
 	t.Helper()
 	var resp historyResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
@@ -55,7 +56,7 @@ func decodeHistory(t *testing.T, body []byte) []HistoryEntry {
 // non-numeric since/until/limit are rejected before any scan runs.
 func TestHistoryParamValidation(t *testing.T) {
 	scanned := false
-	ts := historyServer(t, func(histstore.Query) ([]HistoryEntry, error) {
+	ts := historyServer(t, func(histstore.Query) ([]histstore.Entry, error) {
 		scanned = true
 		return nil, nil
 	})
@@ -79,7 +80,7 @@ func TestHistoryParamValidation(t *testing.T) {
 // the documented server-side cap.
 func TestHistoryLimitCap(t *testing.T) {
 	var got []histstore.Query
-	ts := historyServer(t, func(q histstore.Query) ([]HistoryEntry, error) {
+	ts := historyServer(t, func(q histstore.Query) ([]histstore.Entry, error) {
 		got = append(got, q)
 		return nil, nil
 	})
@@ -103,7 +104,7 @@ func TestHistoryLimitCap(t *testing.T) {
 // callback, or an empty answer, the series is [] rather than null.
 func TestHistoryQueryPassThrough(t *testing.T) {
 	var sawQuery histstore.Query
-	ts := historyServer(t, func(q histstore.Query) ([]HistoryEntry, error) {
+	ts := historyServer(t, func(q histstore.Query) ([]histstore.Entry, error) {
 		sawQuery = q
 		return ringOf(5), nil
 	})
@@ -118,9 +119,12 @@ func TestHistoryQueryPassThrough(t *testing.T) {
 	if len(entries) != 5 || entries[4].Epoch != 5 || entries[4].ConfigEpoch != 1 {
 		t.Fatalf("got %+v, want the source's 5 entries", entries)
 	}
-	for _, history := range []func(histstore.Query) ([]HistoryEntry, error){
+	if strings.Contains(string(body), `"tenant"`) {
+		t.Fatalf("history body carries the store's tenant column: %s", body)
+	}
+	for _, history := range []func(histstore.Query) ([]histstore.Entry, error){
 		nil,
-		func(histstore.Query) ([]HistoryEntry, error) { return nil, nil },
+		func(histstore.Query) ([]histstore.Entry, error) { return nil, nil },
 	} {
 		status, body := get(t, historyServer(t, history).URL+"/v1/history")
 		if status != http.StatusOK || !strings.Contains(string(body), `"entries":[]`) {
@@ -132,7 +136,7 @@ func TestHistoryQueryPassThrough(t *testing.T) {
 // TestHistoryStoreError: a failing store scan is a 500, not a silent
 // empty series.
 func TestHistoryStoreError(t *testing.T) {
-	ts := historyServer(t, func(histstore.Query) ([]HistoryEntry, error) {
+	ts := historyServer(t, func(histstore.Query) ([]histstore.Entry, error) {
 		return nil, fmt.Errorf("disk on fire")
 	})
 	status, body := get(t, ts.URL+"/v1/history")

@@ -63,19 +63,6 @@ type DurabilityStats struct {
 	Errors uint64
 }
 
-// HistoryEntry is one published tier table in the /v1/history time
-// series: the canonical TierTable bytes exactly as /v1/tiers served
-// them at that epoch, plus the pricing-config epoch that produced the
-// table (1 = boot config; each successful hot reload increments it).
-// The daemon's history recorder appends one entry per epoch to the
-// durable store (when configured) and keeps a bounded ring beside it.
-type HistoryEntry struct {
-	At          time.Time       `json:"at"`
-	Epoch       int64           `json:"epoch"`
-	ConfigEpoch int64           `json:"config_epoch,omitempty"`
-	Table       json.RawMessage `json:"table"`
-}
-
 // HistoryLimitCap is the server-side ceiling on /v1/history responses:
 // a request's limit parameter is clamped to it, and an absent or zero
 // limit selects it, so a deep store scan can never become an unbounded
@@ -121,9 +108,9 @@ type Config struct {
 	// Now is the server's time source for snapshot age; nil selects
 	// time.Now. Injectable for fault rehearsal and tests.
 	Now func() time.Time
-	// HistoryStore reports the durable tier-history store's counters
-	// for /metrics; nil when the daemon runs without -history-store.
-	// Process-wide: every tenant shares one store.
+	// HistoryStore reports the tier-history store's counters for
+	// /metrics; nil omits them. Process-wide: every tenant shares one
+	// store.
 	HistoryStore func() histstore.Stats
 	// Reload reports config hot-reload state for /metrics; nil omits it.
 	// Process-wide.
@@ -148,7 +135,7 @@ type Server struct {
 	proc      *Metrics                                  // process-wide counters (health, metrics scrapes)
 	ingest    func() IngestStats                        // optional; process-wide datagram counters
 	sched     func() (tenant.Stats, []tenant.FlowStats) // optional; reprice scheduler
-	histStore func() histstore.Stats                    // optional; shared durable history store
+	histStore func() histstore.Stats                    // optional; shared history store
 	reload    func() ReloadStats                        // optional; config hot-reload state
 
 	now      func() time.Time
@@ -431,7 +418,16 @@ func (s *Server) handleDebugReprice(t *Tenant, w http.ResponseWriter, r *http.Re
 
 // historyResponse is the /v1/history body.
 type historyResponse struct {
-	Entries []HistoryEntry `json:"entries"`
+	Entries []historyRow `json:"entries"`
+}
+
+// historyRow is one /v1/history entry on the wire: a histstore.Entry
+// without its tenant, in the field order the API has always served.
+type historyRow struct {
+	At          time.Time       `json:"at"`
+	Epoch       int64           `json:"epoch"`
+	ConfigEpoch int64           `json:"config_epoch,omitempty"`
+	Table       json.RawMessage `json:"table"`
 }
 
 // parseHistoryQuery validates the since/until/limit parameters.
@@ -488,18 +484,18 @@ func (s *Server) handleHistory(t *Tenant, w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 		return
 	}
-	entries := []HistoryEntry{}
+	var got []histstore.Entry
 	if t.History != nil {
-		got, err := t.History(q)
-		if err != nil {
+		if got, err = t.History(q); err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 			return
 		}
-		if got != nil {
-			entries = got
-		}
 	}
-	writeJSON(w, http.StatusOK, historyResponse{Entries: entries})
+	rows := make([]historyRow, len(got))
+	for i, e := range got {
+		rows[i] = historyRow{At: e.At, Epoch: e.Epoch, ConfigEpoch: e.ConfigEpoch, Table: e.Table}
+	}
+	writeJSON(w, http.StatusOK, historyResponse{Entries: rows})
 }
 
 // healthLine summarizes one tenant's serving health for /healthz: ok,

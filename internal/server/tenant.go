@@ -34,7 +34,7 @@ type Tenant struct {
 	Durability func() DurabilityStats
 	// History answers the tenant's /v1/history range queries, oldest
 	// first; nil serves an empty series.
-	History func(histstore.Query) ([]HistoryEntry, error)
+	History func(histstore.Query) ([]histstore.Entry, error)
 	// Limiter guards the tenant's quote path; nil admits everything.
 	Limiter RateLimiter
 	// MaxSnapshotAge is the tenant's staleness policy: once the serving
