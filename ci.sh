@@ -15,7 +15,12 @@
 #                        TestDedupTableMatchesModel,
 #                        TestDedupGenerationWrap and
 #                        TestWindowMatchesReference, and every
-#                        internal/wal test with Replay in its name).
+#                        internal/wal test with Replay in its name),
+#                        and, under the race detector, the two-goroutine
+#                        replay against serial IngestAt
+#                        (TestLoaderMatchesIngestAt: fresh,
+#                        half-duplicate, aging, on a checkpoint, torn
+#                        tail, the key-pool bound).
 #   ./ci.sh tenants    — multi-tenant gate alone: fleet-vs-solo tier
 #                        table parity (one 3-tenant tierd against three
 #                        single-tenant tierds over partitioned traces,
@@ -98,7 +103,8 @@
 #   8. recover stage — crash-recovery parity (in-process fault matrix +
 #                      out-of-process kill -9) replayed at every pinned
 #                      seed in RECOVER_SEEDS, plus the dedup-table and
-#                      WAL-replay suites recovery rebuilds through
+#                      WAL-replay suites recovery rebuilds through and
+#                      the two-goroutine replay's parity test (-race)
 #   9. tenants stage — the multi-tenant gate (see ./ci.sh tenants)
 #  10. history stage — the history + hot-reload gate (see
 #                      ./ci.sh history)
@@ -138,6 +144,11 @@ recover() {
     go test -count=1 -run 'TestDedupTableMatchesModel|TestDedupGenerationWrap|TestWindowMatchesReference' ./internal/stream
     echo "==> recover stage: go test -run 'Replay' ./internal/wal"
     go test -count=1 -run 'Replay' ./internal/wal
+    # Recovery replays on two goroutines (stream.Loader): the window it
+    # rebuilds must be serial IngestAt's, byte for byte, with the race
+    # detector watching the hand-off between them.
+    echo "==> recover stage: go test -race -run 'TestLoaderMatchesIngestAt' ./internal/stream"
+    go test -race -count=1 -run 'TestLoaderMatchesIngestAt' ./internal/stream
 }
 
 tenants() {

@@ -64,6 +64,7 @@ type durability struct {
 	lastCkptNano      atomic.Int64
 	recoveryReplayed  atomic.Uint64
 	recoveryTornBytes atomic.Uint64
+	recoverySeconds   float64 // the boot replay's duration, written before the daemon serves
 
 	// Failed durable writes the daemon served through from memory: WAL
 	// appends and checkpoint writes here, the WAL's background fsyncs in
@@ -144,18 +145,22 @@ func openDurability(cfg config, dir, tenantID string, w *stream.Window, rp *stre
 			filepath.Base(ckptPath), st.Epoch, len(st.Window.Slots), st.WAL.Segment, st.WAL.Offset)
 	}
 
-	res, err := wal.Replay(d.walDir, from, func(ts time.Time, h netflow.Header, recs []netflow.Record) error {
-		w.IngestAt(ts, h, recs)
-		return nil
-	})
+	// The replay decodes and prepares each entry here and applies it, in
+	// log order, on the loader's goroutine.
+	start := time.Now()
+	ld := stream.NewLoader(w)
+	res, err := wal.Replay(d.walDir, from, ld.Add)
+	ld.Wait()
+	took := time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("replaying wal: %w", err)
 	}
 	d.recoveryReplayed.Store(uint64(res.Entries))
+	d.recoverySeconds = took.Seconds()
 	d.recoveryTornBytes.Store(uint64(res.TornBytes))
 	if res.Entries > 0 || res.Torn {
-		fmt.Fprintf(os.Stderr, "tierd: replayed %d wal entries (torn tail: %v, %d bytes discarded)\n",
-			res.Entries, res.Torn, res.TornBytes)
+		fmt.Fprintf(os.Stderr, "tierd: replayed %d wal entries in %v (%.0f entries/s; torn tail: %v, %d bytes discarded)\n",
+			res.Entries, took.Round(10*time.Microsecond), float64(res.Entries)/took.Seconds(), res.Torn, res.TornBytes)
 	}
 
 	d.log, err = wal.OpenAt(d.walDir, wal.Options{Sync: cfg.walSync, OnSyncError: func(err error) {
@@ -260,12 +265,13 @@ func (d *durability) checkpoint() error {
 func (d *durability) stats() server.DurabilityStats {
 	ws := d.log.Stats()
 	s := server.DurabilityStats{
-		WAL:               ws,
-		Checkpoints:       d.checkpoints.Load(),
-		CheckpointAge:     -1,
-		RecoveryReplayed:  d.recoveryReplayed.Load(),
-		RecoveryTornBytes: d.recoveryTornBytes.Load(),
-		Errors:            d.appendErrs.Load() + ws.SyncErrors + d.ckptErrs.Load(),
+		WAL:                   ws,
+		Checkpoints:           d.checkpoints.Load(),
+		CheckpointAge:         -1,
+		RecoveryReplayed:      d.recoveryReplayed.Load(),
+		RecoveryReplaySeconds: d.recoverySeconds,
+		RecoveryTornBytes:     d.recoveryTornBytes.Load(),
+		Errors:                d.appendErrs.Load() + ws.SyncErrors + d.ckptErrs.Load(),
 	}
 	if last := d.lastCkptNano.Load(); last > 0 {
 		s.CheckpointAge = d.now().Sub(time.Unix(0, last)).Seconds()

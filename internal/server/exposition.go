@@ -146,6 +146,7 @@ var exposition = []struct {
 			return v.dur.CheckpointAge
 		}},
 		{"tierd_recovery_replayed_total", "WAL entries replayed during boot recovery.", "counter", func(v *view) any { return v.dur.RecoveryReplayed }},
+		{"tierd_recovery_replay_seconds", "Seconds boot recovery spent replaying the WAL.", "gauge", func(v *view) any { return v.dur.RecoveryReplaySeconds }},
 		{"tierd_recovery_torn_bytes_total", "Trailing WAL bytes recovery distrusted and discarded.", "counter", func(v *view) any { return v.dur.RecoveryTornBytes }},
 		{"tierd_durability_errors_total", "Failed durable writes (WAL appends, WAL fsyncs, checkpoints) served through from memory.", "counter", func(v *view) any { return v.dur.Errors }},
 	}},

@@ -54,7 +54,7 @@ func expositionConfig(snap *stream.Snapshot, ids ...string) Config {
 			Durability: func() DurabilityStats {
 				return DurabilityStats{WAL: wal.Stats{Bytes: 4096, Entries: 12, Fsyncs: 4, FsyncP50Ns: 1e6,
 					FsyncP99Ns: 4e6, FsyncMaxNs: 5e6, FsyncSumNs: 9e6}, Checkpoints: 2,
-					CheckpointAge: 1.5, RecoveryReplayed: 7, RecoveryTornBytes: 13, Errors: 6}
+					CheckpointAge: 1.5, RecoveryReplayed: 7, RecoveryReplaySeconds: 0.25, RecoveryTornBytes: 13, Errors: 6}
 			},
 		})
 		flows = append(flows, tenant.FlowStats{ID: id, Dispatched: 3, LastWait: 250 * time.Millisecond, CostSeconds: 0.01})

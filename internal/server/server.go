@@ -52,11 +52,13 @@ type DurabilityStats struct {
 	// the newest one (negative = none yet, the age line is suppressed).
 	Checkpoints   uint64
 	CheckpointAge float64
-	// RecoveryReplayed is the number of WAL entries replayed at boot;
-	// RecoveryTornBytes is how many trailing WAL bytes recovery
-	// distrusted and discarded.
-	RecoveryReplayed  uint64
-	RecoveryTornBytes uint64
+	// RecoveryReplayed is the number of WAL entries replayed at boot,
+	// RecoveryReplaySeconds how long that replay took, and
+	// RecoveryTornBytes how many trailing WAL bytes recovery distrusted
+	// and discarded.
+	RecoveryReplayed      uint64
+	RecoveryReplaySeconds float64
+	RecoveryTornBytes     uint64
 	// Errors counts durable writes that failed — WAL appends, WAL
 	// fsyncs, checkpoint writes — while the daemon kept serving from
 	// memory.

@@ -165,15 +165,43 @@ func (w *Window) Ingest(h netflow.Header, recs []netflow.Record) {
 
 // ingestAt files recs into slot cur; Ingest derives cur from the live
 // clock, IngestAt (WAL replay) from the logged arrival timestamp. It is
-// the pipeline's one dedup and sampling-restore loop, batch and online
-// alike.
+// ingest's two stages run inline, a datagram's worth of records at a
+// time: prepare outside the lock, then apply under it. A Loader runs the
+// same two stages on two goroutines.
 func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record) {
-	sampling := uint64(h.SamplingInterval)
+	var buf [netflow.MaxRecordsPerPacket]hashedKey
+	for {
+		n := min(len(recs), len(buf))
+		hks := prepare(buf[:0], recs[:n])
+		w.mu.Lock()
+		w.applyLocked(cur, h.SamplingInterval, recs[:n], hks)
+		w.mu.Unlock()
+		if recs = recs[n:]; len(recs) == 0 {
+			return
+		}
+	}
+}
+
+// prepare is ingest's first stage: it appends each record's packed dedup
+// key and its hash to dst. It reads no window state, so it runs outside
+// the window's lock.
+func prepare(dst []hashedKey, recs []netflow.Record) []hashedKey {
+	for i := range recs {
+		dst = append(dst, hashKey(netflow.PackRecord(&recs[i])))
+	}
+	return dst
+}
+
+// applyLocked is ingest's second stage and the pipeline's one dedup and
+// sampling-restore loop, batch and online alike: it files recs, prepared
+// as hks, into slot cur. The bucket code is taken here, under the lock,
+// so a rule that numbers keys as it meets them (StringKey) numbers them
+// in apply order. w.mu is held.
+func (w *Window) applyLocked(cur int64, samplingInterval uint16, recs []netflow.Record, hks []hashedKey) {
+	sampling := uint64(samplingInterval)
 	if sampling == 0 {
 		sampling = 1
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.evictLocked(cur)
 	s, ok := w.slots[cur]
 	if !ok {
@@ -181,14 +209,13 @@ func (w *Window) ingestAt(cur int64, h netflow.Header, recs []netflow.Record) {
 		w.slots[cur] = s
 	}
 	for i := range recs {
-		r := &recs[i]
+		r, hk := &recs[i], &hks[i]
 		w.records++
-		hk := hashKey(netflow.PackRecord(r))
 		if !hk.ok {
 			w.dropped++ // not an IPv4 flow: nothing a v5 exporter sends
 			continue
 		}
-		switch w.seen.claim(&hk, s.inst) {
+		switch w.seen.claim(hk, s.inst) {
 		case claimDup:
 			w.duplicates++
 			continue

@@ -74,14 +74,13 @@ func writeWAL(tb testing.TB, dir string, dgrams [][]netflow.Record, at func(i in
 	}
 }
 
-// replayInto replays dir into w as tierd's recovery does and returns the
-// entries replayed.
+// replayInto replays dir into w as tierd's recovery does, through a
+// stream.Loader, and returns the entries replayed.
 func replayInto(tb testing.TB, dir string, w *stream.Window) int {
 	tb.Helper()
-	res, err := wal.Replay(dir, wal.Position{}, func(ts time.Time, h netflow.Header, recs []netflow.Record) error {
-		w.IngestAt(ts, h, recs)
-		return nil
-	})
+	ld := stream.NewLoader(w)
+	res, err := wal.Replay(dir, wal.Position{}, ld.Add)
+	ld.Wait()
 	if err != nil || res.Torn {
 		tb.Fatalf("replay: %v (torn %v)", err, res.Torn)
 	}
@@ -91,18 +90,25 @@ func replayInto(tb testing.TB, dir string, w *stream.Window) int {
 // BenchmarkReplay times recovery's replay of a log shaped like the
 // repository benchmark's ingest stage — 30-record datagrams over 200
 // buckets, arriving across ten one-minute slots — into a new window, per
-// record: fresh has no duplicates, dup is half duplicates.
+// record, through a stream.Loader as tierd's recovery replays: fresh has
+// no duplicates, dup is half duplicates. The procs1 cases run the same
+// replays at GOMAXPROCS=1, where the loader's two goroutines share one
+// core and its hand-offs are pure overhead.
 func BenchmarkReplay(b *testing.B) {
 	const dgrams, slots = 2000, 10
 	base := time.Unix(1_700_000_000, 0)
 	at := func(i int) time.Time { return base.Add(time.Duration(i) * slots * time.Minute / dgrams) }
 	for _, c := range []struct {
-		name string
-		dup  bool
-	}{{"fresh", false}, {"dup", true}} {
+		name  string
+		dup   bool
+		procs int
+	}{{"fresh", false, 0}, {"dup", true, 0}, {"fresh/procs1", false, 1}, {"dup/procs1", true, 1}} {
 		b.Run(c.name, func(b *testing.B) {
 			dir := b.TempDir()
 			writeWAL(b, dir, replayCorpus(1, dgrams, 0, c.dup), at)
+			if c.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
